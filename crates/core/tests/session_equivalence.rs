@@ -47,9 +47,62 @@ fn assert_acp_identical(tag: &str, s: &SolveResult, r: &ugraph_cluster::AcpResul
     assert_eq!(s.samples_used, r.samples_used, "{tag}: samples_used differ");
 }
 
+/// FNV-1a over 64-bit words: a stable digest of session results.
+#[derive(Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Folds every field of `s` that the estimates or the oracle's engine
+    /// and cache traffic can change (wall time excluded).
+    fn result(&mut self, s: &SolveResult) {
+        let c = &s.clustering;
+        self.word(c.num_clusters() as u64);
+        for center in c.centers() {
+            self.word(u64::from(center.0));
+        }
+        for u in 0..c.num_nodes() {
+            self.word(c.cluster_of_u32(u as u32).map_or(u64::MAX, |i| i as u64));
+        }
+        self.word(s.assign_probs.len() as u64);
+        for p in &s.assign_probs {
+            self.word(p.to_bits());
+        }
+        self.word(s.objective_estimate.to_bits());
+        self.word(s.final_q.to_bits());
+        self.word(s.guesses as u64);
+        self.word(s.samples_used as u64);
+        for x in [s.row_cache.hits, s.row_cache.topups, s.row_cache.fulls] {
+            self.word(x as u64);
+        }
+        let e = s.engine;
+        for x in [e.finalized_blocks, e.finalized_lanes, e.label_queries, e.mask_queries] {
+            self.word(x as u64);
+        }
+    }
+}
+
+/// Digest of every session result of
+/// `interleaved_request_shapes_match_one_shot_on_both_engines`, recorded
+/// before the two Monte-Carlo oracles were merged into one. It pins the
+/// answers and the engine/cache traffic of the scalar, pure-mask and
+/// adaptive engines, with the row cache on and off, across unlimited,
+/// `d_select = d_cover` and `d_select < d_cover` oracles.
+const INTERLEAVED_DIGEST: u64 = 0xa83e_c641_e01c_85f1;
+
 #[test]
 fn interleaved_request_shapes_match_one_shot_on_both_engines() {
     let g = communities_with_tail();
+    let mut digest = Digest::new();
     for engine in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
         for row_cache in [true, false] {
             let cfg = ClusterConfig::default()
@@ -85,8 +138,26 @@ fn interleaved_request_shapes_match_one_shot_on_both_engines() {
                 &s5,
                 &acp_depth(&g, 2, 3, &cfg).unwrap(),
             );
+
+            // Selection disks narrower than cover disks: the only shape
+            // whose oracle keeps a separate selection row. No free function
+            // takes explicit depths, so a fresh session is the one-shot.
+            let explicit = ClusterRequest::acp(2).with_depths(1, 3);
+            let s6 = session.solve(explicit.clone()).unwrap();
+            let cold = UgraphSession::new(&g, cfg.clone()).unwrap().solve(explicit).unwrap();
+            assert_eq!(s6.clustering, cold.clustering, "{tag} acp(1, 3): clustering differs");
+            assert_eq!(s6.assign_probs, cold.assign_probs, "{tag} acp(1, 3): probs differ");
+            assert_eq!(s6.objective_estimate, cold.objective_estimate, "{tag} acp(1, 3)");
+            assert_eq!(s6.final_q, cold.final_q, "{tag} acp(1, 3): final_q differs");
+            assert_eq!(s6.guesses, cold.guesses, "{tag} acp(1, 3): guesses differ");
+            assert_eq!(s6.samples_used, cold.samples_used, "{tag} acp(1, 3): samples differ");
+
+            for s in [&s1, &s2, &s3, &s4, &s5, &s6] {
+                digest.result(s);
+            }
         }
     }
+    assert_eq!(digest.0, INTERLEAVED_DIGEST, "session results differ from the recorded digest");
 }
 
 #[test]
