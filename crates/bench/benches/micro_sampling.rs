@@ -6,7 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::{Bitset, NodeId, UnionFind};
-use ugraph_sampling::{ComponentPool, McOracle, Oracle, SampleSchedule, WorldPool, WorldSampler};
+use ugraph_sampling::{
+    ComponentPool, McOracle, Oracle, SampleSchedule, WorldEngine, WorldPool, WorldSampler,
+};
 
 fn sampling(c: &mut Criterion) {
     let d = DatasetSpec::Krogan.generate(1);
@@ -101,8 +103,12 @@ fn parallel_oracle(c: &mut Criterion) {
     // path computed something different.
     const SEED: u64 = 7;
     const SAMPLES: usize = 256;
-    let mut serial_oracle = McOracle::new(&graph, SEED, 1, SampleSchedule::Fixed(SAMPLES), 0.1);
-    let mut parallel_oracle = McOracle::new(&graph, SEED, 0, SampleSchedule::Fixed(SAMPLES), 0.1);
+    let scalar_oracle = |threads: usize| {
+        let pool = ComponentPool::new(&graph, SEED, threads);
+        McOracle::from_engine(Box::new(pool), SampleSchedule::Fixed(SAMPLES), 0.1)
+    };
+    let mut serial_oracle = scalar_oracle(1);
+    let mut parallel_oracle = scalar_oracle(0);
     serial_oracle.prepare(0.5).unwrap();
     parallel_oracle.prepare(0.5).unwrap();
     let mut row_serial = (vec![0.0; n], vec![0.0; n]);

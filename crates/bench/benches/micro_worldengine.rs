@@ -21,7 +21,10 @@ use ugraph_cluster::{
 };
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::NodeId;
-use ugraph_sampling::{BitParallelPool, ComponentPool, EngineKind, McOracle, Oracle, WorldPool};
+use ugraph_sampling::{
+    BitParallelPool, BlockWidth, ComponentPool, EngineKind, McOracle, Oracle, WorldEngine,
+    WorldPool, DEPTH_UNLIMITED,
+};
 
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0")
@@ -537,18 +540,20 @@ fn measure_replay(graph: &ugraph_graph::UncertainGraph, smoke: bool) -> Vec<Repl
         .with_acp_invocation(AcpInvocation::Theory)
         .with_p_l(p_l)
         .with_threads(1);
+    let oracle = |kind: EngineKind| {
+        let (d, w) = (DEPTH_UNLIMITED, BlockWidth::default());
+        McOracle::with_engine_width(graph, 99, 1, cfg.schedule, cfg.epsilon, d, d, kind, w)
+            .expect("unlimited depths are valid")
+    };
     let run_cached = |kind: EngineKind| -> (AcpResult, u128) {
         let t = Instant::now();
-        let mut oracle = McOracle::with_engine(graph, 99, 1, cfg.schedule, cfg.epsilon, kind);
+        let mut oracle = oracle(kind);
         let r = acp_with_oracle(&mut oracle, k, &cfg).expect("acp (cached)");
         (r, t.elapsed().as_nanos())
     };
     let run_per_row = |kind: EngineKind| -> (AcpResult, u128) {
         let t = Instant::now();
-        let mut oracle = PerRowOracle(
-            McOracle::with_engine(graph, 99, 1, cfg.schedule, cfg.epsilon, kind)
-                .with_row_cache(false),
-        );
+        let mut oracle = PerRowOracle(oracle(kind).with_row_cache(false));
         let r = acp_with_oracle(&mut oracle, k, &cfg).expect("acp (per-row)");
         (r, t.elapsed().as_nanos())
     };

@@ -82,8 +82,8 @@ pub struct ClusterConfig {
     /// ACP invocation flavor.
     pub acp_invocation: AcpInvocation,
     /// Monte-Carlo backend: scalar per-world pools, the pure-mask
-    /// bit-parallel block pool (64 worlds per machine word), or the
-    /// default **adaptive** backend (bit-parallel plus lazy per-block
+    /// bit-parallel block pool (blocks of [`ClusterConfig::block_width`]
+    /// worlds), or the default **adaptive** backend (bit-parallel plus lazy per-block
     /// component-label finalization). Backends are count-identical for a
     /// fixed seed, so this knob trades nothing but time; it is threaded
     /// through `mcp`/`acp` (and their depth variants) into every

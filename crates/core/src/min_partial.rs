@@ -10,14 +10,15 @@
 //! Charikar-Khuller-Mount-Narasimhan outlier k-center strategy to
 //! probability space (paper §3.1).
 //!
-//! The depth-limited variant differs only in which oracle backs the
-//! probabilities: a [`DepthMcOracle`](ugraph_sampling::DepthMcOracle)
-//! evaluates the selection disks at depth `d'` and the cover disks at
-//! depth `d` (Algorithm 4 lines 5 and 8), so this module is depth-agnostic.
+//! The depth-limited variant differs only in the depths of the oracle
+//! backing the probabilities: a [`McOracle`](ugraph_sampling::McOracle)
+//! built with depths `(d', d)` evaluates the selection disks at depth `d'`
+//! and the cover disks at depth `d` (Algorithm 4 lines 5 and 8), so this
+//! module is depth-agnostic.
 //!
 //! It is also **backend-agnostic**: every probability row consumed here
-//! comes through the [`Oracle`] trait, whose Monte-Carlo implementations
-//! sit on the `WorldEngine` seam — the drivers thread
+//! comes through the [`Oracle`] trait, whose Monte-Carlo implementation
+//! sits on the `WorldEngine` seam — the drivers thread
 //! [`ClusterConfig::engine`](crate::ClusterConfig) (scalar vs.
 //! bit-parallel) into the oracles they construct, and `min-partial` sees
 //! identical estimates either way.

@@ -58,8 +58,8 @@ use std::time::{Duration, Instant};
 use ugraph_graph::{NodeId, UncertainGraph};
 use ugraph_sampling::rng::mix_seed;
 use ugraph_sampling::{
-    assignment_probs, quality_from_probs, ComponentPool, DepthMcOracle, EngineStats, McOracle,
-    MemoryBudget, MemoryStats, Oracle, RowCacheStats, RunState, WorldPool,
+    assignment_probs, quality_from_probs, ComponentPool, EngineStats, McOracle, MemoryBudget,
+    MemoryStats, Oracle, RowCacheStats, RunState, WorldPool, DEPTH_UNLIMITED,
 };
 
 use crate::acp::acp_with_oracle;
@@ -99,8 +99,9 @@ struct OracleKey {
     /// ([`ClusterConfig::shared_pool`]): the MCP and ACP families resolve
     /// to the same oracle per depth shape instead of one each.
     objective: Option<Objective>,
-    /// `None` = unlimited path length (a [`McOracle`]); `Some` = the
-    /// resolved `(d_select, d_cover)` pair (a [`DepthMcOracle`]).
+    /// `None` = unlimited path length; `Some` = the resolved
+    /// `(d_select, d_cover)` pair. The two get different seed tags, so a
+    /// `Some` key keeps its own [`McOracle`] even at unlimited depths.
     depths: Option<(u32, u32)>,
 }
 
@@ -568,37 +569,21 @@ impl<'g> UgraphSession<'g> {
             (Some(Objective::AvgProb), false) => TAG_ACP,
             (Some(Objective::AvgProb), true) => TAG_ACP_DEPTH,
         };
-        let oracle: Box<dyn Oracle + 'g> = match key.depths {
-            None => Box::new(
-                McOracle::with_engine_width(
-                    self.graph,
-                    mix_seed(cfg.seed, tag),
-                    cfg.threads,
-                    cfg.schedule,
-                    cfg.epsilon,
-                    cfg.engine,
-                    cfg.block_width,
-                )
-                .with_row_cache(cfg.row_cache)
-                .with_memory_budget(self.budget.clone()),
-            ),
-            Some((d_select, d_cover)) => Box::new(
-                DepthMcOracle::with_engine_width(
-                    self.graph,
-                    mix_seed(cfg.seed, tag),
-                    cfg.threads,
-                    cfg.schedule,
-                    cfg.epsilon,
-                    d_select,
-                    d_cover,
-                    cfg.engine,
-                    cfg.block_width,
-                )?
-                .with_row_cache(cfg.row_cache)
-                .with_memory_budget(self.budget.clone()),
-            ),
-        };
-        self.oracles.push((key, oracle));
+        let (d_select, d_cover) = key.depths.unwrap_or((DEPTH_UNLIMITED, DEPTH_UNLIMITED));
+        let oracle = McOracle::with_engine_width(
+            self.graph,
+            mix_seed(cfg.seed, tag),
+            cfg.threads,
+            cfg.schedule,
+            cfg.epsilon,
+            d_select,
+            d_cover,
+            cfg.engine,
+            cfg.block_width,
+        )?
+        .with_row_cache(cfg.row_cache)
+        .with_memory_budget(self.budget.clone());
+        self.oracles.push((key, Box::new(oracle)));
         Ok(self.oracles.len() - 1)
     }
 }

@@ -103,6 +103,7 @@ mod tests {
     use super::*;
     use ugraph_graph::GraphBuilder;
     use ugraph_graph::UncertainGraph;
+    use ugraph_sampling::WorldEngine;
 
     fn two_certain_triangles() -> UncertainGraph {
         let mut b = GraphBuilder::new(6);

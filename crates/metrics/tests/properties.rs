@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use ugraph_cluster::Clustering;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_metrics::{avpr, clustering_quality, confusion};
-use ugraph_sampling::ComponentPool;
+use ugraph_sampling::{ComponentPool, WorldEngine};
 
 /// Random graph plus a random full clustering over it.
 fn graph_and_clustering() -> impl Strategy<Value = (UncertainGraph, Clustering)> {

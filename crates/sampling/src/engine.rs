@@ -10,10 +10,11 @@
 //!   [`crate::ComponentPool`] (per-world component labels, unlimited
 //!   connectivity) and [`crate::WorldPool`] (per-world edge bitsets,
 //!   depth-limited BFS);
-//! * the **bit-parallel** backend ([`crate::BitParallelPool`]) packs 64
-//!   worlds per machine word as structure-of-arrays edge masks and answers
-//!   64 worlds per traversal with mask-propagating multi-world BFS
-//!   ([`ugraph_graph::MultiWorldBfs`]).
+//! * the **bit-parallel** backend ([`crate::BitParallelPool`]) packs
+//!   worlds into blocks of `64·W` ([`BlockWidth`]: `W` = 1, 4 or 8 machine
+//!   words per edge, 256 worlds by default) as structure-of-arrays edge
+//!   masks and answers a whole block per traversal with mask-propagating
+//!   multi-world BFS ([`ugraph_graph::MultiWorldBfs`]).
 //!
 //! Backends draw world `i` from the same per-index RNG stream, so for a
 //! fixed master seed every backend holds **bit-identical worlds** and
@@ -40,14 +41,14 @@ pub enum EngineKind {
     /// One world per query step: component labels for unlimited
     /// connectivity, per-world bounded BFS for depth-limited queries.
     Scalar,
-    /// 64 worlds per machine word: structure-of-arrays edge masks queried
-    /// with mask-propagating multi-world BFS. Kept as the pure-mask
-    /// backend for benchmarking; [`EngineKind::Adaptive`] dominates it on
-    /// unlimited-depth query workloads.
+    /// Blocks of `64·W` worlds ([`BlockWidth`]): structure-of-arrays edge
+    /// masks queried with mask-propagating multi-world BFS. Kept as the
+    /// pure-mask backend for benchmarking; [`EngineKind::Adaptive`]
+    /// dominates it on unlimited-depth query workloads.
     BitParallel,
     /// The bit-parallel backend plus **lazy per-block component-label
     /// finalization**: the first unlimited-depth row query against a
-    /// 64-world block materializes per-lane component labels (one
+    /// block of worlds materializes per-lane component labels (one
     /// component-sharing fixpoint sweep per block) and caches them next to
     /// the edge masks, so every later unlimited query over that block is
     /// an O(n + members) label scan exactly like the scalar backend —
@@ -133,7 +134,8 @@ impl BlockWidth {
 /// bit-parallel pool).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// 64-world blocks currently holding finalized component labels.
+    /// Blocks (`64·W` worlds each, see [`BlockWidth`]) currently holding
+    /// finalized component labels.
     pub finalized_blocks: usize,
     /// World lanes ever labeled. Monotone, and each lane is labeled **at
     /// most once per residency**: growing a pool appends new lanes but
@@ -186,13 +188,15 @@ impl EngineStats {
 /// `counts_within_depths_range`) restricted to a sample-index window —
 /// counts over disjoint windows add up exactly, which is what the oracle
 /// layer's incremental row cache builds on. All three shapes return
-/// identical integer counts for the same pool.
+/// identical integer counts for the same pool. Backends implement the
+/// ranged forms; each full-pool form is provided as its ranged form over
+/// `[0, num_samples())`.
 ///
 /// Depth parameters use [`DEPTH_UNLIMITED`] for plain connectivity.
 /// Backends that precompute per-world connectivity and cannot answer
 /// finite-depth queries (the scalar [`crate::ComponentPool`]) document
-/// this and panic on finite depths; the oracles only pair depth queries
-/// with depth-capable backends.
+/// this and panic on finite depths; [`crate::McOracle`] only pairs depth
+/// queries with depth-capable backends.
 pub trait WorldEngine {
     /// The underlying uncertain graph.
     fn graph(&self) -> &UncertainGraph;
@@ -255,7 +259,10 @@ pub trait WorldEngine {
     ///
     /// # Panics
     /// Panics if `out.len() != graph().num_nodes()`.
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]);
+    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
+        let hi = self.num_samples();
+        self.counts_from_center_range(center, 0, hi, out);
+    }
 
     /// Batched [`WorldEngine::counts_from_center`]: one count row per
     /// requested center, written row-major into `out`
@@ -263,19 +270,15 @@ pub trait WorldEngine {
     ///
     /// Counts are **identical** to `centers.len()` sequential
     /// `counts_from_center` calls — batching only changes how the pool is
-    /// swept, never what is counted. Backends override the default
-    /// per-center loop with genuinely amortized sweeps (one pass over the
-    /// pool updating all rows; multi-source mask BFS on the bit-parallel
-    /// backend). Duplicate centers are allowed.
+    /// swept, never what is counted (see
+    /// [`WorldEngine::counts_from_centers_range`]). Duplicate centers are
+    /// allowed.
     ///
     /// # Panics
     /// Panics if `out.len() != centers.len() * graph().num_nodes()`.
     fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), centers.len() * n, "batch counts buffer has wrong length");
-        for (j, &c) in centers.iter().enumerate() {
-            self.counts_from_center(c, &mut out[j * n..(j + 1) * n]);
-        }
+        let hi = self.num_samples();
+        self.counts_from_centers_range(centers, 0, hi, out);
     }
 
     /// Restriction of [`WorldEngine::counts_from_center`] to the samples
@@ -301,10 +304,9 @@ pub trait WorldEngine {
     /// window counted, and issuing them one center at a time re-pays the
     /// per-window traversal setup per row (on the bit-parallel backend,
     /// the losing single-row mask-BFS shape). Backends override the
-    /// default per-center loop with the same amortized sweeps as
-    /// [`WorldEngine::counts_from_centers`] (one pass over the window
-    /// updating all rows; component sharing / multi-source mask BFS),
-    /// restricted to the window's worlds. Counts are identical to
+    /// default per-center loop with genuinely amortized sweeps (one pass
+    /// over the window updating all rows; component sharing / multi-source
+    /// mask BFS on the bit-parallel backend). Counts are identical to
     /// sequential `counts_from_center_range` calls and add up exactly
     /// over disjoint windows.
     ///
@@ -327,7 +329,10 @@ pub trait WorldEngine {
 
     /// Number of samples in which `u` and `v` are connected (unlimited
     /// path length).
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize;
+    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
+        let hi = self.num_samples();
+        self.pair_count_range(u, v, 0, hi)
+    }
 
     /// Restriction of [`WorldEngine::pair_count`] to the samples with
     /// index in `[lo, hi)` — the pairwise analogue of
@@ -358,7 +363,10 @@ pub trait WorldEngine {
         d_cover: u32,
         out_select: &mut [u32],
         out_cover: &mut [u32],
-    );
+    ) {
+        let hi = self.num_samples();
+        self.counts_within_depths_range(center, d_select, d_cover, 0, hi, out_select, out_cover);
+    }
 
     /// Batched [`WorldEngine::counts_within_depths`]: one select row and
     /// one cover row per requested center, written row-major
@@ -377,18 +385,10 @@ pub trait WorldEngine {
         out_select: &mut [u32],
         out_cover: &mut [u32],
     ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), centers.len() * n, "batch select buffer has wrong length");
-        assert_eq!(out_cover.len(), centers.len() * n, "batch cover buffer has wrong length");
-        for (j, &c) in centers.iter().enumerate() {
-            self.counts_within_depths(
-                c,
-                d_select,
-                d_cover,
-                &mut out_select[j * n..(j + 1) * n],
-                &mut out_cover[j * n..(j + 1) * n],
-            );
-        }
+        let hi = self.num_samples();
+        self.counts_within_depths_batch_range(
+            centers, d_select, d_cover, 0, hi, out_select, out_cover,
+        );
     }
 
     /// Restriction of [`WorldEngine::counts_within_depths`] to the samples
@@ -452,7 +452,10 @@ pub trait WorldEngine {
     ///
     /// # Panics
     /// Panics if the backend cannot answer finite depths.
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize;
+    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
+        let hi = self.num_samples();
+        self.pair_count_within_range(u, v, depth, 0, hi)
+    }
 
     /// Restriction of [`WorldEngine::pair_count_within`] to the samples
     /// with index in `[lo, hi)` (see [`WorldEngine::pair_count_range`]).

@@ -19,9 +19,9 @@
 //!   to the size of the center's components, not `n·r`),
 //!   [`WorldPool`] (scalar; per-sample edge bitsets for **depth-limited**
 //!   d-connection probabilities of paper §3.4, evaluated by bounded BFS),
-//!   and [`BitParallelPool`] (64 worlds per machine word as
-//!   structure-of-arrays edge masks, queried by mask-propagating
-//!   multi-world BFS — one traversal answers 64 worlds);
+//!   and [`BitParallelPool`] (blocks of `64·W` worlds, 256 by default,
+//!   as structure-of-arrays edge masks, queried by mask-propagating
+//!   multi-world BFS — one traversal answers a whole block);
 //! * [`ExactOracle`]: exhaustive possible-world enumeration for small
 //!   graphs, used to validate the estimators and for tiny-instance
 //!   optimality tests;
@@ -29,7 +29,7 @@
 //!   schedules of Eq. 9 / Eq. 10, plus the paper's *practical* 50-sample
 //!   starting schedule (§5);
 //! * the [`Oracle`] trait consumed by the clustering algorithms, with
-//!   Monte-Carlo implementations built on the engine seam;
+//!   its Monte-Carlo implementation [`McOracle`] built on the engine seam;
 //! * the shared parallel-dispatch [`tuning`] heuristics used by every
 //!   backend;
 //! * sharded, memory-budgeted storage ([`budget`]): every backend
@@ -52,7 +52,7 @@
 //!
 //! ```
 //! use ugraph_graph::{GraphBuilder, NodeId};
-//! use ugraph_sampling::{ComponentPool, ExactOracle};
+//! use ugraph_sampling::{ComponentPool, ExactOracle, WorldEngine};
 //!
 //! let mut b = GraphBuilder::new(3);
 //! b.add_edge(0, 1, 0.5).unwrap();

@@ -15,20 +15,25 @@
 //!   center queries only walk the center's component members;
 //! * [`WorldPool`] — scalar, depth-limited: each world is kept as an edge
 //!   bitset and queried with one bounded BFS per world;
-//! * [`BitParallelPool`] — bit-parallel blocks: 64 worlds per machine word
-//!   as structure-of-arrays edge masks (`masks[e]` spans 64 worlds of one
-//!   block), queried with mask-propagating multi-world BFS — one traversal
-//!   answers 64 worlds, for both unlimited and depth-limited semantics.
+//! * [`BitParallelPool`] — bit-parallel blocks of `64·W` worlds (`W`
+//!   machine words per edge, see [`crate::BlockWidth`]; 256 worlds by
+//!   default) as structure-of-arrays edge masks (`masks[e]` spans the
+//!   block's worlds), queried with mask-propagating multi-world BFS — one
+//!   traversal answers a whole block, for both unlimited and depth-limited
+//!   semantics.
 //!
 //! ## Parallelism
 //!
-//! Generation (`ensure`) and the Monte-Carlo aggregation queries
-//! (`counts_from_center`, `counts_within_depths`, `pair_count*`) run on
-//! rayon, gated by the shared [`crate::tuning`] heuristics. Queries
-//! partition their work items (sample rows, worlds, or 64-world blocks)
-//! into chunks, accumulate per-chunk integer count vectors, and merge
-//! them — so every estimate is bit-identical no matter how many threads
-//! run, which the property tests assert.
+//! Every backend implements the ranged query forms
+//! (`counts_from_center_range`, `counts_within_depths_range`,
+//! `pair_count*_range`, and their batched variants); the full-pool forms
+//! are provided by [`WorldEngine`] as the ranged forms over the whole
+//! pool. Generation (`ensure`) and the queries run on rayon, gated by the
+//! shared [`crate::tuning`] heuristics. Queries partition their work items
+//! (sample rows, worlds, or blocks) into chunks, accumulate per-chunk
+//! integer count vectors, and merge them — so every estimate is
+//! bit-identical no matter how many threads run, which the property tests
+//! assert.
 
 use rayon::prelude::*;
 
@@ -611,21 +616,6 @@ impl<'g> ComponentPool<'g> {
         self.rows[i].component_count()
     }
 
-    /// For every node `u`, the number of samples in which `u` lies in the
-    /// same component as `center`. `p̃(u, center) = out[u] / num_samples()`.
-    ///
-    /// Runs in `Σ_i |comp_i(center)|` — only the center's component members
-    /// are touched per sample, which on sparse sampled worlds is far below
-    /// `n·r`. Sample rows are processed in parallel chunks; integer count
-    /// merging keeps the result independent of the chunking.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`.
-    pub fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        let len = self.rows.len();
-        self.counts_from_center_range(center, 0, len, out)
-    }
-
     /// The kernel of the center-count queries, over rows already resolved
     /// by the caller.
     fn counts_center_resident(&self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
@@ -645,8 +635,9 @@ impl<'g> ComponentPool<'g> {
         chunked_counts(&self.config, &self.rows[lo..hi], n, n, accumulate, out);
     }
 
-    /// Batched [`ComponentPool::counts_from_center`]: one count row per
-    /// requested center, row-major in `out` (`out[j * n + u]`).
+    /// Batched [`ComponentPool::counts_from_center_range`]: one count row
+    /// per requested center over the sample window `[lo, hi)`, row-major
+    /// in `out` (`out[j * n + u]`).
     ///
     /// Implemented as a per-center loop: the membership index already makes
     /// a single-center sweep proportional to the center's component sizes,
@@ -655,20 +646,6 @@ impl<'g> ComponentPool<'g> {
     /// `k` rows (measured on the Krogan-like instance). The batch entry
     /// point still matters for the seam: other backends amortize real work
     /// here, and callers stay backend-agnostic.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`.
-    pub fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        let len = self.rows.len();
-        self.counts_from_centers_range(centers, 0, len, out)
-    }
-
-    /// Batched [`ComponentPool::counts_from_center_range`]: one count row
-    /// per requested center over the sample window `[lo, hi)`, row-major
-    /// in `out`. Like [`ComponentPool::counts_from_centers`], a per-center
-    /// loop — the membership index already makes each pass proportional to
-    /// the center's component sizes — but the batch entry point keeps
-    /// oracle top-up waves backend-agnostic.
     ///
     /// # Panics
     /// Panics if `out.len() != centers.len() * n`, `lo > hi`, or
@@ -693,8 +670,14 @@ impl<'g> ComponentPool<'g> {
         self.trim_to_budget();
     }
 
-    /// [`ComponentPool::counts_from_center`] restricted to the samples with
-    /// index in `[lo, hi)` — counts over disjoint ranges add up exactly.
+    /// For every node `u`, the number of samples with index in `[lo, hi)`
+    /// in which `u` lies in the same component as `center` — counts over
+    /// disjoint ranges add up exactly.
+    ///
+    /// Runs in `Σ_i |comp_i(center)|` — only the center's component members
+    /// are touched per sample, which on sparse sampled worlds is far below
+    /// `n·r`. Sample rows are processed in parallel chunks; integer count
+    /// merging keeps the result independent of the chunking.
     ///
     /// # Panics
     /// Panics if `out.len() != n`, `lo > hi`, or `hi > num_samples()`.
@@ -715,14 +698,8 @@ impl<'g> ComponentPool<'g> {
         self.trim_to_budget();
     }
 
-    /// Number of samples where `u` and `v` are connected.
-    pub fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        let len = self.rows.len();
-        self.pair_count_range(u, v, 0, len)
-    }
-
-    /// [`ComponentPool::pair_count`] restricted to the samples with index
-    /// in `[lo, hi)` — one label comparison per in-window sample.
+    /// Number of samples with index in `[lo, hi)` where `u` and `v` are
+    /// connected — one label comparison per in-window sample.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > num_samples()`.
@@ -741,14 +718,6 @@ impl<'g> ComponentPool<'g> {
         );
         self.trim_to_budget();
         total
-    }
-
-    /// The estimator `p̃(u, v)` of Eq. 3. Returns 0 for an empty pool.
-    pub fn pair_estimate(&mut self, u: NodeId, v: NodeId) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.pair_count(u, v) as f64 / self.rows.len() as f64
     }
 }
 
@@ -781,14 +750,6 @@ impl WorldEngine for ComponentPool<'_> {
         ComponentPool::ensure(self, r)
     }
 
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        ComponentPool::counts_from_center(self, center, out)
-    }
-
-    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        ComponentPool::counts_from_centers(self, centers, out)
-    }
-
     fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
         ComponentPool::counts_from_center_range(self, center, lo, hi, out)
     }
@@ -803,17 +764,13 @@ impl WorldEngine for ComponentPool<'_> {
         ComponentPool::counts_from_centers_range(self, centers, lo, hi, out)
     }
 
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        ComponentPool::pair_count(self, u, v)
-    }
-
     fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
         ComponentPool::pair_count_range(self, u, v, lo, hi)
     }
 
     /// # Panics
     /// Panics if `depth` is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
+    /// [`counts_within_depths_range`](WorldEngine::counts_within_depths_range)).
     fn pair_count_within_range(
         &mut self,
         u: NodeId,
@@ -835,46 +792,6 @@ impl WorldEngine for ComponentPool<'_> {
     ///
     /// # Panics
     /// Panics if either depth is finite.
-    fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::counts_from_center(self, center, out_cover);
-        out_select.copy_from_slice(out_cover);
-    }
-
-    /// # Panics
-    /// Panics if either depth is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
-    fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::counts_from_centers(self, centers, out_cover);
-        out_select.copy_from_slice(out_cover);
-    }
-
-    /// # Panics
-    /// Panics if either depth is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
     fn counts_within_depths_range(
         &mut self,
         center: NodeId,
@@ -896,7 +813,7 @@ impl WorldEngine for ComponentPool<'_> {
 
     /// # Panics
     /// Panics if either depth is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
+    /// [`counts_within_depths_range`](WorldEngine::counts_within_depths_range)).
     fn counts_within_depths_batch_range(
         &mut self,
         centers: &[NodeId],
@@ -914,18 +831,6 @@ impl WorldEngine for ComponentPool<'_> {
         );
         ComponentPool::counts_from_centers_range(self, centers, lo, hi, out_cover);
         out_select.copy_from_slice(out_cover);
-    }
-
-    /// # Panics
-    /// Panics if `depth` is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        assert!(
-            depth == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::pair_count(self, u, v)
     }
 }
 
@@ -1216,7 +1121,8 @@ impl<'g> WorldPool<'g> {
         &self.worlds[i]
     }
 
-    /// Depth-limited connection counts from `center`.
+    /// Depth-limited connection counts from `center` over the worlds with
+    /// index in `[lo, hi)` — counts over disjoint ranges add up exactly.
     ///
     /// For every node `u`, after the call:
     /// * `out_select[u]` = #worlds with `dist(center, u) ≤ d_select`,
@@ -1224,44 +1130,6 @@ impl<'g> WorldPool<'g> {
     ///
     /// Requires `d_select ≤ d_cover` (one bounded BFS per world covers
     /// both).
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let len = self.worlds.len();
-        self.counts_within_depths_range(center, d_select, d_cover, 0, len, out_select, out_cover)
-    }
-
-    /// Batched [`WorldPool::counts_within_depths`]: rows row-major per
-    /// center. Each world's edge bitset is materialized as a [`WorldView`]
-    /// **once** for all centers (one pass over the pool), with counts
-    /// identical to sequential per-center calls.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let len = self.worlds.len();
-        self.counts_within_depths_batch_range(
-            centers, d_select, d_cover, 0, len, out_select, out_cover,
-        )
-    }
-
-    /// [`WorldPool::counts_within_depths`] restricted to the worlds with
-    /// index in `[lo, hi)` — counts over disjoint ranges add up exactly.
     ///
     /// # Panics
     /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
@@ -1318,8 +1186,8 @@ impl<'g> WorldPool<'g> {
     /// Batched [`WorldPool::counts_within_depths_range`]: rows row-major
     /// per center over the worlds with index in `[lo, hi)`. Each in-window
     /// world's edge bitset is materialized as a [`WorldView`] **once** for
-    /// all centers — the top-up analogue of
-    /// [`WorldPool::counts_within_depths_batch`].
+    /// all centers (one pass over the window), with counts identical to
+    /// sequential per-center calls.
     ///
     /// # Panics
     /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
@@ -1379,14 +1247,8 @@ impl<'g> WorldPool<'g> {
         self.trim_to_budget();
     }
 
-    /// Number of worlds where `dist(u, v) ≤ depth`.
-    pub fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        let len = self.worlds.len();
-        self.pair_count_within_range(u, v, depth, 0, len)
-    }
-
-    /// [`WorldPool::pair_count_within`] restricted to the worlds with
-    /// index in `[lo, hi)` — one bounded BFS per in-window world.
+    /// Number of worlds with index in `[lo, hi)` where `dist(u, v) ≤
+    /// depth` — one bounded BFS per in-window world.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > num_samples()`.
@@ -1425,15 +1287,6 @@ impl<'g> WorldPool<'g> {
         self.trim_to_budget();
         total
     }
-
-    /// Estimator of the d-connection probability `Pr(u ~d~ v)`.
-    pub fn pair_estimate_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> f64 {
-        if self.worlds.is_empty() {
-            return 0.0;
-        }
-        let r = self.worlds.len();
-        self.pair_count_within(u, v, depth) as f64 / r as f64
-    }
 }
 
 impl WorldEngine for WorldPool<'_> {
@@ -1461,22 +1314,9 @@ impl WorldEngine for WorldPool<'_> {
         WorldPool::ensure(self, r)
     }
 
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        // Dedicated unlimited path: one increment per reached node, no
-        // select row to duplicate (the ranged kernel over the full window).
-        let len = self.worlds.len();
-        WorldEngine::counts_from_center_range(self, center, 0, len, out)
-    }
-
-    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        // One pass over the pool: each world's view is built once for all
-        // centers instead of once per center (the ranged kernel over the
-        // full window).
-        let len = self.worlds.len();
-        self.counts_from_centers_range(centers, 0, len, out)
-    }
-
     fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
+        // Dedicated unlimited path: one increment per reached node, no
+        // select row to duplicate.
         let n = self.graph().num_nodes();
         assert_eq!(out.len(), n, "counts buffer has wrong length");
         assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
@@ -1515,7 +1355,7 @@ impl WorldEngine for WorldPool<'_> {
         out: &mut [u32],
     ) {
         // One pass over the window: each in-window world's view is built
-        // once for all centers, as in `counts_from_centers`.
+        // once for all centers instead of once per center.
         let n = self.graph().num_nodes();
         let k = centers.len();
         assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
@@ -1554,34 +1394,6 @@ impl WorldEngine for WorldPool<'_> {
         self.trim_to_budget();
     }
 
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        WorldPool::pair_count_within(self, u, v, DEPTH_UNLIMITED)
-    }
-
-    fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        WorldPool::counts_within_depths(self, center, d_select, d_cover, out_select, out_cover)
-    }
-
-    fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        WorldPool::counts_within_depths_batch(
-            self, centers, d_select, d_cover, out_select, out_cover,
-        )
-    }
-
     fn counts_within_depths_range(
         &mut self,
         center: NodeId,
@@ -1610,10 +1422,6 @@ impl WorldEngine for WorldPool<'_> {
         WorldPool::counts_within_depths_batch_range(
             self, centers, d_select, d_cover, lo, hi, out_select, out_cover,
         )
-    }
-
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        WorldPool::pair_count_within(self, u, v, depth)
     }
 
     fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
@@ -1941,17 +1749,18 @@ fn shard_block<const W: usize>(shards: &[BlockShard<W>], b: usize) -> &MaskBlock
 }
 
 /// The **bit-parallel** backend of [`WorldEngine`]: worlds stored in
-/// blocks of 64 as structure-of-arrays edge masks, queried with
-/// mask-propagating multi-world BFS ([`MultiWorldBfs`]).
+/// blocks of `64·W` (`W` words per edge) as structure-of-arrays edge
+/// masks, queried with mask-propagating multi-world BFS
+/// ([`MultiWorldBfs`]).
 ///
-/// One traversal answers 64 worlds at once, so queries cost
-/// `O((n + m) · ⌈r/64⌉)` word operations instead of `r` per-world walks —
-/// and generation skips the per-world union-find/labeling pass entirely.
-/// World `i` lives in lane `i % 64` of block `i / 64` and is drawn from
-/// per-index RNG stream `i`, so the pool is world-for-world identical to
-/// the scalar pools under the same master seed (property-tested). Blocks
-/// are grouped into [`SHARD_BLOCKS`]-block shards charged against a
-/// [`MemoryBudget`].
+/// One traversal answers a whole block at once, so queries cost
+/// `O((n + m) · W · ⌈r/64W⌉)` word operations instead of `r` per-world
+/// walks — and generation skips the per-world union-find/labeling pass
+/// entirely. World `i` lives in lane `i % 64W` of block `i / 64W` and is
+/// drawn from per-index RNG stream `i`, so the pool is world-for-world
+/// identical to the scalar pools under the same master seed
+/// (property-tested). Blocks are grouped into [`SHARD_WORLDS`]-world
+/// shards charged against a [`MemoryBudget`].
 #[derive(Debug)]
 pub struct BitParallelPool<'g, const W: usize = 1> {
     sampler: WorldSampler<'g>,
@@ -2425,51 +2234,23 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// For every node `u`, the number of samples in which `u` is connected
-    /// to `center` — per 64-world block, an O(n + members) label scan when
-    /// the block is finalized (adaptive mode), otherwise one
-    /// connectivity-fixpoint traversal popcounting the final reach masks.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`.
-    pub fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        let samples = self.samples;
-        self.counts_from_center_range(center, 0, samples, out)
-    }
-
-    /// Batched [`BitParallelPool::counts_from_center`]: one count row per
-    /// requested center, row-major in `out` (`out[j * n + u]`).
+    /// Batched [`BitParallelPool::counts_from_center_range`]: one count row
+    /// per requested center over the sample window `[lo, hi)`, row-major in
+    /// `out` (`out[j * n + u]`).
     ///
     /// Amortization by **component sharing**: connectivity reach sets are
     /// per-component, so if centers `c_i` and `c_j` are connected in some
     /// of a block's worlds, their rows are identical in those worlds. Per
-    /// 64-world block, each center runs a mask BFS only over the worlds
-    /// where its component is still unknown; every later center found
-    /// inside the traversed reach set inherits the reach masks for the
-    /// shared worlds with one AND + popcount sweep instead of a
+    /// overlapping block, each center runs a mask BFS only over the window
+    /// lanes where its component is still unknown; every later center
+    /// found inside the traversed reach set inherits the reach masks for
+    /// the shared worlds with one AND + popcount sweep instead of a
     /// re-traversal. On instances with a supercritical giant component
     /// (most candidate centers connected in most worlds), a block costs
     /// roughly one traversal plus `k` cheap sweeps — the amortization that
     /// makes bit-parallel win the multi-row query workload it loses on
-    /// single rows.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`.
-    pub fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        let samples = self.samples;
-        self.counts_from_centers_range(centers, 0, samples, out)
-    }
-
-    /// Batched [`BitParallelPool::counts_from_center_range`]: one count row
-    /// per requested center over the sample window `[lo, hi)`, with the
-    /// same **component-sharing** amortization as
-    /// [`BitParallelPool::counts_from_centers`] — per overlapping 64-world
-    /// block, each center traverses only the window lanes where its
-    /// component is still unknown, and later centers found inside an
-    /// earlier reach set inherit the shared worlds' rows with one
-    /// AND + popcount sweep. This is the top-up wave shape: one shared pass
-    /// over the new worlds for all cached rows instead of the losing
-    /// single-row mask BFS per center.
+    /// single rows, and the shape of a row-cache top-up wave: one shared
+    /// pass over the new worlds for all cached rows.
     ///
     /// # Panics
     /// Panics if `out.len() != centers.len() * n`, `lo > hi`, or
@@ -2581,10 +2362,12 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// [`BitParallelPool::counts_from_center`] restricted to the samples
-    /// with index in `[lo, hi)`: only the blocks overlapping the range are
-    /// traversed, with their lane masks narrowed to the range's lanes —
-    /// counts over disjoint ranges add up exactly.
+    /// For every node `u`, the number of samples with index in `[lo, hi)`
+    /// in which `u` is connected to `center` — per overlapping block, an
+    /// O(n + members) label scan over the block's finalized lanes (adaptive
+    /// mode), and one connectivity-fixpoint traversal popcounting the final
+    /// reach masks over the rest. Lane masks are narrowed to the range's
+    /// lanes, so counts over disjoint ranges add up exactly.
     ///
     /// # Panics
     /// Panics if `out.len() != n`, `lo > hi`, or `hi > num_samples()`.
@@ -2662,15 +2445,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }));
     }
 
-    /// Number of samples where `u` and `v` are connected.
-    pub fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        let samples = self.samples;
-        self.pair_count_range(u, v, 0, samples)
-    }
-
-    /// [`BitParallelPool::pair_count`] restricted to the samples with
-    /// index in `[lo, hi)` — one masked fixpoint traversal per
-    /// overlapping 64-world block.
+    /// Number of samples with index in `[lo, hi)` where `u` and `v` are
+    /// connected — a label comparison over finalized lanes and one masked
+    /// fixpoint traversal per overlapping block over the rest.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > num_samples()`.
@@ -2720,52 +2497,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         total
     }
 
-    /// Depth-limited connection counts from `center` (same contract as
-    /// [`WorldPool::counts_within_depths`]) — one depth-limited masked BFS
-    /// per 64-world block.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let samples = self.samples;
-        self.counts_within_depths_range(
-            center, d_select, d_cover, 0, samples, out_select, out_cover,
-        )
-    }
-
-    /// Batched [`BitParallelPool::counts_within_depths`]: rows row-major
-    /// per center, computed with multi-source level-synchronous mask BFS
-    /// in groups of up to [`MAX_SOURCES`] centers — one traversal per
-    /// 64-world block per group.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let samples = self.samples;
-        self.counts_within_depths_batch_range(
-            centers, d_select, d_cover, 0, samples, out_select, out_cover,
-        )
-    }
-
     /// Batched [`BitParallelPool::counts_within_depths_range`]: rows
     /// row-major per center over the sample window `[lo, hi)`, computed
     /// with multi-source level-synchronous mask BFS in groups of up to
-    /// [`MAX_SOURCES`] centers — one traversal per overlapping 64-world
-    /// block per group, with lane masks narrowed to the window's worlds.
+    /// [`MAX_SOURCES`] centers — one traversal per overlapping block per
+    /// group, with lane masks narrowed to the window's worlds.
     ///
     /// # Panics
     /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
@@ -2843,9 +2579,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// [`BitParallelPool::counts_within_depths`] restricted to the samples
-    /// with index in `[lo, hi)` (see
-    /// [`BitParallelPool::counts_from_center_range`]).
+    /// Depth-limited connection counts from `center` over the samples with
+    /// index in `[lo, hi)` (same contract as
+    /// [`WorldPool::counts_within_depths_range`]) — one depth-limited
+    /// masked BFS per overlapping block, lane masks narrowed to the range.
     ///
     /// # Panics
     /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
@@ -2916,14 +2653,8 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// Number of samples where `dist(u, v) ≤ depth`.
-    pub fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        let samples = self.samples;
-        self.pair_count_within_range(u, v, depth, 0, samples)
-    }
-
-    /// [`BitParallelPool::pair_count_within`] restricted to the samples
-    /// with index in `[lo, hi)`.
+    /// Number of samples with index in `[lo, hi)` where `dist(u, v) ≤
+    /// depth`.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > num_samples()`.
@@ -2980,14 +2711,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
         total
     }
-
-    /// The estimator `p̃(u, v)` of Eq. 3. Returns 0 for an empty pool.
-    pub fn pair_estimate(&mut self, u: NodeId, v: NodeId) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        self.pair_count(u, v) as f64 / self.samples as f64
-    }
 }
 
 impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
@@ -3019,14 +2742,6 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         BitParallelPool::ensure(self, r)
     }
 
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        BitParallelPool::counts_from_center(self, center, out)
-    }
-
-    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        BitParallelPool::counts_from_centers(self, centers, out)
-    }
-
     fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
         BitParallelPool::counts_from_center_range(self, center, lo, hi, out)
     }
@@ -3039,36 +2754,6 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         out: &mut [u32],
     ) {
         BitParallelPool::counts_from_centers_range(self, centers, lo, hi, out)
-    }
-
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        BitParallelPool::pair_count(self, u, v)
-    }
-
-    fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths(
-            self, center, d_select, d_cover, out_select, out_cover,
-        )
-    }
-
-    fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths_batch(
-            self, centers, d_select, d_cover, out_select, out_cover,
-        )
     }
 
     fn counts_within_depths_range(
@@ -3099,10 +2784,6 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         BitParallelPool::counts_within_depths_batch_range(
             self, centers, d_select, d_cover, lo, hi, out_select, out_cover,
         )
-    }
-
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        BitParallelPool::pair_count_within(self, u, v, depth)
     }
 
     fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
-use ugraph_sampling::{BitParallelPool, ComponentPool, MemoryBudget, WorldPool, SHARD_WORLDS};
+use ugraph_sampling::{
+    BitParallelPool, ComponentPool, MemoryBudget, WorldEngine, WorldPool, SHARD_WORLDS,
+};
 
 /// Strategy: a small random uncertain graph (3..=8 nodes, ≤ 14 edges).
 fn small_graph() -> impl Strategy<Value = UncertainGraph> {

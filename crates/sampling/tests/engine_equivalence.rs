@@ -17,9 +17,21 @@
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
-    BitParallelPool, ComponentPool, EngineKind, McOracle, MemoryBudget, Oracle, SampleSchedule,
-    WorldEngine, WorldPool, SHARD_WORLDS,
+    BitParallelPool, BlockWidth, ComponentPool, EngineKind, McOracle, MemoryBudget, Oracle,
+    SampleSchedule, WorldEngine, WorldPool, DEPTH_UNLIMITED, SHARD_WORLDS,
 };
+
+/// A single-threaded plain-connectivity oracle on `kind`, default width.
+fn unlimited_oracle(
+    g: &UncertainGraph,
+    seed: u64,
+    schedule: SampleSchedule,
+    kind: EngineKind,
+) -> McOracle<'_> {
+    let (d, width) = (DEPTH_UNLIMITED, BlockWidth::default());
+    McOracle::with_engine_width(g, seed, 1, schedule, 0.1, d, d, kind, width)
+        .expect("unlimited depths are valid")
+}
 
 /// Strategy: a small random uncertain graph (any shape, including
 /// disconnected and edgeless ones).
@@ -483,9 +495,8 @@ proptest! {
         let n = g.num_nodes();
         let kind = if bitparallel { EngineKind::BitParallel } else { EngineKind::Scalar };
         let schedule = SampleSchedule::practical();
-        let mut cached = McOracle::with_engine(&g, seed, 1, schedule, 0.1, kind);
-        let mut plain =
-            McOracle::with_engine(&g, seed, 1, schedule, 0.1, kind).with_row_cache(false);
+        let mut cached = unlimited_oracle(&g, seed, schedule, kind);
+        let mut plain = unlimited_oracle(&g, seed, schedule, kind).with_row_cache(false);
         let (mut s1, mut c1) = (vec![0.0; n], vec![0.0; n]);
         let (mut s2, mut c2) = (vec![0.0; n], vec![0.0; n]);
         for &q in &qs {
@@ -615,9 +626,8 @@ proptest! {
     ) {
         let n = g.num_nodes();
         let schedule = SampleSchedule::practical();
-        let mut scalar = McOracle::with_engine(&g, seed, 1, schedule, 0.1, EngineKind::Scalar);
-        let mut adaptive =
-            McOracle::with_engine(&g, seed, 1, schedule, 0.1, EngineKind::Adaptive);
+        let mut scalar = unlimited_oracle(&g, seed, schedule, EngineKind::Scalar);
+        let mut adaptive = unlimited_oracle(&g, seed, schedule, EngineKind::Adaptive);
         let (mut s1, mut c1) = (vec![0.0; n], vec![0.0; n]);
         let (mut s2, mut c2) = (vec![0.0; n], vec![0.0; n]);
         for &q in &qs {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
-    ComponentPool, DepthMcOracle, ExactOracle, McOracle, Oracle, SampleSchedule, WorldPool,
+    ComponentPool, ExactOracle, McOracle, Oracle, SampleSchedule, WorldEngine, WorldPool,
 };
 
 /// Strategy: a small random uncertain graph with at most `max_m ≤ 12`
@@ -176,7 +176,8 @@ proptest! {
         let mut oracles: Vec<McOracle> = [1usize, 4, 0]
             .iter()
             .map(|&threads| {
-                let mut o = McOracle::new(&g, seed, threads, SampleSchedule::Fixed(400), 0.1);
+                let pool = ComponentPool::new(&g, seed, threads);
+                let mut o = McOracle::from_engine(Box::new(pool), SampleSchedule::Fixed(400), 0.1);
                 o.prepare(0.5).unwrap();
                 o
             })
@@ -214,13 +215,13 @@ proptest! {
     ) {
         let n = g.num_nodes();
         let d_cover = d_select + extra_depth;
-        let mut oracles: Vec<DepthMcOracle> = [1usize, 4, 0]
+        let mut oracles: Vec<McOracle> = [1usize, 4, 0]
             .iter()
             .map(|&threads| {
-                let mut o = DepthMcOracle::new(
-                    &g, seed, threads, SampleSchedule::Fixed(300), 0.1, d_select, d_cover,
-                )
-                .expect("valid depths");
+                let pool = Box::new(WorldPool::new(&g, seed, threads));
+                let schedule = SampleSchedule::Fixed(300);
+                let mut o = McOracle::from_engine_depths(pool, schedule, 0.1, d_select, d_cover)
+                    .expect("valid depths");
                 o.prepare(0.5).unwrap();
                 o
             })

@@ -1,5 +1,5 @@
 //! Backend selection on the `WorldEngine` seam: scalar per-world pools
-//! versus the bit-parallel block pool (64 worlds per machine word)
+//! versus the bit-parallel block pool (64–512 worlds per mask block)
 //! versus the adaptive backend (bit-parallel + lazy per-block
 //! component-label finalization, the default).
 //!
@@ -29,7 +29,7 @@ fn main() {
     // nothing but time. Depth-limited clustering (paper §3.4) is the
     // workload where the bit-parallel backend shines: the scalar oracle
     // runs one bounded BFS per sampled world, the bit-parallel one a
-    // single masked traversal per 64-world block.
+    // single masked traversal per block of worlds.
     let (k, d) = (40, 3);
     let scalar_cfg = ClusterConfig::default().with_seed(11).with_engine(EngineKind::Scalar);
     let bit_cfg = ClusterConfig::default().with_seed(11).with_engine(EngineKind::BitParallel);
