@@ -1159,10 +1159,11 @@ mod tests {
 
     const UNLIMITED: (u32, u32) = (DEPTH_UNLIMITED, DEPTH_UNLIMITED);
 
-    /// Depth shapes of the oracle-level equivalence tests: plain
-    /// connectivity, identical finite depths, and a selection depth below
-    /// the cover depth (the only shape with a separate selection row).
-    const SHAPES: [(u32, u32); 3] = [UNLIMITED, (2, 2), (1, 3)];
+    /// Depth-limited shapes of the oracle-level equivalence tests:
+    /// identical finite depths, and a selection depth below the cover depth
+    /// (the only shape with a separate selection row). Each equivalence
+    /// check runs once over `[UNLIMITED]` and once over these.
+    const DEPTH_SHAPES: [(u32, u32); 2] = [(2, 2), (1, 3)];
 
     const ENGINES: [EngineKind; 3] =
         [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive];
@@ -1230,11 +1231,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mc_oracle_backends_agree_bit_for_bit() {
+    /// Every engine serves the scalar engine's rows and pair probabilities.
+    fn check_backends_agree_bit_for_bit(shapes: &[(u32, u32)]) {
         let g = chain(9, 0.6);
         let schedule = SampleSchedule::Fixed(90);
-        for depths in SHAPES {
+        for &depths in shapes {
             let mut scalar = oracle(&g, 7, schedule, depths, EngineKind::Scalar);
             scalar.prepare(0.5).unwrap();
             for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
@@ -1258,6 +1259,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn mc_oracle_backends_agree_bit_for_bit() {
+        check_backends_agree_bit_for_bit(&[UNLIMITED]);
+    }
+
+    #[test]
+    fn depth_oracle_backends_agree_bit_for_bit() {
+        check_backends_agree_bit_for_bit(&DEPTH_SHAPES);
     }
 
     #[test]
@@ -1297,11 +1308,12 @@ mod tests {
         assert!((o.pair_prob(NodeId(0), NodeId(2)).unwrap() - 0.25).abs() < 1e-12);
     }
 
-    #[test]
-    fn row_cache_serves_identical_estimates_across_growth() {
+    /// A cached oracle serves the same rows as an uncached one while the
+    /// pool grows, sequentially and batched.
+    fn check_row_cache_identical_across_growth(shapes: &[(u32, u32)]) {
         let g = chain(8, 0.6);
         let schedule = SampleSchedule::practical();
-        for depths in SHAPES {
+        for &depths in shapes {
             for kind in ENGINES {
                 let tag = format!("{depths:?} {kind:?}");
                 let mut cached = oracle(&g, 11, schedule, depths, kind);
@@ -1340,6 +1352,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_cache_serves_identical_estimates_across_growth() {
+        check_row_cache_identical_across_growth(&[UNLIMITED]);
+    }
+
+    #[test]
+    fn depth_oracle_cache_identical_across_growth() {
+        check_row_cache_identical_across_growth(&DEPTH_SHAPES);
     }
 
     #[test]
@@ -1449,15 +1471,14 @@ mod tests {
         assert_eq!(cov[5..], [1.0, 1.0, 1.0, 1.0, 1.0]);
     }
 
-    #[test]
-    fn begin_request_makes_warm_oracle_identical_to_fresh() {
-        // A warm oracle whose pool grew to 500 worlds in a previous request
-        // must, after begin_request, serve a small request over exactly the
-        // 50-world prefix a fresh oracle would use — including rows that
-        // were cached at larger coverage (rebuilt over the window).
+    /// A warm oracle whose pool grew to 500 worlds in a previous request
+    /// must, after begin_request, serve a small request over exactly the
+    /// 50-world prefix a fresh oracle would use — including rows that were
+    /// cached at larger coverage (rebuilt over the window).
+    fn check_begin_request_identical_to_fresh(shapes: &[(u32, u32)]) {
         let g = chain(9, 0.6);
         let schedule = SampleSchedule::practical();
-        for depths in SHAPES {
+        for &depths in shapes {
             for kind in ENGINES {
                 let tag = format!("{depths:?} {kind:?}");
                 let mut warm = oracle(&g, 7, schedule, depths, kind);
@@ -1501,6 +1522,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn begin_request_makes_warm_oracle_identical_to_fresh() {
+        check_begin_request_identical_to_fresh(&[UNLIMITED]);
+    }
+
+    #[test]
+    fn begin_request_depth_oracle_identical_to_fresh() {
+        check_begin_request_identical_to_fresh(&DEPTH_SHAPES);
     }
 
     #[test]
