@@ -661,6 +661,9 @@ impl<'g> ComponentPool<'g> {
         let k = centers.len();
         assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
         assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
+        if k == 0 {
+            return;
+        }
         if !self.resolve_range(lo, hi) {
             return;
         }
@@ -2529,6 +2532,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             out_select.copy_from_slice(out_cover);
             return;
         }
+        if k == 0 {
+            return;
+        }
         if !self.resolve_range(lo, hi) {
             return;
         }
@@ -3278,13 +3284,41 @@ mod tests {
 
     #[test]
     fn empty_center_batch_is_a_noop() {
+        // Under a budget below one shard every shard is evicted after a
+        // query, so a batch that resolved its window before checking for
+        // an empty center list would regenerate and re-evict shards.
         let g = chain(4, 0.5);
-        let mut pool = ComponentPool::new(&g, 1, 1);
-        pool.ensure(8);
-        pool.counts_from_centers(&[], &mut []);
-        let mut bit = BitParallelPool::<1>::new(&g, 1, 1);
-        bit.ensure(8);
-        bit.counts_from_centers(&[], &mut []);
+        let r = 2 * SHARD_WORLDS + SHARD_WORLDS / 2;
+        let engines: [Box<dyn WorldEngine>; 3] = [
+            Box::new(ComponentPool::new(&g, 1, 1)),
+            Box::new(WorldPool::new(&g, 1, 1)),
+            Box::new(BitParallelPool::<1>::new(&g, 1, 1)),
+        ];
+        for mut engine in engines {
+            let budget = MemoryBudget::bounded(256);
+            engine.set_memory_budget(budget.clone());
+            engine.ensure(r);
+            let mut row = vec![0u32; 4];
+            engine.counts_from_center_range(NodeId(0), 0, r, &mut row);
+            let (before, ledger) = (engine.memory_stats(), budget.stats());
+            assert!(before.shards_evicted > 0, "{before:?}");
+            engine.counts_from_centers_range(&[], 0, r, &mut []);
+            engine.counts_from_centers(&[], &mut []);
+            if engine.supports_finite_depths() {
+                engine.counts_within_depths_batch_range(&[], 1, 2, 0, r, &mut [], &mut []);
+            }
+            engine.counts_within_depths_batch_range(
+                &[],
+                DEPTH_UNLIMITED,
+                DEPTH_UNLIMITED,
+                0,
+                r,
+                &mut [],
+                &mut [],
+            );
+            assert_eq!(engine.memory_stats(), before, "pool counters moved");
+            assert_eq!(budget.stats(), ledger, "ledger moved");
+        }
     }
 
     #[test]
