@@ -9,7 +9,7 @@ use ugraph_cluster::{acp, acp_depth, mcp, mcp_depth, ClusterConfig, Clustering};
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::UncertainGraph;
 use ugraph_metrics::{avpr, clustering_quality, Avpr, Quality};
-use ugraph_sampling::ComponentPool;
+use ugraph_sampling::{ComponentPool, WorldEngine};
 
 /// Global harness options (parsed from the CLI).
 #[derive(Clone, Debug)]

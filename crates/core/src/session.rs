@@ -59,7 +59,7 @@ use ugraph_graph::{NodeId, UncertainGraph};
 use ugraph_sampling::rng::mix_seed;
 use ugraph_sampling::{
     assignment_probs, quality_from_probs, ComponentPool, EngineStats, McOracle, MemoryBudget,
-    MemoryStats, Oracle, RowCacheStats, RunState, WorldPool, DEPTH_UNLIMITED,
+    MemoryStats, Oracle, RowCacheStats, RunState, WorldEngine, WorldPool, DEPTH_UNLIMITED,
 };
 
 use crate::acp::acp_with_oracle;

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use ugraph_cluster::Clustering;
 use ugraph_graph::NodeId;
-use ugraph_sampling::ComponentPool;
+use ugraph_sampling::{ComponentPool, WorldEngine};
 
 /// Inner/outer AVPR values.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -4,19 +4,29 @@
 //! ([`crate::SHARD_WORLDS`] worlds each). Every shard's bytes are charged
 //! against a shared [`MemoryBudget`] handle when the shard is materialized
 //! and released when it is evicted; when the ledger exceeds the configured
-//! limit, pools evict their least-recently-used shards until the ledger
-//! fits again. Because world `i` is always drawn from per-index RNG stream
-//! `i` (see [`crate::rng`]), an evicted shard is a pure function of
-//! `(graph, seed, shard index)` — eviction is cache management over
-//! deterministic regeneration, and every estimate stays **bit-identical**
-//! to the unbounded run.
+//! limit, the pool's shard store evicts its least-recently-used shards
+//! until the ledger fits again. Because world `i` is always drawn from
+//! per-index RNG stream `i` (see [`crate::rng`]), an evicted shard is a
+//! pure function of `(graph, seed, shard index)` — eviction is cache
+//! management over deterministic regeneration, and every estimate stays
+//! **bit-identical** to the unbounded run.
 //!
 //! One budget is shared by every pool and row cache of a session: the
 //! handle is cheaply cloneable, and the recency clock it hands out orders
 //! shard use across all of them, so the eviction policy is LRU-ish across
 //! the whole session rather than per pool.
+//!
+//! The crate-private `ShardStore` is the one implementation of that
+//! policy: every pool backend keeps its shard bookkeeping in one and
+//! supplies only its storage operations (a shard's byte size, rebuilding a
+//! shard, dropping a shard's data).
 
 use std::sync::{Arc, Mutex};
+
+use crate::error::SamplingPhase;
+use crate::faults::{self, FaultSite};
+use crate::interrupt::RunState;
+use crate::pool::SHARD_WORLDS;
 
 #[derive(Debug, Default)]
 struct BudgetInner {
@@ -262,6 +272,265 @@ impl MemoryStats {
             shards_evicted: self.shards_evicted + other.shards_evicted,
             shards_regenerated: self.shards_regenerated + other.shards_regenerated,
         }
+    }
+}
+
+/// The shard indices covering sample range `[lo, hi)`.
+#[inline]
+pub(crate) fn shard_span(lo: usize, hi: usize) -> std::ops::RangeInclusive<usize> {
+    debug_assert!(lo < hi);
+    lo / SHARD_WORLDS..=(hi - 1) / SHARD_WORLDS
+}
+
+/// Residency record of one shard.
+#[derive(Clone, Debug)]
+struct ShardMeta {
+    /// Heap bytes currently charged to the budget for this shard.
+    bytes: usize,
+    /// Recency stamp from [`MemoryBudget::touch`].
+    last_used: u64,
+    /// Whether the shard's samples are materialized.
+    resident: bool,
+}
+
+/// Shard bookkeeping of one pool: per-shard byte charges, recency stamps
+/// and residency against a (possibly shared) [`MemoryBudget`], the pool's
+/// cumulative eviction/regeneration counters, and its per-solve
+/// [`RunState`]. The policy that acts on it — resolve-or-regenerate, LRU
+/// trimming, budget rebinding — is the provided methods of
+/// [`ShardedPool`].
+///
+/// Cloning a store charges the clone's copy of the resident bytes to the
+/// shared ledger, like any other pool's; dropping one releases them.
+#[derive(Debug, Default)]
+pub(crate) struct ShardStore {
+    shards: Vec<ShardMeta>,
+    /// Shared byte ledger governing eviction (unbounded by default).
+    budget: MemoryBudget,
+    /// Shards evicted / regenerated by this pool (cumulative).
+    evicted: u64,
+    regenerated: u64,
+    /// Per-solve interruption state, polled at shard boundaries
+    /// (unarmed by default — see [`RunState`]).
+    run: RunState,
+}
+
+impl Clone for ShardStore {
+    fn clone(&self) -> Self {
+        self.budget.charge(self.held());
+        ShardStore {
+            shards: self.shards.clone(),
+            budget: self.budget.clone(),
+            evicted: self.evicted,
+            regenerated: self.regenerated,
+            run: self.run.clone(),
+        }
+    }
+}
+
+impl Drop for ShardStore {
+    fn drop(&mut self) {
+        self.budget.release(self.held());
+    }
+}
+
+impl ShardStore {
+    fn held(&self) -> usize {
+        self.shards.iter().map(|m| m.bytes).sum()
+    }
+
+    /// The attached per-solve interruption state.
+    pub(crate) fn run(&self) -> &RunState {
+        &self.run
+    }
+
+    /// Attaches the per-solve interruption state; see
+    /// [`crate::WorldEngine::set_run_state`].
+    pub(crate) fn set_run_state(&mut self, run: RunState) {
+        self.run = run;
+    }
+
+    /// Resident bytes, the budget limit, and this pool's cumulative shard
+    /// eviction/regeneration counters.
+    pub(crate) fn memory_stats(&self) -> MemoryStats {
+        MemoryStats {
+            bytes_held: self.held(),
+            bytes_limit: self.budget.limit(),
+            shards_evicted: self.evicted,
+            shards_regenerated: self.regenerated,
+        }
+    }
+
+    /// Whether the pool's last shard is evicted. Growth then only records
+    /// the samples landing in it: the shard regenerates as a whole, at the
+    /// new extent, on its next touch.
+    pub(crate) fn trailing_evicted(&self) -> bool {
+        self.shards.last().is_some_and(|m| !m.resident)
+    }
+
+    /// The growth gate, passed before each shard-sized chunk of `ensure`:
+    /// the [`SamplingPhase::Generation`] checkpoint, then the
+    /// [`FaultSite::PoolGrow`] failpoint (its error recorded on the
+    /// [`RunState`]). `false` stops growth between chunks, so an
+    /// interrupted `ensure` leaves a consistent, smaller pool that a
+    /// re-issued request tops up bit-identically.
+    pub(crate) fn may_grow(&self) -> bool {
+        if self.run.checkpoint(SamplingPhase::Generation) {
+            return false;
+        }
+        if let Err(e) = faults::hit(FaultSite::PoolGrow) {
+            self.run.record(e);
+            return false;
+        }
+        true
+    }
+
+    /// Stamps shard `s` as just used and returns whether it is resident.
+    fn stamp(&mut self, s: usize) -> bool {
+        self.shards[s].last_used = self.budget.touch();
+        self.shards[s].resident
+    }
+
+    /// The least-recently-used resident shard, by `(stamp, index)` — the
+    /// deterministic victim order of [`ShardedPool::trim_to_budget`].
+    fn lru_victim(&self) -> Option<usize> {
+        let resident = self.shards.iter().enumerate().filter(|(_, m)| m.resident);
+        resident.min_by_key(|&(s, m)| (m.last_used, s)).map(|(s, _)| s)
+    }
+}
+
+/// A pool whose samples live in [`SHARD_WORLDS`]-world shards kept by a
+/// [`ShardStore`]. The pool supplies the storage operations only it can
+/// perform — a shard's byte size, rebuilding a shard, dropping a shard's
+/// data; the provided methods are the store's policy, written once for
+/// every backend.
+pub(crate) trait ShardedPool {
+    /// The pool's shard bookkeeping.
+    fn store(&mut self) -> &mut ShardStore;
+
+    /// Heap bytes that shard `s` holds right now (samples plus anything
+    /// derived from them, such as finalized labels).
+    fn shard_bytes(&self, s: usize) -> usize;
+
+    /// Rebuilds evicted shard `s` from its per-index RNG streams —
+    /// bit-identical to the originally sampled shard.
+    fn rebuild_shard(&mut self, s: usize);
+
+    /// Drops shard `s`'s data; sample indices stay valid.
+    fn drop_shard(&mut self, s: usize);
+
+    /// Re-derives shard `s`'s byte charge and settles the difference with
+    /// the ledger.
+    fn settle_shard(&mut self, s: usize) {
+        let now = self.shard_bytes(s);
+        let store = self.store();
+        let meta = &mut store.shards[s];
+        if now >= meta.bytes {
+            store.budget.charge(now - meta.bytes);
+        } else {
+            store.budget.release(meta.bytes - now);
+        }
+        meta.bytes = now;
+    }
+
+    /// Accounts shard `s` after `ensure` wrote samples into it: opens it
+    /// as a resident shard if it is new, stamps it as just used, and
+    /// settles its bytes.
+    fn settle_grown(&mut self, s: usize) {
+        let store = self.store();
+        if s == store.shards.len() {
+            store.shards.push(ShardMeta { bytes: 0, last_used: 0, resident: true });
+        }
+        store.stamp(s);
+        self.settle_shard(s);
+    }
+
+    /// The resolve-or-regenerate prologue of every aggregate query:
+    /// stamps the shards covering sample range `[lo, hi)` as recently used,
+    /// in ascending order, and regenerates each evicted one right after
+    /// its own stamp.
+    ///
+    /// Doubles as the query-entry cooperative checkpoint: returns `false`
+    /// (before stamping anything) when the attached [`RunState`] has
+    /// tripped, or records the error and returns `false` when the
+    /// [`FaultSite::ShardRegen`] failpoint fires. The failpoint fires
+    /// *before* a regeneration mutates anything, so a shard is always
+    /// either fully regenerated or untouched; on `false` the caller must
+    /// not read the samples.
+    #[must_use]
+    fn resolve_range(&mut self, lo: usize, hi: usize) -> bool {
+        if lo >= hi {
+            return true;
+        }
+        if self.store().run.checkpoint(SamplingPhase::Sweep) {
+            return false;
+        }
+        for s in shard_span(lo, hi) {
+            if !self.store().stamp(s) {
+                if let Err(e) = faults::hit(FaultSite::ShardRegen) {
+                    self.store().run.record(e);
+                    return false;
+                }
+                self.regenerate(s);
+            }
+        }
+        true
+    }
+
+    /// Infallible single-sample resolve of the per-sample accessors: these
+    /// back evaluation paths that run outside any solve and walk the pool
+    /// sample by sample, so they are neither checkpoints nor failpoints,
+    /// and they do not trim (the next aggregate query or `ensure` settles
+    /// the ledger).
+    fn resolve_point(&mut self, i: usize) {
+        let s = i / SHARD_WORLDS;
+        if !self.store().stamp(s) {
+            self.regenerate(s);
+        }
+    }
+
+    /// Rebuilds evicted shard `s` and charges it.
+    fn regenerate(&mut self, s: usize) {
+        self.rebuild_shard(s);
+        let store = self.store();
+        store.shards[s].resident = true;
+        store.regenerated += 1;
+        store.budget.note_regeneration();
+        self.settle_shard(s);
+    }
+
+    /// Drops resident shard `s` and releases its bytes.
+    fn evict(&mut self, s: usize) {
+        self.drop_shard(s);
+        let store = self.store();
+        store.shards[s].resident = false;
+        store.evicted += 1;
+        store.budget.note_eviction();
+        self.settle_shard(s);
+    }
+
+    /// Evicts least-recently-used shards until the shared ledger fits its
+    /// limit (or this pool has nothing left to shed) — the epilogue of
+    /// `ensure` and of every aggregate query.
+    fn trim_to_budget(&mut self) {
+        while self.store().budget.over_budget() {
+            match self.store().lru_victim() {
+                Some(s) => self.evict(s),
+                None => break,
+            }
+        }
+    }
+
+    /// Binds the pool to a (possibly shared) memory budget: the resident
+    /// bytes move to the new ledger, and the pool immediately sheds
+    /// least-recently-used shards if that ledger is over its limit.
+    fn rebind_budget(&mut self, budget: MemoryBudget) {
+        let store = self.store();
+        let held = store.held();
+        store.budget.release(held);
+        budget.charge(held);
+        store.budget = budget;
+        self.trim_to_budget();
     }
 }
 

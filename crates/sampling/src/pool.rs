@@ -22,6 +22,18 @@
 //!   traversal answers a whole block, for both unlimited and depth-limited
 //!   semantics.
 //!
+//! ## Sharded storage
+//!
+//! Every backend stores its samples in [`SHARD_WORLDS`]-world shards and
+//! keeps their bookkeeping — byte charges against a
+//! [`crate::MemoryBudget`], recency stamps, residency, and the
+//! eviction/regeneration counters — in one crate-private `ShardStore`
+//! (see [`crate::budget`]). The store resolves a query's shards
+//! (regenerating evicted ones from their per-index RNG streams), gates
+//! growth, and trims least-recently-used shards when the ledger is over
+//! its limit. A pool supplies only its storage: a shard's byte size, how
+//! to rebuild a shard, and how to drop a shard's data.
+//!
 //! ## Parallelism
 //!
 //! Every backend implements the ranged query forms
@@ -42,10 +54,9 @@ use ugraph_graph::{
     MAX_SOURCES,
 };
 
-use crate::budget::{MemoryBudget, MemoryStats};
+use crate::budget::{shard_span, MemoryBudget, MemoryStats, ShardStore, ShardedPool};
 use crate::engine::{EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingPhase;
-use crate::faults::{self, FaultSite};
 use crate::interrupt::RunState;
 use crate::tuning::{
     chunked_counts, chunked_counts2_with, chunked_counts_with, chunked_sum_with,
@@ -73,39 +84,10 @@ const fn blocks_per_shard<const W: usize>() -> usize {
     SHARD_WORLDS / (W * LANES)
 }
 
-/// Residency metadata of one shard of a **scalar** pool (the shard's
-/// samples live in the pool's flat storage; evicted samples are replaced
-/// by empty placeholders so indices stay stable).
-#[derive(Clone, Debug, Default)]
-struct ShardMeta {
-    /// Heap bytes currently charged to the budget for this shard.
-    bytes: usize,
-    /// Recency stamp from [`MemoryBudget::touch`].
-    last_used: u64,
-    /// Whether the shard's samples are materialized.
-    resident: bool,
-}
-
-/// Index of the least-recently-used resident shard, by `(stamp, index)` —
-/// the deterministic victim order of the eviction loop.
-fn lru_victim<T>(
-    shards: &[T],
-    resident: impl Fn(&T) -> bool,
-    stamp: impl Fn(&T) -> u64,
-) -> Option<usize> {
-    shards
-        .iter()
-        .enumerate()
-        .filter(|(_, sh)| resident(sh))
-        .min_by_key(|&(s, sh)| (stamp(sh), s))
-        .map(|(s, _)| s)
-}
-
-/// The shard indices covering sample range `[lo, hi)`.
+/// The sample indices of shard `s` in a flat pool of `len` samples.
 #[inline]
-fn shard_span(lo: usize, hi: usize) -> std::ops::RangeInclusive<usize> {
-    debug_assert!(lo < hi);
-    lo / SHARD_WORLDS..=(hi - 1) / SHARD_WORLDS
+fn shard_range(s: usize, len: usize) -> std::ops::Range<usize> {
+    s * SHARD_WORLDS..((s + 1) * SHARD_WORLDS).min(len)
 }
 
 /// Storage width of component labels and membership indexes.
@@ -278,49 +260,17 @@ impl SampleRow {
 
 /// Pool of per-sample connected-component partitions, for **unlimited**
 /// connection probabilities (the scalar backend of [`WorldEngine`]).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ComponentPool<'g> {
     sampler: WorldSampler<'g>,
+    /// Evicted rows are empty placeholders, so indices stay stable.
     rows: Vec<SampleRow>,
     config: ThreadConfig,
     /// `true` = `u32` labels; picked from the node count at construction
     /// (see [`Label`]), overridable for width-equivalence tests.
     wide: bool,
-    /// Per-[`SHARD_WORLDS`]-rows residency/accounting metadata.
-    shards: Vec<ShardMeta>,
-    /// Shared byte ledger governing eviction (unbounded by default).
-    budget: MemoryBudget,
-    /// Shards evicted / regenerated by this pool (cumulative).
-    evicted: u64,
-    regenerated: u64,
-    /// Per-solve interruption state, polled at shard boundaries
-    /// (unarmed by default — see [`RunState`]).
-    run: RunState,
-}
-
-impl Clone for ComponentPool<'_> {
-    fn clone(&self) -> Self {
-        // The clone shares the budget handle, so its copy of the resident
-        // rows is charged to the ledger like any other pool's.
-        self.budget.charge(self.shards.iter().map(|m| m.bytes).sum());
-        ComponentPool {
-            sampler: self.sampler,
-            rows: self.rows.clone(),
-            config: self.config.clone(),
-            wide: self.wide,
-            shards: self.shards.clone(),
-            budget: self.budget.clone(),
-            evicted: self.evicted,
-            regenerated: self.regenerated,
-            run: self.run.clone(),
-        }
-    }
-}
-
-impl Drop for ComponentPool<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.shards.iter().map(|m| m.bytes).sum());
-    }
+    /// Residency and byte accounting of the [`SHARD_WORLDS`]-row shards.
+    store: ShardStore,
 }
 
 impl<'g> ComponentPool<'g> {
@@ -332,155 +282,7 @@ impl<'g> ComponentPool<'g> {
             rows: Vec::new(),
             config: ThreadConfig::new(threads),
             wide: !narrow_fits(graph.num_nodes()),
-            shards: Vec::new(),
-            budget: MemoryBudget::unbounded(),
-            evicted: 0,
-            regenerated: 0,
-            run: RunState::unlimited(),
-        }
-    }
-
-    /// Binds the pool to a (possibly shared) memory budget: the resident
-    /// bytes move to the new ledger and the pool immediately sheds
-    /// least-recently-used shards if the new ledger is over its limit.
-    pub fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        let held: usize = self.shards.iter().map(|m| m.bytes).sum();
-        self.budget.release(held);
-        budget.charge(held);
-        self.budget = budget;
-        self.trim_to_budget();
-    }
-
-    /// Attaches the per-solve interruption state; see
-    /// [`WorldEngine::set_run_state`].
-    pub fn set_run_state(&mut self, run: RunState) {
-        self.run = run;
-    }
-
-    /// Resident bytes, the budget limit, and this pool's cumulative shard
-    /// eviction/regeneration counters.
-    pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.shards.iter().map(|m| m.bytes).sum(),
-            bytes_limit: self.budget.limit(),
-            shards_evicted: self.evicted,
-            shards_regenerated: self.regenerated,
-        }
-    }
-
-    /// Re-derives shard `s`'s byte charge from its rows and settles the
-    /// difference with the ledger.
-    fn sync_shard_bytes(&mut self, s: usize) {
-        let lo = s * SHARD_WORLDS;
-        let hi = ((s + 1) * SHARD_WORLDS).min(self.rows.len());
-        let now: usize = self.rows[lo..hi].iter().map(SampleRow::heap_bytes).sum();
-        let meta = &mut self.shards[s];
-        if now >= meta.bytes {
-            self.budget.charge(now - meta.bytes);
-        } else {
-            self.budget.release(meta.bytes - now);
-        }
-        meta.bytes = now;
-    }
-
-    /// The resolve-or-regenerate accessor of every aggregate query path:
-    /// stamps the shards covering sample range `[lo, hi)` as recently used
-    /// and regenerates any evicted one from its per-index RNG streams —
-    /// bit-identical to the originally sampled rows. Doubles as the
-    /// query-path cooperative checkpoint and the [`FaultSite::ShardRegen`]
-    /// failpoint: returns `false` (recording the error on the
-    /// [`RunState`]) if the query should be abandoned, in which case no
-    /// shard has been touched beyond its recency stamp and the caller
-    /// must not read the rows.
-    #[must_use]
-    fn resolve_range(&mut self, lo: usize, hi: usize) -> bool {
-        if lo >= hi {
-            return true;
-        }
-        if self.run.checkpoint(SamplingPhase::Sweep) {
-            return false;
-        }
-        for s in shard_span(lo, hi) {
-            self.shards[s].last_used = self.budget.touch();
-            if !self.shards[s].resident {
-                if let Err(e) = faults::hit(FaultSite::ShardRegen) {
-                    self.run.record(e);
-                    return false;
-                }
-                self.regenerate_shard(s);
-            }
-        }
-        true
-    }
-
-    /// Infallible single-sample resolve of the per-sample accessors
-    /// (`labels*`, `component_*`): these back evaluation paths that run
-    /// outside any solve, so they are neither checkpoints nor failpoints.
-    fn resolve_point(&mut self, i: usize) {
-        let s = i / SHARD_WORLDS;
-        self.shards[s].last_used = self.budget.touch();
-        if !self.shards[s].resident {
-            self.regenerate_shard(s);
-        }
-    }
-
-    fn regenerate_shard(&mut self, s: usize) {
-        let n = self.graph().num_nodes();
-        let sampler = self.sampler;
-        let wide = self.wide;
-        let lo = s * SHARD_WORLDS;
-        let hi = ((s + 1) * SHARD_WORLDS).min(self.rows.len());
-        if self.config.parallel_generation(hi - lo) {
-            let rows: Vec<SampleRow> = self.config.run(|| {
-                (lo as u64..hi as u64)
-                    .into_par_iter()
-                    .map_init(
-                        || (UnionFind::new(n), vec![0u32; n]),
-                        |(uf, labels), i| {
-                            let comps = sampler.sample_components(i, uf, labels);
-                            SampleRow::build(labels, comps, wide)
-                        },
-                    )
-                    .collect()
-            });
-            for (i, row) in rows.into_iter().enumerate() {
-                self.rows[lo + i] = row;
-            }
-        } else {
-            let mut uf = UnionFind::new(n);
-            let mut labels = vec![0u32; n];
-            for i in lo..hi {
-                let comps = sampler.sample_components(i as u64, &mut uf, &mut labels);
-                self.rows[i] = SampleRow::build(&labels, comps, wide);
-            }
-        }
-        self.shards[s].resident = true;
-        self.regenerated += 1;
-        self.budget.note_regeneration();
-        self.sync_shard_bytes(s);
-    }
-
-    fn evict_shard(&mut self, s: usize) {
-        let lo = s * SHARD_WORLDS;
-        let hi = ((s + 1) * SHARD_WORLDS).min(self.rows.len());
-        for row in &mut self.rows[lo..hi] {
-            *row = SampleRow::placeholder(self.wide);
-        }
-        self.shards[s].resident = false;
-        self.evicted += 1;
-        self.budget.note_eviction();
-        self.sync_shard_bytes(s);
-    }
-
-    /// Evicts least-recently-used shards until the shared ledger fits its
-    /// limit (or this pool has nothing left to shed) — the epilogue of
-    /// `ensure` and of every aggregate query.
-    fn trim_to_budget(&mut self) {
-        while self.budget.over_budget() {
-            match lru_victim(&self.shards, |m| m.resident, |m| m.last_used) {
-                Some(s) => self.evict_shard(s),
-                None => break,
-            }
+            store: ShardStore::default(),
         }
     }
 
@@ -501,85 +303,6 @@ impl<'g> ComponentPool<'g> {
     /// The underlying graph.
     pub fn graph(&self) -> &'g UncertainGraph {
         self.sampler.graph()
-    }
-
-    /// Number of samples currently in the pool.
-    pub fn num_samples(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Grows the pool to at least `r` samples (no-op if already there).
-    ///
-    /// Samples are drawn in parallel; sample `i` always comes from RNG
-    /// stream `i`, so the result is independent of the thread count.
-    pub fn ensure(&mut self, r: usize) {
-        let cur = self.rows.len();
-        if r <= cur {
-            return;
-        }
-        let n = self.graph().num_nodes();
-        let sampler = self.sampler;
-        let wide = self.wide;
-        // Rows landing in a currently evicted trailing shard are appended
-        // as placeholders — that shard regenerates as a whole on its next
-        // touch, filling them from their RNG streams.
-        let mut from = cur;
-        if let Some(meta) = self.shards.last() {
-            if !meta.resident {
-                let end = (self.shards.len() * SHARD_WORLDS).min(r);
-                self.rows.extend((cur..end).map(|_| SampleRow::placeholder(wide)));
-                from = end;
-                let s = self.shards.len() - 1;
-                self.shards[s].last_used = self.budget.touch();
-                self.sync_shard_bytes(s);
-            }
-        }
-        // Grow shard by shard: each chunk is generated, appended, and
-        // accounted as a unit, with a cooperative checkpoint (and the
-        // `PoolGrow` failpoint) between chunks — an interrupted `ensure`
-        // leaves a consistent, smaller pool that a re-issued request tops
-        // up bit-identically.
-        while from < r {
-            if self.run.checkpoint(SamplingPhase::Generation) {
-                break;
-            }
-            if let Err(e) = faults::hit(FaultSite::PoolGrow) {
-                self.run.record(e);
-                break;
-            }
-            let hi = ((from / SHARD_WORLDS + 1) * SHARD_WORLDS).min(r);
-            if !self.config.parallel_generation(hi - from) {
-                let mut uf = UnionFind::new(n);
-                let mut labels = vec![0u32; n];
-                for i in from as u64..hi as u64 {
-                    let comps = sampler.sample_components(i, &mut uf, &mut labels);
-                    self.rows.push(SampleRow::build(&labels, comps, wide));
-                }
-            } else {
-                let new_rows: Vec<SampleRow> = self.config.run(|| {
-                    (from as u64..hi as u64)
-                        .into_par_iter()
-                        .map_init(
-                            || (UnionFind::new(n), vec![0u32; n]),
-                            |(uf, labels), i| {
-                                let comps = sampler.sample_components(i, uf, labels);
-                                SampleRow::build(labels, comps, wide)
-                            },
-                        )
-                        .collect()
-                });
-                self.rows.extend(new_rows);
-            }
-            // Account the finished chunk's shard, then move on.
-            let s = from / SHARD_WORLDS;
-            if s == self.shards.len() {
-                self.shards.push(ShardMeta { bytes: 0, last_used: 0, resident: true });
-            }
-            self.shards[s].last_used = self.budget.touch();
-            self.sync_shard_bytes(s);
-            from = hi;
-        }
-        self.trim_to_budget();
     }
 
     /// Component labels of sample `i` (one per node), widened to `u32`.
@@ -620,7 +343,7 @@ impl<'g> ComponentPool<'g> {
     /// by the caller.
     fn counts_center_resident(&self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
         let n = self.graph().num_nodes();
-        let run = &self.run;
+        let run = self.store.run();
         let accumulate = |counts: &mut [u32], (): &mut (), rows: &[SampleRow]| {
             for row in rows {
                 // Cooperative per-row checkpoint (one relaxed load): once
@@ -634,11 +357,148 @@ impl<'g> ComponentPool<'g> {
         };
         chunked_counts(&self.config, &self.rows[lo..hi], n, n, accumulate, out);
     }
+}
 
-    /// Batched [`ComponentPool::counts_from_center_range`]: one count row
-    /// per requested center over the sample window `[lo, hi)`, row-major
-    /// in `out` (`out[j * n + u]`).
-    ///
+impl ShardedPool for ComponentPool<'_> {
+    fn store(&mut self) -> &mut ShardStore {
+        &mut self.store
+    }
+
+    fn shard_bytes(&self, s: usize) -> usize {
+        self.rows[shard_range(s, self.rows.len())].iter().map(SampleRow::heap_bytes).sum()
+    }
+
+    fn rebuild_shard(&mut self, s: usize) {
+        let n = self.graph().num_nodes();
+        let sampler = self.sampler;
+        let wide = self.wide;
+        let range = shard_range(s, self.rows.len());
+        if self.config.parallel_generation(range.len()) {
+            let rows: Vec<SampleRow> = self.config.run(|| {
+                (range.start as u64..range.end as u64)
+                    .into_par_iter()
+                    .map_init(
+                        || (UnionFind::new(n), vec![0u32; n]),
+                        |(uf, labels), i| {
+                            let comps = sampler.sample_components(i, uf, labels);
+                            SampleRow::build(labels, comps, wide)
+                        },
+                    )
+                    .collect()
+            });
+            for (i, row) in rows.into_iter().enumerate() {
+                self.rows[range.start + i] = row;
+            }
+        } else {
+            let mut uf = UnionFind::new(n);
+            let mut labels = vec![0u32; n];
+            for i in range {
+                let comps = sampler.sample_components(i as u64, &mut uf, &mut labels);
+                self.rows[i] = SampleRow::build(&labels, comps, wide);
+            }
+        }
+    }
+
+    fn drop_shard(&mut self, s: usize) {
+        let range = shard_range(s, self.rows.len());
+        for row in &mut self.rows[range] {
+            *row = SampleRow::placeholder(self.wide);
+        }
+    }
+}
+
+impl WorldEngine for ComponentPool<'_> {
+    fn set_memory_budget(&mut self, budget: MemoryBudget) {
+        self.rebind_budget(budget);
+    }
+
+    fn set_run_state(&mut self, run: RunState) {
+        self.store.set_run_state(run);
+    }
+
+    fn memory_stats(&self) -> MemoryStats {
+        self.store.memory_stats()
+    }
+
+    fn graph(&self) -> &UncertainGraph {
+        self.sampler.graph()
+    }
+
+    fn supports_finite_depths(&self) -> bool {
+        false
+    }
+
+    fn num_samples(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Samples are drawn in parallel; sample `i` always comes from RNG
+    /// stream `i`, so the result is independent of the thread count.
+    fn ensure(&mut self, r: usize) {
+        let cur = self.rows.len();
+        if r <= cur {
+            return;
+        }
+        let n = self.graph().num_nodes();
+        let sampler = self.sampler;
+        let wide = self.wide;
+        // Rows landing in a currently evicted trailing shard are appended
+        // as placeholders — that shard regenerates as a whole on its next
+        // touch, filling them from their RNG streams.
+        let mut from = cur;
+        if self.store.trailing_evicted() {
+            let s = (cur - 1) / SHARD_WORLDS;
+            from = ((s + 1) * SHARD_WORLDS).min(r);
+            self.rows.extend((cur..from).map(|_| SampleRow::placeholder(wide)));
+            self.settle_grown(s);
+        }
+        // Grow shard by shard: each chunk is generated, appended, and
+        // accounted as a unit behind the store's growth gate.
+        while from < r && self.store.may_grow() {
+            let hi = ((from / SHARD_WORLDS + 1) * SHARD_WORLDS).min(r);
+            if !self.config.parallel_generation(hi - from) {
+                let mut uf = UnionFind::new(n);
+                let mut labels = vec![0u32; n];
+                for i in from as u64..hi as u64 {
+                    let comps = sampler.sample_components(i, &mut uf, &mut labels);
+                    self.rows.push(SampleRow::build(&labels, comps, wide));
+                }
+            } else {
+                let new_rows: Vec<SampleRow> = self.config.run(|| {
+                    (from as u64..hi as u64)
+                        .into_par_iter()
+                        .map_init(
+                            || (UnionFind::new(n), vec![0u32; n]),
+                            |(uf, labels), i| {
+                                let comps = sampler.sample_components(i, uf, labels);
+                                SampleRow::build(labels, comps, wide)
+                            },
+                        )
+                        .collect()
+                });
+                self.rows.extend(new_rows);
+            }
+            self.settle_grown(from / SHARD_WORLDS);
+            from = hi;
+        }
+        self.trim_to_budget();
+    }
+
+    /// Runs in `Σ_i |comp_i(center)|` — only the center's component members
+    /// are touched per sample, which on sparse sampled worlds is far below
+    /// `n·r`. Sample rows are processed in parallel chunks; integer count
+    /// merging keeps the result independent of the chunking.
+    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
+        let n = self.graph().num_nodes();
+        assert_eq!(out.len(), n, "counts buffer has wrong length");
+        assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        self.counts_center_resident(center, lo, hi, out);
+        self.trim_to_budget();
+    }
+
     /// Implemented as a per-center loop: the membership index already makes
     /// a single-center sweep proportional to the center's component sizes,
     /// and keeping each pass focused on one `n`-sized output row is faster
@@ -646,11 +506,7 @@ impl<'g> ComponentPool<'g> {
     /// `k` rows (measured on the Krogan-like instance). The batch entry
     /// point still matters for the seam: other backends amortize real work
     /// here, and callers stay backend-agnostic.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    pub fn counts_from_centers_range(
+    fn counts_from_centers_range(
         &mut self,
         centers: &[NodeId],
         lo: usize,
@@ -673,40 +529,8 @@ impl<'g> ComponentPool<'g> {
         self.trim_to_budget();
     }
 
-    /// For every node `u`, the number of samples with index in `[lo, hi)`
-    /// in which `u` lies in the same component as `center` — counts over
-    /// disjoint ranges add up exactly.
-    ///
-    /// Runs in `Σ_i |comp_i(center)|` — only the center's component members
-    /// are touched per sample, which on sparse sampled worlds is far below
-    /// `n·r`. Sample rows are processed in parallel chunks; integer count
-    /// merging keeps the result independent of the chunking.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`, `lo > hi`, or `hi > num_samples()`.
-    pub fn counts_from_center_range(
-        &mut self,
-        center: NodeId,
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        self.counts_center_resident(center, lo, hi, out);
-        self.trim_to_budget();
-    }
-
-    /// Number of samples with index in `[lo, hi)` where `u` and `v` are
-    /// connected — one label comparison per in-window sample.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
+    /// One label comparison per in-window sample.
+    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
         if !self.resolve_range(lo, hi) {
             return 0;
@@ -721,54 +545,6 @@ impl<'g> ComponentPool<'g> {
         );
         self.trim_to_budget();
         total
-    }
-}
-
-impl WorldEngine for ComponentPool<'_> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        ComponentPool::set_memory_budget(self, budget)
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        ComponentPool::set_run_state(self, run)
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        ComponentPool::memory_stats(self)
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        ComponentPool::graph(self)
-    }
-
-    fn supports_finite_depths(&self) -> bool {
-        false
-    }
-
-    fn num_samples(&self) -> usize {
-        ComponentPool::num_samples(self)
-    }
-
-    fn ensure(&mut self, r: usize) {
-        ComponentPool::ensure(self, r)
-    }
-
-    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        ComponentPool::counts_from_center_range(self, center, lo, hi, out)
-    }
-
-    fn counts_from_centers_range(
-        &mut self,
-        centers: &[NodeId],
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        ComponentPool::counts_from_centers_range(self, centers, lo, hi, out)
-    }
-
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        ComponentPool::pair_count_range(self, u, v, lo, hi)
     }
 
     /// # Panics
@@ -787,7 +563,7 @@ impl WorldEngine for ComponentPool<'_> {
             "ComponentPool answers unlimited-depth queries only; use WorldPool or \
              BitParallelPool for finite depths"
         );
-        ComponentPool::pair_count_range(self, u, v, lo, hi)
+        self.pair_count_range(u, v, lo, hi)
     }
 
     /// Component labels carry no distance information, so this scalar
@@ -810,7 +586,7 @@ impl WorldEngine for ComponentPool<'_> {
             "ComponentPool answers unlimited-depth queries only; use WorldPool or \
              BitParallelPool for finite depths"
         );
-        ComponentPool::counts_from_center_range(self, center, lo, hi, out_cover);
+        self.counts_from_center_range(center, lo, hi, out_cover);
         out_select.copy_from_slice(out_cover);
     }
 
@@ -832,7 +608,7 @@ impl WorldEngine for ComponentPool<'_> {
             "ComponentPool answers unlimited-depth queries only; use WorldPool or \
              BitParallelPool for finite depths"
         );
-        ComponentPool::counts_from_centers_range(self, centers, lo, hi, out_cover);
+        self.counts_from_centers_range(centers, lo, hi, out_cover);
         out_select.copy_from_slice(out_cover);
     }
 }
@@ -840,49 +616,17 @@ impl WorldEngine for ComponentPool<'_> {
 /// Pool of per-sample edge bitsets, for **depth-limited** d-connection
 /// probabilities (paper §3.4) — the scalar depth-capable backend of
 /// [`WorldEngine`], one bounded BFS per world per query.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct WorldPool<'g> {
     sampler: WorldSampler<'g>,
+    /// Evicted worlds are empty placeholders, so indices stay stable.
     worlds: Vec<Bitset>,
     config: ThreadConfig,
     /// Reusable bounded-BFS workspace for serial query paths; parallel
     /// chunks build their own.
     bfs: DepthBfs,
-    /// Per-[`SHARD_WORLDS`]-worlds residency/accounting metadata.
-    shards: Vec<ShardMeta>,
-    /// Shared byte ledger governing eviction (unbounded by default).
-    budget: MemoryBudget,
-    /// Shards evicted / regenerated by this pool (cumulative).
-    evicted: u64,
-    regenerated: u64,
-    /// Per-solve interruption state, polled at shard/world boundaries
-    /// (unarmed by default — see [`RunState`]).
-    run: RunState,
-}
-
-impl Clone for WorldPool<'_> {
-    fn clone(&self) -> Self {
-        // The clone shares the budget handle, so its copy of the resident
-        // worlds is charged to the ledger like any other pool's.
-        self.budget.charge(self.shards.iter().map(|m| m.bytes).sum());
-        WorldPool {
-            sampler: self.sampler,
-            worlds: self.worlds.clone(),
-            config: self.config.clone(),
-            bfs: self.bfs.clone(),
-            shards: self.shards.clone(),
-            budget: self.budget.clone(),
-            evicted: self.evicted,
-            regenerated: self.regenerated,
-            run: self.run.clone(),
-        }
-    }
-}
-
-impl Drop for WorldPool<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.shards.iter().map(|m| m.bytes).sum());
-    }
+    /// Residency and byte accounting of the [`SHARD_WORLDS`]-world shards.
+    store: ShardStore,
 }
 
 impl<'g> WorldPool<'g> {
@@ -894,152 +638,7 @@ impl<'g> WorldPool<'g> {
             worlds: Vec::new(),
             config: ThreadConfig::new(threads),
             bfs: DepthBfs::new(graph.num_nodes()),
-            shards: Vec::new(),
-            budget: MemoryBudget::unbounded(),
-            evicted: 0,
-            regenerated: 0,
-            run: RunState::unlimited(),
-        }
-    }
-
-    /// Binds the pool to a (possibly shared) memory budget: the resident
-    /// bytes move to the new ledger and the pool immediately sheds
-    /// least-recently-used shards if the new ledger is over its limit.
-    pub fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        let held: usize = self.shards.iter().map(|m| m.bytes).sum();
-        self.budget.release(held);
-        budget.charge(held);
-        self.budget = budget;
-        self.trim_to_budget();
-    }
-
-    /// Resident bytes, the budget limit, and this pool's cumulative shard
-    /// eviction/regeneration counters.
-    pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.shards.iter().map(|m| m.bytes).sum(),
-            bytes_limit: self.budget.limit(),
-            shards_evicted: self.evicted,
-            shards_regenerated: self.regenerated,
-        }
-    }
-
-    /// Attaches the per-solve interruption state; see
-    /// [`WorldEngine::set_run_state`].
-    pub fn set_run_state(&mut self, run: RunState) {
-        self.run = run;
-    }
-
-    /// Re-derives shard `s`'s byte charge from its world bitsets and
-    /// settles the difference with the ledger.
-    fn sync_shard_bytes(&mut self, s: usize) {
-        let lo = s * SHARD_WORLDS;
-        let hi = ((s + 1) * SHARD_WORLDS).min(self.worlds.len());
-        let now: usize = self.worlds[lo..hi].iter().map(|w| w.blocks().len() * 8).sum();
-        let meta = &mut self.shards[s];
-        if now >= meta.bytes {
-            self.budget.charge(now - meta.bytes);
-        } else {
-            self.budget.release(meta.bytes - now);
-        }
-        meta.bytes = now;
-    }
-
-    /// The resolve-or-regenerate accessor of every aggregate query path:
-    /// stamps the shards covering world range `[lo, hi)` as recently used
-    /// and regenerates any evicted one from its per-index RNG streams —
-    /// bit-identical to the originally sampled worlds.
-    ///
-    /// Doubles as the query-entry cooperative checkpoint: returns `false`
-    /// (without touching any world data) when the attached [`RunState`]
-    /// has tripped, or records the error and returns `false` when the
-    /// [`FaultSite::ShardRegen`] failpoint fires. The failpoint fires
-    /// *before* regeneration mutates anything, so a shard is always either
-    /// fully regenerated or untouched.
-    #[must_use]
-    fn resolve_range(&mut self, lo: usize, hi: usize) -> bool {
-        if lo >= hi {
-            return true;
-        }
-        if self.run.checkpoint(SamplingPhase::Sweep) {
-            return false;
-        }
-        for s in shard_span(lo, hi) {
-            self.shards[s].last_used = self.budget.touch();
-            if !self.shards[s].resident {
-                if let Err(e) = faults::hit(FaultSite::ShardRegen) {
-                    self.run.record(e);
-                    return false;
-                }
-                self.regenerate_shard(s);
-            }
-        }
-        true
-    }
-
-    /// Infallible single-world resolve for per-sample accessors: touches
-    /// and (if evicted) regenerates world `i`'s shard with no checkpoint
-    /// and no failpoint, so evaluation paths that walk the pool world by
-    /// world cannot be broken by an armed fault plan or a tripped run
-    /// state.
-    fn resolve_point(&mut self, i: usize) {
-        let s = i / SHARD_WORLDS;
-        self.shards[s].last_used = self.budget.touch();
-        if !self.shards[s].resident {
-            self.regenerate_shard(s);
-        }
-    }
-
-    fn regenerate_shard(&mut self, s: usize) {
-        let m = self.graph().num_edges();
-        let sampler = self.sampler;
-        let lo = s * SHARD_WORLDS;
-        let hi = ((s + 1) * SHARD_WORLDS).min(self.worlds.len());
-        let draw = move |i: u64| {
-            let mut world = Bitset::with_len(m);
-            sampler
-                .sample_into(i, &mut world)
-                .unwrap_or_else(|e| unreachable!("pool-sized bitset cannot mismatch: {e}"));
-            world
-        };
-        if self.config.parallel_generation(hi - lo) {
-            let worlds: Vec<Bitset> =
-                self.config.run(|| (lo as u64..hi as u64).into_par_iter().map(draw).collect());
-            for (i, world) in worlds.into_iter().enumerate() {
-                self.worlds[lo + i] = world;
-            }
-        } else {
-            for i in lo..hi {
-                self.worlds[i] = draw(i as u64);
-            }
-        }
-        self.shards[s].resident = true;
-        self.regenerated += 1;
-        self.budget.note_regeneration();
-        self.sync_shard_bytes(s);
-    }
-
-    fn evict_shard(&mut self, s: usize) {
-        let lo = s * SHARD_WORLDS;
-        let hi = ((s + 1) * SHARD_WORLDS).min(self.worlds.len());
-        for world in &mut self.worlds[lo..hi] {
-            *world = Bitset::with_len(0);
-        }
-        self.shards[s].resident = false;
-        self.evicted += 1;
-        self.budget.note_eviction();
-        self.sync_shard_bytes(s);
-    }
-
-    /// Evicts least-recently-used shards until the shared ledger fits its
-    /// limit (or this pool has nothing left to shed) — the epilogue of
-    /// `ensure` and of every aggregate query.
-    fn trim_to_budget(&mut self) {
-        while self.budget.over_budget() {
-            match lru_victim(&self.shards, |m| m.resident, |m| m.last_used) {
-                Some(s) => self.evict_shard(s),
-                None => break,
-            }
+            store: ShardStore::default(),
         }
     }
 
@@ -1048,14 +647,81 @@ impl<'g> WorldPool<'g> {
         self.sampler.graph()
     }
 
-    /// Number of sampled worlds.
-    pub fn num_samples(&self) -> usize {
+    /// The edge bitset of world `i`. Regenerates `i`'s shard if it was
+    /// evicted (this per-sample accessor resolves but does not trim —
+    /// callers iterating the pool keep it resident; the next aggregate
+    /// query or `ensure` settles the ledger).
+    pub fn world(&mut self, i: usize) -> &Bitset {
+        self.resolve_point(i);
+        &self.worlds[i]
+    }
+}
+
+impl ShardedPool for WorldPool<'_> {
+    fn store(&mut self) -> &mut ShardStore {
+        &mut self.store
+    }
+
+    fn shard_bytes(&self, s: usize) -> usize {
+        self.worlds[shard_range(s, self.worlds.len())].iter().map(|w| w.blocks().len() * 8).sum()
+    }
+
+    fn rebuild_shard(&mut self, s: usize) {
+        let m = self.graph().num_edges();
+        let sampler = self.sampler;
+        let range = shard_range(s, self.worlds.len());
+        let draw = move |i: u64| {
+            let mut world = Bitset::with_len(m);
+            sampler
+                .sample_into(i, &mut world)
+                .unwrap_or_else(|e| unreachable!("pool-sized bitset cannot mismatch: {e}"));
+            world
+        };
+        if self.config.parallel_generation(range.len()) {
+            let worlds: Vec<Bitset> = self
+                .config
+                .run(|| (range.start as u64..range.end as u64).into_par_iter().map(draw).collect());
+            for (i, world) in worlds.into_iter().enumerate() {
+                self.worlds[range.start + i] = world;
+            }
+        } else {
+            for i in range {
+                self.worlds[i] = draw(i as u64);
+            }
+        }
+    }
+
+    fn drop_shard(&mut self, s: usize) {
+        let range = shard_range(s, self.worlds.len());
+        for world in &mut self.worlds[range] {
+            *world = Bitset::with_len(0);
+        }
+    }
+}
+
+impl WorldEngine for WorldPool<'_> {
+    fn set_memory_budget(&mut self, budget: MemoryBudget) {
+        self.rebind_budget(budget);
+    }
+
+    fn set_run_state(&mut self, run: RunState) {
+        self.store.set_run_state(run);
+    }
+
+    fn memory_stats(&self) -> MemoryStats {
+        self.store.memory_stats()
+    }
+
+    fn graph(&self) -> &UncertainGraph {
+        self.sampler.graph()
+    }
+
+    fn num_samples(&self) -> usize {
         self.worlds.len()
     }
 
-    /// Grows the pool to at least `r` worlds, sampling in parallel (world
-    /// `i` always comes from RNG stream `i`).
-    pub fn ensure(&mut self, r: usize) {
+    /// Samples in parallel (world `i` always comes from RNG stream `i`).
+    fn ensure(&mut self, r: usize) {
         let cur = self.worlds.len();
         if r <= cur {
             return;
@@ -1073,28 +739,16 @@ impl<'g> WorldPool<'g> {
         // appended as empty placeholders — that shard regenerates as a
         // whole on its next touch.
         let mut from = cur;
-        if let Some(meta) = self.shards.last() {
-            if !meta.resident {
-                let end = (self.shards.len() * SHARD_WORLDS).min(r);
-                self.worlds.extend((cur..end).map(|_| Bitset::with_len(0)));
-                from = end;
-                let s = self.shards.len() - 1;
-                self.shards[s].last_used = self.budget.touch();
-                self.sync_shard_bytes(s);
-            }
+        if self.store.trailing_evicted() {
+            let s = (cur - 1) / SHARD_WORLDS;
+            from = ((s + 1) * SHARD_WORLDS).min(r);
+            self.worlds.extend((cur..from).map(|_| Bitset::with_len(0)));
+            self.settle_grown(s);
         }
         // Grow shard by shard so interruption latency is bounded by one
         // shard of sampling; each chunk is fully generated and charged
-        // before the next checkpoint, so a break leaves the pool smaller
-        // but consistent.
-        while from < r {
-            if self.run.checkpoint(SamplingPhase::Generation) {
-                break;
-            }
-            if let Err(e) = faults::hit(FaultSite::PoolGrow) {
-                self.run.record(e);
-                break;
-            }
+        // before the next pass through the store's growth gate.
+        while from < r && self.store.may_grow() {
             let hi = ((from / SHARD_WORLDS + 1) * SHARD_WORLDS).min(r);
             if !self.config.parallel_generation(hi - from) {
                 self.worlds.extend((from as u64..hi as u64).map(draw));
@@ -1104,217 +758,10 @@ impl<'g> WorldPool<'g> {
                     .run(|| (from as u64..hi as u64).into_par_iter().map(draw).collect());
                 self.worlds.extend(new_worlds);
             }
-            let s = from / SHARD_WORLDS;
-            if s == self.shards.len() {
-                self.shards.push(ShardMeta { bytes: 0, last_used: 0, resident: true });
-            }
-            self.shards[s].last_used = self.budget.touch();
-            self.sync_shard_bytes(s);
+            self.settle_grown(from / SHARD_WORLDS);
             from = hi;
         }
         self.trim_to_budget();
-    }
-
-    /// The edge bitset of world `i`. Regenerates `i`'s shard if it was
-    /// evicted (this per-sample accessor resolves but does not trim —
-    /// callers iterating the pool keep it resident; the next aggregate
-    /// query or `ensure` settles the ledger).
-    pub fn world(&mut self, i: usize) -> &Bitset {
-        self.resolve_point(i);
-        &self.worlds[i]
-    }
-
-    /// Depth-limited connection counts from `center` over the worlds with
-    /// index in `[lo, hi)` — counts over disjoint ranges add up exactly.
-    ///
-    /// For every node `u`, after the call:
-    /// * `out_select[u]` = #worlds with `dist(center, u) ≤ d_select`,
-    /// * `out_cover[u]`  = #worlds with `dist(center, u) ≤ d_cover`.
-    ///
-    /// Requires `d_select ≤ d_cover` (one bounded BFS per world covers
-    /// both).
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), n, "select buffer has wrong length");
-        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
-        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.run.clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts2_with(
-            config,
-            &worlds[lo..hi],
-            n,
-            n,
-            bfs,
-            || DepthBfs::new(n),
-            |select, cover, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    bfs.run(&view, center, d_cover, |node, depth| {
-                        cover[node.index()] += 1;
-                        if depth <= d_select {
-                            select[node.index()] += 1;
-                        }
-                    });
-                }
-            },
-            out_select,
-            out_cover,
-        );
-        self.trim_to_budget();
-    }
-
-    /// Batched [`WorldPool::counts_within_depths_range`]: rows row-major
-    /// per center over the worlds with index in `[lo, hi)`. Each in-window
-    /// world's edge bitset is materialized as a [`WorldView`] **once** for
-    /// all centers (one pass over the window), with counts identical to
-    /// sequential per-center calls.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_batch_range(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        let k = centers.len();
-        assert_eq!(out_select.len(), k * n, "batch select buffer has wrong length");
-        assert_eq!(out_cover.len(), k * n, "batch cover buffer has wrong length");
-        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if k == 0 {
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.run.clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts2_with(
-            config,
-            &worlds[lo..hi],
-            k * n,
-            k * n,
-            bfs,
-            || DepthBfs::new(n),
-            |select, cover, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    for (j, &c) in centers.iter().enumerate() {
-                        bfs.run(&view, c, d_cover, |node, depth| {
-                            cover[j * n + node.index()] += 1;
-                            if depth <= d_select {
-                                select[j * n + node.index()] += 1;
-                            }
-                        });
-                    }
-                }
-            },
-            out_select,
-            out_cover,
-        );
-        self.trim_to_budget();
-    }
-
-    /// Number of worlds with index in `[lo, hi)` where `dist(u, v) ≤
-    /// depth` — one bounded BFS per in-window world.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return 0;
-        }
-        let run = self.run.clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let n = graph.num_nodes();
-        let total = chunked_sum_with(
-            config,
-            &worlds[lo..hi],
-            n,
-            bfs,
-            || DepthBfs::new(n),
-            |bfs, world| {
-                if run.checkpoint(SamplingPhase::Sweep) {
-                    return 0;
-                }
-                let view = WorldView::new(graph, world);
-                let mut hit = false;
-                bfs.run(&view, u, depth, |node, _| hit |= node == v);
-                usize::from(hit)
-            },
-        );
-        self.trim_to_budget();
-        total
-    }
-}
-
-impl WorldEngine for WorldPool<'_> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        WorldPool::set_memory_budget(self, budget)
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        WorldPool::set_run_state(self, run)
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        WorldPool::memory_stats(self)
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        WorldPool::graph(self)
-    }
-
-    fn num_samples(&self) -> usize {
-        WorldPool::num_samples(self)
-    }
-
-    fn ensure(&mut self, r: usize) {
-        WorldPool::ensure(self, r)
     }
 
     fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
@@ -1326,7 +773,7 @@ impl WorldEngine for WorldPool<'_> {
         if !self.resolve_range(lo, hi) {
             return;
         }
-        let run = self.run.clone();
+        let run = self.store.run().clone();
         let WorldPool { sampler, worlds, config, bfs, .. } = self;
         let graph = sampler.graph();
         chunked_counts_with(
@@ -1369,7 +816,7 @@ impl WorldEngine for WorldPool<'_> {
         if !self.resolve_range(lo, hi) {
             return;
         }
-        let run = self.run.clone();
+        let run = self.store.run().clone();
         let WorldPool { sampler, worlds, config, bfs, .. } = self;
         let graph = sampler.graph();
         chunked_counts_with(
@@ -1397,6 +844,8 @@ impl WorldEngine for WorldPool<'_> {
         self.trim_to_budget();
     }
 
+    /// One bounded BFS per world covers both depths (hence
+    /// `d_select ≤ d_cover`).
     fn counts_within_depths_range(
         &mut self,
         center: NodeId,
@@ -1407,11 +856,46 @@ impl WorldEngine for WorldPool<'_> {
         out_select: &mut [u32],
         out_cover: &mut [u32],
     ) {
-        WorldPool::counts_within_depths_range(
-            self, center, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
+        let n = self.graph().num_nodes();
+        assert_eq!(out_select.len(), n, "select buffer has wrong length");
+        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
+        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
+        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        let run = self.store.run().clone();
+        let WorldPool { sampler, worlds, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        chunked_counts2_with(
+            config,
+            &worlds[lo..hi],
+            n,
+            n,
+            bfs,
+            || DepthBfs::new(n),
+            |select, cover, bfs, worlds| {
+                for world in worlds {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    let view = WorldView::new(graph, world);
+                    bfs.run(&view, center, d_cover, |node, depth| {
+                        cover[node.index()] += 1;
+                        if depth <= d_select {
+                            select[node.index()] += 1;
+                        }
+                    });
+                }
+            },
+            out_select,
+            out_cover,
+        );
+        self.trim_to_budget();
     }
 
+    /// Each in-window world's edge bitset is materialized as a
+    /// [`WorldView`] **once** for all centers (one pass over the window).
     fn counts_within_depths_batch_range(
         &mut self,
         centers: &[NodeId],
@@ -1422,15 +906,55 @@ impl WorldEngine for WorldPool<'_> {
         out_select: &mut [u32],
         out_cover: &mut [u32],
     ) {
-        WorldPool::counts_within_depths_batch_range(
-            self, centers, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
+        let n = self.graph().num_nodes();
+        let k = centers.len();
+        assert_eq!(out_select.len(), k * n, "batch select buffer has wrong length");
+        assert_eq!(out_cover.len(), k * n, "batch cover buffer has wrong length");
+        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
+        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
+        if k == 0 {
+            return;
+        }
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        let run = self.store.run().clone();
+        let WorldPool { sampler, worlds, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        chunked_counts2_with(
+            config,
+            &worlds[lo..hi],
+            k * n,
+            k * n,
+            bfs,
+            || DepthBfs::new(n),
+            |select, cover, bfs, worlds| {
+                for world in worlds {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    let view = WorldView::new(graph, world);
+                    for (j, &c) in centers.iter().enumerate() {
+                        bfs.run(&view, c, d_cover, |node, depth| {
+                            cover[j * n + node.index()] += 1;
+                            if depth <= d_select {
+                                select[j * n + node.index()] += 1;
+                            }
+                        });
+                    }
+                }
+            },
+            out_select,
+            out_cover,
+        );
+        self.trim_to_budget();
     }
 
     fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        WorldPool::pair_count_within_range(self, u, v, DEPTH_UNLIMITED, lo, hi)
+        self.pair_count_within_range(u, v, DEPTH_UNLIMITED, lo, hi)
     }
 
+    /// One bounded BFS per in-window world.
     fn pair_count_within_range(
         &mut self,
         u: NodeId,
@@ -1439,7 +963,32 @@ impl WorldEngine for WorldPool<'_> {
         lo: usize,
         hi: usize,
     ) -> usize {
-        WorldPool::pair_count_within_range(self, u, v, depth, lo, hi)
+        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
+        if !self.resolve_range(lo, hi) {
+            return 0;
+        }
+        let run = self.store.run().clone();
+        let WorldPool { sampler, worlds, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        let n = graph.num_nodes();
+        let total = chunked_sum_with(
+            config,
+            &worlds[lo..hi],
+            n,
+            bfs,
+            || DepthBfs::new(n),
+            |bfs, world| {
+                if run.checkpoint(SamplingPhase::Sweep) {
+                    return 0;
+                }
+                let view = WorldView::new(graph, world);
+                let mut hit = false;
+                bfs.run(&view, u, depth, |node, _| hit |= node == v);
+                usize::from(hit)
+            },
+        );
+        self.trim_to_budget();
+        total
     }
 }
 
@@ -1719,36 +1268,10 @@ impl<const W: usize> MaskBlock<W> {
     }
 }
 
-/// A group of consecutive mask blocks covering [`SHARD_WORLDS`] worlds —
-/// the allocation/eviction granularity of the bit-parallel backend. The
-/// shard owns its blocks' masks **and** their finalized labels; eviction
-/// drops both (an empty `blocks` vector ⇔ evicted), and regeneration
-/// rebuilds the masks bit-identically from their per-index RNG streams
-/// while labels simply re-finalize on the next unlimited query.
-#[derive(Clone, Debug)]
-struct BlockShard<const W: usize> {
-    blocks: Vec<MaskBlock<W>>,
-    /// Heap bytes currently charged to the budget for this shard.
-    bytes: usize,
-    /// Recency stamp from [`MemoryBudget::touch`].
-    last_used: u64,
-}
-
-impl<const W: usize> BlockShard<W> {
-    #[inline]
-    fn resident(&self) -> bool {
-        !self.blocks.is_empty()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.blocks.iter().map(MaskBlock::heap_bytes).sum()
-    }
-}
-
 /// Block `b` of a sharded bit-parallel pool (the shard must be resident).
 #[inline]
-fn shard_block<const W: usize>(shards: &[BlockShard<W>], b: usize) -> &MaskBlock<W> {
-    &shards[b / blocks_per_shard::<W>()].blocks[b % blocks_per_shard::<W>()]
+fn shard_block<const W: usize>(shards: &[Vec<MaskBlock<W>>], b: usize) -> &MaskBlock<W> {
+    &shards[b / blocks_per_shard::<W>()][b % blocks_per_shard::<W>()]
 }
 
 /// The **bit-parallel** backend of [`WorldEngine`]: worlds stored in
@@ -1764,10 +1287,16 @@ fn shard_block<const W: usize>(shards: &[BlockShard<W>], b: usize) -> &MaskBlock
 /// identical to the scalar pools under the same master seed
 /// (property-tested). Blocks are grouped into [`SHARD_WORLDS`]-world
 /// shards charged against a [`MemoryBudget`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BitParallelPool<'g, const W: usize = 1> {
     sampler: WorldSampler<'g>,
-    shards: Vec<BlockShard<W>>,
+    /// The mask blocks of each [`SHARD_WORLDS`]-world shard, the
+    /// allocation/eviction granularity of this backend. A shard owns its
+    /// blocks' masks **and** their finalized labels; eviction drops both
+    /// (an empty vector), and regeneration rebuilds the masks
+    /// bit-identically while labels re-finalize on the next unlimited
+    /// query.
+    shards: Vec<Vec<MaskBlock<W>>>,
     samples: usize,
     config: ThreadConfig,
     /// Reusable multi-world BFS workspace for serial query paths; parallel
@@ -1786,44 +1315,8 @@ pub struct BitParallelPool<'g, const W: usize = 1> {
     wide: bool,
     /// Finalization counters (see [`EngineStats`]).
     stats: EngineStats,
-    /// Shared byte ledger governing eviction (unbounded by default).
-    budget: MemoryBudget,
-    /// Shards evicted / regenerated by this pool (cumulative).
-    evicted: u64,
-    regenerated: u64,
-    /// Per-solve interruption state, polled at shard/block boundaries
-    /// (unarmed by default — see [`RunState`]).
-    run: RunState,
-}
-
-impl<const W: usize> Clone for BitParallelPool<'_, W> {
-    fn clone(&self) -> Self {
-        // The clone shares the budget handle, so its copy of the resident
-        // shards is charged to the ledger like any other pool's.
-        self.budget.charge(self.shards.iter().map(|sh| sh.bytes).sum());
-        BitParallelPool {
-            sampler: self.sampler,
-            shards: self.shards.clone(),
-            samples: self.samples,
-            config: self.config.clone(),
-            bfs: self.bfs.clone(),
-            items: self.items.clone(),
-            batch_plan: self.batch_plan.clone(),
-            adaptive: self.adaptive,
-            wide: self.wide,
-            stats: self.stats,
-            budget: self.budget.clone(),
-            evicted: self.evicted,
-            regenerated: self.regenerated,
-            run: self.run.clone(),
-        }
-    }
-}
-
-impl<const W: usize> Drop for BitParallelPool<'_, W> {
-    fn drop(&mut self) {
-        self.budget.release(self.shards.iter().map(|sh| sh.bytes).sum());
-    }
+    /// Residency and byte accounting of the shards.
+    store: ShardStore,
 }
 
 impl<'g, const W: usize> BitParallelPool<'g, W> {
@@ -1845,10 +1338,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             adaptive: false,
             wide: !narrow_fits(graph.num_nodes()),
             stats: EngineStats::default(),
-            budget: MemoryBudget::unbounded(),
-            evicted: 0,
-            regenerated: 0,
-            run: RunState::unlimited(),
+            store: ShardStore::default(),
         }
     }
 
@@ -1873,11 +1363,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.adaptive = adaptive;
         if !adaptive {
             for s in 0..self.shards.len() {
-                for block in &mut self.shards[s].blocks {
+                for block in &mut self.shards[s] {
                     block.labels = None;
                     block.mask_queries = 0;
                 }
-                self.sync_shard_bytes(s);
+                self.settle_shard(s);
             }
             self.stats = EngineStats::default();
         }
@@ -1892,128 +1382,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     #[doc(hidden)]
     pub fn with_wide_labels(mut self, wide: bool) -> Self {
         assert!(
-            self.shards.iter().flat_map(|sh| &sh.blocks).all(|b| b.labels.is_none()),
+            self.shards.iter().flatten().all(|b| b.labels.is_none()),
             "label width is fixed once blocks are finalized"
         );
         self.wide = wide || !narrow_fits(self.graph().num_nodes());
         self
-    }
-
-    /// Binds the pool to a (possibly shared) memory budget: the resident
-    /// bytes move to the new ledger and the pool immediately sheds
-    /// least-recently-used shards if the new ledger is over its limit.
-    pub fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        let held: usize = self.shards.iter().map(|sh| sh.bytes).sum();
-        self.budget.release(held);
-        budget.charge(held);
-        self.budget = budget;
-        self.trim_to_budget();
-    }
-
-    /// Resident bytes, the budget limit, and this pool's cumulative shard
-    /// eviction/regeneration counters.
-    pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.shards.iter().map(|sh| sh.bytes).sum(),
-            bytes_limit: self.budget.limit(),
-            shards_evicted: self.evicted,
-            shards_regenerated: self.regenerated,
-        }
-    }
-
-    /// Attaches the per-solve interruption state; see
-    /// [`WorldEngine::set_run_state`].
-    pub fn set_run_state(&mut self, run: RunState) {
-        self.run = run;
-    }
-
-    /// Re-derives shard `s`'s byte charge from its blocks (masks plus any
-    /// finalized labels) and settles the difference with the ledger.
-    fn sync_shard_bytes(&mut self, s: usize) {
-        let now = self.shards[s].heap_bytes();
-        let sh = &mut self.shards[s];
-        if now >= sh.bytes {
-            self.budget.charge(now - sh.bytes);
-        } else {
-            self.budget.release(sh.bytes - now);
-        }
-        sh.bytes = now;
-    }
-
-    /// The resolve-or-regenerate accessor of every query path: stamps the
-    /// shards covering sample range `[lo, hi)` as recently used and
-    /// regenerates any evicted one from its per-index RNG streams —
-    /// bit-identical to the originally sampled blocks (dropped labels
-    /// re-finalize lazily, per the usual adaptive heuristics).
-    ///
-    /// Doubles as the query-entry cooperative checkpoint: returns `false`
-    /// (without touching any sample data) when the attached [`RunState`]
-    /// has tripped, or records the error and returns `false` when the
-    /// [`FaultSite::ShardRegen`] failpoint fires. The failpoint fires
-    /// *before* regeneration mutates anything, so a shard is always either
-    /// fully regenerated or untouched.
-    #[must_use]
-    fn resolve_range(&mut self, lo: usize, hi: usize) -> bool {
-        if lo >= hi {
-            return true;
-        }
-        if self.run.checkpoint(SamplingPhase::Sweep) {
-            return false;
-        }
-        for s in shard_span(lo, hi) {
-            self.shards[s].last_used = self.budget.touch();
-            if !self.shards[s].resident() {
-                if let Err(e) = faults::hit(FaultSite::ShardRegen) {
-                    self.run.record(e);
-                    return false;
-                }
-                self.regenerate_shard(s);
-            }
-        }
-        true
-    }
-
-    fn regenerate_shard(&mut self, s: usize) {
-        let m = self.graph().num_edges();
-        let sampler = self.sampler;
-        let r = self.samples;
-        let first = s * blocks_per_shard::<W>();
-        let last = ((s + 1) * blocks_per_shard::<W>()).min(r.div_ceil(Self::BLOCK_LANES));
-        let build = |b: usize| Self::build_block(&sampler, m, b, r);
-        let blocks: Vec<MaskBlock<W>> =
-            if self.config.parallel_generation((last - first) * Self::BLOCK_LANES) {
-                self.config.run(|| (first..last).into_par_iter().map(build).collect())
-            } else {
-                (first..last).map(build).collect()
-            };
-        self.shards[s].blocks = blocks;
-        self.regenerated += 1;
-        self.budget.note_regeneration();
-        self.sync_shard_bytes(s);
-    }
-
-    fn evict_shard(&mut self, s: usize) {
-        // Dropping a shard drops its finalized labels with it; the
-        // finalized-block gauge shrinks accordingly (lanes/query counters
-        // are cumulative and stand).
-        let labeled = self.shards[s].blocks.iter().filter(|b| b.labels.is_some()).count();
-        self.stats.finalized_blocks = self.stats.finalized_blocks.saturating_sub(labeled);
-        self.shards[s].blocks = Vec::new();
-        self.evicted += 1;
-        self.budget.note_eviction();
-        self.sync_shard_bytes(s);
-    }
-
-    /// Evicts least-recently-used shards until the shared ledger fits its
-    /// limit (or this pool has nothing left to shed) — the epilogue of
-    /// `ensure` and of every aggregate query.
-    fn trim_to_budget(&mut self) {
-        while self.budget.over_budget() {
-            match lru_victim(&self.shards, BlockShard::resident, |sh| sh.last_used) {
-                Some(s) => self.evict_shard(s),
-                None => break,
-            }
-        }
     }
 
     /// The underlying graph.
@@ -2021,20 +1394,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.sampler.graph()
     }
 
-    /// Number of samples currently in the pool.
-    pub fn num_samples(&self) -> usize {
-        self.samples
-    }
-
     /// Number of `W·64`-world blocks backing the pool (resident or
     /// evicted).
     pub fn num_blocks(&self) -> usize {
         self.samples.div_ceil(Self::BLOCK_LANES)
-    }
-
-    /// Finalization counters (all zero for pure-mask pools).
-    pub fn engine_stats(&self) -> EngineStats {
-        self.stats
     }
 
     /// Presence mask of edge `e` in block `block` (lane `l` ⇔ the edge
@@ -2064,7 +1427,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// the batch is worth it; a partially labeled block (the grown trailing
     /// block) extends **append-only** — labeled lanes are never recomputed.
     fn prepare_unlimited(&mut self, lo: usize, hi: usize, shape: UnlimitedShape) {
-        if !self.adaptive || lo >= hi || self.run.checkpoint(SamplingPhase::Labeling) {
+        if !self.adaptive || lo >= hi || self.store.run().checkpoint(SamplingPhase::Labeling) {
             return;
         }
         let graph = self.sampler.graph();
@@ -2077,7 +1440,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         let (mut label_q, mut mask_q) = (0usize, 0usize);
         let mut todo: Vec<usize> = Vec::new();
         for b in lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES {
-            let block = &mut self.shards[b / bps].blocks[b % bps];
+            let block = &mut self.shards[b / bps][b % bps];
             let labeled = block.labels.as_ref().map_or(0, BlockLabelsAny::labeled) as usize;
             if labeled >= block.lanes as usize {
                 label_q += 1;
@@ -2106,7 +1469,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             .filter(|&b| shard_block(&self.shards, b).labels.is_none())
             .collect();
         if fresh.len() > 1 && self.config.parallel_generation(fresh.len() * Self::BLOCK_LANES) {
-            let shards: &[BlockShard<W>] = &self.shards;
+            let shards: &[Vec<MaskBlock<W>>] = &self.shards;
             let built: Vec<(usize, BlockLabelsAny)> = self.config.run(|| {
                 fresh
                     .par_iter()
@@ -2124,13 +1487,13 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             for (b, labels) in built {
                 self.stats.finalized_blocks += 1;
                 self.stats.finalized_lanes += labels.labeled() as usize;
-                self.shards[b / bps].blocks[b % bps].labels = Some(labels);
+                self.shards[b / bps][b % bps].labels = Some(labels);
             }
         }
         // Serial (and catch-up) path: blocks the parallel branch already
         // attached are fully labeled and fall through both updates.
         for &b in &todo {
-            let block = &mut self.shards[b / bps].blocks[b % bps];
+            let block = &mut self.shards[b / bps][b % bps];
             let labels =
                 block.labels.get_or_insert_with(|| BlockLabelsAny::new(n, wide, Self::BLOCK_LANES));
             let before = labels.labeled() as usize;
@@ -2145,17 +1508,98 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         // Labels grew: re-charge the touched shards' bytes to the ledger.
         for s in shard_span(lo, hi) {
-            self.sync_shard_bytes(s);
+            self.settle_shard(s);
         }
     }
 
-    /// Grows the pool to at least `r` samples (no-op if already there).
-    ///
+    /// The blocks overlapping sample range `[lo, hi)`, each with the lane
+    /// mask selecting exactly the in-range worlds of that block, written
+    /// into `out` (reused across queries to keep single-row queries
+    /// allocation-free).
+    fn range_blocks_into(lo: usize, hi: usize, out: &mut Vec<(u32, Mask<W>)>) {
+        out.clear();
+        if lo >= hi {
+            return;
+        }
+        let first = lo / Self::BLOCK_LANES;
+        let last = (hi - 1) / Self::BLOCK_LANES;
+        out.extend((first..=last).map(|b| {
+            let base = b * Self::BLOCK_LANES;
+            let s = lo.max(base) - base;
+            let e = hi.min(base + Self::BLOCK_LANES) - base;
+            (b as u32, Mask::<W>::prefix(e).and_not(Mask::prefix(s)))
+        }));
+    }
+}
+
+impl<const W: usize> ShardedPool for BitParallelPool<'_, W> {
+    fn store(&mut self) -> &mut ShardStore {
+        &mut self.store
+    }
+
+    fn shard_bytes(&self, s: usize) -> usize {
+        self.shards[s].iter().map(MaskBlock::heap_bytes).sum()
+    }
+
+    /// Dropped labels re-finalize lazily, per the usual adaptive
+    /// heuristics.
+    fn rebuild_shard(&mut self, s: usize) {
+        let m = self.graph().num_edges();
+        let sampler = self.sampler;
+        let r = self.samples;
+        let first = s * blocks_per_shard::<W>();
+        let last = ((s + 1) * blocks_per_shard::<W>()).min(r.div_ceil(Self::BLOCK_LANES));
+        let build = |b: usize| Self::build_block(&sampler, m, b, r);
+        let blocks: Vec<MaskBlock<W>> =
+            if self.config.parallel_generation((last - first) * Self::BLOCK_LANES) {
+                self.config.run(|| (first..last).into_par_iter().map(build).collect())
+            } else {
+                (first..last).map(build).collect()
+            };
+        self.shards[s] = blocks;
+    }
+
+    /// Dropping a shard drops its finalized labels with it; the
+    /// finalized-block gauge shrinks accordingly (lanes/query counters are
+    /// cumulative and stand).
+    fn drop_shard(&mut self, s: usize) {
+        let labeled = self.shards[s].iter().filter(|b| b.labels.is_some()).count();
+        self.stats.finalized_blocks = self.stats.finalized_blocks.saturating_sub(labeled);
+        self.shards[s] = Vec::new();
+    }
+}
+
+impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
+    fn set_memory_budget(&mut self, budget: MemoryBudget) {
+        self.rebind_budget(budget);
+    }
+
+    fn set_run_state(&mut self, run: RunState) {
+        self.store.set_run_state(run);
+    }
+
+    fn memory_stats(&self) -> MemoryStats {
+        self.store.memory_stats()
+    }
+
+    fn graph(&self) -> &UncertainGraph {
+        self.sampler.graph()
+    }
+
+    fn num_samples(&self) -> usize {
+        self.samples
+    }
+
+    /// Finalization counters (all zero for pure-mask pools).
+    fn engine_stats(&self) -> EngineStats {
+        self.stats
+    }
+
     /// A partial last block is topped up lane by lane; full new blocks are
     /// generated in parallel. Either way world `i` comes from RNG stream
     /// `i`, so the pool is independent of the growth schedule and thread
     /// count.
-    pub fn ensure(&mut self, r: usize) {
+    fn ensure(&mut self, r: usize) {
         if r <= self.samples {
             return;
         }
@@ -2164,7 +1608,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         let sampler = self.sampler;
         let bps = blocks_per_shard::<W>();
         let total = r.div_ceil(Self::BLOCK_LANES);
-        let trailing_evicted = self.shards.last().is_some_and(|sh| !sh.resident());
+        let trailing_evicted = self.store.trailing_evicted();
         // Top up the trailing partial block, if any — unless its shard is
         // evicted, in which case the whole shard (top-up included)
         // regenerates at the new extent on its next touch.
@@ -2173,7 +1617,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             let b = cur / Self::BLOCK_LANES;
             let base = b * Self::BLOCK_LANES;
             let target = (r - base).min(Self::BLOCK_LANES);
-            let last = &mut self.shards[b / bps].blocks[b % bps];
+            let last = &mut self.shards[b / bps][b % bps];
             for lane in last.lanes as usize..target {
                 sampler
                     .sample_block_lane((base + lane) as u64, lane, &mut last.masks)
@@ -2192,23 +1636,16 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         // Append new blocks shard by shard so interruption latency is
         // bounded by one shard of sampling; each chunk is fully generated
-        // before the next checkpoint, so a break leaves the pool smaller
-        // but consistent. Blocks landing in the evicted trailing shard are
-        // left to that shard's regeneration.
+        // before the next pass through the store's growth gate. Blocks
+        // landing in the evicted trailing shard are left to that shard's
+        // regeneration.
         let first = if trailing_evicted {
             (self.shards.len() * bps).min(total)
         } else {
             cur.div_ceil(Self::BLOCK_LANES)
         };
         let mut from = first;
-        while from < total {
-            if self.run.checkpoint(SamplingPhase::Generation) {
-                break;
-            }
-            if let Err(e) = faults::hit(FaultSite::PoolGrow) {
-                self.run.record(e);
-                break;
-            }
+        while from < total && self.store.may_grow() {
             let chunk_end = ((from / bps + 1) * bps).min(total);
             let build = |b: usize| Self::build_block(&sampler, m, b, r);
             let new_blocks: Vec<MaskBlock<W>> =
@@ -2219,9 +1656,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
                 };
             let s = from / bps;
             if s == self.shards.len() {
-                self.shards.push(BlockShard { blocks: Vec::new(), bytes: 0, last_used: 0 });
+                self.shards.push(Vec::new());
             }
-            self.shards[s].blocks.extend(new_blocks);
+            self.shards[s].extend(new_blocks);
             achieved = (chunk_end * Self::BLOCK_LANES).min(r);
             from = chunk_end;
         }
@@ -2230,17 +1667,66 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         // the shared ledger now exceeds its limit.
         if achieved > cur {
             for s in shard_span(cur, achieved) {
-                self.shards[s].last_used = self.budget.touch();
-                self.sync_shard_bytes(s);
+                self.settle_grown(s);
             }
         }
         self.trim_to_budget();
     }
 
-    /// Batched [`BitParallelPool::counts_from_center_range`]: one count row
-    /// per requested center over the sample window `[lo, hi)`, row-major in
-    /// `out` (`out[j * n + u]`).
-    ///
+    /// Per overlapping block, an O(n + members) label scan over the
+    /// block's finalized lanes (adaptive mode), and one
+    /// connectivity-fixpoint traversal popcounting the final reach masks
+    /// over the rest. Lane masks are narrowed to the range's lanes, so
+    /// counts over disjoint ranges add up exactly.
+    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
+        let n = self.graph().num_nodes();
+        assert_eq!(out.len(), n, "counts buffer has wrong length");
+        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        self.prepare_unlimited(lo, hi, UnlimitedShape::Row);
+        let mut items = std::mem::take(&mut self.items);
+        Self::range_blocks_into(lo, hi, &mut items);
+        let run = self.store.run().clone();
+        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        let shards: &[Vec<MaskBlock<W>>] = shards;
+        let per_block = n + 2 * graph.num_edges();
+        chunked_counts_with(
+            config,
+            &items,
+            n,
+            per_block,
+            bfs,
+            || MultiWorldBfs::<W>::new(n),
+            |counts, bfs, items| {
+                for &(b, mask) in items {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    let block = shard_block(shards, b as usize);
+                    let (labeled, masked) = block.split_lanes(mask);
+                    if labeled.any() {
+                        let labels = block
+                            .labels
+                            .as_ref()
+                            .unwrap_or_else(|| unreachable!("labeled lanes imply labels"));
+                        labels.accumulate_center(center.index(), labeled, counts);
+                    }
+                    if masked.any() {
+                        bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
+                            counts[node.index()] += m.count_ones();
+                        });
+                    }
+                }
+            },
+            out,
+        );
+        self.items = items;
+        self.trim_to_budget();
+    }
+
     /// Amortization by **component sharing**: connectivity reach sets are
     /// per-component, so if centers `c_i` and `c_j` are connected in some
     /// of a block's worlds, their rows are identical in those worlds. Per
@@ -2254,11 +1740,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// makes bit-parallel win the multi-row query workload it loses on
     /// single rows, and the shape of a row-cache top-up wave: one shared
     /// pass over the new worlds for all cached rows.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    pub fn counts_from_centers_range(
+    fn counts_from_centers_range(
         &mut self,
         centers: &[NodeId],
         lo: usize,
@@ -2273,7 +1755,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             return;
         }
         if k == 1 {
-            return BitParallelPool::counts_from_center_range(self, centers[0], lo, hi, out);
+            return self.counts_from_center_range(centers[0], lo, hi, out);
         }
         if !self.resolve_range(lo, hi) {
             return;
@@ -2317,10 +1799,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             self.stats.label_queries += label_q;
             self.stats.mask_queries += mask_q;
         }
-        let run = self.run.clone();
+        let run = self.store.run().clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
+        let shards: &[Vec<MaskBlock<W>>] = shards;
         let per_block = n + 2 * graph.num_edges();
         // The per-center "worlds still unknown" masks and the (node, mask)
         // reach list of the sharing sweep live inside the BFS workspace, so
@@ -2365,96 +1847,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// For every node `u`, the number of samples with index in `[lo, hi)`
-    /// in which `u` is connected to `center` — per overlapping block, an
-    /// O(n + members) label scan over the block's finalized lanes (adaptive
-    /// mode), and one connectivity-fixpoint traversal popcounting the final
-    /// reach masks over the rest. Lane masks are narrowed to the range's
-    /// lanes, so counts over disjoint ranges add up exactly.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`, `lo > hi`, or `hi > num_samples()`.
-    pub fn counts_from_center_range(
-        &mut self,
-        center: NodeId,
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        self.prepare_unlimited(lo, hi, UnlimitedShape::Row);
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts_with(
-            config,
-            &items,
-            n,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |counts, bfs, items| {
-                for &(b, mask) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let block = shard_block(shards, b as usize);
-                    let (labeled, masked) = block.split_lanes(mask);
-                    if labeled.any() {
-                        let labels = block
-                            .labels
-                            .as_ref()
-                            .unwrap_or_else(|| unreachable!("labeled lanes imply labels"));
-                        labels.accumulate_center(center.index(), labeled, counts);
-                    }
-                    if masked.any() {
-                        bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
-                            counts[node.index()] += m.count_ones();
-                        });
-                    }
-                }
-            },
-            out,
-        );
-        self.items = items;
-        self.trim_to_budget();
-    }
-
-    /// The blocks overlapping sample range `[lo, hi)`, each with the lane
-    /// mask selecting exactly the in-range worlds of that block, written
-    /// into `out` (reused across queries to keep single-row queries
-    /// allocation-free).
-    fn range_blocks_into(lo: usize, hi: usize, out: &mut Vec<(u32, Mask<W>)>) {
-        out.clear();
-        if lo >= hi {
-            return;
-        }
-        let first = lo / Self::BLOCK_LANES;
-        let last = (hi - 1) / Self::BLOCK_LANES;
-        out.extend((first..=last).map(|b| {
-            let base = b * Self::BLOCK_LANES;
-            let s = lo.max(base) - base;
-            let e = hi.min(base + Self::BLOCK_LANES) - base;
-            (b as u32, Mask::<W>::prefix(e).and_not(Mask::prefix(s)))
-        }));
-    }
-
-    /// Number of samples with index in `[lo, hi)` where `u` and `v` are
-    /// connected — a label comparison over finalized lanes and one masked
-    /// fixpoint traversal per overlapping block over the rest.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
+    /// A label comparison over finalized lanes and one masked fixpoint
+    /// traversal per overlapping block over the rest.
+    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
         if !self.resolve_range(lo, hi) {
             return 0;
@@ -2462,10 +1857,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.prepare_unlimited(lo, hi, UnlimitedShape::Pair);
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.run.clone();
+        let run = self.store.run().clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
+        let shards: &[Vec<MaskBlock<W>>] = shards;
         let n = graph.num_nodes();
         let per_block = n + 2 * graph.num_edges();
         let total = chunked_sum_with(
@@ -2500,17 +1895,77 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         total
     }
 
-    /// Batched [`BitParallelPool::counts_within_depths_range`]: rows
-    /// row-major per center over the sample window `[lo, hi)`, computed
-    /// with multi-source level-synchronous mask BFS in groups of up to
+    /// One depth-limited masked BFS per overlapping block, lane masks
+    /// narrowed to the range.
+    fn counts_within_depths_range(
+        &mut self,
+        center: NodeId,
+        d_select: u32,
+        d_cover: u32,
+        lo: usize,
+        hi: usize,
+        out_select: &mut [u32],
+        out_cover: &mut [u32],
+    ) {
+        let n = self.graph().num_nodes();
+        assert_eq!(out_select.len(), n, "select buffer has wrong length");
+        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
+        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
+        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
+        if d_select == DEPTH_UNLIMITED {
+            self.counts_from_center_range(center, lo, hi, out_cover);
+            out_select.copy_from_slice(out_cover);
+            return;
+        }
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        let mut items = std::mem::take(&mut self.items);
+        Self::range_blocks_into(lo, hi, &mut items);
+        let run = self.store.run().clone();
+        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        let shards: &[Vec<MaskBlock<W>>] = shards;
+        let per_block = n + 2 * graph.num_edges();
+        chunked_counts2_with(
+            config,
+            &items,
+            n,
+            per_block,
+            bfs,
+            || MultiWorldBfs::<W>::new(n),
+            |select, cover, bfs, items| {
+                for &(b, mask) in items {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    bfs.run(
+                        graph,
+                        &shard_block(shards, b as usize).masks,
+                        center,
+                        mask,
+                        d_cover,
+                        |node, depth, m| {
+                            let c = m.count_ones();
+                            cover[node.index()] += c;
+                            if depth <= d_select {
+                                select[node.index()] += c;
+                            }
+                        },
+                    );
+                }
+            },
+            out_select,
+            out_cover,
+        );
+        self.items = items;
+        self.trim_to_budget();
+    }
+
+    /// Multi-source level-synchronous mask BFS in groups of up to
     /// [`MAX_SOURCES`] centers — one traversal per overlapping block per
     /// group, with lane masks narrowed to the window's worlds.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_batch_range(
+    fn counts_within_depths_batch_range(
         &mut self,
         centers: &[NodeId],
         d_select: u32,
@@ -2540,10 +1995,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.run.clone();
+        let run = self.store.run().clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
+        let shards: &[Vec<MaskBlock<W>>] = shards;
         let per_block = n + 2 * graph.num_edges();
         for (gi, group) in centers.chunks(MAX_SOURCES).enumerate() {
             let kg = group.len();
@@ -2585,86 +2040,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// Depth-limited connection counts from `center` over the samples with
-    /// index in `[lo, hi)` (same contract as
-    /// [`WorldPool::counts_within_depths_range`]) — one depth-limited
-    /// masked BFS per overlapping block, lane masks narrowed to the range.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), n, "select buffer has wrong length");
-        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
-        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if d_select == DEPTH_UNLIMITED {
-            self.counts_from_center_range(center, lo, hi, out_cover);
-            out_select.copy_from_slice(out_cover);
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts2_with(
-            config,
-            &items,
-            n,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |select, cover, bfs, items| {
-                for &(b, mask) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    bfs.run(
-                        graph,
-                        &shard_block(shards, b as usize).masks,
-                        center,
-                        mask,
-                        d_cover,
-                        |node, depth, m| {
-                            let c = m.count_ones();
-                            cover[node.index()] += c;
-                            if depth <= d_select {
-                                select[node.index()] += c;
-                            }
-                        },
-                    );
-                }
-            },
-            out_select,
-            out_cover,
-        );
-        self.items = items;
-        self.trim_to_budget();
-    }
-
-    /// Number of samples with index in `[lo, hi)` where `dist(u, v) ≤
-    /// depth`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_within_range(
+    fn pair_count_within_range(
         &mut self,
         u: NodeId,
         v: NodeId,
@@ -2681,10 +2057,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.run.clone();
+        let run = self.store.run().clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
+        let shards: &[Vec<MaskBlock<W>>] = shards;
         let n = graph.num_nodes();
         let per_block = n + 2 * graph.num_edges();
         let total = chunked_sum_with(
@@ -2716,95 +2092,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.items = items;
         self.trim_to_budget();
         total
-    }
-}
-
-impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        BitParallelPool::set_memory_budget(self, budget)
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        BitParallelPool::set_run_state(self, run)
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        BitParallelPool::memory_stats(self)
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        BitParallelPool::graph(self)
-    }
-
-    fn num_samples(&self) -> usize {
-        BitParallelPool::num_samples(self)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        BitParallelPool::engine_stats(self)
-    }
-
-    fn ensure(&mut self, r: usize) {
-        BitParallelPool::ensure(self, r)
-    }
-
-    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        BitParallelPool::counts_from_center_range(self, center, lo, hi, out)
-    }
-
-    fn counts_from_centers_range(
-        &mut self,
-        centers: &[NodeId],
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        BitParallelPool::counts_from_centers_range(self, centers, lo, hi, out)
-    }
-
-    fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths_range(
-            self, center, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
-    }
-
-    fn counts_within_depths_batch_range(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths_batch_range(
-            self, centers, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
-    }
-
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        BitParallelPool::pair_count_range(self, u, v, lo, hi)
-    }
-
-    fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        BitParallelPool::pair_count_within_range(self, u, v, depth, lo, hi)
     }
 }
 

@@ -49,7 +49,9 @@ use ugraph::cluster::{
 use ugraph::datasets::DatasetSpec;
 use ugraph::graph::{io as gio, GraphStats, NodeId, UncertainGraph};
 use ugraph::metrics::{avpr, confusion, session_quality};
-use ugraph::sampling::{reliability_knn, reliability_knn_within, ComponentPool, WorldPool};
+use ugraph::sampling::{
+    reliability_knn, reliability_knn_within, ComponentPool, WorldEngine, WorldPool,
+};
 use ugraph::sampling::{BlockWidth, EngineKind};
 use ugraph::server::{
     ClientPool, ClusterCall, RetryError, RetryPolicy, RetryReport, Server, ServerConfig, WireDepth,
