@@ -180,8 +180,8 @@ impl Trace {
 
     /// Folds every pool's memory and finalization counters and every
     /// ledger's bytes and counters — one step of the trace.
-    fn step(&mut self, pools: [&dyn WorldEngine; 4], ledgers: &[MemoryBudget]) {
-        for pool in pools {
+    fn step(&mut self, pools: &[&dyn WorldEngine], ledgers: &[MemoryBudget]) {
+        for &pool in pools {
             self.memory(pool.memory_stats());
             let e = pool.engine_stats();
             let counters = [e.finalized_blocks, e.finalized_lanes, e.label_queries, e.mask_queries];
@@ -194,6 +194,17 @@ impl Trace {
     }
 }
 
+/// The 10-node, 16-edge graph the ledger traces run on.
+fn trace_graph() -> UncertainGraph {
+    let mut b = GraphBuilder::new(10);
+    let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8)];
+    let more = [(8, 9), (9, 5), (0, 5), (2, 7), (4, 9), (1, 6), (3, 8), (0, 8)];
+    for (i, (u, v)) in edges.into_iter().chain(more).enumerate() {
+        b.add_edge(u, v, 0.15 + 0.05 * (i % 12) as f64).unwrap();
+    }
+    b.build().unwrap()
+}
+
 /// Pins the exact ledger trace of shard bookkeeping on all three backends:
 /// byte charges, eviction order and regeneration counts through a fixed
 /// script. Two of the pools share one bounded ledger, so the LRU order
@@ -204,13 +215,7 @@ impl Trace {
 /// `starts = [0]`.
 #[test]
 fn ledger_trace_is_pinned() {
-    let mut b = GraphBuilder::new(10);
-    let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8)];
-    let more = [(8, 9), (9, 5), (0, 5), (2, 7), (4, 9), (1, 6), (3, 8), (0, 8)];
-    for (i, (u, v)) in edges.into_iter().chain(more).enumerate() {
-        b.add_edge(u, v, 0.15 + 0.05 * (i % 12) as f64).unwrap();
-    }
-    let g = b.build().unwrap();
+    let g = trace_graph();
     let n = g.num_nodes();
     let r = 2 * SHARD_WORLDS + SHARD_WORLDS / 2;
 
@@ -231,7 +236,7 @@ fn ledger_trace_is_pinned() {
     let mut trace = Trace(0xcbf2_9ce4_8422_2325);
     macro_rules! pools {
         () => {
-            [&component as &dyn WorldEngine, &world, &mask, &adaptive]
+            &[&component as &dyn WorldEngine, &world, &mask, &adaptive]
         };
         (mut) => {
             [&mut component as &mut dyn WorldEngine, &mut world, &mut mask, &mut adaptive]
@@ -291,8 +296,80 @@ fn ledger_trace_is_pinned() {
     // A clone charges its copy of the resident shards; dropping it
     // releases them.
     let clones = (component.clone(), world.clone(), mask.clone(), adaptive.clone());
-    trace.step([&clones.0, &clones.1, &clones.2, &clones.3], &ledgers);
+    trace.step(&[&clones.0, &clones.1, &clones.2, &clones.3], &ledgers);
     drop(clones);
     trace.step(pools!(), &ledgers);
     assert_eq!(trace.0, 0x20ed_cf20_411a_2c02, "ledger trace changed");
+}
+
+/// Pins the ledger trace of the bit-parallel backends alone: the pure-mask
+/// `BitParallelPool::<1>` and the adaptive `BitParallelPool::<4>` share one
+/// bounded ledger (so the LRU order across the two pools counts) through
+/// growth to 2.5 shards, mid-shard ranged row, batch, pair and depth
+/// queries, growth past an evicted trailing shard, rebinding to a tighter
+/// ledger, and a clone that is dropped. The pools' `memory_stats()` and
+/// `engine_stats()` and every ledger's `stats()` are folded into one FNV-1a
+/// digest after every step.
+#[test]
+fn bitparallel_ledger_trace_is_pinned() {
+    let g = trace_graph();
+    let n = g.num_nodes();
+    let r = 2 * SHARD_WORLDS + SHARD_WORLDS / 2;
+
+    let mut mask = BitParallelPool::<1>::new(&g, 7, 1);
+    let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, 7, 1);
+    let mut ledgers = vec![MemoryBudget::bounded(40_000)];
+    mask.set_memory_budget(ledgers[0].clone());
+    adaptive.set_memory_budget(ledgers[0].clone());
+
+    let mut trace = Trace(0xcbf2_9ce4_8422_2325);
+    macro_rules! pools {
+        () => {
+            &[&mask as &dyn WorldEngine, &adaptive]
+        };
+        (mut) => {
+            [&mut mask as &mut dyn WorldEngine, &mut adaptive]
+        };
+    }
+    macro_rules! step {
+        (|$e:ident| $body:expr) => {{
+            for $e in pools!(mut) {
+                $body;
+            }
+            trace.step(pools!(), &ledgers);
+        }};
+    }
+    trace.step(pools!(), &ledgers);
+    let (mut row, mut sel) = (vec![0u32; n], vec![0u32; n]);
+    let (mut rows, mut sels) = (vec![0u32; 3 * n], vec![0u32; 3 * n]);
+    let centers = [NodeId(0), NodeId(4), NodeId(9)];
+
+    // Grow to 2.5 shards, then query windows that start mid-shard.
+    step!(|e| e.ensure(r));
+    step!(|e| e.counts_from_center_range(NodeId(3), 700, 1900, &mut row));
+    step!(|e| e.counts_from_centers_range(&centers, 1500, r, &mut rows));
+    step!(|e| e.pair_count_range(NodeId(1), NodeId(8), 300, 2100));
+    step!(|e| e.counts_within_depths_range(NodeId(3), 1, 3, 900, 2300, &mut sel, &mut row));
+    step!(|e| e.counts_within_depths_batch_range(&centers, 2, 2, 100, 1300, &mut sels, &mut rows));
+    step!(|e| e.pair_count_within_range(NodeId(0), NodeId(9), 3, 1100, r));
+    // Touch the trailing shard before the others, so it is the LRU victim,
+    // then grow past it and query the grown tail.
+    step!(|e| e.counts_from_center_range(NodeId(5), 2 * SHARD_WORLDS, r, &mut row));
+    step!(|e| e.counts_from_center_range(NodeId(2), 0, 2 * SHARD_WORLDS, &mut row));
+    step!(|e| e.ensure(3 * SHARD_WORLDS + 300));
+    step!(|e| e.counts_from_center_range(NodeId(6), 2000, 3 * SHARD_WORLDS + 300, &mut row));
+    // Rebind both pools to one tighter ledger, then query again.
+    ledgers.push(MemoryBudget::bounded(6_000));
+    mask.set_memory_budget(ledgers[1].clone());
+    adaptive.set_memory_budget(ledgers[1].clone());
+    trace.step(pools!(), &ledgers);
+    step!(|e| e.pair_count_range(NodeId(2), NodeId(6), 1000, 3 * SHARD_WORLDS));
+    step!(|e| e.counts_from_centers_range(&centers, 0, 3 * SHARD_WORLDS + 300, &mut rows));
+    // A clone charges its copy of the resident shards; dropping it
+    // releases them.
+    let clones = (mask.clone(), adaptive.clone());
+    trace.step(&[&clones.0, &clones.1], &ledgers);
+    drop(clones);
+    trace.step(pools!(), &ledgers);
+    assert_eq!(trace.0, 0xd255_a24d_70b8_8cec, "bit-parallel ledger trace changed");
 }
