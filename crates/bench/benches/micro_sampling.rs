@@ -1,13 +1,13 @@
 //! Micro-benchmarks of the Monte-Carlo sampling layer — the inner loop of
-//! every algorithm in the paper (§4): world sampling, fused component
-//! labeling, center-count queries, depth-limited BFS counts, and the
+//! every algorithm in the paper (§4): world sampling, per-world component
+//! labels, center-count queries, depth-limited BFS counts, and the
 //! serial-vs-parallel comparison of the rayon sampling path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ugraph_datasets::DatasetSpec;
-use ugraph_graph::{Bitset, NodeId, UnionFind};
+use ugraph_graph::{Bitset, NodeId};
 use ugraph_sampling::{
-    ComponentPool, McOracle, Oracle, SampleSchedule, WorldEngine, WorldPool, WorldSampler,
+    BitParallelPool, McOracle, Oracle, SampleSchedule, WorldEngine, WorldSampler,
 };
 
 fn sampling(c: &mut Criterion) {
@@ -31,25 +31,32 @@ fn sampling(c: &mut Criterion) {
         })
     });
 
-    // Fused sampling + union-find component labeling.
-    group.bench_function("sample_components_fused", |b| {
-        let sampler = WorldSampler::new(&graph, 7);
-        let mut uf = UnionFind::new(n);
+    group.finish();
+
+    // Per-world component labels read from a pool (what AVPR consumes):
+    // the adaptive pool labels each block once and copies lanes out; the
+    // pure-mask pool labels every world on its own.
+    let mut group = c.benchmark_group("labels_into");
+    for (name, adaptive) in [("adaptive", true), ("pure_mask", false)] {
+        let mut pool = BitParallelPool::<4>::new(&graph, 7, 0).with_finalization(adaptive);
+        pool.ensure(256);
         let mut labels = vec![0u32; n];
-        let mut i = 0u64;
-        b.iter(|| {
-            let count = sampler.sample_components(i, &mut uf, &mut labels);
-            i += 1;
-            count
-        })
-    });
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                pool.labels_into(i % 256, &mut labels);
+                i += 1;
+                labels[0]
+            })
+        });
+    }
     group.finish();
 
     // Center-count queries against pools of growing size (the dominant
     // cost inside min-partial).
     let mut group = c.benchmark_group("counts_from_center");
     for r in [64usize, 256, 1024] {
-        let mut pool = ComponentPool::new(&graph, 3, 0);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&graph, 3, 0);
         pool.ensure(r);
         let mut counts = vec![0u32; n];
         group.throughput(Throughput::Elements(r as u64));
@@ -66,7 +73,7 @@ fn sampling(c: &mut Criterion) {
 
     // Depth-limited counts (Table 2's workhorse).
     let mut group = c.benchmark_group("depth_counts");
-    let mut pool = WorldPool::new(&graph, 3, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&graph, 3, 0);
     pool.ensure(128);
     for depth in [2u32, 4, 8] {
         let mut sel = vec![0u32; n];
@@ -103,12 +110,12 @@ fn parallel_oracle(c: &mut Criterion) {
     // path computed something different.
     const SEED: u64 = 7;
     const SAMPLES: usize = 256;
-    let scalar_oracle = |threads: usize| {
-        let pool = ComponentPool::new(&graph, SEED, threads);
+    let adaptive_oracle = |threads: usize| {
+        let pool = BitParallelPool::<4>::new_adaptive(&graph, SEED, threads);
         McOracle::from_engine(Box::new(pool), SampleSchedule::Fixed(SAMPLES), 0.1)
     };
-    let mut serial_oracle = scalar_oracle(1);
-    let mut parallel_oracle = scalar_oracle(0);
+    let mut serial_oracle = adaptive_oracle(1);
+    let mut parallel_oracle = adaptive_oracle(0);
     serial_oracle.prepare(0.5).unwrap();
     parallel_oracle.prepare(0.5).unwrap();
     let mut row_serial = (vec![0.0; n], vec![0.0; n]);
@@ -137,11 +144,11 @@ fn parallel_oracle(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(SAMPLES as u64));
     for (name, threads) in [("serial", 1usize), ("rayon", 0)] {
-        // Pool generation: draw SAMPLES worlds and reduce them to
-        // component partitions (the dominant cost of oracle preparation).
+        // Pool generation: draw SAMPLES worlds into mask blocks (the
+        // dominant cost of oracle preparation).
         group.bench_with_input(BenchmarkId::new("ensure", name), &threads, |b, &t| {
             b.iter(|| {
-                let mut pool = ComponentPool::new(&graph, SEED, t);
+                let mut pool = BitParallelPool::<4>::new_adaptive(&graph, SEED, t);
                 pool.ensure(SAMPLES);
                 pool.num_samples()
             })
@@ -149,7 +156,7 @@ fn parallel_oracle(c: &mut Criterion) {
     }
     for (name, threads) in [("serial", 1usize), ("rayon", 0)] {
         // Estimation: center-count queries against a prepared pool.
-        let mut pool = ComponentPool::new(&graph, SEED, threads);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&graph, SEED, threads);
         pool.ensure(SAMPLES);
         let mut counts = vec![0u32; n];
         group.bench_function(BenchmarkId::new("counts_from_center", name), |b| {

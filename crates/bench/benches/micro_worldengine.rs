@@ -1,13 +1,13 @@
-//! Scalar vs. bit-parallel `WorldEngine` backends on the Krogan-like PPI
+//! Pure-mask vs. adaptive `WorldEngine` backends on the Krogan-like PPI
 //! instance — the microbenchmark behind the backend seam.
 //!
-//! Before any timing, an **equality gate** asserts that both backends
-//! return identical center counts and depth counts for the same master
-//! seed; a benchmark comparing backends that disagree would be
-//! meaningless.
+//! Before any timing, an **equality gate** asserts that both backends, at
+//! every block width, return identical center, pair and depth counts for
+//! the same master seed; a benchmark comparing backends that disagree
+//! would be meaningless.
 //!
 //! Besides the criterion groups, the bench emits machine-readable results
-//! (median ns per operation and scalar/bit-parallel speedups) to
+//! (median ns per operation and adaptive-over-pure-mask speedups) to
 //! `BENCH_worldengine.json` in the repository root, so the performance
 //! trajectory of the engine accumulates across PRs. Set `BENCH_SMOKE=1`
 //! for a fast CI smoke run (equality gates on, minimal sampling).
@@ -20,10 +20,9 @@ use ugraph_cluster::{
     SolveResult, UgraphSession,
 };
 use ugraph_datasets::DatasetSpec;
-use ugraph_graph::NodeId;
+use ugraph_graph::{NodeId, UncertainGraph};
 use ugraph_sampling::{
-    BitParallelPool, BlockWidth, ComponentPool, EngineKind, McOracle, Oracle, WorldEngine,
-    WorldPool, DEPTH_UNLIMITED,
+    BitParallelPool, BlockWidth, EngineKind, McOracle, Oracle, WorldEngine, DEPTH_UNLIMITED,
 };
 
 fn smoke() -> bool {
@@ -43,43 +42,92 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> u128 {
     times[times.len() / 2]
 }
 
-/// Asserts both backends produce identical counts on `graph`.
-fn equality_gate(graph: &ugraph_graph::UncertainGraph, samples: usize) {
+/// Center rows, pair counts and depth-limited rows of a sample of centers
+/// on one pool, concatenated.
+fn fingerprint<const W: usize>(
+    graph: &UncertainGraph,
+    samples: usize,
+    adaptive: bool,
+) -> Vec<usize> {
     const SEED: u64 = 41;
     let n = graph.num_nodes();
-    let mut scalar = ComponentPool::new(graph, SEED, 1);
-    let mut world = WorldPool::new(graph, SEED, 1);
-    let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
-    scalar.ensure(samples);
-    world.ensure(samples);
-    bit.ensure(samples);
-    let mut a = vec![0u32; n];
-    let mut b = vec![0u32; n];
+    let mut pool = BitParallelPool::<W>::new(graph, SEED, 1).with_finalization(adaptive);
+    pool.ensure(samples);
+    let (mut row, mut sel, mut cov) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
+    let mut fp = Vec::new();
     for center in (0..n as u32).step_by(211) {
-        scalar.counts_from_center(NodeId(center), &mut a);
-        bit.counts_from_center(NodeId(center), &mut b);
-        assert_eq!(a, b, "backends disagree on center counts at {center} ({samples} samples)");
+        pool.counts_from_center(NodeId(center), &mut row);
+        fp.extend(row.iter().map(|&c| c as usize));
+        fp.push(pool.pair_count(NodeId(0), NodeId(center)));
     }
-    let (mut s1, mut c1) = (vec![0u32; n], vec![0u32; n]);
-    let (mut s2, mut c2) = (vec![0u32; n], vec![0u32; n]);
     for center in (0..n as u32).step_by(419) {
-        world.counts_within_depths(NodeId(center), 2, 4, &mut s1, &mut c1);
-        bit.counts_within_depths(NodeId(center), 2, 4, &mut s2, &mut c2);
-        assert_eq!(s1, s2, "backends disagree on select counts at {center}");
-        assert_eq!(c1, c2, "backends disagree on cover counts at {center}");
+        pool.counts_within_depths(NodeId(center), 2, 4, &mut sel, &mut cov);
+        fp.extend(sel.iter().chain(&cov).map(|&c| c as usize));
+    }
+    fp
+}
+
+/// Asserts the pure-mask and adaptive pools produce identical counts on
+/// `graph` at every block width.
+fn equality_gate(graph: &UncertainGraph, samples: usize) {
+    let want = fingerprint::<1>(graph, samples, false);
+    for adaptive in [false, true] {
+        let mode = if adaptive { "adaptive" } else { "pure-mask" };
+        if adaptive {
+            assert!(fingerprint::<1>(graph, samples, true) == want, "{mode} width 64 disagrees");
+        }
+        assert!(fingerprint::<4>(graph, samples, adaptive) == want, "{mode} width 256 disagrees");
+        assert!(fingerprint::<8>(graph, samples, adaptive) == want, "{mode} width 512 disagrees");
     }
 }
 
+/// One timed scenario on the pure-mask and the adaptive pool.
 struct Comparison {
     name: &'static str,
-    scalar_ns: u128,
     bitparallel_ns: u128,
+    adaptive_ns: u128,
 }
 
 impl Comparison {
+    /// Adaptive speedup over the pure-mask backend.
     fn speedup(&self) -> f64 {
-        self.scalar_ns as f64 / (self.bitparallel_ns as f64).max(1.0)
+        self.bitparallel_ns as f64 / (self.adaptive_ns as f64).max(1.0)
     }
+
+    /// One JSON object of the report.
+    fn json(&self) -> String {
+        format!(
+            "    {{\"name\": \"{}\", \"bitparallel_ns\": {}, \"adaptive_ns\": {}, \
+             \"adaptive_vs_bitparallel\": {:.3}}}",
+            self.name,
+            self.bitparallel_ns,
+            self.adaptive_ns,
+            self.speedup()
+        )
+    }
+
+    fn print(&self, group: &str) {
+        println!(
+            "  {group}/{:<33} mask {:>11} ns   adaptive {:>11} ns   speedup {:>5.2}x",
+            self.name,
+            self.bitparallel_ns,
+            self.adaptive_ns,
+            self.speedup()
+        );
+    }
+}
+
+/// The width-64 pure-mask and adaptive pools of `samples` worlds.
+fn both_pools(
+    graph: &UncertainGraph,
+    samples: usize,
+) -> (BitParallelPool<'_, 1>, BitParallelPool<'_, 1>) {
+    const SEED: u64 = 41;
+    let mut mask = BitParallelPool::<1>::new(graph, SEED, 1);
+    let mut adaptive = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
+    mask.ensure(samples);
+    adaptive.ensure(samples);
+    (mask, adaptive)
 }
 
 /// Replays the pre-batching oracle access pattern: every candidate row is
@@ -135,207 +183,94 @@ impl Replay {
 
 /// Head-to-head medians for the JSON report (independent of criterion's
 /// own calibration, so the file is stable and cheap to produce).
-fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Comparison> {
+fn measure_comparisons(graph: &UncertainGraph, reps: usize) -> Vec<Comparison> {
     const SEED: u64 = 41;
     let n = graph.num_nodes();
     let mut results = Vec::new();
     let centers: Vec<u32> = (0..n as u32).step_by(n / 16).collect();
 
-    // Pool generation at 256 samples: scalar pays union-find + labeling
-    // per world, bit-parallel only packs Bernoulli draws into mask lanes.
-    results.push(Comparison {
-        name: "ensure_256",
-        scalar_ns: median_ns(reps, || {
-            let mut pool = ComponentPool::new(graph, SEED, 1);
-            pool.ensure(256);
-            assert_eq!(pool.num_samples(), 256);
-        }),
-        bitparallel_ns: median_ns(reps, || {
-            let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
-            pool.ensure(256);
-            assert_eq!(pool.num_samples(), 256);
-        }),
-    });
-
-    // Unlimited center counts per query against an already-built pool, at
-    // 64 and 256 samples. This deliberately excludes pool generation, so
-    // it flatters the scalar backend: ComponentPool prepaid the per-world
-    // connectivity work (union-find + labels) inside `ensure`.
-    for &(name, samples) in
-        &[("center_counts_query_only_64", 64usize), ("center_counts_query_only_256", 256)]
-    {
-        let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
-        scalar.ensure(samples);
-        bit.ensure(samples);
-        let mut counts = vec![0u32; n];
-        let scalar_ns = median_ns(reps, || {
-            for &c in &centers {
-                scalar.counts_from_center(NodeId(c), &mut counts);
-            }
-        });
-        let bitparallel_ns = median_ns(reps, || {
-            for &c in &centers {
-                bit.counts_from_center(NodeId(c), &mut counts);
-            }
-        });
-        results.push(Comparison {
-            name,
-            scalar_ns: scalar_ns / centers.len() as u128,
-            bitparallel_ns: bitparallel_ns / centers.len() as u128,
-        });
-    }
-
     // Depth-limited counts (d = 4) per query at 128 samples — the §3.4
-    // workload where every scalar query is a fresh BFS per world.
+    // workload, a mask traversal per block on both backends.
     {
-        let samples = 128;
-        let mut scalar = WorldPool::new(graph, SEED, 1);
-        let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
-        scalar.ensure(samples);
-        bit.ensure(samples);
+        let (mut mask, mut adaptive) = both_pools(graph, 128);
         let mut sel = vec![0u32; n];
         let mut cov = vec![0u32; n];
-        let scalar_ns = median_ns(reps, || {
-            for &c in &centers {
-                scalar.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
-            }
-        });
-        let bitparallel_ns = median_ns(reps, || {
-            for &c in &centers {
-                bit.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
-            }
-        });
-        results.push(Comparison {
-            name: "depth4_counts_128",
-            scalar_ns: scalar_ns / centers.len() as u128,
-            bitparallel_ns: bitparallel_ns / centers.len() as u128,
-        });
+        let mut time = |pool: &mut BitParallelPool<'_, 1>| {
+            median_ns(reps, || {
+                for &c in &centers {
+                    pool.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
+                }
+            }) / centers.len() as u128
+        };
+        let bitparallel_ns = time(&mut mask);
+        let adaptive_ns = time(&mut adaptive);
+        results.push(Comparison { name: "depth4_counts_128", bitparallel_ns, adaptive_ns });
     }
 
     // End-to-end center-query rounds: generate the pool and answer 16
     // center queries — the shape of one min-partial guess (α = 1,
-    // k ≈ 16), i.e. what the drivers actually pay per threshold. This is
-    // the fair "center queries" comparison: the scalar backend's query
-    // speed is bought by per-world connectivity work inside `ensure`.
+    // k ≈ 16), i.e. what the drivers actually pay per threshold. The
+    // adaptive pool pays its label finalization inside the round.
     for &(name, samples) in &[("center_queries_64", 64usize), ("center_queries_256", 256)] {
-        results.push(Comparison {
-            name,
-            scalar_ns: median_ns(reps, || {
-                let mut pool = ComponentPool::new(graph, SEED, 1);
+        let round = |adaptive: bool| {
+            median_ns(reps, || {
+                let pool = BitParallelPool::<1>::new(graph, SEED, 1);
+                let mut pool = pool.with_finalization(adaptive);
                 pool.ensure(samples);
                 let mut counts = vec![0u32; n];
                 for &c in &centers {
                     pool.counts_from_center(NodeId(c), &mut counts);
                 }
-            }),
-            bitparallel_ns: median_ns(reps, || {
-                let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
-                pool.ensure(samples);
-                let mut counts = vec![0u32; n];
-                for &c in &centers {
-                    pool.counts_from_center(NodeId(c), &mut counts);
-                }
-            }),
-        });
+            })
+        };
+        results.push(Comparison { name, bitparallel_ns: round(false), adaptive_ns: round(true) });
     }
 
     results
 }
 
-/// `batch_rows`: multi-center batched count rows, scalar vs bit-parallel.
-/// Per-center queries are where bit-parallel loses to the scalar labels
-/// (`center_counts_query_only`); batching amortizes the mask-BFS memory
-/// traffic over all centers per traversal, which is the workload
+/// `batch_rows`: multi-center batched count rows on both backends, the
+/// adaptive pool warm (blocks finalized). Batching amortizes the mask-BFS
+/// memory traffic over all centers per traversal, which is the workload
 /// `min-partial`'s candidate evaluation actually presents.
-fn measure_batch_rows(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Comparison> {
-    const SEED: u64 = 41;
+fn measure_batch_rows(graph: &UncertainGraph, reps: usize) -> Vec<Comparison> {
     let n = graph.num_nodes();
     let k = 16usize;
     let centers: Vec<NodeId> = (0..k as u32).map(|i| NodeId(i * (n as u32 / k as u32))).collect();
     let mut results = Vec::new();
     for &(name, samples) in &[("batch_rows_16x64", 64usize), ("batch_rows_16x256", 256)] {
-        let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
-        scalar.ensure(samples);
-        bit.ensure(samples);
+        let (mut mask, mut adaptive) = both_pools(graph, samples);
+        let mut row = vec![0u32; n];
+        adaptive.counts_from_center(centers[0], &mut row);
         // Equality gate: batched rows identical across backends and to the
         // sequential per-center rows.
         let mut a = vec![0u32; k * n];
         let mut b = vec![0u32; k * n];
-        scalar.counts_from_centers(&centers, &mut a);
-        bit.counts_from_centers(&centers, &mut b);
+        mask.counts_from_centers(&centers, &mut a);
+        adaptive.counts_from_centers(&centers, &mut b);
         assert_eq!(a, b, "backends disagree on batched rows ({samples} samples)");
-        let mut row = vec![0u32; n];
         for (j, &c) in centers.iter().enumerate() {
-            scalar.counts_from_center(c, &mut row);
+            mask.counts_from_center(c, &mut row);
             assert_eq!(&a[j * n..(j + 1) * n], &row[..], "batch differs from sequential");
         }
         results.push(Comparison {
             name,
-            scalar_ns: median_ns(reps, || scalar.counts_from_centers(&centers, &mut a)),
-            bitparallel_ns: median_ns(reps, || bit.counts_from_centers(&centers, &mut b)),
+            bitparallel_ns: median_ns(reps, || mask.counts_from_centers(&centers, &mut a)),
+            adaptive_ns: median_ns(reps, || adaptive.counts_from_centers(&centers, &mut b)),
         });
     }
     results
 }
 
-/// One three-way `unlimited_query_adaptive` measurement: scalar labels vs
-/// pure-mask bit-parallel vs the adaptive backend (bit-parallel + lazy
-/// block finalization).
-struct Tri {
-    name: &'static str,
-    scalar_ns: u128,
-    bitparallel_ns: u128,
-    adaptive_ns: u128,
-}
-
-impl Tri {
-    /// Adaptive speedup over scalar labels (the acceptance gate:
-    /// ≥ 1.0× on query-only unlimited counts).
-    fn vs_scalar(&self) -> f64 {
-        self.scalar_ns as f64 / (self.adaptive_ns as f64).max(1.0)
-    }
-
-    /// Adaptive speedup over the pure-mask backend.
-    fn vs_bitparallel(&self) -> f64 {
-        self.bitparallel_ns as f64 / (self.adaptive_ns as f64).max(1.0)
-    }
-}
-
 /// `unlimited_query_adaptive`: the query shape the adaptive engine exists
 /// for — unlimited-depth counts — measured cold (single pair, no
 /// finalization paid) and warm (row queries and batches over finalized
-/// blocks), equality-gated against the scalar labels.
-fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tri> {
+/// blocks), equality-gated against the pure-mask pool.
+fn measure_adaptive(graph: &UncertainGraph, reps: usize) -> Vec<Comparison> {
     const SEED: u64 = 41;
     let n = graph.num_nodes();
     let samples = 256usize;
     let centers: Vec<u32> = (0..n as u32).step_by(n / 16).collect();
-
-    // Equality gate: the adaptive pool must agree with scalar labels on
-    // every row it will be timed on (finalized and unfinalized paths).
-    {
-        let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut adaptive = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
-        scalar.ensure(samples);
-        adaptive.ensure(samples);
-        let mut a = vec![0u32; n];
-        let mut b = vec![0u32; n];
-        for &c in &centers {
-            scalar.counts_from_center(NodeId(c), &mut a);
-            adaptive.counts_from_center(NodeId(c), &mut b);
-            assert_eq!(a, b, "adaptive disagrees with scalar at center {c}");
-            assert_eq!(
-                scalar.pair_count(NodeId(0), NodeId(c)),
-                adaptive.pair_count(NodeId(0), NodeId(c)),
-                "adaptive pair count disagrees at ({c})"
-            );
-        }
-        let stats = adaptive.engine_stats();
-        assert!(stats.finalized_blocks > 0, "warm adaptive pool did not finalize: {stats:?}");
-    }
-
     let mut out = Vec::new();
 
     // Cold single pair: the heuristic keeps the adaptive pool on masks, so
@@ -343,174 +278,110 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
     // rebuilt per rep (a timed query must really be the pool's first).
     {
         let (u, v) = (NodeId(0), NodeId(centers[centers.len() / 2]));
-        let time_cold = |mk: &mut dyn FnMut() -> u128| {
-            let mut times: Vec<u128> = (0..reps.max(1)).map(|_| mk()).collect();
+        let cold = |adaptive: bool| {
+            let mut times: Vec<u128> = (0..reps.max(1))
+                .map(|_| {
+                    let pool = BitParallelPool::<1>::new(graph, SEED, 1);
+                    let mut pool = pool.with_finalization(adaptive);
+                    pool.ensure(samples);
+                    let t = Instant::now();
+                    std::hint::black_box(pool.pair_count(u, v));
+                    let ns = t.elapsed().as_nanos();
+                    let lanes = pool.engine_stats().finalized_lanes;
+                    assert_eq!(lanes, 0, "a cold single pair query must not pay labeling");
+                    ns
+                })
+                .collect();
             times.sort_unstable();
             times[times.len() / 2]
         };
-        let scalar_ns = time_cold(&mut || {
-            let mut pool = ComponentPool::new(graph, SEED, 1);
-            pool.ensure(samples);
-            let t = Instant::now();
-            std::hint::black_box(pool.pair_count(u, v));
-            t.elapsed().as_nanos()
-        });
-        let bitparallel_ns = time_cold(&mut || {
-            let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
-            pool.ensure(samples);
-            let t = Instant::now();
-            std::hint::black_box(pool.pair_count(u, v));
-            t.elapsed().as_nanos()
-        });
-        let adaptive_ns = time_cold(&mut || {
-            let mut pool = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
-            pool.ensure(samples);
-            let t = Instant::now();
-            std::hint::black_box(pool.pair_count(u, v));
-            let ns = t.elapsed().as_nanos();
-            assert_eq!(
-                pool.engine_stats().finalized_lanes,
-                0,
-                "a cold single pair query must not pay labeling"
-            );
-            ns
-        });
-        out.push(Tri { name: "cold_pair_single_256", scalar_ns, bitparallel_ns, adaptive_ns });
+        let (bitparallel_ns, adaptive_ns) = (cold(false), cold(true));
+        out.push(Comparison { name: "cold_pair_single_256", bitparallel_ns, adaptive_ns });
     }
 
-    // Warm query-only unlimited counts — the workload PR 2 recorded the
-    // 0.09×–0.23× bit-parallel loss on. The adaptive pool is warmed by one
+    // Warm query-only unlimited counts. The adaptive pool is warmed by one
     // row query (finalizing every block); timing then measures pure label
-    // scans on all three backends.
+    // scans against pure mask traversals. Equality-gated on every row and
+    // pair it is timed on.
     {
-        let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut mask = BitParallelPool::<1>::new(graph, SEED, 1);
-        let mut adaptive = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
-        scalar.ensure(samples);
-        mask.ensure(samples);
-        adaptive.ensure(samples);
-        let mut counts = vec![0u32; n];
-        adaptive.counts_from_center(NodeId(0), &mut counts);
-        let scalar_ns = median_ns(reps, || {
-            for &c in &centers {
-                scalar.counts_from_center(NodeId(c), &mut counts);
-            }
-        });
-        let bitparallel_ns = median_ns(reps, || {
-            for &c in &centers {
-                mask.counts_from_center(NodeId(c), &mut counts);
-            }
-        });
-        let adaptive_ns = median_ns(reps, || {
-            for &c in &centers {
-                adaptive.counts_from_center(NodeId(c), &mut counts);
-            }
-        });
-        out.push(Tri {
+        let (mut mask, mut adaptive) = both_pools(graph, samples);
+        let (mut a, mut b) = (vec![0u32; n], vec![0u32; n]);
+        adaptive.counts_from_center(NodeId(0), &mut b);
+        assert!(
+            adaptive.engine_stats().finalized_blocks > 0,
+            "warm adaptive pool did not finalize"
+        );
+        let pairs: Vec<(NodeId, NodeId)> =
+            centers.iter().map(|&c| (NodeId(c), NodeId((c + 7) % n as u32))).collect();
+        for (&c, &(u, v)) in centers.iter().zip(&pairs) {
+            mask.counts_from_center(NodeId(c), &mut a);
+            adaptive.counts_from_center(NodeId(c), &mut b);
+            assert_eq!(a, b, "adaptive disagrees with pure-mask at center {c}");
+            assert_eq!(mask.pair_count(u, v), adaptive.pair_count(u, v), "pair ({u}, {v})");
+        }
+        let mut rows = |pool: &mut BitParallelPool<'_, 1>| {
+            median_ns(reps, || {
+                for &c in &centers {
+                    pool.counts_from_center(NodeId(c), &mut a);
+                }
+            }) / centers.len() as u128
+        };
+        let (bitparallel_ns, adaptive_ns) = (rows(&mut mask), rows(&mut adaptive));
+        out.push(Comparison {
             name: "warm_center_counts_query_only_256",
-            scalar_ns: scalar_ns / centers.len() as u128,
-            bitparallel_ns: bitparallel_ns / centers.len() as u128,
-            adaptive_ns: adaptive_ns / centers.len() as u128,
+            bitparallel_ns,
+            adaptive_ns,
         });
 
         // Warm pair queries (objective evaluation's shape) on the same
         // already-finalized pool.
-        let pairs: Vec<(NodeId, NodeId)> =
-            centers.iter().map(|&c| (NodeId(c), NodeId((c + 7) % n as u32))).collect();
-        let scalar_ns = median_ns(reps, || {
-            for &(u, v) in &pairs {
-                std::hint::black_box(scalar.pair_count(u, v));
-            }
-        });
-        let bitparallel_ns = median_ns(reps, || {
-            for &(u, v) in &pairs {
-                std::hint::black_box(mask.pair_count(u, v));
-            }
-        });
-        let adaptive_ns = median_ns(reps, || {
-            for &(u, v) in &pairs {
-                std::hint::black_box(adaptive.pair_count(u, v));
-            }
-        });
-        out.push(Tri {
-            name: "warm_pair_counts_256",
-            scalar_ns: scalar_ns / pairs.len() as u128,
-            bitparallel_ns: bitparallel_ns / pairs.len() as u128,
-            adaptive_ns: adaptive_ns / pairs.len() as u128,
-        });
+        let pair_ns = |pool: &mut BitParallelPool<'_, 1>| {
+            median_ns(reps, || {
+                for &(u, v) in &pairs {
+                    std::hint::black_box(pool.pair_count(u, v));
+                }
+            }) / pairs.len() as u128
+        };
+        let (bitparallel_ns, adaptive_ns) = (pair_ns(&mut mask), pair_ns(&mut adaptive));
+        out.push(Comparison { name: "warm_pair_counts_256", bitparallel_ns, adaptive_ns });
 
         // Warm batched rows (one min-partial greedy step).
         let k = 16usize;
         let batch_centers: Vec<NodeId> =
             (0..k as u32).map(|i| NodeId(i * (n as u32 / k as u32))).collect();
         let mut rows = vec![0u32; k * n];
-        let scalar_ns = median_ns(reps, || scalar.counts_from_centers(&batch_centers, &mut rows));
-        let bitparallel_ns =
-            median_ns(reps, || mask.counts_from_centers(&batch_centers, &mut rows));
-        let adaptive_ns =
-            median_ns(reps, || adaptive.counts_from_centers(&batch_centers, &mut rows));
-        out.push(Tri { name: "warm_batch_rows_16x256", scalar_ns, bitparallel_ns, adaptive_ns });
+        let mut batch = |pool: &mut BitParallelPool<'_, 1>| {
+            median_ns(reps, || pool.counts_from_centers(&batch_centers, &mut rows))
+        };
+        let (bitparallel_ns, adaptive_ns) = (batch(&mut mask), batch(&mut adaptive));
+        out.push(Comparison { name: "warm_batch_rows_16x256", bitparallel_ns, adaptive_ns });
     }
 
     // Pool generation: finalization is lazy, so adaptive generation must
     // stay within noise of the pure-mask backend.
-    out.push(Tri {
+    let ensure = |adaptive: bool| {
+        median_ns(reps, || {
+            let pool = BitParallelPool::<1>::new(graph, SEED, 1);
+            pool.with_finalization(adaptive).ensure(samples);
+        })
+    };
+    out.push(Comparison {
         name: "ensure_256",
-        scalar_ns: median_ns(reps, || {
-            let mut pool = ComponentPool::new(graph, SEED, 1);
-            pool.ensure(samples);
-        }),
-        bitparallel_ns: median_ns(reps, || {
-            let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
-            pool.ensure(samples);
-        }),
-        adaptive_ns: median_ns(reps, || {
-            let mut pool = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
-            pool.ensure(samples);
-        }),
+        bitparallel_ns: ensure(false),
+        adaptive_ns: ensure(true),
     });
-
     out
 }
 
 fn write_adaptive_json(
-    graph: &ugraph_graph::UncertainGraph,
+    graph: &UncertainGraph,
     name: &str,
-    tris: &[Tri],
+    results: &[Comparison],
     replay: &[Replay],
     smoke: bool,
 ) {
-    let mut rows = String::new();
-    for (i, t) in tris.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"bitparallel_ns\": {}, \
-             \"adaptive_ns\": {}, \"adaptive_vs_scalar\": {:.3}, \
-             \"adaptive_vs_bitparallel\": {:.3}}}",
-            t.name,
-            t.scalar_ns,
-            t.bitparallel_ns,
-            t.adaptive_ns,
-            t.vs_scalar(),
-            t.vs_bitparallel()
-        ));
-    }
-    let mut replays = String::new();
-    for (i, r) in replay.iter().enumerate() {
-        if i > 0 {
-            replays.push_str(",\n");
-        }
-        replays.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"per_row_ns\": {}, \"cached_ns\": {}, \
-             \"speedup\": {:.3}}}",
-            r.engine,
-            r.per_row_ns,
-            r.cached_ns,
-            r.speedup()
-        ));
-    }
+    let rows = results.iter().map(Comparison::json).collect::<Vec<_>>().join(",\n");
+    let replays = replay_json(replay);
     let json = format!(
         "{{\n  \"benchmark\": \"unlimited_query_adaptive\",\n  \"dataset\": \"{}\",\n  \
          \"nodes\": {},\n  \"edges\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ],\n  \
@@ -522,8 +393,28 @@ fn write_adaptive_json(
         rows,
         replays
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adaptive.json");
-    match std::fs::write(path, &json) {
+    write_report("BENCH_adaptive.json", &json);
+}
+
+/// The guess-schedule replay rows of a JSON report.
+fn replay_json(replay: &[Replay]) -> String {
+    let rows = replay.iter().map(|r| {
+        format!(
+            "    {{\"engine\": \"{}\", \"per_row_ns\": {}, \"cached_ns\": {}, \
+             \"speedup\": {:.3}}}",
+            r.engine,
+            r.per_row_ns,
+            r.cached_ns,
+            r.speedup()
+        )
+    });
+    rows.collect::<Vec<_>>().join(",\n")
+}
+
+/// Writes a JSON report to the repository root.
+fn write_report(file: &str, json: &str) {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    match std::fs::write(&path, json) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }
@@ -533,7 +424,7 @@ fn write_adaptive_json(
 /// Theorem-4 invocation, `α = n`, whose candidate sets overlap heavily
 /// across iterations and guesses) end to end — the pre-PR per-row access
 /// pattern vs batched rows + the incremental row cache.
-fn measure_replay(graph: &ugraph_graph::UncertainGraph, smoke: bool) -> Vec<Replay> {
+fn measure_replay(graph: &UncertainGraph, smoke: bool) -> Vec<Replay> {
     let (k, p_l, reps) = if smoke { (2, 0.8, 1) } else { (4, 0.3, 2) };
     let cfg = ClusterConfig::default()
         .with_seed(17)
@@ -559,7 +450,7 @@ fn measure_replay(graph: &ugraph_graph::UncertainGraph, smoke: bool) -> Vec<Repl
     };
     let mut out = Vec::new();
     let mut reference: Option<AcpResult> = None;
-    for kind in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+    for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
         let mut cached_ns = u128::MAX;
         let mut per_row_ns = u128::MAX;
         for _ in 0..reps {
@@ -626,14 +517,11 @@ impl Sweep {
 /// independent `mcp` calls, equality-gated per k: the warm request must
 /// reproduce the cold clustering, assignment probabilities, guess trace,
 /// and sample count bit for bit.
-fn measure_k_sweep(
-    graph: &ugraph_graph::UncertainGraph,
-    smoke: bool,
-) -> (usize, usize, Vec<Sweep>) {
+fn measure_k_sweep(graph: &UncertainGraph, smoke: bool) -> (usize, usize, Vec<Sweep>) {
     let (k_lo, k_hi) = if smoke { (2usize, 4usize) } else { (2usize, 10usize) };
     let reps = if smoke { 1 } else { 3 };
     let mut out = Vec::new();
-    for kind in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+    for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
         let cfg = ClusterConfig::default().with_seed(23).with_engine(kind).with_threads(1);
         let mut best_cold = u128::MAX;
         let mut best_warm = u128::MAX;
@@ -684,7 +572,7 @@ fn measure_k_sweep(
 }
 
 fn write_session_json(
-    graph: &ugraph_graph::UncertainGraph,
+    graph: &UncertainGraph,
     name: &str,
     k_lo: usize,
     k_hi: usize,
@@ -723,48 +611,18 @@ fn write_session_json(
         k_hi,
         rows
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_session.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
+    write_report("BENCH_session.json", &json);
 }
 
 fn write_oracle_json(
-    graph: &ugraph_graph::UncertainGraph,
+    graph: &UncertainGraph,
     name: &str,
     batch: &[Comparison],
     replay: &[Replay],
     smoke: bool,
 ) {
-    let mut rows = String::new();
-    for (i, r) in batch.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"bitparallel_ns\": {}, \
-             \"speedup\": {:.3}}}",
-            r.name,
-            r.scalar_ns,
-            r.bitparallel_ns,
-            r.speedup()
-        ));
-    }
-    let mut replays = String::new();
-    for (i, r) in replay.iter().enumerate() {
-        if i > 0 {
-            replays.push_str(",\n");
-        }
-        replays.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"per_row_ns\": {}, \"cached_ns\": {}, \
-             \"speedup\": {:.3}}}",
-            r.engine,
-            r.per_row_ns,
-            r.cached_ns,
-            r.speedup()
-        ));
-    }
+    let rows = batch.iter().map(Comparison::json).collect::<Vec<_>>().join(",\n");
+    let replays = replay_json(replay);
     let json = format!(
         "{{\n  \"benchmark\": \"micro_oracle\",\n  \"dataset\": \"{}\",\n  \"nodes\": {},\n  \
          \"edges\": {},\n  \"smoke\": {},\n  \"batch_rows\": [\n{}\n  ],\n  \
@@ -776,11 +634,7 @@ fn write_oracle_json(
         rows,
         replays
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oracle.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
+    write_report("BENCH_oracle.json", &json);
 }
 
 /// One block-width scenario: median ns per operation at widths 64, 256,
@@ -823,7 +677,7 @@ struct WidthGate {
 /// Measures every width scenario at one block width `W` and checks the
 /// counts against `gate` (the width-64 reference) before any timing.
 fn measure_one_width<const W: usize>(
-    graph: &ugraph_graph::UncertainGraph,
+    graph: &UncertainGraph,
     reps: usize,
     samples: usize,
     gate: &mut Option<WidthGate>,
@@ -917,7 +771,7 @@ fn measure_one_width<const W: usize>(
 /// `block_width_sweep`: the same pool workloads at 64-, 256-, and 512-world
 /// blocks, equality-gated across widths (identical worlds by construction,
 /// so any divergence is a kernel bug).
-fn measure_width_sweep(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<WidthRow> {
+fn measure_width_sweep(graph: &UncertainGraph, reps: usize) -> Vec<WidthRow> {
     let samples = 512usize;
     let mut gate = None;
     let w1 = measure_one_width::<1>(graph, reps, samples, &mut gate);
@@ -964,12 +818,7 @@ fn measure_width_sweep(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
     ]
 }
 
-fn write_width_json(
-    graph: &ugraph_graph::UncertainGraph,
-    name: &str,
-    rows: &[WidthRow],
-    smoke: bool,
-) {
+fn write_width_json(graph: &UncertainGraph, name: &str, rows: &[WidthRow], smoke: bool) {
     let mut body = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -995,33 +844,11 @@ fn write_width_json(
         smoke,
         body
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_width.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
+    write_report("BENCH_width.json", &json);
 }
 
-fn write_json(
-    graph: &ugraph_graph::UncertainGraph,
-    name: &str,
-    results: &[Comparison],
-    smoke: bool,
-) {
-    let mut rows = String::new();
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"bitparallel_ns\": {}, \
-             \"speedup\": {:.3}}}",
-            r.name,
-            r.scalar_ns,
-            r.bitparallel_ns,
-            r.speedup()
-        ));
-    }
+fn write_json(graph: &UncertainGraph, name: &str, results: &[Comparison], smoke: bool) {
+    let rows = results.iter().map(Comparison::json).collect::<Vec<_>>().join(",\n");
     let json = format!(
         "{{\n  \"benchmark\": \"micro_worldengine\",\n  \"dataset\": \"{}\",\n  \
          \"nodes\": {},\n  \"edges\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
@@ -1031,11 +858,7 @@ fn write_json(
         smoke,
         rows
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_worldengine.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
+    write_report("BENCH_worldengine.json", &json);
 }
 
 fn worldengine(c: &mut Criterion) {
@@ -1047,33 +870,17 @@ fn worldengine(c: &mut Criterion) {
     // Equality gates, including a non-multiple-of-64 size.
     equality_gate(&graph, 64);
     equality_gate(&graph, if smoke() { 100 } else { 250 });
-    println!("equality gate passed: scalar and bit-parallel counts identical");
+    println!("equality gate passed: pure-mask and adaptive counts identical at every width");
 
     // Machine-readable comparison.
     let reps = if smoke() { 3 } else { 9 };
     let results = measure_comparisons(&graph, reps);
-    for r in &results {
-        println!(
-            "  {:<28} scalar {:>12} ns   bitparallel {:>12} ns   speedup {:>6.2}x",
-            r.name,
-            r.scalar_ns,
-            r.bitparallel_ns,
-            r.speedup()
-        );
-    }
+    results.iter().for_each(|r| r.print("engine"));
     write_json(&graph, &d.name, &results, smoke());
 
     // Batched-row and guess-schedule-replay groups (equality gates inside).
     let batch = measure_batch_rows(&graph, reps);
-    for r in &batch {
-        println!(
-            "  {:<28} scalar {:>12} ns   bitparallel {:>12} ns   speedup {:>6.2}x",
-            r.name,
-            r.scalar_ns,
-            r.bitparallel_ns,
-            r.speedup()
-        );
-    }
+    batch.iter().for_each(|r| r.print("oracle"));
     let replay = measure_replay(&graph, smoke());
     for r in &replay {
         println!(
@@ -1086,22 +893,11 @@ fn worldengine(c: &mut Criterion) {
     }
     write_oracle_json(&graph, &d.name, &batch, &replay, smoke());
 
-    // The adaptive three-way group: scalar labels vs pure-mask vs
-    // bit-parallel + lazy finalization (equality gates inside).
-    let tris = measure_adaptive(&graph, reps);
-    for t in &tris {
-        println!(
-            "  adaptive/{:<33} scalar {:>11} ns   mask {:>11} ns   adaptive {:>11} ns   vs \
-             scalar {:>5.2}x   vs mask {:>5.2}x",
-            t.name,
-            t.scalar_ns,
-            t.bitparallel_ns,
-            t.adaptive_ns,
-            t.vs_scalar(),
-            t.vs_bitparallel()
-        );
-    }
-    write_adaptive_json(&graph, &d.name, &tris, &replay, smoke());
+    // The adaptive group: pure-mask vs bit-parallel + lazy finalization
+    // (equality gates inside).
+    let adaptive = measure_adaptive(&graph, reps);
+    adaptive.iter().for_each(|r| r.print("adaptive"));
+    write_adaptive_json(&graph, &d.name, &adaptive, &replay, smoke());
 
     // Block-width sweep: the same kernels at 64/256/512 worlds per block
     // (equality gates inside).
@@ -1151,26 +947,18 @@ fn worldengine(c: &mut Criterion) {
         group.measurement_time(Duration::from_millis(40));
     }
     for (label, samples) in [("64", 64usize), ("256", 256)] {
-        let mut scalar = ComponentPool::new(&graph, SEED, 1);
-        scalar.ensure(samples);
-        group.bench_function(BenchmarkId::new("center_counts/scalar", label), |b| {
-            let mut center = 0u32;
-            b.iter(|| {
-                scalar.counts_from_center(NodeId(center % n as u32), &mut counts);
-                center = center.wrapping_add(97);
-                counts[0]
-            })
-        });
-        let mut bit = BitParallelPool::<1>::new(&graph, SEED, 1);
-        bit.ensure(samples);
-        group.bench_function(BenchmarkId::new("center_counts/bitparallel", label), |b| {
-            let mut center = 0u32;
-            b.iter(|| {
-                bit.counts_from_center(NodeId(center % n as u32), &mut counts);
-                center = center.wrapping_add(97);
-                counts[0]
-            })
-        });
+        let (mut mask, mut adaptive) = both_pools(&graph, samples);
+        adaptive.counts_from_center(NodeId(0), &mut counts);
+        for (name, pool) in [("bitparallel", &mut mask), ("adaptive", &mut adaptive)] {
+            group.bench_function(BenchmarkId::new(format!("center_counts/{name}"), label), |b| {
+                let mut center = 0u32;
+                b.iter(|| {
+                    pool.counts_from_center(NodeId(center % n as u32), &mut counts);
+                    center = center.wrapping_add(97);
+                    counts[0]
+                })
+            });
+        }
     }
     {
         // Batched 16-center rows: the shape of one min-partial greedy step.
@@ -1179,53 +967,21 @@ fn worldengine(c: &mut Criterion) {
         let centers: Vec<NodeId> =
             (0..k as u32).map(|i| NodeId(i * (n as u32 / k as u32))).collect();
         let mut rows = vec![0u32; k * n];
-        let mut scalar = ComponentPool::new(&graph, SEED, 1);
-        scalar.ensure(samples);
-        group.bench_function(BenchmarkId::new("batch_rows/scalar", samples), |b| {
-            b.iter(|| {
-                scalar.counts_from_centers(&centers, &mut rows);
-                rows[0]
-            })
-        });
-        let mut bit = BitParallelPool::<1>::new(&graph, SEED, 1);
-        bit.ensure(samples);
-        group.bench_function(BenchmarkId::new("batch_rows/bitparallel", samples), |b| {
-            b.iter(|| {
-                bit.counts_from_centers(&centers, &mut rows);
-                rows[0]
-            })
-        });
-    }
-    {
-        // Warm adaptive center counts for interactive comparison with the
-        // scalar/bitparallel `center_counts` entries above.
-        let samples = 256;
-        let mut adaptive = BitParallelPool::<1>::new_adaptive(&graph, SEED, 1);
-        adaptive.ensure(samples);
+        let (mut mask, mut adaptive) = both_pools(&graph, samples);
         adaptive.counts_from_center(NodeId(0), &mut counts);
-        group.bench_function(BenchmarkId::new("center_counts/adaptive", samples), |b| {
-            let mut center = 0u32;
-            b.iter(|| {
-                adaptive.counts_from_center(NodeId(center % n as u32), &mut counts);
-                center = center.wrapping_add(97);
-                counts[0]
-            })
-        });
+        for (name, pool) in [("bitparallel", &mut mask), ("adaptive", &mut adaptive)] {
+            group.bench_function(BenchmarkId::new(format!("batch_rows/{name}"), samples), |b| {
+                b.iter(|| {
+                    pool.counts_from_centers(&centers, &mut rows);
+                    rows[0]
+                })
+            });
+        }
     }
     {
         let samples = 128;
         let mut sel = vec![0u32; n];
         let mut cov = vec![0u32; n];
-        let mut scalar = WorldPool::new(&graph, SEED, 1);
-        scalar.ensure(samples);
-        group.bench_function(BenchmarkId::new("depth4_counts/scalar", samples), |b| {
-            let mut center = 0u32;
-            b.iter(|| {
-                scalar.counts_within_depths(NodeId(center % n as u32), 2, 4, &mut sel, &mut cov);
-                center = center.wrapping_add(97);
-                cov[0]
-            })
-        });
         let mut bit = BitParallelPool::<1>::new(&graph, SEED, 1);
         bit.ensure(samples);
         group.bench_function(BenchmarkId::new("depth4_counts/bitparallel", samples), |b| {

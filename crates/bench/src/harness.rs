@@ -9,7 +9,7 @@ use ugraph_cluster::{acp, acp_depth, mcp, mcp_depth, ClusterConfig, Clustering};
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::UncertainGraph;
 use ugraph_metrics::{avpr, clustering_quality, Avpr, Quality};
-use ugraph_sampling::{ComponentPool, WorldEngine};
+use ugraph_sampling::{BitParallelPool, WorldEngine};
 
 /// Global harness options (parsed from the CLI).
 #[derive(Clone, Debug)]
@@ -117,19 +117,18 @@ pub fn evaluate(
     eval_samples: usize,
     seed: u64,
 ) -> (Quality, Avpr) {
-    let mut pool = ComponentPool::new(graph, seed ^ 0xEAA1_5EED, 0);
-    pool.ensure(eval_samples);
+    let mut pool = eval_pool(graph, eval_samples, seed);
     (clustering_quality(&mut pool, clustering), avpr(&mut pool, clustering))
 }
 
-/// Builds a reusable evaluation pool (when several clusterings are graded
-/// on the same graph).
+/// Builds a reusable adaptive evaluation pool (when several clusterings
+/// are graded on the same graph).
 pub fn eval_pool<'g>(
     graph: &'g UncertainGraph,
     eval_samples: usize,
     seed: u64,
-) -> ComponentPool<'g> {
-    let mut pool = ComponentPool::new(graph, seed ^ 0xEAA1_5EED, 0);
+) -> BitParallelPool<'g, 4> {
+    let mut pool = BitParallelPool::new_adaptive(graph, seed ^ 0xEAA1_5EED, 0);
     pool.ensure(eval_samples);
     pool
 }

@@ -331,7 +331,7 @@ mod tests {
     fn row_cache_and_batching_do_not_change_results() {
         use ugraph_sampling::EngineKind;
         let g = two_communities(0.2);
-        for engine in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for engine in [EngineKind::Adaptive, EngineKind::BitParallel] {
             for inv in [AcpInvocation::Practical, AcpInvocation::Theory] {
                 let on = ClusterConfig::default()
                     .with_seed(13)

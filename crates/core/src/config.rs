@@ -81,9 +81,9 @@ pub struct ClusterConfig {
     pub guess: GuessStrategy,
     /// ACP invocation flavor.
     pub acp_invocation: AcpInvocation,
-    /// Monte-Carlo backend: scalar per-world pools, the pure-mask
-    /// bit-parallel block pool (blocks of [`ClusterConfig::block_width`]
-    /// worlds), or the default **adaptive** backend (bit-parallel plus lazy per-block
+    /// Monte-Carlo backend: the pure-mask bit-parallel block pool (blocks
+    /// of [`ClusterConfig::block_width`] worlds) or the default
+    /// **adaptive** backend (bit-parallel plus lazy per-block
     /// component-label finalization). Backends are count-identical for a
     /// fixed seed, so this knob trades nothing but time; it is threaded
     /// through `mcp`/`acp` (and their depth variants) into every
@@ -93,8 +93,7 @@ pub struct ClusterConfig {
     /// block packs (64, 256, or 512 — see
     /// [`ugraph_sampling::BlockWidth`]). Counts are bit-identical at every
     /// width; wider blocks answer more worlds per traversal at
-    /// proportionally larger per-block mask memory. Ignored by the scalar
-    /// backend.
+    /// proportionally larger per-block mask memory.
     pub block_width: BlockWidth,
     /// Per-center row cache in the Monte-Carlo oracles (default on):
     /// integer count rows are kept across the guessing schedule and topped

@@ -370,7 +370,7 @@ mod tests {
     fn row_cache_and_batching_do_not_change_results() {
         use ugraph_sampling::EngineKind;
         let g = two_communities(0.2);
-        for engine in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for engine in [EngineKind::Adaptive, EngineKind::BitParallel] {
             for alpha in [1usize, 4] {
                 let on =
                     ClusterConfig::default().with_seed(9).with_engine(engine).with_alpha(alpha);
@@ -397,7 +397,7 @@ mod tests {
             b.add_edge(i, i + 1, 0.95).unwrap();
         }
         let g = b.build().unwrap();
-        for engine in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for engine in [EngineKind::Adaptive, EngineKind::BitParallel] {
             let on = ClusterConfig::default().with_seed(4).with_engine(engine);
             let off = on.clone().with_row_cache(false);
             let a = mcp_depth(&g, 3, 2, &on).unwrap();

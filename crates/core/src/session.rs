@@ -20,8 +20,8 @@
 //!   [`Oracle::begin_request`]), so `session.solve(ClusterRequest::mcp(k))`
 //!   returns the same clustering, probabilities, and guess trace as
 //!   `mcp(&g, k, &config)` — only faster;
-//! * a shared **evaluation pool** for
-//!   [`UgraphSession::evaluate`] and the `ugraph-metrics` quality
+//! * one shared **evaluation pool** for [`UgraphSession::evaluate`],
+//!   [`UgraphSession::evaluate_depth`] and the `ugraph-metrics` quality
 //!   functions, replacing the ad-hoc pools callers used to build;
 //! * cumulative [`SessionStats`]: worlds held, rows served per cache
 //!   tier, and per-request timings.
@@ -58,8 +58,8 @@ use std::time::{Duration, Instant};
 use ugraph_graph::{NodeId, UncertainGraph};
 use ugraph_sampling::rng::mix_seed;
 use ugraph_sampling::{
-    assignment_probs, quality_from_probs, ComponentPool, EngineStats, McOracle, MemoryBudget,
-    MemoryStats, Oracle, RowCacheStats, RunState, WorldEngine, WorldPool, DEPTH_UNLIMITED,
+    assignment_probs, quality_from_probs, BitParallelPool, EngineStats, McOracle, MemoryBudget,
+    MemoryStats, Oracle, RowCacheStats, RunState, WorldEngine, DEPTH_UNLIMITED,
 };
 
 use crate::acp::acp_with_oracle;
@@ -243,13 +243,13 @@ pub struct UgraphSession<'g> {
     /// One oracle (engine + grow-only pool + row cache) per request shape
     /// seen so far; linear scan — a session holds a handful at most.
     oracles: Vec<(OracleKey, Box<dyn Oracle + 'g>)>,
-    /// Lazily-built evaluation pool shared by [`UgraphSession::evaluate`]
-    /// and the metrics layer ([`UgraphSession::eval_pool`]).
-    eval: Option<ComponentPool<'g>>,
-    /// Lazily-built depth-capable evaluation pool backing
-    /// [`UgraphSession::evaluate_depth`] (same seed stream as `eval`, so
-    /// both integrate the same sampled worlds).
-    eval_depth: Option<WorldPool<'g>>,
+    /// Lazily-built evaluation pool shared by [`UgraphSession::evaluate`],
+    /// [`UgraphSession::evaluate_depth`] and the metrics layer
+    /// ([`UgraphSession::eval_pool`]). It is adaptive at 256 worlds per
+    /// block whatever [`ClusterConfig::engine`] and
+    /// [`ClusterConfig::block_width`] say: counts depend on neither, and
+    /// metrics callers get one concrete pool type.
+    eval: Option<BitParallelPool<'g, 4>>,
     /// One shared memory ledger for every solver oracle and evaluation
     /// pool — bounded by [`ClusterConfig::memory_budget`], unbounded
     /// (accounting only) otherwise. The shared recency clock makes shard
@@ -301,7 +301,6 @@ impl<'g> UgraphSession<'g> {
             config,
             oracles: Vec::new(),
             eval: None,
-            eval_depth: None,
             budget: ledger,
             eval_samples: DEFAULT_EVAL_SAMPLES,
             requests: 0,
@@ -450,51 +449,29 @@ impl<'g> UgraphSession<'g> {
     pub fn evaluate(&mut self, clustering: &Clustering) -> EvalQuality {
         let n = self.graph.num_nodes();
         assert_eq!(n, clustering.num_nodes(), "clustering and session disagree on n");
-        self.evaluations += 1;
-        let pool = self.eval_pool_impl();
-        let samples = pool.num_samples();
-        let probs = assignment_probs(
-            pool,
-            clustering.centers(),
-            |u| clustering.cluster_of(NodeId::from_index(u)),
-            None,
-        );
-        let (p_min, p_avg) =
-            quality_from_probs(&probs, |u| clustering.cluster_of(NodeId::from_index(u)).is_some());
-        EvalQuality { p_min, p_avg, samples }
+        self.evaluate_within(clustering, None)
     }
 
     /// Depth-limited [`UgraphSession::evaluate`]: probabilities count only
-    /// paths of length ≤ `depth` (paper §3.4), over a lazily built
-    /// depth-capable evaluation pool drawing the **same worlds** as the
-    /// unlimited one (shared seed stream), so the two variants differ only
-    /// in path semantics, never in sampling noise.
+    /// paths of length ≤ `depth` (paper §3.4), over the **same worlds** as
+    /// the unlimited variant (one shared evaluation pool), so the two
+    /// differ only in path semantics, never in sampling noise.
     ///
     /// # Panics
     /// Panics if `clustering` is sized for a different graph.
     pub fn evaluate_depth(&mut self, clustering: &Clustering, depth: u32) -> EvalQuality {
+        self.evaluate_within(clustering, Some(depth))
+    }
+
+    fn evaluate_within(&mut self, clustering: &Clustering, depth: Option<u32>) -> EvalQuality {
         let n = self.graph.num_nodes();
         assert_eq!(n, clustering.num_nodes(), "clustering and session disagree on n");
         self.evaluations += 1;
-        let pool = self.eval_depth.get_or_insert_with(|| {
-            let mut p = WorldPool::new(
-                self.graph,
-                mix_seed(self.config.seed, TAG_EVAL),
-                self.config.threads,
-            );
-            p.set_memory_budget(self.budget.clone());
-            p
-        });
-        pool.ensure(self.eval_samples);
+        let pool = self.eval_pool();
         let samples = pool.num_samples();
-        let probs = assignment_probs(
-            pool,
-            clustering.centers(),
-            |u| clustering.cluster_of(NodeId::from_index(u)),
-            Some(depth),
-        );
-        let (p_min, p_avg) =
-            quality_from_probs(&probs, |u| clustering.cluster_of(NodeId::from_index(u)).is_some());
+        let cluster_of = |u| clustering.cluster_of(NodeId::from_index(u));
+        let probs = assignment_probs(pool, clustering.centers(), cluster_of, depth);
+        let (p_min, p_avg) = quality_from_probs(&probs, |u| cluster_of(u).is_some());
         EvalQuality { p_min, p_avg, samples }
     }
 
@@ -502,17 +479,10 @@ impl<'g> UgraphSession<'g> {
     /// this to the `ugraph-metrics` quality functions
     /// (`clustering_quality`, `avpr`, …) so they share the session's
     /// samples instead of building their own pool.
-    pub fn eval_pool(&mut self) -> &mut ComponentPool<'g> {
-        self.eval_pool_impl()
-    }
-
-    fn eval_pool_impl(&mut self) -> &mut ComponentPool<'g> {
+    pub fn eval_pool(&mut self) -> &mut BitParallelPool<'g, 4> {
         let pool = self.eval.get_or_insert_with(|| {
-            let mut p = ComponentPool::new(
-                self.graph,
-                mix_seed(self.config.seed, TAG_EVAL),
-                self.config.threads,
-            );
+            let seed = mix_seed(self.config.seed, TAG_EVAL);
+            let mut p = BitParallelPool::new_adaptive(self.graph, seed, self.config.threads);
             p.set_memory_budget(self.budget.clone());
             p
         });
@@ -533,7 +503,6 @@ impl<'g> UgraphSession<'g> {
             worlds += oracle.pool_samples();
         }
         worlds += self.eval.as_ref().map_or(0, |p| p.num_samples());
-        worlds += self.eval_depth.as_ref().map_or(0, |p| p.num_samples());
         let memory = self.budget.stats();
         SessionStats {
             requests: self.requests,
@@ -690,10 +659,10 @@ mod tests {
         assert!((depth2.p_avg - 3.0 / 5.0).abs() < 1e-12);
         let depth4 = s.evaluate_depth(&c, 4);
         assert_eq!(depth4.p_min, 1.0);
-        // Both eval pools count toward worlds held, and all calls count as
-        // evaluations.
+        // Both variants share one eval pool, counted once toward worlds
+        // held, and all calls count as evaluations.
         assert_eq!(s.stats().evaluations, 3);
-        assert_eq!(s.stats().worlds_held, 16);
+        assert_eq!(s.stats().worlds_held, 8);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use ugraph_cluster::Clustering;
 use ugraph_graph::NodeId;
-use ugraph_sampling::{ComponentPool, WorldEngine};
+use ugraph_sampling::{BitParallelPool, WorldEngine};
 
 /// Inner/outer AVPR values.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,17 +40,19 @@ fn pairs(c: u64) -> u64 {
     c * (c.saturating_sub(1)) / 2
 }
 
-/// Computes inner/outer AVPR of `clustering` over the sample pool.
+/// Computes inner/outer AVPR of `clustering` over the sample pool, at any
+/// block width (the counts do not depend on it).
 ///
 /// Outlier (unassigned) nodes are excluded from both statistics, matching
 /// the paper's use on full clusterings. The pool is borrowed mutably
 /// because reading per-sample labels may regenerate evicted shards under
-/// a memory budget.
+/// a memory budget, and an adaptive pool caches the labels it computes
+/// (see [`BitParallelPool::labels_into`]).
 ///
 /// # Panics
 /// Panics if the pool is empty or sized for a different graph.
 #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clearest form here
-pub fn avpr(pool: &mut ComponentPool<'_>, clustering: &Clustering) -> Avpr {
+pub fn avpr<const W: usize>(pool: &mut BitParallelPool<'_, W>, clustering: &Clustering) -> Avpr {
     let n = pool.graph().num_nodes();
     assert_eq!(n, clustering.num_nodes(), "clustering and pool disagree on n");
     let r = pool.num_samples();
@@ -123,7 +125,7 @@ mod tests {
     #[test]
     fn separated_certain_triangles_are_perfect() {
         let g = two_certain_triangles();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(10);
         let m = avpr(&mut pool, &community_clustering());
         assert_eq!(m.inner, 1.0);
@@ -133,7 +135,7 @@ mod tests {
     #[test]
     fn merged_clustering_degrades_inner() {
         let g = two_certain_triangles();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(10);
         // Everything in one cluster: intra pairs include the 9 disconnected
         // cross-triangle pairs. inner = 6/15, outer undefined -> 0.
@@ -149,7 +151,7 @@ mod tests {
     #[test]
     fn split_cluster_raises_outer() {
         let g = two_certain_triangles();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(10);
         // Split the first triangle across clusters: {0,1},{2},{3,4,5}.
         let c = Clustering::new(
@@ -170,7 +172,7 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 0.5).unwrap();
         let g = b.build().unwrap();
-        let mut pool = ComponentPool::new(&g, 9, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 9, 1);
         pool.ensure(20_000);
         let c = Clustering::new(vec![NodeId(0)], vec![Some(0), Some(0)]);
         let m = avpr(&mut pool, &c);
@@ -180,7 +182,7 @@ mod tests {
     #[test]
     fn outliers_are_excluded() {
         let g = two_certain_triangles();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(5);
         // Only {0,1} clustered; the rest outliers.
         let c = Clustering::new(vec![NodeId(0)], vec![Some(0), Some(0), None, None, None, None]);
@@ -200,7 +202,7 @@ mod tests {
             b.add_edge(u, v, p).unwrap();
         }
         let g = b.build().unwrap();
-        let mut pool = ComponentPool::new(&g, 4, 1);
+        let mut pool = BitParallelPool::<1>::new(&g, 4, 1);
         pool.ensure(500);
         let c = Clustering::new(
             vec![NodeId(1), NodeId(4)],

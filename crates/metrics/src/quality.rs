@@ -1,8 +1,8 @@
 //! `p_min` / `p_avg` estimation (Figure 1 of the paper).
 //!
 //! Generic over the [`WorldEngine`] seam, so clusterings are measured
-//! identically whichever backend (scalar pools or the bit-parallel block
-//! pool) produced — or measures — the estimates.
+//! identically whichever engine (pure-mask or adaptive, at any block
+//! width) produced — or measures — the estimates.
 
 use ugraph_cluster::{Clustering, UgraphSession};
 use ugraph_graph::NodeId;
@@ -56,9 +56,8 @@ pub fn session_quality(session: &mut UgraphSession<'_>, clustering: &Clustering)
 }
 
 /// Depth-limited variant: probabilities are `Pr(u ~d~ center)` (paper
-/// §3.4), estimated over a depth-capable engine
-/// ([`ugraph_sampling::WorldPool`] or
-/// [`ugraph_sampling::BitParallelPool`]) with batched depth rows.
+/// §3.4), estimated over a depth-capable engine such as
+/// [`ugraph_sampling::BitParallelPool`] with batched depth rows.
 pub fn depth_clustering_quality<E: WorldEngine + ?Sized>(
     engine: &mut E,
     clustering: &Clustering,
@@ -85,7 +84,7 @@ fn finalize(clustering: &Clustering, probs: &[f64]) -> Quality {
 mod tests {
     use super::*;
     use ugraph_graph::GraphBuilder;
-    use ugraph_sampling::{ComponentPool, WorldPool};
+    use ugraph_sampling::BitParallelPool;
 
     #[test]
     fn certain_chain_quality() {
@@ -94,7 +93,7 @@ mod tests {
         b.add_edge(0, 1, 1.0).unwrap();
         b.add_edge(1, 2, 1.0).unwrap();
         let g = b.build().unwrap();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(20);
         let c = Clustering::new(vec![NodeId(1)], vec![Some(0), Some(0), Some(0)]);
         let q = clustering_quality(&mut pool, &c);
@@ -107,7 +106,7 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 1.0).unwrap();
         let g = b.build().unwrap();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(10);
         // Cluster {0,1} center 0; node 2 outlier.
         let c = Clustering::new(vec![NodeId(0)], vec![Some(0), Some(0), None]);
@@ -124,7 +123,7 @@ mod tests {
         b.add_edge(0, 1, 0.8).unwrap();
         b.add_edge(1, 2, 0.5).unwrap();
         let g = b.build().unwrap();
-        let mut pool = ComponentPool::new(&g, 3, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 3, 1);
         pool.ensure(20_000);
         let c = Clustering::new(vec![NodeId(0)], vec![Some(0), Some(0), Some(0)]);
         let q = clustering_quality(&mut pool, &c);
@@ -140,7 +139,7 @@ mod tests {
         b.add_edge(0, 1, 1.0).unwrap();
         b.add_edge(1, 2, 1.0).unwrap();
         let g = b.build().unwrap();
-        let mut pool = WorldPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(5);
         let c = Clustering::new(vec![NodeId(0)], vec![Some(0), Some(0), Some(0)]);
         let q1 = depth_clustering_quality(&mut pool, &c, 1);
@@ -177,7 +176,7 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 0.5).unwrap();
         let g = b.build().unwrap();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         let c = Clustering::new(vec![NodeId(0)], vec![Some(0), Some(0)]);
         let _ = clustering_quality(&mut pool, &c);
     }

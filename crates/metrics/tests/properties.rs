@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use ugraph_cluster::Clustering;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_metrics::{avpr, clustering_quality, confusion};
-use ugraph_sampling::{ComponentPool, WorldEngine};
+use ugraph_sampling::{BitParallelPool, WorldEngine};
 
 /// Random graph plus a random full clustering over it.
 fn graph_and_clustering() -> impl Strategy<Value = (UncertainGraph, Clustering)> {
@@ -55,7 +55,7 @@ proptest! {
     /// (the assigned-center probability of every node is ≥ the minimum).
     #[test]
     fn quality_ranges((g, c) in graph_and_clustering(), seed in any::<u64>()) {
-        let mut pool = ComponentPool::new(&g, seed, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, seed, 1);
         pool.ensure(150);
         let q = clustering_quality(&mut pool, &c);
         prop_assert!((0.0..=1.0).contains(&q.p_min));
@@ -63,12 +63,17 @@ proptest! {
         prop_assert!(q.p_avg >= q.p_min - 1e-12, "avg {} < min {}", q.p_avg, q.p_min);
     }
 
-    /// AVPR via contingency counting equals brute-force pair averaging.
+    /// AVPR via contingency counting equals brute-force pair averaging,
+    /// and reads the same per-world labels from pure-mask and adaptive
+    /// pools.
     #[test]
     fn avpr_matches_bruteforce((g, c) in graph_and_clustering(), seed in any::<u64>()) {
-        let mut pool = ComponentPool::new(&g, seed, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, seed, 1);
         pool.ensure(120);
         let m = avpr(&mut pool, &c);
+        let mut mask = BitParallelPool::<1>::new(&g, seed, 1);
+        mask.ensure(120);
+        prop_assert_eq!(avpr(&mut mask, &c), m);
         let n = g.num_nodes() as u32;
         let (mut is_, mut ic, mut os, mut oc) = (0.0f64, 0usize, 0.0f64, 0usize);
         for u in 0..n {

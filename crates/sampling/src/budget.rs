@@ -17,7 +17,7 @@
 //! the whole session rather than per pool.
 //!
 //! The crate-private `ShardStore` is the one implementation of that
-//! policy: every pool backend keeps its shard bookkeeping in one and
+//! policy: each pool keeps its shard bookkeeping in one and
 //! supplies only its storage operations (a shard's byte size, rebuilding a
 //! shard, dropping a shard's data).
 
@@ -402,8 +402,7 @@ impl ShardStore {
 /// A pool whose samples live in [`SHARD_WORLDS`]-world shards kept by a
 /// [`ShardStore`]. The pool supplies the storage operations only it can
 /// perform — a shard's byte size, rebuilding a shard, dropping a shard's
-/// data; the provided methods are the store's policy, written once for
-/// every backend.
+/// data; the provided methods are the store's policy, written once.
 pub(crate) trait ShardedPool {
     /// The pool's shard bookkeeping.
     fn store(&mut self) -> &mut ShardStore;

@@ -6,25 +6,24 @@
 //! [`WorldEngine`] trait captures exactly that contract, so the machinery
 //! answering it is swappable:
 //!
-//! * the **scalar** backend walks one world per query step —
-//!   [`crate::ComponentPool`] (per-world component labels, unlimited
-//!   connectivity) and [`crate::WorldPool`] (per-world edge bitsets,
-//!   depth-limited BFS);
-//! * the **bit-parallel** backend ([`crate::BitParallelPool`]) packs
-//!   worlds into blocks of `64·W` ([`BlockWidth`]: `W` = 1, 4 or 8 machine
-//!   words per edge, 256 worlds by default) as structure-of-arrays edge
-//!   masks and answers a whole block per traversal with mask-propagating
-//!   multi-world BFS ([`ugraph_graph::MultiWorldBfs`]).
+//! * the **bit-parallel** pool ([`crate::BitParallelPool`]) packs worlds
+//!   into blocks of `64·W` ([`BlockWidth`]: `W` = 1, 4 or 8 machine words
+//!   per edge, 256 worlds by default) as structure-of-arrays edge masks
+//!   and answers a whole block per traversal with mask-propagating
+//!   multi-world BFS ([`ugraph_graph::MultiWorldBfs`]);
+//! * its **adaptive** mode ([`EngineKind::Adaptive`], the default) also
+//!   caches per-lane component labels of the blocks unlimited queries keep
+//!   hitting, so those queries become label scans.
 //!
-//! Backends draw world `i` from the same per-index RNG stream, so for a
-//! fixed master seed every backend holds **bit-identical worlds** and
-//! returns **identical integer counts** — estimates do not depend on which
-//! backend (or thread count) produced them. The property-test suite
-//! asserts this equivalence; future scaling backends (sharded pools,
-//! SIMD/GPU, incremental re-sampling) plug into the same seam under the
+//! Every engine draws world `i` from the same per-index RNG stream, so for
+//! a fixed master seed every engine holds **bit-identical worlds** and
+//! returns **identical integer counts** — estimates do not depend on the
+//! engine, block width or thread count that produced them. The
+//! property-test suite asserts this against a naive one-world-at-a-time
+//! reference engine; other backends plug into the same seam under the
 //! same contract.
 //!
-//! Backend choice is surfaced to applications as [`EngineKind`], carried
+//! Engine choice is surfaced to applications as [`EngineKind`], carried
 //! by `ugraph_cluster::ClusterConfig` into the MCP/ACP drivers.
 
 use ugraph_graph::{NodeId, UncertainGraph};
@@ -38,9 +37,6 @@ pub const DEPTH_UNLIMITED: u32 = u32::MAX;
 /// Selects the Monte-Carlo backend that powers pools and oracles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// One world per query step: component labels for unlimited
-    /// connectivity, per-world bounded BFS for depth-limited queries.
-    Scalar,
     /// Blocks of `64·W` worlds ([`BlockWidth`]): structure-of-arrays edge
     /// masks queried with mask-propagating multi-world BFS. Kept as the
     /// pure-mask backend for benchmarking; [`EngineKind::Adaptive`]
@@ -51,8 +47,8 @@ pub enum EngineKind {
     /// block of worlds materializes per-lane component labels (one
     /// component-sharing fixpoint sweep per block) and caches them next to
     /// the edge masks, so every later unlimited query over that block is
-    /// an O(n + members) label scan exactly like the scalar backend —
-    /// while generation and depth-limited queries stay pure bit-parallel.
+    /// an O(n + members) label scan — while generation and depth-limited
+    /// queries stay pure bit-parallel.
     #[default]
     Adaptive,
 }
@@ -61,18 +57,19 @@ impl EngineKind {
     /// Short stable name, used in benchmark labels and reports.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Scalar => "scalar",
             EngineKind::BitParallel => "bitparallel",
             EngineKind::Adaptive => "adaptive",
         }
     }
 
-    /// Parses the name produced by [`EngineKind::name`] (CLI flag values).
+    /// Parses the name produced by [`EngineKind::name`] (CLI flag values
+    /// and wire requests). `scalar`, the name of a retired per-world
+    /// backend, is accepted as an alias of `adaptive`: both answer with
+    /// identical counts.
     pub fn from_name(name: &str) -> Option<EngineKind> {
         match name {
-            "scalar" => Some(EngineKind::Scalar),
             "bitparallel" => Some(EngineKind::BitParallel),
-            "adaptive" => Some(EngineKind::Adaptive),
+            "adaptive" | "scalar" => Some(EngineKind::Adaptive),
             _ => None,
         }
     }
@@ -85,7 +82,6 @@ impl EngineKind {
 /// per block even when only a tail of its lanes is populated). Counts are
 /// **bit-identical at every width** — world `i` always comes from per-index
 /// RNG stream `i` — so the knob is purely a performance/memory trade.
-/// Ignored by the scalar backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BlockWidth {
     /// 64 worlds per block (one `u64` word per edge).
@@ -130,7 +126,7 @@ impl BlockWidth {
 }
 
 /// Counters describing the adaptive backend's lazy block finalization (all
-/// zero for backends without finalization — scalar pools and the pure-mask
+/// zero for engines without finalization, such as the pure-mask
 /// bit-parallel pool).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -193,20 +189,21 @@ impl EngineStats {
 /// `[0, num_samples())`.
 ///
 /// Depth parameters use [`DEPTH_UNLIMITED`] for plain connectivity.
-/// Backends that precompute per-world connectivity and cannot answer
-/// finite-depth queries (the scalar [`crate::ComponentPool`]) document
-/// this and panic on finite depths; [`crate::McOracle`] only pairs depth
-/// queries with depth-capable backends.
+/// Engines that precompute per-world connectivity and cannot answer
+/// finite-depth queries document this, return `false` from
+/// [`WorldEngine::supports_finite_depths`] and panic on finite depths;
+/// [`crate::McOracle`] only pairs depth queries with depth-capable
+/// engines.
 pub trait WorldEngine {
     /// The underlying uncertain graph.
     fn graph(&self) -> &UncertainGraph;
 
     /// Whether this backend can answer **finite**-depth queries.
     ///
-    /// Defaults to `true`; backends that precompute per-world connectivity
-    /// and lose distance information (the scalar [`crate::ComponentPool`])
-    /// return `false`, and the depth-limited oracle rejects them at
-    /// construction instead of panicking at first query.
+    /// Defaults to `true`; engines that precompute per-world connectivity
+    /// and lose distance information return `false`, and the
+    /// depth-limited oracle rejects them at construction instead of
+    /// panicking at first query.
     fn supports_finite_depths(&self) -> bool {
         true
     }
@@ -504,12 +501,13 @@ mod tests {
     #[test]
     fn engine_kind_defaults_and_names() {
         assert_eq!(EngineKind::default(), EngineKind::Adaptive);
-        assert_eq!(EngineKind::Scalar.name(), "scalar");
         assert_eq!(EngineKind::BitParallel.name(), "bitparallel");
         assert_eq!(EngineKind::Adaptive.name(), "adaptive");
-        for kind in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+        for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
             assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
         }
+        // The retired per-world backend's name still parses.
+        assert_eq!(EngineKind::from_name("scalar"), Some(EngineKind::Adaptive));
         assert_eq!(EngineKind::from_name("gpu"), None);
     }
 

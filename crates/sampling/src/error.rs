@@ -53,8 +53,8 @@ pub enum SamplingError {
         d_cover: u32,
     },
     /// A depth-limited oracle was given an engine that cannot answer
-    /// finite-depth queries (e.g. the component-label backend, which
-    /// precomputes connectivity and loses distances).
+    /// finite-depth queries (e.g. one that precomputes per-world
+    /// connectivity and loses distances).
     DepthIncapableEngine,
     /// The run was interrupted cooperatively — its deadline passed or a
     /// [`crate::CancelToken`] fired (see [`crate::RunBudget`]). The
@@ -88,10 +88,7 @@ impl fmt::Display for SamplingError {
                 write!(f, "d_select ({d_select}) must be ≤ d_cover ({d_cover})")
             }
             SamplingError::DepthIncapableEngine => {
-                write!(
-                    f,
-                    "engine cannot answer finite-depth queries; use WorldPool or BitParallelPool"
-                )
+                write!(f, "engine cannot answer finite-depth queries; use BitParallelPool")
             }
             SamplingError::Interrupted { kind, phase } => {
                 write!(f, "run {kind} during {phase}")

@@ -12,16 +12,15 @@
 //!
 //! * deterministic, thread-count-independent [`WorldSampler`]s — sample `i`
 //!   is always generated from the same per-index RNG stream;
-//! * the [`WorldEngine`] backend seam with interchangeable, count-identical
-//!   implementations selected by [`EngineKind`]:
-//!   [`ComponentPool`] (scalar; per-sample connected-component labels with
-//!   membership lists, supporting `counts_from_center` in time proportional
-//!   to the size of the center's components, not `n·r`),
-//!   [`WorldPool`] (scalar; per-sample edge bitsets for **depth-limited**
-//!   d-connection probabilities of paper §3.4, evaluated by bounded BFS),
-//!   and [`BitParallelPool`] (blocks of `64·W` worlds, 256 by default,
-//!   as structure-of-arrays edge masks, queried by mask-propagating
-//!   multi-world BFS — one traversal answers a whole block);
+//! * the [`WorldEngine`] backend seam and its implementation
+//!   [`BitParallelPool`]: blocks of `64·W` worlds, 256 by default, as
+//!   structure-of-arrays edge masks, queried by mask-propagating
+//!   multi-world BFS — one traversal answers a whole block, for plain and
+//!   for **depth-limited** d-connection probabilities (paper §3.4). Its
+//!   adaptive mode ([`EngineKind::Adaptive`], the default) caches per-block
+//!   component labels, so repeated unlimited queries run in time
+//!   proportional to the size of the center's components, not `n·r`;
+//!   every mode and block width returns identical counts;
 //! * [`ExactOracle`]: exhaustive possible-world enumeration for small
 //!   graphs, used to validate the estimators and for tiny-instance
 //!   optimality tests;
@@ -30,9 +29,8 @@
 //!   starting schedule (§5);
 //! * the [`Oracle`] trait consumed by the clustering algorithms, with
 //!   its Monte-Carlo implementation [`McOracle`] built on the engine seam;
-//! * the shared parallel-dispatch [`tuning`] heuristics used by every
-//!   backend;
-//! * sharded, memory-budgeted storage ([`budget`]): every backend
+//! * the parallel-dispatch and finalization [`tuning`] heuristics;
+//! * sharded, memory-budgeted storage ([`budget`]): every pool
 //!   allocates in [`SHARD_WORLDS`]-world shards charged against a shared
 //!   [`MemoryBudget`]; under pressure, least-recently-used shards are
 //!   evicted and later regenerated **bit-identically** from their
@@ -52,7 +50,7 @@
 //!
 //! ```
 //! use ugraph_graph::{GraphBuilder, NodeId};
-//! use ugraph_sampling::{ComponentPool, ExactOracle, WorldEngine};
+//! use ugraph_sampling::{BitParallelPool, ExactOracle, WorldEngine};
 //!
 //! let mut b = GraphBuilder::new(3);
 //! b.add_edge(0, 1, 0.5).unwrap();
@@ -64,7 +62,7 @@
 //! assert!((exact.pair_probability(NodeId(0), NodeId(2)) - 0.25).abs() < 1e-12);
 //!
 //! // Monte-Carlo converges to the same value.
-//! let mut pool = ComponentPool::new(&g, 42, 1);
+//! let mut pool = BitParallelPool::<4>::new_adaptive(&g, 42, 1);
 //! pool.ensure(4000);
 //! let est = pool.pair_estimate(NodeId(0), NodeId(2));
 //! assert!((est - 0.25).abs() < 0.05);
@@ -99,7 +97,7 @@ pub use exact::ExactOracle;
 pub use faults::{FaultPlan, FaultSite};
 pub use interrupt::{CancelToken, Interrupt, RunBudget, RunState};
 pub use oracle::{DepthMcOracle, ExactOracleAdapter, McOracle, Oracle, RowCacheStats};
-pub use pool::{BitParallelPool, ComponentPool, WorldPool, SHARD_BLOCKS, SHARD_WORLDS};
+pub use pool::{BitParallelPool, SHARD_BLOCKS, SHARD_WORLDS};
 pub use queries::{
     assignment_probs, most_reliable_source, quality_from_probs, reliability_knn,
     reliability_knn_within, SourceObjective,

@@ -90,7 +90,7 @@ use crate::error::SamplingError;
 use crate::exact::ExactOracle;
 use crate::faults::{self, FaultSite};
 use crate::interrupt::RunState;
-use crate::pool::{BitParallelPool, ComponentPool, WorldPool};
+use crate::pool::BitParallelPool;
 
 /// Counters describing how an oracle's per-center row cache served the
 /// probability rows requested so far (see the module docs for the cache's
@@ -655,13 +655,11 @@ pub struct McOracle<'g> {
 
 impl<'g> McOracle<'g> {
     /// Creates the oracle with selection depth `d_select` and cover depth
-    /// `d_cover` ([`DEPTH_UNLIMITED`] for both: plain connectivity) on the
-    /// backend selected by `kind`, with the bit-parallel block width
-    /// selected by `width`. The scalar backend, which ignores `width`, is
-    /// [`ComponentPool`] for plain connectivity and [`WorldPool`]
-    /// otherwise. `threads = 0` uses all cores; `epsilon` is the
+    /// `d_cover` ([`DEPTH_UNLIMITED`] for both: plain connectivity) on a
+    /// [`BitParallelPool`] of block width `width`, adaptive or pure-mask as
+    /// `kind` selects. `threads = 0` uses all cores; `epsilon` is the
     /// relative-error target reflected by [`Oracle::epsilon`]. Estimates
-    /// are bit-identical on every backend and at every width.
+    /// are bit-identical on every engine and at every width.
     ///
     /// # Errors
     /// Returns [`SamplingError::InvalidDepths`] if `d_select > d_cover`.
@@ -686,15 +684,10 @@ impl<'g> McOracle<'g> {
             let pool = BitParallelPool::<W>::new(graph, seed, threads);
             Box::new(pool.with_finalization(kind == EngineKind::Adaptive))
         }
-        let unlimited = d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED;
-        let engine: Box<dyn WorldEngine + 'g> = match (kind, width) {
-            (EngineKind::Scalar, _) if unlimited => {
-                Box::new(ComponentPool::new(graph, seed, threads))
-            }
-            (EngineKind::Scalar, _) => Box::new(WorldPool::new(graph, seed, threads)),
-            (_, BlockWidth::W64) => bit_parallel::<1>(graph, seed, threads, kind),
-            (_, BlockWidth::W256) => bit_parallel::<4>(graph, seed, threads, kind),
-            (_, BlockWidth::W512) => bit_parallel::<8>(graph, seed, threads, kind),
+        let engine = match width {
+            BlockWidth::W64 => bit_parallel::<1>(graph, seed, threads, kind),
+            BlockWidth::W256 => bit_parallel::<4>(graph, seed, threads, kind),
+            BlockWidth::W512 => bit_parallel::<8>(graph, seed, threads, kind),
         };
         Self::from_engine_depths(engine, schedule, epsilon, d_select, d_cover)
     }
@@ -1165,8 +1158,7 @@ mod tests {
     /// check runs once over `[UNLIMITED]` and once over these.
     const DEPTH_SHAPES: [(u32, u32); 2] = [(2, 2), (1, 3)];
 
-    const ENGINES: [EngineKind; 3] =
-        [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive];
+    const ENGINES: [EngineKind; 2] = [EngineKind::BitParallel, EngineKind::Adaptive];
 
     fn chain(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new(n as usize);
@@ -1181,27 +1173,29 @@ mod tests {
         g: &UncertainGraph,
         seed: u64,
         schedule: SampleSchedule,
-        (d_select, d_cover): (u32, u32),
+        depths: (u32, u32),
         kind: EngineKind,
     ) -> McOracle<'_> {
-        McOracle::with_engine_width(
-            g,
-            seed,
-            1,
-            schedule,
-            0.1,
-            d_select,
-            d_cover,
-            kind,
-            BlockWidth::default(),
-        )
-        .unwrap()
+        oracle_at(g, seed, schedule, depths, kind, BlockWidth::default())
+    }
+
+    /// A single-threaded oracle at `depths` on `kind` and `width`.
+    fn oracle_at(
+        g: &UncertainGraph,
+        seed: u64,
+        schedule: SampleSchedule,
+        (d_select, d_cover): (u32, u32),
+        kind: EngineKind,
+        width: BlockWidth,
+    ) -> McOracle<'_> {
+        McOracle::with_engine_width(g, seed, 1, schedule, 0.1, d_select, d_cover, kind, width)
+            .unwrap()
     }
 
     #[test]
     fn mc_oracle_prepare_grows_pool() {
         let g = chain(6, 0.5);
-        let mut o = oracle(&g, 1, SampleSchedule::practical(), UNLIMITED, EngineKind::Scalar);
+        let mut o = oracle(&g, 1, SampleSchedule::practical(), UNLIMITED, EngineKind::Adaptive);
         assert_eq!(o.num_samples(), 0);
         o.prepare(1.0).unwrap();
         assert_eq!(o.num_samples(), 50);
@@ -1215,7 +1209,7 @@ mod tests {
     fn mc_oracle_center_probs_match_exact_roughly() {
         let g = chain(4, 0.8);
         let exact = ExactOracle::new(&g).unwrap();
-        let mut o = oracle(&g, 42, SampleSchedule::Fixed(8000), UNLIMITED, EngineKind::Scalar);
+        let mut o = oracle(&g, 42, SampleSchedule::Fixed(8000), UNLIMITED, EngineKind::Adaptive);
         o.prepare(0.1).unwrap();
         let mut sel = vec![0.0; 4];
         let mut cov = vec![0.0; 4];
@@ -1231,31 +1225,36 @@ mod tests {
         }
     }
 
-    /// Every engine serves the scalar engine's rows and pair probabilities.
+    /// Every engine and block width serves the rows and pair
+    /// probabilities of the pure-mask width-64 engine.
     fn check_backends_agree_bit_for_bit(shapes: &[(u32, u32)]) {
         let g = chain(9, 0.6);
         let schedule = SampleSchedule::Fixed(90);
         for &depths in shapes {
-            let mut scalar = oracle(&g, 7, schedule, depths, EngineKind::Scalar);
-            scalar.prepare(0.5).unwrap();
-            for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
-                let mut other = oracle(&g, 7, schedule, depths, kind);
-                other.prepare(0.5).unwrap();
-                assert_eq!(scalar.num_samples(), other.num_samples());
-                let (mut s1, mut c1) = (vec![0.0; 9], vec![0.0; 9]);
-                let (mut s2, mut c2) = (vec![0.0; 9], vec![0.0; 9]);
-                for c in 0..9u32 {
-                    scalar.center_probs(NodeId(c), &mut s1, &mut c1).unwrap();
-                    other.center_probs(NodeId(c), &mut s2, &mut c2).unwrap();
-                    assert_eq!(s1, s2, "{depths:?} {kind:?}: select rows differ at center {c}");
-                    assert_eq!(c1, c2, "{depths:?} {kind:?}: cover rows differ at center {c}");
-                }
-                for v in 1..9u32 {
-                    assert_eq!(
-                        scalar.pair_prob(NodeId(0), NodeId(v)).unwrap(),
-                        other.pair_prob(NodeId(0), NodeId(v)).unwrap(),
-                        "{depths:?} {kind:?}: pair_prob differs at {v}"
-                    );
+            let mut base =
+                oracle_at(&g, 7, schedule, depths, EngineKind::BitParallel, BlockWidth::W64);
+            base.prepare(0.5).unwrap();
+            for kind in ENGINES {
+                for width in [BlockWidth::W64, BlockWidth::W256, BlockWidth::W512] {
+                    let tag = format!("{depths:?} {kind:?} {width:?}");
+                    let mut other = oracle_at(&g, 7, schedule, depths, kind, width);
+                    other.prepare(0.5).unwrap();
+                    assert_eq!(base.num_samples(), other.num_samples());
+                    let (mut s1, mut c1) = (vec![0.0; 9], vec![0.0; 9]);
+                    let (mut s2, mut c2) = (vec![0.0; 9], vec![0.0; 9]);
+                    for c in 0..9u32 {
+                        base.center_probs(NodeId(c), &mut s1, &mut c1).unwrap();
+                        other.center_probs(NodeId(c), &mut s2, &mut c2).unwrap();
+                        assert_eq!(s1, s2, "{tag}: select rows differ at center {c}");
+                        assert_eq!(c1, c2, "{tag}: cover rows differ at center {c}");
+                    }
+                    for v in 1..9u32 {
+                        assert_eq!(
+                            base.pair_prob(NodeId(0), NodeId(v)).unwrap(),
+                            other.pair_prob(NodeId(0), NodeId(v)).unwrap(),
+                            "{tag}: pair_prob differs at {v}"
+                        );
+                    }
                 }
             }
         }
@@ -1274,7 +1273,7 @@ mod tests {
     #[test]
     fn depth_oracle_select_below_cover() {
         let g = chain(5, 1.0);
-        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (1, 3), EngineKind::Scalar);
+        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (1, 3), EngineKind::Adaptive);
         o.prepare(1.0).unwrap();
         let mut sel = vec![0.0; 5];
         let mut cov = vec![0.0; 5];
@@ -1287,7 +1286,7 @@ mod tests {
     #[test]
     fn depth_oracle_pair_prob_uses_cover_depth() {
         let g = chain(4, 1.0);
-        let mut o = oracle(&g, 1, SampleSchedule::Fixed(5), (1, 2), EngineKind::Scalar);
+        let mut o = oracle(&g, 1, SampleSchedule::Fixed(5), (1, 2), EngineKind::Adaptive);
         o.prepare(1.0).unwrap();
         assert_eq!(o.pair_prob(NodeId(0), NodeId(2)).unwrap(), 1.0);
         assert_eq!(o.pair_prob(NodeId(0), NodeId(3)).unwrap(), 0.0);
@@ -1368,14 +1367,14 @@ mod tests {
     fn batched_probs_match_sequential_and_use_cache() {
         let g = chain(9, 0.5);
         let schedule = SampleSchedule::practical();
-        let mut o = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Scalar);
+        let mut o = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive);
         o.prepare(0.5).unwrap();
         let centers: Vec<NodeId> = [2u32, 7, 2, 0].iter().map(|&c| NodeId(c)).collect();
         let n = 9;
         let mut want = vec![0.0; centers.len() * n];
         {
             let mut scratch = vec![0.0; n];
-            let mut fresh = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Scalar);
+            let mut fresh = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive);
             fresh.prepare(0.5).unwrap();
             for (j, &c) in centers.iter().enumerate() {
                 fresh.center_probs(c, &mut scratch, &mut want[j * n..(j + 1) * n]).unwrap();
@@ -1419,14 +1418,14 @@ mod tests {
     fn memory_budget_gates_cache_admission_and_charges_ledger() {
         let g = chain(8, 0.6);
         let schedule = SampleSchedule::Fixed(40);
-        // A budget too small even for one shard: the cache is starved (no
-        // ledger headroom), yet estimates match the unbounded oracle —
+        // A budget too small even for one shard or one cached row: the
+        // cache is starved, yet estimates match the unbounded oracle —
         // shards evict and regenerate bit-identically.
-        let tiny = MemoryBudget::bounded(64);
-        let mut starved = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Scalar)
+        let tiny = MemoryBudget::bounded(32);
+        let mut starved = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Adaptive)
             .with_memory_budget(tiny.clone());
         starved.prepare(0.5).unwrap();
-        let mut plain = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Scalar);
+        let mut plain = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Adaptive);
         plain.prepare(0.5).unwrap();
         let (mut s, mut c) = (vec![0.0; 8], vec![0.0; 8]);
         let (mut s2, mut c2) = (vec![0.0; 8], vec![0.0; 8]);
@@ -1435,13 +1434,13 @@ mod tests {
             plain.center_probs(NodeId(u), &mut s2, &mut c2).unwrap();
             assert_eq!(c, c2, "budgeted estimates differ at center {u}");
         }
-        assert_eq!(starved.cache.rows.len(), 0, "no headroom: nothing admitted");
+        assert_eq!(starved.cache.rows.len(), 0, "no room for a row: nothing admitted");
         assert!(starved.memory_stats().shards_evicted > 0, "tiny budget must evict");
 
         // A roomy budget admits rows and charges them to the shared
         // ledger; dropping the oracle releases everything.
         let roomy = MemoryBudget::bounded(1 << 20);
-        let mut o = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Scalar)
+        let mut o = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Adaptive)
             .with_memory_budget(roomy.clone());
         o.prepare(0.5).unwrap();
         o.center_probs(NodeId(0), &mut s, &mut c).unwrap();
@@ -1455,14 +1454,21 @@ mod tests {
 
         // set_budget tightens the admission cap to half the limit.
         let mut cache = RowCache::new(true, 8, 1);
-        cache.set_budget(MemoryBudget::bounded(80)); // (80/2)/32 = 1 row
+        let ledger = MemoryBudget::bounded(80);
+        cache.set_budget(ledger.clone()); // (80/2)/32 = 1 row
         assert_eq!(cache.max_rows, 1);
+        // Ledger headroom gates admission on its own: the cap admits one
+        // row, but not while resident shards leave no room for it.
+        ledger.charge(60);
+        assert!(!cache.admits(NodeId(0)), "no headroom: nothing admitted");
+        ledger.release(60);
+        assert!(cache.admits(NodeId(0)));
     }
 
     #[test]
     fn equal_depths_advertise_identical_rows() {
         let g = chain(5, 1.0);
-        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (2, 2), EngineKind::Scalar);
+        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (2, 2), EngineKind::Adaptive);
         assert!(o.identical_rows());
         o.prepare(1.0).unwrap();
         let mut cov = vec![0.0; 10];
@@ -1538,7 +1544,7 @@ mod tests {
     fn batched_topups_are_grouped_and_deduplicated() {
         let g = chain(9, 0.5);
         let schedule = SampleSchedule::practical();
-        let mut o = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Scalar);
+        let mut o = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive);
         o.prepare(1.0).unwrap(); // 50 samples
         let centers: Vec<NodeId> = (0..6).map(NodeId).collect();
         let n = 9;
@@ -1558,7 +1564,7 @@ mod tests {
         assert_eq!(stats.fulls, 6, "no recomputes");
         // Values equal an uncached oracle's.
         let mut plain =
-            oracle(&g, 3, schedule, UNLIMITED, EngineKind::Scalar).with_row_cache(false);
+            oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive).with_row_cache(false);
         plain.prepare(1.0).unwrap();
         plain.prepare(0.5).unwrap();
         let mut want = vec![0.0; batch.len() * n];
@@ -1579,24 +1585,67 @@ mod tests {
             0.1,
             3,
             2,
-            EngineKind::Scalar,
+            EngineKind::Adaptive,
             BlockWidth::default(),
         )
         .unwrap_err();
         assert_eq!(err, SamplingError::InvalidDepths { d_select: 3, d_cover: 2 });
     }
 
+    /// An engine that answers unlimited-depth queries only.
+    struct UnlimitedOnly<'g>(BitParallelPool<'g>);
+
+    impl WorldEngine for UnlimitedOnly<'_> {
+        fn graph(&self) -> &UncertainGraph {
+            self.0.graph()
+        }
+
+        fn supports_finite_depths(&self) -> bool {
+            false
+        }
+
+        fn num_samples(&self) -> usize {
+            self.0.num_samples()
+        }
+
+        fn ensure(&mut self, r: usize) {
+            self.0.ensure(r);
+        }
+
+        fn counts_from_center_range(&mut self, c: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
+            self.0.counts_from_center_range(c, lo, hi, out);
+        }
+
+        fn counts_within_depths_range(
+            &mut self,
+            _: NodeId,
+            _: u32,
+            _: u32,
+            _: usize,
+            _: usize,
+            _: &mut [u32],
+            _: &mut [u32],
+        ) {
+            unreachable!("finite depths are rejected at oracle construction")
+        }
+    }
+
     #[test]
     fn depth_oracle_rejects_depth_incapable_engine() {
         let g = chain(3, 0.5);
-        let engine = Box::new(ComponentPool::new(&g, 1, 1));
+        let engine = Box::new(UnlimitedOnly(BitParallelPool::new(&g, 1, 1)));
         let err = McOracle::from_engine_depths(engine, SampleSchedule::Fixed(5), 0.1, 1, 2)
-            .expect_err("component pool cannot back a finite-depth oracle");
+            .expect_err("an unlimited-only engine cannot back a finite-depth oracle");
         assert_eq!(err, SamplingError::DepthIncapableEngine);
         // The former type name builds the same oracle.
-        let engine = Box::new(ComponentPool::new(&g, 1, 1));
+        let engine = Box::new(UnlimitedOnly(BitParallelPool::new(&g, 1, 1)));
         let err = DepthMcOracle::from_engine(engine, SampleSchedule::Fixed(5), 0.1, 1, 2)
-            .expect_err("component pool cannot back a finite-depth oracle");
+            .expect_err("an unlimited-only engine cannot back a finite-depth oracle");
         assert_eq!(err, SamplingError::DepthIncapableEngine);
+        // At unlimited depths it is a valid engine.
+        let engine = Box::new(UnlimitedOnly(BitParallelPool::new(&g, 1, 1)));
+        let mut o = McOracle::from_engine(engine, SampleSchedule::Fixed(5), 0.1);
+        o.prepare(1.0).unwrap();
+        assert_eq!(o.pair_prob(NodeId(0), NodeId(0)).unwrap(), 1.0);
     }
 }

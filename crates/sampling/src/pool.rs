@@ -1,4 +1,4 @@
-//! Progressive sample pools — the backend implementations of the
+//! Progressive sample pools — the backend implementation of the
 //! [`WorldEngine`] seam.
 //!
 //! The clustering algorithms lower their probability threshold `q`
@@ -8,59 +8,51 @@
 //! everything drawn before — the progressive sampling strategy of the
 //! paper. Because sample `i` is generated from a per-index RNG (see
 //! [`crate::rng`]), the pool contents are independent of the growth
-//! schedule, of the number of worker threads, **and of the backend**:
+//! schedule, of the number of worker threads, **and of the block width**.
 //!
-//! * [`ComponentPool`] — scalar, unlimited connectivity: each world is
-//!   reduced to its connected-component partition at generation time, so
-//!   center queries only walk the center's component members;
-//! * [`WorldPool`] — scalar, depth-limited: each world is kept as an edge
-//!   bitset and queried with one bounded BFS per world;
-//! * [`BitParallelPool`] — bit-parallel blocks of `64·W` worlds (`W`
-//!   machine words per edge, see [`crate::BlockWidth`]; 256 worlds by
-//!   default) as structure-of-arrays edge masks (`masks[e]` spans the
-//!   block's worlds), queried with mask-propagating multi-world BFS — one
-//!   traversal answers a whole block, for both unlimited and depth-limited
-//!   semantics.
+//! [`BitParallelPool`] stores worlds in blocks of `64·W` (`W` machine words
+//! per edge, see [`crate::BlockWidth`]; 256 worlds by default) as
+//! structure-of-arrays edge masks (`masks[e]` spans the block's worlds),
+//! queried with mask-propagating multi-world BFS — one traversal answers a
+//! whole block, for both unlimited and depth-limited semantics. In
+//! adaptive mode ([`crate::EngineKind::Adaptive`]) it also caches per-lane
+//! component labels of the blocks that unlimited queries keep hitting, so
+//! those queries become label scans.
 //!
 //! ## Sharded storage
 //!
-//! Every backend stores its samples in [`SHARD_WORLDS`]-world shards and
-//! keeps their bookkeeping — byte charges against a
-//! [`crate::MemoryBudget`], recency stamps, residency, and the
-//! eviction/regeneration counters — in one crate-private `ShardStore`
-//! (see [`crate::budget`]). The store resolves a query's shards
-//! (regenerating evicted ones from their per-index RNG streams), gates
-//! growth, and trims least-recently-used shards when the ledger is over
-//! its limit. A pool supplies only its storage: a shard's byte size, how
-//! to rebuild a shard, and how to drop a shard's data.
+//! A pool stores its samples in [`SHARD_WORLDS`]-world shards and keeps
+//! their bookkeeping — byte charges against a [`crate::MemoryBudget`],
+//! recency stamps, residency, and the eviction/regeneration counters — in
+//! one crate-private `ShardStore` (see [`crate::budget`]). The store
+//! resolves a query's shards (regenerating evicted ones from their
+//! per-index RNG streams), gates growth, and trims least-recently-used
+//! shards when the ledger is over its limit. The pool supplies only its
+//! storage: a shard's byte size, how to rebuild a shard, and how to drop a
+//! shard's data.
 //!
 //! ## Parallelism
 //!
-//! Every backend implements the ranged query forms
-//! (`counts_from_center_range`, `counts_within_depths_range`,
-//! `pair_count*_range`, and their batched variants); the full-pool forms
-//! are provided by [`WorldEngine`] as the ranged forms over the whole
-//! pool. Generation (`ensure`) and the queries run on rayon, gated by the
-//! shared [`crate::tuning`] heuristics. Queries partition their work items
-//! (sample rows, worlds, or blocks) into chunks, accumulate per-chunk
-//! integer count vectors, and merge them — so every estimate is
-//! bit-identical no matter how many threads run, which the property tests
-//! assert.
+//! The pool implements the ranged query forms (`counts_from_center_range`,
+//! `counts_within_depths_range`, `pair_count*_range`, and their batched
+//! variants); the full-pool forms are provided by [`WorldEngine`] as the
+//! ranged forms over the whole pool. Generation (`ensure`) and the queries
+//! run on rayon, gated by the shared [`crate::tuning`] heuristics. Queries
+//! partition their blocks into chunks, accumulate per-chunk integer count
+//! vectors, and merge them — so every estimate is bit-identical no matter
+//! how many threads run, which the property tests assert.
 
 use rayon::prelude::*;
 
-use ugraph_graph::{
-    Bitset, DepthBfs, Mask, MultiWorldBfs, NodeId, UncertainGraph, UnionFind, WorldView, LANES,
-    MAX_SOURCES,
-};
+use ugraph_graph::{Mask, MultiWorldBfs, NodeId, UncertainGraph, LANES, MAX_SOURCES};
 
 use crate::budget::{shard_span, MemoryBudget, MemoryStats, ShardStore, ShardedPool};
 use crate::engine::{EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingPhase;
 use crate::interrupt::RunState;
 use crate::tuning::{
-    chunked_counts, chunked_counts2_with, chunked_counts_with, chunked_sum_with,
-    finalize_on_unlimited_query, ThreadConfig,
+    chunked_counts2_with, chunked_counts_with, chunked_sum_with, finalize_on_unlimited_query,
+    ThreadConfig,
 };
 use crate::world::WorldSampler;
 
@@ -73,7 +65,7 @@ use crate::world::WorldSampler;
 pub const SHARD_BLOCKS: usize = 16;
 
 /// Worlds per shard (16 × 64 = 1,024 at every block width), the shard
-/// granularity shared by all backends so they report memory uniformly.
+/// granularity shared by every width so pools report memory uniformly.
 pub const SHARD_WORLDS: usize = SHARD_BLOCKS * LANES;
 
 /// Blocks per shard at block width `W` words (64·W worlds per block):
@@ -82,12 +74,6 @@ pub const SHARD_WORLDS: usize = SHARD_BLOCKS * LANES;
 #[inline]
 const fn blocks_per_shard<const W: usize>() -> usize {
     SHARD_WORLDS / (W * LANES)
-}
-
-/// The sample indices of shard `s` in a flat pool of `len` samples.
-#[inline]
-fn shard_range(s: usize, len: usize) -> std::ops::Range<usize> {
-    s * SHARD_WORLDS..((s + 1) * SHARD_WORLDS).min(len)
 }
 
 /// Storage width of component labels and membership indexes.
@@ -128,868 +114,6 @@ impl Label for u32 {
 #[inline]
 fn narrow_fits(n: usize) -> bool {
     n <= u16::MAX as usize
-}
-
-/// One sampled world reduced to its connected-component partition, at a
-/// fixed label width `L`.
-///
-/// Stores the canonical label per node plus a *membership index* (nodes
-/// sorted by label with bucket offsets), so all members of a given
-/// component can be enumerated in time proportional to the component size.
-#[derive(Clone, Debug)]
-struct RowData<L> {
-    /// Canonical component label per node.
-    labels: Vec<L>,
-    /// Node indices grouped by label.
-    order: Vec<L>,
-    /// `starts[c]..starts[c+1]` delimits component `c` in `order`.
-    starts: Vec<u32>,
-}
-
-impl<L: Label> RowData<L> {
-    fn build(labels: &[u32], num_components: usize) -> Self {
-        let n = labels.len();
-        let mut starts = vec![0u32; num_components + 1];
-        for &l in labels {
-            starts[l as usize + 1] += 1;
-        }
-        for c in 0..num_components {
-            starts[c + 1] += starts[c];
-        }
-        let mut cursor = starts.clone();
-        let mut order = vec![L::from_u32(0); n];
-        for (node, &l) in labels.iter().enumerate() {
-            let slot = cursor[l as usize] as usize;
-            order[slot] = L::from_u32(node as u32);
-            cursor[l as usize] += 1;
-        }
-        let labels = labels.iter().map(|&l| L::from_u32(l)).collect();
-        RowData { labels, order, starts }
-    }
-
-    #[inline]
-    fn members(&self, label: usize) -> &[L] {
-        let lo = self.starts[label] as usize;
-        let hi = self.starts[label + 1] as usize;
-        &self.order[lo..hi]
-    }
-
-    /// Increments `counts[u]` for every member `u` of `center`'s component.
-    #[inline]
-    fn accumulate_center(&self, center: usize, counts: &mut [u32]) {
-        for &u in self.members(self.labels[center].index()) {
-            counts[u.index()] += 1;
-        }
-    }
-}
-
-/// [`RowData`] at the width picked for the pool's node count — the
-/// narrow/wide dispatch point of the scalar backend.
-#[derive(Clone, Debug)]
-enum SampleRow {
-    Narrow(RowData<u16>),
-    Wide(RowData<u32>),
-}
-
-impl SampleRow {
-    fn build(labels: &[u32], num_components: usize, wide: bool) -> Self {
-        if wide {
-            SampleRow::Wide(RowData::build(labels, num_components))
-        } else {
-            SampleRow::Narrow(RowData::build(labels, num_components))
-        }
-    }
-
-    #[inline]
-    fn accumulate_center(&self, center: usize, counts: &mut [u32]) {
-        match self {
-            SampleRow::Narrow(r) => r.accumulate_center(center, counts),
-            SampleRow::Wide(r) => r.accumulate_center(center, counts),
-        }
-    }
-
-    #[inline]
-    fn connected(&self, u: usize, v: usize) -> bool {
-        match self {
-            SampleRow::Narrow(r) => r.labels[u] == r.labels[v],
-            SampleRow::Wide(r) => r.labels[u] == r.labels[v],
-        }
-    }
-
-    fn labels_into(&self, out: &mut [u32]) {
-        match self {
-            SampleRow::Narrow(r) => {
-                for (o, &l) in out.iter_mut().zip(&r.labels) {
-                    *o = u32::from(l);
-                }
-            }
-            SampleRow::Wide(r) => out.copy_from_slice(&r.labels),
-        }
-    }
-
-    fn members_u32(&self, label: u32) -> Vec<u32> {
-        match self {
-            SampleRow::Narrow(r) => {
-                r.members(label as usize).iter().map(|&u| u32::from(u)).collect()
-            }
-            SampleRow::Wide(r) => r.members(label as usize).to_vec(),
-        }
-    }
-
-    fn component_count(&self) -> usize {
-        match self {
-            SampleRow::Narrow(r) => r.starts.len() - 1,
-            SampleRow::Wide(r) => r.starts.len() - 1,
-        }
-    }
-
-    /// The empty placeholder standing in for an evicted row (indices stay
-    /// stable; the shard regenerates as a whole on first touch).
-    fn placeholder(wide: bool) -> Self {
-        SampleRow::build(&[], 0, wide)
-    }
-
-    /// Heap bytes of this row — the unit of shard accounting.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            SampleRow::Narrow(r) => (r.labels.len() + r.order.len()) * 2 + r.starts.len() * 4,
-            SampleRow::Wide(r) => (r.labels.len() + r.order.len() + r.starts.len()) * 4,
-        }
-    }
-}
-
-/// Pool of per-sample connected-component partitions, for **unlimited**
-/// connection probabilities (the scalar backend of [`WorldEngine`]).
-#[derive(Clone, Debug)]
-pub struct ComponentPool<'g> {
-    sampler: WorldSampler<'g>,
-    /// Evicted rows are empty placeholders, so indices stay stable.
-    rows: Vec<SampleRow>,
-    config: ThreadConfig,
-    /// `true` = `u32` labels; picked from the node count at construction
-    /// (see [`Label`]), overridable for width-equivalence tests.
-    wide: bool,
-    /// Residency and byte accounting of the [`SHARD_WORLDS`]-row shards.
-    store: ShardStore,
-}
-
-impl<'g> ComponentPool<'g> {
-    /// Creates an empty pool over `graph` with master `seed`. `threads = 0`
-    /// uses all available cores.
-    pub fn new(graph: &'g UncertainGraph, seed: u64, threads: usize) -> Self {
-        ComponentPool {
-            sampler: WorldSampler::new(graph, seed),
-            rows: Vec::new(),
-            config: ThreadConfig::new(threads),
-            wide: !narrow_fits(graph.num_nodes()),
-            store: ShardStore::default(),
-        }
-    }
-
-    /// Forces the wide (`u32`) label path even on small graphs. Counts are
-    /// identical either way; the property tests use this to exercise the
-    /// wide path without 65k-node instances.
-    ///
-    /// # Panics
-    /// Panics if the pool already holds samples (rows are stored at a
-    /// single width).
-    #[doc(hidden)]
-    pub fn with_wide_labels(mut self, wide: bool) -> Self {
-        assert!(self.rows.is_empty(), "label width is fixed once samples exist");
-        self.wide = wide || !narrow_fits(self.graph().num_nodes());
-        self
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g UncertainGraph {
-        self.sampler.graph()
-    }
-
-    /// Component labels of sample `i` (one per node), widened to `u32`.
-    /// Regenerates `i`'s shard if it was evicted (these per-sample
-    /// accessors resolve but do not trim — callers iterating the pool keep
-    /// it resident; the next aggregate query or `ensure` settles the
-    /// ledger).
-    pub fn labels(&mut self, i: usize) -> Vec<u32> {
-        let mut out = vec![0u32; self.graph().num_nodes()];
-        self.labels_into(i, &mut out);
-        out
-    }
-
-    /// Writes the component labels of sample `i` into `out` (the
-    /// allocation-free form of [`ComponentPool::labels`]).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`.
-    pub fn labels_into(&mut self, i: usize, out: &mut [u32]) {
-        assert_eq!(out.len(), self.graph().num_nodes(), "labels buffer has wrong length");
-        self.resolve_point(i);
-        self.rows[i].labels_into(out);
-    }
-
-    /// Members of the component with `label` in sample `i`.
-    pub fn component_members(&mut self, i: usize, label: u32) -> Vec<u32> {
-        self.resolve_point(i);
-        self.rows[i].members_u32(label)
-    }
-
-    /// Number of components in sample `i`.
-    pub fn component_count(&mut self, i: usize) -> usize {
-        self.resolve_point(i);
-        self.rows[i].component_count()
-    }
-
-    /// The kernel of the center-count queries, over rows already resolved
-    /// by the caller.
-    fn counts_center_resident(&self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        let n = self.graph().num_nodes();
-        let run = self.store.run();
-        let accumulate = |counts: &mut [u32], (): &mut (), rows: &[SampleRow]| {
-            for row in rows {
-                // Cooperative per-row checkpoint (one relaxed load): once
-                // the run trips, remaining rows are skipped and the
-                // partial counts are discarded by the fallible caller.
-                if run.checkpoint(SamplingPhase::Sweep) {
-                    return;
-                }
-                row.accumulate_center(center.index(), counts);
-            }
-        };
-        chunked_counts(&self.config, &self.rows[lo..hi], n, n, accumulate, out);
-    }
-}
-
-impl ShardedPool for ComponentPool<'_> {
-    fn store(&mut self) -> &mut ShardStore {
-        &mut self.store
-    }
-
-    fn shard_bytes(&self, s: usize) -> usize {
-        self.rows[shard_range(s, self.rows.len())].iter().map(SampleRow::heap_bytes).sum()
-    }
-
-    fn rebuild_shard(&mut self, s: usize) {
-        let n = self.graph().num_nodes();
-        let sampler = self.sampler;
-        let wide = self.wide;
-        let range = shard_range(s, self.rows.len());
-        if self.config.parallel_generation(range.len()) {
-            let rows: Vec<SampleRow> = self.config.run(|| {
-                (range.start as u64..range.end as u64)
-                    .into_par_iter()
-                    .map_init(
-                        || (UnionFind::new(n), vec![0u32; n]),
-                        |(uf, labels), i| {
-                            let comps = sampler.sample_components(i, uf, labels);
-                            SampleRow::build(labels, comps, wide)
-                        },
-                    )
-                    .collect()
-            });
-            for (i, row) in rows.into_iter().enumerate() {
-                self.rows[range.start + i] = row;
-            }
-        } else {
-            let mut uf = UnionFind::new(n);
-            let mut labels = vec![0u32; n];
-            for i in range {
-                let comps = sampler.sample_components(i as u64, &mut uf, &mut labels);
-                self.rows[i] = SampleRow::build(&labels, comps, wide);
-            }
-        }
-    }
-
-    fn drop_shard(&mut self, s: usize) {
-        let range = shard_range(s, self.rows.len());
-        for row in &mut self.rows[range] {
-            *row = SampleRow::placeholder(self.wide);
-        }
-    }
-}
-
-impl WorldEngine for ComponentPool<'_> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        self.rebind_budget(budget);
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        self.store.set_run_state(run);
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        self.store.memory_stats()
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        self.sampler.graph()
-    }
-
-    fn supports_finite_depths(&self) -> bool {
-        false
-    }
-
-    fn num_samples(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Samples are drawn in parallel; sample `i` always comes from RNG
-    /// stream `i`, so the result is independent of the thread count.
-    fn ensure(&mut self, r: usize) {
-        let cur = self.rows.len();
-        if r <= cur {
-            return;
-        }
-        let n = self.graph().num_nodes();
-        let sampler = self.sampler;
-        let wide = self.wide;
-        // Rows landing in a currently evicted trailing shard are appended
-        // as placeholders — that shard regenerates as a whole on its next
-        // touch, filling them from their RNG streams.
-        let mut from = cur;
-        if self.store.trailing_evicted() {
-            let s = (cur - 1) / SHARD_WORLDS;
-            from = ((s + 1) * SHARD_WORLDS).min(r);
-            self.rows.extend((cur..from).map(|_| SampleRow::placeholder(wide)));
-            self.settle_grown(s);
-        }
-        // Grow shard by shard: each chunk is generated, appended, and
-        // accounted as a unit behind the store's growth gate.
-        while from < r && self.store.may_grow() {
-            let hi = ((from / SHARD_WORLDS + 1) * SHARD_WORLDS).min(r);
-            if !self.config.parallel_generation(hi - from) {
-                let mut uf = UnionFind::new(n);
-                let mut labels = vec![0u32; n];
-                for i in from as u64..hi as u64 {
-                    let comps = sampler.sample_components(i, &mut uf, &mut labels);
-                    self.rows.push(SampleRow::build(&labels, comps, wide));
-                }
-            } else {
-                let new_rows: Vec<SampleRow> = self.config.run(|| {
-                    (from as u64..hi as u64)
-                        .into_par_iter()
-                        .map_init(
-                            || (UnionFind::new(n), vec![0u32; n]),
-                            |(uf, labels), i| {
-                                let comps = sampler.sample_components(i, uf, labels);
-                                SampleRow::build(labels, comps, wide)
-                            },
-                        )
-                        .collect()
-                });
-                self.rows.extend(new_rows);
-            }
-            self.settle_grown(from / SHARD_WORLDS);
-            from = hi;
-        }
-        self.trim_to_budget();
-    }
-
-    /// Runs in `Σ_i |comp_i(center)|` — only the center's component members
-    /// are touched per sample, which on sparse sampled worlds is far below
-    /// `n·r`. Sample rows are processed in parallel chunks; integer count
-    /// merging keeps the result independent of the chunking.
-    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        self.counts_center_resident(center, lo, hi, out);
-        self.trim_to_budget();
-    }
-
-    /// Implemented as a per-center loop: the membership index already makes
-    /// a single-center sweep proportional to the center's component sizes,
-    /// and keeping each pass focused on one `n`-sized output row is faster
-    /// than a transposed one-pass sweep that scatters writes across all
-    /// `k` rows (measured on the Krogan-like instance). The batch entry
-    /// point still matters for the seam: other backends amortize real work
-    /// here, and callers stay backend-agnostic.
-    fn counts_from_centers_range(
-        &mut self,
-        centers: &[NodeId],
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        let k = centers.len();
-        assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
-        if k == 0 {
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        for (j, &c) in centers.iter().enumerate() {
-            self.counts_center_resident(c, lo, hi, &mut out[j * n..(j + 1) * n]);
-        }
-        self.trim_to_budget();
-    }
-
-    /// One label comparison per in-window sample.
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return 0;
-        }
-        let total = chunked_sum_with(
-            &self.config,
-            &self.rows[lo..hi],
-            1,
-            &mut (),
-            || (),
-            |(), row| usize::from(row.connected(u.index(), v.index())),
-        );
-        self.trim_to_budget();
-        total
-    }
-
-    /// # Panics
-    /// Panics if `depth` is finite (see
-    /// [`counts_within_depths_range`](WorldEngine::counts_within_depths_range)).
-    fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        assert!(
-            depth == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        self.pair_count_range(u, v, lo, hi)
-    }
-
-    /// Component labels carry no distance information, so this scalar
-    /// backend only answers [`DEPTH_UNLIMITED`] depths.
-    ///
-    /// # Panics
-    /// Panics if either depth is finite.
-    fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        self.counts_from_center_range(center, lo, hi, out_cover);
-        out_select.copy_from_slice(out_cover);
-    }
-
-    /// # Panics
-    /// Panics if either depth is finite (see
-    /// [`counts_within_depths_range`](WorldEngine::counts_within_depths_range)).
-    fn counts_within_depths_batch_range(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        self.counts_from_centers_range(centers, lo, hi, out_cover);
-        out_select.copy_from_slice(out_cover);
-    }
-}
-
-/// Pool of per-sample edge bitsets, for **depth-limited** d-connection
-/// probabilities (paper §3.4) — the scalar depth-capable backend of
-/// [`WorldEngine`], one bounded BFS per world per query.
-#[derive(Clone, Debug)]
-pub struct WorldPool<'g> {
-    sampler: WorldSampler<'g>,
-    /// Evicted worlds are empty placeholders, so indices stay stable.
-    worlds: Vec<Bitset>,
-    config: ThreadConfig,
-    /// Reusable bounded-BFS workspace for serial query paths; parallel
-    /// chunks build their own.
-    bfs: DepthBfs,
-    /// Residency and byte accounting of the [`SHARD_WORLDS`]-world shards.
-    store: ShardStore,
-}
-
-impl<'g> WorldPool<'g> {
-    /// Creates an empty world pool over `graph` with master `seed`.
-    /// `threads = 0` uses all available cores.
-    pub fn new(graph: &'g UncertainGraph, seed: u64, threads: usize) -> Self {
-        WorldPool {
-            sampler: WorldSampler::new(graph, seed),
-            worlds: Vec::new(),
-            config: ThreadConfig::new(threads),
-            bfs: DepthBfs::new(graph.num_nodes()),
-            store: ShardStore::default(),
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g UncertainGraph {
-        self.sampler.graph()
-    }
-
-    /// The edge bitset of world `i`. Regenerates `i`'s shard if it was
-    /// evicted (this per-sample accessor resolves but does not trim —
-    /// callers iterating the pool keep it resident; the next aggregate
-    /// query or `ensure` settles the ledger).
-    pub fn world(&mut self, i: usize) -> &Bitset {
-        self.resolve_point(i);
-        &self.worlds[i]
-    }
-}
-
-impl ShardedPool for WorldPool<'_> {
-    fn store(&mut self) -> &mut ShardStore {
-        &mut self.store
-    }
-
-    fn shard_bytes(&self, s: usize) -> usize {
-        self.worlds[shard_range(s, self.worlds.len())].iter().map(|w| w.blocks().len() * 8).sum()
-    }
-
-    fn rebuild_shard(&mut self, s: usize) {
-        let m = self.graph().num_edges();
-        let sampler = self.sampler;
-        let range = shard_range(s, self.worlds.len());
-        let draw = move |i: u64| {
-            let mut world = Bitset::with_len(m);
-            sampler
-                .sample_into(i, &mut world)
-                .unwrap_or_else(|e| unreachable!("pool-sized bitset cannot mismatch: {e}"));
-            world
-        };
-        if self.config.parallel_generation(range.len()) {
-            let worlds: Vec<Bitset> = self
-                .config
-                .run(|| (range.start as u64..range.end as u64).into_par_iter().map(draw).collect());
-            for (i, world) in worlds.into_iter().enumerate() {
-                self.worlds[range.start + i] = world;
-            }
-        } else {
-            for i in range {
-                self.worlds[i] = draw(i as u64);
-            }
-        }
-    }
-
-    fn drop_shard(&mut self, s: usize) {
-        let range = shard_range(s, self.worlds.len());
-        for world in &mut self.worlds[range] {
-            *world = Bitset::with_len(0);
-        }
-    }
-}
-
-impl WorldEngine for WorldPool<'_> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        self.rebind_budget(budget);
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        self.store.set_run_state(run);
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        self.store.memory_stats()
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        self.sampler.graph()
-    }
-
-    fn num_samples(&self) -> usize {
-        self.worlds.len()
-    }
-
-    /// Samples in parallel (world `i` always comes from RNG stream `i`).
-    fn ensure(&mut self, r: usize) {
-        let cur = self.worlds.len();
-        if r <= cur {
-            return;
-        }
-        let m = self.graph().num_edges();
-        let sampler = self.sampler;
-        let draw = move |i: u64| {
-            let mut world = Bitset::with_len(m);
-            sampler
-                .sample_into(i, &mut world)
-                .unwrap_or_else(|e| unreachable!("pool-sized bitset cannot mismatch: {e}"));
-            world
-        };
-        // Worlds landing in a currently evicted trailing shard are
-        // appended as empty placeholders — that shard regenerates as a
-        // whole on its next touch.
-        let mut from = cur;
-        if self.store.trailing_evicted() {
-            let s = (cur - 1) / SHARD_WORLDS;
-            from = ((s + 1) * SHARD_WORLDS).min(r);
-            self.worlds.extend((cur..from).map(|_| Bitset::with_len(0)));
-            self.settle_grown(s);
-        }
-        // Grow shard by shard so interruption latency is bounded by one
-        // shard of sampling; each chunk is fully generated and charged
-        // before the next pass through the store's growth gate.
-        while from < r && self.store.may_grow() {
-            let hi = ((from / SHARD_WORLDS + 1) * SHARD_WORLDS).min(r);
-            if !self.config.parallel_generation(hi - from) {
-                self.worlds.extend((from as u64..hi as u64).map(draw));
-            } else {
-                let new_worlds: Vec<Bitset> = self
-                    .config
-                    .run(|| (from as u64..hi as u64).into_par_iter().map(draw).collect());
-                self.worlds.extend(new_worlds);
-            }
-            self.settle_grown(from / SHARD_WORLDS);
-            from = hi;
-        }
-        self.trim_to_budget();
-    }
-
-    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        // Dedicated unlimited path: one increment per reached node, no
-        // select row to duplicate.
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.store.run().clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts_with(
-            config,
-            &worlds[lo..hi],
-            n,
-            n,
-            bfs,
-            || DepthBfs::new(n),
-            |counts, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    bfs.run(&view, center, DEPTH_UNLIMITED, |node, _| counts[node.index()] += 1);
-                }
-            },
-            out,
-        );
-        self.trim_to_budget();
-    }
-
-    fn counts_from_centers_range(
-        &mut self,
-        centers: &[NodeId],
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        // One pass over the window: each in-window world's view is built
-        // once for all centers instead of once per center.
-        let n = self.graph().num_nodes();
-        let k = centers.len();
-        assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if k == 0 {
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.store.run().clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts_with(
-            config,
-            &worlds[lo..hi],
-            k * n,
-            k * n,
-            bfs,
-            || DepthBfs::new(n),
-            |counts, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    for (j, &c) in centers.iter().enumerate() {
-                        bfs.run(&view, c, DEPTH_UNLIMITED, |node, _| {
-                            counts[j * n + node.index()] += 1;
-                        });
-                    }
-                }
-            },
-            out,
-        );
-        self.trim_to_budget();
-    }
-
-    /// One bounded BFS per world covers both depths (hence
-    /// `d_select ≤ d_cover`).
-    fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), n, "select buffer has wrong length");
-        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
-        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.store.run().clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts2_with(
-            config,
-            &worlds[lo..hi],
-            n,
-            n,
-            bfs,
-            || DepthBfs::new(n),
-            |select, cover, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    bfs.run(&view, center, d_cover, |node, depth| {
-                        cover[node.index()] += 1;
-                        if depth <= d_select {
-                            select[node.index()] += 1;
-                        }
-                    });
-                }
-            },
-            out_select,
-            out_cover,
-        );
-        self.trim_to_budget();
-    }
-
-    /// Each in-window world's edge bitset is materialized as a
-    /// [`WorldView`] **once** for all centers (one pass over the window).
-    fn counts_within_depths_batch_range(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        let k = centers.len();
-        assert_eq!(out_select.len(), k * n, "batch select buffer has wrong length");
-        assert_eq!(out_cover.len(), k * n, "batch cover buffer has wrong length");
-        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if k == 0 {
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.store.run().clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts2_with(
-            config,
-            &worlds[lo..hi],
-            k * n,
-            k * n,
-            bfs,
-            || DepthBfs::new(n),
-            |select, cover, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    for (j, &c) in centers.iter().enumerate() {
-                        bfs.run(&view, c, d_cover, |node, depth| {
-                            cover[j * n + node.index()] += 1;
-                            if depth <= d_select {
-                                select[j * n + node.index()] += 1;
-                            }
-                        });
-                    }
-                }
-            },
-            out_select,
-            out_cover,
-        );
-        self.trim_to_budget();
-    }
-
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        self.pair_count_within_range(u, v, DEPTH_UNLIMITED, lo, hi)
-    }
-
-    /// One bounded BFS per in-window world.
-    fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return 0;
-        }
-        let run = self.store.run().clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let n = graph.num_nodes();
-        let total = chunked_sum_with(
-            config,
-            &worlds[lo..hi],
-            n,
-            bfs,
-            || DepthBfs::new(n),
-            |bfs, world| {
-                if run.checkpoint(SamplingPhase::Sweep) {
-                    return 0;
-                }
-                let view = WorldView::new(graph, world);
-                let mut hit = false;
-                bfs.run(&view, u, depth, |node, _| hit |= node == v);
-                usize::from(hit)
-            },
-        );
-        self.trim_to_budget();
-        total
-    }
 }
 
 /// Finalized per-lane component labels of one mask block, at label width
@@ -1113,6 +237,15 @@ impl<L: Label> BlockLabels<L> {
         });
     }
 
+    /// Writes lane `l`'s label of every node into `out` (`l` must be
+    /// labeled).
+    fn lane_into(&self, l: usize, out: &mut [u32]) {
+        let stride = self.stride as usize;
+        for (u, o) in out.iter_mut().enumerate() {
+            *o = self.labels[u * stride + l].index() as u32;
+        }
+    }
+
     /// Number of lanes in `lanes` where `u` and `v` share a component
     /// (`lanes` must be ⊆ the labeled lanes).
     #[inline]
@@ -1200,6 +333,13 @@ impl BlockLabelsAny {
         }
     }
 
+    fn lane_into(&self, lane: usize, out: &mut [u32]) {
+        match self {
+            BlockLabelsAny::Narrow(l) => l.lane_into(lane, out),
+            BlockLabelsAny::Wide(l) => l.lane_into(lane, out),
+        }
+    }
+
     fn batch_label_ops<const W: usize>(&self, centers: &[NodeId], lanes: Mask<W>) -> usize {
         match self {
             BlockLabelsAny::Narrow(l) => l.batch_label_ops(centers, lanes),
@@ -1281,12 +421,12 @@ fn shard_block<const W: usize>(shards: &[Vec<MaskBlock<W>>], b: usize) -> &MaskB
 ///
 /// One traversal answers a whole block at once, so queries cost
 /// `O((n + m) · W · ⌈r/64W⌉)` word operations instead of `r` per-world
-/// walks — and generation skips the per-world union-find/labeling pass
-/// entirely. World `i` lives in lane `i % 64W` of block `i / 64W` and is
-/// drawn from per-index RNG stream `i`, so the pool is world-for-world
-/// identical to the scalar pools under the same master seed
-/// (property-tested). Blocks are grouped into [`SHARD_WORLDS`]-world
-/// shards charged against a [`MemoryBudget`].
+/// walks — and generation skips any per-world union-find/labeling pass.
+/// World `i` lives in lane `i % 64W` of block `i / 64W` and is drawn from
+/// per-index RNG stream `i`, so pools of every width hold world-for-world
+/// identical samples under the same master seed, equal to a naive
+/// per-world reference (property-tested). Blocks are grouped into
+/// [`SHARD_WORLDS`]-world shards charged against a [`MemoryBudget`].
 #[derive(Clone, Debug)]
 pub struct BitParallelPool<'g, const W: usize = 1> {
     sampler: WorldSampler<'g>,
@@ -1357,7 +497,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// only after repeated mask-path hits
     /// ([`crate::tuning::finalize_on_unlimited_query`]). Counts are
     /// identical either way — finalization trades label memory
-    /// (≈ one scalar component row per world) for mask traversals.
+    /// (≈ one component-label row per world) for mask traversals.
     /// Disabling drops existing labels.
     pub fn with_finalization(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
@@ -1374,8 +514,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self
     }
 
-    /// Forces the wide (`u32`) label path even on small graphs (see
-    /// [`ComponentPool::with_wide_labels`]).
+    /// Forces the wide (`u32`) block-label path even on small graphs.
+    /// Counts are identical either way; the property tests use this to
+    /// exercise the wide path without 65k-node instances.
     ///
     /// # Panics
     /// Panics if any block is already finalized.
@@ -1407,6 +548,50 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         shard_block(&self.shards, block).masks[e]
     }
 
+    /// Writes the component labels of sample `i` into `out` (one per
+    /// node): `out[u] == out[v]` exactly when `u` and `v` are connected in
+    /// world `i`. Regenerates `i`'s shard if it was evicted, but does not
+    /// trim — callers iterating the pool keep it resident, and the next
+    /// aggregate query or `ensure` settles the ledger.
+    ///
+    /// An adaptive pool labels the sample's whole block once
+    /// (append-only, as an unlimited row query would), charges the labels
+    /// to the shard, and serves the block's other samples from them. A
+    /// pure-mask pool, or a graph too large for block labels, labels the
+    /// one world straight into `out` without caching anything.
+    ///
+    /// # Panics
+    /// Panics if `i >= num_samples()` or `out.len() != n`.
+    pub fn labels_into(&mut self, i: usize, out: &mut [u32]) {
+        let n = self.graph().num_nodes();
+        assert_eq!(out.len(), n, "labels buffer has wrong length");
+        assert!(i < self.samples, "sample {i} out of range ({} samples)", self.samples);
+        self.resolve_point(i);
+        let (b, lane) = (i / Self::BLOCK_LANES, i % Self::BLOCK_LANES);
+        if !self.adaptive || !Self::labels_fit(n) {
+            let masks = &shard_block(&self.shards, b).masks;
+            self.bfs.label_components(
+                self.sampler.graph(),
+                masks,
+                Mask::bit(lane),
+                |v, _, next| {
+                    out[v.index()] = next[lane];
+                },
+            );
+            return;
+        }
+        self.finalize_block(b);
+        self.settle_shard(i / SHARD_WORLDS);
+        let labels = shard_block(&self.shards, b).labels.as_ref();
+        labels.unwrap_or_else(|| unreachable!("finalized block has labels")).lane_into(lane, out);
+    }
+
+    /// Whether block labels of an `n`-node graph fit the `u32` CSR offsets
+    /// of the membership index.
+    fn labels_fit(n: usize) -> bool {
+        n.saturating_mul(Self::BLOCK_LANES) <= u32::MAX as usize
+    }
+
     fn build_block(sampler: &WorldSampler<'g>, m: usize, block: usize, r: usize) -> MaskBlock<W> {
         let base = block * Self::BLOCK_LANES;
         let lanes = (r - base).min(Self::BLOCK_LANES);
@@ -1432,8 +617,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         let graph = self.sampler.graph();
         let n = graph.num_nodes();
-        // CSR offsets into the block-label membership index are u32.
-        if n.saturating_mul(Self::BLOCK_LANES) > u32::MAX as usize {
+        if !Self::labels_fit(n) {
             return;
         }
         let bps = blocks_per_shard::<W>();
@@ -1491,24 +675,35 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             }
         }
         // Serial (and catch-up) path: blocks the parallel branch already
-        // attached are fully labeled and fall through both updates.
+        // attached are fully labeled and fall through.
         for &b in &todo {
-            let block = &mut self.shards[b / bps][b % bps];
-            let labels =
-                block.labels.get_or_insert_with(|| BlockLabelsAny::new(n, wide, Self::BLOCK_LANES));
-            let before = labels.labeled() as usize;
-            if before == 0 {
-                self.stats.finalized_blocks += 1;
-            }
-            let target = block.lanes as usize;
-            if before < target {
-                labels.extend(graph, &mut self.bfs, &block.masks, target);
-                self.stats.finalized_lanes += target - before;
-            }
+            self.finalize_block(b);
         }
         // Labels grew: re-charge the touched shards' bytes to the ledger.
         for s in shard_span(lo, hi) {
             self.settle_shard(s);
+        }
+    }
+
+    /// Labels block `b`'s unlabeled lanes on the pool's workspace —
+    /// append-only, so already-labeled lanes are never recomputed — and
+    /// counts them in [`EngineStats`]. The caller settles the shard's
+    /// bytes.
+    fn finalize_block(&mut self, b: usize) {
+        let graph = self.sampler.graph();
+        let (n, wide) = (graph.num_nodes(), self.wide);
+        let bps = blocks_per_shard::<W>();
+        let block = &mut self.shards[b / bps][b % bps];
+        let labels =
+            block.labels.get_or_insert_with(|| BlockLabelsAny::new(n, wide, Self::BLOCK_LANES));
+        let before = labels.labeled() as usize;
+        if before == 0 {
+            self.stats.finalized_blocks += 1;
+        }
+        let target = block.lanes as usize;
+        if before < target {
+            labels.extend(graph, &mut self.bfs, &block.masks, target);
+            self.stats.finalized_lanes += target - before;
         }
     }
 
@@ -2098,7 +1293,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph_graph::GraphBuilder;
+    use ugraph_graph::{Bitset, GraphBuilder};
 
     fn chain(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new(n as usize);
@@ -2108,10 +1303,22 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Component labels of every sample of `pool`, one vector per sample.
+    fn all_labels<const W: usize>(pool: &mut BitParallelPool<'_, W>) -> Vec<Vec<u32>> {
+        let n = pool.graph().num_nodes();
+        (0..pool.num_samples())
+            .map(|i| {
+                let mut out = vec![0u32; n];
+                pool.labels_into(i, &mut out);
+                out
+            })
+            .collect()
+    }
+
     #[test]
     fn ensure_grows_monotonically() {
         let g = chain(10, 0.5);
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         assert_eq!(pool.num_samples(), 0);
         pool.ensure(10);
         assert_eq!(pool.num_samples(), 10);
@@ -2123,55 +1330,59 @@ mod tests {
 
     #[test]
     fn growth_schedule_does_not_change_samples() {
+        // The stepped adaptive pool reads labels between growth steps, so
+        // its trailing block is labeled, then extended append-only; the
+        // one-shot pure-mask pool labels each world on its own.
         let g = chain(12, 0.4);
-        let mut a = ComponentPool::new(&g, 3, 1);
-        a.ensure(20);
-        let mut b = ComponentPool::new(&g, 3, 1);
-        b.ensure(7);
-        b.ensure(13);
-        b.ensure(20);
-        for i in 0..20 {
-            assert_eq!(a.labels(i), b.labels(i), "sample {i} differs");
+        let mut a = BitParallelPool::<1>::new(&g, 3, 1);
+        a.ensure(100);
+        let mut b = BitParallelPool::<1>::new_adaptive(&g, 3, 1);
+        let mut out = vec![0u32; 12];
+        for r in [7, 13, 70, 100] {
+            b.ensure(r);
+            b.labels_into(r - 1, &mut out);
         }
+        assert_eq!(all_labels(&mut a), all_labels(&mut b));
+        let stats = b.engine_stats();
+        assert_eq!((stats.finalized_blocks, stats.finalized_lanes), (2, 100), "{stats:?}");
+        assert_eq!(a.engine_stats(), EngineStats::default(), "pure-mask labels are not cached");
     }
 
     #[test]
     fn parallel_generation_matches_serial() {
         let g = chain(20, 0.5);
-        let mut serial = ComponentPool::new(&g, 5, 1);
-        serial.ensure(33);
-        let mut parallel = ComponentPool::new(&g, 5, 4);
-        parallel.ensure(33);
-        for i in 0..33 {
-            assert_eq!(serial.labels(i), parallel.labels(i), "sample {i} differs");
-        }
+        let mut serial = BitParallelPool::<1>::new(&g, 5, 1);
+        serial.ensure(330);
+        let mut parallel = BitParallelPool::<1>::new(&g, 5, 4);
+        parallel.ensure(330);
+        assert_eq!(all_labels(&mut serial), all_labels(&mut parallel));
     }
 
     #[test]
     fn membership_index_consistent_with_labels() {
+        // Single-world row queries over finalized blocks are served by the
+        // block labels' membership index: they must mark exactly the nodes
+        // that share the center's label in that world.
         let g = chain(15, 0.5);
-        let mut pool = ComponentPool::new(&g, 9, 1);
-        pool.ensure(20);
-        for i in 0..20 {
-            let labels = pool.labels(i);
-            for c in 0..pool.component_count(i) as u32 {
-                let members = pool.component_members(i, c);
-                assert!(!members.is_empty());
-                for u in members {
-                    assert_eq!(labels[u as usize], c);
+        let mut pool = BitParallelPool::<1>::new_adaptive(&g, 9, 1);
+        pool.ensure(100);
+        let labels = all_labels(&mut pool);
+        let mut row = vec![0u32; 15];
+        for (i, world) in labels.iter().enumerate() {
+            for c in [0usize, 7, 14] {
+                pool.counts_from_center_range(NodeId::from_index(c), i, i + 1, &mut row);
+                for u in 0..15 {
+                    assert_eq!(row[u] == 1, world[u] == world[c], "world {i} center {c} node {u}");
                 }
             }
-            let total: usize = (0..pool.component_count(i) as u32)
-                .map(|c| pool.component_members(i, c).len())
-                .sum();
-            assert_eq!(total, g.num_nodes());
         }
+        assert!(pool.engine_stats().label_queries > 0, "rows were not label-served");
     }
 
     #[test]
     fn counts_from_center_match_pair_counts() {
         let g = chain(8, 0.6);
-        let mut pool = ComponentPool::new(&g, 2, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
         pool.ensure(50);
         let center = NodeId(3);
         let mut counts = vec![0u32; 8];
@@ -2185,32 +1396,33 @@ mod tests {
 
     #[test]
     fn parallel_counts_match_serial_counts() {
-        // 64 nodes × 1100 rows clears the MIN_PARALLEL_WORK gate, so the
-        // 4-worker pool genuinely takes the chunked parallel path.
+        // 64 nodes × 352 single-word blocks clears the MIN_PARALLEL_ITEMS
+        // and MIN_PARALLEL_WORK gates, so the 4-worker pool genuinely
+        // takes the chunked parallel path.
         let g = chain(64, 0.55);
-        let mut serial = ComponentPool::new(&g, 13, 1);
-        let mut parallel = ComponentPool::new(&g, 13, 4);
-        serial.ensure(1100);
-        parallel.ensure(1100);
-        let mut counts_serial = vec![0u32; 64];
-        let mut counts_parallel = vec![0u32; 64];
-        for center in [0u32, 21, 42, 63] {
-            serial.counts_from_center(NodeId(center), &mut counts_serial);
-            parallel.counts_from_center(NodeId(center), &mut counts_parallel);
-            assert_eq!(counts_serial, counts_parallel, "center {center}");
+        for adaptive in [false, true] {
+            let mut serial = BitParallelPool::<1>::new(&g, 13, 1).with_finalization(adaptive);
+            let mut parallel = BitParallelPool::<1>::new(&g, 13, 4).with_finalization(adaptive);
+            serial.ensure(352 * LANES);
+            parallel.ensure(352 * LANES);
+            let mut counts_serial = vec![0u32; 64];
+            let mut counts_parallel = vec![0u32; 64];
+            for center in [0u32, 21, 42, 63] {
+                serial.counts_from_center(NodeId(center), &mut counts_serial);
+                parallel.counts_from_center(NodeId(center), &mut counts_parallel);
+                assert_eq!(counts_serial, counts_parallel, "center {center} adaptive {adaptive}");
+            }
         }
     }
 
     #[test]
     fn parallel_pair_counts_match_serial() {
-        // pair_count is O(1) per row, so its parallel path needs a pool
-        // larger than MIN_PARALLEL_WORK rows.
-        let g = chain(8, 0.5);
-        let mut serial = ComponentPool::new(&g, 17, 1);
-        let mut parallel = ComponentPool::new(&g, 17, 4);
-        serial.ensure(70_000);
-        parallel.ensure(70_000);
-        for v in 1..8u32 {
+        let g = chain(64, 0.55);
+        let mut serial = BitParallelPool::<1>::new(&g, 17, 1);
+        let mut parallel = BitParallelPool::<1>::new(&g, 17, 4);
+        serial.ensure(352 * LANES);
+        parallel.ensure(352 * LANES);
+        for v in [1u32, 2, 10, 63] {
             assert_eq!(
                 serial.pair_count(NodeId(0), NodeId(v)),
                 parallel.pair_count(NodeId(0), NodeId(v)),
@@ -2222,7 +1434,7 @@ mod tests {
     #[test]
     fn pair_estimate_converges_on_certain_graph() {
         let g = chain(4, 1.0);
-        let mut pool = ComponentPool::new(&g, 8, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 8, 1);
         pool.ensure(10);
         assert_eq!(pool.pair_estimate(NodeId(0), NodeId(3)), 1.0);
     }
@@ -2230,28 +1442,15 @@ mod tests {
     #[test]
     fn empty_pool_estimates_zero() {
         let g = chain(3, 0.5);
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         assert_eq!(pool.pair_estimate(NodeId(0), NodeId(1)), 0.0);
-    }
-
-    #[test]
-    fn world_pool_grows_and_reproduces() {
-        let g = chain(10, 0.5);
-        let mut a = WorldPool::new(&g, 77, 1);
-        a.ensure(12);
-        let mut b = WorldPool::new(&g, 77, 3);
-        b.ensure(4);
-        b.ensure(12);
-        for i in 0..12 {
-            assert_eq!(a.world(i), b.world(i), "world {i} differs");
-        }
     }
 
     #[test]
     fn depth_counts_respect_depth() {
         // Certain chain 0-1-2-3: within depth 1 of node 0 only {0,1}.
         let g = chain(4, 1.0);
-        let mut pool = WorldPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(5);
         let mut sel = vec![0u32; 4];
         let mut cov = vec![0u32; 4];
@@ -2262,13 +1461,13 @@ mod tests {
 
     #[test]
     fn parallel_depth_counts_match_serial() {
-        // 64 nodes × 1100 worlds clears the MIN_PARALLEL_WORK gate for the
-        // depth-limited queries (per-item work ≈ n).
+        // 352 single-word blocks clear the parallel gates for the
+        // depth-limited queries too.
         let g = chain(64, 0.6);
-        let mut serial = WorldPool::new(&g, 21, 1);
-        let mut parallel = WorldPool::new(&g, 21, 4);
-        serial.ensure(1100);
-        parallel.ensure(1100);
+        let mut serial = BitParallelPool::<1>::new(&g, 21, 1);
+        let mut parallel = BitParallelPool::<1>::new(&g, 21, 4);
+        serial.ensure(352 * LANES);
+        parallel.ensure(352 * LANES);
         let (mut s1, mut c1) = (vec![0u32; 64], vec![0u32; 64]);
         let (mut s2, mut c2) = (vec![0u32; 64], vec![0u32; 64]);
         for center in [0u32, 21, 42, 63] {
@@ -2289,24 +1488,19 @@ mod tests {
     #[test]
     fn depth_pair_estimates() {
         let g = chain(3, 1.0);
-        let mut pool = WorldPool::new(&g, 4, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 4, 1);
         pool.ensure(8);
         assert_eq!(pool.pair_estimate_within(NodeId(0), NodeId(2), 1), 0.0);
         assert_eq!(pool.pair_estimate_within(NodeId(0), NodeId(2), 2), 1.0);
-    }
-
-    #[test]
-    fn world_and_component_pools_agree_at_full_depth() {
+        // A hop limit of n − 1 is plain connectivity.
         let g = chain(6, 0.5);
-        let mut cpool = ComponentPool::new(&g, 31, 1);
-        let mut wpool = WorldPool::new(&g, 31, 1);
-        cpool.ensure(200);
-        wpool.ensure(200);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 31, 1);
+        pool.ensure(200);
         for u in 0..6u32 {
             for v in (u + 1)..6 {
-                let a = cpool.pair_estimate(NodeId(u), NodeId(v));
-                let b = wpool.pair_estimate_within(NodeId(u), NodeId(v), 5);
-                assert!((a - b).abs() < 1e-12, "({u},{v}): {a} vs {b}");
+                let a = pool.pair_estimate(NodeId(u), NodeId(v));
+                let b = pool.pair_estimate_within(NodeId(u), NodeId(v), 5);
+                assert_eq!(a, b, "({u},{v})");
             }
         }
     }
@@ -2315,14 +1509,12 @@ mod tests {
     #[should_panic(expected = "d_select")]
     fn depth_order_enforced() {
         let g = chain(3, 1.0);
-        let mut pool = WorldPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(1);
         let mut sel = vec![0u32; 3];
         let mut cov = vec![0u32; 3];
         pool.counts_within_depths(NodeId(0), 2, 1, &mut sel, &mut cov);
     }
-
-    // ───────────── bit-parallel backend ─────────────
 
     #[test]
     fn bit_pool_blocks_and_lanes() {
@@ -2340,74 +1532,23 @@ mod tests {
 
     #[test]
     fn bit_pool_worlds_match_scalar_worlds() {
+        // Grown in uneven steps to exercise partial-block top-up; each
+        // lane must hold the world the sampler draws on its own.
         let g = chain(12, 0.45);
-        let mut scalar = WorldPool::new(&g, 99, 1);
-        scalar.ensure(130);
-        // Grown in uneven steps to exercise partial-block top-up.
+        let sampler = WorldSampler::new(&g, 99);
         let mut bit = BitParallelPool::<1>::new(&g, 99, 1);
         bit.ensure(10);
         bit.ensure(64);
         bit.ensure(70);
         bit.ensure(130);
+        let mut world = Bitset::with_len(g.num_edges());
         for i in 0..130 {
-            let world = scalar.world(i);
+            sampler.sample_into(i as u64, &mut world).unwrap();
             for e in 0..g.num_edges() {
                 assert_eq!(
                     bit.edge_mask(i / LANES, e).get(i % LANES),
                     world.get(e),
                     "world {i} edge {e} differs"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bit_pool_counts_match_component_pool() {
-        let g = chain(9, 0.5);
-        let mut scalar = ComponentPool::new(&g, 42, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 42, 1);
-        // 100 is deliberately not a multiple of 64.
-        scalar.ensure(100);
-        bit.ensure(100);
-        let mut a = vec![0u32; 9];
-        let mut b = vec![0u32; 9];
-        for c in 0..9u32 {
-            scalar.counts_from_center(NodeId(c), &mut a);
-            bit.counts_from_center(NodeId(c), &mut b);
-            assert_eq!(a, b, "center {c}");
-            for v in 0..9u32 {
-                assert_eq!(
-                    scalar.pair_count(NodeId(c), NodeId(v)),
-                    bit.pair_count(NodeId(c), NodeId(v)),
-                    "pair ({c},{v})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bit_pool_depth_counts_match_world_pool() {
-        let g = chain(10, 0.6);
-        let mut scalar = WorldPool::new(&g, 5, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 5, 1);
-        scalar.ensure(97);
-        bit.ensure(97);
-        let (mut s1, mut c1) = (vec![0u32; 10], vec![0u32; 10]);
-        let (mut s2, mut c2) = (vec![0u32; 10], vec![0u32; 10]);
-        for center in 0..10u32 {
-            for (ds, dc) in [(0, 0), (1, 2), (2, 2), (3, 9)] {
-                scalar.counts_within_depths(NodeId(center), ds, dc, &mut s1, &mut c1);
-                bit.counts_within_depths(NodeId(center), ds, dc, &mut s2, &mut c2);
-                assert_eq!(s1, s2, "select center {center} depths ({ds},{dc})");
-                assert_eq!(c1, c2, "cover center {center} depths ({ds},{dc})");
-            }
-        }
-        for v in 1..10u32 {
-            for d in [1u32, 3, 8] {
-                assert_eq!(
-                    scalar.pair_count_within(NodeId(0), NodeId(v), d),
-                    bit.pair_count_within(NodeId(0), NodeId(v), d),
-                    "pair (0,{v}) depth {d}"
                 );
             }
         }
@@ -2452,11 +1593,11 @@ mod tests {
             counts.iter().sum()
         }
         let g = chain(6, 0.7);
-        let mut scalar = ComponentPool::new(&g, 3, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 3, 1);
-        WorldEngine::ensure(&mut scalar, 70);
-        WorldEngine::ensure(&mut bit, 70);
-        assert_eq!(total_reach(&mut scalar, NodeId(2)), total_reach(&mut bit, NodeId(2)));
+        let mut mask = BitParallelPool::<1>::new(&g, 3, 1);
+        let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, 3, 1);
+        WorldEngine::ensure(&mut mask, 70);
+        WorldEngine::ensure(&mut adaptive, 70);
+        assert_eq!(total_reach(&mut mask, NodeId(2)), total_reach(&mut adaptive, NodeId(2)));
     }
 
     #[test]
@@ -2465,42 +1606,43 @@ mod tests {
         let centers: Vec<NodeId> = [0u32, 5, 5, 10, 3].iter().map(|&c| NodeId(c)).collect(); // incl. duplicate
         let k = centers.len();
         let mut want = vec![0u32; k * 11];
-        let mut scalar = ComponentPool::new(&g, 77, 1);
-        scalar.ensure(90);
+        let mut mask = BitParallelPool::<1>::new(&g, 77, 1);
+        mask.ensure(90);
         for (j, &c) in centers.iter().enumerate() {
-            scalar.counts_from_center(c, &mut want[j * 11..(j + 1) * 11]);
+            mask.counts_from_center(c, &mut want[j * 11..(j + 1) * 11]);
         }
         let mut got = vec![0u32; k * 11];
-        scalar.counts_from_centers(&centers, &mut got);
-        assert_eq!(got, want, "component pool batch differs");
-        let mut bit = BitParallelPool::<1>::new(&g, 77, 1);
-        bit.ensure(90);
+        mask.counts_from_centers(&centers, &mut got);
+        assert_eq!(got, want, "pure-mask batch differs");
+        // The adaptive pool batches over labels once single rows have
+        // finalized its block.
+        let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, 77, 1);
+        adaptive.ensure(90);
         got.fill(0);
-        bit.counts_from_centers(&centers, &mut got);
-        assert_eq!(got, want, "bit-parallel batch differs");
-        let mut world = WorldPool::new(&g, 77, 1);
-        world.ensure(90);
+        adaptive.counts_from_centers(&centers, &mut got);
+        assert_eq!(got, want, "adaptive batch differs");
+        adaptive.counts_from_center(centers[0], &mut [0u32; 11]);
         got.fill(0);
-        WorldEngine::counts_from_centers(&mut world, &centers, &mut got);
-        assert_eq!(got, want, "world pool batch differs");
+        adaptive.counts_from_centers(&centers, &mut got);
+        assert_eq!(got, want, "finalized adaptive batch differs");
     }
 
     #[test]
     fn ranged_counts_add_up_to_full_counts() {
         let g = chain(9, 0.55);
-        let mut scalar = ComponentPool::new(&g, 5, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 5, 1);
-        scalar.ensure(150);
-        bit.ensure(150);
+        let mut mask = BitParallelPool::<1>::new(&g, 5, 1);
+        let mut adaptive = BitParallelPool::<1>::new_adaptive(&g, 5, 1);
+        mask.ensure(150);
+        adaptive.ensure(150);
         let mut full = vec![0u32; 9];
         let mut acc = vec![0u32; 9];
         let mut part = vec![0u32; 9];
         for center in [0u32, 4, 8] {
-            scalar.counts_from_center(NodeId(center), &mut full);
+            mask.counts_from_center(NodeId(center), &mut full);
             // Split points chosen to straddle the 64-world block boundary.
             for (engine, name) in [
-                (&mut scalar as &mut dyn WorldEngine, "scalar"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut mask as &mut dyn WorldEngine, "pure-mask"),
+                (&mut adaptive as &mut dyn WorldEngine, "adaptive"),
             ] {
                 acc.fill(0);
                 for w in [(0usize, 10usize), (10, 64), (64, 65), (65, 130), (130, 150)] {
@@ -2517,16 +1659,16 @@ mod tests {
     #[test]
     fn ranged_depth_counts_add_up_to_full_counts() {
         let g = chain(10, 0.6);
-        let mut scalar = WorldPool::new(&g, 21, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 21, 1);
-        scalar.ensure(100);
-        bit.ensure(100);
+        let mut w1 = BitParallelPool::<1>::new(&g, 21, 1);
+        let mut w4 = BitParallelPool::<4>::new_adaptive(&g, 21, 1);
+        w1.ensure(100);
+        w4.ensure(100);
         let (mut fs, mut fc) = (vec![0u32; 10], vec![0u32; 10]);
-        scalar.counts_within_depths(NodeId(2), 1, 3, &mut fs, &mut fc);
+        w1.counts_within_depths(NodeId(2), 1, 3, &mut fs, &mut fc);
         let (mut ps, mut pc) = (vec![0u32; 10], vec![0u32; 10]);
         for (engine, name) in [
-            (&mut scalar as &mut dyn WorldEngine, "scalar"),
-            (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+            (&mut w1 as &mut dyn WorldEngine, "width 64"),
+            (&mut w4 as &mut dyn WorldEngine, "width 256"),
         ] {
             let (mut acs, mut acc) = (vec![0u32; 10], vec![0u32; 10]);
             for w in [(0usize, 63usize), (63, 64), (64, 100)] {
@@ -2546,13 +1688,13 @@ mod tests {
         let g = chain(10, 0.6);
         let centers: Vec<NodeId> = (0..10).map(NodeId).collect();
         let k = centers.len();
-        let mut scalar = WorldPool::new(&g, 9, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 9, 1);
-        scalar.ensure(97);
-        bit.ensure(97);
+        let mut w1 = BitParallelPool::<1>::new(&g, 9, 1);
+        let mut w4 = BitParallelPool::<4>::new_adaptive(&g, 9, 1);
+        w1.ensure(97);
+        w4.ensure(97);
         let (mut ws, mut wc) = (vec![0u32; k * 10], vec![0u32; k * 10]);
         for (j, &c) in centers.iter().enumerate() {
-            scalar.counts_within_depths(
+            w1.counts_within_depths(
                 c,
                 1,
                 4,
@@ -2561,12 +1703,12 @@ mod tests {
             );
         }
         let (mut gs, mut gc) = (vec![0u32; k * 10], vec![0u32; k * 10]);
-        scalar.counts_within_depths_batch(&centers, 1, 4, &mut gs, &mut gc);
-        assert_eq!((&gs, &gc), (&ws, &wc), "world pool batch depth rows differ");
+        w1.counts_within_depths_batch(&centers, 1, 4, &mut gs, &mut gc);
+        assert_eq!((&gs, &gc), (&ws, &wc), "width-64 batch depth rows differ");
         gs.fill(0);
         gc.fill(0);
-        bit.counts_within_depths_batch(&centers, 1, 4, &mut gs, &mut gc);
-        assert_eq!((&gs, &gc), (&ws, &wc), "bit-parallel batch depth rows differ");
+        w4.counts_within_depths_batch(&centers, 1, 4, &mut gs, &mut gc);
+        assert_eq!((&gs, &gc), (&ws, &wc), "width-256 batch depth rows differ");
     }
 
     #[test]
@@ -2576,10 +1718,9 @@ mod tests {
         // an empty center list would regenerate and re-evict shards.
         let g = chain(4, 0.5);
         let r = 2 * SHARD_WORLDS + SHARD_WORLDS / 2;
-        let engines: [Box<dyn WorldEngine>; 3] = [
-            Box::new(ComponentPool::new(&g, 1, 1)),
-            Box::new(WorldPool::new(&g, 1, 1)),
+        let engines: [Box<dyn WorldEngine>; 2] = [
             Box::new(BitParallelPool::<1>::new(&g, 1, 1)),
+            Box::new(BitParallelPool::<4>::new_adaptive(&g, 1, 1)),
         ];
         for mut engine in engines {
             let budget = MemoryBudget::bounded(256);
@@ -2591,9 +1732,7 @@ mod tests {
             assert!(before.shards_evicted > 0, "{before:?}");
             engine.counts_from_centers_range(&[], 0, r, &mut []);
             engine.counts_from_centers(&[], &mut []);
-            if engine.supports_finite_depths() {
-                engine.counts_within_depths_batch_range(&[], 1, 2, 0, r, &mut [], &mut []);
-            }
+            engine.counts_within_depths_batch_range(&[], 1, 2, 0, r, &mut [], &mut []);
             engine.counts_within_depths_batch_range(
                 &[],
                 DEPTH_UNLIMITED,
@@ -2612,21 +1751,10 @@ mod tests {
     #[should_panic(expected = "invalid sample range")]
     fn ranged_counts_reject_out_of_bounds() {
         let g = chain(4, 0.5);
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(8);
         let mut out = vec![0u32; 4];
         pool.counts_from_center_range(NodeId(0), 2, 9, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "unlimited-depth queries only")]
-    fn component_pool_rejects_finite_depths() {
-        let g = chain(3, 0.5);
-        let mut pool = ComponentPool::new(&g, 1, 1);
-        pool.ensure(4);
-        let mut sel = vec![0u32; 3];
-        let mut cov = vec![0u32; 3];
-        WorldEngine::counts_within_depths(&mut pool, NodeId(0), 1, 2, &mut sel, &mut cov);
     }
 
     #[test]
@@ -2635,23 +1763,20 @@ mod tests {
         let centers: Vec<NodeId> = [0u32, 5, 5, 10, 3].iter().map(|&c| NodeId(c)).collect(); // incl. duplicate
         let k = centers.len();
         let n = 11;
-        let mut scalar = ComponentPool::new(&g, 33, 1);
-        let mut world = WorldPool::new(&g, 33, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 33, 1);
-        scalar.ensure(150);
-        world.ensure(150);
-        bit.ensure(150);
+        let mut mask = BitParallelPool::<1>::new(&g, 33, 1);
+        let mut adaptive = BitParallelPool::<1>::new_adaptive(&g, 33, 1);
+        mask.ensure(150);
+        adaptive.ensure(150);
         // Windows straddle block boundaries, incl. a single-world window.
         for (lo, hi) in [(0usize, 10usize), (10, 64), (64, 65), (37, 130), (130, 150), (70, 70)] {
             let mut want = vec![0u32; k * n];
             for (j, &c) in centers.iter().enumerate() {
-                scalar.counts_from_center_range(c, lo, hi, &mut want[j * n..(j + 1) * n]);
+                mask.counts_from_center_range(c, lo, hi, &mut want[j * n..(j + 1) * n]);
             }
             let mut got = vec![0u32; k * n];
             for (engine, name) in [
-                (&mut scalar as &mut dyn WorldEngine, "scalar"),
-                (&mut world as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut mask as &mut dyn WorldEngine, "pure-mask"),
+                (&mut adaptive as &mut dyn WorldEngine, "adaptive"),
             ] {
                 got.fill(0);
                 engine.counts_from_centers_range(&centers, lo, hi, &mut got);
@@ -2666,14 +1791,14 @@ mod tests {
         let centers: Vec<NodeId> = [1u32, 4, 4, 9, 0].iter().map(|&c| NodeId(c)).collect();
         let k = centers.len();
         let n = 10;
-        let mut scalar = WorldPool::new(&g, 13, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 13, 1);
-        scalar.ensure(130);
-        bit.ensure(130);
+        let mut w1 = BitParallelPool::<1>::new(&g, 13, 1);
+        let mut w4 = BitParallelPool::<4>::new_adaptive(&g, 13, 1);
+        w1.ensure(130);
+        w4.ensure(130);
         for (lo, hi) in [(0usize, 50usize), (50, 64), (63, 65), (64, 130), (90, 90)] {
             let (mut ws, mut wc) = (vec![0u32; k * n], vec![0u32; k * n]);
             for (j, &c) in centers.iter().enumerate() {
-                scalar.counts_within_depths_range(
+                w1.counts_within_depths_range(
                     c,
                     1,
                     3,
@@ -2685,8 +1810,8 @@ mod tests {
             }
             let (mut gs, mut gc) = (vec![0u32; k * n], vec![0u32; k * n]);
             for (engine, name) in [
-                (&mut scalar as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut w1 as &mut dyn WorldEngine, "width 64"),
+                (&mut w4 as &mut dyn WorldEngine, "width 256"),
             ] {
                 gs.fill(0);
                 gc.fill(0);
@@ -2700,31 +1825,22 @@ mod tests {
     #[test]
     fn ranged_pair_counts_add_up_to_full_counts() {
         let g = chain(10, 0.55);
-        let mut scalar = ComponentPool::new(&g, 19, 1);
-        let mut world = WorldPool::new(&g, 19, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 19, 1);
-        scalar.ensure(150);
-        world.ensure(150);
-        bit.ensure(150);
+        let mut mask = BitParallelPool::<1>::new(&g, 19, 1);
+        let mut adaptive = BitParallelPool::<1>::new_adaptive(&g, 19, 1);
+        mask.ensure(150);
+        adaptive.ensure(150);
         let windows = [(0usize, 10usize), (10, 64), (64, 65), (65, 130), (130, 150)];
         for (u, v) in [(0u32, 1u32), (0, 9), (3, 7)] {
             let (u, v) = (NodeId(u), NodeId(v));
-            let full = scalar.pair_count(u, v);
+            let full = mask.pair_count(u, v);
+            let full_d = mask.pair_count_within(u, v, 3);
             for (engine, name) in [
-                (&mut scalar as &mut dyn WorldEngine, "scalar"),
-                (&mut world as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut mask as &mut dyn WorldEngine, "pure-mask"),
+                (&mut adaptive as &mut dyn WorldEngine, "adaptive"),
             ] {
                 let sum: usize =
                     windows.iter().map(|&(lo, hi)| engine.pair_count_range(u, v, lo, hi)).sum();
                 assert_eq!(sum, full, "{name} ranged pair counts for ({u}, {v})");
-            }
-            // Depth-limited ranged pair counts on the depth-capable pair.
-            let full_d = world.pair_count_within(u, v, 3);
-            for (engine, name) in [
-                (&mut world as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
-            ] {
                 let sum: usize = windows
                     .iter()
                     .map(|&(lo, hi)| engine.pair_count_within_range(u, v, 3, lo, hi))
@@ -2737,27 +1853,22 @@ mod tests {
     // ───────────── adaptive finalization ─────────────
 
     #[test]
-    fn adaptive_counts_match_scalar_and_pure_mask() {
+    fn adaptive_counts_match_pure_mask() {
         let g = chain(11, 0.5);
-        let mut scalar = ComponentPool::new(&g, 6, 1);
         let mut mask = BitParallelPool::<1>::new(&g, 6, 1);
         let mut adaptive = BitParallelPool::<1>::new_adaptive(&g, 6, 1);
         // 150 = 2 full blocks + a 22-lane tail.
-        scalar.ensure(150);
         mask.ensure(150);
         adaptive.ensure(150);
-        let mut a = vec![0u32; 11];
         let mut b = vec![0u32; 11];
         let mut c = vec![0u32; 11];
         for center in 0..11u32 {
-            scalar.counts_from_center(NodeId(center), &mut a);
             mask.counts_from_center(NodeId(center), &mut b);
             adaptive.counts_from_center(NodeId(center), &mut c);
-            assert_eq!(a, b, "mask center {center}");
-            assert_eq!(a, c, "adaptive center {center}");
+            assert_eq!(b, c, "adaptive center {center}");
             for v in 0..11u32 {
                 assert_eq!(
-                    scalar.pair_count(NodeId(center), NodeId(v)),
+                    mask.pair_count(NodeId(center), NodeId(v)),
                     adaptive.pair_count(NodeId(center), NodeId(v)),
                     "pair ({center},{v})"
                 );
@@ -2822,11 +1933,11 @@ mod tests {
         pool.counts_from_center(NodeId(2), &mut counts);
         let s2 = pool.engine_stats();
         assert_eq!((s2.finalized_blocks, s2.finalized_lanes), (1, 40), "{s2:?}");
-        // Counts still match a fresh scalar pool.
-        let mut scalar = ComponentPool::new(&g, 9, 1);
-        scalar.ensure(40);
+        // Counts still match a fresh pure-mask pool.
+        let mut mask = BitParallelPool::<1>::new(&g, 9, 1);
+        mask.ensure(40);
         let mut want = vec![0u32; 7];
-        scalar.counts_from_center(NodeId(2), &mut want);
+        mask.counts_from_center(NodeId(2), &mut want);
         assert_eq!(counts, want);
     }
 
@@ -2837,9 +1948,9 @@ mod tests {
         let mut pool = BitParallelPool::<1>::new_adaptive(&g, 3, 1);
         pool.ensure(64);
         let want = {
-            let mut scalar = ComponentPool::new(&g, 3, 1);
-            scalar.ensure(64);
-            scalar.pair_count(NodeId(0), NodeId(4))
+            let mut mask = BitParallelPool::<1>::new(&g, 3, 1);
+            mask.ensure(64);
+            mask.pair_count(NodeId(0), NodeId(4))
         };
         for i in 0..FINALIZE_AFTER_MASK_QUERIES {
             assert_eq!(pool.pair_count(NodeId(0), NodeId(4)), want);
@@ -2857,21 +1968,21 @@ mod tests {
     #[test]
     fn mixed_finalized_and_mask_blocks_answer_ranged_queries() {
         let g = chain(10, 0.55);
-        let mut scalar = ComponentPool::new(&g, 21, 1);
+        let mut mask = BitParallelPool::<1>::new(&g, 21, 1);
         let mut pool = BitParallelPool::<1>::new_adaptive(&g, 21, 1);
-        scalar.ensure(200);
+        mask.ensure(200);
         pool.ensure(200);
         // Finalize only block 1 (a row query restricted to its worlds).
         let mut row = vec![0u32; 10];
         pool.counts_from_center_range(NodeId(0), 64, 128, &mut row);
         let s = pool.engine_stats();
         assert_eq!((s.finalized_blocks, s.finalized_lanes), (1, 64));
-        // Pair queries spanning finalized and mask blocks agree with
-        // scalar for windows straddling both kinds.
+        // Pair queries spanning finalized and mask blocks agree with the
+        // pure-mask pool for windows straddling both kinds.
         for (lo, hi) in [(0usize, 200usize), (10, 130), (64, 128), (100, 190), (0, 64)] {
             for (u, v) in [(0u32, 9u32), (3, 7)] {
                 assert_eq!(
-                    scalar.pair_count_range(NodeId(u), NodeId(v), lo, hi),
+                    mask.pair_count_range(NodeId(u), NodeId(v), lo, hi),
                     pool.pair_count_range(NodeId(u), NodeId(v), lo, hi),
                     "pair ({u},{v}) on [{lo},{hi})"
                 );
@@ -2881,7 +1992,7 @@ mod tests {
         let centers: Vec<NodeId> = (0..10).map(NodeId).collect();
         let mut want = vec![0u32; 10 * 10];
         let mut got = vec![0u32; 10 * 10];
-        scalar.counts_from_centers(&centers, &mut want);
+        mask.counts_from_centers(&centers, &mut want);
         pool.counts_from_centers(&centers, &mut got);
         assert_eq!(got, want);
     }
@@ -2889,17 +2000,8 @@ mod tests {
     #[test]
     fn wide_and_narrow_labels_agree() {
         let g = chain(13, 0.5);
-        let mut narrow = ComponentPool::new(&g, 5, 1);
-        let mut wide = ComponentPool::new(&g, 5, 1).with_wide_labels(true);
-        narrow.ensure(90);
-        wide.ensure(90);
         let mut a = vec![0u32; 13];
         let mut b = vec![0u32; 13];
-        for c in 0..13u32 {
-            narrow.counts_from_center(NodeId(c), &mut a);
-            wide.counts_from_center(NodeId(c), &mut b);
-            assert_eq!(a, b, "scalar width mismatch at center {c}");
-        }
         let mut bn = BitParallelPool::<1>::new_adaptive(&g, 5, 1);
         let mut bw = BitParallelPool::<1>::new_adaptive(&g, 5, 1).with_wide_labels(true);
         bn.ensure(90);
@@ -2911,6 +2013,7 @@ mod tests {
         }
         assert_eq!(bn.engine_stats().finalized_lanes, 90);
         assert_eq!(bw.engine_stats().finalized_lanes, 90);
+        assert_eq!(all_labels(&mut bn), all_labels(&mut bw), "per-world labels differ");
     }
 
     #[test]
@@ -2931,5 +2034,36 @@ mod tests {
             }
         }
         assert_eq!(acc, full, "disjoint ranged batches must add up to the full batch");
+    }
+
+    #[test]
+    fn labels_into_regenerates_and_charges_block_labels() {
+        // Under a budget far below one shard, reading labels regenerates
+        // evicted shards without trimming; the labels are charged to the
+        // shard, and the next aggregate query settles the ledger again.
+        let g = chain(6, 0.5);
+        let r = SHARD_WORLDS + 100;
+        let budget = MemoryBudget::bounded(512);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
+        pool.set_memory_budget(budget.clone());
+        pool.ensure(r);
+        let mut unbounded = BitParallelPool::<4>::new(&g, 2, 1);
+        unbounded.ensure(r);
+        assert_eq!(all_labels(&mut pool), all_labels(&mut unbounded));
+        let held = budget.bytes_held();
+        assert!(held > 512, "label reads resolve without trimming: {held} B");
+        assert!(pool.memory_stats().shards_regenerated > 0);
+        let mut row = vec![0u32; 6];
+        pool.counts_from_center(NodeId(0), &mut row);
+        assert!(budget.bytes_held() <= 512, "{} B over the limit", budget.bytes_held());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn labels_into_rejects_missing_samples() {
+        let g = chain(4, 0.5);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
+        pool.ensure(8);
+        pool.labels_into(8, &mut [0u32; 4]);
     }
 }

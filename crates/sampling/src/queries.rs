@@ -7,7 +7,7 @@
 //! the paper). These primitives fall out of the same Monte-Carlo machinery
 //! the clustering algorithms use, so they are provided here as first-class
 //! queries — generic over the [`WorldEngine`] seam, so they run unchanged
-//! on the scalar pools and on the bit-parallel block pool.
+//! on every engine and block width.
 
 use ugraph_graph::NodeId;
 
@@ -51,7 +51,7 @@ pub fn reliability_knn<E: WorldEngine + ?Sized>(
 
 /// Depth-limited variant of [`reliability_knn`]: only paths of length at
 /// most `depth` count (paper §3.4 semantics). Requires a depth-capable
-/// engine ([`crate::WorldPool`] or [`crate::BitParallelPool`]).
+/// engine such as [`crate::BitParallelPool`].
 ///
 /// # Panics
 /// Panics if the engine's pool is empty or cannot answer finite depths.
@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use ugraph_graph::{GraphBuilder, UncertainGraph};
 
-    use crate::pool::{BitParallelPool, ComponentPool, WorldPool};
+    use crate::pool::BitParallelPool;
 
     /// Star: center 0 with spokes of decreasing reliability, plus a far
     /// node 4 two hops out.
@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn knn_orders_by_reliability() {
         let g = star();
-        let mut pool = ComponentPool::new(&g, 5, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
         pool.ensure(4000);
         let knn = reliability_knn(&mut pool, NodeId(0), 3);
         assert_eq!(knn.len(), 3);
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn knn_truncates_and_excludes_source() {
         let g = star();
-        let mut pool = ComponentPool::new(&g, 5, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
         pool.ensure(500);
         let knn = reliability_knn(&mut pool, NodeId(0), 100);
         assert!(knn.len() <= 4);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn knn_depth_limited_drops_far_nodes() {
         let g = star();
-        let mut pool = WorldPool::new(&g, 5, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
         pool.ensure(1000);
         let within1 = reliability_knn_within(&mut pool, NodeId(0), 10, 1);
         assert!(within1.iter().all(|(n, _)| n.0 != 4), "node 4 is 2 hops away");
@@ -269,24 +269,22 @@ mod tests {
     #[test]
     fn queries_agree_across_backends() {
         let g = star();
-        let mut scalar = ComponentPool::new(&g, 5, 1);
+        let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
         let mut bit = BitParallelPool::<1>::new(&g, 5, 1);
-        scalar.ensure(777);
+        adaptive.ensure(777);
         bit.ensure(777);
         assert_eq!(
-            reliability_knn(&mut scalar, NodeId(0), 4),
+            reliability_knn(&mut adaptive, NodeId(0), 4),
             reliability_knn(&mut bit, NodeId(0), 4)
         );
-        let mut wscalar = WorldPool::new(&g, 5, 1);
-        wscalar.ensure(777);
         assert_eq!(
-            reliability_knn_within(&mut wscalar, NodeId(0), 4, 1),
+            reliability_knn_within(&mut adaptive, NodeId(0), 4, 1),
             reliability_knn_within(&mut bit, NodeId(0), 4, 1)
         );
         let cands = [NodeId(0), NodeId(4)];
         let targets = [NodeId(1), NodeId(2)];
         assert_eq!(
-            most_reliable_source(&mut scalar, &cands, &targets, SourceObjective::MinToTargets),
+            most_reliable_source(&mut adaptive, &cands, &targets, SourceObjective::MinToTargets),
             most_reliable_source(&mut bit, &cands, &targets, SourceObjective::MinToTargets)
         );
     }
@@ -294,7 +292,7 @@ mod tests {
     #[test]
     fn most_reliable_source_min_objective() {
         let g = star();
-        let mut pool = ComponentPool::new(&g, 9, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 9, 1);
         pool.ensure(4000);
         // Candidates 0 and 4 serving targets {1, 2}: node 0 is adjacent to
         // both; node 4 reaches them through two weak hops.
@@ -321,7 +319,7 @@ mod tests {
     #[test]
     fn most_reliable_source_empty_inputs() {
         let g = star();
-        let mut pool = ComponentPool::new(&g, 1, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
         pool.ensure(10);
         assert!(most_reliable_source(&mut pool, &[], &[NodeId(1)], SourceObjective::default())
             .is_none());
@@ -332,7 +330,7 @@ mod tests {
     #[test]
     fn source_includes_itself_as_target_with_prob_one() {
         let g = star();
-        let mut pool = ComponentPool::new(&g, 2, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
         pool.ensure(100);
         let got = most_reliable_source(
             &mut pool,

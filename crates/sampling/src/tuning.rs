@@ -1,10 +1,10 @@
 //! Shared parallelism heuristics for the sample-pool backends.
 //!
-//! Both the scalar pools ([`crate::ComponentPool`], [`crate::WorldPool`])
-//! and the bit-parallel block pool ([`crate::BitParallelPool`]) face the
-//! same dispatch decision on every operation: is the batch big enough that
-//! a rayon fork-join pays for itself? The thresholds and the resolved
-//! thread configuration live here so the backends cannot drift apart.
+//! Every operation of the block pool ([`crate::BitParallelPool`]) faces the
+//! same dispatch decision: is the batch big enough that a rayon fork-join
+//! pays for itself? The thresholds, the resolved thread configuration and
+//! the chunked count kernels live here, next to the adaptive backend's
+//! finalization and batch-dispatch heuristics.
 
 use rayon::prelude::*;
 
@@ -48,7 +48,7 @@ pub const FINALIZE_AFTER_MASK_QUERIES: u32 = 2;
 /// finalize **eagerly**: they traverse the whole block anyway, labeling
 /// costs little more than the query itself, and the clustering drivers
 /// re-query every pool many times — so the first row query converts the
-/// block and every later unlimited query runs at scalar-label speed.
+/// block and every later unlimited query runs as a label scan.
 /// Pair queries stay on masks while the block has absorbed fewer than
 /// [`FINALIZE_AFTER_MASK_QUERIES`] of them; the next one converts it.
 #[inline]
@@ -137,10 +137,9 @@ impl ThreadConfig {
         count >= 4 && self.workers > 1
     }
 
-    /// Whether a query over `items` units (sample rows for the scalar
-    /// backends, 64-world blocks for the bit-parallel backend), costing
-    /// roughly `per_item_work` operations each, should take the parallel
-    /// path. Applies [`MIN_PARALLEL_ITEMS`] and [`MIN_PARALLEL_WORK`].
+    /// Whether a query over `items` units (mask blocks of the pool),
+    /// costing roughly `per_item_work` operations each, should take the
+    /// parallel path. Applies [`MIN_PARALLEL_ITEMS`] and [`MIN_PARALLEL_WORK`].
     pub fn parallel_query(&self, items: usize, per_item_work: usize) -> bool {
         self.workers > 1
             && items >= MIN_PARALLEL_ITEMS
@@ -166,21 +165,9 @@ pub fn merge_counts(mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
 
 /// Parallel-or-serial chunked count accumulation: runs `accumulate` over
 /// chunks of `items` and merges the per-chunk count vectors, falling back
-/// to a single serial pass when the parallel path is not worthwhile.
-pub fn chunked_counts<T: Sync>(
-    config: &ThreadConfig,
-    items: &[T],
-    n: usize,
-    per_item_work: usize,
-    accumulate: impl Fn(&mut [u32], &mut (), &[T]) + Send + Sync,
-    out: &mut [u32],
-) {
-    chunked_counts_with(config, items, n, per_item_work, &mut (), || (), accumulate, out);
-}
-
-/// [`chunked_counts`] with a traversal workspace: the serial path reuses
-/// the caller's persistent `serial_ws`; parallel workers build their own
-/// through `make_ws` (rayon `map_init`).
+/// to a single serial pass when the parallel path is not worthwhile. The
+/// serial path reuses the caller's traversal workspace `serial_ws`;
+/// parallel workers build their own through `make_ws` (rayon `map_init`).
 #[allow(clippy::too_many_arguments)]
 pub fn chunked_counts_with<T: Sync, W: Send>(
     config: &ThreadConfig,
@@ -311,8 +298,10 @@ mod tests {
         };
         let mut serial = vec![0u32; 16];
         let mut parallel = vec![0u32; 16];
-        chunked_counts(&ThreadConfig::new(1), &items, 16, 100, accumulate, &mut serial);
-        chunked_counts(&ThreadConfig::new(4), &items, 16, 100, accumulate, &mut parallel);
+        for (threads, out) in [(1, &mut serial), (4, &mut parallel)] {
+            let config = ThreadConfig::new(threads);
+            chunked_counts_with(&config, &items, 16, 100, &mut (), || (), accumulate, out);
+        }
         assert_eq!(serial, parallel);
         assert_eq!(serial.iter().sum::<u32>(), 5000);
     }

@@ -3,16 +3,14 @@
 //! A possible world of `G = (V, E, p)` keeps each edge `e` independently
 //! with probability `p(e)`. Two materializations are supported:
 //!
-//! * an **edge bitset** ([`WorldSampler::sample_into`]) — needed when the
-//!   world's topology is traversed (depth-limited BFS);
-//! * **fused component labels** ([`WorldSampler::sample_components`]) — the
-//!   common case for unlimited connection probabilities, where the world
-//!   itself is never needed, only its connected-component partition; the
-//!   edge draws feed a union-find directly and the bitset is skipped.
+//! * an **edge bitset** ([`WorldSampler::sample_into`]) — one world on its
+//!   own, as exact enumeration and reference checks use it;
+//! * a **lane of a mask block** ([`WorldSampler::sample_block_lane`]) — how
+//!   the bit-parallel pools assemble `64·W` worlds per block.
 
 use rand::Rng;
 
-use ugraph_graph::{Bitset, Mask, UncertainGraph, UnionFind};
+use ugraph_graph::{Bitset, Mask, UncertainGraph};
 
 use crate::error::SamplingError;
 use crate::rng::sample_rng;
@@ -64,7 +62,8 @@ impl<'g> WorldSampler<'g> {
     /// in world `index`. Other lanes of `masks` are left untouched, so a
     /// 64-world block is assembled lane by lane — each lane from its own
     /// per-index RNG stream, which keeps bit-parallel pools world-for-world
-    /// identical to scalar pools under the same master seed.
+    /// identical to [`WorldSampler::sample_into`] under the same master
+    /// seed.
     ///
     /// # Errors
     /// Returns [`SamplingError::BufferMismatch`] if `masks.len() != m`.
@@ -134,31 +133,12 @@ impl<'g> WorldSampler<'g> {
             .unwrap_or_else(|e| unreachable!("freshly sized bitset cannot mismatch: {e}"));
         b
     }
-
-    /// Draws world `index` and immediately reduces it to connected-component
-    /// labels, without materializing the edge set. `uf` is reset internally;
-    /// `labels` receives canonical labels (see
-    /// [`UnionFind::component_labels_into`]). Returns the component count.
-    ///
-    /// # Panics
-    /// Panics if `uf`/`labels` are not sized for the graph's node count.
-    pub fn sample_components(&self, index: u64, uf: &mut UnionFind, labels: &mut [u32]) -> usize {
-        assert_eq!(uf.len(), self.graph.num_nodes(), "union-find sized for wrong node count");
-        uf.reset();
-        let mut rng = sample_rng(self.seed, index);
-        for (_, u, v, p) in self.graph.edges() {
-            if rng.gen::<f64>() < p {
-                uf.union(u.0, v.0);
-            }
-        }
-        uf.component_labels_into(labels)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph_graph::{GraphBuilder, NodeId, WorldView};
+    use ugraph_graph::{connected_components, GraphBuilder, NodeId, WorldView};
 
     fn chain(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new(n as usize);
@@ -206,24 +186,6 @@ mod tests {
         }
         let freq = hits as f64 / r as f64;
         assert!((freq - 0.3).abs() < 0.02, "frequency {freq} too far from 0.3");
-    }
-
-    #[test]
-    fn fused_components_agree_with_bitset_path() {
-        let g = chain(12, 0.5);
-        let s = WorldSampler::new(&g, 5);
-        let mut uf = UnionFind::new(12);
-        let mut labels = vec![0u32; 12];
-        for i in 0..50 {
-            // Path A: fused.
-            let count = s.sample_components(i, &mut uf, &mut labels);
-            // Path B: bitset + world view + traversal.
-            let w = s.sample(i);
-            let view = WorldView::new(&g, &w);
-            let (view_labels, view_count) = ugraph_graph::connected_components(&view);
-            assert_eq!(count, view_count, "component count mismatch in world {i}");
-            assert_eq!(labels, view_labels, "labels mismatch in world {i}");
-        }
     }
 
     #[test]
@@ -282,9 +244,7 @@ mod tests {
         let s = WorldSampler::new(&g, 1);
         let w = s.sample(0);
         assert_eq!(w.len(), 0);
-        let mut uf = UnionFind::new(3);
-        let mut labels = vec![0u32; 3];
-        let count = s.sample_components(0, &mut uf, &mut labels);
+        let (_, count) = connected_components(&WorldView::new(&g, &w));
         assert_eq!(count, 3);
     }
 
@@ -293,12 +253,12 @@ mod tests {
         // Pr(0 ~ 2) on a 3-chain with p=0.5 per edge is 0.25.
         let g = chain(3, 0.5);
         let s = WorldSampler::new(&g, 11);
-        let mut uf = UnionFind::new(3);
-        let mut labels = vec![0u32; 3];
+        let mut w = Bitset::with_len(g.num_edges());
         let r = 20_000;
         let mut hits = 0;
         for i in 0..r {
-            s.sample_components(i, &mut uf, &mut labels);
+            s.sample_into(i, &mut w).unwrap();
+            let (labels, _) = connected_components(&WorldView::new(&g, &w));
             if labels[NodeId(0).index()] == labels[NodeId(2).index()] {
                 hits += 1;
             }

@@ -1,25 +1,30 @@
 //! Property tests for the `WorldEngine` backend seam: for any graph,
 //! master seed, thread count, and sample size (multiples of 64 or not),
-//! the scalar pools and the bit-parallel block pool must produce
-//! **identical integer counts** for every query family — they hold the
-//! same worlds, drawn from the same per-index RNG streams.
+//! the bit-parallel block pool — pure-mask and adaptive, at every block
+//! width — must produce **identical integer counts** to a naive
+//! one-world-at-a-time reference engine (`support::ReferenceEngine`) for
+//! every query family: they hold the same worlds, drawn from the same
+//! per-index RNG streams.
 //!
 //! The batched (`counts_from_centers`, `counts_within_depths_batch`) and
 //! ranged (`counts_from_center_range`, `counts_within_depths_range`) query
 //! shapes are held to the same standard: batched rows must equal the
 //! sequential per-center rows, and counts accumulated over any split of
-//! the pool's growth history must equal from-scratch counts — on every
-//! backend, for random seeds, thread counts, and pools straddling the
-//! 64-world block boundary. The oracle layer's row cache is built on
-//! exactly these identities, so they are what keeps cached estimates
-//! bit-identical to fresh ones.
+//! the pool's growth history must equal from-scratch counts — for random
+//! seeds, thread counts, and pools straddling the 64-world block boundary.
+//! The oracle layer's row cache is built on exactly these identities, so
+//! they are what keeps cached estimates bit-identical to fresh ones.
+
+mod support;
 
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
-    BitParallelPool, BlockWidth, ComponentPool, EngineKind, McOracle, MemoryBudget, Oracle,
-    SampleSchedule, WorldEngine, WorldPool, DEPTH_UNLIMITED, SHARD_WORLDS,
+    BitParallelPool, BlockWidth, EngineKind, McOracle, MemoryBudget, Oracle, SampleSchedule,
+    WorldEngine, DEPTH_UNLIMITED, SHARD_WORLDS,
 };
+
+use support::ReferenceEngine;
 
 /// A single-threaded plain-connectivity oracle on `kind`, default width.
 fn unlimited_oracle(
@@ -131,8 +136,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Unlimited connectivity: `counts_from_center` and pair counts agree
-    /// between the scalar component pool and the bit-parallel pool, for
-    /// every center, across thread counts.
+    /// between the reference engine and the bit-parallel pool, for every
+    /// center, across thread counts.
     #[test]
     fn center_and_pair_counts_agree(
         g in small_graph(10, 16),
@@ -141,22 +146,22 @@ proptest! {
         threads in thread_counts(),
     ) {
         let n = g.num_nodes();
-        let mut scalar = ComponentPool::new(&g, seed, 1);
+        let mut reference = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, threads);
-        scalar.ensure(r);
+        reference.ensure(r);
         bit.ensure(r);
-        prop_assert_eq!(scalar.num_samples(), bit.num_samples());
+        prop_assert_eq!(reference.num_samples(), bit.num_samples());
         let mut a = vec![0u32; n];
         let mut b = vec![0u32; n];
         for c in 0..n as u32 {
-            scalar.counts_from_center(NodeId(c), &mut a);
+            reference.counts_from_center(NodeId(c), &mut a);
             bit.counts_from_center(NodeId(c), &mut b);
             prop_assert_eq!(&a, &b, "center {} differs (r = {}, threads = {})", c, r, threads);
         }
         for u in 0..n as u32 {
             for v in 0..n as u32 {
                 prop_assert_eq!(
-                    scalar.pair_count(NodeId(u), NodeId(v)),
+                    reference.pair_count(NodeId(u), NodeId(v)),
                     bit.pair_count(NodeId(u), NodeId(v)),
                     "pair ({}, {}) differs", u, v
                 );
@@ -165,7 +170,7 @@ proptest! {
     }
 
     /// Depth-limited queries: `counts_within_depths` and
-    /// `pair_count_within` agree between the scalar world pool and the
+    /// `pair_count_within` agree between the reference engine and the
     /// bit-parallel pool for random depth pairs.
     #[test]
     fn depth_counts_agree(
@@ -178,21 +183,21 @@ proptest! {
     ) {
         let n = g.num_nodes();
         let d_cover = d_select + extra;
-        let mut scalar = WorldPool::new(&g, seed, 1);
+        let mut reference = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, threads);
-        scalar.ensure(r);
+        reference.ensure(r);
         bit.ensure(r);
         let (mut s1, mut c1) = (vec![0u32; n], vec![0u32; n]);
         let (mut s2, mut c2) = (vec![0u32; n], vec![0u32; n]);
         for c in 0..n as u32 {
-            scalar.counts_within_depths(NodeId(c), d_select, d_cover, &mut s1, &mut c1);
+            reference.counts_within_depths(NodeId(c), d_select, d_cover, &mut s1, &mut c1);
             bit.counts_within_depths(NodeId(c), d_select, d_cover, &mut s2, &mut c2);
             prop_assert_eq!(&s1, &s2, "select differs at center {} ({}, {})", c, d_select, d_cover);
             prop_assert_eq!(&c1, &c2, "cover differs at center {} ({}, {})", c, d_select, d_cover);
         }
         for v in 0..n as u32 {
             prop_assert_eq!(
-                scalar.pair_count_within(NodeId(0), NodeId(v), d_cover),
+                reference.pair_count_within(NodeId(0), NodeId(v), d_cover),
                 bit.pair_count_within(NodeId(0), NodeId(v), d_cover),
                 "pair (0, {}) differs at depth {}", v, d_cover
             );
@@ -201,7 +206,7 @@ proptest! {
 
     /// Growth-schedule invariance across the block boundary: a pool grown
     /// in arbitrary uneven steps equals a pool grown in one shot, and both
-    /// equal the scalar reference.
+    /// equal the reference engine.
     #[test]
     fn growth_schedule_invariant_across_blocks(
         g in small_graph(8, 12),
@@ -218,17 +223,17 @@ proptest! {
         }
         let mut oneshot = BitParallelPool::<1>::new(&g, seed, 1);
         oneshot.ensure(total);
-        let mut scalar = ComponentPool::new(&g, seed, 1);
-        scalar.ensure(total);
+        let mut reference = ReferenceEngine::new(&g, seed);
+        reference.ensure(total);
         let mut a = vec![0u32; n];
         let mut b = vec![0u32; n];
         let mut c = vec![0u32; n];
         for center in 0..n as u32 {
             stepped.counts_from_center(NodeId(center), &mut a);
             oneshot.counts_from_center(NodeId(center), &mut b);
-            scalar.counts_from_center(NodeId(center), &mut c);
+            reference.counts_from_center(NodeId(center), &mut c);
             prop_assert_eq!(&a, &b, "stepped vs one-shot differ at center {}", center);
-            prop_assert_eq!(&b, &c, "bit-parallel vs scalar differ at center {}", center);
+            prop_assert_eq!(&b, &c, "bit-parallel vs reference differ at center {}", center);
         }
     }
 
@@ -248,30 +253,27 @@ proptest! {
         let centers: Vec<NodeId> =
             picks.iter().map(|&c| NodeId(c % n as u32)).collect();
         let k = centers.len();
-        let mut scalar = ComponentPool::new(&g, seed, threads);
-        let mut world = WorldPool::new(&g, seed, threads);
+        let mut reference = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, threads);
-        scalar.ensure(r);
-        world.ensure(r);
+        let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, seed, threads);
+        reference.ensure(r);
         bit.ensure(r);
-        // Sequential reference rows from the scalar backend.
+        adaptive.ensure(r);
+        // Sequential reference rows.
         let mut want = vec![0u32; k * n];
         for (j, &c) in centers.iter().enumerate() {
-            scalar.counts_from_center(c, &mut want[j * n..(j + 1) * n]);
+            reference.counts_from_center(c, &mut want[j * n..(j + 1) * n]);
         }
         let mut got = vec![0u32; k * n];
-        scalar.counts_from_centers(&centers, &mut got);
-        prop_assert_eq!(&got, &want, "component-pool batch (r = {}, k = {})", r, k);
-        got.fill(0);
         bit.counts_from_centers(&centers, &mut got);
         prop_assert_eq!(&got, &want, "bit-parallel batch (r = {}, k = {})", r, k);
         got.fill(0);
-        WorldEngine::counts_from_centers(&mut world, &centers, &mut got);
-        prop_assert_eq!(&got, &want, "world-pool batch (r = {}, k = {})", r, k);
+        adaptive.counts_from_centers(&centers, &mut got);
+        prop_assert_eq!(&got, &want, "adaptive batch (r = {}, k = {})", r, k);
     }
 
-    /// Batched depth rows equal sequential depth rows on both
-    /// depth-capable backends.
+    /// Batched depth rows equal the reference engine's sequential depth
+    /// rows.
     #[test]
     fn batched_depth_rows_equal_sequential_rows(
         g in small_graph(9, 14),
@@ -285,7 +287,7 @@ proptest! {
         let d_cover = d_select + extra;
         let centers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let k = centers.len();
-        let mut world = WorldPool::new(&g, seed, 1);
+        let mut world = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, threads);
         world.ensure(r);
         bit.ensure(r);
@@ -300,19 +302,14 @@ proptest! {
             );
         }
         let (mut got_s, mut got_c) = (vec![0u32; k * n], vec![0u32; k * n]);
-        world.counts_within_depths_batch(&centers, d_select, d_cover, &mut got_s, &mut got_c);
-        prop_assert_eq!(&got_s, &want_s, "world-pool batch select ({}, {})", d_select, d_cover);
-        prop_assert_eq!(&got_c, &want_c, "world-pool batch cover ({}, {})", d_select, d_cover);
-        got_s.fill(0);
-        got_c.fill(0);
         bit.counts_within_depths_batch(&centers, d_select, d_cover, &mut got_s, &mut got_c);
         prop_assert_eq!(&got_s, &want_s, "bit-parallel batch select ({}, {})", d_select, d_cover);
         prop_assert_eq!(&got_c, &want_c, "bit-parallel batch cover ({}, {})", d_select, d_cover);
     }
 
-    /// Ranged **multi-center** rows equal sequential single-center ranged
-    /// rows on every backend, for arbitrary windows — the contract the
-    /// oracle row cache's grouped top-up waves rest on.
+    /// Ranged **multi-center** rows equal the reference engine's
+    /// sequential single-center ranged rows, for arbitrary windows — the
+    /// contract the oracle row cache's grouped top-up waves rest on.
     #[test]
     fn ranged_batched_rows_equal_sequential_ranged_rows(
         g in small_graph(10, 16),
@@ -328,29 +325,25 @@ proptest! {
         let centers: Vec<NodeId> =
             picks.iter().map(|&c| NodeId(c % n as u32)).collect();
         let k = centers.len();
-        let mut scalar = ComponentPool::new(&g, seed, threads);
-        let mut world = WorldPool::new(&g, seed, threads);
+        let mut reference = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, threads);
-        scalar.ensure(r);
-        world.ensure(r);
+        let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, seed, threads);
+        reference.ensure(r);
         bit.ensure(r);
+        adaptive.ensure(r);
         let mut want = vec![0u32; k * n];
         for (j, &c) in centers.iter().enumerate() {
-            scalar.counts_from_center_range(c, lo, hi, &mut want[j * n..(j + 1) * n]);
+            reference.counts_from_center_range(c, lo, hi, &mut want[j * n..(j + 1) * n]);
         }
         let mut got = vec![0u32; k * n];
-        scalar.counts_from_centers_range(&centers, lo, hi, &mut got);
-        prop_assert_eq!(&got, &want, "component-pool ranged batch [{}, {})", lo, hi);
-        got.fill(0);
         bit.counts_from_centers_range(&centers, lo, hi, &mut got);
         prop_assert_eq!(&got, &want, "bit-parallel ranged batch [{}, {})", lo, hi);
         got.fill(0);
-        WorldEngine::counts_from_centers_range(&mut world, &centers, lo, hi, &mut got);
-        prop_assert_eq!(&got, &want, "world-pool ranged batch [{}, {})", lo, hi);
+        adaptive.counts_from_centers_range(&centers, lo, hi, &mut got);
+        prop_assert_eq!(&got, &want, "adaptive ranged batch [{}, {})", lo, hi);
     }
 
-    /// The depth-limited ranged batch obeys the same contract on both
-    /// depth-capable backends.
+    /// The depth-limited ranged batch obeys the same contract.
     #[test]
     fn ranged_batched_depth_rows_equal_sequential_ranged_rows(
         g in small_graph(9, 14),
@@ -367,7 +360,7 @@ proptest! {
         let (lo, hi) = (a.min(b).min(r), b.max(a).min(r));
         let centers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let k = centers.len();
-        let mut world = WorldPool::new(&g, seed, 1);
+        let mut world = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, threads);
         world.ensure(r);
         bit.ensure(r);
@@ -384,13 +377,6 @@ proptest! {
             );
         }
         let (mut got_s, mut got_c) = (vec![0u32; k * n], vec![0u32; k * n]);
-        world.counts_within_depths_batch_range(
-            &centers, d_select, d_cover, lo, hi, &mut got_s, &mut got_c,
-        );
-        prop_assert_eq!(&got_s, &want_s, "world-pool ranged batch select [{}, {})", lo, hi);
-        prop_assert_eq!(&got_c, &want_c, "world-pool ranged batch cover [{}, {})", lo, hi);
-        got_s.fill(0);
-        got_c.fill(0);
         bit.counts_within_depths_batch_range(
             &centers, d_select, d_cover, lo, hi, &mut got_s, &mut got_c,
         );
@@ -400,8 +386,9 @@ proptest! {
 
     /// Incremental top-ups equal from-scratch counts: growing the pool in
     /// arbitrary steps and summing ranged counts over the growth windows
-    /// reproduces the full-pool counts exactly, on both backends. This is
-    /// precisely the oracle row cache's serve path.
+    /// reproduces the reference engine's full-pool counts exactly, on the
+    /// pure-mask and the adaptive pool. This is precisely the oracle row
+    /// cache's serve path.
     #[test]
     fn incremental_topups_equal_from_scratch(
         g in small_graph(9, 14),
@@ -411,32 +398,32 @@ proptest! {
     ) {
         let n = g.num_nodes();
         let total: usize = steps.iter().sum();
-        let mut scalar = ComponentPool::new(&g, seed, threads);
+        let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, seed, threads);
         let mut bit = BitParallelPool::<1>::new(&g, seed, threads);
         let mut part = vec![0u32; n];
-        let mut acc_scalar = vec![vec![0u32; n]; n];
+        let mut acc_adaptive = vec![vec![0u32; n]; n];
         let mut acc_bit = vec![vec![0u32; n]; n];
         let mut reached = 0usize;
         for s in &steps {
             let lo = reached;
             reached += s;
-            scalar.ensure(reached);
+            adaptive.ensure(reached);
             bit.ensure(reached);
             // Top up every center's accumulated row over the new window,
             // as the row cache does after `prepare` growth.
             for c in 0..n as u32 {
-                scalar.counts_from_center_range(NodeId(c), lo, reached, &mut part);
-                for (a, &p) in acc_scalar[c as usize].iter_mut().zip(&part) { *a += p; }
+                adaptive.counts_from_center_range(NodeId(c), lo, reached, &mut part);
+                for (a, &p) in acc_adaptive[c as usize].iter_mut().zip(&part) { *a += p; }
                 bit.counts_from_center_range(NodeId(c), lo, reached, &mut part);
                 for (a, &p) in acc_bit[c as usize].iter_mut().zip(&part) { *a += p; }
             }
         }
-        let mut fresh = ComponentPool::new(&g, seed, 1);
+        let mut fresh = ReferenceEngine::new(&g, seed);
         fresh.ensure(total);
         let mut want = vec![0u32; n];
         for c in 0..n as u32 {
             fresh.counts_from_center(NodeId(c), &mut want);
-            prop_assert_eq!(&acc_scalar[c as usize], &want, "scalar top-ups at center {}", c);
+            prop_assert_eq!(&acc_adaptive[c as usize], &want, "adaptive top-ups at center {}", c);
             prop_assert_eq!(&acc_bit[c as usize], &want, "bit-parallel top-ups at center {}", c);
         }
     }
@@ -454,17 +441,19 @@ proptest! {
         let total = 100usize;
         let split = split.min(total);
         let d_cover = d_select + extra;
-        let mut world = WorldPool::new(&g, seed, 1);
+        let mut world = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, 1);
+        let mut wide = BitParallelPool::<4>::new_adaptive(&g, seed, 1);
         world.ensure(total);
         bit.ensure(total);
+        wide.ensure(total);
         let (mut ws, mut wc) = (vec![0u32; n], vec![0u32; n]);
         let (mut ps, mut pc) = (vec![0u32; n], vec![0u32; n]);
         for c in 0..n as u32 {
             world.counts_within_depths(NodeId(c), d_select, d_cover, &mut ws, &mut wc);
             for (engine, name) in [
-                (&mut world as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut bit as &mut dyn WorldEngine, "width 64"),
+                (&mut wide as &mut dyn WorldEngine, "width 256"),
             ] {
                 let (mut acs, mut acc) = (vec![0u32; n], vec![0u32; n]);
                 for (lo, hi) in [(0, split), (split, total)] {
@@ -484,7 +473,7 @@ proptest! {
 
     /// End to end through the oracle layer: a cache-enabled oracle serves
     /// bit-identical probability rows to a cache-disabled one across an
-    /// arbitrary prepare/query schedule, on both backends.
+    /// arbitrary prepare/query schedule, on both engines.
     #[test]
     fn cached_oracle_rows_identical_to_uncached(
         g in small_graph(8, 12),
@@ -493,7 +482,7 @@ proptest! {
         bitparallel in any::<bool>(),
     ) {
         let n = g.num_nodes();
-        let kind = if bitparallel { EngineKind::BitParallel } else { EngineKind::Scalar };
+        let kind = if bitparallel { EngineKind::BitParallel } else { EngineKind::Adaptive };
         let schedule = SampleSchedule::practical();
         let mut cached = unlimited_oracle(&g, seed, schedule, kind);
         let mut plain = unlimited_oracle(&g, seed, schedule, kind).with_row_cache(false);
@@ -520,7 +509,7 @@ proptest! {
     }
 
     /// The adaptive backend (bit-parallel + lazy block finalization) is
-    /// count-identical to both the scalar labels and the pure-mask pool
+    /// count-identical to both the reference engine and the pure-mask pool
     /// across arbitrary growth schedules that finalize blocks mid-request:
     /// after each growth step a row query converts/extends the touched
     /// blocks (non-multiple-of-64 tails included), and every query family
@@ -537,7 +526,7 @@ proptest! {
         let n = g.num_nodes();
         let centers: Vec<NodeId> = picks.iter().map(|&c| NodeId(c % n as u32)).collect();
         let k = centers.len();
-        let mut scalar = ComponentPool::new(&g, seed, 1);
+        let mut reference = ReferenceEngine::new(&g, seed);
         let mut mask = BitParallelPool::<1>::new(&g, seed, 1);
         let mut adaptive = BitParallelPool::<1>::new_adaptive(&g, seed, threads);
         let mut reached = 0usize;
@@ -546,17 +535,17 @@ proptest! {
         for s in &steps {
             let lo = reached;
             reached += s;
-            scalar.ensure(reached);
+            reference.ensure(reached);
             mask.ensure(reached);
             adaptive.ensure(reached);
             // Single rows (finalizes the touched blocks mid-request)...
             for c in 0..n as u32 {
-                scalar.counts_from_center(NodeId(c), &mut a);
+                reference.counts_from_center(NodeId(c), &mut a);
                 adaptive.counts_from_center(NodeId(c), &mut b);
                 prop_assert_eq!(&a, &b, "center {} after growing to {}", c, reached);
             }
             // ...ranged rows over just the new window...
-            scalar.counts_from_center_range(centers[0], lo, reached, &mut a);
+            reference.counts_from_center_range(centers[0], lo, reached, &mut a);
             adaptive.counts_from_center_range(centers[0], lo, reached, &mut b);
             prop_assert_eq!(&a, &b, "ranged window [{}, {})", lo, reached);
             // ...batched rows, and pairs (label path on finalized blocks).
@@ -567,7 +556,7 @@ proptest! {
             prop_assert_eq!(&wa, &wb, "batch at {} samples", reached);
             for u in 0..n as u32 {
                 prop_assert_eq!(
-                    scalar.pair_count(NodeId(0), NodeId(u)),
+                    reference.pair_count(NodeId(0), NodeId(u)),
                     adaptive.pair_count(NodeId(0), NodeId(u)),
                     "pair (0, {}) at {} samples", u, reached
                 );
@@ -579,9 +568,9 @@ proptest! {
             "relabeling detected: {} lanes labeled, {} sampled", stats.finalized_lanes, reached);
     }
 
-    /// The narrow (`u16`) and wide (`u32`) label widths are
-    /// count-identical, on the scalar rows and on the adaptive block
-    /// labels.
+    /// The narrow (`u16`) and wide (`u32`) block-label widths are
+    /// count-identical, and both label every world exactly like the
+    /// reference engine.
     #[test]
     fn label_widths_agree(
         g in small_graph(10, 16),
@@ -590,20 +579,21 @@ proptest! {
         threads in thread_counts(),
     ) {
         let n = g.num_nodes();
-        let mut narrow = ComponentPool::new(&g, seed, threads);
-        let mut wide = ComponentPool::new(&g, seed, 1).with_wide_labels(true);
         let mut bn = BitParallelPool::<1>::new_adaptive(&g, seed, 1);
         let mut bw = BitParallelPool::<1>::new_adaptive(&g, seed, threads).with_wide_labels(true);
-        narrow.ensure(r);
-        wide.ensure(r);
+        let mut reference = ReferenceEngine::new(&g, seed);
         bn.ensure(r);
         bw.ensure(r);
+        reference.ensure(r);
         let mut a = vec![0u32; n];
         let mut b = vec![0u32; n];
+        for i in 0..r {
+            bn.labels_into(i, &mut a);
+            bw.labels_into(i, &mut b);
+            prop_assert_eq!(&a, &reference.labels(i), "narrow labels of world {}", i);
+            prop_assert_eq!(&b, &reference.labels(i), "wide labels of world {}", i);
+        }
         for c in 0..n as u32 {
-            narrow.counts_from_center(NodeId(c), &mut a);
-            wide.counts_from_center(NodeId(c), &mut b);
-            prop_assert_eq!(&a, &b, "scalar widths differ at center {}", c);
             bn.counts_from_center(NodeId(c), &mut a);
             bw.counts_from_center(NodeId(c), &mut b);
             prop_assert_eq!(&a, &b, "block-label widths differ at center {}", c);
@@ -616,8 +606,8 @@ proptest! {
     }
 
     /// End to end through the oracle layer: the adaptive engine serves
-    /// bit-identical probability rows to the scalar and pure-mask engines
-    /// across an arbitrary prepare/query schedule.
+    /// bit-identical probability rows to an oracle over the scalar
+    /// reference engine across an arbitrary prepare/query schedule.
     #[test]
     fn adaptive_oracle_rows_identical_to_scalar(
         g in small_graph(8, 12),
@@ -626,20 +616,21 @@ proptest! {
     ) {
         let n = g.num_nodes();
         let schedule = SampleSchedule::practical();
-        let mut scalar = unlimited_oracle(&g, seed, schedule, EngineKind::Scalar);
+        let engine = Box::new(ReferenceEngine::new(&g, seed));
+        let mut reference = McOracle::from_engine(engine, schedule, 0.1);
         let mut adaptive = unlimited_oracle(&g, seed, schedule, EngineKind::Adaptive);
         let (mut s1, mut c1) = (vec![0.0; n], vec![0.0; n]);
         let (mut s2, mut c2) = (vec![0.0; n], vec![0.0; n]);
         for &q in &qs {
-            scalar.prepare(q).unwrap();
+            reference.prepare(q).unwrap();
             adaptive.prepare(q).unwrap();
             for c in 0..n as u32 {
-                scalar.center_probs(NodeId(c), &mut s1, &mut c1).unwrap();
+                reference.center_probs(NodeId(c), &mut s1, &mut c1).unwrap();
                 adaptive.center_probs(NodeId(c), &mut s2, &mut c2).unwrap();
                 prop_assert_eq!(&c1, &c2, "cover rows differ at center {} q {}", c, q);
             }
             prop_assert_eq!(
-                scalar.pair_prob(NodeId(0), NodeId(n as u32 - 1)),
+                reference.pair_prob(NodeId(0), NodeId(n as u32 - 1)),
                 adaptive.pair_prob(NodeId(0), NodeId(n as u32 - 1)),
                 "pair prob differs at q {}", q
             );
@@ -647,16 +638,16 @@ proptest! {
     }
 
     /// The trait-level estimates (the numbers the clustering algorithms
-    /// actually consume) are bit-identical across backends.
+    /// actually consume) are bit-identical to the reference engine's.
     #[test]
     fn trait_estimates_identical(
         g in small_graph(8, 12),
         seed in any::<u64>(),
         r in sample_sizes(),
     ) {
-        let mut scalar = ComponentPool::new(&g, seed, 1);
+        let mut reference = ReferenceEngine::new(&g, seed);
         let mut bit = BitParallelPool::<1>::new(&g, seed, 1);
-        let engines: &mut [&mut dyn WorldEngine] = &mut [&mut scalar, &mut bit];
+        let engines: &mut [&mut dyn WorldEngine] = &mut [&mut reference, &mut bit];
         for e in engines.iter_mut() {
             e.ensure(r);
         }
@@ -795,4 +786,70 @@ proptest! {
         prop_assert!(w4.memory_stats().shards_evicted > 0);
         prop_assert!(w8.memory_stats().shards_evicted > 0);
     }
+}
+
+/// A 9-node chain at p = 0.5 over 100 worlds (not a multiple of 64): every
+/// center row and pair count of the pure-mask and adaptive pools equals
+/// the reference engine's.
+#[test]
+fn bit_pool_counts_match_reference() {
+    let g = chain(9, 0.5);
+    let mut reference = ReferenceEngine::new(&g, 42);
+    let mut bit = BitParallelPool::<1>::new(&g, 42, 1);
+    let mut adaptive = BitParallelPool::<4>::new_adaptive(&g, 42, 1);
+    reference.ensure(100);
+    bit.ensure(100);
+    adaptive.ensure(100);
+    let (mut a, mut b, mut c) = (vec![0u32; 9], vec![0u32; 9], vec![0u32; 9]);
+    for center in 0..9u32 {
+        reference.counts_from_center(NodeId(center), &mut a);
+        bit.counts_from_center(NodeId(center), &mut b);
+        adaptive.counts_from_center(NodeId(center), &mut c);
+        assert_eq!(a, b, "center {center}");
+        assert_eq!(a, c, "adaptive center {center}");
+        for v in 0..9u32 {
+            let want = reference.pair_count(NodeId(center), NodeId(v));
+            assert_eq!(want, bit.pair_count(NodeId(center), NodeId(v)), "pair ({center},{v})");
+            assert_eq!(want, adaptive.pair_count(NodeId(center), NodeId(v)), "pair ({center},{v})");
+        }
+    }
+}
+
+/// A 10-node chain at p = 0.6 over 97 worlds: depth-limited rows and pair
+/// counts of the bit-parallel pool equal the reference engine's at every
+/// depth pair, including `d_select = d_cover = 0`.
+#[test]
+fn bit_pool_depth_counts_match_reference() {
+    let g = chain(10, 0.6);
+    let mut reference = ReferenceEngine::new(&g, 5);
+    let mut bit = BitParallelPool::<1>::new(&g, 5, 1);
+    reference.ensure(97);
+    bit.ensure(97);
+    let (mut s1, mut c1) = (vec![0u32; 10], vec![0u32; 10]);
+    let (mut s2, mut c2) = (vec![0u32; 10], vec![0u32; 10]);
+    for center in 0..10u32 {
+        for (ds, dc) in [(0, 0), (1, 2), (2, 2), (3, 9)] {
+            reference.counts_within_depths(NodeId(center), ds, dc, &mut s1, &mut c1);
+            bit.counts_within_depths(NodeId(center), ds, dc, &mut s2, &mut c2);
+            assert_eq!(s1, s2, "select center {center} depths ({ds},{dc})");
+            assert_eq!(c1, c2, "cover center {center} depths ({ds},{dc})");
+        }
+    }
+    for v in 1..10u32 {
+        for d in [1u32, 3, 8] {
+            assert_eq!(
+                reference.pair_count_within(NodeId(0), NodeId(v), d),
+                bit.pair_count_within(NodeId(0), NodeId(v), d),
+                "pair (0,{v}) depth {d}"
+            );
+        }
+    }
+}
+
+fn chain(n: u32, p: f64) -> UncertainGraph {
+    let mut b = GraphBuilder::new(n as usize);
+    for i in 0..n - 1 {
+        b.add_edge(i, i + 1, p).unwrap();
+    }
+    b.build().unwrap()
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
-    ComponentPool, ExactOracle, McOracle, Oracle, SampleSchedule, WorldEngine, WorldPool,
+    BitParallelPool, ExactOracle, McOracle, Oracle, SampleSchedule, WorldEngine,
 };
 
 /// Strategy: a small random uncertain graph with at most `max_m ≤ 12`
@@ -128,7 +128,7 @@ proptest! {
     #[test]
     fn estimator_consistency(g in small_graph(6, 8), seed in any::<u64>()) {
         let exact = ExactOracle::new(&g).unwrap();
-        let mut pool = ComponentPool::new(&g, seed, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, seed, 1);
         pool.ensure(4000);
         for u in 0..g.num_nodes() as u32 {
             for v in 0..g.num_nodes() as u32 {
@@ -147,7 +147,7 @@ proptest! {
     /// consistency of the bucket-trick counting).
     #[test]
     fn center_counts_equal_pair_counts(g in small_graph(8, 14), seed in any::<u64>()) {
-        let mut pool = ComponentPool::new(&g, seed, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, seed, 1);
         pool.ensure(300);
         let n = g.num_nodes();
         let mut counts = vec![0u32; n];
@@ -176,7 +176,7 @@ proptest! {
         let mut oracles: Vec<McOracle> = [1usize, 4, 0]
             .iter()
             .map(|&threads| {
-                let pool = ComponentPool::new(&g, seed, threads);
+                let pool = BitParallelPool::<4>::new_adaptive(&g, seed, threads);
                 let mut o = McOracle::from_engine(Box::new(pool), SampleSchedule::Fixed(400), 0.1);
                 o.prepare(0.5).unwrap();
                 o
@@ -218,7 +218,7 @@ proptest! {
         let mut oracles: Vec<McOracle> = [1usize, 4, 0]
             .iter()
             .map(|&threads| {
-                let pool = Box::new(WorldPool::new(&g, seed, threads));
+                let pool = Box::new(BitParallelPool::<4>::new_adaptive(&g, seed, threads));
                 let schedule = SampleSchedule::Fixed(300);
                 let mut o = McOracle::from_engine_depths(pool, schedule, 0.1, d_select, d_cover)
                     .expect("valid depths");
@@ -245,19 +245,25 @@ proptest! {
     /// themselves (not just aggregates) are identical across thread counts.
     #[test]
     fn pools_identical_across_thread_counts(g in small_graph(10, 16), seed in any::<u64>()) {
-        let mut serial = ComponentPool::new(&g, seed, 1);
-        let mut parallel = ComponentPool::new(&g, seed, 4);
-        serial.ensure(120);
-        parallel.ensure(120);
-        for i in 0..120 {
-            prop_assert_eq!(serial.labels(i), parallel.labels(i), "sample {} differs", i);
+        let n = g.num_nodes();
+        let mut serial = BitParallelPool::<1>::new_adaptive(&g, seed, 1);
+        let mut parallel = BitParallelPool::<1>::new_adaptive(&g, seed, 4);
+        serial.ensure(300);
+        parallel.ensure(300);
+        let (mut a, mut b) = (vec![0u32; n], vec![0u32; n]);
+        for i in 0..300 {
+            serial.labels_into(i, &mut a);
+            parallel.labels_into(i, &mut b);
+            prop_assert_eq!(&a, &b, "sample {} differs", i);
         }
-        let mut wserial = WorldPool::new(&g, seed, 1);
-        let mut wparallel = WorldPool::new(&g, seed, 4);
-        wserial.ensure(80);
-        wparallel.ensure(80);
-        for i in 0..80 {
-            prop_assert_eq!(wserial.world(i), wparallel.world(i), "world {} differs", i);
+        for block in 0..serial.num_blocks() {
+            for e in 0..g.num_edges() {
+                prop_assert_eq!(
+                    serial.edge_mask(block, e),
+                    parallel.edge_mask(block, e),
+                    "block {} edge {} differs", block, e
+                );
+            }
         }
     }
 

@@ -1237,6 +1237,20 @@ mod tests {
     }
 
     #[test]
+    fn retired_scalar_engine_name_decodes_as_adaptive() {
+        // Clients may still send the retired `scalar` engine name: it
+        // decodes as the adaptive engine, whose answers are identical.
+        let frame = encode_request(&Request::Cluster(sample_call()));
+        let name = EngineKind::Adaptive.name().as_bytes();
+        let at = frame.windows(name.len()).position(|w| w == name).unwrap();
+        let mut payload = frame[5..at - 4].to_vec();
+        payload.extend_from_slice(&6u32.to_le_bytes());
+        payload.extend_from_slice(b"scalar");
+        payload.extend_from_slice(&frame[at + name.len()..]);
+        assert_eq!(decode_request(frame[4], &payload).unwrap(), Request::Cluster(sample_call()));
+    }
+
+    #[test]
     fn responses_roundtrip_bit_identically() {
         let solve = WireSolve {
             num_nodes: 5,
@@ -1273,7 +1287,7 @@ mod tests {
             graphs: vec!["collins".into(), "krogan".into()],
             sessions: vec![SessionEntry {
                 graph: "collins".into(),
-                engine: "scalar".into(),
+                engine: "bitparallel".into(),
                 width: "64".into(),
                 in_flight: 1,
                 kv: "requests=2 evaluations=0".into(),

@@ -489,7 +489,7 @@ mod tests {
     fn call(graph: &str) -> ClusterCall {
         ClusterCall {
             graph: graph.into(),
-            engine: EngineKind::Scalar,
+            engine: EngineKind::Adaptive,
             width: BlockWidth::W64,
             objective: Objective::MinProb,
             k: 2,
@@ -521,7 +521,7 @@ mod tests {
             lease.solve(ClusterRequest::mcp(3)).unwrap();
         }
         assert_eq!(r.num_sessions(), 1, "same shape reuses the session");
-        let other_engine = ClusterCall { engine: EngineKind::Adaptive, ..call("a") };
+        let other_engine = ClusterCall { engine: EngineKind::BitParallel, ..call("a") };
         drop(r.acquire(&other_engine).unwrap());
         drop(r.acquire(&call("b")).unwrap());
         assert_eq!(r.num_sessions(), 3, "engine and graph are part of the key");
@@ -576,9 +576,18 @@ mod tests {
 
     #[test]
     fn active_sessions_are_never_evicted() {
-        let r = registry(Some(1)); // everything is over budget immediately
+        // At rest a session trims its pools to the ceiling, so only a
+        // session at work holds the ledger over it: "a"'s pools keep about
+        // 2 KiB of a 3 KiB budget, and a working-set charge on its ledger
+        // stands in for the shards an in-flight query regenerates.
+        let limit = 3 << 10;
+        let r = registry(Some(limit));
         let lease_a = r.acquire(&call("a")).unwrap();
         lease_a.solve(ClusterRequest::mcp(2)).unwrap();
+        let resident = r.global_stats().bytes_held;
+        assert!(resident > limit / 2 && resident <= limit, "{resident} B resident");
+        let ledger_a = r.locked().sessions[0].1.ledger.clone();
+        let working_set = ledger_a.reserve(limit);
         // "a" is still leased: headroom-making cannot evict it, and with
         // no idle victim left the next acquire is an admission rejection.
         let err = r.acquire(&call("b")).unwrap_err();
@@ -588,6 +597,7 @@ mod tests {
         );
         assert_eq!(r.sessions_evicted(), 0);
         // Releasing the lease frees the victim; "b" is admitted.
+        drop(working_set);
         drop(lease_a);
         let lease_b = r.acquire(&call("b")).unwrap();
         assert!(r.sessions_evicted() >= 1, "idle 'a' must have been evicted");

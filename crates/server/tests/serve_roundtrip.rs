@@ -40,10 +40,10 @@ fn base_config() -> ClusterConfig {
 }
 
 /// A local reference session with the same shape [`call`] asks the server
-/// for (scalar engine, 64-bit blocks) — the registry pins the session
+/// for (adaptive engine, 64-world blocks) — the registry pins the session
 /// config the same way, so counters must line up too.
 fn local_session(g: &Arc<UncertainGraph>) -> UgraphSession<'_> {
-    let cfg = base_config().with_engine(EngineKind::Scalar).with_block_width(BlockWidth::W64);
+    let cfg = base_config().with_engine(EngineKind::Adaptive).with_block_width(BlockWidth::W64);
     UgraphSession::new(g, cfg).unwrap()
 }
 
@@ -54,7 +54,7 @@ fn start(graphs: Vec<(String, Arc<UncertainGraph>)>, config: ServerConfig) -> Ru
 fn call(graph: &str, k: u32) -> ClusterCall {
     ClusterCall {
         graph: graph.into(),
-        engine: EngineKind::Scalar,
+        engine: EngineKind::Adaptive,
         width: BlockWidth::W64,
         objective: ugraph_cluster::Objective::MinProb,
         k,
@@ -83,7 +83,7 @@ fn served_answers_are_bit_identical_to_local_replay_for_every_engine() {
     let g = two_communities();
     let server = start(vec![("g".into(), Arc::clone(&g))], ServerConfig::default());
 
-    for engine in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+    for engine in [EngineKind::BitParallel, EngineKind::Adaptive] {
         // Local reference: one session, a fixed request sequence.
         let cfg = base_config().with_engine(engine).with_block_width(BlockWidth::W64);
         let mut local = UgraphSession::new(&g, cfg).unwrap();

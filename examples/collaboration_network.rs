@@ -8,7 +8,6 @@ use std::time::Instant;
 
 use ugraph::baselines::{gmm, mcl, MclConfig};
 use ugraph::prelude::*;
-use ugraph::sampling::ComponentPool;
 
 fn main() {
     // ~1% of the published DBLP size keeps this example interactive.
@@ -35,7 +34,7 @@ fn main() {
     let gmm_time = t.elapsed();
 
     // Fresh evaluation pool.
-    let mut pool = ComponentPool::new(graph, 999, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(graph, 999, 0);
     pool.ensure(500);
 
     println!(

@@ -4,7 +4,6 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ugraph::prelude::*;
-use ugraph::sampling::ComponentPool;
 
 fn main() {
     // ── 1. Build an uncertain graph ────────────────────────────────────
@@ -47,7 +46,7 @@ fn main() {
     // ── 4. Evaluate both with fresh samples ────────────────────────────
     // Never grade an algorithm on its own training samples: build an
     // independent pool for measurement.
-    let mut pool = ComponentPool::new(&g, 0xE7A1, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 0xE7A1, 0);
     pool.ensure(2000);
     for (name, clustering) in [("MCP", &mcp_result.clustering), ("ACP", &acp_result.clustering)] {
         let q = clustering_quality(&mut pool, clustering);

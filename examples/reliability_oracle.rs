@@ -37,7 +37,7 @@ fn main() {
     // ── Monte-Carlo convergence ────────────────────────────────────────
     println!("\nMonte-Carlo estimate of Pr(0 ~ 5) vs sample count:");
     let truth = exact.pair_probability(NodeId(0), NodeId(5));
-    let mut pool = ComponentPool::new(&g, 42, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 42, 0);
     for r in [50usize, 200, 1000, 5000, 20000] {
         pool.ensure(r);
         let est = pool.pair_estimate(NodeId(0), NodeId(5));

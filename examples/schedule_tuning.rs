@@ -7,7 +7,6 @@
 use std::time::Instant;
 
 use ugraph::prelude::*;
-use ugraph::sampling::ComponentPool;
 
 fn main() {
     let dataset = DatasetSpec::Gavin.generate(5);
@@ -19,7 +18,7 @@ fn main() {
         graph.num_nodes(),
         graph.num_edges()
     );
-    let mut pool = ComponentPool::new(graph, 12345, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(graph, 12345, 0);
     pool.ensure(1000);
 
     // ── γ: guess-schedule resolution ───────────────────────────────────

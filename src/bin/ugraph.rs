@@ -7,11 +7,11 @@
 //! ugraph stats    --input graph.txt
 //! ugraph cluster  --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
 //!                 [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-//!                 [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph sweep    --input graph.txt --algo <mcp|acp> --k-min A --k-max B
 //!                 [--depth D] [--seed N] [--samples N]
-//!                 [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph evaluate --input graph.txt --clustering out.tsv [--samples N]
 //!                 [--ground-truth gt.txt] [--seed N] [--block-width 64|256|512]
@@ -24,7 +24,7 @@
 //! ugraph client   <cluster|stats> [--connect HOST:PORT] [--graph NAME]
 //!                 [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
 //!                 [--retries N] [--connect-pool N]
-//!                 [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
 //!                 [--output out.tsv]
 //! ```
 //!
@@ -49,9 +49,7 @@ use ugraph::cluster::{
 use ugraph::datasets::DatasetSpec;
 use ugraph::graph::{io as gio, GraphStats, NodeId, UncertainGraph};
 use ugraph::metrics::{avpr, confusion, session_quality};
-use ugraph::sampling::{
-    reliability_knn, reliability_knn_within, ComponentPool, WorldEngine, WorldPool,
-};
+use ugraph::sampling::{reliability_knn, reliability_knn_within, BitParallelPool, WorldEngine};
 use ugraph::sampling::{BlockWidth, EngineKind};
 use ugraph::server::{
     ClientPool, ClusterCall, RetryError, RetryPolicy, RetryReport, Server, ServerConfig, WireDepth,
@@ -122,11 +120,11 @@ commands:
   stats     --input graph.txt
   cluster   --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
             [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-            [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+            [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
             [--memory-budget B] [--timeout T] [--best-effort]
   sweep     --input graph.txt --algo <mcp|acp> --k-min A --k-max B
             [--depth D] [--seed N] [--samples N]
-            [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+            [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
             [--memory-budget B] [--timeout T] [--best-effort]
   evaluate  --input graph.txt --clustering out.tsv [--samples N]
             [--ground-truth gt.txt] [--seed N] [--block-width 64|256|512]
@@ -139,19 +137,20 @@ commands:
   client    <cluster|stats> [--connect HOST:PORT] [--graph NAME]
             [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
             [--retries N] [--connect-pool N]
-            [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+            [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
             [--output out.tsv]
 
 `--engine` picks the Monte-Carlo backend of the solver paths (default:
-adaptive — bit-parallel blocks with lazy component-label finalization);
-every backend returns identical results for a fixed seed. It is accepted
-everywhere but only affects `cluster` and `sweep` — `evaluate` always
-measures on the scalar evaluation pool.
+adaptive — bit-parallel blocks with lazy component-label finalization;
+`scalar` is accepted as an alias of `adaptive`). Every backend returns
+identical results for a fixed seed. It is accepted everywhere but only
+affects `cluster` and `sweep` — `evaluate` and `knn` always measure on an
+adaptive pool of 256-world blocks.
 
 `--block-width` sets how many sampled worlds one bit-parallel mask block
-packs (default 256). Results are bit-identical at every width; wider
-blocks answer more worlds per traversal at proportionally larger
-per-block mask memory. Ignored by the scalar backend.
+of the solver paths packs (default 256). Results are bit-identical at
+every width; wider blocks answer more worlds per traversal at
+proportionally larger per-block mask memory.
 
 `--memory-budget` caps the bytes held by the session's sampled worlds and
 cached rows (e.g. 512M, 2G; binary suffixes K/M/G). Under pressure,
@@ -251,7 +250,7 @@ impl Options {
                 "--engine" => {
                     let v = take()?;
                     o.engine = EngineKind::from_name(&v).ok_or(format!(
-                        "flag --engine: expected scalar, bitparallel, or adaptive, got '{v}'"
+                        "flag --engine: expected bitparallel or adaptive, got '{v}'"
                     ))?;
                 }
                 "--block-width" => {
@@ -537,10 +536,9 @@ fn cmd_evaluate(o: &Options) -> Result<(), String> {
     let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let clustering = read_clustering(BufReader::new(f), g.num_nodes())?;
     // One session pool serves both quality and AVPR (grow-only, seeded
-    // independently of the solver pools).
-    // `--engine` is accepted but moot here: evaluation runs on the
-    // session's scalar eval pool (`avpr` needs its component labels), and
-    // no solver request is issued.
+    // independently of the solver pools). `--engine` and `--block-width`
+    // are accepted but moot here: evaluation runs on the session's
+    // adaptive eval pool, and no solver request is issued.
     let mut session = UgraphSession::new(&g, session_config(o))
         .map_err(|e| e.to_string())?
         .with_eval_samples(o.samples);
@@ -572,17 +570,11 @@ fn cmd_knn(o: &Options) -> Result<(), String> {
         return Err(format!("source {source} out of range (n = {})", g.num_nodes()));
     }
     let k = o.k.unwrap_or(10);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, o.seed, 0);
+    pool.ensure(o.samples);
     let results = match o.depth {
-        None => {
-            let mut pool = ComponentPool::new(&g, o.seed, 0);
-            pool.ensure(o.samples);
-            reliability_knn(&mut pool, NodeId(source), k)
-        }
-        Some(d) => {
-            let mut pool = WorldPool::new(&g, o.seed, 0);
-            pool.ensure(o.samples);
-            reliability_knn_within(&mut pool, NodeId(source), k, d)
-        }
+        None => reliability_knn(&mut pool, NodeId(source), k),
+        Some(d) => reliability_knn_within(&mut pool, NodeId(source), k, d),
     };
     for (node, p) in results {
         println!("{node}\t{p:.4}");

@@ -84,9 +84,7 @@ pub mod prelude {
         UncertainGraph,
     };
     pub use ugraph_metrics::{avpr, clustering_quality, confusion, depth_clustering_quality};
-    pub use ugraph_sampling::{
-        BitParallelPool, ComponentPool, ExactOracle, SampleSchedule, WorldEngine, WorldPool,
-    };
+    pub use ugraph_sampling::{BitParallelPool, ExactOracle, SampleSchedule, WorldEngine};
     pub use ugraph_server::{
         Client, ClientPool, ClusterCall, RetryPolicy, Server, ServerConfig, SessionRegistry,
         WireDepth,

@@ -149,6 +149,7 @@ fn engine_flag_selects_count_identical_backends() {
         assert!(out.status.success(), "{engine}: {}", String::from_utf8_lossy(&out.stderr));
         outputs.push(std::fs::read_to_string(&path).unwrap());
     }
+    // `scalar` names a retired backend and runs the adaptive one.
     assert_eq!(outputs[0], outputs[1], "scalar vs bitparallel clusterings differ");
     assert_eq!(outputs[0], outputs[2], "scalar vs adaptive clusterings differ");
 

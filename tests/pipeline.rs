@@ -5,7 +5,6 @@
 
 use ugraph::baselines::{gmm, kpt, mcl, KptConfig, MclConfig};
 use ugraph::prelude::*;
-use ugraph::sampling::ComponentPool;
 
 /// A small planted-partition instance with strong separable structure.
 fn small_blocks() -> (UncertainGraph, Vec<usize>) {
@@ -69,7 +68,7 @@ fn mcp_dominates_baselines_on_pmin() {
     let gmm_r = gmm(&g, k, 99).expect("gmm");
     let mcl_r = mcl(&g, &MclConfig::with_inflation(1.4));
 
-    let mut pool = ComponentPool::new(&g, 4242, 1);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 4242, 1);
     pool.ensure(600);
     let q_mcp = clustering_quality(&mut pool, &mcp_r.clustering);
     let q_gmm = clustering_quality(&mut pool, &gmm_r);
@@ -85,7 +84,7 @@ fn quality_and_avpr_are_consistent_across_metrics() {
     let (g, _) = small_blocks();
     let cfg = ClusterConfig::default().with_seed(2);
     let r = acp(&g, 4, &cfg).expect("acp");
-    let mut pool = ComponentPool::new(&g, 77, 1);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 77, 1);
     pool.ensure(400);
     let q = clustering_quality(&mut pool, &r.clustering);
     let a = avpr(&mut pool, &r.clustering);

@@ -3,9 +3,7 @@
 
 use ugraph::cluster::{mcp, ClusterConfig};
 use ugraph::prelude::*;
-use ugraph::sampling::{
-    most_reliable_source, reliability_knn, ComponentPool, ExactOracle, SourceObjective,
-};
+use ugraph::sampling::{most_reliable_source, reliability_knn, ExactOracle, SourceObjective};
 
 fn two_communities() -> UncertainGraph {
     let mut b = GraphBuilder::new(8);
@@ -23,7 +21,7 @@ fn two_communities() -> UncertainGraph {
 #[test]
 fn knn_neighbors_are_community_mates() {
     let g = two_communities();
-    let mut pool = ComponentPool::new(&g, 3, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 3, 0);
     pool.ensure(2000);
     let knn = reliability_knn(&mut pool, NodeId(0), 3);
     let ids: Vec<u32> = knn.iter().map(|(n, _)| n.0).collect();
@@ -41,7 +39,7 @@ fn knn_agrees_with_exact_order() {
     b.add_edge(0, 3, 0.2).unwrap();
     let g = b.build().unwrap();
     let exact = ExactOracle::new(&g).unwrap();
-    let mut pool = ComponentPool::new(&g, 9, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 9, 0);
     pool.ensure(6000);
     let knn = reliability_knn(&mut pool, NodeId(0), 3);
     let exact_order: Vec<u32> = {
@@ -61,7 +59,7 @@ fn mcp_centers_are_reliable_sources_for_their_clusters() {
     // (it was chosen to cover them).
     let g = two_communities();
     let r = mcp(&g, 2, &ClusterConfig::default().with_seed(5)).unwrap();
-    let mut pool = ComponentPool::new(&g, 77, 0);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 77, 0);
     pool.ensure(1500);
     for (i, members) in r.clustering.clusters().iter().enumerate() {
         let center = r.clustering.center(i);
