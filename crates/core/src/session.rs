@@ -702,6 +702,31 @@ mod tests {
     }
 
     #[test]
+    fn evaluation_stays_under_the_hard_memory_bound() {
+        // 1,034 evaluation worlds span two shards; a 1,000 B ledger holds
+        // neither with its block labels, so evaluation evicts. Once both
+        // evaluations return, the ledger is back under its limit, and the
+        // estimates equal an unbounded session's.
+        let mut b = GraphBuilder::new(4);
+        for i in 0..3 {
+            b.add_edge(i, i + 1, 0.5).unwrap();
+        }
+        let g = b.build().unwrap();
+        let c = crate::Clustering::new(vec![NodeId(0)], vec![Some(0); 4]);
+        let mut free = UgraphSession::new(&g, ClusterConfig::default()).unwrap();
+        let cfg = ClusterConfig::default().with_memory_budget(1_000);
+        let mut tight = UgraphSession::new(&g, cfg).unwrap();
+        for s in [&mut free, &mut tight] {
+            s.set_eval_samples(1_034);
+        }
+        assert_eq!(tight.evaluate(&c), free.evaluate(&c));
+        assert_eq!(tight.evaluate_depth(&c, 2), free.evaluate_depth(&c, 2));
+        let held = tight.ledger().bytes_held();
+        assert!(held <= 1_000, "ledger holds {held} B over its 1,000 B limit");
+        assert!(tight.stats().shards_evicted > 0, "{}", tight.stats());
+    }
+
+    #[test]
     fn kv_line_is_stable_and_machine_readable() {
         let g = two_communities();
         let mut s = UgraphSession::new(&g, ClusterConfig::default().with_seed(5)).unwrap();
