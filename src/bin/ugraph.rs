@@ -152,6 +152,8 @@ of the solver paths packs (default 256). Results are bit-identical at
 every width; wider blocks answer more worlds per traversal at
 proportionally larger per-block mask memory.
 
+`--samples` (default 512) must be at least 1.
+
 `--memory-budget` caps the bytes held by the session's sampled worlds and
 cached rows (e.g. 512M, 2G; binary suffixes K/M/G). Under pressure,
 least-recently-used pool shards are evicted and regenerated on demand;
@@ -245,7 +247,12 @@ impl Options {
                 "--inflation" => o.inflation = Some(parse_num(&take()?, flag)?),
                 "--scale" => o.scale = Some(parse_num(&take()?, flag)?),
                 "--seed" => o.seed = parse_num(&take()?, flag)?,
-                "--samples" => o.samples = parse_num(&take()?, flag)?,
+                "--samples" => {
+                    o.samples = parse_num(&take()?, flag)?;
+                    if o.samples == 0 {
+                        return Err(format!("flag {flag}: expected at least 1 sample, got '0'"));
+                    }
+                }
                 "--source" => o.source = Some(parse_num(&take()?, flag)?),
                 "--engine" => {
                     let v = take()?;

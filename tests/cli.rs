@@ -119,6 +119,23 @@ fn knn_query() {
 }
 
 #[test]
+fn zero_samples_is_a_named_flag_error() {
+    let graph = small_graph_file();
+    let clustering = tmp("zero-samples.tsv");
+    std::fs::write(&clustering, "0\t0\t0\n1\t0\t0\n").unwrap();
+    for args in [
+        vec!["knn", "--source", "0", "--samples", "0", "--input"],
+        vec!["evaluate", "--samples", "0", "--clustering", clustering.to_str().unwrap(), "--input"],
+    ] {
+        let out = bin().args(&args).arg(&graph).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error: flag --samples"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let out = bin().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
