@@ -31,7 +31,6 @@ impl<'g> ReferenceEngine<'g> {
 
     /// Component labels of world `i`, numbered in order of each
     /// component's smallest node.
-    #[allow(dead_code)] // not every suite that includes this module reads labels
     pub fn labels(&self, i: usize) -> Vec<u32> {
         connected_components(&WorldView::new(self.sampler.graph(), &self.worlds[i])).0
     }
