@@ -109,6 +109,7 @@ impl FaultPlan {
         self
     }
 
+    #[cfg(feature = "fault-injection")]
     fn fails(&self, site: FaultSite, hit: u64) -> bool {
         self.fail_hits[site.index()].iter().any(|&h| h == 0 || h == hit)
     }
