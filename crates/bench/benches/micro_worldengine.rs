@@ -22,7 +22,7 @@ use ugraph_cluster::{
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::{NodeId, UncertainGraph};
 use ugraph_sampling::{
-    BitParallelPool, BlockWidth, EngineKind, McOracle, Oracle, WorldEngine, DEPTH_UNLIMITED,
+    BitParallelPool, EngineKind, McOracle, Oracle, WorldEngine, DEPTH_UNLIMITED,
 };
 
 fn smoke() -> bool {
@@ -432,8 +432,8 @@ fn measure_replay(graph: &UncertainGraph, smoke: bool) -> Vec<Replay> {
         .with_p_l(p_l)
         .with_threads(1);
     let oracle = |kind: EngineKind| {
-        let (d, w) = (DEPTH_UNLIMITED, BlockWidth::default());
-        McOracle::with_engine_width(graph, 99, 1, cfg.schedule, cfg.epsilon, d, d, kind, w)
+        let d = DEPTH_UNLIMITED;
+        McOracle::with_engine(graph, 99, 1, cfg.schedule, cfg.epsilon, d, d, kind)
             .expect("unlimited depths are valid")
     };
     let run_cached = |kind: EngineKind| -> (AcpResult, u128) {

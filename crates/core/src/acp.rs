@@ -92,9 +92,7 @@ pub fn acp(
     k: usize,
     cfg: &ClusterConfig,
 ) -> Result<AcpResult, ClusterError> {
-    // One-shot calls ignore `shared_pool` (nothing to share in a
-    // single-request session), preserving the per-family seed streams.
-    let mut session = UgraphSession::new(graph, cfg.clone().with_shared_pool(false))?;
+    let mut session = UgraphSession::new(graph, cfg.clone())?;
     session.solve(ClusterRequest::acp(k)).map(AcpResult::from)
 }
 
@@ -111,9 +109,7 @@ pub fn acp_depth(
     d: u32,
     cfg: &ClusterConfig,
 ) -> Result<AcpResult, ClusterError> {
-    // One-shot calls ignore `shared_pool` (nothing to share in a
-    // single-request session), preserving the per-family seed streams.
-    let mut session = UgraphSession::new(graph, cfg.clone().with_shared_pool(false))?;
+    let mut session = UgraphSession::new(graph, cfg.clone())?;
     session.solve(ClusterRequest::acp_depth(k, d)).map(AcpResult::from)
 }
 

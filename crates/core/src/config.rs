@@ -81,39 +81,26 @@ pub struct ClusterConfig {
     pub guess: GuessStrategy,
     /// ACP invocation flavor.
     pub acp_invocation: AcpInvocation,
-    /// Monte-Carlo backend: the pure-mask bit-parallel block pool (blocks
-    /// of [`ClusterConfig::block_width`] worlds) or the default
-    /// **adaptive** backend (bit-parallel plus lazy per-block
+    /// Monte-Carlo backend: the pure-mask bit-parallel block pool or the
+    /// default **adaptive** backend (bit-parallel plus lazy per-block
     /// component-label finalization). Backends are count-identical for a
     /// fixed seed, so this knob trades nothing but time; it is threaded
     /// through `mcp`/`acp` (and their depth variants) into every
     /// `min-partial` probability estimate.
     pub engine: EngineKind,
-    /// Mask-block width of the bit-parallel backends: how many worlds one
-    /// block packs (64, 256, or 512 — see
-    /// [`ugraph_sampling::BlockWidth`]). Counts are bit-identical at every
-    /// width; wider blocks answer more worlds per traversal at
-    /// proportionally larger per-block mask memory.
+    /// Mask-block width: always 256 worlds (see
+    /// [`ugraph_sampling::BlockWidth`]). Kept for callers that read it.
+    #[doc(hidden)]
     pub block_width: BlockWidth,
-    /// Per-center row cache in the Monte-Carlo oracles (default on):
-    /// integer count rows are kept across the guessing schedule and topped
-    /// up incrementally when the pool grows, instead of re-sweeping all
-    /// sampled worlds per candidate. Results are bit-identical either way;
-    /// disabling trades time for the cache's memory (one integer row per
-    /// distinct center queried).
+    /// Per-center row cache in the Monte-Carlo oracles (default on).
+    /// Results are bit-identical either way; tests and benchmarks turn it
+    /// off to compare.
+    #[doc(hidden)]
     pub row_cache: bool,
-    /// Session-level **shared pool** across the MCP and ACP oracle
-    /// families (default off). With it on, a `UgraphSession` keeps a
-    /// single grow-only pool + row cache per *depth shape* instead of one
-    /// per (objective, depth shape), so interleaved MCP/ACP workloads
-    /// dedupe their sampled worlds and share cached rows.
-    ///
-    /// **Determinism trade-off**: results stay fully deterministic for a
-    /// fixed seed (and identical across backends and thread counts), but
-    /// they are **not** bit-identical to the one-shot entry points — the
-    /// shared pool draws from its own seed stream, whereas `mcp`/`acp`
-    /// decorrelate each family's samples. One-shot calls ignore the knob
-    /// (a single-request session has nothing to share).
+    /// Retired shared-pool mode: must stay `false`
+    /// ([`ClusterConfig::validate`] rejects `true`). Kept for callers that
+    /// read it.
+    #[doc(hidden)]
     pub shared_pool: bool,
     /// Byte ceiling for sample storage and cached probability rows
     /// (default `None` = unbounded). With a limit set, every oracle's
@@ -155,7 +142,6 @@ impl PartialEq for ClusterConfig {
             && self.guess == other.guess
             && self.acp_invocation == other.acp_invocation
             && self.engine == other.engine
-            && self.block_width == other.block_width
             && self.row_cache == other.row_cache
             && self.shared_pool == other.shared_pool
             && self.memory_budget == other.memory_budget
@@ -221,6 +207,11 @@ impl ClusterConfig {
                 message: "memory_budget must be positive (use None for unbounded)".to_string(),
             });
         }
+        if self.shared_pool {
+            return Err(ClusterError::InvalidConfig {
+                message: "the shared-pool mode was removed; shared_pool must be false".to_string(),
+            });
+        }
         Ok(())
     }
 
@@ -284,22 +275,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style setter for the bit-parallel mask-block width.
-    pub fn with_block_width(mut self, width: BlockWidth) -> Self {
-        self.block_width = width;
-        self
-    }
-
     /// Builder-style setter for the oracle row cache.
+    #[doc(hidden)]
     pub fn with_row_cache(mut self, row_cache: bool) -> Self {
         self.row_cache = row_cache;
-        self
-    }
-
-    /// Builder-style setter for the session-level shared pool (see
-    /// [`ClusterConfig::shared_pool`] for the determinism trade-off).
-    pub fn with_shared_pool(mut self, shared_pool: bool) -> Self {
-        self.shared_pool = shared_pool;
         self
     }
 
@@ -374,6 +353,12 @@ mod tests {
         assert_eq!(c.engine, EngineKind::Adaptive);
         assert!(!c.shared_pool);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn shared_pool_is_rejected() {
+        let c = ClusterConfig { shared_pool: true, ..ClusterConfig::default() };
+        assert!(matches!(c.validate(), Err(ClusterError::InvalidConfig { .. })));
     }
 
     #[test]

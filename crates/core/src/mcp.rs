@@ -83,9 +83,7 @@ pub fn mcp(
     k: usize,
     cfg: &ClusterConfig,
 ) -> Result<McpResult, ClusterError> {
-    // One-shot calls ignore `shared_pool` (nothing to share in a
-    // single-request session), preserving the per-family seed streams.
-    let mut session = UgraphSession::new(graph, cfg.clone().with_shared_pool(false))?;
+    let mut session = UgraphSession::new(graph, cfg.clone())?;
     session.solve(ClusterRequest::mcp(k)).map(McpResult::from)
 }
 
@@ -100,9 +98,7 @@ pub fn mcp_depth(
     d: u32,
     cfg: &ClusterConfig,
 ) -> Result<McpResult, ClusterError> {
-    // One-shot calls ignore `shared_pool` (nothing to share in a
-    // single-request session), preserving the per-family seed streams.
-    let mut session = UgraphSession::new(graph, cfg.clone().with_shared_pool(false))?;
+    let mut session = UgraphSession::new(graph, cfg.clone())?;
     session.solve(ClusterRequest::mcp_depth(k, d)).map(McpResult::from)
 }
 

@@ -20,8 +20,8 @@
 //! comes through the [`Oracle`] trait, whose Monte-Carlo implementation
 //! sits on the `WorldEngine` seam — the drivers thread
 //! [`ClusterConfig::engine`](crate::ClusterConfig) (pure-mask or adaptive)
-//! and the block width into the oracles they construct, and `min-partial`
-//! sees identical estimates either way.
+//! into the oracles they construct, and `min-partial` sees identical
+//! estimates either way.
 
 use rand::rngs::SmallRng;
 use rand::Rng;

@@ -76,13 +76,6 @@ const TAG_MCP: u64 = 0x4d43_5031; // "MCP1"
 const TAG_MCP_DEPTH: u64 = 0x4d43_5044; // "MCPD"
 const TAG_ACP: u64 = 0x4143_5031; // "ACP1"
 const TAG_ACP_DEPTH: u64 = 0x4143_5044; // "ACPD"
-/// Seed tags of the **shared-pool** mode ([`ClusterConfig::shared_pool`]):
-/// one pool per depth shape, shared by the MCP and ACP oracle families.
-/// Deliberately distinct from the per-family tags — shared-pool results are
-/// deterministic for a fixed seed but *not* bit-identical to the one-shot
-/// entry points, which sample each family from its own stream.
-const TAG_SHARED: u64 = 0x5348_5244; // "SHRD"
-const TAG_SHARED_DEPTH: u64 = 0x5348_4450; // "SHDP"
 /// Seed tag of the session's evaluation pool (decorrelated from every
 /// solver pool, so evaluation is an unbiased re-estimate).
 const TAG_EVAL: u64 = 0x4556_414c; // "EVAL"
@@ -95,10 +88,8 @@ pub const DEFAULT_EVAL_SAMPLES: usize = 512;
 /// pool + row cache) exists per distinct key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct OracleKey {
-    /// `None` = the session runs in **shared-pool** mode
-    /// ([`ClusterConfig::shared_pool`]): the MCP and ACP families resolve
-    /// to the same oracle per depth shape instead of one each.
-    objective: Option<Objective>,
+    /// MCP or ACP: each family samples its own seed stream.
+    objective: Objective,
     /// `None` = unlimited path length; `Some` = the resolved
     /// `(d_select, d_cover)` pair. The two get different seed tags, so a
     /// `Some` key keeps its own [`McOracle`] even at unlimited depths.
@@ -144,9 +135,8 @@ pub struct SessionStats {
     /// Aggregate lazy block-finalization counters across all solver
     /// oracles (all zero unless the adaptive backend ran).
     pub engine: EngineStats,
-    /// Solver oracles (engine + pool + row cache) the session holds — in
-    /// shared-pool mode the MCP/ACP families collapse onto one per depth
-    /// shape, which is where the `worlds_held` dedup comes from.
+    /// Solver oracles (engine + pool + row cache) the session holds: one
+    /// per objective and depth shape served.
     pub solver_pools: usize,
     /// Bytes currently charged to the session's shared memory ledger
     /// (resident sample shards across every pool, plus cached rows).
@@ -245,9 +235,8 @@ pub struct UgraphSession<'g> {
     oracles: Vec<(OracleKey, Box<dyn Oracle + 'g>)>,
     /// Lazily-built evaluation pool shared by [`UgraphSession::evaluate`],
     /// [`UgraphSession::evaluate_depth`] and the metrics layer
-    /// ([`UgraphSession::eval_pool`]). It is adaptive at 256 worlds per
-    /// block whatever [`ClusterConfig::engine`] and
-    /// [`ClusterConfig::block_width`] say: counts depend on neither, and
+    /// ([`UgraphSession::eval_pool`]). It is adaptive whatever
+    /// [`ClusterConfig::engine`] says: counts do not depend on it, and
     /// metrics callers get one concrete pool type.
     eval: Option<BitParallelPool<'g, 4>>,
     /// One shared memory ledger for every solver oracle and evaluation
@@ -349,11 +338,6 @@ impl<'g> UgraphSession<'g> {
     /// already-sampled worlds and cached rows are reused instead of
     /// recomputed ([`SolveResult::row_cache`] shows the reuse).
     ///
-    /// Exception: with [`ClusterConfig::shared_pool`] enabled, the MCP and
-    /// ACP families draw from one pool per depth shape — results are still
-    /// deterministic for a fixed seed, but not bit-identical to the
-    /// one-shot functions (which decorrelate the families' samples).
-    ///
     /// # Errors
     /// The same failure modes as the one-shot entry points:
     /// [`ClusterError::KOutOfRange`], [`ClusterError::NoFullClustering`]
@@ -372,7 +356,7 @@ impl<'g> UgraphSession<'g> {
         self.requests += 1;
         let label = request.to_string();
         let key = OracleKey {
-            objective: (!self.config.shared_pool).then(|| request.objective()),
+            objective: request.objective(),
             depths: request.resolved_depths(&self.config),
         };
         let idx = self.oracle_index(key)?;
@@ -527,19 +511,14 @@ impl<'g> UgraphSession<'g> {
             return Ok(i);
         }
         let cfg = &self.config;
-        // Shared-pool mode (`objective == None`) uses one dedicated tag per
-        // depth shape; per-family mode reproduces the one-shot tags so
-        // session requests stay bit-identical to the free functions.
         let tag = match (key.objective, key.depths.is_some()) {
-            (None, false) => TAG_SHARED,
-            (None, true) => TAG_SHARED_DEPTH,
-            (Some(Objective::MinProb), false) => TAG_MCP,
-            (Some(Objective::MinProb), true) => TAG_MCP_DEPTH,
-            (Some(Objective::AvgProb), false) => TAG_ACP,
-            (Some(Objective::AvgProb), true) => TAG_ACP_DEPTH,
+            (Objective::MinProb, false) => TAG_MCP,
+            (Objective::MinProb, true) => TAG_MCP_DEPTH,
+            (Objective::AvgProb, false) => TAG_ACP,
+            (Objective::AvgProb, true) => TAG_ACP_DEPTH,
         };
         let (d_select, d_cover) = key.depths.unwrap_or((DEPTH_UNLIMITED, DEPTH_UNLIMITED));
-        let oracle = McOracle::with_engine_width(
+        let oracle = McOracle::with_engine(
             self.graph,
             mix_seed(cfg.seed, tag),
             cfg.threads,
@@ -548,7 +527,6 @@ impl<'g> UgraphSession<'g> {
             d_select,
             d_cover,
             cfg.engine,
-            cfg.block_width,
         )?
         .with_row_cache(cfg.row_cache)
         .with_memory_budget(self.budget.clone());

@@ -11,7 +11,6 @@ use ugraph_cluster::{
     SolveResult, UgraphSession,
 };
 use ugraph_graph::{GraphBuilder, UncertainGraph};
-use ugraph_sampling::BlockWidth;
 
 /// Two strong triangles bridged by a mid-probability edge, plus a tail —
 /// connected, so MCP succeeds for small k.
@@ -227,14 +226,12 @@ fn explicit_depths_match_depth_oracle_runs() {
 
 #[test]
 fn adaptive_sessions_agree_with_pure_mask_sessions() {
-    // Both engines, at the narrowest and widest block widths too, must
-    // produce identical results through the full session stack —
-    // including requests served warm from pools whose blocks were
+    // Both engines must produce identical results through the full session
+    // stack — including requests served warm from pools whose blocks were
     // finalized by earlier requests.
     let g = communities_with_tail();
-    let run = |engine: EngineKind, width: BlockWidth| {
-        let cfg =
-            ClusterConfig::default().with_seed(11).with_engine(engine).with_block_width(width);
+    let run = |engine: EngineKind| {
+        let cfg = ClusterConfig::default().with_seed(11).with_engine(engine);
         let mut session = UgraphSession::new(&g, cfg).unwrap();
         let results: Vec<SolveResult> = [
             ClusterRequest::mcp(2),
@@ -247,98 +244,18 @@ fn adaptive_sessions_agree_with_pure_mask_sessions() {
         .collect();
         (results, session.stats())
     };
-    let (narrow, _) = run(EngineKind::BitParallel, BlockWidth::W64);
-    let (mask, _) = run(EngineKind::BitParallel, BlockWidth::W512);
-    let (adaptive, stats) = run(EngineKind::Adaptive, BlockWidth::default());
-    for ((s, m), a) in narrow.iter().zip(&mask).zip(&adaptive) {
-        assert_eq!(s.clustering, a.clustering, "adaptive diverges from width-64 pure-mask");
-        assert_eq!(s.assign_probs, a.assign_probs);
-        assert_eq!(m.clustering, a.clustering, "adaptive diverges from width-512 pure-mask");
-        assert_eq!((s.guesses, s.samples_used), (a.guesses, a.samples_used));
+    let (mask, _) = run(EngineKind::BitParallel);
+    let (adaptive, stats) = run(EngineKind::Adaptive);
+    for (m, a) in mask.iter().zip(&adaptive) {
+        assert_eq!(m.clustering, a.clustering, "adaptive diverges from pure-mask");
+        assert_eq!(m.assign_probs, a.assign_probs);
+        assert_eq!((m.guesses, m.samples_used), (a.guesses, a.samples_used));
     }
     // The unlimited oracles actually finalized blocks and served label
     // queries; each lane was labeled at most once.
     assert!(stats.engine.finalized_blocks > 0, "no finalization happened: {stats}");
     assert!(stats.engine.label_queries > 0, "{stats}");
     assert!(stats.engine.finalized_lanes <= stats.worlds_held, "relabeling detected: {stats}");
-}
-
-#[test]
-fn shared_pool_dedupes_worlds_across_oracle_families() {
-    let g = communities_with_tail();
-    let requests = [
-        ClusterRequest::mcp(2),
-        ClusterRequest::acp(2),
-        ClusterRequest::mcp(3),
-        ClusterRequest::acp(3),
-    ];
-    let run = |shared: bool| {
-        let cfg = ClusterConfig::default().with_seed(31).with_shared_pool(shared);
-        let mut session = UgraphSession::new(&g, cfg).unwrap();
-        let results: Vec<SolveResult> =
-            requests.iter().map(|rq| session.solve(rq.clone()).unwrap()).collect();
-        (results, session.stats())
-    };
-    let (separate, separate_stats) = run(false);
-    let (shared, shared_stats) = run(true);
-    // One pool serves both families: the session holds one solver pool
-    // instead of two, deduping the sampled worlds.
-    assert_eq!(shared_stats.solver_pools, 1, "{shared_stats}");
-    assert_eq!(separate_stats.solver_pools, 2, "{separate_stats}");
-    assert!(
-        shared_stats.worlds_held < separate_stats.worlds_held,
-        "shared pool did not dedupe: {} vs {}",
-        shared_stats.worlds_held,
-        separate_stats.worlds_held
-    );
-    // Deterministic: a second shared session reproduces the results bit
-    // for bit.
-    let (shared2, _) = run(true);
-    for (a, b) in shared.iter().zip(&shared2) {
-        assert_eq!(a.clustering, b.clustering, "shared-pool session not deterministic");
-        assert_eq!(a.assign_probs, b.assign_probs);
-        assert_eq!((a.guesses, a.samples_used), (b.guesses, b.samples_used));
-    }
-    // Both modes return valid full clusterings of the requested size.
-    for (a, b) in shared.iter().zip(&separate) {
-        assert_eq!(a.clustering.num_clusters(), b.clustering.num_clusters());
-        assert_eq!(a.clustering.covered_count(), b.clustering.covered_count());
-    }
-}
-
-#[test]
-fn one_shot_calls_ignore_the_shared_pool_knob() {
-    // The knob only matters when requests can actually share: a one-shot
-    // wrapper builds a single-request session, so `mcp`/`acp` must return
-    // bit-identical results with the knob on or off (the documented
-    // contract in `ClusterConfig::shared_pool`).
-    let g = communities_with_tail();
-    let plain = ClusterConfig::default().with_seed(17);
-    let knob = plain.clone().with_shared_pool(true);
-    let a = mcp(&g, 2, &plain).unwrap();
-    let b = mcp(&g, 2, &knob).unwrap();
-    assert_eq!(a.clustering, b.clustering);
-    assert_eq!(a.assign_probs, b.assign_probs);
-    assert_eq!((a.guesses, a.samples_used), (b.guesses, b.samples_used));
-    let a = acp(&g, 2, &plain).unwrap();
-    let b = acp(&g, 2, &knob).unwrap();
-    assert_eq!(a.clustering, b.clustering);
-    assert_eq!(a.assign_probs, b.assign_probs);
-}
-
-#[test]
-fn shared_pool_keeps_depth_shapes_separate() {
-    let g = communities_with_tail();
-    let cfg = ClusterConfig::default().with_seed(13).with_shared_pool(true);
-    let mut session = UgraphSession::new(&g, cfg).unwrap();
-    session.solve(ClusterRequest::mcp(2)).unwrap();
-    session.solve(ClusterRequest::acp(2)).unwrap();
-    assert_eq!(session.stats().solver_pools, 1, "unlimited shapes share one pool");
-    session.solve(ClusterRequest::mcp_depth(2, 3)).unwrap();
-    session.solve(ClusterRequest::acp_depth(2, 3)).unwrap();
-    // (3, 3) resolves identically for MCP and practical ACP → one depth
-    // pool; the unlimited pool stays separate.
-    assert_eq!(session.stats().solver_pools, 2, "depth shape gets its own shared pool");
 }
 
 /// Random small connected graphs for the property sweep.

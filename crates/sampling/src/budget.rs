@@ -16,10 +16,9 @@
 //! shard use across all of them, so the eviction policy is LRU-ish across
 //! the whole session rather than per pool.
 //!
-//! The crate-private `ShardStore` is the one implementation of that
-//! policy: each pool keeps its shard bookkeeping in one and
-//! supplies only its storage operations (a shard's byte size, rebuilding a
-//! shard, dropping a shard's data).
+//! Each pool keeps its shard bookkeeping in a crate-private `ShardStore`;
+//! [`crate::BitParallelPool`], the one pool type, implements the policy
+//! over it.
 
 use std::sync::{Arc, Mutex};
 
@@ -296,9 +295,10 @@ struct ShardMeta {
 /// Shard bookkeeping of one pool: per-shard byte charges, recency stamps
 /// and residency against a (possibly shared) [`MemoryBudget`], the pool's
 /// cumulative eviction/regeneration counters, and its per-solve
-/// [`RunState`]. The policy that acts on it — resolve-or-regenerate, LRU
-/// trimming, budget rebinding — is the provided methods of
-/// [`ShardedPool`].
+/// [`RunState`]. Every ledger charge goes through it, so the ledger always
+/// holds exactly the bytes its shards record. The policy that acts on it —
+/// resolve-or-regenerate, LRU trimming — is written once, in
+/// [`BitParallelPool`](crate::BitParallelPool).
 ///
 /// Cloning a store charges the clone's copy of the resident bytes to the
 /// shared ledger, like any other pool's; dropping one releases them.
@@ -312,7 +312,7 @@ pub(crate) struct ShardStore {
     regenerated: u64,
     /// Per-solve interruption state, polled at shard boundaries
     /// (unarmed by default — see [`RunState`]).
-    run: RunState,
+    pub(crate) run: RunState,
 }
 
 impl Clone for ShardStore {
@@ -339,15 +339,52 @@ impl ShardStore {
         self.shards.iter().map(|m| m.bytes).sum()
     }
 
-    /// The attached per-solve interruption state.
-    pub(crate) fn run(&self) -> &RunState {
-        &self.run
+    /// Moves the resident bytes onto `budget`, which becomes the ledger.
+    pub(crate) fn rebind(&mut self, budget: MemoryBudget) {
+        let held = self.held();
+        self.budget.release(held);
+        budget.charge(held);
+        self.budget = budget;
     }
 
-    /// Attaches the per-solve interruption state; see
-    /// [`crate::WorldEngine::set_run_state`].
-    pub(crate) fn set_run_state(&mut self, run: RunState) {
-        self.run = run;
+    /// Whether the shared ledger is over its limit.
+    pub(crate) fn over_budget(&self) -> bool {
+        self.budget.over_budget()
+    }
+
+    /// Sets shard `s`'s charge to `bytes`, charging or releasing the
+    /// difference on the ledger.
+    pub(crate) fn settle(&mut self, s: usize, bytes: usize) {
+        let meta = &mut self.shards[s];
+        if bytes >= meta.bytes {
+            self.budget.charge(bytes - meta.bytes);
+        } else {
+            self.budget.release(meta.bytes - bytes);
+        }
+        meta.bytes = bytes;
+    }
+
+    /// Stamps shard `s` as just used, first opening it as a resident shard
+    /// if it is the next new one.
+    pub(crate) fn open(&mut self, s: usize) {
+        if s == self.shards.len() {
+            self.shards.push(ShardMeta { bytes: 0, last_used: 0, resident: true });
+        }
+        self.stamp(s);
+    }
+
+    /// Records that shard `s` was regenerated.
+    pub(crate) fn note_regenerated(&mut self, s: usize) {
+        self.shards[s].resident = true;
+        self.regenerated += 1;
+        self.budget.note_regeneration();
+    }
+
+    /// Records that shard `s` was evicted.
+    pub(crate) fn note_evicted(&mut self, s: usize) {
+        self.shards[s].resident = false;
+        self.evicted += 1;
+        self.budget.note_eviction();
     }
 
     /// Resident bytes, the budget limit, and this pool's cumulative shard
@@ -386,150 +423,16 @@ impl ShardStore {
     }
 
     /// Stamps shard `s` as just used and returns whether it is resident.
-    fn stamp(&mut self, s: usize) -> bool {
+    pub(crate) fn stamp(&mut self, s: usize) -> bool {
         self.shards[s].last_used = self.budget.touch();
         self.shards[s].resident
     }
 
     /// The least-recently-used resident shard, by `(stamp, index)` — the
-    /// deterministic victim order of [`ShardedPool::trim_to_budget`].
-    fn lru_victim(&self) -> Option<usize> {
+    /// deterministic victim order of the pool's budget trim.
+    pub(crate) fn lru_victim(&self) -> Option<usize> {
         let resident = self.shards.iter().enumerate().filter(|(_, m)| m.resident);
         resident.min_by_key(|&(s, m)| (m.last_used, s)).map(|(s, _)| s)
-    }
-}
-
-/// A pool whose samples live in [`SHARD_WORLDS`]-world shards kept by a
-/// [`ShardStore`]. The pool supplies the storage operations only it can
-/// perform — a shard's byte size, rebuilding a shard, dropping a shard's
-/// data; the provided methods are the store's policy, written once.
-pub(crate) trait ShardedPool {
-    /// The pool's shard bookkeeping.
-    fn store(&mut self) -> &mut ShardStore;
-
-    /// Heap bytes that shard `s` holds right now (samples plus anything
-    /// derived from them, such as finalized labels).
-    fn shard_bytes(&self, s: usize) -> usize;
-
-    /// Rebuilds evicted shard `s` from its per-index RNG streams —
-    /// bit-identical to the originally sampled shard.
-    fn rebuild_shard(&mut self, s: usize);
-
-    /// Drops shard `s`'s data; sample indices stay valid.
-    fn drop_shard(&mut self, s: usize);
-
-    /// Re-derives shard `s`'s byte charge and settles the difference with
-    /// the ledger.
-    fn settle_shard(&mut self, s: usize) {
-        let now = self.shard_bytes(s);
-        let store = self.store();
-        let meta = &mut store.shards[s];
-        if now >= meta.bytes {
-            store.budget.charge(now - meta.bytes);
-        } else {
-            store.budget.release(meta.bytes - now);
-        }
-        meta.bytes = now;
-    }
-
-    /// Accounts shard `s` after `ensure` wrote samples into it: opens it
-    /// as a resident shard if it is new, stamps it as just used, and
-    /// settles its bytes.
-    fn settle_grown(&mut self, s: usize) {
-        let store = self.store();
-        if s == store.shards.len() {
-            store.shards.push(ShardMeta { bytes: 0, last_used: 0, resident: true });
-        }
-        store.stamp(s);
-        self.settle_shard(s);
-    }
-
-    /// The resolve-or-regenerate prologue of every aggregate query:
-    /// stamps the shards covering sample range `[lo, hi)` as recently used,
-    /// in ascending order, and regenerates each evicted one right after
-    /// its own stamp.
-    ///
-    /// Doubles as the query-entry cooperative checkpoint: returns `false`
-    /// (before stamping anything) when the attached [`RunState`] has
-    /// tripped, or records the error and returns `false` when the
-    /// [`FaultSite::ShardRegen`] failpoint fires. The failpoint fires
-    /// *before* a regeneration mutates anything, so a shard is always
-    /// either fully regenerated or untouched; on `false` the caller must
-    /// not read the samples.
-    #[must_use]
-    fn resolve_range(&mut self, lo: usize, hi: usize) -> bool {
-        if lo >= hi {
-            return true;
-        }
-        if self.store().run.checkpoint(SamplingPhase::Sweep) {
-            return false;
-        }
-        for s in shard_span(lo, hi) {
-            if !self.store().stamp(s) {
-                if let Err(e) = faults::hit(FaultSite::ShardRegen) {
-                    self.store().run.record(e);
-                    return false;
-                }
-                self.regenerate(s);
-            }
-        }
-        true
-    }
-
-    /// Infallible single-sample resolve of the per-sample accessors: these
-    /// back evaluation paths that run outside any solve and walk the pool
-    /// sample by sample, so they are neither checkpoints nor failpoints,
-    /// and they do not trim (the next aggregate query or `ensure` settles
-    /// the ledger).
-    fn resolve_point(&mut self, i: usize) {
-        let s = i / SHARD_WORLDS;
-        if !self.store().stamp(s) {
-            self.regenerate(s);
-        }
-    }
-
-    /// Rebuilds evicted shard `s` and charges it.
-    fn regenerate(&mut self, s: usize) {
-        self.rebuild_shard(s);
-        let store = self.store();
-        store.shards[s].resident = true;
-        store.regenerated += 1;
-        store.budget.note_regeneration();
-        self.settle_shard(s);
-    }
-
-    /// Drops resident shard `s` and releases its bytes.
-    fn evict(&mut self, s: usize) {
-        self.drop_shard(s);
-        let store = self.store();
-        store.shards[s].resident = false;
-        store.evicted += 1;
-        store.budget.note_eviction();
-        self.settle_shard(s);
-    }
-
-    /// Evicts least-recently-used shards until the shared ledger fits its
-    /// limit (or this pool has nothing left to shed) — the epilogue of
-    /// `ensure` and of every aggregate query.
-    fn trim_to_budget(&mut self) {
-        while self.store().budget.over_budget() {
-            match self.store().lru_victim() {
-                Some(s) => self.evict(s),
-                None => break,
-            }
-        }
-    }
-
-    /// Binds the pool to a (possibly shared) memory budget: the resident
-    /// bytes move to the new ledger, and the pool immediately sheds
-    /// least-recently-used shards if that ledger is over its limit.
-    fn rebind_budget(&mut self, budget: MemoryBudget) {
-        let store = self.store();
-        let held = store.held();
-        store.budget.release(held);
-        budget.charge(held);
-        store.budget = budget;
-        self.trim_to_budget();
     }
 }
 

@@ -7,8 +7,7 @@
 //! answering it is swappable:
 //!
 //! * the **bit-parallel** pool ([`crate::BitParallelPool`]) packs worlds
-//!   into blocks of `64·W` ([`BlockWidth`]: `W` = 1, 4 or 8 machine words
-//!   per edge, 256 worlds by default) as structure-of-arrays edge masks
+//!   into blocks of 256 ([`BlockWidth`]) as structure-of-arrays edge masks
 //!   and answers a whole block per traversal with mask-propagating
 //!   multi-world BFS ([`ugraph_graph::MultiWorldBfs`]);
 //! * its **adaptive** mode ([`EngineKind::Adaptive`], the default) also
@@ -37,7 +36,7 @@ pub const DEPTH_UNLIMITED: u32 = u32::MAX;
 /// Selects the Monte-Carlo backend that powers pools and oracles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Blocks of `64·W` worlds ([`BlockWidth`]): structure-of-arrays edge
+    /// Blocks of 256 worlds ([`BlockWidth`]): structure-of-arrays edge
     /// masks queried with mask-propagating multi-world BFS. Kept as the
     /// pure-mask backend for benchmarking; [`EngineKind::Adaptive`]
     /// dominates it on unlimited-depth query workloads.
@@ -75,53 +74,28 @@ impl EngineKind {
     }
 }
 
-/// Block width of the bit-parallel backends: how many worlds one mask
-/// block packs, i.e. the `W` of [`ugraph_graph::Mask`]`<W>` (`W · 64`
-/// worlds per block). Wider blocks answer more worlds per traversal at the
-/// cost of proportionally larger per-block mask memory (`m · W · 8` bytes
-/// per block even when only a tail of its lanes is populated). Counts are
-/// **bit-identical at every width** — world `i` always comes from per-index
-/// RNG stream `i` — so the knob is purely a performance/memory trade.
+/// Block width of the bit-parallel backends: pools always pack 256
+/// worlds per mask block (four `u64` words per edge), the width that won
+/// or tied every end-to-end measurement. Counts do not depend on the
+/// width — world `i` always comes from per-index RNG stream `i` — so it
+/// is not a setting; the type remains for callers that name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BlockWidth {
-    /// 64 worlds per block (one `u64` word per edge).
-    W64,
-    /// 256 worlds per block (four words per edge) — the default: wide
-    /// enough for the AND+popcount sweeps to autovectorize, narrow enough
-    /// to keep partial-tail waste small.
+    /// 256 worlds per block.
     #[default]
     W256,
-    /// 512 worlds per block (eight words per edge).
-    W512,
 }
 
 impl BlockWidth {
-    /// Worlds per block at this width.
-    pub fn worlds(self) -> usize {
-        match self {
-            BlockWidth::W64 => 64,
-            BlockWidth::W256 => 256,
-            BlockWidth::W512 => 512,
-        }
-    }
-
-    /// Short stable name, used in CLI flags and benchmark labels.
+    /// Short stable name, used in wire frames and reports.
     pub fn name(self) -> &'static str {
-        match self {
-            BlockWidth::W64 => "64",
-            BlockWidth::W256 => "256",
-            BlockWidth::W512 => "512",
-        }
+        "256"
     }
 
-    /// Parses the name produced by [`BlockWidth::name`] (CLI flag values).
+    /// Parses a width name. The retired widths `64` and `512` are accepted
+    /// as aliases of `256`: every width answers with identical counts.
     pub fn from_name(name: &str) -> Option<BlockWidth> {
-        match name {
-            "64" => Some(BlockWidth::W64),
-            "256" => Some(BlockWidth::W256),
-            "512" => Some(BlockWidth::W512),
-            _ => None,
-        }
+        matches!(name, "64" | "256" | "512").then_some(BlockWidth::W256)
     }
 }
 
@@ -130,8 +104,7 @@ impl BlockWidth {
 /// bit-parallel pool).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Blocks (`64·W` worlds each, see [`BlockWidth`]) currently holding
-    /// finalized component labels.
+    /// Blocks currently holding finalized component labels.
     pub finalized_blocks: usize,
     /// World lanes ever labeled. Monotone, and each lane is labeled **at
     /// most once per residency**: growing a pool appends new lanes but

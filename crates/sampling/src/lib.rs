@@ -13,14 +13,14 @@
 //! * deterministic, thread-count-independent [`WorldSampler`]s — sample `i`
 //!   is always generated from the same per-index RNG stream;
 //! * the [`WorldEngine`] backend seam and its implementation
-//!   [`BitParallelPool`]: blocks of `64·W` worlds, 256 by default, as
+//!   [`BitParallelPool`]: blocks of 256 worlds as
 //!   structure-of-arrays edge masks, queried by mask-propagating
 //!   multi-world BFS — one traversal answers a whole block, for plain and
 //!   for **depth-limited** d-connection probabilities (paper §3.4). Its
 //!   adaptive mode ([`EngineKind::Adaptive`], the default) caches per-block
 //!   component labels, so repeated unlimited queries run in time
 //!   proportional to the size of the center's components, not `n·r`;
-//!   every mode and block width returns identical counts;
+//!   both modes return identical counts;
 //! * [`ExactOracle`]: exhaustive possible-world enumeration for small
 //!   graphs, used to validate the estimators and for tiny-instance
 //!   optimality tests;

@@ -21,8 +21,8 @@
 //! `d_cover` hops (cover), the depth-limited objective of §3.4; plain
 //! connectivity is the case `d_select = d_cover =` [`DEPTH_UNLIMITED`]. It
 //! owns a boxed [`WorldEngine`], so the backends selected by
-//! [`EngineKind`] and [`BlockWidth`] are interchangeable behind an
-//! unchanged oracle interface — and every backend yields bit-identical
+//! [`EngineKind`] are interchangeable behind an unchanged oracle
+//! interface — and every backend yields bit-identical
 //! estimates for a fixed master seed. Each oracle call is one engine query
 //! over a window of sample indices: plain-connectivity oracles use the
 //! unlimited queries ([`WorldEngine::counts_from_center_range`], its
@@ -85,7 +85,7 @@ use ugraph_graph::{NodeId, UncertainGraph};
 
 use crate::bounds::SampleSchedule;
 use crate::budget::{MemoryBudget, MemoryStats};
-use crate::engine::{BlockWidth, EngineKind, EngineStats, WorldEngine, DEPTH_UNLIMITED};
+use crate::engine::{EngineKind, EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingError;
 use crate::exact::ExactOracle;
 use crate::faults::{self, FaultSite};
@@ -656,15 +656,15 @@ pub struct McOracle<'g> {
 impl<'g> McOracle<'g> {
     /// Creates the oracle with selection depth `d_select` and cover depth
     /// `d_cover` ([`DEPTH_UNLIMITED`] for both: plain connectivity) on a
-    /// [`BitParallelPool`] of block width `width`, adaptive or pure-mask as
-    /// `kind` selects. `threads = 0` uses all cores; `epsilon` is the
-    /// relative-error target reflected by [`Oracle::epsilon`]. Estimates
-    /// are bit-identical on every engine and at every width.
+    /// [`BitParallelPool`], adaptive or pure-mask as `kind` selects.
+    /// `threads = 0` uses all cores; `epsilon` is the relative-error target
+    /// reflected by [`Oracle::epsilon`]. Estimates are bit-identical on
+    /// every engine.
     ///
     /// # Errors
     /// Returns [`SamplingError::InvalidDepths`] if `d_select > d_cover`.
     #[allow(clippy::too_many_arguments)]
-    pub fn with_engine_width(
+    pub fn with_engine(
         graph: &'g UncertainGraph,
         seed: u64,
         threads: usize,
@@ -673,23 +673,10 @@ impl<'g> McOracle<'g> {
         d_select: u32,
         d_cover: u32,
         kind: EngineKind,
-        width: BlockWidth,
     ) -> Result<Self, SamplingError> {
-        fn bit_parallel<'g, const W: usize>(
-            graph: &'g UncertainGraph,
-            seed: u64,
-            threads: usize,
-            kind: EngineKind,
-        ) -> Box<dyn WorldEngine + 'g> {
-            let pool = BitParallelPool::<W>::new(graph, seed, threads);
-            Box::new(pool.with_finalization(kind == EngineKind::Adaptive))
-        }
-        let engine = match width {
-            BlockWidth::W64 => bit_parallel::<1>(graph, seed, threads, kind),
-            BlockWidth::W256 => bit_parallel::<4>(graph, seed, threads, kind),
-            BlockWidth::W512 => bit_parallel::<8>(graph, seed, threads, kind),
-        };
-        Self::from_engine_depths(engine, schedule, epsilon, d_select, d_cover)
+        let pool = BitParallelPool::<4>::new(graph, seed, threads)
+            .with_finalization(kind == EngineKind::Adaptive);
+        Self::from_engine_depths(Box::new(pool), schedule, epsilon, d_select, d_cover)
     }
 
     /// Wraps an already-built engine as a plain-connectivity oracle.
@@ -1168,28 +1155,29 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A single-threaded oracle at `depths` on `kind`, default block width.
+    /// A single-threaded oracle at `depths` on `kind`.
     fn oracle(
-        g: &UncertainGraph,
-        seed: u64,
-        schedule: SampleSchedule,
-        depths: (u32, u32),
-        kind: EngineKind,
-    ) -> McOracle<'_> {
-        oracle_at(g, seed, schedule, depths, kind, BlockWidth::default())
-    }
-
-    /// A single-threaded oracle at `depths` on `kind` and `width`.
-    fn oracle_at(
         g: &UncertainGraph,
         seed: u64,
         schedule: SampleSchedule,
         (d_select, d_cover): (u32, u32),
         kind: EngineKind,
-        width: BlockWidth,
     ) -> McOracle<'_> {
-        McOracle::with_engine_width(g, seed, 1, schedule, 0.1, d_select, d_cover, kind, width)
-            .unwrap()
+        McOracle::with_engine(g, seed, 1, schedule, 0.1, d_select, d_cover, kind).unwrap()
+    }
+
+    /// A single-threaded oracle at `depths` over a pool of `64·W`-world
+    /// blocks, adaptive or pure-mask as `kind` selects.
+    fn oracle_at<const W: usize>(
+        g: &UncertainGraph,
+        seed: u64,
+        schedule: SampleSchedule,
+        (d_select, d_cover): (u32, u32),
+        kind: EngineKind,
+    ) -> McOracle<'_> {
+        let pool =
+            BitParallelPool::<W>::new(g, seed, 1).with_finalization(kind == EngineKind::Adaptive);
+        McOracle::from_engine_depths(Box::new(pool), schedule, 0.1, d_select, d_cover).unwrap()
     }
 
     #[test]
@@ -1231,13 +1219,16 @@ mod tests {
         let g = chain(9, 0.6);
         let schedule = SampleSchedule::Fixed(90);
         for &depths in shapes {
-            let mut base =
-                oracle_at(&g, 7, schedule, depths, EngineKind::BitParallel, BlockWidth::W64);
+            let mut base = oracle_at::<1>(&g, 7, schedule, depths, EngineKind::BitParallel);
             base.prepare(0.5).unwrap();
             for kind in ENGINES {
-                for width in [BlockWidth::W64, BlockWidth::W256, BlockWidth::W512] {
-                    let tag = format!("{depths:?} {kind:?} {width:?}");
-                    let mut other = oracle_at(&g, 7, schedule, depths, kind, width);
+                let widths = [
+                    (64, oracle_at::<1>(&g, 7, schedule, depths, kind)),
+                    (256, oracle_at::<4>(&g, 7, schedule, depths, kind)),
+                    (512, oracle_at::<8>(&g, 7, schedule, depths, kind)),
+                ];
+                for (width, mut other) in widths {
+                    let tag = format!("{depths:?} {kind:?} width {width}");
                     other.prepare(0.5).unwrap();
                     assert_eq!(base.num_samples(), other.num_samples());
                     let (mut s1, mut c1) = (vec![0.0; 9], vec![0.0; 9]);
@@ -1577,7 +1568,7 @@ mod tests {
     #[test]
     fn depth_oracle_rejects_bad_depths() {
         let g = chain(3, 0.5);
-        let err = McOracle::with_engine_width(
+        let err = McOracle::with_engine(
             &g,
             1,
             1,
@@ -1586,7 +1577,6 @@ mod tests {
             3,
             2,
             EngineKind::Adaptive,
-            BlockWidth::default(),
         )
         .unwrap_err();
         assert_eq!(err, SamplingError::InvalidDepths { d_select: 3, d_cover: 2 });

@@ -11,7 +11,7 @@
 //! schedule, of the number of worker threads, **and of the block width**.
 //!
 //! [`BitParallelPool`] stores worlds in blocks of `64·W` (`W` machine words
-//! per edge, see [`crate::BlockWidth`]; 256 worlds by default) as
+//! per edge; the library's pools use 256, see [`crate::BlockWidth`]) as
 //! structure-of-arrays edge masks (`masks[e]` spans the block's worlds),
 //! queried with mask-propagating multi-world BFS — one traversal answers a
 //! whole block, for both unlimited and depth-limited semantics. In
@@ -24,12 +24,10 @@
 //! A pool stores its samples in [`SHARD_WORLDS`]-world shards and keeps
 //! their bookkeeping — byte charges against a [`crate::MemoryBudget`],
 //! recency stamps, residency, and the eviction/regeneration counters — in
-//! one crate-private `ShardStore` (see [`crate::budget`]). The store
-//! resolves a query's shards (regenerating evicted ones from their
-//! per-index RNG streams), gates growth, and trims least-recently-used
-//! shards when the ledger is over its limit. The pool supplies only its
-//! storage: a shard's byte size, how to rebuild a shard, and how to drop a
-//! shard's data.
+//! a crate-private `ShardStore` (see [`crate::budget`]). Over that
+//! bookkeeping the pool resolves a query's shards (regenerating evicted
+//! ones from their per-index RNG streams), gates growth, and trims
+//! least-recently-used shards when the ledger is over its limit.
 //!
 //! ## Parallelism
 //!
@@ -46,9 +44,10 @@ use rayon::prelude::*;
 
 use ugraph_graph::{Mask, MultiWorldBfs, NodeId, UncertainGraph, LANES, MAX_SOURCES};
 
-use crate::budget::{shard_span, MemoryBudget, MemoryStats, ShardStore, ShardedPool};
+use crate::budget::{shard_span, MemoryBudget, MemoryStats, ShardStore};
 use crate::engine::{EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingPhase;
+use crate::faults::{self, FaultSite};
 use crate::interrupt::RunState;
 use crate::tuning::{
     chunked_counts2_with, chunked_counts_with, chunked_sum_with, finalize_on_unlimited_query,
@@ -612,7 +611,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// the batch is worth it; a partially labeled block (the grown trailing
     /// block) extends **append-only** — labeled lanes are never recomputed.
     fn prepare_unlimited(&mut self, lo: usize, hi: usize, shape: UnlimitedShape) {
-        if !self.adaptive || lo >= hi || self.store.run().checkpoint(SamplingPhase::Labeling) {
+        if !self.adaptive || lo >= hi || self.store.run.checkpoint(SamplingPhase::Labeling) {
             return;
         }
         let graph = self.sampler.graph();
@@ -727,50 +726,118 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     }
 }
 
-impl<const W: usize> ShardedPool for BitParallelPool<'_, W> {
-    fn store(&mut self) -> &mut ShardStore {
-        &mut self.store
+// The shard policy over the pool's `ShardStore` bookkeeping:
+// resolve-or-regenerate and LRU trimming.
+impl<const W: usize> BitParallelPool<'_, W> {
+    /// Re-derives shard `s`'s byte charge (masks plus finalized labels)
+    /// and settles the difference with the ledger.
+    fn settle_shard(&mut self, s: usize) {
+        let bytes = self.shards[s].iter().map(MaskBlock::heap_bytes).sum();
+        self.store.settle(s, bytes);
     }
 
-    fn shard_bytes(&self, s: usize) -> usize {
-        self.shards[s].iter().map(MaskBlock::heap_bytes).sum()
+    /// The resolve-or-regenerate prologue of every aggregate query:
+    /// stamps the shards covering sample range `[lo, hi)` as recently used,
+    /// in ascending order, and regenerates each evicted one right after
+    /// its own stamp.
+    ///
+    /// Doubles as the query-entry cooperative checkpoint: returns `false`
+    /// (before stamping anything) when the attached [`RunState`] has
+    /// tripped, or records the error and returns `false` when the
+    /// [`FaultSite::ShardRegen`] failpoint fires. The failpoint fires
+    /// *before* a regeneration mutates anything, so a shard is always
+    /// either fully regenerated or untouched; on `false` the caller must
+    /// not read the samples.
+    #[must_use]
+    fn resolve_range(&mut self, lo: usize, hi: usize) -> bool {
+        if lo >= hi {
+            return true;
+        }
+        if self.store.run.checkpoint(SamplingPhase::Sweep) {
+            return false;
+        }
+        for s in shard_span(lo, hi) {
+            if !self.store.stamp(s) {
+                if let Err(e) = faults::hit(FaultSite::ShardRegen) {
+                    self.store.run.record(e);
+                    return false;
+                }
+                self.regenerate(s);
+            }
+        }
+        true
     }
 
+    /// Infallible single-sample resolve of the per-sample accessors: these
+    /// back evaluation paths that run outside any solve and walk the pool
+    /// sample by sample, so they are neither checkpoints nor failpoints,
+    /// and they do not trim (the next aggregate query or `ensure` settles
+    /// the ledger).
+    fn resolve_point(&mut self, i: usize) {
+        let s = i / SHARD_WORLDS;
+        if !self.store.stamp(s) {
+            self.regenerate(s);
+        }
+    }
+
+    /// Rebuilds evicted shard `s` from its per-index RNG streams —
+    /// bit-identical to the originally sampled shard — and charges it.
     /// Dropped labels re-finalize lazily, per the usual adaptive
-    /// heuristics.
-    fn rebuild_shard(&mut self, s: usize) {
+    /// heuristics. Never inlined: it runs only under budget pressure, and
+    /// inlining it into the query prologues slows every query.
+    #[inline(never)]
+    fn regenerate(&mut self, s: usize) {
         let m = self.graph().num_edges();
         let sampler = self.sampler;
         let r = self.samples;
         let first = s * blocks_per_shard::<W>();
         let last = ((s + 1) * blocks_per_shard::<W>()).min(r.div_ceil(Self::BLOCK_LANES));
         let build = |b: usize| Self::build_block(&sampler, m, b, r);
-        let blocks: Vec<MaskBlock<W>> =
-            if self.config.parallel_generation((last - first) * Self::BLOCK_LANES) {
-                self.config.run(|| (first..last).into_par_iter().map(build).collect())
-            } else {
-                (first..last).map(build).collect()
-            };
-        self.shards[s] = blocks;
+        self.shards[s] = if self.config.parallel_generation((last - first) * Self::BLOCK_LANES) {
+            self.config.run(|| (first..last).into_par_iter().map(build).collect())
+        } else {
+            (first..last).map(build).collect()
+        };
+        self.store.note_regenerated(s);
+        self.settle_shard(s);
     }
 
-    /// Dropping a shard drops its finalized labels with it; the
-    /// finalized-block gauge shrinks accordingly (lanes/query counters are
-    /// cumulative and stand).
-    fn drop_shard(&mut self, s: usize) {
+    /// Drops resident shard `s` and releases its bytes. Its finalized
+    /// labels go with it, and the finalized-block gauge shrinks
+    /// accordingly (lanes/query counters are cumulative and stand).
+    /// Never inlined, like [`BitParallelPool::regenerate`].
+    #[inline(never)]
+    fn evict(&mut self, s: usize) {
         let labeled = self.shards[s].iter().filter(|b| b.labels.is_some()).count();
         self.stats.finalized_blocks = self.stats.finalized_blocks.saturating_sub(labeled);
         self.shards[s] = Vec::new();
+        self.store.note_evicted(s);
+        self.settle_shard(s);
+    }
+
+    /// Evicts least-recently-used shards until the shared ledger fits its
+    /// limit (or this pool has nothing left to shed) — the epilogue of
+    /// `ensure` and of every aggregate query.
+    fn trim_to_budget(&mut self) {
+        while self.store.over_budget() {
+            match self.store.lru_victim() {
+                Some(s) => self.evict(s),
+                None => break,
+            }
+        }
     }
 }
 
 impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
+    /// The resident bytes move to the new ledger, and the pool immediately
+    /// sheds least-recently-used shards if that ledger is over its limit.
     fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        self.rebind_budget(budget);
+        self.store.rebind(budget);
+        self.trim_to_budget();
     }
 
     fn set_run_state(&mut self, run: RunState) {
-        self.store.set_run_state(run);
+        self.store.run = run;
     }
 
     fn memory_stats(&self) -> MemoryStats {
@@ -862,7 +929,8 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         // the shared ledger now exceeds its limit.
         if achieved > cur {
             for s in shard_span(cur, achieved) {
-                self.settle_grown(s);
+                self.store.open(s);
+                self.settle_shard(s);
             }
         }
         self.trim_to_budget();
@@ -883,7 +951,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         self.prepare_unlimited(lo, hi, UnlimitedShape::Row);
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run().clone();
+        let run = self.store.run.clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
         let shards: &[Vec<MaskBlock<W>>] = shards;
@@ -994,7 +1062,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             self.stats.label_queries += label_q;
             self.stats.mask_queries += mask_q;
         }
-        let run = self.store.run().clone();
+        let run = self.store.run.clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
         let shards: &[Vec<MaskBlock<W>>] = shards;
@@ -1052,7 +1120,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         self.prepare_unlimited(lo, hi, UnlimitedShape::Pair);
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run().clone();
+        let run = self.store.run.clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
         let shards: &[Vec<MaskBlock<W>>] = shards;
@@ -1117,7 +1185,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         }
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run().clone();
+        let run = self.store.run.clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
         let shards: &[Vec<MaskBlock<W>>] = shards;
@@ -1190,7 +1258,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         }
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run().clone();
+        let run = self.store.run.clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
         let shards: &[Vec<MaskBlock<W>>] = shards;
@@ -1252,7 +1320,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         }
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run().clone();
+        let run = self.store.run.clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
         let shards: &[Vec<MaskBlock<W>>] = shards;

@@ -20,21 +20,21 @@ mod support;
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
-    BitParallelPool, BlockWidth, EngineKind, McOracle, MemoryBudget, Oracle, SampleSchedule,
-    WorldEngine, DEPTH_UNLIMITED, SHARD_WORLDS,
+    BitParallelPool, EngineKind, McOracle, MemoryBudget, Oracle, SampleSchedule, WorldEngine,
+    DEPTH_UNLIMITED, SHARD_WORLDS,
 };
 
 use support::ReferenceEngine;
 
-/// A single-threaded plain-connectivity oracle on `kind`, default width.
+/// A single-threaded plain-connectivity oracle on `kind`.
 fn unlimited_oracle(
     g: &UncertainGraph,
     seed: u64,
     schedule: SampleSchedule,
     kind: EngineKind,
 ) -> McOracle<'_> {
-    let (d, width) = (DEPTH_UNLIMITED, BlockWidth::default());
-    McOracle::with_engine_width(g, seed, 1, schedule, 0.1, d, d, kind, width)
+    let d = DEPTH_UNLIMITED;
+    McOracle::with_engine(g, seed, 1, schedule, 0.1, d, d, kind)
         .expect("unlimited depths are valid")
 }
 

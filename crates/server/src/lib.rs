@@ -12,7 +12,7 @@
 //!   repository's `PROTOCOL.md`);
 //! * [`registry`] — the [`SessionRegistry`]: one
 //!   [`SessionHandle`](ugraph_cluster::SessionHandle) per
-//!   `(graph, engine, width)` shape, requests serialized per session but
+//!   `(graph, engine)` shape, requests serialized per session but
 //!   parallel across sessions, and admission + LRU eviction of whole
 //!   *idle* sessions under one global
 //!   [`MemoryBudget`](ugraph_sampling::MemoryBudget) — evicted sessions

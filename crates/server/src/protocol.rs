@@ -159,15 +159,17 @@ pub enum WireDepth {
 }
 
 /// One cluster call as it travels over the wire: the session shape the
-/// registry resolves (`graph`, `engine`, `width`) plus the request proper
-/// (objective, `k`, depths, optional deadline).
+/// registry resolves (`graph`, `engine`), the block width, plus the
+/// request proper (objective, `k`, depths, optional deadline).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterCall {
     /// Name of the graph to query (a dataset loaded at serve time).
     pub graph: String,
     /// Engine backend ([`EngineKind::name`] form).
     pub engine: EngineKind,
-    /// Mask-block width ([`BlockWidth::name`] form).
+    /// Mask-block width ([`BlockWidth::name`] form). Every width string of
+    /// protocol v2 decodes to the one width pools use; the server ignores
+    /// it.
     pub width: BlockWidth,
     /// MCP or ACP.
     pub objective: Objective,
@@ -392,7 +394,7 @@ pub struct SessionEntry {
     pub graph: String,
     /// Engine backend name.
     pub engine: String,
-    /// Block width name.
+    /// Block width name (always `"256"`).
     pub width: String,
     /// Requests currently executing or queued on the session.
     pub in_flight: u32,
@@ -1251,6 +1253,35 @@ mod tests {
     }
 
     #[test]
+    fn every_v2_width_and_engine_alias_decodes_to_one_call() {
+        // Protocol v2 clients may send any of the retired widths and the
+        // retired `scalar` engine name: each decodes to the same call.
+        let decode = |engine: &str, width: &str| {
+            let mut w = FrameWriter::new(KIND_CLUSTER);
+            w.str("krogan-like");
+            w.str(engine);
+            w.str(width);
+            w.u8(1); // ACP
+            w.u32(7);
+            w.u8(0); // unlimited depth
+            w.u8(0); // no deadline
+            let frame = w.finish();
+            decode_request(frame[4], &frame[5..])
+        };
+        let want = Request::Cluster(ClusterCall {
+            depth: WireDepth::Unlimited,
+            deadline_micros: None,
+            ..sample_call()
+        });
+        for width in ["64", "256", "512"] {
+            for engine in ["adaptive", "scalar"] {
+                assert_eq!(decode(engine, width).unwrap(), want, "engine {engine}, width {width}");
+            }
+        }
+        assert!(matches!(decode("adaptive", "128"), Err(ProtocolError::Malformed(_))));
+    }
+
+    #[test]
     fn responses_roundtrip_bit_identically() {
         let solve = WireSolve {
             num_nodes: 5,
@@ -1288,7 +1319,7 @@ mod tests {
             sessions: vec![SessionEntry {
                 graph: "collins".into(),
                 engine: "bitparallel".into(),
-                width: "64".into(),
+                width: "256".into(),
                 in_flight: 1,
                 kv: "requests=2 evaluations=0".into(),
             }],

@@ -1,5 +1,5 @@
-//! The [`SessionRegistry`]: one session per `(graph, engine, width)`
-//! shape, leased to workers, under one global memory budget.
+//! The [`SessionRegistry`]: one session per `(graph, engine)` shape,
+//! leased to workers, under one global memory budget.
 //!
 //! The registry generalizes the per-session ledger of the solver stack to
 //! a **server-wide** one: every session it spawns charges a
@@ -32,22 +32,21 @@ use ugraph_sampling::{BlockWidth, EngineKind, MemoryBudget, MemoryStats};
 
 use crate::protocol::{ClusterCall, SessionEntry};
 
-/// Shape a session is keyed by: the graph plus the engine configuration
-/// that changes its sampling layout.
+/// Shape a session is keyed by: the graph plus the engine backend. The
+/// call's block width is not part of it: every width answers with the
+/// same counts, so pools always use one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionKey {
     /// Catalog name of the graph.
     pub graph: String,
     /// Engine backend.
     pub engine: EngineKind,
-    /// Mask-block width.
-    pub width: BlockWidth,
 }
 
 impl SessionKey {
     /// The key a wire call resolves to.
     pub fn of_call(call: &ClusterCall) -> SessionKey {
-        SessionKey { graph: call.graph.clone(), engine: call.engine, width: call.width }
+        SessionKey { graph: call.graph.clone(), engine: call.engine }
     }
 }
 
@@ -55,8 +54,8 @@ impl SessionKey {
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
     /// Base solver configuration for every session (seed, schedule,
-    /// thresholds, cancellation token, …). The engine and block width are
-    /// overridden per [`SessionKey`]; `memory_budget` is ignored in favor
+    /// thresholds, cancellation token, …). The engine is overridden per
+    /// [`SessionKey`]; `memory_budget` is ignored in favor
     /// of the ledger plumbing below.
     pub base: ClusterConfig,
     /// Global byte ceiling across **all** sessions (`None` = unbounded).
@@ -276,7 +275,7 @@ impl SessionRegistry {
         // its pools will want the budget's headroom immediately.
         self.make_headroom()?;
 
-        let config = self.config.base.clone().with_engine(key.engine).with_block_width(key.width);
+        let config = self.config.base.clone().with_engine(key.engine);
         let ledger = self.global.subledger(self.config.session_budget);
         let handle = SessionHandle::spawn_with_ledger(Arc::clone(graph), config, ledger.clone())
             .map_err(RegistryError::Session)?;
@@ -428,7 +427,7 @@ impl SessionRegistry {
             entries.push(SessionEntry {
                 graph: key.graph,
                 engine: key.engine.name().to_string(),
-                width: key.width.name().to_string(),
+                width: BlockWidth::W256.name().to_string(),
                 in_flight: load as u32,
                 kv,
             });
@@ -490,7 +489,7 @@ mod tests {
         ClusterCall {
             graph: graph.into(),
             engine: EngineKind::Adaptive,
-            width: BlockWidth::W64,
+            width: BlockWidth::W256,
             objective: Objective::MinProb,
             k: 2,
             depth: WireDepth::Unlimited,
@@ -548,7 +547,7 @@ mod tests {
         let ref_b = free.acquire(&call("b")).unwrap().solve(ClusterRequest::mcp(2)).unwrap();
 
         // A global budget far below two sessions' combined footprint.
-        let tight = registry(Some(3 << 10));
+        let tight = registry(Some(6 << 10));
         let a1 = tight.acquire(&call("a")).unwrap().solve(ClusterRequest::mcp(2)).unwrap();
         assert!(tight.global_stats().bytes_held > 0);
         // Leasing the second graph must make headroom by evicting the
@@ -571,16 +570,16 @@ mod tests {
             assert_eq!(got.assign_probs, want.assign_probs);
         }
         // The ledger respects the ceiling at rest.
-        assert!(tight.global_stats().bytes_held <= 3 << 10);
+        assert!(tight.global_stats().bytes_held <= 6 << 10);
     }
 
     #[test]
     fn active_sessions_are_never_evicted() {
         // At rest a session trims its pools to the ceiling, so only a
         // session at work holds the ledger over it: "a"'s pools keep about
-        // 2 KiB of a 3 KiB budget, and a working-set charge on its ledger
+        // 4.6 KiB of a 6 KiB budget, and a working-set charge on its ledger
         // stands in for the shards an in-flight query regenerates.
-        let limit = 3 << 10;
+        let limit = 6 << 10;
         let r = registry(Some(limit));
         let lease_a = r.acquire(&call("a")).unwrap();
         lease_a.solve(ClusterRequest::mcp(2)).unwrap();

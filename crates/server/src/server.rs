@@ -142,8 +142,8 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener and builds the session registry over `graphs`.
-    /// `base` is the solver configuration every session inherits (engine
-    /// and block width are overridden per request shape); the server
+    /// `base` is the solver configuration every session inherits (the
+    /// engine is overridden per request shape); the server
     /// attaches its own [`CancelToken`] so shutdown reaches every solve.
     ///
     /// # Errors

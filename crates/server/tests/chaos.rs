@@ -55,7 +55,7 @@ fn call(k: u32) -> ClusterCall {
     ClusterCall {
         graph: "g".into(),
         engine: EngineKind::BitParallel,
-        width: BlockWidth::W64,
+        width: BlockWidth::W256,
         objective: ugraph_cluster::Objective::MinProb,
         k,
         depth: WireDepth::Unlimited,
@@ -66,7 +66,7 @@ fn call(k: u32) -> ClusterCall {
 /// A fault-free local replay with the session shape the server pins.
 fn local_reference(requests: &[ClusterRequest]) -> Vec<SolveResult> {
     let g = two_communities();
-    let cfg = base_config().with_engine(EngineKind::BitParallel).with_block_width(BlockWidth::W64);
+    let cfg = base_config().with_engine(EngineKind::BitParallel);
     let mut session = UgraphSession::new(&g, cfg).unwrap();
     requests.iter().map(|r| session.solve(r.clone()).unwrap()).collect()
 }

@@ -45,7 +45,7 @@ fn good_call() -> ClusterCall {
     ClusterCall {
         graph: "g".into(),
         engine: EngineKind::BitParallel,
-        width: BlockWidth::W64,
+        width: BlockWidth::W256,
         objective: ugraph_cluster::Objective::MinProb,
         k: 2,
         depth: WireDepth::Unlimited,

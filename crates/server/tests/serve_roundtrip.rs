@@ -9,8 +9,10 @@ use std::time::Duration;
 use ugraph_cluster::{ClusterConfig, ClusterRequest, SolveResult, UgraphSession};
 use ugraph_graph::{GraphBuilder, UncertainGraph};
 use ugraph_sampling::{BlockWidth, EngineKind, Interrupt};
+use ugraph_server::protocol::encode_request;
 use ugraph_server::{
-    Client, ClusterCall, ErrorCode, RunningServer, Server, ServerConfig, WireDepth, WireSolve,
+    Client, ClusterCall, ErrorCode, Request, Response, RunningServer, Server, ServerConfig,
+    WireDepth, WireSolve,
 };
 
 const SEED: u64 = 7;
@@ -40,10 +42,10 @@ fn base_config() -> ClusterConfig {
 }
 
 /// A local reference session with the same shape [`call`] asks the server
-/// for (adaptive engine, 64-world blocks) — the registry pins the session
-/// config the same way, so counters must line up too.
+/// for (adaptive engine) — the registry pins the session config the same
+/// way, so counters must line up too.
 fn local_session(g: &Arc<UncertainGraph>) -> UgraphSession<'_> {
-    let cfg = base_config().with_engine(EngineKind::Adaptive).with_block_width(BlockWidth::W64);
+    let cfg = base_config().with_engine(EngineKind::Adaptive);
     UgraphSession::new(g, cfg).unwrap()
 }
 
@@ -55,7 +57,7 @@ fn call(graph: &str, k: u32) -> ClusterCall {
     ClusterCall {
         graph: graph.into(),
         engine: EngineKind::Adaptive,
-        width: BlockWidth::W64,
+        width: BlockWidth::W256,
         objective: ugraph_cluster::Objective::MinProb,
         k,
         depth: WireDepth::Unlimited,
@@ -85,7 +87,7 @@ fn served_answers_are_bit_identical_to_local_replay_for_every_engine() {
 
     for engine in [EngineKind::BitParallel, EngineKind::Adaptive] {
         // Local reference: one session, a fixed request sequence.
-        let cfg = base_config().with_engine(engine).with_block_width(BlockWidth::W64);
+        let cfg = base_config().with_engine(engine);
         let mut local = UgraphSession::new(&g, cfg).unwrap();
         let reference: Vec<SolveResult> = [
             ClusterRequest::mcp(2),
@@ -110,6 +112,37 @@ fn served_answers_are_bit_identical_to_local_replay_for_every_engine() {
             assert_matches_local(&wire, local_result);
         }
     }
+}
+
+#[test]
+fn every_v2_width_string_joins_one_session_with_identical_answers() {
+    let g = two_communities();
+    let server = start(vec![("g".into(), Arc::clone(&g))], ServerConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut local = local_session(&g);
+
+    // Raw frames that differ only in the width string: the server accepts
+    // each, ignores it, and serves all three on one session.
+    let frame = encode_request(&Request::Cluster(call("g", 2)));
+    let stock = [&3u32.to_le_bytes()[..], b"256"].concat();
+    let at = frame.windows(stock.len()).position(|w| w == stock).unwrap();
+    for width in ["64", "256", "512"] {
+        let mut raw = frame[..at].to_vec();
+        raw.extend_from_slice(&(width.len() as u32).to_le_bytes());
+        raw.extend_from_slice(width.as_bytes());
+        raw.extend_from_slice(&frame[at + stock.len()..]);
+        let len = (raw.len() - 4) as u32;
+        raw[..4].copy_from_slice(&len.to_le_bytes());
+        client.send_raw(&raw).unwrap();
+        let Response::Cluster(wire) = client.read_response().unwrap() else {
+            panic!("width {width}: expected a cluster answer");
+        };
+        assert_matches_local(&wire, &local.solve(ClusterRequest::mcp(2)).unwrap());
+    }
+
+    let stats = client.stats(None).unwrap().unwrap();
+    assert_eq!(stats.sessions.len(), 1, "the width is not part of the session key");
+    assert_eq!(stats.sessions[0].width, "256");
 }
 
 #[test]
@@ -202,7 +235,8 @@ fn deadline_exceeded_is_typed_and_the_session_survives() {
 
 #[test]
 fn tight_global_budget_serves_both_graphs_by_evicting_the_idle_session() {
-    let limit = 3 << 10;
+    // One session holds about 4.6 KiB at rest, so two do not fit.
+    let limit = 6 << 10;
     let graphs = vec![("a".into(), two_communities()), ("b".into(), two_communities())];
     let server =
         start(graphs, ServerConfig { global_budget: Some(limit), ..ServerConfig::default() });

@@ -1,5 +1,5 @@
 //! Backend selection on the `WorldEngine` seam: the pure-mask bit-parallel
-//! block pool (64–512 worlds per mask block) versus the adaptive backend
+//! block pool (256 worlds per mask block) versus the adaptive backend
 //! (bit-parallel + lazy per-block component-label finalization, the
 //! default).
 //!

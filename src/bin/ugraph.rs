@@ -7,14 +7,14 @@
 //! ugraph stats    --input graph.txt
 //! ugraph cluster  --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
 //!                 [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-//!                 [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--engine <bitparallel|adaptive>]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph sweep    --input graph.txt --algo <mcp|acp> --k-min A --k-max B
 //!                 [--depth D] [--seed N] [--samples N]
-//!                 [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--engine <bitparallel|adaptive>]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph evaluate --input graph.txt --clustering out.tsv [--samples N]
-//!                 [--ground-truth gt.txt] [--seed N] [--block-width 64|256|512]
+//!                 [--ground-truth gt.txt] [--seed N]
 //!                 [--memory-budget B] [--timeout T]
 //! ugraph knn      --input graph.txt --source U [--k N] [--depth D] [--samples N]
 //! ugraph serve    [--listen HOST:PORT] --dataset <names>|--input graph.txt
@@ -24,7 +24,7 @@
 //! ugraph client   <cluster|stats> [--connect HOST:PORT] [--graph NAME]
 //!                 [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
 //!                 [--retries N] [--connect-pool N]
-//!                 [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--engine <bitparallel|adaptive>]
 //!                 [--output out.tsv]
 //! ```
 //!
@@ -120,14 +120,14 @@ commands:
   stats     --input graph.txt
   cluster   --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
             [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-            [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
+            [--engine <bitparallel|adaptive>]
             [--memory-budget B] [--timeout T] [--best-effort]
   sweep     --input graph.txt --algo <mcp|acp> --k-min A --k-max B
             [--depth D] [--seed N] [--samples N]
-            [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
+            [--engine <bitparallel|adaptive>]
             [--memory-budget B] [--timeout T] [--best-effort]
   evaluate  --input graph.txt --clustering out.tsv [--samples N]
-            [--ground-truth gt.txt] [--seed N] [--block-width 64|256|512]
+            [--ground-truth gt.txt] [--seed N]
             [--memory-budget B] [--timeout T]
   knn       --input graph.txt --source U [--k N] [--depth D] [--samples N]
   serve     [--listen HOST:PORT] --dataset <names>|--input graph.txt
@@ -137,7 +137,7 @@ commands:
   client    <cluster|stats> [--connect HOST:PORT] [--graph NAME]
             [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
             [--retries N] [--connect-pool N]
-            [--engine <bitparallel|adaptive>] [--block-width 64|256|512]
+            [--engine <bitparallel|adaptive>]
             [--output out.tsv]
 
 `--engine` picks the Monte-Carlo backend of the solver paths (default:
@@ -146,11 +146,6 @@ adaptive — bit-parallel blocks with lazy component-label finalization;
 identical results for a fixed seed. It is accepted everywhere but only
 affects `cluster` and `sweep` — `evaluate` and `knn` always measure on an
 adaptive pool of 256-world blocks.
-
-`--block-width` sets how many sampled worlds one bit-parallel mask block
-of the solver paths packs (default 256). Results are bit-identical at
-every width; wider blocks answer more worlds per traversal at
-proportionally larger per-block mask memory.
 
 `--samples` (default 512) must be at least 1.
 
@@ -209,7 +204,6 @@ struct Options {
     samples: usize,
     source: Option<u32>,
     engine: EngineKind,
-    block_width: BlockWidth,
     memory_budget: Option<usize>,
     nodes: Option<usize>,
     timeout: Option<std::time::Duration>,
@@ -258,12 +252,6 @@ impl Options {
                     let v = take()?;
                     o.engine = EngineKind::from_name(&v).ok_or(format!(
                         "flag --engine: expected bitparallel or adaptive, got '{v}'"
-                    ))?;
-                }
-                "--block-width" => {
-                    let v = take()?;
-                    o.block_width = BlockWidth::from_name(&v).ok_or(format!(
-                        "flag --block-width: expected 64, 256, or 512, got '{v}'"
                     ))?;
                 }
                 "--memory-budget" => o.memory_budget = Some(parse_bytes(&take()?, flag)?),
@@ -375,10 +363,7 @@ fn build_request(algo: &str, k: usize, depth: Option<u32>) -> Result<ClusterRequ
 /// The CLI's solver/evaluation configuration: seed + engine, plus the
 /// optional memory budget (shared by every pool of the session).
 fn session_config(o: &Options) -> ClusterConfig {
-    let mut cfg = ClusterConfig::default()
-        .with_seed(o.seed)
-        .with_engine(o.engine)
-        .with_block_width(o.block_width);
+    let mut cfg = ClusterConfig::default().with_seed(o.seed).with_engine(o.engine);
     if let Some(bytes) = o.memory_budget {
         cfg = cfg.with_memory_budget(bytes);
     }
@@ -469,10 +454,9 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     let mut session =
         UgraphSession::new(&g, cfg).map_err(|e| e.to_string())?.with_eval_samples(o.samples);
     println!(
-        "{:<4} {:>5} {:>10} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6} {:>10} {:>6} \
-         {:>6} {:>10}",
+        "{:<4} {:>10} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6} {:>10} {:>6} {:>6} \
+         {:>10}",
         "k",
-        "width",
         "objective",
         "guesses",
         "samples",
@@ -503,10 +487,9 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
                 let stats = session.stats();
                 let m = stats.per_request.last().expect("solve just pushed a record").memory;
                 println!(
-                    "{:<4} {:>5} {:>10.4} {:>8} {:>8} {:>8.4} {:>8.4} {:>6} {:>8} {:>7} {:>6} \
-                     {:>6} {:>10} {:>6} {:>6} {:>10.2?}",
+                    "{:<4} {:>10.4} {:>8} {:>8} {:>8.4} {:>8.4} {:>6} {:>8} {:>7} {:>6} {:>6} \
+                     {:>10} {:>6} {:>6} {:>10.2?}",
                     k,
-                    o.block_width.name(),
                     r.objective_estimate,
                     r.guesses,
                     r.samples_used,
@@ -543,9 +526,9 @@ fn cmd_evaluate(o: &Options) -> Result<(), String> {
     let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let clustering = read_clustering(BufReader::new(f), g.num_nodes())?;
     // One session pool serves both quality and AVPR (grow-only, seeded
-    // independently of the solver pools). `--engine` and `--block-width`
-    // are accepted but moot here: evaluation runs on the session's
-    // adaptive eval pool, and no solver request is issued.
+    // independently of the solver pools). `--engine` is accepted but moot
+    // here: evaluation runs on the session's adaptive eval pool, and no
+    // solver request is issued.
     let mut session = UgraphSession::new(&g, session_config(o))
         .map_err(|e| e.to_string())?
         .with_eval_samples(o.samples);
@@ -732,7 +715,7 @@ fn client_cluster(pool: &mut ClientPool, o: &Options) -> Result<(), String> {
     let call = ClusterCall {
         graph: graph.clone(),
         engine: o.engine,
-        width: o.block_width,
+        width: BlockWidth::W256,
         objective,
         k: u32::try_from(k).map_err(|_| format!("--k {k} is out of range"))?,
         depth: o.depth.map_or(WireDepth::Unlimited, WireDepth::Uniform),
@@ -782,8 +765,8 @@ fn client_stats(pool: &mut ClientPool, o: &Options) -> Result<(), String> {
     }
     for session in &s.sessions {
         println!(
-            "session graph={} engine={} width={} in_flight={}",
-            session.graph, session.engine, session.width, session.in_flight
+            "session graph={} engine={} in_flight={}",
+            session.graph, session.engine, session.in_flight
         );
         if !session.kv.is_empty() {
             println!("  {}", session.kv);

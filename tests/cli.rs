@@ -136,6 +136,19 @@ fn zero_samples_is_a_named_flag_error() {
 }
 
 #[test]
+fn retired_block_width_flag_is_unknown() {
+    let graph = small_graph_file();
+    let out = bin()
+        .args(["cluster", "--algo", "mcp", "--k", "2", "--block-width", "64", "--input"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: unknown flag '--block-width'"), "{stderr}");
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let out = bin().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
