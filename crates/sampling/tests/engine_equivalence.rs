@@ -750,6 +750,8 @@ proptest! {
         tail in 1usize..64,
         threads in thread_counts(),
     ) {
+        // An edgeless graph's shards hold 0 bytes, so no budget can evict.
+        prop_assume!(g.num_edges() > 0);
         let n = g.num_nodes() as u32;
         let r = 2 * SHARD_WORLDS + tail;
         let centers: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -785,6 +787,74 @@ proptest! {
         prop_assert!(w1.memory_stats().shards_evicted > 0);
         prop_assert!(w4.memory_stats().shards_evicted > 0);
         prop_assert!(w8.memory_stats().shards_evicted > 0);
+    }
+}
+
+/// Depth batches wider than 64 centers, with duplicates, on an adaptive
+/// 256-world pool whose budget holds ~1.5 of its 3 shards: every window
+/// (one crossing a 256-world block boundary, one spanning all three
+/// shards) yields the reference engine's per-center rows, and the pool
+/// evicts and regenerates shards along the way.
+#[test]
+fn wide_depth_batches_match_reference_under_budget() {
+    let side = 6u32;
+    let mut b = GraphBuilder::new((side * side) as usize);
+    for u in 0..side * side {
+        let p = 0.3 + 0.1 * f64::from(u % 5);
+        if u % side + 1 < side {
+            b.add_edge(u, u + 1, p).unwrap();
+        }
+        if u + side < side * side {
+            b.add_edge(u, u + side, 1.1 - p).unwrap();
+        }
+    }
+    b.add_edge(0, 35, 0.5).unwrap();
+    b.add_edge(5, 30, 0.4).unwrap();
+    let g = b.build().unwrap();
+    let n = g.num_nodes();
+    let seed = 23;
+    let r = 2 * SHARD_WORLDS + 37;
+    let centers: Vec<NodeId> = (0..75u32).map(|j| NodeId(j * 7 % 36)).collect();
+    let k = centers.len();
+    let mut reference = ReferenceEngine::new(&g, seed);
+    reference.ensure(r);
+    let budget = g.num_edges() * (SHARD_WORLDS / 8) * 3 / 2;
+    let windows = [(200, 300), (SHARD_WORLDS - 30, r - 10), (0, r)];
+    for threads in [1, 3] {
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, seed, threads);
+        pool.set_memory_budget(MemoryBudget::bounded(budget));
+        pool.ensure(r);
+        for (d_select, d_cover) in [(0, 2), (1, 3), (2, 2)] {
+            let (mut want_s, mut want_c) = (vec![0u32; k * n], vec![0u32; k * n]);
+            let (mut got_s, mut got_c) = (vec![0u32; k * n], vec![0u32; k * n]);
+            for (lo, hi) in windows {
+                for (j, &c) in centers.iter().enumerate() {
+                    let row = j * n..(j + 1) * n;
+                    reference.counts_within_depths_range(
+                        c,
+                        d_select,
+                        d_cover,
+                        lo,
+                        hi,
+                        &mut want_s[row.clone()],
+                        &mut want_c[row],
+                    );
+                }
+                pool.counts_within_depths_batch_range(
+                    &centers, d_select, d_cover, lo, hi, &mut got_s, &mut got_c,
+                );
+                let at = format!("[{lo}, {hi}) depths ({d_select}, {d_cover}), {threads} threads");
+                assert_eq!(got_s, want_s, "ranged select {at}");
+                assert_eq!(got_c, want_c, "ranged cover {at}");
+            }
+            // The last window is the whole pool.
+            pool.counts_within_depths_batch(&centers, d_select, d_cover, &mut got_s, &mut got_c);
+            assert_eq!(got_s, want_s, "full-pool select ({d_select}, {d_cover})");
+            assert_eq!(got_c, want_c, "full-pool cover ({d_select}, {d_cover})");
+        }
+        let stats = pool.memory_stats();
+        assert!(stats.shards_evicted > 0, "the budget never evicted: {stats:?}");
+        assert!(stats.shards_regenerated > 0, "no shard was regenerated: {stats:?}");
     }
 }
 
