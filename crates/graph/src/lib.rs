@@ -66,7 +66,7 @@ pub use builder::{DedupPolicy, GraphBuilder};
 pub use csr::Csr;
 pub use error::GraphError;
 pub use ids::{EdgeId, NodeId};
-pub use multiworld::{lane_mask, Mask, MultiWorldBfs, LANES, MAX_SOURCES};
+pub use multiworld::{lane_mask, Mask, MultiWorldBfs, LANES};
 pub use shortest_path::{dijkstra, MultiSourceDijkstra};
 pub use stats::GraphStats;
 pub use subgraph::{induced_subgraph, largest_connected_component, Subgraph};

@@ -28,16 +28,11 @@
 //!   connectivity matters, because a node is not re-visited per hop level
 //!   when different worlds reach it at different distances.
 //!
-//! Both modes also come in **multi-source** variants
-//! ([`MultiWorldBfs::run_multi`], [`MultiWorldBfs::run_unlimited_multi`])
-//! that propagate up to [`MAX_SOURCES`] independent frontier masks in a
-//! single traversal. The per-source semantics are exactly those of the
-//! single-source runs, but every edge mask is loaded — and every adjacency
-//! list walked — once for *all* sources that are active at a node instead
-//! of once per source. This is the amortization that makes batched
-//! multi-center reliability rows cheap: the dominant cost of a mask BFS is
-//! the memory traffic of edge masks and CSR neighbor lists, and a batch of
-//! `k` centers shares that traffic `k` ways.
+//! Batches of centers reuse the single-source runs. Unlimited batches go
+//! through [`MultiWorldBfs::shared_component_counts`], where a center
+//! inherits the fixpoint of an earlier center in its component instead of
+//! re-walking it. Depth-limited batches call [`MultiWorldBfs::run`] once
+//! per center, so a block's edge masks stay in cache across its centers.
 //!
 //! The workspace is reusable across calls (and across blocks): only nodes
 //! touched by the previous run are cleared, so a run over a small reachable
@@ -49,11 +44,6 @@ use crate::traversal::Adjacency;
 /// Number of possible worlds packed per mask *word* (a block of width `W`
 /// carries `W * LANES` worlds).
 pub const LANES: usize = 64;
-
-/// Maximum number of sources a multi-source traversal can carry at once
-/// (per-node source activity is tracked in one `u64` bitmask, independent
-/// of the block width).
-pub const MAX_SOURCES: usize = 64;
 
 /// Mask with the low `lanes` bits set — the valid lanes of a partially
 /// filled single-word block (`lanes == 64` gives the all-ones mask).
@@ -269,22 +259,6 @@ pub struct MultiWorldBfs<const W: usize = 1> {
     next: Vec<u32>,
     /// Every node reached in the current run, for O(touched) cleanup.
     touched: Vec<u32>,
-    /// Multi-source reach masks, node-major with stride `k`
-    /// (`mreach[u * k + j]` = worlds in which source `j` reached `u`).
-    /// Lazily grown; multi-source runs clean these up on exit.
-    mreach: Vec<Mask<W>>,
-    /// Multi-source gain masks (same layout as `mreach`).
-    mgain: Vec<Mask<W>>,
-    /// Multi-source next-level accumulation (same layout).
-    mpend: Vec<Mask<W>>,
-    /// Per node: bitmask of sources that have reached it.
-    rmask: Vec<u64>,
-    /// Per node: bitmask of sources with unpropagated gain (queued flag).
-    gmask: Vec<u64>,
-    /// Per node: bitmask of sources with pending next-level masks.
-    pmask: Vec<u64>,
-    /// Nodes reached by the current multi-source run.
-    mtouched: Vec<u32>,
     /// Per-center pending lanes for the component-sharing batch sweep
     /// ([`MultiWorldBfs::shared_component_counts`]).
     sweep_todo: Vec<Mask<W>>,
@@ -302,13 +276,6 @@ impl<const W: usize> MultiWorldBfs<W> {
             cur: Vec::new(),
             next: Vec::new(),
             touched: Vec::new(),
-            mreach: Vec::new(),
-            mgain: Vec::new(),
-            mpend: Vec::new(),
-            rmask: vec![0; n],
-            gmask: vec![0; n],
-            pmask: vec![0; n],
-            mtouched: Vec::new(),
             sweep_todo: Vec::new(),
             sweep_reach: Vec::new(),
         }
@@ -596,265 +563,6 @@ impl<const W: usize> MultiWorldBfs<W> {
         }
         next
     }
-
-    /// Prepares the stride-`k` multi-source buffers and seeds the sources.
-    /// Returns `false` when `lanes` selects no worlds (nothing to do).
-    fn init_multi(&mut self, n_graph: usize, sources: &[NodeId], lanes: Mask<W>) -> bool {
-        let k = sources.len();
-        assert!(
-            (1..=MAX_SOURCES).contains(&k),
-            "multi-source traversal carries 1..={MAX_SOURCES} sources, got {k}"
-        );
-        assert!(
-            n_graph <= self.rmask.len(),
-            "MultiWorldBfs workspace sized for {} nodes, graph has {}",
-            self.rmask.len(),
-            n_graph
-        );
-        let want = self.rmask.len() * k;
-        if self.mreach.len() < want {
-            self.mreach.resize(want, Mask::ZERO);
-            self.mgain.resize(want, Mask::ZERO);
-            self.mpend.resize(want, Mask::ZERO);
-        }
-        self.cur.clear();
-        self.next.clear();
-        self.mtouched.clear();
-        if lanes.is_zero() {
-            return false;
-        }
-        for (j, s) in sources.iter().enumerate() {
-            let u = s.index();
-            if self.rmask[u] == 0 {
-                self.mtouched.push(s.0);
-            }
-            self.rmask[u] |= 1 << j;
-            if self.gmask[u] == 0 {
-                self.cur.push(s.0);
-            }
-            self.gmask[u] |= 1 << j;
-            self.mreach[u * k + j] = lanes;
-            self.mgain[u * k + j] = lanes;
-        }
-        true
-    }
-
-    /// Restores the multi-source buffers to their all-zero state, touching
-    /// only what the run dirtied.
-    fn cleanup_multi(&mut self, k: usize) {
-        for &t in &self.mtouched {
-            let u = t as usize;
-            let mut m = self.rmask[u];
-            while m != 0 {
-                let j = m.trailing_zeros() as usize;
-                m &= m - 1;
-                self.mreach[u * k + j] = Mask::ZERO;
-                self.mgain[u * k + j] = Mask::ZERO;
-            }
-            self.rmask[u] = 0;
-            self.gmask[u] = 0;
-        }
-        self.mtouched.clear();
-        self.cur.clear();
-        self.next.clear();
-    }
-
-    /// Multi-source connectivity fixpoint: the semantics of
-    /// [`MultiWorldBfs::run_unlimited`] for every source independently, in
-    /// **one** traversal. `visit(node, source_idx, mask)` is called once
-    /// per `(reached node, source)` pair with the final mask of worlds in
-    /// which the node is connected to `sources[source_idx]`.
-    ///
-    /// Edge masks are loaded (and adjacency lists walked) once for all
-    /// sources active at a node, which is the whole point: a batch of `k`
-    /// sources shares the traversal's memory traffic instead of paying it
-    /// `k` times. Duplicate sources are allowed and reported separately.
-    ///
-    /// # Panics
-    /// Panics if `sources` is empty or longer than [`MAX_SOURCES`], if the
-    /// workspace is sized for fewer nodes than `g`, or if an edge id of `g`
-    /// indexes past `edge_masks`.
-    pub fn run_unlimited_multi(
-        &mut self,
-        g: &impl Adjacency,
-        edge_masks: &[Mask<W>],
-        sources: &[NodeId],
-        lanes: Mask<W>,
-        mut visit: impl FnMut(NodeId, usize, Mask<W>),
-    ) {
-        let k = sources.len();
-        if !self.init_multi(g.num_nodes(), sources, lanes) {
-            return;
-        }
-        let mut head = 0usize;
-        while head < self.cur.len() {
-            let u = self.cur[head] as usize;
-            head += 1;
-            let gm = std::mem::take(&mut self.gmask[u]);
-            if gm == 0 {
-                continue; // re-queued entry already drained
-            }
-            // Union of the active gains: a cheap pre-filter that skips the
-            // per-source loop for edges absent from every gained world.
-            let mut gor = Mask::ZERO;
-            let mut m = gm;
-            while m != 0 {
-                let j = m.trailing_zeros() as usize;
-                m &= m - 1;
-                gor |= self.mgain[u * k + j];
-            }
-            let mreach = &mut self.mreach;
-            let mgain = &mut self.mgain;
-            let rmask = &mut self.rmask;
-            let gmask = &mut self.gmask;
-            let cur = &mut self.cur;
-            let mtouched = &mut self.mtouched;
-            g.for_each_neighbor(NodeId(u as u32), |v, e| {
-                let em = edge_masks[e.index()];
-                if (gor & em).is_zero() {
-                    return;
-                }
-                let vi = v.index();
-                let mut m = gm;
-                while m != 0 {
-                    let j = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let add = (mgain[u * k + j] & em).and_not(mreach[vi * k + j]);
-                    if add.any() {
-                        if rmask[vi] == 0 {
-                            mtouched.push(v.0);
-                        }
-                        rmask[vi] |= 1 << j;
-                        mreach[vi * k + j] |= add;
-                        if gmask[vi] == 0 {
-                            cur.push(v.0);
-                        }
-                        gmask[vi] |= 1 << j;
-                        mgain[vi * k + j] |= add;
-                    }
-                }
-            });
-            // Gains propagated; drop them so a later re-queue of `u` only
-            // pushes genuinely new worlds.
-            let mut m = gm;
-            while m != 0 {
-                let j = m.trailing_zeros() as usize;
-                m &= m - 1;
-                self.mgain[u * k + j] = Mask::ZERO;
-            }
-        }
-        for i in 0..self.mtouched.len() {
-            let u = self.mtouched[i] as usize;
-            let mut m = self.rmask[u];
-            while m != 0 {
-                let j = m.trailing_zeros() as usize;
-                m &= m - 1;
-                visit(NodeId(u as u32), j, self.mreach[u * k + j]);
-            }
-        }
-        self.cleanup_multi(k);
-    }
-
-    /// Multi-source level-synchronous BFS: the semantics of
-    /// [`MultiWorldBfs::run`] for every source independently, in one
-    /// traversal. `visit(node, depth, source_idx, mask)` reports the worlds
-    /// in which `node` is first reached at exactly `depth` hops from
-    /// `sources[source_idx]` (each source is reported at depth 0 with the
-    /// full `lanes` mask).
-    ///
-    /// # Panics
-    /// Same conditions as [`MultiWorldBfs::run_unlimited_multi`].
-    pub fn run_multi(
-        &mut self,
-        g: &impl Adjacency,
-        edge_masks: &[Mask<W>],
-        sources: &[NodeId],
-        lanes: Mask<W>,
-        depth_limit: u32,
-        mut visit: impl FnMut(NodeId, u32, usize, Mask<W>),
-    ) {
-        let k = sources.len();
-        if !self.init_multi(g.num_nodes(), sources, lanes) {
-            return;
-        }
-        for (j, s) in sources.iter().enumerate() {
-            visit(*s, 0, j, lanes);
-        }
-        let mut depth = 0u32;
-        while !self.cur.is_empty() && depth < depth_limit {
-            depth += 1;
-            for head in 0..self.cur.len() {
-                let u = self.cur[head] as usize;
-                let gm = self.gmask[u];
-                let mut gor = Mask::ZERO;
-                let mut m = gm;
-                while m != 0 {
-                    let j = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    gor |= self.mgain[u * k + j];
-                }
-                let mreach = &self.mreach;
-                let mgain = &self.mgain;
-                let mpend = &mut self.mpend;
-                let pmask = &mut self.pmask;
-                let next = &mut self.next;
-                g.for_each_neighbor(NodeId(u as u32), |v, e| {
-                    let em = edge_masks[e.index()];
-                    if (gor & em).is_zero() {
-                        return;
-                    }
-                    let vi = v.index();
-                    let mut m = gm;
-                    while m != 0 {
-                        let j = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let add = (mgain[u * k + j] & em).and_not(mreach[vi * k + j]);
-                        if add.any() {
-                            if pmask[vi] == 0 {
-                                next.push(v.0);
-                            }
-                            pmask[vi] |= 1 << j;
-                            mpend[vi * k + j] |= add;
-                        }
-                    }
-                });
-            }
-            // Close the level: consume this level's gains, then promote the
-            // pending masks to the next frontier.
-            for head in 0..self.cur.len() {
-                let u = self.cur[head] as usize;
-                let mut m = std::mem::take(&mut self.gmask[u]);
-                while m != 0 {
-                    let j = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.mgain[u * k + j] = Mask::ZERO;
-                }
-            }
-            for head in 0..self.next.len() {
-                let v = self.next[head] as usize;
-                let pm = std::mem::take(&mut self.pmask[v]);
-                let mut m = pm;
-                while m != 0 {
-                    let j = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let mask = std::mem::take(&mut self.mpend[v * k + j]);
-                    if self.rmask[v] == 0 {
-                        self.mtouched.push(v as u32);
-                    }
-                    self.rmask[v] |= 1 << j;
-                    self.mreach[v * k + j] |= mask;
-                    self.mgain[v * k + j] = mask;
-                    visit(NodeId(v as u32), depth, j, mask);
-                }
-                self.gmask[v] = pm;
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            self.next.clear();
-        }
-        // Leftover gains of the final frontier are cleared by the generic
-        // cleanup (gmask bits are ⊆ rmask bits for reached nodes).
-        self.cleanup_multi(k);
-    }
 }
 
 #[cfg(test)]
@@ -1054,101 +762,6 @@ mod tests {
         bfs.run_unlimited(&g, &masks, NodeId(2), m1(!0), |n, _| reached_fix.push(n.0));
         reached_fix.sort_unstable();
         assert_eq!(reached_fix, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn multi_source_unlimited_matches_per_source_runs() {
-        let mut b = GraphBuilder::new(6);
-        for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (2, 3)] {
-            b.add_edge(u, v, 0.5).unwrap();
-        }
-        let g = b.build().unwrap();
-        let masks = vec![m1(0b1101), m1(0b0111), m1(0b1010), m1(0b1111), m1(0b0001), m1(0b0110)];
-        let sources = [NodeId(0), NodeId(4), NodeId(0), NodeId(5)]; // incl. duplicate
-        let mut bfs = MultiWorldBfs::new(6);
-        let mut multi = vec![0u64; 6 * sources.len()];
-        bfs.run_unlimited_multi(&g, &masks, &sources, m1(0b1111), |n, j, m| {
-            multi[j * 6 + n.index()] = m.0[0];
-        });
-        for (j, &s) in sources.iter().enumerate() {
-            let mut single = [0u64; 6];
-            bfs.run_unlimited(&g, &masks, s, m1(0b1111), |n, m| single[n.index()] = m.0[0]);
-            assert_eq!(&multi[j * 6..(j + 1) * 6], &single[..], "source {j} ({s}) differs");
-        }
-    }
-
-    #[test]
-    fn multi_source_depth_matches_per_source_runs() {
-        let mut b = GraphBuilder::new(7);
-        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 3), (2, 5)] {
-            b.add_edge(u, v, 0.5).unwrap();
-        }
-        let g = b.build().unwrap();
-        let m = g.num_edges();
-        let mut masks = vec![m1(0); m];
-        for (e, mask) in masks.iter_mut().enumerate() {
-            for l in 0..8 {
-                if (e * 13 + l * 29 + 3) % 3 != 0 {
-                    mask.0[0] |= 1 << l;
-                }
-            }
-        }
-        let sources = [NodeId(0), NodeId(6), NodeId(3)];
-        let mut bfs = MultiWorldBfs::new(7);
-        for depth in [0u32, 1, 2, 5, 10] {
-            // Accumulate per (source, node, depth) masks.
-            let mut multi = vec![0u64; sources.len() * 7 * 11];
-            bfs.run_multi(&g, &masks, &sources, Mask::prefix(8), depth, |n, d, j, mk| {
-                multi[(j * 7 + n.index()) * 11 + d as usize] |= mk.0[0];
-            });
-            for (j, &s) in sources.iter().enumerate() {
-                let mut single = vec![0u64; 7 * 11];
-                bfs.run(&g, &masks, s, Mask::prefix(8), depth, |n, d, mk| {
-                    single[n.index() * 11 + d as usize] |= mk.0[0];
-                });
-                assert_eq!(
-                    &multi[j * 7 * 11..(j + 1) * 7 * 11],
-                    &single[..],
-                    "source {j} depth limit {depth} differs"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multi_source_runs_leave_workspace_clean() {
-        let g = path_graph();
-        let masks = vec![m1(!0); 3];
-        let mut bfs = MultiWorldBfs::new(5);
-        // Multi run dirties stride-k state...
-        bfs.run_unlimited_multi(&g, &masks, &[NodeId(0), NodeId(1)], m1(!0), |_, _, _| {});
-        // ...a following multi run with a different k starts clean...
-        let mut seen = [0u64; 5 * 3];
-        bfs.run_unlimited_multi(
-            &g,
-            &masks,
-            &[NodeId(4), NodeId(4), NodeId(2)],
-            m1(!0),
-            |n, j, m| {
-                seen[j * 5 + n.index()] = m.0[0];
-            },
-        );
-        assert_eq!(seen[5], 0, "isolated source must not reach node 0");
-        assert_eq!(seen[4], !0, "source 0 is node 4");
-        assert_eq!(seen[2 * 5], !0, "source 2 reaches node 0");
-        // ...and so does a single-source run afterwards.
-        let mut reached: Vec<u32> = Vec::new();
-        bfs.run(&g, &masks, NodeId(4), m1(!0), 10, |n, _, _| reached.push(n.0));
-        assert_eq!(reached, vec![4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=64 sources")]
-    fn multi_source_rejects_empty_sources() {
-        let g = path_graph();
-        let masks = vec![m1(!0); 3];
-        let mut bfs = MultiWorldBfs::new(5);
-        bfs.run_unlimited_multi(&g, &masks, &[], m1(!0), |_, _, _| {});
     }
 
     #[test]

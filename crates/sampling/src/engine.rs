@@ -275,8 +275,8 @@ pub trait WorldEngine {
     /// per-window traversal setup per row (on the bit-parallel backend,
     /// the losing single-row mask-BFS shape). Backends override the
     /// default per-center loop with genuinely amortized sweeps (one pass
-    /// over the window updating all rows; component sharing / multi-source
-    /// mask BFS on the bit-parallel backend). Counts are identical to
+    /// over the window updating all rows; component sharing on the
+    /// bit-parallel backend). Counts are identical to
     /// sequential `counts_from_center_range` calls and add up exactly
     /// over disjoint windows.
     ///
@@ -385,7 +385,9 @@ pub trait WorldEngine {
     /// and one cover row per requested center over the sample window
     /// `[lo, hi)`, written row-major — the depth-limited analogue of
     /// [`WorldEngine::counts_from_centers_range`], serving the depth
-    /// oracle's top-up waves with shared window sweeps.
+    /// oracle's top-up waves with one pass over the window (the
+    /// bit-parallel backend resolves and trims its shards once per batch,
+    /// not once per center).
     ///
     /// # Panics
     /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`,

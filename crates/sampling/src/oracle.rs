@@ -39,10 +39,10 @@
 //!
 //! * **Batching** — [`Oracle::center_probs_batch`] fetches all candidate
 //!   rows of one greedy step through the engines' multi-center queries
-//!   (one pool sweep updating every row; multi-source mask BFS on the
-//!   bit-parallel backend). Oracles whose selection and cover rows always
-//!   coincide advertise it via [`Oracle::identical_rows`], and the batch
-//!   then writes each row **once**.
+//!   (one pool sweep updating every row; component sharing for unlimited
+//!   rows on the bit-parallel backend). Oracles whose selection and cover
+//!   rows always coincide advertise it via [`Oracle::identical_rows`], and
+//!   the batch then writes each row **once**.
 //! * **Row caching** — the oracle keeps, per center, the raw **integer
 //!   counts** together with the pool size they integrate over.
 //!
@@ -940,8 +940,9 @@ impl Oracle for McOracle<'_> {
         }
         // Top-up waves: rows cached at the same guess share their window
         // start, so one ranged multi-center sweep per group counts all the
-        // new worlds (component sharing / multi-source BFS in the engine)
-        // instead of one single-row ranged query per cached candidate.
+        // new worlds (component sharing, or one depth-limited BFS per
+        // center inside each block) instead of one single-row ranged query
+        // per cached candidate.
         for g in plan_topups(topups, centers) {
             let (new_select, new_cover) = scratch.rows(depths, g.uniq.len(), n);
             depths.count_rows(engine.as_mut(), &g.uniq, g.lo, r_now, new_select, new_cover);

@@ -42,7 +42,7 @@
 
 use rayon::prelude::*;
 
-use ugraph_graph::{Mask, MultiWorldBfs, NodeId, UncertainGraph, LANES, MAX_SOURCES};
+use ugraph_graph::{Mask, MultiWorldBfs, NodeId, UncertainGraph, LANES};
 
 use crate::budget::{shard_span, MemoryBudget, MemoryStats, ShardStore};
 use crate::engine::{EngineStats, WorldEngine, DEPTH_UNLIMITED};
@@ -1158,8 +1158,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         total
     }
 
-    /// One depth-limited masked BFS per overlapping block, lane masks
-    /// narrowed to the range.
+    /// A batch of one.
     fn counts_within_depths_range(
         &mut self,
         center: NodeId,
@@ -1170,64 +1169,15 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         out_select: &mut [u32],
         out_cover: &mut [u32],
     ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), n, "select buffer has wrong length");
-        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
-        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if d_select == DEPTH_UNLIMITED {
-            self.counts_from_center_range(center, lo, hi, out_cover);
-            out_select.copy_from_slice(out_cover);
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[Vec<MaskBlock<W>>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts2_with(
-            config,
-            &items,
-            n,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |select, cover, bfs, items| {
-                for &(b, mask) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    bfs.run(
-                        graph,
-                        &shard_block(shards, b as usize).masks,
-                        center,
-                        mask,
-                        d_cover,
-                        |node, depth, m| {
-                            let c = m.count_ones();
-                            cover[node.index()] += c;
-                            if depth <= d_select {
-                                select[node.index()] += c;
-                            }
-                        },
-                    );
-                }
-            },
-            out_select,
-            out_cover,
+        let centers = std::slice::from_ref(&center);
+        self.counts_within_depths_batch_range(
+            centers, d_select, d_cover, lo, hi, out_select, out_cover,
         );
-        self.items = items;
-        self.trim_to_budget();
     }
 
-    /// Multi-source level-synchronous mask BFS in groups of up to
-    /// [`MAX_SOURCES`] centers — one traversal per overlapping block per
-    /// group, with lane masks narrowed to the window's worlds.
+    /// Per overlapping block, one depth-limited masked BFS per center, lane
+    /// masks narrowed to the window's worlds. Centers loop inside the block
+    /// loop, so a block's edge masks stay in cache across its centers.
     fn counts_within_depths_batch_range(
         &mut self,
         centers: &[NodeId],
@@ -1263,42 +1213,35 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         let graph = sampler.graph();
         let shards: &[Vec<MaskBlock<W>>] = shards;
         let per_block = n + 2 * graph.num_edges();
-        for (gi, group) in centers.chunks(MAX_SOURCES).enumerate() {
-            let kg = group.len();
-            let sel_group = &mut out_select[gi * MAX_SOURCES * n..][..kg * n];
-            let cov_group = &mut out_cover[gi * MAX_SOURCES * n..][..kg * n];
-            chunked_counts2_with(
-                config,
-                &items,
-                kg * n,
-                per_block * kg,
-                bfs,
-                || MultiWorldBfs::<W>::new(n),
-                |select, cover, bfs, items| {
-                    for &(b, mask) in items {
-                        if run.checkpoint(SamplingPhase::Sweep) {
-                            return;
-                        }
-                        bfs.run_multi(
-                            graph,
-                            &shard_block(shards, b as usize).masks,
-                            group,
-                            mask,
-                            d_cover,
-                            |node, depth, j, m| {
-                                let c = m.count_ones();
-                                cover[j * n + node.index()] += c;
-                                if depth <= d_select {
-                                    select[j * n + node.index()] += c;
-                                }
-                            },
-                        );
+        chunked_counts2_with(
+            config,
+            &items,
+            k * n,
+            per_block * k,
+            bfs,
+            || MultiWorldBfs::<W>::new(n),
+            |select, cover, bfs, items| {
+                for &(b, mask) in items {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
                     }
-                },
-                sel_group,
-                cov_group,
-            );
-        }
+                    let masks = &shard_block(shards, b as usize).masks;
+                    for (j, &center) in centers.iter().enumerate() {
+                        let row = j * n..(j + 1) * n;
+                        let (select, cover) = (&mut select[row.clone()], &mut cover[row]);
+                        bfs.run(graph, masks, center, mask, d_cover, |node, depth, m| {
+                            let c = m.count_ones();
+                            cover[node.index()] += c;
+                            if depth <= d_select {
+                                select[node.index()] += c;
+                            }
+                        });
+                    }
+                }
+            },
+            out_select,
+            out_cover,
+        );
         self.items = items;
         self.trim_to_budget();
     }

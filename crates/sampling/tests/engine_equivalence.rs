@@ -239,8 +239,7 @@ proptest! {
 
     /// Batched multi-center rows equal the sequential per-center rows on
     /// every backend — the contract `min-partial`'s batched candidate
-    /// fetch rests on. Candidate sets include duplicates and span the
-    /// multi-source group size on small graphs.
+    /// fetch rests on. Candidate sets include duplicates.
     #[test]
     fn batched_rows_equal_sequential_rows(
         g in small_graph(10, 16),
