@@ -68,11 +68,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of raw (pre-dedup) edges added so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Appends a new node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId::from_index(self.num_nodes);

@@ -84,7 +84,6 @@ pub mod interrupt;
 pub mod oracle;
 pub mod pool;
 pub mod queries;
-pub mod representative;
 pub mod rng;
 pub mod tuning;
 pub mod world;
@@ -102,6 +101,5 @@ pub use queries::{
     assignment_probs, most_reliable_source, quality_from_probs, reliability_knn,
     reliability_knn_within, SourceObjective,
 };
-pub use representative::{average_degree_representative, most_probable_world};
 pub use rng::sample_rng;
 pub use world::WorldSampler;

@@ -44,8 +44,7 @@ use ugraph_cluster::{
 };
 use ugraph_graph::NodeId;
 use ugraph_sampling::{
-    faults, BlockWidth, EngineKind, EngineStats, FaultSite, Interrupt, RowCacheStats,
-    SamplingError, SamplingPhase,
+    faults, BlockWidth, EngineKind, FaultSite, Interrupt, SamplingError, SamplingPhase,
 };
 
 /// The 4-byte connection magic (`b"UGRP"`).
@@ -365,25 +364,6 @@ impl WireSolve {
         let assignment = self.assignment.iter().map(|&a| (a != u32::MAX).then_some(a)).collect();
         Clustering::try_new(centers, assignment)
             .map_err(|why| ProtocolError::Malformed(format!("invalid clustering: {why}")))
-    }
-
-    /// The row-cache counters as the typed stats struct.
-    pub fn row_cache_stats(&self) -> RowCacheStats {
-        RowCacheStats {
-            hits: self.row_cache[0] as usize,
-            topups: self.row_cache[1] as usize,
-            fulls: self.row_cache[2] as usize,
-        }
-    }
-
-    /// The engine counters as the typed stats struct.
-    pub fn engine_stats(&self) -> EngineStats {
-        EngineStats {
-            finalized_blocks: self.engine[0] as usize,
-            finalized_lanes: self.engine[1] as usize,
-            label_queries: self.engine[2] as usize,
-            mask_queries: self.engine[3] as usize,
-        }
     }
 }
 
@@ -1099,21 +1079,6 @@ pub fn read_hello(r: &mut impl Read) -> Result<u16, ProtocolError> {
         return Err(ProtocolError::BadMagic(magic));
     }
     Ok(u16::from_le_bytes([hello[4], hello[5]]))
-}
-
-/// Client side of the handshake: announces [`PROTOCOL_VERSION`], then
-/// checks the server echoed it.
-///
-/// # Errors
-/// [`ProtocolError::VersionMismatch`] when the server speaks a different
-/// version; [`ProtocolError::BadMagic`] / [`ProtocolError::Io`] otherwise.
-pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<(), ProtocolError> {
-    write_hello(stream, PROTOCOL_VERSION)?;
-    let theirs = read_hello(stream)?;
-    if theirs != PROTOCOL_VERSION {
-        return Err(ProtocolError::VersionMismatch { ours: PROTOCOL_VERSION, theirs });
-    }
-    Ok(())
 }
 
 /// Writes one already-encoded frame, honoring two failpoints:
