@@ -147,7 +147,9 @@ identical results for a fixed seed. It is accepted everywhere but only
 affects `cluster` and `sweep` — `evaluate` and `knn` always measure on an
 adaptive pool of 256-world blocks.
 
-`--samples` (default 512) must be at least 1.
+`--samples` (default 512) must be at least 1. `--inflation` (mcl,
+default 2) must be finite and above 1. `--scale` (dblp, default 0.01)
+must be in (0, 1].
 
 `--memory-budget` caps the bytes held by the session's sampled worlds and
 cached rows (e.g. 512M, 2G; binary suffixes K/M/G). Under pressure,
@@ -238,8 +240,24 @@ impl Options {
                 "--k-min" => o.k_min = Some(parse_num(&take()?, flag)?),
                 "--k-max" => o.k_max = Some(parse_num(&take()?, flag)?),
                 "--depth" => o.depth = Some(parse_num(&take()?, flag)?),
-                "--inflation" => o.inflation = Some(parse_num(&take()?, flag)?),
-                "--scale" => o.scale = Some(parse_num(&take()?, flag)?),
+                "--inflation" => {
+                    let v = take()?;
+                    let x: f64 = parse_num(&v, flag)?;
+                    if !(x.is_finite() && x > 1.0) {
+                        return Err(format!(
+                            "flag {flag}: expected a finite value above 1, got '{v}'"
+                        ));
+                    }
+                    o.inflation = Some(x);
+                }
+                "--scale" => {
+                    let v = take()?;
+                    let x: f64 = parse_num(&v, flag)?;
+                    if !(x > 0.0 && x <= 1.0) {
+                        return Err(format!("flag {flag}: expected a value in (0, 1], got '{v}'"));
+                    }
+                    o.scale = Some(x);
+                }
                 "--seed" => o.seed = parse_num(&take()?, flag)?,
                 "--samples" => {
                     o.samples = parse_num(&take()?, flag)?;
@@ -851,6 +869,10 @@ fn read_clustering<R: BufRead>(r: R, n: usize) -> Result<Clustering, String> {
         if node as usize >= n {
             return Err(format!("line {}: node {node} out of range", lineno + 1));
         }
+        // Every cluster holds its own center, so there are at most n.
+        if cluster >= n {
+            return Err(format!("line {}: cluster {cluster} out of range", lineno + 1));
+        }
         if center_of_cluster.len() <= cluster {
             center_of_cluster.resize(cluster + 1, None);
         }
@@ -871,7 +893,7 @@ fn read_clustering<R: BufRead>(r: R, n: usize) -> Result<Clustering, String> {
         .enumerate()
         .map(|(i, c)| c.ok_or(format!("cluster {i} never appeared")))
         .collect();
-    Ok(Clustering::new(centers?, assignment))
+    Clustering::try_new(centers?, assignment).map_err(|e| format!("invalid clustering: {e}"))
 }
 
 fn read_ground_truth<R: BufRead>(r: R, n: usize) -> Result<Vec<Vec<NodeId>>, String> {

@@ -136,6 +136,60 @@ fn zero_samples_is_a_named_flag_error() {
 }
 
 #[test]
+fn bad_clustering_files_are_named_errors() {
+    let graph = small_graph_file();
+    for (name, line) in [
+        ("center-out-of-range", "0 0 99999"),
+        ("center-outside-cluster", "0 0 5"),
+        ("cluster-past-u32", "0 4294967296 0"),
+        ("cluster-huge", "0 100000000000 0"),
+    ] {
+        let clustering = tmp(&format!("{name}.tsv"));
+        std::fs::write(&clustering, format!("{line}\n")).unwrap();
+        let out = bin()
+            .args(["evaluate", "--samples", "16", "--clustering"])
+            .arg(&clustering)
+            .arg("--input")
+            .arg(&graph)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("error:"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_inflation_and_scale_are_flag_errors() {
+    let graph = small_graph_file();
+    let graph = graph.to_str().unwrap();
+    let out_file = tmp("never-written.txt");
+    let out_file = out_file.to_str().unwrap();
+    let mut cases = Vec::new();
+    for v in ["1", "0", "NaN", "inf"] {
+        cases.push((
+            "--inflation",
+            vec!["cluster", "--algo", "mcl", "--inflation", v, "--input", graph],
+        ));
+    }
+    for v in ["0", "-1", "2", "NaN"] {
+        cases.push((
+            "--scale",
+            vec!["generate", "--dataset", "dblp", "--scale", v, "--output", out_file],
+        ));
+        cases.push(("--scale", vec!["serve", "--dataset", "dblp", "--scale", v]));
+    }
+    for (flag, args) in cases {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("error: flag {flag}")), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn retired_block_width_flag_is_unknown() {
     let graph = small_graph_file();
     let out = bin()
