@@ -100,6 +100,42 @@ mod tests {
     }
 
     #[test]
+    fn min_prob_over_a_depth_oracle_reads_its_cover_rows() {
+        use ugraph_sampling::{EngineKind, McOracle, SampleSchedule};
+        // An uncertain 6-chain under selection depth 1 and cover depth 3:
+        // the oracle's two rows differ, and pairs read the cover row.
+        let mut b = GraphBuilder::new(6);
+        for i in 0..5 {
+            b.add_edge(i, i + 1, 0.8).unwrap();
+        }
+        let g = b.build().unwrap();
+        let oracle = || {
+            let schedule = SampleSchedule::Fixed(200);
+            let mut o =
+                McOracle::with_engine(&g, 7, 1, schedule, 0.1, 1, 3, EngineKind::Adaptive).unwrap();
+            o.prepare(0.5).unwrap();
+            o
+        };
+        let assignment = vec![Some(0), Some(0), Some(0), Some(1), Some(1), Some(1)];
+        let c = Clustering::new(vec![NodeId(1), NodeId(4)], assignment);
+        let mut rows = oracle();
+        let (mut select, mut cover) = (vec![0.0; 6], vec![0.0; 6]);
+        let mut want = 1.0f64;
+        for (i, &center) in c.centers().iter().enumerate() {
+            rows.center_probs(center, &mut select, &mut cover).unwrap();
+            assert_ne!(select, cover, "depths 1 and 3 must give different rows");
+            for u in (0..6).map(NodeId) {
+                if u != center && c.cluster_of(u) == Some(i) {
+                    want = want.min(cover[u.index()]);
+                }
+            }
+        }
+        assert!(want > 0.0 && want < 1.0, "{want}");
+        assert_eq!(min_prob(&mut oracle(), &c).unwrap(), want, "fresh oracle");
+        assert_eq!(min_prob(&mut rows, &c).unwrap(), want, "rows served from the cache");
+    }
+
+    #[test]
     fn empty_clustering_edge_cases() {
         let c = Clustering::new(vec![], vec![]);
         let mut b = GraphBuilder::new(1);

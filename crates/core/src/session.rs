@@ -759,6 +759,89 @@ mod tests {
         assert_eq!(global.bytes_held(), sb.bytes_held);
     }
 
+    /// A certain 6-clique: the first center covers every node at any
+    /// threshold, so min-partial reaches k = 4 only through its fill-up
+    /// step (Algorithm 1, lines 10–11), one single-row oracle call per
+    /// added center.
+    fn certain_clique() -> UncertainGraph {
+        let mut b = GraphBuilder::new(6);
+        for u in 0..6 {
+            for v in u + 1..6 {
+                b.add_edge(u, v, 1.0).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn fill_up_rows_agree_across_cache_budget_and_faults() {
+        use ugraph_sampling::faults::{self, FaultPlan};
+        use ugraph_sampling::{FaultSite, SamplingError};
+        let g = certain_clique();
+        let cfg = ClusterConfig::default().with_seed(4).with_threads(1);
+        let requests = [
+            ClusterRequest::mcp(4),
+            ClusterRequest::acp(4),
+            ClusterRequest::mcp(4).with_depths(1, 3),
+        ];
+        let solve_all = |s: &mut UgraphSession<'_>| -> Vec<SolveResult> {
+            requests.iter().map(|r| s.solve(r.clone()).unwrap()).collect()
+        };
+        let mut free = UgraphSession::new(&g, cfg.clone()).unwrap();
+        let want = solve_all(&mut free);
+        for r in &want {
+            assert_eq!(r.clustering.num_clusters(), 4, "{}", r.request);
+            assert!(r.clustering.is_full(), "{}", r.request);
+        }
+        let served: Vec<RowCacheStats> = want.iter().map(|r| r.row_cache).collect();
+        // MCP's binary search adds a second guess over the same window,
+        // which hits every row the first guess computed; ACP's schedule
+        // stops after one guess.
+        assert_eq!(
+            served,
+            [
+                RowCacheStats { hits: 4, topups: 0, fulls: 4 },
+                RowCacheStats { hits: 0, topups: 0, fulls: 4 },
+                RowCacheStats { hits: 4, topups: 0, fulls: 4 },
+            ]
+        );
+        let check = |tag: &str, got: &[SolveResult]| {
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.clustering, b.clustering, "{tag}: {}", b.request);
+                assert_eq!(a.assign_probs, b.assign_probs, "{tag}: {}", b.request);
+                assert_eq!(a.objective_estimate, b.objective_estimate, "{tag}: {}", b.request);
+                assert_eq!(
+                    (a.final_q, a.guesses, a.samples_used),
+                    (b.final_q, b.guesses, b.samples_used),
+                    "{tag}: {}",
+                    b.request
+                );
+            }
+        };
+        let mut uncached = UgraphSession::new(&g, cfg.clone().with_row_cache(false)).unwrap();
+        check("row cache off", &solve_all(&mut uncached));
+        let mut tight = UgraphSession::new(&g, cfg.clone().with_memory_budget(3 << 10)).unwrap();
+        check("3 KiB ledger", &solve_all(&mut tight));
+        assert!(tight.ledger().bytes_held() <= 3 << 10, "{}", tight.stats());
+        // Admission 1 is the greedy center's row; admission 2 is the first
+        // fill-up row. Failing it leaves the session usable.
+        let mut faulted = UgraphSession::new(&g, cfg).unwrap();
+        let guard = faults::install(FaultPlan::new().fail_at(FaultSite::BudgetAdmission, 2));
+        let err = faulted.solve(requests[0].clone()).expect_err("fill-up admission must fail");
+        drop(guard);
+        assert!(
+            matches!(
+                err,
+                ClusterError::Sampling(SamplingError::FaultInjected {
+                    site: FaultSite::BudgetAdmission,
+                    hit: 2
+                })
+            ),
+            "got {err}"
+        );
+        check("re-issue after admission fault", &solve_all(&mut faulted));
+    }
+
     #[test]
     fn eval_pool_is_shared_with_metrics_callers() {
         let g = two_communities();
