@@ -131,10 +131,9 @@ fn both_pools(
 }
 
 /// Replays the pre-batching oracle access pattern: every candidate row is
-/// one full per-center pool sweep (the `Oracle` trait's default batch
-/// loop), with the row cache disabled. `min-partial` run against this
-/// wrapper performs exactly the work the query layer did before the
-/// batched/cached row layer existed.
+/// one full per-center pool sweep, with the row cache disabled.
+/// `min-partial` run against this wrapper performs exactly the work the
+/// query layer did before the batched/cached row layer existed.
 struct PerRowOracle<'g>(McOracle<'g>);
 
 impl Oracle for PerRowOracle<'_> {
@@ -150,20 +149,25 @@ impl Oracle for PerRowOracle<'_> {
     fn num_samples(&self) -> usize {
         self.0.num_samples()
     }
-    fn center_probs(
+    // identical_rows() stays false, so both rows are materialized per
+    // candidate, as the pre-batching code path did.
+    fn center_probs_batch(
         &mut self,
-        center: NodeId,
+        centers: &[NodeId],
         select: &mut [f64],
         cover: &mut [f64],
     ) -> Result<(), ugraph_sampling::SamplingError> {
-        self.0.center_probs(center, select, cover)
+        let n = self.num_nodes();
+        for (j, &c) in centers.iter().enumerate() {
+            let rows = j * n..(j + 1) * n;
+            let select = if select.is_empty() { &mut [][..] } else { &mut select[rows.clone()] };
+            self.0.center_probs(c, select, &mut cover[rows])?;
+        }
+        Ok(())
     }
     fn pair_prob(&mut self, u: NodeId, v: NodeId) -> Result<f64, ugraph_sampling::SamplingError> {
         self.0.pair_prob(u, v)
     }
-    // identical_rows() stays false and center_probs_batch stays the default
-    // per-center loop: both rows are materialized per candidate, as the
-    // pre-batching code path did.
 }
 
 /// One engine's guess-schedule replay measurement.

@@ -239,7 +239,7 @@ pub fn acp_with_oracle<O: Oracle + ?Sized>(
 mod tests {
     use super::*;
     use ugraph_graph::{GraphBuilder, NodeId};
-    use ugraph_sampling::{ExactOracle, ExactOracleAdapter, SampleSchedule};
+    use ugraph_sampling::{ExactOracle, SampleSchedule};
 
     fn two_communities(bridge: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new(6);
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn splits_communities_exact_oracle() {
         let g = two_communities(0.05);
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let r = acp_with_oracle(&mut oracle, 2, &ClusterConfig::default()).unwrap();
         assert!(r.clustering.is_full());
         let a = r.clustering.cluster_of(NodeId(0));
@@ -359,17 +359,15 @@ mod tests {
     fn theorem4_bound_on_exact_oracle() {
         // avg-prob ≥ (p_opt-avg / ((1+γ)·H(n)))³ — loose, but must hold.
         let g = two_communities(0.3);
-        let exact = ExactOracle::new(&g).unwrap();
+        let mut exact = ExactOracle::new(&g).unwrap();
         let opt = crate::brute::brute_force_opt(&exact, 2).unwrap();
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let cfg = ClusterConfig::default().with_acp_invocation(AcpInvocation::Theory);
         let r = acp_with_oracle(&mut oracle, 2, &cfg).unwrap();
         let h6 = ugraph_sampling::harmonic(6);
         let bound = (opt.best_avg_prob / (1.1 * h6)).powi(3);
         // Evaluate the actual achieved average against the exact oracle.
-        let achieved =
-            crate::objectives::avg_prob(&mut ExactOracleAdapter::new(exact), &r.clustering)
-                .unwrap();
+        let achieved = crate::objectives::avg_prob(&mut exact, &r.clustering).unwrap();
         assert!(achieved >= bound - 1e-9, "avg {achieved} below bound {bound}");
     }
 
@@ -399,7 +397,7 @@ mod tests {
     #[test]
     fn phi_best_not_worse_than_first_guess() {
         let g = two_communities(0.4);
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let cfg = ClusterConfig::default();
         let r = acp_with_oracle(&mut oracle, 2, &cfg).unwrap();
         // First guess is q=1, φ = covered/strong fraction; final φ_best must

@@ -9,7 +9,7 @@
 //! compute `p_opt` on the tiny instances of the hardness reduction.
 
 use ugraph_graph::NodeId;
-use ugraph_sampling::ExactOracle;
+use ugraph_sampling::{ExactOracle, Oracle};
 
 /// The brute-forced optima for a given `k`.
 #[derive(Clone, Debug)]

@@ -234,7 +234,7 @@ pub fn mcp_with_oracle<O: Oracle + ?Sized>(
 mod tests {
     use super::*;
     use ugraph_graph::{GraphBuilder, NodeId};
-    use ugraph_sampling::{ExactOracle, ExactOracleAdapter};
+    use ugraph_sampling::ExactOracle;
 
     fn two_communities(bridge: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new(6);
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn splits_communities_exact_oracle() {
         let g = two_communities(0.05);
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let r = mcp_with_oracle(&mut oracle, 2, &ClusterConfig::default()).unwrap();
         assert!(r.clustering.is_full());
         let a = r.clustering.cluster_of(NodeId(0)).unwrap();
@@ -411,7 +411,7 @@ mod tests {
         let g = two_communities(0.3);
         let exact = ExactOracle::new(&g).unwrap();
         let opt = crate::brute::brute_force_opt(&exact, 2).unwrap();
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let r = mcp_with_oracle(&mut oracle, 2, &ClusterConfig::default()).unwrap();
         let bound = opt.best_min_prob * opt.best_min_prob / 1.1;
         assert!(

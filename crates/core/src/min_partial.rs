@@ -258,10 +258,9 @@ pub fn min_partial_with<O: Oracle + ?Sized>(
     }
 
     // Lines 10-11: top up with arbitrary non-center nodes when fewer than k
-    // centers were selected (V' ran out early). Their probability rows are
-    // still computed so the final assignment honors c(u, S) over all of S.
+    // centers were selected (V' ran out early). Their cover rows are still
+    // computed so the final assignment honors c(u, S) over all of S.
     if centers.len() < params.k {
-        ws.sel_rows.resize(n, 0.0);
         ws.cov_rows.resize(n, 0.0);
         for u in 0..n as u32 {
             if centers.len() == params.k {
@@ -274,7 +273,7 @@ pub fn min_partial_with<O: Oracle + ?Sized>(
             centers.push(NodeId(u));
             ws.is_center[u as usize] = true;
             ws.covered[u as usize] = true;
-            oracle.center_probs(NodeId(u), &mut ws.sel_rows, &mut ws.cov_rows)?;
+            oracle.center_probs(NodeId(u), &mut [], &mut ws.cov_rows)?;
             for w in 0..n {
                 if ws.is_center[w] {
                     continue;
@@ -314,10 +313,10 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use ugraph_graph::{GraphBuilder, UncertainGraph};
-    use ugraph_sampling::{ExactOracle, ExactOracleAdapter};
+    use ugraph_sampling::ExactOracle;
 
-    fn exact_oracle(g: &UncertainGraph) -> ExactOracleAdapter {
-        ExactOracleAdapter::new(ExactOracle::new(g).unwrap())
+    fn exact_oracle(g: &UncertainGraph) -> ExactOracle {
+        ExactOracle::new(g).unwrap()
     }
 
     /// Two cliques of 3, p = 0.9 inside, bridged by p = 0.01.

@@ -61,15 +61,15 @@ mod tests {
     use super::*;
     use crate::clustering::Clustering;
     use ugraph_graph::{GraphBuilder, NodeId};
-    use ugraph_sampling::{ExactOracle, ExactOracleAdapter};
+    use ugraph_sampling::ExactOracle;
 
     /// Path 0 -0.8- 1 -0.5- 2, plus isolated node 3.
-    fn setup() -> (ExactOracleAdapter, Clustering) {
+    fn setup() -> (ExactOracle, Clustering) {
         let mut b = GraphBuilder::new(4);
         b.add_edge(0, 1, 0.8).unwrap();
         b.add_edge(1, 2, 0.5).unwrap();
         let g = b.build().unwrap();
-        let oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let oracle = ExactOracle::new(&g).unwrap();
         // One cluster centered at 1 covering {0,1,2}; node 3 outlier.
         let clustering = Clustering::new(vec![NodeId(1)], vec![Some(0), Some(0), Some(0), None]);
         (oracle, clustering)
@@ -93,7 +93,7 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 0.1).unwrap();
         let g = b.build().unwrap();
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let c = Clustering::new(vec![NodeId(0), NodeId(1)], vec![Some(0), Some(1)]);
         assert_eq!(min_prob(&mut oracle, &c).unwrap(), 1.0);
         assert_eq!(avg_prob(&mut oracle, &c).unwrap(), 1.0);
@@ -141,7 +141,7 @@ mod tests {
         let mut b = GraphBuilder::new(1);
         b.grow_to(1);
         let g = b.build().unwrap();
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         assert_eq!(avg_prob(&mut oracle, &c).unwrap(), 0.0);
         assert_eq!(min_prob(&mut oracle, &c).unwrap(), 1.0);
     }

@@ -12,7 +12,7 @@ use ugraph_cluster::{
     ClusterConfig, GuessStrategy, MinPartialParams,
 };
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
-use ugraph_sampling::{ExactOracle, ExactOracleAdapter};
+use ugraph_sampling::ExactOracle;
 
 /// Random connected-ish small graph (n ≤ 8, ≤ 12 uncertain edges).
 fn small_graph() -> impl Strategy<Value = UncertainGraph> {
@@ -47,7 +47,7 @@ proptest! {
         prop_assume!(k < n);
         let exact = ExactOracle::new(&g).unwrap();
         let opt = brute_force_opt(&exact, k).unwrap();
-        let mut oracle = ExactOracleAdapter::new(exact);
+        let mut oracle = exact;
         let mut rng = SmallRng::seed_from_u64(seed);
 
         for q in [0.9, 0.5, 0.2] {
@@ -85,10 +85,10 @@ proptest! {
         let opt = brute_force_opt(&exact, k).unwrap();
         prop_assume!(opt.best_min_prob > 1e-3); // needs a feasible clustering
         let cfg = ClusterConfig::default().with_seed(seed);
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let r = mcp_with_oracle(&mut oracle, k, &cfg).unwrap();
         // Evaluate truly (not via the algorithm's own estimate).
-        let mut eval = ExactOracleAdapter::new(exact);
+        let mut eval = exact;
         let achieved = min_prob(&mut eval, &r.clustering).unwrap();
         let bound = opt.best_min_prob * opt.best_min_prob / (1.0 + cfg.gamma);
         prop_assert!(
@@ -110,9 +110,9 @@ proptest! {
         let cfg = ClusterConfig::default()
             .with_seed(seed)
             .with_guess(GuessStrategy::Geometric);
-        let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+        let mut oracle = ExactOracle::new(&g).unwrap();
         let r = mcp_with_oracle(&mut oracle, k, &cfg).unwrap();
-        let mut eval = ExactOracleAdapter::new(exact);
+        let mut eval = exact;
         let achieved = min_prob(&mut eval, &r.clustering).unwrap();
         let bound = opt.best_min_prob * opt.best_min_prob / (1.0 + cfg.gamma);
         prop_assert!(achieved >= bound - 1e-9);
@@ -130,9 +130,9 @@ proptest! {
             let cfg = ClusterConfig::default()
                 .with_seed(seed)
                 .with_acp_invocation(invocation);
-            let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+            let mut oracle = ExactOracle::new(&g).unwrap();
             let r = acp_with_oracle(&mut oracle, k, &cfg).unwrap();
-            let mut eval = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+            let mut eval = ExactOracle::new(&g).unwrap();
             let achieved = avg_prob(&mut eval, &r.clustering).unwrap();
             let h = ugraph_sampling::harmonic(n);
             let bound = (opt.best_avg_prob / ((1.0 + cfg.gamma) * h)).powi(3);
@@ -156,9 +156,9 @@ proptest! {
         let cfg = ClusterConfig::default().with_seed(seed);
         // Oracle with selection and cover disks both at depth d (Lemma 5).
         let full = ExactOracle::with_depth(&g, d).unwrap();
-        let mut oracle = ExactOracleAdapter::new(full);
+        let mut oracle = full;
         let r = mcp_with_oracle(&mut oracle, k, &cfg).unwrap();
-        let mut eval = ExactOracleAdapter::new(ExactOracle::with_depth(&g, d).unwrap());
+        let mut eval = ExactOracle::with_depth(&g, d).unwrap();
         let achieved = min_prob(&mut eval, &r.clustering).unwrap();
         let bound = opt_half.best_min_prob * opt_half.best_min_prob / (1.0 + cfg.gamma);
         prop_assert!(

@@ -193,44 +193,6 @@ impl MemoryBudget {
             shards_regenerated: inner.regenerated,
         }
     }
-
-    /// Charges `bytes` and returns a guard that **releases them again on
-    /// drop** unless [`ChargeGuard::commit`] is called — the error-path
-    /// discipline of every reservation made *before* the work it pays for
-    /// (row-cache admission, shard accounting): an early return, a
-    /// cooperative interruption, or an injected fault between the charge
-    /// and the commit can never leak reserved bytes.
-    pub fn reserve(&self, bytes: usize) -> ChargeGuard<'_> {
-        self.charge(bytes);
-        ChargeGuard { budget: self, bytes, committed: false }
-    }
-}
-
-/// An uncommitted charge against a [`MemoryBudget`] (see
-/// [`MemoryBudget::reserve`]). Dropping the guard rolls the charge back;
-/// [`ChargeGuard::commit`] makes it permanent.
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately rolls the charge back"]
-pub struct ChargeGuard<'a> {
-    budget: &'a MemoryBudget,
-    bytes: usize,
-    committed: bool,
-}
-
-impl ChargeGuard<'_> {
-    /// Keeps the charge on the ledger (the reserved bytes are now owned
-    /// by the successfully completed work).
-    pub fn commit(mut self) {
-        self.committed = true;
-    }
-}
-
-impl Drop for ChargeGuard<'_> {
-    fn drop(&mut self) {
-        if !self.committed {
-            self.budget.release(self.bytes);
-        }
-    }
 }
 
 /// Memory accounting snapshot — reported uniformly by every pool backend
@@ -481,19 +443,6 @@ mod tests {
         a.note_regeneration();
         let s = a.stats();
         assert_eq!((s.shards_evicted, s.shards_regenerated), (1, 1));
-    }
-
-    #[test]
-    fn charge_guard_rolls_back_unless_committed() {
-        let b = MemoryBudget::bounded(100);
-        {
-            let _g = b.reserve(40);
-            assert_eq!(b.bytes_held(), 40);
-            // Dropped without commit — e.g. an error path bailed out.
-        }
-        assert_eq!(b.bytes_held(), 0, "uncommitted reservation must roll back");
-        b.reserve(30).commit();
-        assert_eq!(b.bytes_held(), 30, "committed reservation must stand");
     }
 
     #[test]

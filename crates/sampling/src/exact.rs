@@ -6,8 +6,13 @@
 //! #P-complete in general, so this is only feasible for tiny graphs — which
 //! is exactly its role here: ground truth for estimator tests, optimality
 //! brute-forcing on small instances, and the `reliability_oracle` example.
+//! [`ExactOracle`] implements [`Oracle`], so the clustering algorithms run
+//! on exact probabilities unchanged.
 
 use ugraph_graph::{bfs_distances, Bitset, NodeId, UncertainGraph, UnionFind, WorldView};
+
+use crate::error::SamplingError;
+use crate::oracle::Oracle;
 
 /// Error raised when a graph is too large for exhaustive enumeration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,11 +141,6 @@ impl ExactOracle {
         Ok(ExactOracle { n, probs })
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
     /// Exact `Pr(u ~ v)` (or `Pr(u ~d~ v)` if built with a depth).
     #[inline]
     pub fn pair_probability(&self, u: NodeId, v: NodeId) -> f64 {
@@ -151,6 +151,56 @@ impl ExactOracle {
     #[inline]
     pub fn probs_from(&self, u: NodeId) -> &[f64] {
         &self.probs[u.index() * self.n..(u.index() + 1) * self.n]
+    }
+}
+
+/// Exact probabilities need no samples and have one radius: selection and
+/// cover rows coincide (build with [`ExactOracle::with_depth`] for exact
+/// depth-limited rows).
+impl Oracle for ExactOracle {
+    fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    fn epsilon(&self) -> f64 {
+        0.0
+    }
+
+    fn prepare(&mut self, _q: f64) -> Result<(), SamplingError> {
+        Ok(())
+    }
+
+    fn num_samples(&self) -> usize {
+        1
+    }
+
+    fn center_probs_batch(
+        &mut self,
+        centers: &[NodeId],
+        select: &mut [f64],
+        cover: &mut [f64],
+    ) -> Result<(), SamplingError> {
+        let n = self.n;
+        assert_eq!(cover.len(), centers.len() * n, "batch cover buffer has wrong length");
+        assert!(
+            select.is_empty() || select.len() == cover.len(),
+            "batch select buffer has wrong length"
+        );
+        for (j, &c) in centers.iter().enumerate() {
+            cover[j * n..(j + 1) * n].copy_from_slice(self.probs_from(c));
+        }
+        if !select.is_empty() {
+            select.copy_from_slice(cover);
+        }
+        Ok(())
+    }
+
+    fn pair_prob(&mut self, u: NodeId, v: NodeId) -> Result<f64, SamplingError> {
+        Ok(self.pair_probability(u, v))
+    }
+
+    fn identical_rows(&self) -> bool {
+        true
     }
 }
 
@@ -165,6 +215,20 @@ mod tests {
             b.add_edge(i, i + 1, p).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn oracle_impl_is_exact() {
+        let mut o = ExactOracle::new(&chain(3, 0.5)).unwrap();
+        assert_eq!(o.epsilon(), 0.0);
+        o.prepare(1e-9).unwrap(); // no-op
+        let mut sel = vec![0.0; 3];
+        let mut cov = vec![0.0; 3];
+        o.center_probs(NodeId(0), &mut sel, &mut cov).unwrap();
+        assert!((cov[1] - 0.5).abs() < 1e-12);
+        assert!((cov[2] - 0.25).abs() < 1e-12);
+        assert_eq!(sel, cov);
+        assert!((o.pair_prob(NodeId(0), NodeId(2)).unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   both modes return identical counts;
 //! * [`ExactOracle`]: exhaustive possible-world enumeration for small
 //!   graphs, used to validate the estimators and for tiny-instance
-//!   optimality tests;
+//!   optimality tests; it implements [`Oracle`];
 //! * sample-size [`bounds`]: the `(ε, δ)` bound of Eq. 4 and the progressive
 //!   schedules of Eq. 9 / Eq. 10, plus the paper's *practical* 50-sample
 //!   starting schedule (§5);
@@ -40,11 +40,11 @@
 //!   a [`RunState`] at shard/block checkpoints in generation, sweeps,
 //!   and label finalization — one relaxed atomic load per block, results
 //!   bit-identical whenever no interruption fires;
-//! * deterministic failpoints ([`faults`], cargo feature
-//!   `fault-injection`, on by default): a [`FaultPlan`] fails the nth
-//!   shard regeneration, pool growth, dataset read, or row-cache
-//!   admission with a typed [`SamplingError::FaultInjected`] so tests
-//!   can assert the error paths roll back cleanly.
+//! * deterministic failpoints ([`faults`], always compiled in): a
+//!   [`FaultPlan`] fails the nth shard regeneration, pool growth, dataset
+//!   read, or row-cache admission with a typed
+//!   [`SamplingError::FaultInjected`] so tests can assert the error paths
+//!   roll back cleanly.
 //!
 //! ## Example: estimating a reliability
 //!
@@ -89,13 +89,13 @@ pub mod tuning;
 pub mod world;
 
 pub use bounds::{harmonic, SampleSchedule};
-pub use budget::{ChargeGuard, MemoryBudget, MemoryStats};
+pub use budget::{MemoryBudget, MemoryStats};
 pub use engine::{BlockWidth, EngineKind, EngineStats, WorldEngine, DEPTH_UNLIMITED};
 pub use error::{SamplingError, SamplingPhase};
 pub use exact::ExactOracle;
 pub use faults::{FaultPlan, FaultSite};
 pub use interrupt::{CancelToken, Interrupt, RunBudget, RunState};
-pub use oracle::{DepthMcOracle, ExactOracleAdapter, McOracle, Oracle, RowCacheStats};
+pub use oracle::{DepthMcOracle, McOracle, Oracle, RowCacheStats};
 pub use pool::{BitParallelPool, SHARD_BLOCKS, SHARD_WORLDS};
 pub use queries::{
     assignment_probs, most_reliable_source, quality_from_probs, reliability_knn,

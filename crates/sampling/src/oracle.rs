@@ -9,10 +9,11 @@
 //! * [`Oracle::prepare`]`(q)` — announce that probabilities `≥ q` are about
 //!   to be thresholded, letting Monte-Carlo implementations grow their
 //!   sample pool per their [`SampleSchedule`];
-//! * [`Oracle::center_probs`]`(c, select, cover)` — estimates of the
-//!   connection probability of every node to a candidate center `c`, at the
-//!   *selection* radius (`q̄` / depth `d'`) and the *cover* radius (`q` /
-//!   depth `d`). For depth-unlimited oracles the two are identical;
+//! * [`Oracle::center_probs_batch`]`(centers, select, cover)` — estimates
+//!   of the connection probability of every node to each candidate center,
+//!   at the *selection* radius (`q̄` / depth `d'`) and the *cover* radius
+//!   (`q` / depth `d`). For depth-unlimited oracles the two are identical.
+//!   [`Oracle::center_probs`] is the batch of one center;
 //! * [`Oracle::pair_prob`] — a single pairwise estimate (used by objective
 //!   evaluation).
 //!
@@ -23,12 +24,13 @@
 //! owns a boxed [`WorldEngine`], so the backends selected by
 //! [`EngineKind`] are interchangeable behind an unchanged oracle
 //! interface — and every backend yields bit-identical
-//! estimates for a fixed master seed. Each oracle call is one engine query
-//! over a window of sample indices: plain-connectivity oracles use the
-//! unlimited queries ([`WorldEngine::counts_from_center_range`], its
-//! batched form, [`WorldEngine::pair_count_range`]) and keep no selection
-//! row; depth-limited oracles use [`WorldEngine::counts_within_depths_range`],
-//! its batched form and [`WorldEngine::pair_count_within_range`].
+//! estimates for a fixed master seed. Rows are counted by the engines'
+//! ranged multi-center queries over a window of sample indices:
+//! plain-connectivity oracles use [`WorldEngine::counts_from_centers_range`]
+//! and keep no selection row; depth-limited oracles use
+//! [`WorldEngine::counts_within_depths_batch_range`]. A pair the row cache
+//! does not admit is one [`WorldEngine::pair_count_range`] or
+//! [`WorldEngine::pair_count_within_range`] query.
 //!
 //! ## Row amortization: batching and the incremental count cache
 //!
@@ -40,9 +42,10 @@
 //! * **Batching** — [`Oracle::center_probs_batch`] fetches all candidate
 //!   rows of one greedy step through the engines' multi-center queries
 //!   (one pool sweep updating every row; component sharing for unlimited
-//!   rows on the bit-parallel backend). Oracles whose selection and cover
-//!   rows always coincide advertise it via [`Oracle::identical_rows`], and
-//!   the batch then writes each row **once**.
+//!   rows on the bit-parallel backend). A single row is a batch of one.
+//!   Oracles whose selection and cover rows always coincide advertise it
+//!   via [`Oracle::identical_rows`], and the batch then writes each row
+//!   **once**.
 //! * **Row caching** — the oracle keeps, per center, the raw **integer
 //!   counts** together with the pool size they integrate over.
 //!
@@ -78,7 +81,6 @@
 //! active window cannot serve it (counts are not subtractable) and are
 //! rebuilt over the window; rows covering a prefix of it top up as usual.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use ugraph_graph::{NodeId, UncertainGraph};
@@ -87,7 +89,6 @@ use crate::bounds::SampleSchedule;
 use crate::budget::{MemoryBudget, MemoryStats};
 use crate::engine::{EngineKind, EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingError;
-use crate::exact::ExactOracle;
 use crate::faults::{self, FaultSite};
 use crate::interrupt::RunState;
 use crate::pool::BitParallelPool;
@@ -237,63 +238,12 @@ impl RowCache {
         self.bytes = 0;
     }
 
-    /// The cache-serve protocol, written once: returns the up-to-date row
-    /// for `center`, counting a hit, a top-up, or a full recompute.
-    /// `topup(ctx, row, lo)` must add counts over the new worlds
-    /// `[lo, r_now)` onto the row — **only after validating** that the
-    /// underlying sweep completed, so an interrupted query never merges
-    /// torn counts; `full(ctx)` must build a row covering `[0, r_now)`
-    /// under the same discipline. A cached row covering **more** than
-    /// `r_now` (the active window is a strict prefix of what the row
-    /// integrated — counts cannot be subtracted) is rebuilt by `full` as
-    /// well. `ctx` carries the engine and scratch buffers (both closures
-    /// need them, and two closures cannot capture the same `&mut` state).
-    ///
-    /// On `Err` the cache is exactly as it was — the row is either absent
-    /// or still covering its old prefix, and the bytes reserved for a new
-    /// row are rolled back by the [`crate::budget::ChargeGuard`].
-    fn serve<C>(
-        &mut self,
-        ctx: &mut C,
-        center: NodeId,
-        r_now: usize,
-        topup: impl FnOnce(&mut C, &mut CachedRow, usize) -> Result<(), SamplingError>,
-        full: impl FnOnce(&mut C) -> Result<CachedRow, SamplingError>,
-    ) -> Result<&CachedRow, SamplingError> {
-        match self.rows.entry(center.0) {
-            Entry::Occupied(e) => {
-                let row = e.into_mut();
-                if row.covered < r_now {
-                    let lo = row.covered;
-                    topup(ctx, row, lo)?;
-                    row.covered = r_now;
-                    self.stats.topups += 1;
-                } else if row.covered == r_now {
-                    self.stats.hits += 1;
-                } else {
-                    *row = full(ctx)?;
-                    self.stats.fulls += 1;
-                }
-                Ok(row)
-            }
-            Entry::Vacant(v) => {
-                faults::hit(FaultSite::BudgetAdmission)?;
-                let reserved = self.budget.reserve(self.bytes_per_row);
-                let row = full(ctx)?;
-                reserved.commit();
-                self.bytes += self.bytes_per_row;
-                self.stats.fulls += 1;
-                Ok(v.insert(row))
-            }
-        }
-    }
-
-    /// Batch-path classification of one requested row against the active
-    /// window `[0, r_now)`: a hit is counted immediately; top-ups and
-    /// misses are returned to the caller, which defers them to grouped
-    /// ranged sweeps (top-ups) or one batched full sweep (misses). A row
-    /// covering more than `r_now` classifies as a miss (see
-    /// [`RowCache::serve`]).
+    /// Classification of one requested row against the active window
+    /// `[0, r_now)`: a hit is counted immediately; top-ups and misses are
+    /// returned to the caller, which defers them to grouped ranged sweeps
+    /// (top-ups) or one batched full sweep (misses). A row covering more
+    /// than `r_now` classifies as a miss: the active window is a strict
+    /// prefix of what the row integrated, and counts cannot be subtracted.
     fn classify(&mut self, center: NodeId, r_now: usize) -> RowService {
         match self.rows.get(&center.0) {
             Some(row) if row.covered == r_now => {
@@ -417,9 +367,17 @@ pub trait Oracle {
         self.num_samples()
     }
 
-    /// Writes, for every node `u`, the estimated connection probability
-    /// between `u` and `center` — at the selection radius into `select` and
-    /// at the cover radius into `cover` (identical for unlimited oracles).
+    /// Writes, for every node `u` and each requested center `c`, the
+    /// estimated connection probability between `u` and `c` — at the
+    /// selection radius into `select` and at the cover radius into `cover`
+    /// (identical for unlimited oracles), one row per center, row-major
+    /// (`select[j * n + u]`, `cover[j * n + u]`). Implementations amortize
+    /// the pool sweeps over the batch and serve cached rows where
+    /// possible; the estimates do not depend on how centers are batched.
+    ///
+    /// An **empty** `select` buffer requests cover rows only. When
+    /// [`Oracle::identical_rows`] is `true` they double as selection rows,
+    /// so each row is written once.
     ///
     /// # Errors
     /// Returns [`SamplingError::Interrupted`] /
@@ -428,13 +386,31 @@ pub trait Oracle {
     /// oracle (including its row cache) holds no torn state.
     ///
     /// # Panics
-    /// Implementations panic if the buffers are not of length `num_nodes()`.
+    /// Panics if `cover.len() != centers.len() * num_nodes()`, or if
+    /// `select` is neither empty nor of the same length as `cover`.
+    fn center_probs_batch(
+        &mut self,
+        centers: &[NodeId],
+        select: &mut [f64],
+        cover: &mut [f64],
+    ) -> Result<(), SamplingError>;
+
+    /// [`Oracle::center_probs_batch`] for the single center `center`.
+    ///
+    /// # Errors
+    /// As [`Oracle::center_probs_batch`].
+    ///
+    /// # Panics
+    /// Panics if `cover` is not of length `num_nodes()`, or if `select`
+    /// is neither empty nor of that length.
     fn center_probs(
         &mut self,
         center: NodeId,
         select: &mut [f64],
         cover: &mut [f64],
-    ) -> Result<(), SamplingError>;
+    ) -> Result<(), SamplingError> {
+        self.center_probs_batch(&[center], select, cover)
+    }
 
     /// Estimated connection probability between `u` and `v` at the cover
     /// radius.
@@ -442,7 +418,7 @@ pub trait Oracle {
     /// # Errors
     /// Returns [`SamplingError::Interrupted`] /
     /// [`SamplingError::FaultInjected`] under interruption or an armed
-    /// failpoint (see [`Oracle::center_probs`]).
+    /// failpoint (see [`Oracle::center_probs_batch`]).
     fn pair_prob(&mut self, u: NodeId, v: NodeId) -> Result<f64, SamplingError>;
 
     /// Whether the selection and cover rows of this oracle are **always**
@@ -452,52 +428,6 @@ pub trait Oracle {
     /// from them — the identical-rows fast path that writes each row once.
     fn identical_rows(&self) -> bool {
         false
-    }
-
-    /// Batched [`Oracle::center_probs`]: one selection row and one cover
-    /// row per requested center, row-major (`select[j * n + u]`,
-    /// `cover[j * n + u]`). Estimates are identical to sequential
-    /// `center_probs` calls; implementations amortize the pool sweeps and
-    /// serve cached rows where possible.
-    ///
-    /// When [`Oracle::identical_rows`] is `true`, callers may pass an
-    /// **empty** `select` buffer and read selection estimates from
-    /// `cover`; each row is then written once.
-    ///
-    /// # Errors
-    /// Returns [`SamplingError::Interrupted`] /
-    /// [`SamplingError::FaultInjected`] under interruption or an armed
-    /// failpoint (see [`Oracle::center_probs`]).
-    ///
-    /// # Panics
-    /// Panics if `cover.len() != centers.len() * num_nodes()`, or if
-    /// `select` is neither empty (identical rows only) nor of the same
-    /// length as `cover`.
-    fn center_probs_batch(
-        &mut self,
-        centers: &[NodeId],
-        select: &mut [f64],
-        cover: &mut [f64],
-    ) -> Result<(), SamplingError> {
-        let n = self.num_nodes();
-        assert_eq!(cover.len(), centers.len() * n, "batch cover buffer has wrong length");
-        if select.is_empty() && !centers.is_empty() {
-            assert!(self.identical_rows(), "empty select buffer requires identical rows");
-            let mut scratch = vec![0.0; n];
-            for (j, &c) in centers.iter().enumerate() {
-                self.center_probs(c, &mut scratch, &mut cover[j * n..(j + 1) * n])?;
-            }
-        } else {
-            assert_eq!(select.len(), cover.len(), "batch select buffer has wrong length");
-            for (j, &c) in centers.iter().enumerate() {
-                self.center_probs(
-                    c,
-                    &mut select[j * n..(j + 1) * n],
-                    &mut cover[j * n..(j + 1) * n],
-                )?;
-            }
-        }
-        Ok(())
     }
 
     /// Row-cache effectiveness counters (all zero for oracles without a
@@ -544,34 +474,9 @@ impl Depths {
         self.select == self.cover
     }
 
-    /// `center`'s counts over the sample window `[lo, hi)`: a single-row
-    /// query filling `cover` (and `select`, `n` entries, unless unlimited).
-    fn count_row(
-        self,
-        engine: &mut dyn WorldEngine,
-        center: NodeId,
-        lo: usize,
-        hi: usize,
-        select: &mut [u32],
-        cover: &mut [u32],
-    ) {
-        if self.unlimited() {
-            engine.counts_from_center_range(center, lo, hi, cover);
-        } else {
-            engine.counts_within_depths_range(
-                center,
-                self.select,
-                self.cover,
-                lo,
-                hi,
-                select,
-                cover,
-            );
-        }
-    }
-
-    /// Batched [`Depths::count_row`]: one multi-center query, rows
-    /// row-major per center.
+    /// The counts of `centers` over the sample window `[lo, hi)`: one
+    /// multi-center query filling `cover` (and `select`, unless unlimited),
+    /// `n` entries per center, row-major.
     fn count_rows(
         self,
         engine: &mut dyn WorldEngine,
@@ -635,10 +540,10 @@ impl Scratch {
 /// Both at [`DEPTH_UNLIMITED`] is plain connectivity (Algorithm 1).
 ///
 /// Both pool growth ([`Oracle::prepare`]) and estimation
-/// ([`Oracle::center_probs`], [`Oracle::pair_prob`]) run on rayon with the
-/// engine's configured thread count; per-index RNG streams and integer
-/// count merging make every estimate bit-identical across thread counts
-/// **and across backends**.
+/// ([`Oracle::center_probs_batch`], [`Oracle::pair_prob`]) run on rayon
+/// with the engine's configured thread count; per-index RNG streams and
+/// integer count merging make every estimate bit-identical across thread
+/// counts **and across backends**.
 pub struct McOracle<'g> {
     engine: Box<dyn WorldEngine + 'g>,
     schedule: SampleSchedule,
@@ -648,6 +553,9 @@ pub struct McOracle<'g> {
     active: usize,
     depths: Depths,
     scratch: Scratch,
+    /// The probability row [`Oracle::pair_prob`] reads a cached center's
+    /// pair from.
+    pair_row: Vec<f64>,
     cache: RowCache,
     /// Cooperative interruption state shared with the engine.
     run: RunState,
@@ -721,6 +629,7 @@ impl<'g> McOracle<'g> {
             active,
             depths,
             scratch: Scratch::default(),
+            pair_row: Vec::new(),
             cache: RowCache::new(true, n, if depths.identical() { 1 } else { 2 }),
             run: RunState::unlimited(),
         })
@@ -756,51 +665,6 @@ impl<'g> McOracle<'g> {
     /// Read access to the backing engine (used by metrics and benches).
     pub fn engine(&self) -> &dyn WorldEngine {
         self.engine.as_ref()
-    }
-
-    /// `center`'s `(select, cover)` counts over the active window —
-    /// `select` is empty when the rows are identical. Served through the
-    /// row cache when it admits the center, otherwise counted into scratch
-    /// (a full recompute).
-    fn row_counts(&mut self, center: NodeId) -> Result<(&[u32], &[u32]), SamplingError> {
-        let n = self.num_nodes();
-        let r_now = self.active;
-        let run = self.run.clone();
-        let McOracle { engine, depths, scratch, cache, .. } = self;
-        let depths = *depths;
-        if !cache.admits(center) {
-            let (select, cover) = scratch.rows(depths, 1, n);
-            depths.count_row(engine.as_mut(), center, 0, r_now, select, cover);
-            run.error()?;
-            cache.stats.fulls += 1;
-            let select: &[u32] = if depths.identical() { &[] } else { select };
-            return Ok((select, cover));
-        }
-        let mut ctx = (engine, scratch);
-        let row = cache.serve(
-            &mut ctx,
-            center,
-            r_now,
-            |(engine, scratch), row, lo| {
-                let (select, cover) = scratch.rows(depths, 1, n);
-                depths.count_row(engine.as_mut(), center, lo, r_now, select, cover);
-                run.error()?;
-                add_counts(&mut row.cover, cover);
-                if !depths.identical() {
-                    add_counts(&mut row.select, select);
-                }
-                Ok(())
-            },
-            |(engine, scratch)| {
-                let (select, cover) = scratch.rows(depths, 1, n);
-                depths.count_row(engine.as_mut(), center, 0, r_now, select, cover);
-                run.error()?;
-                // Identical rows: one stored row serves both radii.
-                let select = if depths.identical() { Vec::new() } else { select.to_vec() };
-                Ok(CachedRow { covered: r_now, select, cover: cover.to_vec() })
-            },
-        )?;
-        Ok((&row.select, &row.cover))
     }
 }
 
@@ -854,24 +718,6 @@ impl Oracle for McOracle<'_> {
         self.engine.num_samples()
     }
 
-    fn center_probs(
-        &mut self,
-        center: NodeId,
-        select: &mut [f64],
-        cover: &mut [f64],
-    ) -> Result<(), SamplingError> {
-        let r = self.active.max(1) as f64;
-        let identical = self.depths.identical();
-        let (row_select, row_cover) = self.row_counts(center)?;
-        write_probs(row_cover, r, cover);
-        if identical {
-            select.copy_from_slice(cover);
-        } else {
-            write_probs(row_select, r, select);
-        }
-        Ok(())
-    }
-
     fn pair_prob(&mut self, u: NodeId, v: NodeId) -> Result<f64, SamplingError> {
         let r_now = self.active;
         if r_now == 0 {
@@ -884,9 +730,13 @@ impl Oracle for McOracle<'_> {
         }
         // Serve the pair from u's (cached) cover row: objective evaluation
         // asks one pair per node against a handful of centers, so the row
-        // is computed once and every further pair is a lookup.
-        let (_, cover) = self.row_counts(u)?;
-        Ok(cover[v.index()] as f64 / r_now as f64)
+        // is counted once and every further pair reads it from the cache.
+        let mut row = std::mem::take(&mut self.pair_row);
+        row.resize(self.num_nodes(), 0.0);
+        let served = self.center_probs_batch(&[u], &mut [], &mut row);
+        let p = row[v.index()];
+        self.pair_row = row;
+        served.map(|()| p)
     }
 
     /// Selection and cover rows coincide exactly when the two depths do
@@ -904,12 +754,12 @@ impl Oracle for McOracle<'_> {
         let n = self.num_nodes();
         let k = centers.len();
         assert_eq!(cover.len(), k * n, "batch cover buffer has wrong length");
+        assert!(
+            select.is_empty() || select.len() == cover.len(),
+            "batch select buffer has wrong length"
+        );
         let depths = self.depths;
         let identical = depths.identical();
-        assert!(
-            select.len() == cover.len() || (select.is_empty() && identical),
-            "batch select buffer has wrong length (empty requires identical rows)"
-        );
         // Selection rows are written per row only when they differ from
         // the cover rows; otherwise one bulk copy fills them at the end.
         let write_select = !select.is_empty() && !identical;
@@ -1051,91 +901,13 @@ impl DepthMcOracle {
     }
 }
 
-/// Adapter exposing an [`ExactOracle`] through the [`Oracle`] trait
-/// (selection and cover probabilities coincide; build the inner oracle
-/// with [`ExactOracle::with_depth`] for exact depth-limited variants).
-pub struct ExactOracleAdapter {
-    inner: ExactOracle,
-}
-
-impl ExactOracleAdapter {
-    /// Wraps an exact oracle.
-    pub fn new(inner: ExactOracle) -> Self {
-        ExactOracleAdapter { inner }
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &ExactOracle {
-        &self.inner
-    }
-}
-
-impl Oracle for ExactOracleAdapter {
-    fn num_nodes(&self) -> usize {
-        self.inner.num_nodes()
-    }
-
-    fn epsilon(&self) -> f64 {
-        0.0
-    }
-
-    fn prepare(&mut self, _q: f64) -> Result<(), SamplingError> {
-        Ok(())
-    }
-
-    fn num_samples(&self) -> usize {
-        1
-    }
-
-    fn center_probs(
-        &mut self,
-        center: NodeId,
-        select: &mut [f64],
-        cover: &mut [f64],
-    ) -> Result<(), SamplingError> {
-        let row = self.inner.probs_from(center);
-        select.copy_from_slice(row);
-        cover.copy_from_slice(row);
-        Ok(())
-    }
-
-    fn pair_prob(&mut self, u: NodeId, v: NodeId) -> Result<f64, SamplingError> {
-        Ok(self.inner.pair_probability(u, v))
-    }
-
-    /// Exact oracles have a single radius.
-    fn identical_rows(&self) -> bool {
-        true
-    }
-
-    fn center_probs_batch(
-        &mut self,
-        centers: &[NodeId],
-        select: &mut [f64],
-        cover: &mut [f64],
-    ) -> Result<(), SamplingError> {
-        let n = self.num_nodes();
-        assert_eq!(cover.len(), centers.len() * n, "batch cover buffer has wrong length");
-        assert!(
-            select.is_empty() || select.len() == cover.len(),
-            "batch select buffer has wrong length"
-        );
-        for (j, &c) in centers.iter().enumerate() {
-            cover[j * n..(j + 1) * n].copy_from_slice(self.inner.probs_from(c));
-        }
-        if !select.is_empty() {
-            select.copy_from_slice(cover);
-        }
-        Ok(())
-    }
-}
-
 /// Internal check that the unlimited sentinel is what engines expect.
 const _: () = assert!(DEPTH_UNLIMITED == u32::MAX);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::ExactOracle;
     use ugraph_graph::GraphBuilder;
 
     const UNLIMITED: (u32, u32) = (DEPTH_UNLIMITED, DEPTH_UNLIMITED);
@@ -1282,21 +1054,6 @@ mod tests {
         o.prepare(1.0).unwrap();
         assert_eq!(o.pair_prob(NodeId(0), NodeId(2)).unwrap(), 1.0);
         assert_eq!(o.pair_prob(NodeId(0), NodeId(3)).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn exact_adapter_is_exact() {
-        let g = chain(3, 0.5);
-        let mut o = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
-        assert_eq!(o.epsilon(), 0.0);
-        o.prepare(1e-9).unwrap(); // no-op
-        let mut sel = vec![0.0; 3];
-        let mut cov = vec![0.0; 3];
-        o.center_probs(NodeId(0), &mut sel, &mut cov).unwrap();
-        assert!((cov[1] - 0.5).abs() < 1e-12);
-        assert!((cov[2] - 0.25).abs() < 1e-12);
-        assert_eq!(sel, cov);
-        assert!((o.pair_prob(NodeId(0), NodeId(2)).unwrap() - 0.25).abs() < 1e-12);
     }
 
     /// A cached oracle serves the same rows as an uncached one while the

@@ -586,7 +586,7 @@ mod tests {
         let resident = r.global_stats().bytes_held;
         assert!(resident > limit / 2 && resident <= limit, "{resident} B resident");
         let ledger_a = r.locked().sessions[0].1.ledger.clone();
-        let working_set = ledger_a.reserve(limit);
+        ledger_a.charge(limit);
         // "a" is still leased: headroom-making cannot evict it, and with
         // no idle victim left the next acquire is an admission rejection.
         let err = r.acquire(&call("b")).unwrap_err();
@@ -596,7 +596,7 @@ mod tests {
         );
         assert_eq!(r.sessions_evicted(), 0);
         // Releasing the lease frees the victim; "b" is admitted.
-        drop(working_set);
+        ledger_a.release(limit);
         drop(lease_a);
         let lease_b = r.acquire(&call("b")).unwrap();
         assert!(r.sessions_evicted() >= 1, "idle 'a' must have been evicted");

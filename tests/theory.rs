@@ -4,7 +4,7 @@
 use ugraph::cluster::brute::brute_force_opt;
 use ugraph::cluster::{acp_with_oracle, avg_prob, mcp_with_oracle, min_prob};
 use ugraph::prelude::*;
-use ugraph::sampling::{harmonic, ExactOracle, ExactOracleAdapter};
+use ugraph::sampling::{harmonic, ExactOracle};
 
 /// Wheel-ish test graph: hub 0 connected to 6 rim nodes, rim cycle.
 fn wheel(p_spoke: f64, p_rim: f64) -> UncertainGraph {
@@ -26,10 +26,10 @@ fn theorem3_holds_on_wheels() {
         for k in 1..4usize {
             let exact = ExactOracle::new(&g).unwrap();
             let opt = brute_force_opt(&exact, k).unwrap();
-            let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+            let mut oracle = ExactOracle::new(&g).unwrap();
             let cfg = ClusterConfig::default().with_seed(k as u64);
             let r = mcp_with_oracle(&mut oracle, k, &cfg).unwrap();
-            let mut eval = ExactOracleAdapter::new(exact);
+            let mut eval = exact;
             let achieved = min_prob(&mut eval, &r.clustering).unwrap();
             let bound = opt.best_min_prob.powi(2) / 1.1;
             assert!(achieved >= bound - 1e-9, "wheel({ps},{pr}) k={k}: {achieved} < {bound}");
@@ -45,10 +45,10 @@ fn theorem4_holds_on_wheels() {
         for k in 1..4usize {
             let exact = ExactOracle::new(&g).unwrap();
             let opt = brute_force_opt(&exact, k).unwrap();
-            let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+            let mut oracle = ExactOracle::new(&g).unwrap();
             let cfg = ClusterConfig::default().with_seed(k as u64);
             let r = acp_with_oracle(&mut oracle, k, &cfg).unwrap();
-            let mut eval = ExactOracleAdapter::new(exact);
+            let mut eval = exact;
             let achieved = avg_prob(&mut eval, &r.clustering).unwrap();
             let bound = (opt.best_avg_prob / (1.1 * harmonic(7))).powi(3);
             assert!(achieved >= bound - 1e-9, "wheel({ps},{pr}) k={k}: {achieved} < {bound}");
@@ -64,10 +64,10 @@ fn monte_carlo_mcp_close_to_exact_oracle_result() {
     let k = 2;
     let cfg = ClusterConfig::default().with_seed(6).with_schedule(SampleSchedule::Fixed(4000));
     let mc = mcp(&g, k, &cfg).unwrap();
-    let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+    let mut oracle = ExactOracle::new(&g).unwrap();
     let ex = mcp_with_oracle(&mut oracle, k, &ClusterConfig::default()).unwrap();
-    let mut eval_a = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
-    let mut eval_b = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+    let mut eval_a = ExactOracle::new(&g).unwrap();
+    let mut eval_b = ExactOracle::new(&g).unwrap();
     let a = min_prob(&mut eval_a, &mc.clustering).unwrap();
     let b = min_prob(&mut eval_b, &ex.clustering).unwrap();
     assert!((a - b).abs() < 0.15, "MC result {a} far from exact-oracle result {b}");
@@ -88,7 +88,7 @@ fn depth_theorems_on_certain_paths() {
     let r = mcp_depth(&g, 2, 3, &cfg).unwrap();
     assert!(r.min_prob_estimate >= 0.999);
     // Eq. 7 objective evaluated with the exact depth oracle agrees.
-    let mut eval = ExactOracleAdapter::new(ExactOracle::with_depth(&g, 3).unwrap());
+    let mut eval = ExactOracle::with_depth(&g, 3).unwrap();
     assert!((min_prob(&mut eval, &r.clustering).unwrap() - 1.0).abs() < 1e-9);
 }
 
@@ -114,9 +114,9 @@ fn acp_never_below_k_over_n_by_much() {
     // popt-avg(k) ≥ k/n (centers have probability 1); the returned
     // clustering's φ must respect the cubic bound on that floor at least.
     let g = wheel(0.2, 0.2);
-    let mut oracle = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+    let mut oracle = ExactOracle::new(&g).unwrap();
     let r = acp_with_oracle(&mut oracle, 3, &ClusterConfig::default()).unwrap();
-    let mut eval = ExactOracleAdapter::new(ExactOracle::new(&g).unwrap());
+    let mut eval = ExactOracle::new(&g).unwrap();
     let achieved = avg_prob(&mut eval, &r.clustering).unwrap();
     assert!(achieved >= 3.0 / 7.0 * 0.9, "achieved {achieved}");
 }
