@@ -25,7 +25,8 @@
 //! closing. Requests arriving after the trigger get
 //! [`ErrorCode::ShuttingDown`].
 
-use std::io::Read;
+use std::collections::HashSet;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -147,13 +148,20 @@ impl Server {
     /// attaches its own [`CancelToken`] so shutdown reaches every solve.
     ///
     /// # Errors
-    /// [`ProtocolError::Io`] when the address cannot be bound.
+    /// [`ProtocolError::Io`] when the address cannot be bound, or — with
+    /// [`io::ErrorKind::InvalidInput`], before binding — when two graphs
+    /// share a name (a request could reach only one of them).
     pub fn bind(
         addr: impl ToSocketAddrs,
         graphs: Vec<(String, Arc<UncertainGraph>)>,
         base: ClusterConfig,
         config: ServerConfig,
     ) -> Result<Server, ProtocolError> {
+        let mut names = HashSet::new();
+        if let Some((name, _)) = graphs.iter().find(|(name, _)| !names.insert(name)) {
+            let why = format!("two graphs are named `{name}`");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why).into());
+        }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let cancel = CancelToken::new();

@@ -11,8 +11,8 @@ use ugraph_graph::{GraphBuilder, UncertainGraph};
 use ugraph_sampling::{BlockWidth, EngineKind, Interrupt};
 use ugraph_server::protocol::encode_request;
 use ugraph_server::{
-    Client, ClusterCall, ErrorCode, Request, Response, RunningServer, Server, ServerConfig,
-    WireDepth, WireSolve,
+    Client, ClusterCall, ErrorCode, ProtocolError, Request, Response, RunningServer, Server,
+    ServerConfig, WireDepth, WireSolve,
 };
 
 const SEED: u64 = 7;
@@ -337,4 +337,24 @@ fn idle_evict_frees_sessions_by_age() {
     let g = two_communities();
     let mut local = local_session(&g);
     assert_matches_local(&again, &local.solve(ClusterRequest::mcp(2)).unwrap());
+}
+
+/// Two graphs under one name would leave one of them unreachable, so
+/// binding rejects the repeated name instead of serving.
+#[test]
+fn repeated_graph_names_are_rejected_at_bind() {
+    let g = two_communities();
+    let graphs = vec![
+        ("a".into(), Arc::clone(&g)),
+        ("b".into(), Arc::clone(&g)),
+        ("a".into(), chunky_ring()),
+    ];
+    match Server::bind("127.0.0.1:0", graphs, base_config(), ServerConfig::default()) {
+        Ok(_) => panic!("a repeated graph name must be rejected"),
+        Err(ProtocolError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+            assert!(e.to_string().contains("`a`"), "the error must name the graph: {e}");
+        }
+        Err(other) => panic!("expected an InvalidInput error, got {other}"),
+    }
 }

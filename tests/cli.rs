@@ -276,3 +276,22 @@ fn sweep_reports_finalization_columns() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("finalized"), "{stderr}");
 }
+
+/// A file whose stem repeats a `--dataset` name would hide one of the two
+/// graphs behind the other; `serve` refuses to start instead.
+#[test]
+fn serve_rejects_two_graphs_under_one_name() {
+    let dir = tmp("serve-repeated-name");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("collins.txt");
+    std::fs::copy(small_graph_file(), &input).unwrap();
+    let out = bin()
+        .args(["serve", "--listen", "127.0.0.1:0", "--dataset", "collins", "--input"])
+        .arg(&input)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: cannot serve: "), "{stderr}");
+    assert!(stderr.contains("`collins`"), "the error must name the graph: {stderr}");
+}
