@@ -15,9 +15,8 @@
 //! leak across tests running in parallel). The [`FaultGuard`] returned by
 //! `install` disarms the plan when dropped.
 //!
-//! The hooks compile in by default (the tier-1 suite exercises them);
-//! building `ugraph-sampling` with `--no-default-features` (or without
-//! the `fault-injection` feature) strips them to nothing.
+//! The hooks always compile in; with no plan armed, a hook checks one
+//! thread-local and returns `Ok(())`.
 
 use std::fmt;
 
@@ -109,13 +108,11 @@ impl FaultPlan {
         self
     }
 
-    #[cfg(feature = "fault-injection")]
     fn fails(&self, site: FaultSite, hit: u64) -> bool {
         self.fail_hits[site.index()].iter().any(|&h| h == 0 || h == hit)
     }
 }
 
-#[cfg(feature = "fault-injection")]
 mod registry {
     use super::{FaultPlan, NUM_SITES};
     use std::cell::RefCell;
@@ -146,63 +143,42 @@ impl Drop for FaultGuard {
 /// resetting all hit counters. Disarm by dropping the returned guard (or
 /// calling [`clear`]).
 pub fn install(plan: FaultPlan) -> FaultGuard {
-    #[cfg(feature = "fault-injection")]
     registry::ACTIVE.with(|a| {
         *a.borrow_mut() = Some(registry::Active { plan, hits: [0; NUM_SITES] });
     });
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = plan;
     FaultGuard(())
 }
 
 /// Disarms the current thread's fault plan, if any.
 pub fn clear() {
-    #[cfg(feature = "fault-injection")]
     registry::ACTIVE.with(|a| *a.borrow_mut() = None);
 }
 
 /// Number of times `site` has been hit under the current plan (0 when no
 /// plan is armed) — lets tests assert a failpoint was actually reached.
 pub fn hits(site: FaultSite) -> u64 {
-    #[cfg(feature = "fault-injection")]
-    {
-        registry::ACTIVE.with(|a| a.borrow().as_ref().map_or(0, |act| act.hits[site.index()]))
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        let _ = site;
-        0
-    }
+    registry::ACTIVE.with(|a| a.borrow().as_ref().map_or(0, |act| act.hits[site.index()]))
 }
 
 /// The failpoint hook: counts one hit of `site` against the current
 /// thread's plan and fails if this hit is scheduled to. Without an armed
-/// plan (or with the `fault-injection` feature disabled) this is a no-op
-/// returning `Ok(())`.
+/// plan this is a no-op returning `Ok(())`.
 #[inline]
 pub fn hit(site: FaultSite) -> Result<(), SamplingError> {
-    #[cfg(feature = "fault-injection")]
-    {
-        registry::ACTIVE.with(|a| {
-            let mut active = a.borrow_mut();
-            let Some(act) = active.as_mut() else { return Ok(()) };
-            act.hits[site.index()] += 1;
-            let hit = act.hits[site.index()];
-            if act.plan.fails(site, hit) {
-                Err(SamplingError::FaultInjected { site, hit })
-            } else {
-                Ok(())
-            }
-        })
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        let _ = site;
-        Ok(())
-    }
+    registry::ACTIVE.with(|a| {
+        let mut active = a.borrow_mut();
+        let Some(act) = active.as_mut() else { return Ok(()) };
+        act.hits[site.index()] += 1;
+        let hit = act.hits[site.index()];
+        if act.plan.fails(site, hit) {
+            Err(SamplingError::FaultInjected { site, hit })
+        } else {
+            Ok(())
+        }
+    })
 }
 
-#[cfg(all(test, feature = "fault-injection"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1391,7 +1391,6 @@ mod tests {
         assert!(matches!(read_frame(&mut &zero[..]), Err(ProtocolError::Oversized(0))));
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn wire_write_failpoint_tears_the_frame() {
         use ugraph_sampling::FaultPlan;

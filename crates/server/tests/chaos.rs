@@ -289,7 +289,6 @@ fn pooled_client_rides_over_every_fault_schedule_bit_identically() {
     assert_eq!(stats.bytes_held, 0, "ledger must balance after chaos: {stats:?}");
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn mid_frame_stall_is_cut_tallied_and_the_worker_survives() {
     use ugraph_sampling::{faults, FaultPlan, FaultSite};

@@ -162,7 +162,6 @@ fn unknown_graph_is_a_typed_refusal_on_a_healthy_connection() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn torn_client_write_leaves_the_server_serving() {
     use ugraph_sampling::{faults, FaultPlan, FaultSite};
@@ -197,7 +196,6 @@ fn torn_client_write_leaves_the_server_serving() {
     }
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn dropped_client_read_is_typed_and_the_stream_survives() {
     use ugraph_sampling::{faults, FaultPlan, FaultSite};
@@ -221,7 +219,6 @@ fn dropped_client_read_is_typed_and_the_stream_survives() {
     assert_eq!(faults::hits(FaultSite::WireRead), 2);
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn refused_dial_is_typed_and_the_next_dial_succeeds() {
     use ugraph_sampling::{faults, FaultPlan, FaultSite};
