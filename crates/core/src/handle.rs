@@ -15,7 +15,7 @@
 //!   parallel;
 //! * results are bit-identical to driving the underlying session directly:
 //!   the actor does nothing but forward commands to
-//!   [`UgraphSession::solve`] and friends;
+//!   [`UgraphSession::solve`] and [`UgraphSession::stats`];
 //! * dropping the handle drains the queued commands, shuts the session
 //!   down, and joins the thread.
 //!
@@ -43,19 +43,16 @@ use std::thread;
 use ugraph_graph::UncertainGraph;
 use ugraph_sampling::MemoryBudget;
 
-use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
 use crate::error::ClusterError;
 use crate::request::{ClusterRequest, SolveResult};
-use crate::session::{EvalQuality, SessionStats, UgraphSession};
+use crate::session::{SessionStats, UgraphSession};
 
-/// One command of the actor protocol; each solve/evaluate/stats call
-/// creates a one-shot reply channel and blocks on it.
+/// One command of the actor protocol; each solve/stats call creates a
+/// one-shot reply channel and blocks on it.
 enum Command {
     Solve(ClusterRequest, mpsc::Sender<Result<SolveResult, ClusterError>>),
-    Evaluate(Clustering, Option<u32>, mpsc::Sender<EvalQuality>),
     Stats(mpsc::Sender<SessionStats>),
-    SetEvalSamples(usize),
 }
 
 /// An owned, shareable handle to a [`UgraphSession`] running on its own
@@ -121,18 +118,8 @@ impl SessionHandle {
                         Command::Solve(request, reply) => {
                             let _ = reply.send(session.solve(request));
                         }
-                        Command::Evaluate(clustering, depth, reply) => {
-                            let quality = match depth {
-                                None => session.evaluate(&clustering),
-                                Some(d) => session.evaluate_depth(&clustering, d),
-                            };
-                            let _ = reply.send(quality);
-                        }
                         Command::Stats(reply) => {
                             let _ = reply.send(session.stats());
-                        }
-                        Command::SetEvalSamples(samples) => {
-                            session.set_eval_samples(samples);
                         }
                     }
                 }
@@ -151,22 +138,14 @@ impl SessionHandle {
         &self.config
     }
 
-    /// Clones the command sender out of the lock (never holds it while
-    /// blocking on a reply).
-    fn sender(&self) -> Result<mpsc::Sender<Command>, ClusterError> {
-        self.tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .cloned()
-            .ok_or(ClusterError::SessionClosed)
-    }
-
     /// Sends `command` built around a fresh reply channel and blocks for
-    /// the reply.
+    /// the reply. The sender is cloned out of the lock, which is never
+    /// held while blocking.
     fn call<T>(&self, build: impl FnOnce(mpsc::Sender<T>) -> Command) -> Result<T, ClusterError> {
         let (reply_tx, reply_rx) = mpsc::channel();
-        self.sender()?.send(build(reply_tx)).map_err(|_| ClusterError::SessionClosed)?;
+        let tx = self.tx.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let tx = tx.ok_or(ClusterError::SessionClosed)?;
+        tx.send(build(reply_tx)).map_err(|_| ClusterError::SessionClosed)?;
         reply_rx.recv().map_err(|_| ClusterError::SessionClosed)
     }
 
@@ -182,61 +161,12 @@ impl SessionHandle {
         self.call(|reply| Command::Solve(request, reply))?
     }
 
-    /// Estimates `p_min`/`p_avg` of `clustering` over the session's
-    /// evaluation pool ([`UgraphSession::evaluate`]).
-    ///
-    /// # Errors
-    /// [`ClusterError::InvalidConfig`] if `clustering` is sized for a
-    /// different graph (checked here, where the borrowed session would
-    /// panic); [`ClusterError::SessionClosed`] when the actor is gone.
-    pub fn evaluate(&self, clustering: Clustering) -> Result<EvalQuality, ClusterError> {
-        self.evaluate_impl(clustering, None)
-    }
-
-    /// Depth-limited [`SessionHandle::evaluate`]
-    /// ([`UgraphSession::evaluate_depth`]).
-    ///
-    /// # Errors
-    /// As [`SessionHandle::evaluate`].
-    pub fn evaluate_depth(
-        &self,
-        clustering: Clustering,
-        depth: u32,
-    ) -> Result<EvalQuality, ClusterError> {
-        self.evaluate_impl(clustering, Some(depth))
-    }
-
-    fn evaluate_impl(
-        &self,
-        clustering: Clustering,
-        depth: Option<u32>,
-    ) -> Result<EvalQuality, ClusterError> {
-        let (n, have) = (self.graph.num_nodes(), clustering.num_nodes());
-        if n != have {
-            return Err(ClusterError::InvalidConfig {
-                message: format!("clustering is sized for {have} nodes, the session graph has {n}"),
-            });
-        }
-        self.call(|reply| Command::Evaluate(clustering, depth, reply))
-    }
-
     /// Cumulative session statistics ([`UgraphSession::stats`]).
     ///
     /// # Errors
     /// [`ClusterError::SessionClosed`] when the actor is gone.
     pub fn stats(&self) -> Result<SessionStats, ClusterError> {
         self.call(Command::Stats)
-    }
-
-    /// Sets the evaluation-pool size ([`UgraphSession::set_eval_samples`]).
-    /// Applied in queue order relative to other calls on this handle.
-    ///
-    /// # Errors
-    /// [`ClusterError::SessionClosed`] when the actor is gone.
-    pub fn set_eval_samples(&self, samples: usize) -> Result<(), ClusterError> {
-        self.sender()?
-            .send(Command::SetEvalSamples(samples))
-            .map_err(|_| ClusterError::SessionClosed)
     }
 }
 
@@ -293,9 +223,6 @@ mod tests {
         let a = handle.solve(ClusterRequest::acp(2)).unwrap();
         let b = direct.solve(ClusterRequest::acp(2)).unwrap();
         assert_eq!(a.clustering, b.clustering);
-        let qa = handle.evaluate(a.clustering).unwrap();
-        let qb = direct.evaluate(&b.clustering);
-        assert_eq!(qa, qb);
         // Every counter must match; the wall-clock solve time cannot.
         let deterministic = |line: String| -> Vec<String> {
             line.split(' ')
@@ -338,20 +265,7 @@ mod tests {
         let late = ClusterRequest::mcp(2).with_deadline(Duration::ZERO);
         assert!(matches!(handle.solve(late), Err(ClusterError::DeadlineExceeded(_))));
         assert!(handle.solve(ClusterRequest::mcp(2)).is_ok());
-        // Wrong-sized clusterings are rejected before reaching the actor.
-        let wrong = Clustering::new(vec![ugraph_graph::NodeId(0)], vec![Some(0); 3]);
-        assert!(matches!(handle.evaluate(wrong), Err(ClusterError::InvalidConfig { .. })));
         // Bad configs fail at spawn, synchronously.
         assert!(SessionHandle::spawn(g, ClusterConfig::default().with_gamma(0.0)).is_err());
-    }
-
-    #[test]
-    fn eval_samples_apply_in_queue_order() {
-        let g = two_communities();
-        let handle = SessionHandle::spawn(g, ClusterConfig::default()).unwrap();
-        handle.set_eval_samples(32).unwrap();
-        let r = handle.solve(ClusterRequest::mcp(2)).unwrap();
-        let q = handle.evaluate(r.clustering).unwrap();
-        assert_eq!(q.samples, 32);
     }
 }

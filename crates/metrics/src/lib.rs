@@ -28,5 +28,5 @@ pub mod report;
 
 pub use avpr::{avpr, Avpr};
 pub use prediction::{confusion, ConfusionMatrix};
-pub use quality::{clustering_quality, depth_clustering_quality, session_quality, Quality};
+pub use quality::{clustering_quality, Quality};
 pub use report::Table;

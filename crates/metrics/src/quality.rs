@@ -4,7 +4,7 @@
 //! identically whichever engine (pure-mask or adaptive, at any block
 //! width) produced — or measures — the estimates.
 
-use ugraph_cluster::{Clustering, UgraphSession};
+use ugraph_cluster::Clustering;
 use ugraph_graph::NodeId;
 use ugraph_sampling::{assignment_probs, quality_from_probs, WorldEngine};
 
@@ -41,42 +41,8 @@ pub fn clustering_quality<E: WorldEngine + ?Sized>(
         |u| clustering.cluster_of(NodeId::from_index(u)),
         None,
     );
-    finalize(clustering, &probs)
-}
-
-/// [`clustering_quality`] over a [`UgraphSession`]'s shared evaluation
-/// pool — the session-native entry point, so callers measuring many
-/// clusterings on one graph (k-sweeps) reuse one grow-only pool instead
-/// of building a fresh one per measurement. Delegates to
-/// [`UgraphSession::evaluate`] (same measurement kernel), so the call is
-/// counted in the session's `SessionStats::evaluations`.
-pub fn session_quality(session: &mut UgraphSession<'_>, clustering: &Clustering) -> Quality {
-    let e = session.evaluate(clustering);
-    Quality { p_min: e.p_min, p_avg: e.p_avg }
-}
-
-/// Depth-limited variant: probabilities are `Pr(u ~d~ center)` (paper
-/// §3.4), estimated over a depth-capable engine such as
-/// [`ugraph_sampling::BitParallelPool`] with batched depth rows.
-pub fn depth_clustering_quality<E: WorldEngine + ?Sized>(
-    engine: &mut E,
-    clustering: &Clustering,
-    depth: u32,
-) -> Quality {
-    let n = engine.graph().num_nodes();
-    assert_eq!(n, clustering.num_nodes(), "clustering and pool disagree on n");
-    let probs = assignment_probs(
-        engine,
-        clustering.centers(),
-        |u| clustering.cluster_of(NodeId::from_index(u)),
-        Some(depth),
-    );
-    finalize(clustering, &probs)
-}
-
-fn finalize(clustering: &Clustering, probs: &[f64]) -> Quality {
     let (p_min, p_avg) =
-        quality_from_probs(probs, |u| clustering.cluster_of(NodeId::from_index(u)).is_some());
+        quality_from_probs(&probs, |u| clustering.cluster_of(NodeId::from_index(u)).is_some());
     Quality { p_min, p_avg }
 }
 
@@ -129,45 +95,6 @@ mod tests {
         let q = clustering_quality(&mut pool, &c);
         assert!((q.p_min - 0.4).abs() < 0.02, "p_min {}", q.p_min);
         assert!((q.p_avg - (1.0 + 0.8 + 0.4) / 3.0).abs() < 0.02, "p_avg {}", q.p_avg);
-    }
-
-    #[test]
-    fn depth_quality_cuts_long_paths() {
-        // Certain chain 0-1-2; cluster centered at 0; depth 1 sees node 1
-        // but not node 2.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 1.0).unwrap();
-        b.add_edge(1, 2, 1.0).unwrap();
-        let g = b.build().unwrap();
-        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
-        pool.ensure(5);
-        let c = Clustering::new(vec![NodeId(0)], vec![Some(0), Some(0), Some(0)]);
-        let q1 = depth_clustering_quality(&mut pool, &c, 1);
-        assert_eq!(q1.p_min, 0.0);
-        assert!((q1.p_avg - 2.0 / 3.0).abs() < 1e-12);
-        let q2 = depth_clustering_quality(&mut pool, &c, 2);
-        assert_eq!(q2.p_min, 1.0);
-        assert_eq!(q2.p_avg, 1.0);
-    }
-
-    #[test]
-    fn session_quality_agrees_with_session_evaluate() {
-        use ugraph_cluster::{ClusterConfig, ClusterRequest, UgraphSession};
-        let mut b = GraphBuilder::new(6);
-        for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-            b.add_edge(u, v, 0.9).unwrap();
-        }
-        b.add_edge(2, 3, 0.1).unwrap();
-        let g = b.build().unwrap();
-        let mut session = UgraphSession::new(&g, ClusterConfig::default().with_seed(2))
-            .unwrap()
-            .with_eval_samples(96);
-        let r = session.solve(ClusterRequest::mcp(2)).unwrap();
-        let q = session_quality(&mut session, &r.clustering);
-        let e = session.evaluate(&r.clustering);
-        assert_eq!(q.p_min, e.p_min, "both paths read the same shared pool");
-        assert_eq!(q.p_avg, e.p_avg);
-        assert_eq!(e.samples, 96);
     }
 
     #[test]

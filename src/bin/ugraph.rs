@@ -48,7 +48,7 @@ use ugraph::cluster::{
 };
 use ugraph::datasets::DatasetSpec;
 use ugraph::graph::{io as gio, GraphStats, NodeId, UncertainGraph};
-use ugraph::metrics::{avpr, confusion, session_quality};
+use ugraph::metrics::{avpr, confusion};
 use ugraph::sampling::{reliability_knn, reliability_knn_within, BitParallelPool, WorldEngine};
 use ugraph::sampling::{BlockWidth, EngineKind};
 use ugraph::server::{
@@ -550,7 +550,7 @@ fn cmd_evaluate(o: &Options) -> Result<(), String> {
     let mut session = UgraphSession::new(&g, session_config(o))
         .map_err(|e| e.to_string())?
         .with_eval_samples(o.samples);
-    let q = session_quality(&mut session, &clustering);
+    let q = session.evaluate(&clustering);
     let a = avpr(session.eval_pool(), &clustering);
     println!("k          {}", clustering.num_clusters());
     println!("covered    {}/{}", clustering.covered_count(), clustering.num_nodes());

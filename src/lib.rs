@@ -83,7 +83,7 @@ pub mod prelude {
         largest_connected_component, DedupPolicy, EdgeId, GraphBuilder, GraphError, NodeId,
         UncertainGraph,
     };
-    pub use ugraph_metrics::{avpr, clustering_quality, confusion, depth_clustering_quality};
+    pub use ugraph_metrics::{avpr, clustering_quality, confusion};
     pub use ugraph_sampling::{BitParallelPool, ExactOracle, SampleSchedule, WorldEngine};
     pub use ugraph_server::{
         Client, ClientPool, ClusterCall, RetryPolicy, Server, ServerConfig, SessionRegistry,
