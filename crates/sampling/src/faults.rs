@@ -18,6 +18,7 @@
 //! The hooks always compile in; with no plan armed, a hook checks one
 //! thread-local and returns `Ok(())`.
 
+use std::cell::RefCell;
 use std::fmt;
 
 use crate::error::SamplingError;
@@ -113,19 +114,14 @@ impl FaultPlan {
     }
 }
 
-mod registry {
-    use super::{FaultPlan, NUM_SITES};
-    use std::cell::RefCell;
+/// The current thread's armed plan and its per-site hit counters.
+struct Active {
+    plan: FaultPlan,
+    hits: [u64; NUM_SITES],
+}
 
-    #[derive(Default)]
-    pub(super) struct Active {
-        pub(super) plan: FaultPlan,
-        pub(super) hits: [u64; NUM_SITES],
-    }
-
-    thread_local! {
-        pub(super) static ACTIVE: RefCell<Option<Active>> = const { RefCell::new(None) };
-    }
+thread_local! {
+    static ACTIVE: RefCell<Option<Active>> = const { RefCell::new(None) };
 }
 
 /// Disarms the thread's fault plan when dropped (returned by [`install`]).
@@ -143,21 +139,21 @@ impl Drop for FaultGuard {
 /// resetting all hit counters. Disarm by dropping the returned guard (or
 /// calling [`clear`]).
 pub fn install(plan: FaultPlan) -> FaultGuard {
-    registry::ACTIVE.with(|a| {
-        *a.borrow_mut() = Some(registry::Active { plan, hits: [0; NUM_SITES] });
+    ACTIVE.with(|a| {
+        *a.borrow_mut() = Some(Active { plan, hits: [0; NUM_SITES] });
     });
     FaultGuard(())
 }
 
 /// Disarms the current thread's fault plan, if any.
 pub fn clear() {
-    registry::ACTIVE.with(|a| *a.borrow_mut() = None);
+    ACTIVE.with(|a| *a.borrow_mut() = None);
 }
 
 /// Number of times `site` has been hit under the current plan (0 when no
 /// plan is armed) — lets tests assert a failpoint was actually reached.
 pub fn hits(site: FaultSite) -> u64 {
-    registry::ACTIVE.with(|a| a.borrow().as_ref().map_or(0, |act| act.hits[site.index()]))
+    ACTIVE.with(|a| a.borrow().as_ref().map_or(0, |act| act.hits[site.index()]))
 }
 
 /// The failpoint hook: counts one hit of `site` against the current
@@ -165,7 +161,7 @@ pub fn hits(site: FaultSite) -> u64 {
 /// plan this is a no-op returning `Ok(())`.
 #[inline]
 pub fn hit(site: FaultSite) -> Result<(), SamplingError> {
-    registry::ACTIVE.with(|a| {
+    ACTIVE.with(|a| {
         let mut active = a.borrow_mut();
         let Some(act) = active.as_mut() else { return Ok(()) };
         act.hits[site.index()] += 1;
