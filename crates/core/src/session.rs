@@ -681,8 +681,8 @@ mod tests {
 
     #[test]
     fn evaluation_stays_under_the_hard_memory_bound() {
-        // 1,034 evaluation worlds span two shards; a 1,000 B ledger holds
-        // neither with its block labels, so evaluation evicts. Once both
+        // 1,034 evaluation worlds span two shards; the first holds 384 B of
+        // masks, over a 300 B ledger, so evaluation evicts. Once both
         // evaluations return, the ledger is back under its limit, and the
         // estimates equal an unbounded session's.
         let mut b = GraphBuilder::new(4);
@@ -692,7 +692,7 @@ mod tests {
         let g = b.build().unwrap();
         let c = crate::Clustering::new(vec![NodeId(0)], vec![Some(0); 4]);
         let mut free = UgraphSession::new(&g, ClusterConfig::default()).unwrap();
-        let cfg = ClusterConfig::default().with_memory_budget(1_000);
+        let cfg = ClusterConfig::default().with_memory_budget(300);
         let mut tight = UgraphSession::new(&g, cfg).unwrap();
         for s in [&mut free, &mut tight] {
             s.set_eval_samples(1_034);
@@ -700,7 +700,7 @@ mod tests {
         assert_eq!(tight.evaluate(&c), free.evaluate(&c));
         assert_eq!(tight.evaluate_depth(&c, 2), free.evaluate_depth(&c, 2));
         let held = tight.ledger().bytes_held();
-        assert!(held <= 1_000, "ledger holds {held} B over its 1,000 B limit");
+        assert!(held <= 300, "ledger holds {held} B over its 300 B limit");
         assert!(tight.stats().shards_evicted > 0, "{}", tight.stats());
     }
 
