@@ -58,8 +58,8 @@ use std::time::{Duration, Instant};
 use ugraph_graph::{NodeId, UncertainGraph};
 use ugraph_sampling::rng::mix_seed;
 use ugraph_sampling::{
-    assignment_probs, quality_from_probs, BitParallelPool, EngineStats, McOracle, MemoryBudget,
-    MemoryStats, Oracle, RowCacheStats, RunState, WorldEngine, DEPTH_UNLIMITED,
+    quality_from_counts, BitParallelPool, EngineStats, McOracle, MemoryBudget, MemoryStats, Oracle,
+    RowCacheStats, RunState, WorldEngine, DEPTH_UNLIMITED,
 };
 
 use crate::acp::acp_with_oracle;
@@ -420,8 +420,9 @@ impl<'g> UgraphSession<'g> {
 
     /// Estimates `p_min`/`p_avg` of `clustering` over the session's
     /// evaluation pool (built lazily, grow-only, seeded independently of
-    /// every solver pool). Centers are fetched through the engine's
-    /// batched multi-center queries.
+    /// every solver pool). Each covered node's count comes from the pool's
+    /// members-only kernel ([`BitParallelPool::assignment_counts`]), which
+    /// reads edge masks and never labels a block.
     ///
     /// Probabilities count paths of **unlimited** length; when measuring
     /// the output of a depth-limited request, use
@@ -431,9 +432,7 @@ impl<'g> UgraphSession<'g> {
     /// # Panics
     /// Panics if `clustering` is sized for a different graph.
     pub fn evaluate(&mut self, clustering: &Clustering) -> EvalQuality {
-        let n = self.graph.num_nodes();
-        assert_eq!(n, clustering.num_nodes(), "clustering and session disagree on n");
-        self.evaluate_within(clustering, None)
+        self.evaluate_within(clustering, DEPTH_UNLIMITED)
     }
 
     /// Depth-limited [`UgraphSession::evaluate`]: probabilities count only
@@ -444,18 +443,19 @@ impl<'g> UgraphSession<'g> {
     /// # Panics
     /// Panics if `clustering` is sized for a different graph.
     pub fn evaluate_depth(&mut self, clustering: &Clustering, depth: u32) -> EvalQuality {
-        self.evaluate_within(clustering, Some(depth))
+        self.evaluate_within(clustering, depth)
     }
 
-    fn evaluate_within(&mut self, clustering: &Clustering, depth: Option<u32>) -> EvalQuality {
+    fn evaluate_within(&mut self, clustering: &Clustering, depth: u32) -> EvalQuality {
         let n = self.graph.num_nodes();
         assert_eq!(n, clustering.num_nodes(), "clustering and session disagree on n");
         self.evaluations += 1;
         let pool = self.eval_pool();
         let samples = pool.num_samples();
         let cluster_of = |u| clustering.cluster_of(NodeId::from_index(u));
-        let probs = assignment_probs(pool, clustering.centers(), cluster_of, depth);
-        let (p_min, p_avg) = quality_from_probs(&probs, |u| cluster_of(u).is_some());
+        let mut counts = vec![0u32; n];
+        pool.assignment_counts(clustering.centers(), cluster_of, depth, &mut counts);
+        let (p_min, p_avg) = quality_from_counts(&counts, samples, |u| cluster_of(u).is_some());
         EvalQuality { p_min, p_avg, samples }
     }
 
@@ -702,6 +702,30 @@ mod tests {
         let held = tight.ledger().bytes_held();
         assert!(held <= 300, "ledger holds {held} B over its 300 B limit");
         assert!(tight.stats().shards_evicted > 0, "{}", tight.stats());
+    }
+
+    #[test]
+    fn evaluation_charges_nothing_beyond_the_eval_pool() {
+        // A 70-node path: k = 65 leaves one center after the first 64,
+        // and k = 1 is a single center. Evaluation reads masks only, so
+        // the ledger holds what building the evaluation pool charged.
+        let mut b = GraphBuilder::new(70);
+        for i in 0..69 {
+            b.add_edge(i, i + 1, 0.9).unwrap();
+        }
+        let g = b.build().unwrap();
+        for k in [1usize, 65] {
+            let assignment = (0..70).map(|u: u32| Some(u.min(k as u32 - 1))).collect();
+            let centers = (0..k as u32).map(NodeId).collect();
+            let c = crate::Clustering::new(centers, assignment);
+            let mut s = UgraphSession::new(&g, ClusterConfig::default()).unwrap();
+            s.eval_pool();
+            let pool_bytes = s.ledger().bytes_held();
+            assert!(pool_bytes > 0);
+            s.evaluate(&c);
+            s.evaluate_depth(&c, 2);
+            assert_eq!(s.ledger().bytes_held(), pool_bytes, "k = {k}: evaluation charged labels");
+        }
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! * connected same-cluster pairs  = `Σ_cells C(size, 2)`,
 //! * connected pairs in total      = `Σ_components C(size, 2)`,
 //! * connected cross-cluster pairs = difference of the two.
-
-use std::collections::HashMap;
+//!
+//! Component labels are dense (below `n`), so one `n`-length tally counts
+//! the cells: per sample and cluster, its members add their labels, then
+//! read and zero them through the same member list; the component sizes
+//! over all covered nodes are tallied the same way.
 
 use ugraph_cluster::Clustering;
 use ugraph_graph::NodeId;
@@ -40,6 +43,21 @@ fn pairs(c: u64) -> u64 {
     c * (c.saturating_sub(1)) / 2
 }
 
+/// `Σ C(size, 2)` over the components of `members` in one sample: adds
+/// each member's label to `tally`, then reads and zeroes it through the
+/// same members, so `tally` is all zero again on return.
+fn connected_pairs(members: &[NodeId], labels: &[u32], tally: &mut [u32]) -> u64 {
+    for u in members {
+        tally[labels[u.index()] as usize] += 1;
+    }
+    let mut connected = 0u64;
+    for u in members {
+        let size = std::mem::take(&mut tally[labels[u.index()] as usize]);
+        connected += pairs(u64::from(size));
+    }
+    connected
+}
+
 /// Computes inner/outer AVPR of `clustering` over the sample pool, at any
 /// block width (the counts do not depend on it).
 ///
@@ -51,7 +69,6 @@ fn pairs(c: u64) -> u64 {
 ///
 /// # Panics
 /// Panics if the pool is empty or sized for a different graph.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clearest form here
 pub fn avpr<const W: usize>(pool: &mut BitParallelPool<'_, W>, clustering: &Clustering) -> Avpr {
     let n = pool.graph().num_nodes();
     assert_eq!(n, clustering.num_nodes(), "clustering and pool disagree on n");
@@ -59,30 +76,22 @@ pub fn avpr<const W: usize>(pool: &mut BitParallelPool<'_, W>, clustering: &Clus
     assert!(r > 0, "sample pool is empty");
 
     // Static pair totals.
-    let sizes = clustering.cluster_sizes();
-    let covered: u64 = sizes.iter().map(|&s| s as u64).sum();
-    let intra_pairs: u64 = sizes.iter().map(|&s| pairs(s as u64)).sum();
-    let cross_pairs: u64 = pairs(covered) - intra_pairs;
+    let clusters = clustering.clusters();
+    let covered: Vec<NodeId> = clusters.concat();
+    let intra_pairs: u64 = clusters.iter().map(|c| pairs(c.len() as u64)).sum();
+    let cross_pairs: u64 = pairs(covered.len() as u64) - intra_pairs;
 
     // Connected pair counts accumulated over samples.
     let mut connected_intra: u64 = 0;
     let mut connected_total_covered: u64 = 0;
-    let mut cell_counts: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut comp_counts: HashMap<u32, u64> = HashMap::new();
+    let mut tally = vec![0u32; n];
     let mut labels = vec![0u32; n];
     for s in 0..r {
         pool.labels_into(s, &mut labels);
-        cell_counts.clear();
-        comp_counts.clear();
-        for u in 0..n {
-            if let Some(cl) = clustering.cluster_of(NodeId::from_index(u)) {
-                let comp = labels[u];
-                *cell_counts.entry((comp, cl as u32)).or_insert(0) += 1;
-                *comp_counts.entry(comp).or_insert(0) += 1;
-            }
+        for members in &clusters {
+            connected_intra += connected_pairs(members, &labels, &mut tally);
         }
-        connected_intra += cell_counts.values().map(|&c| pairs(c)).sum::<u64>();
-        connected_total_covered += comp_counts.values().map(|&c| pairs(c)).sum::<u64>();
+        connected_total_covered += connected_pairs(&covered, &labels, &mut tally);
     }
     let connected_cross = connected_total_covered - connected_intra;
 

@@ -1,12 +1,15 @@
 //! `p_min` / `p_avg` estimation (Figure 1 of the paper).
 //!
-//! Generic over the [`WorldEngine`] seam, so clusterings are measured
-//! identically whichever engine (pure-mask or adaptive, at any block
-//! width) produced — or measures — the estimates.
+//! Counts come from the pool's members-only kernel
+//! ([`BitParallelPool::assignment_counts`]): per block, one mask traversal
+//! per center whose component is still unknown, reading only cluster
+//! members. It reads masks alike on pure-mask and adaptive pools at any
+//! block width, and never labels a block, so the answers do not depend on
+//! which pool measures them.
 
 use ugraph_cluster::Clustering;
 use ugraph_graph::NodeId;
-use ugraph_sampling::{assignment_probs, quality_from_probs, WorldEngine};
+use ugraph_sampling::{quality_from_counts, BitParallelPool, WorldEngine, DEPTH_UNLIMITED};
 
 /// Connection-probability quality of a clustering.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,30 +22,26 @@ pub struct Quality {
     pub p_avg: f64,
 }
 
-/// Estimates `p_min`/`p_avg` of `clustering` from the sample pool.
+/// Estimates `p_min`/`p_avg` of `clustering` from the sample pool,
+/// independent of how the clustering was produced, so MCL/GMM/KPT outputs
+/// are measured identically.
 ///
-/// Cost: the centers' count rows are fetched through the engine's batched
-/// `counts_from_centers` (one pool sweep per center batch instead of one
-/// per cluster, via [`ugraph_sampling::assignment_probs`]) — independent
-/// of how the clustering was produced, so MCL/GMM/KPT outputs are
-/// measured identically.
+/// The pool is borrowed mutably because the count sweep may regenerate
+/// evicted shards under a memory budget; it trims the ledger on return.
 ///
 /// # Panics
 /// Panics if the pool is empty or sized for a different graph.
-pub fn clustering_quality<E: WorldEngine + ?Sized>(
-    engine: &mut E,
+pub fn clustering_quality<const W: usize>(
+    pool: &mut BitParallelPool<'_, W>,
     clustering: &Clustering,
 ) -> Quality {
-    let n = engine.graph().num_nodes();
+    let n = pool.graph().num_nodes();
     assert_eq!(n, clustering.num_nodes(), "clustering and pool disagree on n");
-    let probs = assignment_probs(
-        engine,
-        clustering.centers(),
-        |u| clustering.cluster_of(NodeId::from_index(u)),
-        None,
-    );
+    let cluster_of = |u| clustering.cluster_of(NodeId::from_index(u));
+    let mut counts = vec![0u32; n];
+    pool.assignment_counts(clustering.centers(), cluster_of, DEPTH_UNLIMITED, &mut counts);
     let (p_min, p_avg) =
-        quality_from_probs(&probs, |u| clustering.cluster_of(NodeId::from_index(u)).is_some());
+        quality_from_counts(&counts, pool.num_samples(), |u| cluster_of(u).is_some());
     Quality { p_min, p_avg }
 }
 
@@ -50,7 +49,6 @@ pub fn clustering_quality<E: WorldEngine + ?Sized>(
 mod tests {
     use super::*;
     use ugraph_graph::GraphBuilder;
-    use ugraph_sampling::BitParallelPool;
 
     #[test]
     fn certain_chain_quality() {

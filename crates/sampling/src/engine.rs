@@ -114,8 +114,9 @@ pub struct EngineStats {
     pub finalized_lanes: usize,
     /// Unlimited block-queries served from finalized labels.
     pub label_queries: usize,
-    /// Unlimited block-queries served by mask BFS (block not finalized at
-    /// query time).
+    /// Unlimited block-queries served by mask BFS: blocks not finalized at
+    /// query time, batch blocks the cost model sent to the sharing sweep,
+    /// and every block of an evaluation sweep.
     pub mask_queries: usize,
 }
 

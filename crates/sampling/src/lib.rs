@@ -98,8 +98,8 @@ pub use interrupt::{CancelToken, Interrupt, RunBudget, RunState};
 pub use oracle::{DepthMcOracle, McOracle, Oracle, RowCacheStats};
 pub use pool::{BitParallelPool, SHARD_BLOCKS, SHARD_WORLDS};
 pub use queries::{
-    assignment_probs, most_reliable_source, quality_from_probs, reliability_knn,
-    reliability_knn_within, SourceObjective,
+    most_reliable_source, quality_from_counts, reliability_knn, reliability_knn_within,
+    SourceObjective,
 };
 pub use rng::sample_rng;
 pub use world::WorldSampler;

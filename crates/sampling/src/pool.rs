@@ -549,7 +549,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
 
     /// Writes the component labels of sample `i` into `out` (one per
     /// node): `out[u] == out[v]` exactly when `u` and `v` are connected in
-    /// world `i`. Regenerates `i`'s shard if it was evicted, but does not
+    /// world `i`. Both paths below number the world's components densely
+    /// from 0, in order of each component's smallest node, so every label
+    /// is below `n` and can index an `n`-length table. Regenerates `i`'s
+    /// shard if it was evicted, but does not
     /// trim — callers iterating the pool keep it resident, and the next
     /// aggregate query or `ensure` settles the ledger.
     ///
@@ -583,6 +586,140 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.settle_shard(i / SHARD_WORLDS);
         let labels = shard_block(&self.shards, b).labels.as_ref();
         labels.unwrap_or_else(|| unreachable!("finalized block has labels")).lane_into(lane, out);
+    }
+
+    /// Assignment counts of a clustering, the measurement behind
+    /// `p_min`/`p_avg`: `out[u]` becomes the number of worlds in which `u`
+    /// reaches its own center `centers[cluster_of(u)]`, within `depth`
+    /// hops ([`DEPTH_UNLIMITED`] for plain connectivity), and 0 for
+    /// outliers (`cluster_of(u) == None`).
+    ///
+    /// Only cluster members are read. Without a depth limit, each block
+    /// runs a component-sharing sweep: one mask traversal per center over
+    /// the lanes where its component is still unknown, adding the reach of
+    /// that center's members; a later center met by the traversal shares
+    /// the component in those lanes, so it takes the reach of its own
+    /// members there and drops the lanes. With a depth limit, each block
+    /// runs one depth-limited traversal per center and adds that center's
+    /// members. Blocks are read as masks even where labels are cached, and
+    /// no block is labelled, so the call never adds to the ledger beyond
+    /// regenerating evicted shards, and it trims the ledger on return.
+    ///
+    /// # Panics
+    /// Panics if the pool is empty, `out.len() != n`, or a cluster index
+    /// is not below `centers.len()`.
+    pub fn assignment_counts(
+        &mut self,
+        centers: &[NodeId],
+        cluster_of: impl Fn(usize) -> Option<usize>,
+        depth: u32,
+        out: &mut [u32],
+    ) {
+        let n = self.graph().num_nodes();
+        let k = centers.len();
+        assert_eq!(out.len(), n, "counts buffer has wrong length");
+        assert!(self.samples > 0, "sample pool is empty");
+        out.fill(0);
+        // Cluster members grouped by cluster: cluster `j` owns
+        // `members[starts[j]..starts[j + 1]]`.
+        let mut starts = vec![0u32; k + 1];
+        for u in 0..n {
+            if let Some(j) = cluster_of(u) {
+                assert!(j < k, "node {u} assigned to cluster {j} of {k}");
+                starts[j + 1] += 1;
+            }
+        }
+        for j in 0..k {
+            starts[j + 1] += starts[j];
+        }
+        let mut members = vec![NodeId(0); starts[k] as usize];
+        let mut next = starts.clone();
+        for u in 0..n {
+            if let Some(j) = cluster_of(u) {
+                members[next[j] as usize] = NodeId::from_index(u);
+                next[j] += 1;
+            }
+        }
+        let members_of = |j: usize| &members[starts[j] as usize..starts[j + 1] as usize];
+        // Each center's cluster index (`NO_CENTER` elsewhere), so a sweep
+        // finds the later centers among the nodes it reaches.
+        const NO_CENTER: u32 = u32::MAX;
+        let mut center_at = vec![NO_CENTER; n];
+        for (j, c) in centers.iter().enumerate() {
+            center_at[c.index()] = j as u32;
+        }
+        if k == 0 || !self.resolve_range(0, self.samples) {
+            return;
+        }
+        let mut items = std::mem::take(&mut self.items);
+        Self::range_blocks_into(0, self.samples, &mut items);
+        let unlimited = depth == DEPTH_UNLIMITED;
+        if self.adaptive && unlimited {
+            self.stats.mask_queries += items.len();
+        }
+        let run = self.store.run.clone();
+        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        let shards: &[Vec<MaskBlock<W>>] = shards;
+        let per_block = n + 2 * graph.num_edges();
+        chunked_counts_with(
+            config,
+            &items,
+            n,
+            if unlimited { per_block } else { per_block * k },
+            bfs,
+            || MultiWorldBfs::<W>::new(n),
+            |counts, bfs, items| {
+                // Lanes in which each center's component is still unknown,
+                // and the later centers the current traversal met.
+                let mut todo = vec![Mask::<W>::ZERO; k];
+                let mut met: Vec<(u32, Mask<W>)> = Vec::new();
+                for &(b, lanes) in items {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    let masks = &shard_block(shards, b as usize).masks;
+                    if !unlimited {
+                        for (j, &center) in centers.iter().enumerate() {
+                            bfs.run(graph, masks, center, lanes, depth, |_, _, _| {});
+                            for &u in members_of(j) {
+                                counts[u.index()] += bfs.reach(u).count_ones();
+                            }
+                        }
+                        continue;
+                    }
+                    todo.fill(lanes);
+                    for (j, &center) in centers.iter().enumerate() {
+                        let unknown = std::mem::take(&mut todo[j]);
+                        if unknown.is_zero() {
+                            continue;
+                        }
+                        met.clear();
+                        bfs.run_unlimited(graph, masks, center, unknown, |v, reach| {
+                            let i = center_at[v.index()];
+                            if i != NO_CENTER {
+                                let shared = todo[i as usize] & reach;
+                                if shared.any() {
+                                    met.push((i, shared));
+                                }
+                            }
+                        });
+                        for &u in members_of(j) {
+                            counts[u.index()] += bfs.reach(u).count_ones();
+                        }
+                        for &(i, shared) in &met {
+                            todo[i as usize] = todo[i as usize].and_not(shared);
+                            for &u in members_of(i as usize) {
+                                counts[u.index()] += (bfs.reach(u) & shared).count_ones();
+                            }
+                        }
+                    }
+                }
+            },
+            out,
+        );
+        self.items = items;
+        self.trim_to_budget();
     }
 
     /// Whether block labels of an `n`-node graph fit the `u32` CSR offsets
@@ -1422,6 +1559,34 @@ mod tests {
                 serial.counts_from_center(NodeId(center), &mut counts_serial);
                 parallel.counts_from_center(NodeId(center), &mut counts_parallel);
                 assert_eq!(counts_serial, counts_parallel, "center {center} adaptive {adaptive}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_assignment_counts_match_serial() {
+        // 352 single-word blocks clear the parallel gates of the unlimited
+        // sweep; each node joins the center at the start of its 8-node run.
+        let g = chain(64, 0.55);
+        let centers: Vec<NodeId> = (0..8u32).map(|j| NodeId(j * 8)).collect();
+        let cluster_of = |u: usize| (u.is_multiple_of(8) || u % 5 != 3).then_some(u / 8);
+        for depth in [DEPTH_UNLIMITED, 3] {
+            let mut serial = BitParallelPool::<1>::new(&g, 19, 1);
+            let mut parallel = BitParallelPool::<1>::new(&g, 19, 4);
+            serial.ensure(352 * LANES);
+            parallel.ensure(352 * LANES);
+            let (mut a, mut b) = (vec![0u32; 64], vec![0u32; 64]);
+            serial.assignment_counts(&centers, cluster_of, depth, &mut a);
+            parallel.assignment_counts(&centers, cluster_of, depth, &mut b);
+            assert_eq!(a, b, "depth {depth}");
+            for (u, &c) in a.iter().enumerate() {
+                match cluster_of(u) {
+                    None => assert_eq!(c, 0, "outlier {u}"),
+                    Some(_) if u.is_multiple_of(8) => {
+                        assert_eq!(c as usize, 352 * LANES, "center {u}")
+                    }
+                    Some(_) => {}
+                }
             }
         }
     }

@@ -70,72 +70,27 @@ pub fn reliability_knn_within<E: WorldEngine + ?Sized>(
     rank_counts(&cov, source, k, r)
 }
 
-/// Per-node estimated connection probability of each node to its assigned
-/// center: `probs[u] = count(centers[cluster_of(u)], u) / num_samples()`,
-/// and `0.0` for nodes with no assignment (`cluster_of(u) == None`).
-///
-/// This is the shared measurement kernel behind `p_min`/`p_avg` quality
-/// estimation (`ugraph-metrics`) and session evaluation
-/// (`ugraph-cluster`): center rows are fetched through the engine's
-/// batched multi-center queries in `SOURCE_BATCH`-sized groups (one pool
-/// sweep per group, bounding the count buffer at `SOURCE_BATCH · n`
-/// integers), unlimited when `depth` is `None`, at the given hop limit
-/// otherwise.
-///
-/// # Panics
-/// Panics if the engine's pool is empty, or on a finite `depth` with a
-/// depth-incapable engine.
-pub fn assignment_probs<E: WorldEngine + ?Sized>(
-    engine: &mut E,
-    centers: &[NodeId],
-    cluster_of: impl Fn(usize) -> Option<usize>,
-    depth: Option<u32>,
-) -> Vec<f64> {
-    let n = engine.graph().num_nodes();
-    let r = engine.num_samples();
-    assert!(r > 0, "sample pool is empty");
+/// Folds per-node assignment counts over `r` worlds, as
+/// [`crate::BitParallelPool::assignment_counts`] writes them, into the
+/// paper's `(p_min, p_avg)` pair (Eqs. 1-2). A covered node's probability
+/// is `counts[u] / r`; `p_min` is the minimum over covered nodes (`1.0`
+/// when nothing is covered) and `p_avg` averages over **all** nodes with
+/// uncovered nodes contributing 0 (`0.0` for empty inputs). The sum runs
+/// in node order. The single reduction shared by `ugraph-metrics`'
+/// quality functions and `ugraph-cluster`'s session evaluation, so the
+/// outlier convention cannot drift between them.
+pub fn quality_from_counts(
+    counts: &[u32],
+    r: usize,
+    covered: impl Fn(usize) -> bool,
+) -> (f64, f64) {
+    let n = counts.len();
     let r = r as f64;
-    let rows = SOURCE_BATCH.min(centers.len().max(1)) * n;
-    let mut cov = vec![0u32; rows];
-    let mut sel = if depth.is_some() { vec![0u32; rows] } else { Vec::new() };
-    let mut probs = vec![0.0f64; n];
-    for (chunk_idx, chunk) in centers.chunks(SOURCE_BATCH).enumerate() {
-        match depth {
-            None => engine.counts_from_centers(chunk, &mut cov[..chunk.len() * n]),
-            Some(d) => engine.counts_within_depths_batch(
-                chunk,
-                d,
-                d,
-                &mut sel[..chunk.len() * n],
-                &mut cov[..chunk.len() * n],
-            ),
-        }
-        for (u, p) in probs.iter_mut().enumerate() {
-            if let Some(i) = cluster_of(u) {
-                if let Some(j) =
-                    i.checked_sub(chunk_idx * SOURCE_BATCH).filter(|&j| j < chunk.len())
-                {
-                    *p = cov[j * n + u] as f64 / r;
-                }
-            }
-        }
-    }
-    probs
-}
-
-/// Folds per-node assignment probabilities into the paper's
-/// `(p_min, p_avg)` pair (Eqs. 1-2): `p_min` is the minimum over covered
-/// nodes (`1.0` when nothing is covered) and `p_avg` averages over **all**
-/// nodes with uncovered nodes contributing 0 (`0.0` for empty inputs).
-/// The single reduction shared by `ugraph-metrics`' quality functions and
-/// `ugraph-cluster`'s session evaluation, so the outlier convention
-/// cannot drift between them.
-pub fn quality_from_probs(probs: &[f64], covered: impl Fn(usize) -> bool) -> (f64, f64) {
-    let n = probs.len();
     let mut p_min = 1.0f64;
     let mut sum = 0.0f64;
-    for (u, &p) in probs.iter().enumerate() {
+    for (u, &c) in counts.iter().enumerate() {
         if covered(u) {
+            let p = c as f64 / r;
             p_min = p_min.min(p);
             sum += p;
         }

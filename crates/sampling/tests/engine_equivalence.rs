@@ -789,6 +789,186 @@ proptest! {
     }
 }
 
+/// A random clustering of `n` nodes around `k` distinct centers: every
+/// other node is an outlier with probability 1/4 and otherwise joins a
+/// uniformly drawn cluster, so some clusters hold only their center.
+fn random_clustering(n: usize, k: usize, seed: u64) -> (Vec<NodeId>, Vec<Option<usize>>) {
+    let mut state = seed;
+    let mut draw = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, (draw() % (i as u64 + 1)) as usize);
+    }
+    let centers: Vec<NodeId> = order[..k].iter().map(|&u| NodeId::from_index(u)).collect();
+    let mut assign = vec![None; n];
+    for (j, c) in centers.iter().enumerate() {
+        assign[c.index()] = Some(j);
+    }
+    if k > 0 {
+        for &u in &order[k..] {
+            let x = draw();
+            if !x.is_multiple_of(4) {
+                assign[u] = Some((x >> 8) as usize % k);
+            }
+        }
+    }
+    (centers, assign)
+}
+
+/// Per node, the reference engine's count of worlds in which it reaches
+/// its own center within `depth` hops; 0 for outliers.
+fn reference_assignment_counts(
+    reference: &mut ReferenceEngine<'_>,
+    centers: &[NodeId],
+    assign: &[Option<usize>],
+    depth: u32,
+) -> Vec<u32> {
+    let n = assign.len();
+    let (mut select, mut cover) = (vec![0u32; n], vec![0u32; n]);
+    let mut want = vec![0u32; n];
+    for (j, &c) in centers.iter().enumerate() {
+        reference.counts_within_depths(c, depth, depth, &mut select, &mut cover);
+        for u in (0..n).filter(|&u| assign[u] == Some(j)) {
+            want[u] = cover[u];
+        }
+    }
+    want
+}
+
+/// A pool of `r` worlds in one of four label states: pure-mask (0),
+/// adaptive and unlabelled (1), adaptive with every lane labelled (2), or
+/// adaptive with its trailing block grown past its labelled lanes (3).
+fn pool_in_label_state<const W: usize>(
+    g: &UncertainGraph,
+    seed: u64,
+    threads: usize,
+    r: usize,
+    state: u32,
+) -> BitParallelPool<'_, W> {
+    let mut pool = BitParallelPool::<W>::new(g, seed, threads).with_finalization(state > 0);
+    let mut row = vec![0u32; g.num_nodes()];
+    // An unlimited row query labels every block it touches.
+    match state {
+        2 => {
+            pool.ensure(r);
+            pool.counts_from_center(NodeId(0), &mut row);
+        }
+        3 => {
+            pool.ensure(r.div_ceil(2));
+            pool.counts_from_center(NodeId(0), &mut row);
+            pool.ensure(r);
+        }
+        _ => pool.ensure(r),
+    }
+    pool
+}
+
+/// The kernel's counts on `pool` (the buffer starts dirty, so outliers
+/// must be written), and whether the call left the pool's labelled lanes
+/// and ledger bytes as it found them.
+fn kernel_counts<const W: usize>(
+    pool: &mut BitParallelPool<'_, W>,
+    centers: &[NodeId],
+    assign: &[Option<usize>],
+    depth: u32,
+) -> (Vec<u32>, bool) {
+    let footprint = |p: &BitParallelPool<'_, W>| {
+        (p.engine_stats().finalized_lanes, p.memory_stats().bytes_held)
+    };
+    let before = footprint(pool);
+    let mut out = vec![u32::MAX; assign.len()];
+    pool.assignment_counts(centers, |u| assign[u], depth, &mut out);
+    (out, footprint(pool) == before)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `BitParallelPool::assignment_counts` gives each covered node the
+    /// reference engine's count from its own center, unlimited and at
+    /// depths 1–4, and outliers 0: for k from 0 to n, at every block
+    /// width, on pure-mask pools and on adaptive pools with none, all or
+    /// part of their lanes labelled. It labels nothing and charges nothing.
+    #[test]
+    fn assignment_counts_match_reference_rows(
+        g in small_graph(10, 16),
+        seed in any::<u64>(),
+        r in wide_sample_sizes(),
+        threads in thread_counts(),
+        (k_pick, clustering_seed) in (any::<u32>(), any::<u64>()),
+        state in 0u32..4,
+    ) {
+        let n = g.num_nodes();
+        let (centers, assign) = random_clustering(n, k_pick as usize % (n + 1), clustering_seed);
+        let mut reference = ReferenceEngine::new(&g, seed);
+        reference.ensure(r);
+        let mut w1 = pool_in_label_state::<1>(&g, seed, threads, r, state);
+        let mut w4 = pool_in_label_state::<4>(&g, seed, threads, r, state);
+        let mut w8 = pool_in_label_state::<8>(&g, seed, threads, r, state);
+        for depth in [DEPTH_UNLIMITED, 1, 2, 3, 4] {
+            let want = reference_assignment_counts(&mut reference, &centers, &assign, depth);
+            let at = format!("depth {depth}, k = {}, r = {r}, state {state}", centers.len());
+            let (got, clean) = kernel_counts(&mut w1, &centers, &assign, depth);
+            prop_assert_eq!(&got, &want, "width 64, {}", at);
+            prop_assert!(clean, "width 64 labelled or charged, {}", at);
+            let (got, clean) = kernel_counts(&mut w4, &centers, &assign, depth);
+            prop_assert_eq!(&got, &want, "width 256, {}", at);
+            prop_assert!(clean, "width 256 labelled or charged, {}", at);
+            let (got, clean) = kernel_counts(&mut w8, &centers, &assign, depth);
+            prop_assert_eq!(&got, &want, "width 512, {}", at);
+            prop_assert!(clean, "width 512 labelled or charged, {}", at);
+        }
+    }
+}
+
+proptest! {
+    // Each case spans three shards, so keep the case count low.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Under a ledger that holds ~1.5 of a pool's 3 shards, the kernel
+    /// regenerates the evicted shards it reads, still matches the
+    /// reference counts, and returns with the ledger under its limit.
+    #[test]
+    fn assignment_counts_regenerate_under_budget(
+        g in small_graph(8, 12),
+        seed in any::<u64>(),
+        tail in 1usize..64,
+        threads in thread_counts(),
+        (k_pick, clustering_seed) in (any::<u32>(), any::<u64>()),
+        (depth_pick, adaptive) in (0u32..5, any::<bool>()),
+    ) {
+        // An edgeless graph's shards hold 0 bytes, so no budget can evict.
+        prop_assume!(g.num_edges() > 0);
+        let n = g.num_nodes();
+        let depth = if depth_pick == 0 { DEPTH_UNLIMITED } else { depth_pick };
+        let r = 2 * SHARD_WORLDS + tail;
+        let (centers, assign) = random_clustering(n, 1 + k_pick as usize % n, clustering_seed);
+        let mut reference = ReferenceEngine::new(&g, seed);
+        reference.ensure(r);
+        let want = reference_assignment_counts(&mut reference, &centers, &assign, depth);
+
+        let limit = g.num_edges() * (SHARD_WORLDS / 8) * 3 / 2;
+        let mut pool = BitParallelPool::<4>::new(&g, seed, threads).with_finalization(adaptive);
+        pool.set_memory_budget(MemoryBudget::bounded(limit));
+        pool.ensure(r);
+        if adaptive {
+            pool.counts_from_center(centers[0], &mut vec![0u32; n]);
+        }
+        let regenerated = pool.memory_stats().shards_regenerated;
+        let mut got = vec![0u32; n];
+        pool.assignment_counts(&centers, |u| assign[u], depth, &mut got);
+        prop_assert_eq!(&got, &want, "depth {}, adaptive {}", depth, adaptive);
+        let stats = pool.memory_stats();
+        prop_assert!(stats.shards_regenerated > regenerated, "nothing regenerated: {:?}", stats);
+        prop_assert!(stats.bytes_held <= limit, "{} B held over {} B", stats.bytes_held, limit);
+    }
+}
+
 /// Depth batches wider than 64 centers, with duplicates, on an adaptive
 /// 256-world pool whose budget holds ~1.5 of its 3 shards: every window
 /// (one crossing a 256-world block boundary, one spanning all three
