@@ -79,12 +79,16 @@ pub fn confusion(clustering: &Clustering, complexes: &[Vec<NodeId>]) -> Confusio
     for c in complexes {
         in_truth.extend(c.iter().copied());
     }
+    // A protein listed twice in one complex is one member: a repeat would
+    // add a self-pair (a, a) that `total_pairs` never counts.
     let mut positive: HashSet<(u32, u32)> = HashSet::new();
     for c in complexes {
-        for (i, &a) in c.iter().enumerate() {
-            for &b in &c[i + 1..] {
-                let key = (a.0.min(b.0), a.0.max(b.0));
-                positive.insert(key);
+        let mut members = c.clone();
+        members.sort_unstable();
+        members.dedup();
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                positive.insert((a.0, b.0));
             }
         }
     }
@@ -195,6 +199,17 @@ mod tests {
         assert_eq!(m.fp, 1); // (0,3)
         assert_eq!(m.fn_, 0);
         assert_eq!(m.tn, 0);
+    }
+
+    #[test]
+    fn repeated_complex_members_count_once() {
+        // Path 0-1-2 as one cluster; node 2 is in no complex. Listing
+        // protein 1 twice must not add a phantom (1, 1) positive.
+        let clustering = Clustering::new(vec![NodeId(1)], vec![Some(0), Some(0), Some(0)]);
+        let once = confusion(&clustering, &[node_vec(&[0, 1])]);
+        assert_eq!(once, ConfusionMatrix { tp: 1, fp: 0, fn_: 0, tn: 0 });
+        assert_eq!(confusion(&clustering, &[node_vec(&[0, 1, 1])]), once);
+        assert_eq!(confusion(&clustering, &[node_vec(&[1, 0, 1, 0])]), once);
     }
 
     #[test]

@@ -102,6 +102,35 @@ fn generate_and_evaluate_with_ground_truth() {
 }
 
 #[test]
+fn repeated_ground_truth_members_do_not_change_the_rates() {
+    // Path 0-1-2 clustered as one cluster: the complex {0, 1} is predicted
+    // exactly, whether or not its file line repeats protein 1.
+    let graph = tmp("path3.txt");
+    std::fs::write(&graph, "# nodes: 3\n0 1 0.9\n1 2 0.9\n").unwrap();
+    let clustering = tmp("path3.tsv");
+    std::fs::write(&clustering, "0\t0\t1\n1\t0\t1\n2\t0\t1\n").unwrap();
+    let mut outputs = Vec::new();
+    for (name, line) in [("once", "0 1\n"), ("twice", "0 1 1\n")] {
+        let gt = tmp(&format!("path3-gt-{name}.txt"));
+        std::fs::write(&gt, line).unwrap();
+        let out = bin()
+            .args(["evaluate", "--samples", "8", "--clustering"])
+            .arg(&clustering)
+            .arg("--input")
+            .arg(&graph)
+            .arg("--ground-truth")
+            .arg(&gt)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(stdout.contains("TPR        1.0000\n"), "{name}: {stdout}");
+        outputs.push(stdout);
+    }
+    assert_eq!(outputs[0], outputs[1]);
+}
+
+#[test]
 fn knn_query() {
     let graph = small_graph_file();
     let out = bin()
