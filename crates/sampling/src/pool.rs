@@ -594,12 +594,13 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// hops ([`DEPTH_UNLIMITED`] for plain connectivity), and 0 for
     /// outliers (`cluster_of(u) == None`).
     ///
-    /// Only cluster members are read. Without a depth limit, each block
-    /// runs a component-sharing sweep: one mask traversal per center over
-    /// the lanes where its component is still unknown, adding the reach of
-    /// that center's members; a later center met by the traversal shares
-    /// the component in those lanes, so it takes the reach of its own
-    /// members there and drops the lanes. With a depth limit, each block
+    /// Reach masks are read for cluster members only. Without a depth
+    /// limit, each block runs a component-sharing sweep: one mask traversal
+    /// per center over the lanes where its component is still unknown,
+    /// adding the reach of that center's members; a later center met by
+    /// the traversal (found through a node-to-center map) shares the
+    /// component in those lanes, so it takes the reach of its own members
+    /// there and drops the lanes. With a depth limit, each block
     /// runs one depth-limited traversal per center and adds that center's
     /// members. Blocks are read as masks even where labels are cached, and
     /// no block is labelled, so the call never adds to the ledger beyond
@@ -620,27 +621,12 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         assert_eq!(out.len(), n, "counts buffer has wrong length");
         assert!(self.samples > 0, "sample pool is empty");
         out.fill(0);
-        // Cluster members grouped by cluster: cluster `j` owns
-        // `members[starts[j]..starts[j + 1]]`.
-        let mut starts = vec![0u32; k + 1];
+        let mut members = vec![Vec::new(); k];
         for u in 0..n {
             if let Some(j) = cluster_of(u) {
-                assert!(j < k, "node {u} assigned to cluster {j} of {k}");
-                starts[j + 1] += 1;
+                members[j].push(NodeId::from_index(u));
             }
         }
-        for j in 0..k {
-            starts[j + 1] += starts[j];
-        }
-        let mut members = vec![NodeId(0); starts[k] as usize];
-        let mut next = starts.clone();
-        for u in 0..n {
-            if let Some(j) = cluster_of(u) {
-                members[next[j] as usize] = NodeId::from_index(u);
-                next[j] += 1;
-            }
-        }
-        let members_of = |j: usize| &members[starts[j] as usize..starts[j + 1] as usize];
         // Each center's cluster index (`NO_CENTER` elsewhere), so a sweep
         // finds the later centers among the nodes it reaches.
         const NO_CENTER: u32 = u32::MAX;
@@ -682,7 +668,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
                     if !unlimited {
                         for (j, &center) in centers.iter().enumerate() {
                             bfs.run(graph, masks, center, lanes, depth, |_, _, _| {});
-                            for &u in members_of(j) {
+                            for &u in &members[j] {
                                 counts[u.index()] += bfs.reach(u).count_ones();
                             }
                         }
@@ -704,12 +690,12 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
                                 }
                             }
                         });
-                        for &u in members_of(j) {
+                        for &u in &members[j] {
                             counts[u.index()] += bfs.reach(u).count_ones();
                         }
                         for &(i, shared) in &met {
                             todo[i as usize] = todo[i as usize].and_not(shared);
-                            for &u in members_of(i as usize) {
+                            for &u in &members[i as usize] {
                                 counts[u.index()] += (bfs.reach(u) & shared).count_ones();
                             }
                         }
