@@ -2,8 +2,8 @@
 //! evaluated against any [`Oracle`].
 //!
 //! These are reference implementations used for validation and small-scale
-//! evaluation; the `ugraph-metrics` crate provides the batched versions
-//! used by the experiment harness.
+//! evaluation; the `ugraph-metrics` crate measures clusterings on a sample
+//! pool for the experiment harness.
 
 use ugraph_sampling::{Oracle, SamplingError};
 

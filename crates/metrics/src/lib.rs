@@ -6,11 +6,13 @@
 //! * [`quality`] — `p_min` and `p_avg`, the minimum/average connection
 //!   probability of nodes to their cluster centers (Figure 1), estimated
 //!   over a fresh Monte-Carlo sample pool (so an algorithm is never graded
-//!   on its own training samples);
+//!   on its own training samples). The pool counts them with its
+//!   members-only kernel, `BitParallelPool::assignment_counts`;
 //! * [`avpr()`](avpr::avpr) — the **inner** and **outer Average Vertex Pairwise
 //!   Reliability** (Figure 2): the average connection probability over
 //!   same-cluster and cross-cluster node pairs respectively. Computed per
-//!   sample from component/cluster contingency counts in `O(n)` per
+//!   sample from component/cluster contingency counts, tallied densely by
+//!   component label through the cluster member lists, in `O(n)` per
 //!   sample — not by enumerating the `Θ(n²)` pairs;
 //! * [`prediction`] — the confusion matrix of co-clustered protein pairs
 //!   against ground-truth complexes, with TPR/FPR (Table 2).
