@@ -7,7 +7,9 @@
 
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
-use ugraph_sampling::{BitParallelPool, MemoryBudget, MemoryStats, WorldEngine, SHARD_WORLDS};
+use ugraph_sampling::{
+    BitParallelPool, MemoryBudget, MemoryStats, WorldEngine, DEPTH_UNLIMITED, SHARD_WORLDS,
+};
 
 /// Strategy: a small random uncertain graph (3..=8 nodes, ≤ 14 edges).
 fn small_graph() -> impl Strategy<Value = UncertainGraph> {
@@ -25,8 +27,62 @@ fn small_graph() -> impl Strategy<Value = UncertainGraph> {
     })
 }
 
+/// A clustering of the graph's nodes: its centers, and each node's cluster
+/// index (`None` for an outlier).
+type Clustering = (Vec<NodeId>, Vec<Option<usize>>);
+
+/// Strategy: one draw per node (enough for 8 nodes). Node `u` joins the
+/// cluster centered at node `draw[u] % (n + 1)`, or is an outlier when
+/// that is `n`; centers are numbered in order of first appearance, so a
+/// center need not belong to its own cluster.
+fn clustering_draw() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..64, 8)
+}
+
+fn clustering(n: usize, draw: &[usize]) -> Clustering {
+    let mut centers = Vec::new();
+    let cluster_of = (0..n)
+        .map(|u| {
+            let c = draw[u] % (n + 1);
+            (c < n).then(|| {
+                let c = NodeId(c as u32);
+                centers.iter().position(|&x| x == c).unwrap_or_else(|| {
+                    centers.push(c);
+                    centers.len() - 1
+                })
+            })
+        })
+        .collect();
+    (centers, cluster_of)
+}
+
+/// The pools under test behind one object type, so a test can call the
+/// inherent `assignment_counts` next to the `WorldEngine` queries.
+trait Pool: WorldEngine {
+    fn assignment_counts_of(&mut self, clustering: &Clustering, depth: u32) -> Vec<u32>;
+}
+
+impl<const W: usize> Pool for BitParallelPool<'_, W> {
+    fn assignment_counts_of(&mut self, (centers, cluster_of): &Clustering, depth: u32) -> Vec<u32> {
+        let mut out = vec![0u32; cluster_of.len()];
+        self.assignment_counts(centers, |u| cluster_of[u], depth, &mut out);
+        out
+    }
+}
+
+/// One query family's answers on a pool, concatenated. Every family has
+/// this shape (only `assignments` reads the clustering), so the tests run
+/// them in turn.
+type Family = fn(&mut dyn Pool, &Clustering) -> Vec<u32>;
+
+/// Every query family: single-center rows, k = n batches, depth rows,
+/// k = n depth batches, pair counts and assignment counts. Each ends in
+/// its own trim of the ledger.
+const FAMILIES: [Family; 6] =
+    [center_rows, batch_rows, depth_rows, depth_batch_rows, pair_counts, assignments];
+
 /// Center-count rows of every node, concatenated (the solver-path query).
-fn center_rows(pool: &mut dyn WorldEngine) -> Vec<u32> {
+fn center_rows(pool: &mut dyn Pool, _: &Clustering) -> Vec<u32> {
     let n = pool.graph().num_nodes();
     let mut out = Vec::with_capacity(n * n);
     let mut row = vec![0u32; n];
@@ -37,8 +93,20 @@ fn center_rows(pool: &mut dyn WorldEngine) -> Vec<u32> {
     out
 }
 
+/// Every node as the center of one k = n batch, over the whole pool and
+/// over a window that starts mid-shard.
+fn batch_rows(pool: &mut dyn Pool, _: &Clustering) -> Vec<u32> {
+    let (n, r) = (pool.graph().num_nodes(), pool.num_samples());
+    let centers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+    let mut out = vec![0u32; 2 * n * n];
+    let (full, window) = out.split_at_mut(n * n);
+    pool.counts_from_centers_range(&centers, 0, r, full);
+    pool.counts_from_centers_range(&centers, SHARD_WORLDS / 2, r, window);
+    out
+}
+
 /// Depth-limited select/cover rows of every node.
-fn depth_rows(pool: &mut dyn WorldEngine) -> Vec<u32> {
+fn depth_rows(pool: &mut dyn Pool, _: &Clustering) -> Vec<u32> {
     let n = pool.graph().num_nodes();
     let mut out = Vec::with_capacity(2 * n * n);
     let mut select = vec![0u32; n];
@@ -51,15 +119,44 @@ fn depth_rows(pool: &mut dyn WorldEngine) -> Vec<u32> {
     out
 }
 
-/// Row and depth-row queries of every node, concatenated.
-fn all_rows(pool: &mut dyn WorldEngine) -> Vec<u32> {
-    let mut out = center_rows(pool);
-    out.extend(depth_rows(pool));
+/// Every node as the center of one k = n depth batch at depths (1, 3).
+fn depth_batch_rows(pool: &mut dyn Pool, _: &Clustering) -> Vec<u32> {
+    let (n, r) = (pool.graph().num_nodes(), pool.num_samples());
+    let centers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+    let mut out = vec![0u32; 2 * n * n];
+    let (select, cover) = out.split_at_mut(n * n);
+    pool.counts_within_depths_batch_range(&centers, 1, 3, 0, r, select, cover);
     out
 }
 
+/// Unlimited and depth-3 pair counts of every pair of nodes.
+fn pair_counts(pool: &mut dyn Pool, _: &Clustering) -> Vec<u32> {
+    let (n, r) = (pool.graph().num_nodes() as u32, pool.num_samples());
+    let mut out = Vec::new();
+    for u in 0..n {
+        for v in u + 1..n {
+            let (u, v) = (NodeId(u), NodeId(v));
+            out.push(pool.pair_count_range(u, v, 0, r) as u32);
+            out.push(pool.pair_count_within_range(u, v, 3, 0, r) as u32);
+        }
+    }
+    out
+}
+
+/// Assignment counts of `clustering`, unlimited and at depth 2.
+fn assignments(pool: &mut dyn Pool, clustering: &Clustering) -> Vec<u32> {
+    let mut out = pool.assignment_counts_of(clustering, DEPTH_UNLIMITED);
+    out.extend(pool.assignment_counts_of(clustering, 2));
+    out
+}
+
+/// Every family's answers, concatenated.
+fn all_answers(pool: &mut dyn Pool, clustering: &Clustering) -> Vec<u32> {
+    FAMILIES.iter().flat_map(|family| family(pool, clustering)).collect()
+}
+
 /// The pure-mask width-64 and adaptive width-256 pools over `g`.
-fn pools(g: &UncertainGraph, seed: u64) -> [(Box<dyn WorldEngine + '_>, &'static str); 2] {
+fn pools(g: &UncertainGraph, seed: u64) -> [(Box<dyn Pool + '_>, &'static str); 2] {
     [
         (Box::new(BitParallelPool::<1>::new(g, seed, 1)), "pure-mask"),
         (Box::new(BitParallelPool::<4>::new_adaptive(g, seed, 1)), "adaptive"),
@@ -81,17 +178,21 @@ proptest! {
         g in small_graph(),
         seed in any::<u64>(),
         extra in 1usize..SHARD_WORLDS,
+        draw in clustering_draw(),
     ) {
         // Span two shard groups so partial eviction is possible.
         let r = SHARD_WORLDS + extra;
+        let clustering = clustering(g.num_nodes(), &draw);
         let [(mut plain, _), _] = pools(&g, seed);
         plain.ensure(r);
-        let want = all_rows(plain.as_mut());
+        let want = all_answers(plain.as_mut(), &clustering);
         for (mut tight, name) in pools(&g, seed) {
             tight.set_memory_budget(MemoryBudget::bounded(64));
             tight.ensure(r);
-            prop_assert_eq!(&all_rows(tight.as_mut()), &want, "{}: first pass diverges", name);
-            prop_assert_eq!(&all_rows(tight.as_mut()), &want, "{}: requery diverges", name);
+            let first = all_answers(tight.as_mut(), &clustering);
+            prop_assert_eq!(&first, &want, "{}: first pass diverges", name);
+            let again = all_answers(tight.as_mut(), &clustering);
+            prop_assert_eq!(&again, &want, "{}: requery diverges", name);
             // An edgeless graph's pure-mask shards hold 0 B and never need
             // evicting; the adaptive pool's block labels always do.
             let stats = tight.memory_stats();
@@ -111,13 +212,15 @@ proptest! {
         seed in any::<u64>(),
         extra in 1usize..SHARD_WORLDS,
         limit in 64usize..200_000,
+        draw in clustering_draw(),
     ) {
         let r = SHARD_WORLDS + extra;
+        let clustering = clustering(g.num_nodes(), &draw);
         for (mut pool, name) in pools(&g, seed) {
             pool.set_memory_budget(MemoryBudget::bounded(limit));
             pool.ensure(r);
-            for rows in [center_rows, depth_rows] {
-                rows(pool.as_mut());
+            for family in FAMILIES {
+                family(pool.as_mut(), &clustering);
                 let stats = pool.memory_stats();
                 prop_assert!(
                     stats.bytes_held <= limit,
