@@ -15,9 +15,11 @@ use ugraph_cluster::{
     CancelToken, ClusterConfig, ClusterError, ClusterRequest, DegradeMode, EngineKind,
     SamplingError, SolveResult, UgraphSession,
 };
-use ugraph_graph::{GraphBuilder, UncertainGraph};
+use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::faults::{self, FaultPlan};
-use ugraph_sampling::{FaultSite, SampleSchedule};
+use ugraph_sampling::{
+    BitParallelPool, FaultSite, MemoryBudget, RunState, SampleSchedule, WorldEngine, SHARD_WORLDS,
+};
 
 const ENGINES: [EngineKind; 2] = [EngineKind::BitParallel, EngineKind::Adaptive];
 
@@ -329,6 +331,70 @@ fn shard_regen_fault_keeps_ledger_within_budget_and_recovers() {
     let recovered = session.solve(ClusterRequest::mcp(4)).unwrap();
     assert_identical(&recovered, &baseline, "re-issue after regeneration fault");
     assert!(session.stats().bytes_held <= BUDGET);
+}
+
+/// A regeneration fault part-way through a query's shard span still
+/// leaves the ledger within its limit. The pool holds three shards under a
+/// ledger of one and a half, so a full-range query regenerates the two
+/// evicted shards; failing the second regeneration comes after the first
+/// one was charged. Re-issued without the failpoint, the query answers
+/// like an unbounded pool.
+#[test]
+fn regen_fault_after_a_charged_regeneration_keeps_ledger_within_budget() {
+    let n = 50;
+    let mut b = GraphBuilder::new(n);
+    for u in 0..n as u32 - 1 {
+        b.add_edge(u, u + 1, 0.7).unwrap();
+    }
+    let g = b.build().unwrap();
+    let r = 3 * SHARD_WORLDS;
+    let (u, v) = (NodeId(0), NodeId(n as u32 - 1));
+    let mut unbounded = BitParallelPool::<4>::new(&g, 1, 1);
+    unbounded.ensure(r);
+    let mut want_row = vec![0u32; n];
+    unbounded.counts_from_center_range(u, 0, r, &mut want_row);
+    let want_pair = unbounded.pair_count_range(u, v, 0, r);
+    let shard_bytes = unbounded.memory_stats().bytes_held / 3;
+    let limit = shard_bytes * 3 / 2;
+
+    for adaptive in [false, true] {
+        let mut pool = BitParallelPool::<4>::new(&g, 1, 1).with_finalization(adaptive);
+        pool.set_memory_budget(MemoryBudget::bounded(limit));
+        pool.ensure(r);
+        let mut row = vec![0u32; n];
+        // One query family per pool mode: the row sweep on the pure-mask
+        // pool, the pair sweep on the adaptive one.
+        let mut query = |pool: &mut BitParallelPool<'_, 4>| {
+            if adaptive {
+                pool.pair_count_range(u, v, 0, r) == want_pair
+            } else {
+                pool.counts_from_center_range(u, 0, r, &mut row);
+                row == want_row
+            }
+        };
+        assert!(query(&mut pool), "adaptive = {adaptive}: unfaulted answer differs");
+        assert_eq!(pool.memory_stats().bytes_held, shard_bytes, "adaptive = {adaptive}");
+
+        let run = RunState::unlimited();
+        pool.set_run_state(run.clone());
+        let guard = faults::install(FaultPlan::new().fail_at(FaultSite::ShardRegen, 2));
+        query(&mut pool);
+        drop(guard);
+        assert!(
+            matches!(
+                run.error(),
+                Err(SamplingError::FaultInjected { site: FaultSite::ShardRegen, hit: 2 })
+            ),
+            "adaptive = {adaptive}: got {:?}",
+            run.error()
+        );
+        let held = pool.memory_stats().bytes_held;
+        assert!(held <= limit, "adaptive = {adaptive}: {held} bytes held over the {limit} limit");
+
+        pool.set_run_state(RunState::unlimited());
+        assert!(query(&mut pool), "adaptive = {adaptive}: re-issued answer differs");
+        assert!(pool.memory_stats().bytes_held <= limit, "adaptive = {adaptive}");
+    }
 }
 
 /// With a budget generous enough that nothing is ever evicted, the byte

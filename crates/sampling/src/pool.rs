@@ -869,8 +869,9 @@ impl<const W: usize> BitParallelPool<'_, W> {
     /// tripped, or records the error and returns `false` when the
     /// [`FaultSite::ShardRegen`] failpoint fires. The failpoint fires
     /// *before* a regeneration mutates anything, so a shard is always
-    /// either fully regenerated or untouched; on `false` the caller must
-    /// not read the samples.
+    /// either fully regenerated or untouched; shards of the span that were
+    /// regenerated before the fault are trimmed again. On `false` the
+    /// caller must not read the samples.
     #[must_use]
     fn resolve_range(&mut self, lo: usize, hi: usize) -> bool {
         if lo >= hi {
@@ -883,6 +884,7 @@ impl<const W: usize> BitParallelPool<'_, W> {
             if !self.store.stamp(s) {
                 if let Err(e) = faults::hit(FaultSite::ShardRegen) {
                     self.store.run.record(e);
+                    self.trim_to_budget();
                     return false;
                 }
                 self.regenerate(s);
