@@ -14,8 +14,8 @@
 //!                 [--engine <bitparallel|adaptive>]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph evaluate --input graph.txt --clustering out.tsv [--samples N]
-//!                 [--ground-truth gt.txt] [--seed N]
-//!                 [--memory-budget B] [--timeout T]
+//!                 [--depth D] [--ground-truth gt.txt] [--seed N]
+//!                 [--memory-budget B]
 //! ugraph knn      --input graph.txt --source U [--k N] [--depth D] [--samples N]
 //! ugraph serve    [--listen HOST:PORT] --dataset <names>|--input graph.txt
 //!                 [--graph NAME] [--workers N] [--seed N]
@@ -31,7 +31,9 @@
 //! `cluster` (for MCP/ACP), `sweep`, and `evaluate` all run through one
 //! [`UgraphSession`] per invocation: `sweep` serves every `k` from the
 //! same grow-only world pool and row caches, and `evaluate` reuses the
-//! session's evaluation pool instead of building its own.
+//! session's evaluation pool instead of building its own. `evaluate
+//! --depth D` measures `p_min`/`p_avg` over paths of at most `D` hops;
+//! AVPR always counts unlimited paths.
 //!
 //! Formats: graphs are `u v p` edge lists (with an optional `# nodes: N`
 //! header); clusterings are TSV lines `node<TAB>cluster<TAB>center`;
@@ -127,8 +129,8 @@ commands:
             [--engine <bitparallel|adaptive>]
             [--memory-budget B] [--timeout T] [--best-effort]
   evaluate  --input graph.txt --clustering out.tsv [--samples N]
-            [--ground-truth gt.txt] [--seed N]
-            [--memory-budget B] [--timeout T]
+            [--depth D] [--ground-truth gt.txt] [--seed N]
+            [--memory-budget B]
   knn       --input graph.txt --source U [--k N] [--depth D] [--samples N]
   serve     [--listen HOST:PORT] --dataset <names>|--input graph.txt
             [--graph NAME] [--workers N] [--seed N]
@@ -146,6 +148,9 @@ adaptive — bit-parallel blocks with lazy component-label finalization;
 identical results for a fixed seed. It is accepted everywhere but only
 affects `cluster` and `sweep` — `evaluate` and `knn` always measure on an
 adaptive pool of 256-world blocks.
+
+`evaluate --depth D` measures `p_min` and `p_avg` over paths of at most
+D hops; AVPR always counts unlimited paths.
 
 `--samples` (default 512) must be at least 1. `--inflation` (mcl,
 default 2) must be finite and above 1. `--scale` (dblp, default 0.01)
@@ -550,7 +555,10 @@ fn cmd_evaluate(o: &Options) -> Result<(), String> {
     let mut session = UgraphSession::new(&g, session_config(o))
         .map_err(|e| e.to_string())?
         .with_eval_samples(o.samples);
-    let q = session.evaluate(&clustering);
+    let q = match o.depth {
+        None => session.evaluate(&clustering),
+        Some(d) => session.evaluate_depth(&clustering, d),
+    };
     let a = avpr(session.eval_pool(), &clustering);
     println!("k          {}", clustering.num_clusters());
     println!("covered    {}/{}", clustering.covered_count(), clustering.num_nodes());

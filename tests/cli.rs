@@ -189,6 +189,35 @@ fn bad_clustering_files_are_named_errors() {
     }
 }
 
+/// `evaluate --depth D` grades the clustering over paths of at most D
+/// hops. On the certain path 0–1–2–3–4 as one cluster centered at 0, nodes
+/// 3 and 4 are out of reach at depth 2.
+#[test]
+fn evaluate_honours_depth() {
+    let graph = tmp("path.txt");
+    std::fs::write(&graph, "0 1 1.0\n1 2 1.0\n2 3 1.0\n3 4 1.0\n").unwrap();
+    let clustering = tmp("path-clustering.tsv");
+    let lines: String = (0..5).map(|u| format!("{u}\t0\t0\n")).collect();
+    std::fs::write(&clustering, lines).unwrap();
+    for (depth, p_min, p_avg) in [(Some("2"), "0.0000", "0.6000"), (None, "1.0000", "1.0000")] {
+        let mut cmd = bin();
+        cmd.args(["evaluate", "--samples", "8", "--clustering"]).arg(&clustering);
+        cmd.arg("--input").arg(&graph);
+        if let Some(d) = depth {
+            cmd.args(["--depth", d]);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let value = |key: &str| {
+            let line = stdout.lines().find(|l| l.starts_with(key)).unwrap();
+            line.split_whitespace().nth(1).unwrap().to_string()
+        };
+        assert_eq!(value("p_min"), p_min, "depth {depth:?}: {stdout}");
+        assert_eq!(value("p_avg"), p_avg, "depth {depth:?}: {stdout}");
+    }
+}
+
 #[test]
 fn out_of_range_inflation_and_scale_are_flag_errors() {
     let graph = small_graph_file();
