@@ -28,11 +28,13 @@
 //!   connectivity matters, because a node is not re-visited per hop level
 //!   when different worlds reach it at different distances.
 //!
-//! Batches of centers reuse the single-source runs. Unlimited batches go
-//! through [`MultiWorldBfs::shared_component_counts`], where a center
-//! inherits the fixpoint of an earlier center in its component instead of
-//! re-walking it. Depth-limited batches call [`MultiWorldBfs::run`] once
-//! per center, so a block's edge masks stay in cache across its centers.
+//! Batches of centers reuse the single-source runs. Unlimited batches
+//! (batched rows and clustering evaluation alike) go through
+//! [`MultiWorldBfs::share_components`], where a center inherits the
+//! fixpoint of an earlier center in its component instead of re-walking
+//! it, and the caller reads what it needs from the reach masks. Depth-limited
+//! batches call [`MultiWorldBfs::run`] once per center, so a block's edge
+//! masks stay in cache across its centers.
 //!
 //! The workspace is reusable across calls (and across blocks): only nodes
 //! touched by the previous run are cleared, so a run over a small reachable
@@ -259,12 +261,19 @@ pub struct MultiWorldBfs<const W: usize = 1> {
     next: Vec<u32>,
     /// Every node reached in the current run, for O(touched) cleanup.
     touched: Vec<u32>,
-    /// Per-center pending lanes for the component-sharing batch sweep
-    /// ([`MultiWorldBfs::shared_component_counts`]).
-    sweep_todo: Vec<Mask<W>>,
-    /// Reached `(node, mask)` pairs of the sweep's current traversal.
-    sweep_reach: Vec<(u32, Mask<W>)>,
+    /// Per-center lanes still unknown in the component-sharing sweep
+    /// ([`MultiWorldBfs::share_components`]).
+    share_todo: Vec<Mask<W>>,
+    /// `(center index, shared lanes)` of the later centers the sweep's
+    /// current traversal met.
+    share_met: Vec<(u32, Mask<W>)>,
+    /// The sweep's node → center-index map (`NO_CENTER` off the centers),
+    /// sized on first use.
+    center_at: Vec<u32>,
 }
+
+/// `MultiWorldBfs::center_at` entry of a node that is no center.
+const NO_CENTER: u32 = u32::MAX;
 
 impl<const W: usize> MultiWorldBfs<W> {
     /// Creates a workspace for graphs of at most `n` nodes.
@@ -276,8 +285,9 @@ impl<const W: usize> MultiWorldBfs<W> {
             cur: Vec::new(),
             next: Vec::new(),
             touched: Vec::new(),
-            sweep_todo: Vec::new(),
-            sweep_reach: Vec::new(),
+            share_todo: Vec::new(),
+            share_met: Vec::new(),
+            center_at: Vec::new(),
         }
     }
 
@@ -436,72 +446,81 @@ impl<const W: usize> MultiWorldBfs<W> {
         self.reach[node.index()]
     }
 
-    /// Connection counts for a batch of `centers` in one component-sharing
-    /// sweep, using the workspace's own scratch buffers (no per-call
-    /// allocation). `counts` is center-major (`counts[j * n + u]` gains the
-    /// number of worlds of `lanes` in which `u` is connected to
-    /// `centers[j]`; entries are **added to**, not overwritten).
+    /// The nodes reached by the last run, in the order they were first
+    /// reached.
+    pub fn reached(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.touched.iter().map(|&v| NodeId(v))
+    }
+
+    /// Component-sharing sweep over a batch of `centers` within the worlds
+    /// of `lanes`, on the workspace's own scratch buffers (no allocation
+    /// once warm).
     ///
-    /// The sweep runs one connectivity fixpoint per center, but any later
-    /// center that lands in an earlier center's component inherits that
-    /// traversal's reach row for the shared worlds instead of re-walking
-    /// it — within one block, centers in the same component are the common
-    /// case, so a batch of `k` centers usually pays far fewer than `k`
-    /// traversals.
+    /// Each center runs one connectivity fixpoint over the lanes where its
+    /// component is still unknown, and `visit(j, lanes_j, self)` is called
+    /// with them: in lanes `lanes_j`, the reach masks ([`Self::reach`] over
+    /// [`Self::reached`]) are center `j`'s component. A later center that
+    /// the traversal reaches shares that component in the lanes where it is
+    /// reached, so it is visited from the same traversal with those lanes
+    /// and drops them from its own. The traversal finds later centers
+    /// through a node → center-index map as it visits them; for a repeated
+    /// center the map holds its last index, and the other copies run their
+    /// own traversals. Within one block, centers in the same component are
+    /// the common case, so a batch of `k` centers usually pays far fewer
+    /// than `k` traversals. Every `(center, lane)` of `lanes` is visited
+    /// exactly once.
     ///
     /// # Panics
-    /// Panics if `counts.len() != centers.len() * g.num_nodes()`, or under
-    /// the conditions of [`MultiWorldBfs::run_unlimited`].
-    pub fn shared_component_counts(
+    /// Under the conditions of [`MultiWorldBfs::run_unlimited`].
+    pub fn share_components(
         &mut self,
         g: &impl Adjacency,
         edge_masks: &[Mask<W>],
         centers: &[NodeId],
         lanes: Mask<W>,
-        counts: &mut [u32],
+        mut visit: impl FnMut(usize, Mask<W>, &Self),
     ) {
-        let k = centers.len();
-        let n = g.num_nodes();
-        assert_eq!(
-            counts.len(),
-            k * n,
-            "counts sized for {} entries, want {k} centers x {n} nodes",
-            counts.len()
-        );
-        if k == 0 || lanes.is_zero() {
+        if centers.is_empty() || lanes.is_zero() {
             return;
         }
-        // The scratch buffers are detached from `self` for the duration of
-        // the sweep so the traversal below can still borrow the workspace.
-        let mut todo = std::mem::take(&mut self.sweep_todo);
-        let mut reach = std::mem::take(&mut self.sweep_reach);
+        // The scratch is detached from `self` for the duration of the sweep
+        // so the traversals below can still borrow the workspace.
+        let mut todo = std::mem::take(&mut self.share_todo);
+        let mut met = std::mem::take(&mut self.share_met);
+        let mut center_at = std::mem::take(&mut self.center_at);
+        center_at.resize(self.reach.len(), NO_CENTER);
+        for (j, c) in centers.iter().enumerate() {
+            center_at[c.index()] = j as u32;
+        }
         todo.clear();
-        todo.resize(k, lanes);
-        for j in 0..k {
-            let m = todo[j];
-            if m.is_zero() {
+        todo.resize(centers.len(), lanes);
+        for (j, &center) in centers.iter().enumerate() {
+            let unknown = std::mem::take(&mut todo[j]);
+            if unknown.is_zero() {
                 continue;
             }
-            reach.clear();
-            self.run_unlimited(g, edge_masks, centers[j], m, |u, mask| reach.push((u.0, mask)));
-            for &(u, mask) in reach.iter() {
-                counts[j * n + u as usize] += mask.count_ones();
-            }
-            // Any later center reached by this traversal shares the whole
-            // component in those worlds: inherit the reach row and drop the
-            // worlds from its own pending set.
-            for j2 in j + 1..k {
-                let shared = todo[j2] & self.reach(centers[j2]);
-                if shared.any() {
-                    todo[j2] = todo[j2].and_not(shared);
-                    for &(u, mask) in reach.iter() {
-                        counts[j2 * n + u as usize] += (mask & shared).count_ones();
+            met.clear();
+            self.run_unlimited(g, edge_masks, center, unknown, |v, reach| {
+                let i = center_at[v.index()];
+                if i != NO_CENTER {
+                    let shared = todo[i as usize] & reach;
+                    if shared.any() {
+                        met.push((i, shared));
                     }
                 }
+            });
+            visit(j, unknown, self);
+            for &(i, shared) in &met {
+                todo[i as usize] = todo[i as usize].and_not(shared);
+                visit(i as usize, shared, self);
             }
         }
-        self.sweep_todo = todo;
-        self.sweep_reach = reach;
+        for c in centers {
+            center_at[c.index()] = NO_CENTER;
+        }
+        self.share_todo = todo;
+        self.share_met = met;
+        self.center_at = center_at;
     }
 
     /// Labels the connected components of **every** world selected by
@@ -975,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_component_counts_match_independent_runs() {
+    fn share_components_match_independent_runs() {
         let mut b = GraphBuilder::new(8);
         for (u, v) in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (2, 4), (0, 7)] {
             b.add_edge(u, v, 0.5).unwrap();
@@ -995,7 +1014,14 @@ mod tests {
         let centers = [NodeId(0), NodeId(2), NodeId(0), NodeId(5), NodeId(7)];
         let mut bfs = MultiWorldBfs::new(8);
         let mut counts = vec![0u32; centers.len() * 8];
-        bfs.shared_component_counts(&g, &masks, &centers, Mask::prefix(lanes), &mut counts);
+        let sweep = |bfs: &mut MultiWorldBfs, counts: &mut [u32]| {
+            bfs.share_components(&g, &masks, &centers, Mask::prefix(lanes), |j, lanes, bfs| {
+                for u in bfs.reached() {
+                    counts[j * 8 + u.index()] += (bfs.reach(u) & lanes).count_ones();
+                }
+            });
+        };
+        sweep(&mut bfs, &mut counts);
         for (j, &c) in centers.iter().enumerate() {
             let mut want = [0u32; 8];
             bfs.run_unlimited(&g, &masks, c, Mask::prefix(lanes), |n, mk| {
@@ -1003,9 +1029,9 @@ mod tests {
             });
             assert_eq!(&counts[j * 8..(j + 1) * 8], &want[..], "center {j} ({c}) differs");
         }
-        // The sweep accumulates: a second pass doubles every entry.
+        // The visits accumulate: a second pass doubles every entry.
         let before = counts.clone();
-        bfs.shared_component_counts(&g, &masks, &centers, Mask::prefix(lanes), &mut counts);
+        sweep(&mut bfs, &mut counts);
         for (a, b) in counts.iter().zip(before.iter()) {
             assert_eq!(*a, b * 2);
         }

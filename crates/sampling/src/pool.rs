@@ -33,12 +33,19 @@
 //!
 //! The pool implements the ranged query forms (`counts_from_center_range`,
 //! `counts_within_depths_range`, `pair_count*_range`, and their batched
-//! variants); the full-pool forms are provided by [`WorldEngine`] as the
-//! ranged forms over the whole pool. Generation (`ensure`) and the queries
-//! run on rayon, gated by the shared [`crate::tuning`] heuristics. Queries
-//! partition their blocks into chunks, accumulate per-chunk integer count
-//! vectors, and merge them — so every estimate is bit-identical no matter
-//! how many threads run, which the property tests assert.
+//! variants) and `assignment_counts`; the full-pool forms are provided by
+//! [`WorldEngine`] as the ranged forms over the whole pool. Generation
+//! (`ensure`, and regeneration, which build blocks through one builder)
+//! and the queries run on rayon, gated by the shared [`crate::tuning`]
+//! heuristics. Every count query resolves its shards, runs its own
+//! prologue (label finalization, the batch cost model, or evaluation's
+//! member lists), and ends in one private block sweep: the sweep runs the
+//! query's per-block kernel on each planned block, polling the interrupt
+//! checkpoint before each one, and trims the ledger. The sweep splits the
+//! blocks into chunks through [`crate::tuning::chunked_counts_with`],
+//! accumulates per-chunk integer count rows and merges them — so every
+//! estimate is bit-identical no matter how many threads run, which the
+//! property tests assert.
 
 use rayon::prelude::*;
 
@@ -50,8 +57,7 @@ use crate::error::SamplingPhase;
 use crate::faults::{self, FaultSite};
 use crate::interrupt::RunState;
 use crate::tuning::{
-    chunked_counts2_with, chunked_counts_with, chunked_sum_with, finalize_on_unlimited_query,
-    ThreadConfig,
+    chunked_counts_with, finalize_on_unlimited_query, labels_beat_shared_masks, ThreadConfig,
 };
 use crate::world::WorldSampler;
 
@@ -248,11 +254,11 @@ impl<L: Label> BlockLabels<L> {
     /// Number of lanes in `lanes` where `u` and `v` share a component
     /// (`lanes` must be ⊆ the labeled lanes).
     #[inline]
-    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> usize {
+    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> u32 {
         let stride = self.stride as usize;
         let (bu, bv) = (u * stride, v * stride);
-        let mut hits = 0usize;
-        lanes.for_each_lane(|l| hits += usize::from(self.labels[bu + l] == self.labels[bv + l]));
+        let mut hits = 0u32;
+        lanes.for_each_lane(|l| hits += u32::from(self.labels[bu + l] == self.labels[bv + l]));
         hits
     }
 
@@ -325,7 +331,7 @@ impl BlockLabelsAny {
     }
 
     #[inline]
-    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> usize {
+    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> u32 {
         match self {
             BlockLabelsAny::Narrow(l) => l.pair_lanes(u, v, lanes),
             BlockLabelsAny::Wide(l) => l.pair_lanes(u, v, lanes),
@@ -393,6 +399,12 @@ impl<const W: usize> MaskBlock<W> {
             + self.labels.as_ref().map_or(0, BlockLabelsAny::heap_bytes)
     }
 
+    /// The block's labels, for lanes that [`MaskBlock::split_lanes`] (or a
+    /// plan built from it) serves from them.
+    fn labels(&self) -> &BlockLabelsAny {
+        self.labels.as_ref().unwrap_or_else(|| unreachable!("labeled lanes imply labels"))
+    }
+
     /// Splits a query's lane selection into (served-from-labels,
     /// served-by-mask-BFS) parts.
     #[inline]
@@ -441,12 +453,9 @@ pub struct BitParallelPool<'g, const W: usize = 1> {
     /// Reusable multi-world BFS workspace for serial query paths; parallel
     /// chunks build their own.
     bfs: MultiWorldBfs<W>,
-    /// Reusable `(block, lane mask)` work-item buffer of the ranged query
-    /// paths (allocation-free single-row queries).
-    items: Vec<(u32, Mask<W>)>,
-    /// Reusable `(block, label lanes, mask lanes)` dispatch plan of the
-    /// batched unlimited queries.
-    batch_plan: Vec<(u32, Mask<W>, Mask<W>)>,
+    /// Reusable `(block, label lanes, mask lanes)` plan of the block sweep
+    /// (allocation-free single-row queries).
+    plan: Vec<(u32, Mask<W>, Mask<W>)>,
     /// Lazy per-block component-label finalization
     /// ([`crate::EngineKind::Adaptive`]): off = pure-mask backend.
     adaptive: bool,
@@ -472,8 +481,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             samples: 0,
             config: ThreadConfig::new(threads),
             bfs: MultiWorldBfs::new(graph.num_nodes()),
-            items: Vec::new(),
-            batch_plan: Vec::new(),
+            plan: Vec::new(),
             adaptive: false,
             wide: !narrow_fits(graph.num_nodes()),
             stats: EngineStats::default(),
@@ -584,8 +592,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         self.finalize_block(b);
         self.settle_shard(i / SHARD_WORLDS);
-        let labels = shard_block(&self.shards, b).labels.as_ref();
-        labels.unwrap_or_else(|| unreachable!("finalized block has labels")).lane_into(lane, out);
+        shard_block(&self.shards, b).labels().lane_into(lane, out);
     }
 
     /// Assignment counts of a clustering, the measurement behind
@@ -595,15 +602,15 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// outliers (`cluster_of(u) == None`).
     ///
     /// Reach masks are read for cluster members only. Without a depth
-    /// limit, each block runs a component-sharing sweep: one mask traversal
-    /// per center over the lanes where its component is still unknown,
-    /// adding the reach of that center's members; a later center met by
-    /// the traversal (found through a node-to-center map) shares the
-    /// component in those lanes, so it takes the reach of its own members
-    /// there and drops the lanes. With a depth limit, each block
-    /// runs one depth-limited traversal per center and adds that center's
-    /// members. Blocks are read as masks even where labels are cached, and
-    /// no block is labelled, so the call never adds to the ledger beyond
+    /// limit, each block runs the component-sharing sweep
+    /// ([`MultiWorldBfs::share_components`]): one mask traversal per center
+    /// over the lanes where its component is still unknown, adding the
+    /// reach of that center's members; a later center met by the traversal
+    /// shares the component in those lanes, so it takes the reach of its
+    /// own members there. With a depth limit, each block runs one
+    /// depth-limited traversal per center and adds that center's members.
+    /// Blocks are read as masks even where labels are cached, and no block
+    /// is labelled, so the call never adds to the ledger beyond
     /// regenerating evicted shards, and it trims the ledger on return.
     ///
     /// # Panics
@@ -627,103 +634,36 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
                 members[j].push(NodeId::from_index(u));
             }
         }
-        // Each center's cluster index (`NO_CENTER` elsewhere), so a sweep
-        // finds the later centers among the nodes it reaches.
-        const NO_CENTER: u32 = u32::MAX;
-        let mut center_at = vec![NO_CENTER; n];
-        for (j, c) in centers.iter().enumerate() {
-            center_at[c.index()] = j as u32;
-        }
         if k == 0 || !self.resolve_range(0, self.samples) {
             return;
         }
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(0, self.samples, &mut items);
+        self.plan(0, self.samples, false);
         let unlimited = depth == DEPTH_UNLIMITED;
         if self.adaptive && unlimited {
-            self.stats.mask_queries += items.len();
+            self.stats.mask_queries += self.plan.len();
         }
-        let run = self.store.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[Vec<MaskBlock<W>>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts_with(
-            config,
-            &items,
-            n,
-            if unlimited { per_block } else { per_block * k },
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |counts, bfs, items| {
-                // Lanes in which each center's component is still unknown,
-                // and the later centers the current traversal met.
-                let mut todo = vec![Mask::<W>::ZERO; k];
-                let mut met: Vec<(u32, Mask<W>)> = Vec::new();
-                for &(b, lanes) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let masks = &shard_block(shards, b as usize).masks;
-                    if !unlimited {
-                        for (j, &center) in centers.iter().enumerate() {
-                            bfs.run(graph, masks, center, lanes, depth, |_, _, _| {});
-                            for &u in &members[j] {
-                                counts[u.index()] += bfs.reach(u).count_ones();
-                            }
-                        }
-                        continue;
-                    }
-                    todo.fill(lanes);
-                    for (j, &center) in centers.iter().enumerate() {
-                        let unknown = std::mem::take(&mut todo[j]);
-                        if unknown.is_zero() {
-                            continue;
-                        }
-                        met.clear();
-                        bfs.run_unlimited(graph, masks, center, unknown, |v, reach| {
-                            let i = center_at[v.index()];
-                            if i != NO_CENTER {
-                                let shared = todo[i as usize] & reach;
-                                if shared.any() {
-                                    met.push((i, shared));
-                                }
-                            }
-                        });
-                        for &u in &members[j] {
-                            counts[u.index()] += bfs.reach(u).count_ones();
-                        }
-                        for &(i, shared) in &met {
-                            todo[i as usize] = todo[i as usize].and_not(shared);
-                            for &u in &members[i as usize] {
-                                counts[u.index()] += (bfs.reach(u) & shared).count_ones();
-                            }
-                        }
-                    }
+        let work = if unlimited { self.block_work() } else { self.block_work() * k };
+        self.sweep(work, [out], |[counts], bfs, graph, block, _, lanes| {
+            let mut add = |j: usize, lanes: Mask<W>, bfs: &MultiWorldBfs<W>| {
+                for &u in &members[j] {
+                    counts[u.index()] += (bfs.reach(u) & lanes).count_ones();
                 }
-            },
-            out,
-        );
-        self.items = items;
-        self.trim_to_budget();
+            };
+            if unlimited {
+                bfs.share_components(graph, &block.masks, centers, lanes, add);
+            } else {
+                for (j, &center) in centers.iter().enumerate() {
+                    bfs.run(graph, &block.masks, center, lanes, depth, |_, _, _| {});
+                    add(j, lanes, bfs);
+                }
+            }
+        });
     }
 
     /// Whether block labels of an `n`-node graph fit the `u32` CSR offsets
     /// of the membership index.
     fn labels_fit(n: usize) -> bool {
         n.saturating_mul(Self::BLOCK_LANES) <= u32::MAX as usize
-    }
-
-    fn build_block(sampler: &WorldSampler<'g>, m: usize, block: usize, r: usize) -> MaskBlock<W> {
-        let base = block * Self::BLOCK_LANES;
-        let lanes = (r - base).min(Self::BLOCK_LANES);
-        let mut masks = vec![Mask::<W>::ZERO; m];
-        for lane in 0..lanes {
-            sampler
-                .sample_block_lane((base + lane) as u64, lane, &mut masks)
-                .unwrap_or_else(|e| unreachable!("pool-sized mask buffer cannot mismatch: {e}"));
-        }
-        MaskBlock { masks, lanes: lanes as u32, labels: None, mask_queries: 0 }
     }
 
     /// Finalization prologue of every unlimited-depth query over the
@@ -829,23 +769,110 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
     }
 
-    /// The blocks overlapping sample range `[lo, hi)`, each with the lane
-    /// mask selecting exactly the in-range worlds of that block, written
-    /// into `out` (reused across queries to keep single-row queries
-    /// allocation-free).
-    fn range_blocks_into(lo: usize, hi: usize, out: &mut Vec<(u32, Mask<W>)>) {
-        out.clear();
+    /// Samples lanes `lanes` of the block whose first world is `base` into
+    /// its edge masks, world `base + l` from RNG stream `base + l`.
+    fn sample_lanes(
+        sampler: &WorldSampler<'g>,
+        masks: &mut [Mask<W>],
+        base: usize,
+        lanes: std::ops::Range<usize>,
+    ) {
+        for lane in lanes {
+            sampler
+                .sample_block_lane((base + lane) as u64, lane, masks)
+                .unwrap_or_else(|e| unreachable!("pool-sized mask buffer cannot mismatch: {e}"));
+        }
+    }
+
+    /// Blocks `first..last` of a pool of `r` samples, sampled afresh — in
+    /// parallel when the batch is worth it. Growth and regeneration both
+    /// build blocks here.
+    fn build_blocks(&self, first: usize, last: usize, r: usize) -> Vec<MaskBlock<W>> {
+        let (sampler, m) = (&self.sampler, self.graph().num_edges());
+        let build = |b: usize| {
+            let base = b * Self::BLOCK_LANES;
+            let lanes = (r - base).min(Self::BLOCK_LANES);
+            let mut masks = vec![Mask::<W>::ZERO; m];
+            Self::sample_lanes(sampler, &mut masks, base, 0..lanes);
+            MaskBlock { masks, lanes: lanes as u32, labels: None, mask_queries: 0 }
+        };
+        if self.config.parallel_generation((last - first) * Self::BLOCK_LANES) {
+            self.config.run(|| (first..last).into_par_iter().map(build).collect())
+        } else {
+            (first..last).map(build).collect()
+        }
+    }
+
+    /// Work of one traversal over a block, `n + 2m` operations — the unit
+    /// of the sweeps' parallel gate.
+    fn block_work(&self) -> usize {
+        let graph = self.graph();
+        graph.num_nodes() + 2 * graph.num_edges()
+    }
+
+    /// Plans a sweep of sample range `[lo, hi)`: one entry per overlapping
+    /// block, its lanes narrowed to the range's worlds. With `labels`, each
+    /// block's lanes split into those its labels cover and the rest
+    /// ([`MaskBlock::split_lanes`]); otherwise every lane is a mask lane.
+    fn plan(&mut self, lo: usize, hi: usize, labels: bool) {
+        self.plan.clear();
         if lo >= hi {
             return;
         }
-        let first = lo / Self::BLOCK_LANES;
-        let last = (hi - 1) / Self::BLOCK_LANES;
-        out.extend((first..=last).map(|b| {
+        for b in lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES {
             let base = b * Self::BLOCK_LANES;
             let s = lo.max(base) - base;
             let e = hi.min(base + Self::BLOCK_LANES) - base;
-            (b as u32, Mask::<W>::prefix(e).and_not(Mask::prefix(s)))
-        }));
+            let lanes = Mask::<W>::prefix(e).and_not(Mask::prefix(s));
+            let (labeled, masked) = if labels {
+                shard_block(&self.shards, b).split_lanes(lanes)
+            } else {
+                (Mask::ZERO, lanes)
+            };
+            self.plan.push((b as u32, labeled, masked));
+        }
+    }
+
+    /// The block sweep of every count query: runs `kernel(outs, bfs, graph,
+    /// block, label lanes, mask lanes)` on each planned block, polling the
+    /// [`SamplingPhase::Sweep`] checkpoint before each one, and trims the
+    /// ledger afterwards. Blocks are split across threads by
+    /// [`chunked_counts_with`] when `per_block_work` passes its gate, so
+    /// `outs` receive the sum over all blocks, bit-identical at every
+    /// thread count. An interrupted sweep leaves them partial; the fallible
+    /// layer above discards them.
+    fn sweep<const N: usize>(
+        &mut self,
+        per_block_work: usize,
+        outs: [&mut [u32]; N],
+        kernel: impl Fn(
+                &mut [&mut [u32]; N],
+                &mut MultiWorldBfs<W>,
+                &UncertainGraph,
+                &MaskBlock<W>,
+                Mask<W>,
+                Mask<W>,
+            ) + Sync,
+    ) {
+        let BitParallelPool { sampler, shards, config, bfs, plan, store, .. } = self;
+        let (graph, shards, run) = (sampler.graph(), &*shards, &store.run);
+        chunked_counts_with(
+            config,
+            plan,
+            per_block_work,
+            bfs,
+            || MultiWorldBfs::<W>::new(graph.num_nodes()),
+            |outs, bfs, plan| {
+                for &(b, labeled, masked) in plan {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    kernel(outs, bfs, graph, shard_block(shards, b as usize), labeled, masked);
+                }
+            },
+            outs,
+        );
+        self.trim_to_budget();
     }
 }
 
@@ -912,17 +939,9 @@ impl<const W: usize> BitParallelPool<'_, W> {
     /// inlining it into the query prologues slows every query.
     #[inline(never)]
     fn regenerate(&mut self, s: usize) {
-        let m = self.graph().num_edges();
-        let sampler = self.sampler;
-        let r = self.samples;
         let first = s * blocks_per_shard::<W>();
-        let last = ((s + 1) * blocks_per_shard::<W>()).min(r.div_ceil(Self::BLOCK_LANES));
-        let build = |b: usize| Self::build_block(&sampler, m, b, r);
-        self.shards[s] = if self.config.parallel_generation((last - first) * Self::BLOCK_LANES) {
-            self.config.run(|| (first..last).into_par_iter().map(build).collect())
-        } else {
-            (first..last).map(build).collect()
-        };
+        let last = ((s + 1) * blocks_per_shard::<W>()).min(self.num_blocks());
+        self.shards[s] = self.build_blocks(first, last, self.samples);
         self.store.note_regenerated(s);
         self.settle_shard(s);
     }
@@ -991,8 +1010,6 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             return;
         }
         let cur = self.samples;
-        let m = self.graph().num_edges();
-        let sampler = self.sampler;
         let bps = blocks_per_shard::<W>();
         let total = r.div_ceil(Self::BLOCK_LANES);
         let trailing_evicted = self.store.trailing_evicted();
@@ -1005,13 +1022,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             let base = b * Self::BLOCK_LANES;
             let target = (r - base).min(Self::BLOCK_LANES);
             let last = &mut self.shards[b / bps][b % bps];
-            for lane in last.lanes as usize..target {
-                sampler
-                    .sample_block_lane((base + lane) as u64, lane, &mut last.masks)
-                    .unwrap_or_else(|e| {
-                        unreachable!("pool-sized mask buffer cannot mismatch: {e}")
-                    });
-            }
+            Self::sample_lanes(&self.sampler, &mut last.masks, base, last.lanes as usize..target);
             last.lanes = target as u32;
             achieved = base + target;
         }
@@ -1034,13 +1045,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         let mut from = first;
         while from < total && self.store.may_grow() {
             let chunk_end = ((from / bps + 1) * bps).min(total);
-            let build = |b: usize| Self::build_block(&sampler, m, b, r);
-            let new_blocks: Vec<MaskBlock<W>> =
-                if self.config.parallel_generation((chunk_end - from) * Self::BLOCK_LANES) {
-                    self.config.run(|| (from..chunk_end).into_par_iter().map(build).collect())
-                } else {
-                    (from..chunk_end).map(build).collect()
-                };
+            let new_blocks = self.build_blocks(from, chunk_end, r);
             let s = from / bps;
             if s == self.shards.len() {
                 self.shards.push(Vec::new());
@@ -1074,60 +1079,33 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             return;
         }
         self.prepare_unlimited(lo, hi, UnlimitedShape::Row);
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[Vec<MaskBlock<W>>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts_with(
-            config,
-            &items,
-            n,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |counts, bfs, items| {
-                for &(b, mask) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let block = shard_block(shards, b as usize);
-                    let (labeled, masked) = block.split_lanes(mask);
-                    if labeled.any() {
-                        let labels = block
-                            .labels
-                            .as_ref()
-                            .unwrap_or_else(|| unreachable!("labeled lanes imply labels"));
-                        labels.accumulate_center(center.index(), labeled, counts);
-                    }
-                    if masked.any() {
-                        bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
-                            counts[node.index()] += m.count_ones();
-                        });
-                    }
-                }
-            },
-            out,
-        );
-        self.items = items;
-        self.trim_to_budget();
+        self.plan(lo, hi, true);
+        self.sweep(self.block_work(), [out], |[counts], bfs, graph, block, labeled, masked| {
+            if labeled.any() {
+                block.labels().accumulate_center(center.index(), labeled, counts);
+            }
+            if masked.any() {
+                bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
+                    counts[node.index()] += m.count_ones();
+                });
+            }
+        });
     }
 
     /// Amortization by **component sharing**: connectivity reach sets are
     /// per-component, so if centers `c_i` and `c_j` are connected in some
     /// of a block's worlds, their rows are identical in those worlds. Per
-    /// overlapping block, each center runs a mask BFS only over the window
-    /// lanes where its component is still unknown; every later center
-    /// found inside the traversed reach set inherits the reach masks for
-    /// the shared worlds with one AND + popcount sweep instead of a
-    /// re-traversal. On instances with a supercritical giant component
-    /// (most candidate centers connected in most worlds), a block costs
-    /// roughly one traversal plus `k` cheap sweeps — the amortization that
-    /// makes bit-parallel win the multi-row query workload it loses on
-    /// single rows, and the shape of a row-cache top-up wave: one shared
-    /// pass over the new worlds for all cached rows.
+    /// overlapping block, [`MultiWorldBfs::share_components`] runs a mask
+    /// BFS per center only over the window lanes where its component is
+    /// still unknown; every later center found inside the traversed reach
+    /// set takes the reach masks for the shared worlds with one AND +
+    /// popcount sweep instead of a re-traversal. On instances with a
+    /// supercritical giant component (most candidate centers connected in
+    /// most worlds), a block costs roughly one traversal plus `k` cheap
+    /// sweeps — the amortization that makes bit-parallel win the multi-row
+    /// query workload it loses on single rows, and the shape of a
+    /// row-cache top-up wave: one shared pass over the new worlds for all
+    /// cached rows.
     fn counts_from_centers_range(
         &mut self,
         centers: &[NodeId],
@@ -1135,7 +1113,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         hi: usize,
         out: &mut [u32],
     ) {
-        let n = self.graph().num_nodes();
+        let (n, m) = (self.graph().num_nodes(), self.graph().num_edges());
         let k = centers.len();
         assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
         assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
@@ -1148,91 +1126,55 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         if !self.resolve_range(lo, hi) {
             return;
         }
-        // Plan the per-block dispatch serially (batches never finalize —
-        // that is the single-row/pair paths' job): a fully labeled block
-        // goes to label scans only when the exact cost model prefers them
-        // over the sharing sweep; a block with any unlabeled lanes runs
-        // the sweep for *all* its lanes, because the traversal must run
-        // anyway and folding labeled lanes into it is nearly free. Doing
-        // this up front keeps the stats exact — a batch block-query counts
-        // as label-served only if labels actually serve it.
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let mut plan = std::mem::take(&mut self.batch_plan);
-        plan.clear();
+        // Batches never finalize — that is the single-row/pair paths' job.
+        // A fully labeled block goes to label scans only when the exact
+        // cost model prefers them over the sharing sweep; a block with any
+        // unlabeled lanes runs the sweep for *all* its lanes, because the
+        // traversal must run anyway and folding labeled lanes into it is
+        // nearly free. Planning up front keeps the stats exact — a batch
+        // block-query counts as label-served only if labels actually serve
+        // it.
+        self.plan(lo, hi, true);
         let (mut label_q, mut mask_q) = (0usize, 0usize);
-        for &(b, lanes) in &items {
-            let block = shard_block(&self.shards, b as usize);
-            let (labeled, masked) = block.split_lanes(lanes);
+        for entry in &mut self.plan {
+            let (b, labeled, masked) = *entry;
             let use_labels = masked.is_zero()
                 && labeled.any()
-                && block.labels.as_ref().is_some_and(|labels| {
-                    crate::tuning::labels_beat_shared_masks(
-                        labels.batch_label_ops(centers, labeled),
-                        n,
-                        self.graph().num_edges(),
-                        k,
-                        W,
-                    )
-                });
+                && labels_beat_shared_masks(
+                    shard_block(&self.shards, b as usize)
+                        .labels()
+                        .batch_label_ops(centers, labeled),
+                    n,
+                    m,
+                    k,
+                    W,
+                );
             if use_labels {
                 label_q += 1;
-                plan.push((b, labeled, Mask::ZERO));
             } else {
                 mask_q += 1;
-                plan.push((b, Mask::ZERO, lanes));
+                *entry = (b, Mask::ZERO, labeled | masked);
             }
         }
         if self.adaptive {
             self.stats.label_queries += label_q;
             self.stats.mask_queries += mask_q;
         }
-        let run = self.store.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[Vec<MaskBlock<W>>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        // The per-center "worlds still unknown" masks and the (node, mask)
-        // reach list of the sharing sweep live inside the BFS workspace, so
-        // warm batches allocate nothing per block.
-        chunked_counts_with(
-            config,
-            &plan,
-            k * n,
-            per_block + k * n,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |counts, bfs, plan: &[(u32, Mask<W>, Mask<W>)]| {
-                for &(b, labeled, masked) in plan {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let block = shard_block(shards, b as usize);
-                    if labeled.any() {
-                        let labels = block
-                            .labels
-                            .as_ref()
-                            .unwrap_or_else(|| unreachable!("planned labels exist"));
-                        for (j, c) in centers.iter().enumerate() {
-                            labels.accumulate_center(
-                                c.index(),
-                                labeled,
-                                &mut counts[j * n..(j + 1) * n],
-                            );
-                        }
-                    }
-                    if masked.is_zero() {
-                        continue;
-                    }
-                    // Mask lanes: component-sharing traversal sweep.
-                    bfs.shared_component_counts(graph, &block.masks, centers, masked, counts);
+        let work = self.block_work() + k * n;
+        self.sweep(work, [out], |[counts], bfs, graph, block, labeled, masked| {
+            if labeled.any() {
+                let labels = block.labels();
+                for (j, c) in centers.iter().enumerate() {
+                    labels.accumulate_center(c.index(), labeled, &mut counts[j * n..(j + 1) * n]);
                 }
-            },
-            out,
-        );
-        self.items = items;
-        self.batch_plan = plan;
-        self.trim_to_budget();
+            }
+            bfs.share_components(graph, &block.masks, centers, masked, |j, lanes, bfs| {
+                let row = &mut counts[j * n..(j + 1) * n];
+                for u in bfs.reached() {
+                    row[u.index()] += (bfs.reach(u) & lanes).count_ones();
+                }
+            });
+        });
     }
 
     /// A label comparison over finalized lanes and one masked fixpoint
@@ -1243,44 +1185,18 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             return 0;
         }
         self.prepare_unlimited(lo, hi, UnlimitedShape::Pair);
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[Vec<MaskBlock<W>>] = shards;
-        let n = graph.num_nodes();
-        let per_block = n + 2 * graph.num_edges();
-        let total = chunked_sum_with(
-            config,
-            &items,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |bfs, &(b, mask)| {
-                if run.checkpoint(SamplingPhase::Sweep) {
-                    return 0;
-                }
-                let block = shard_block(shards, b as usize);
-                let (labeled, masked) = block.split_lanes(mask);
-                let mut hits = 0usize;
-                if labeled.any() {
-                    let labels = block
-                        .labels
-                        .as_ref()
-                        .unwrap_or_else(|| unreachable!("labeled lanes imply labels"));
-                    hits += labels.pair_lanes(u.index(), v.index(), labeled);
-                }
-                if masked.any() {
-                    bfs.run_unlimited(graph, &block.masks, u, masked, |_, _| {});
-                    hits += bfs.reach(v).count_ones() as usize;
-                }
-                hits
-            },
-        );
-        self.items = items;
-        self.trim_to_budget();
-        total
+        self.plan(lo, hi, true);
+        let mut hits = [0u32];
+        self.sweep(self.block_work(), [&mut hits], |[hits], bfs, graph, block, labeled, masked| {
+            if labeled.any() {
+                hits[0] += block.labels().pair_lanes(u.index(), v.index(), labeled);
+            }
+            if masked.any() {
+                bfs.run_unlimited(graph, &block.masks, u, masked, |_, _| {});
+                hits[0] += bfs.reach(v).count_ones();
+            }
+        });
+        hits[0] as usize
     }
 
     /// A batch of one.
@@ -1325,50 +1241,24 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             out_select.copy_from_slice(out_cover);
             return;
         }
-        if k == 0 {
+        if k == 0 || !self.resolve_range(lo, hi) {
             return;
         }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[Vec<MaskBlock<W>>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts2_with(
-            config,
-            &items,
-            k * n,
-            per_block * k,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |select, cover, bfs, items| {
-                for &(b, mask) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
+        self.plan(lo, hi, false);
+        let outs = [out_select, out_cover];
+        self.sweep(self.block_work() * k, outs, |[select, cover], bfs, graph, block, _, lanes| {
+            for (j, &center) in centers.iter().enumerate() {
+                let row = j * n..(j + 1) * n;
+                let (select, cover) = (&mut select[row.clone()], &mut cover[row]);
+                bfs.run(graph, &block.masks, center, lanes, d_cover, |node, depth, m| {
+                    let c = m.count_ones();
+                    cover[node.index()] += c;
+                    if depth <= d_select {
+                        select[node.index()] += c;
                     }
-                    let masks = &shard_block(shards, b as usize).masks;
-                    for (j, &center) in centers.iter().enumerate() {
-                        let row = j * n..(j + 1) * n;
-                        let (select, cover) = (&mut select[row.clone()], &mut cover[row]);
-                        bfs.run(graph, masks, center, mask, d_cover, |node, depth, m| {
-                            let c = m.count_ones();
-                            cover[node.index()] += c;
-                            if depth <= d_select {
-                                select[node.index()] += c;
-                            }
-                        });
-                    }
-                }
-            },
-            out_select,
-            out_cover,
-        );
-        self.items = items;
-        self.trim_to_budget();
+                });
+            }
+        });
     }
 
     fn pair_count_within_range(
@@ -1386,43 +1276,13 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         if !self.resolve_range(lo, hi) {
             return 0;
         }
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.store.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[Vec<MaskBlock<W>>] = shards;
-        let n = graph.num_nodes();
-        let per_block = n + 2 * graph.num_edges();
-        let total = chunked_sum_with(
-            config,
-            &items,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |bfs, &(b, mask)| {
-                if run.checkpoint(SamplingPhase::Sweep) {
-                    return 0;
-                }
-                let mut hit = Mask::<W>::ZERO;
-                bfs.run(
-                    graph,
-                    &shard_block(shards, b as usize).masks,
-                    u,
-                    mask,
-                    depth,
-                    |node, _, m| {
-                        if node == v {
-                            hit |= m;
-                        }
-                    },
-                );
-                hit.count_ones() as usize
-            },
-        );
-        self.items = items;
-        self.trim_to_budget();
-        total
+        self.plan(lo, hi, false);
+        let mut hits = [0u32];
+        self.sweep(self.block_work(), [&mut hits], |[hits], bfs, graph, block, _, lanes| {
+            bfs.run(graph, &block.masks, u, lanes, depth, |_, _, _| {});
+            hits[0] += bfs.reach(v).count_ones();
+        });
+        hits[0] as usize
     }
 }
 

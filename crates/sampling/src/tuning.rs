@@ -3,8 +3,9 @@
 //! Every operation of the block pool ([`crate::BitParallelPool`]) faces the
 //! same dispatch decision: is the batch big enough that a rayon fork-join
 //! pays for itself? The thresholds, the resolved thread configuration and
-//! the chunked count kernels live here, next to the adaptive backend's
-//! finalization and batch-dispatch heuristics.
+//! the one chunked count helper ([`chunked_counts_with`], which every
+//! count query's block sweep goes through) live here, next to the
+//! adaptive backend's finalization and batch-dispatch heuristics.
 
 use rayon::prelude::*;
 
@@ -155,108 +156,57 @@ impl ThreadConfig {
 /// Element-wise `a[i] += b[i]`, the merge step of chunked count queries.
 /// Counts are integers, so merged results are bit-identical no matter how
 /// the items were chunked — the reproducibility contract of every backend.
-pub fn merge_counts(mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+pub fn merge_counts(a: &mut [u32], b: &[u32]) {
     debug_assert_eq!(a.len(), b.len());
     for (x, y) in a.iter_mut().zip(b) {
         *x += y;
     }
-    a
 }
 
-/// Parallel-or-serial chunked count accumulation: runs `accumulate` over
-/// chunks of `items` and merges the per-chunk count vectors, falling back
-/// to a single serial pass when the parallel path is not worthwhile. The
-/// serial path reuses the caller's traversal workspace `serial_ws`;
-/// parallel workers build their own through `make_ws` (rayon `map_init`).
-#[allow(clippy::too_many_arguments)]
-pub fn chunked_counts_with<T: Sync, W: Send>(
+/// Parallel-or-serial chunked count accumulation into `N` output rows:
+/// runs `accumulate` over chunks of `items` and adds up the per-chunk
+/// rows, falling back to a single serial pass when the parallel path is
+/// not worthwhile. The serial path zeroes the caller's rows and
+/// accumulates straight into them on the caller's traversal workspace
+/// `serial_ws`; parallel workers build their own workspaces through
+/// `make_ws` (rayon `map_init`) and their own zeroed rows, which are merged
+/// and copied out.
+pub fn chunked_counts_with<T: Sync, W: Send, const N: usize>(
     config: &ThreadConfig,
     items: &[T],
-    n: usize,
     per_item_work: usize,
     serial_ws: &mut W,
     make_ws: impl Fn() -> W + Send + Sync,
-    accumulate: impl Fn(&mut [u32], &mut W, &[T]) + Send + Sync,
-    out: &mut [u32],
+    accumulate: impl Fn(&mut [&mut [u32]; N], &mut W, &[T]) + Send + Sync,
+    mut outs: [&mut [u32]; N],
 ) {
     if !config.parallel_query(items.len(), per_item_work) {
-        out.fill(0);
-        accumulate(out, serial_ws, items);
+        for out in &mut outs {
+            out.fill(0);
+        }
+        accumulate(&mut outs, serial_ws, items);
         return;
     }
+    let lens = outs.each_ref().map(|out| out.len());
+    let zero = || lens.map(|len| vec![0u32; len]);
     let merged = config.run(|| {
         items
             .par_chunks(config.chunk_size(items.len()))
             .map_init(&make_ws, |ws, chunk| {
-                let mut counts = vec![0u32; n];
-                accumulate(&mut counts, ws, chunk);
-                counts
+                let mut rows = zero();
+                accumulate(&mut rows.each_mut().map(|row| row.as_mut_slice()), ws, chunk);
+                rows
             })
-            .reduce(|| vec![0u32; n], merge_counts)
+            .reduce(zero, |mut a, b| {
+                for (a, b) in a.iter_mut().zip(&b) {
+                    merge_counts(a, b);
+                }
+                a
+            })
     });
-    out.copy_from_slice(&merged);
-}
-
-/// Two-output variant of [`chunked_counts_with`] for queries that
-/// accumulate a select row and a cover row in one pass.
-#[allow(clippy::too_many_arguments)]
-pub fn chunked_counts2_with<T: Sync, W: Send>(
-    config: &ThreadConfig,
-    items: &[T],
-    n: usize,
-    per_item_work: usize,
-    serial_ws: &mut W,
-    make_ws: impl Fn() -> W + Send + Sync,
-    accumulate: impl Fn(&mut [u32], &mut [u32], &mut W, &[T]) + Send + Sync,
-    out_a: &mut [u32],
-    out_b: &mut [u32],
-) {
-    if !config.parallel_query(items.len(), per_item_work) {
-        out_a.fill(0);
-        out_b.fill(0);
-        accumulate(out_a, out_b, serial_ws, items);
-        return;
+    for (out, row) in outs.iter_mut().zip(&merged) {
+        out.copy_from_slice(row);
     }
-    let (a, b) = config.run(|| {
-        items
-            .par_chunks(config.chunk_size(items.len()))
-            .map_init(&make_ws, |ws, chunk| {
-                let mut a = vec![0u32; n];
-                let mut b = vec![0u32; n];
-                accumulate(&mut a, &mut b, ws, chunk);
-                (a, b)
-            })
-            .reduce(
-                || (vec![0u32; n], vec![0u32; n]),
-                |(a1, b1), (a2, b2)| (merge_counts(a1, a2), merge_counts(b1, b2)),
-            )
-    });
-    out_a.copy_from_slice(&a);
-    out_b.copy_from_slice(&b);
-}
-
-/// Parallel-or-serial chunked summation of a per-item statistic (the
-/// scaffolding of every `pair_count*` query), under the same dispatch
-/// gate and workspace policy as [`chunked_counts_with`].
-pub fn chunked_sum_with<T: Sync, W: Send>(
-    config: &ThreadConfig,
-    items: &[T],
-    per_item_work: usize,
-    serial_ws: &mut W,
-    make_ws: impl Fn() -> W + Send + Sync,
-    per_item: impl Fn(&mut W, &T) -> usize + Send + Sync,
-) -> usize {
-    if !config.parallel_query(items.len(), per_item_work) {
-        return items.iter().map(|item| per_item(serial_ws, item)).sum();
-    }
-    config.run(|| {
-        items
-            .par_chunks(config.chunk_size(items.len()))
-            .map_init(&make_ws, |ws, chunk| {
-                chunk.iter().map(|item| per_item(ws, item)).sum::<usize>()
-            })
-            .sum()
-    })
 }
 
 #[cfg(test)]
@@ -285,24 +235,30 @@ mod tests {
 
     #[test]
     fn merge_counts_adds_elementwise() {
-        assert_eq!(merge_counts(vec![1, 2, 3], vec![10, 20, 30]), vec![11, 22, 33]);
+        let mut a = vec![1, 2, 3];
+        merge_counts(&mut a, &[10, 20, 30]);
+        assert_eq!(a, vec![11, 22, 33]);
     }
 
     #[test]
     fn chunked_counts_matches_serial() {
         let items: Vec<u32> = (0..5000).collect();
-        let accumulate = |counts: &mut [u32], (): &mut (), chunk: &[u32]| {
+        // Two rows: residues mod 16, and mod 3 — the two-row shape of the
+        // depth batches.
+        let accumulate = |[by16, by3]: &mut [&mut [u32]; 2], (): &mut (), chunk: &[u32]| {
             for &x in chunk {
-                counts[(x % 16) as usize] += 1;
+                by16[(x % 16) as usize] += 1;
+                by3[(x % 3) as usize] += 1;
             }
         };
-        let mut serial = vec![0u32; 16];
-        let mut parallel = vec![0u32; 16];
+        let (mut serial, mut parallel) = (vec![7u32; 19], vec![7u32; 19]);
         for (threads, out) in [(1, &mut serial), (4, &mut parallel)] {
             let config = ThreadConfig::new(threads);
-            chunked_counts_with(&config, &items, 16, 100, &mut (), || (), accumulate, out);
+            let (by16, by3) = out.split_at_mut(16);
+            chunked_counts_with(&config, &items, 100, &mut (), || (), accumulate, [by16, by3]);
         }
         assert_eq!(serial, parallel);
-        assert_eq!(serial.iter().sum::<u32>(), 5000);
+        assert_eq!(serial[..16].iter().sum::<u32>(), 5000);
+        assert_eq!(serial[16..].iter().sum::<u32>(), 5000);
     }
 }
