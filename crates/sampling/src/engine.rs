@@ -196,8 +196,7 @@ pub trait WorldEngine {
     /// then on the pool sheds least-recently-used shards whenever the
     /// ledger exceeds its limit, regenerating them bit-identically from
     /// their per-index RNG streams on the next touch. The default is a
-    /// no-op for engines without budgeted storage (e.g. the exact-oracle
-    /// adapter).
+    /// no-op, for engines without budgeted storage.
     fn set_memory_budget(&mut self, budget: MemoryBudget) {
         let _ = budget;
     }
@@ -208,9 +207,8 @@ pub trait WorldEngine {
     /// the current operation between self-contained units of work,
     /// leaving the pool consistent. Callers observe the recorded error
     /// through the fallible oracle layer; with the default unarmed state
-    /// the engine never interrupts. The default impl is a no-op for
-    /// engines without long-running operations (the exact-oracle
-    /// adapter).
+    /// the engine never interrupts. The default impl is a no-op, for
+    /// engines without long-running operations.
     fn set_run_state(&mut self, run: RunState) {
         let _ = run;
     }
