@@ -32,9 +32,9 @@
 //! (batched rows and clustering evaluation alike) go through
 //! [`MultiWorldBfs::share_components`], where a center inherits the
 //! fixpoint of an earlier center in its component instead of re-walking
-//! it, and the caller reads what it needs from the reach masks. Depth-limited
-//! batches call [`MultiWorldBfs::run`] once per center, so a block's edge
-//! masks stay in cache across its centers.
+//! it, and the caller reads what it needs from the reach masks.
+//! Depth-limited batches call [`MultiWorldBfs::run`] once per center, so a
+//! block's edge masks stay in cache across its centers.
 //!
 //! The workspace is reusable across calls (and across blocks): only nodes
 //! touched by the previous run are cleared, so a run over a small reachable
