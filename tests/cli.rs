@@ -3,6 +3,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ugraph"))
@@ -14,9 +15,12 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// Writes a small graph file and returns its path.
+/// Writes a small graph file and returns its path. Every call writes a
+/// file of its own: tests run in parallel, and rewriting one shared path
+/// while another test's binary reads it hands that binary a torn file.
 fn small_graph_file() -> PathBuf {
-    let path = tmp("graph.txt");
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let path = tmp(&format!("graph-{}.txt", CALLS.fetch_add(1, Ordering::Relaxed)));
     let text = "# nodes: 6\n0 1 0.9\n1 2 0.9\n0 2 0.9\n3 4 0.9\n4 5 0.9\n3 5 0.9\n2 3 0.05\n";
     std::fs::write(&path, text).unwrap();
     path
