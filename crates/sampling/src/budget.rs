@@ -4,8 +4,8 @@
 //! ([`crate::SHARD_WORLDS`] worlds each). Every shard's bytes are charged
 //! against a shared [`MemoryBudget`] handle when the shard is materialized
 //! and released when it is evicted; when the ledger exceeds the configured
-//! limit, the pool's shard store evicts its least-recently-used shards
-//! until the ledger fits again. Because world `i` is always drawn from
+//! limit, the pool evicts its least-recently-used shards until the ledger
+//! fits again. Because world `i` is always drawn from
 //! per-index RNG stream `i` (see [`crate::rng`]), an evicted shard is a
 //! pure function of `(graph, seed, shard index)` — eviction is cache
 //! management over deterministic regeneration, and every estimate stays
@@ -16,16 +16,11 @@
 //! shard use across all of them, so the eviction policy is LRU-ish across
 //! the whole session rather than per pool.
 //!
-//! Each pool keeps its shard bookkeeping in a crate-private `ShardStore`;
-//! [`crate::BitParallelPool`], the one pool type, implements the policy
-//! over it.
+//! The shards themselves, their charges and the eviction policy live in
+//! [`crate::BitParallelPool`]; this module keeps only the ledger and its
+//! [`MemoryStats`] snapshots.
 
 use std::sync::{Arc, Mutex};
-
-use crate::error::SamplingPhase;
-use crate::faults::{self, FaultSite};
-use crate::interrupt::RunState;
-use crate::pool::SHARD_WORLDS;
 
 #[derive(Debug, Default)]
 struct BudgetInner {
@@ -233,168 +228,6 @@ impl MemoryStats {
             shards_evicted: self.shards_evicted + other.shards_evicted,
             shards_regenerated: self.shards_regenerated + other.shards_regenerated,
         }
-    }
-}
-
-/// The shard indices covering sample range `[lo, hi)`.
-#[inline]
-pub(crate) fn shard_span(lo: usize, hi: usize) -> std::ops::RangeInclusive<usize> {
-    debug_assert!(lo < hi);
-    lo / SHARD_WORLDS..=(hi - 1) / SHARD_WORLDS
-}
-
-/// Residency record of one shard.
-#[derive(Clone, Debug)]
-struct ShardMeta {
-    /// Heap bytes currently charged to the budget for this shard.
-    bytes: usize,
-    /// Recency stamp from [`MemoryBudget::touch`].
-    last_used: u64,
-    /// Whether the shard's samples are materialized.
-    resident: bool,
-}
-
-/// Shard bookkeeping of one pool: per-shard byte charges, recency stamps
-/// and residency against a (possibly shared) [`MemoryBudget`], the pool's
-/// cumulative eviction/regeneration counters, and its per-solve
-/// [`RunState`]. Every ledger charge goes through it, so the ledger always
-/// holds exactly the bytes its shards record. The policy that acts on it —
-/// resolve-or-regenerate, LRU trimming — is written once, in
-/// [`BitParallelPool`](crate::BitParallelPool).
-///
-/// Cloning a store charges the clone's copy of the resident bytes to the
-/// shared ledger, like any other pool's; dropping one releases them.
-#[derive(Debug, Default)]
-pub(crate) struct ShardStore {
-    shards: Vec<ShardMeta>,
-    /// Shared byte ledger governing eviction (unbounded by default).
-    budget: MemoryBudget,
-    /// Shards evicted / regenerated by this pool (cumulative).
-    evicted: u64,
-    regenerated: u64,
-    /// Per-solve interruption state, polled at shard boundaries
-    /// (unarmed by default — see [`RunState`]).
-    pub(crate) run: RunState,
-}
-
-impl Clone for ShardStore {
-    fn clone(&self) -> Self {
-        self.budget.charge(self.held());
-        ShardStore {
-            shards: self.shards.clone(),
-            budget: self.budget.clone(),
-            evicted: self.evicted,
-            regenerated: self.regenerated,
-            run: self.run.clone(),
-        }
-    }
-}
-
-impl Drop for ShardStore {
-    fn drop(&mut self) {
-        self.budget.release(self.held());
-    }
-}
-
-impl ShardStore {
-    fn held(&self) -> usize {
-        self.shards.iter().map(|m| m.bytes).sum()
-    }
-
-    /// Moves the resident bytes onto `budget`, which becomes the ledger.
-    pub(crate) fn rebind(&mut self, budget: MemoryBudget) {
-        let held = self.held();
-        self.budget.release(held);
-        budget.charge(held);
-        self.budget = budget;
-    }
-
-    /// Whether the shared ledger is over its limit.
-    pub(crate) fn over_budget(&self) -> bool {
-        self.budget.over_budget()
-    }
-
-    /// Sets shard `s`'s charge to `bytes`, charging or releasing the
-    /// difference on the ledger.
-    pub(crate) fn settle(&mut self, s: usize, bytes: usize) {
-        let meta = &mut self.shards[s];
-        if bytes >= meta.bytes {
-            self.budget.charge(bytes - meta.bytes);
-        } else {
-            self.budget.release(meta.bytes - bytes);
-        }
-        meta.bytes = bytes;
-    }
-
-    /// Stamps shard `s` as just used, first opening it as a resident shard
-    /// if it is the next new one.
-    pub(crate) fn open(&mut self, s: usize) {
-        if s == self.shards.len() {
-            self.shards.push(ShardMeta { bytes: 0, last_used: 0, resident: true });
-        }
-        self.stamp(s);
-    }
-
-    /// Records that shard `s` was regenerated.
-    pub(crate) fn note_regenerated(&mut self, s: usize) {
-        self.shards[s].resident = true;
-        self.regenerated += 1;
-        self.budget.note_regeneration();
-    }
-
-    /// Records that shard `s` was evicted.
-    pub(crate) fn note_evicted(&mut self, s: usize) {
-        self.shards[s].resident = false;
-        self.evicted += 1;
-        self.budget.note_eviction();
-    }
-
-    /// Resident bytes, the budget limit, and this pool's cumulative shard
-    /// eviction/regeneration counters.
-    pub(crate) fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.held(),
-            bytes_limit: self.budget.limit(),
-            shards_evicted: self.evicted,
-            shards_regenerated: self.regenerated,
-        }
-    }
-
-    /// Whether the pool's last shard is evicted. Growth then only records
-    /// the samples landing in it: the shard regenerates as a whole, at the
-    /// new extent, on its next touch.
-    pub(crate) fn trailing_evicted(&self) -> bool {
-        self.shards.last().is_some_and(|m| !m.resident)
-    }
-
-    /// The growth gate, passed before each shard-sized chunk of `ensure`:
-    /// the [`SamplingPhase::Generation`] checkpoint, then the
-    /// [`FaultSite::PoolGrow`] failpoint (its error recorded on the
-    /// [`RunState`]). `false` stops growth between chunks, so an
-    /// interrupted `ensure` leaves a consistent, smaller pool that a
-    /// re-issued request tops up bit-identically.
-    pub(crate) fn may_grow(&self) -> bool {
-        if self.run.checkpoint(SamplingPhase::Generation) {
-            return false;
-        }
-        if let Err(e) = faults::hit(FaultSite::PoolGrow) {
-            self.run.record(e);
-            return false;
-        }
-        true
-    }
-
-    /// Stamps shard `s` as just used and returns whether it is resident.
-    pub(crate) fn stamp(&mut self, s: usize) -> bool {
-        self.shards[s].last_used = self.budget.touch();
-        self.shards[s].resident
-    }
-
-    /// The least-recently-used resident shard, by `(stamp, index)` — the
-    /// deterministic victim order of the pool's budget trim.
-    pub(crate) fn lru_victim(&self) -> Option<usize> {
-        let resident = self.shards.iter().enumerate().filter(|(_, m)| m.resident);
-        resident.min_by_key(|&(s, m)| (m.last_used, s)).map(|(s, _)| s)
     }
 }
 

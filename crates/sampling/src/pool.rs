@@ -21,13 +21,15 @@
 //!
 //! ## Sharded storage
 //!
-//! A pool stores its samples in [`SHARD_WORLDS`]-world shards and keeps
-//! their bookkeeping — byte charges against a [`crate::MemoryBudget`],
-//! recency stamps, residency, and the eviction/regeneration counters — in
-//! a crate-private `ShardStore` (see [`crate::budget`]). Over that
-//! bookkeeping the pool resolves a query's shards (regenerating evicted
-//! ones from their per-index RNG streams), gates growth, and trims
-//! least-recently-used shards when the ledger is over its limit.
+//! A pool stores its samples in one list of [`SHARD_WORLDS`]-world shards.
+//! Each shard holds its blocks, the bytes it has charged to a
+//! [`crate::MemoryBudget`], and its recency stamp, and it is resident
+//! exactly when it holds blocks. Over that list the pool resolves a
+//! query's shards (regenerating evicted ones from their per-index RNG
+//! streams), gates growth, and trims least-recently-used shards when the
+//! ledger is over its limit. The ledger handle, the eviction and
+//! regeneration counters and the per-solve [`RunState`] are pool fields,
+//! and dropping a pool releases its charges.
 //!
 //! ## Parallelism
 //!
@@ -51,7 +53,7 @@ use rayon::prelude::*;
 
 use ugraph_graph::{Mask, MultiWorldBfs, NodeId, UncertainGraph, LANES};
 
-use crate::budget::{shard_span, MemoryBudget, MemoryStats, ShardStore};
+use crate::budget::{MemoryBudget, MemoryStats};
 use crate::engine::{EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingPhase;
 use crate::faults::{self, FaultSite};
@@ -419,10 +421,37 @@ impl<const W: usize> MaskBlock<W> {
     }
 }
 
+/// One [`SHARD_WORLDS`]-world shard of a pool: the unit of allocation,
+/// ledger charges and eviction. A shard is resident exactly when it holds
+/// blocks: eviction empties `blocks` (masks and finalized labels alike),
+/// and regeneration refills them bit-identically from the shard's per-index
+/// RNG streams, while labels re-finalize on the next unlimited query.
+#[derive(Debug)]
+struct Shard<const W: usize> {
+    blocks: Vec<MaskBlock<W>>,
+    /// Heap bytes currently charged to the ledger for this shard.
+    bytes: usize,
+    /// Recency stamp from [`MemoryBudget::touch`].
+    last_used: u64,
+}
+
+impl<const W: usize> Shard<W> {
+    fn resident(&self) -> bool {
+        !self.blocks.is_empty()
+    }
+}
+
+/// The shard indices covering sample range `[lo, hi)`.
+#[inline]
+fn shard_span(lo: usize, hi: usize) -> std::ops::RangeInclusive<usize> {
+    debug_assert!(lo < hi);
+    lo / SHARD_WORLDS..=(hi - 1) / SHARD_WORLDS
+}
+
 /// Block `b` of a sharded bit-parallel pool (the shard must be resident).
 #[inline]
-fn shard_block<const W: usize>(shards: &[Vec<MaskBlock<W>>], b: usize) -> &MaskBlock<W> {
-    &shards[b / blocks_per_shard::<W>()][b % blocks_per_shard::<W>()]
+fn shard_block<const W: usize>(shards: &[Shard<W>], b: usize) -> &MaskBlock<W> {
+    &shards[b / blocks_per_shard::<W>()].blocks[b % blocks_per_shard::<W>()]
 }
 
 /// The **bit-parallel** backend of [`WorldEngine`]: worlds stored in
@@ -437,17 +466,13 @@ fn shard_block<const W: usize>(shards: &[Vec<MaskBlock<W>>], b: usize) -> &MaskB
 /// per-index RNG stream `i`, so pools of every width hold world-for-world
 /// identical samples under the same master seed, equal to a naive
 /// per-world reference (property-tested). Blocks are grouped into
-/// [`SHARD_WORLDS`]-world shards charged against a [`MemoryBudget`].
-#[derive(Clone, Debug)]
+/// [`SHARD_WORLDS`]-world shards charged against a [`MemoryBudget`]; the
+/// pool releases its charges when dropped.
+#[derive(Debug)]
 pub struct BitParallelPool<'g, const W: usize = 1> {
     sampler: WorldSampler<'g>,
-    /// The mask blocks of each [`SHARD_WORLDS`]-world shard, the
-    /// allocation/eviction granularity of this backend. A shard owns its
-    /// blocks' masks **and** their finalized labels; eviction drops both
-    /// (an empty vector), and regeneration rebuilds the masks
-    /// bit-identically while labels re-finalize on the next unlimited
-    /// query.
-    shards: Vec<Vec<MaskBlock<W>>>,
+    /// The pool's shards, in sample order.
+    shards: Vec<Shard<W>>,
     samples: usize,
     config: ThreadConfig,
     /// Reusable multi-world BFS workspace for serial query paths; parallel
@@ -463,8 +488,14 @@ pub struct BitParallelPool<'g, const W: usize = 1> {
     wide: bool,
     /// Finalization counters (see [`EngineStats`]).
     stats: EngineStats,
-    /// Residency and byte accounting of the shards.
-    store: ShardStore,
+    /// Shared byte ledger the shards are charged to (unbounded by default).
+    budget: MemoryBudget,
+    /// Shards this pool evicted and regenerated (cumulative).
+    evicted: u64,
+    regenerated: u64,
+    /// Per-solve interruption state, polled at shard and block boundaries
+    /// (unarmed by default — see [`RunState`]).
+    run: RunState,
 }
 
 impl<'g, const W: usize> BitParallelPool<'g, W> {
@@ -485,7 +516,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             adaptive: false,
             wide: !narrow_fits(graph.num_nodes()),
             stats: EngineStats::default(),
-            store: ShardStore::default(),
+            budget: MemoryBudget::default(),
+            evicted: 0,
+            regenerated: 0,
+            run: RunState::default(),
         }
     }
 
@@ -505,19 +539,12 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// ([`crate::tuning::finalize_on_unlimited_query`]). Counts are
     /// identical either way — finalization trades label memory
     /// (≈ one component-label row per world) for mask traversals.
-    /// Disabling drops existing labels.
+    ///
+    /// # Panics
+    /// Panics if the pool already holds samples.
     pub fn with_finalization(mut self, adaptive: bool) -> Self {
+        assert!(self.shards.is_empty(), "finalization is chosen before the pool grows");
         self.adaptive = adaptive;
-        if !adaptive {
-            for s in 0..self.shards.len() {
-                for block in &mut self.shards[s] {
-                    block.labels = None;
-                    block.mask_queries = 0;
-                }
-                self.settle_shard(s);
-            }
-            self.stats = EngineStats::default();
-        }
         self
     }
 
@@ -526,13 +553,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// exercise the wide path without 65k-node instances.
     ///
     /// # Panics
-    /// Panics if any block is already finalized.
+    /// Panics if the pool already holds samples.
     #[doc(hidden)]
     pub fn with_wide_labels(mut self, wide: bool) -> Self {
-        assert!(
-            self.shards.iter().flatten().all(|b| b.labels.is_none()),
-            "label width is fixed once blocks are finalized"
-        );
+        assert!(self.shards.is_empty(), "label width is chosen before the pool grows");
         self.wide = wide || !narrow_fits(self.graph().num_nodes());
         self
     }
@@ -674,7 +698,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// the batch is worth it; a partially labeled block (the grown trailing
     /// block) extends **append-only** — labeled lanes are never recomputed.
     fn prepare_unlimited(&mut self, lo: usize, hi: usize, shape: UnlimitedShape) {
-        if !self.adaptive || lo >= hi || self.store.run.checkpoint(SamplingPhase::Labeling) {
+        if !self.adaptive || lo >= hi || self.run.checkpoint(SamplingPhase::Labeling) {
             return;
         }
         let graph = self.sampler.graph();
@@ -686,7 +710,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         let (mut label_q, mut mask_q) = (0usize, 0usize);
         let mut todo: Vec<usize> = Vec::new();
         for b in lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES {
-            let block = &mut self.shards[b / bps][b % bps];
+            let block = &mut self.shards[b / bps].blocks[b % bps];
             let labeled = block.labels.as_ref().map_or(0, BlockLabelsAny::labeled) as usize;
             if labeled >= block.lanes as usize {
                 label_q += 1;
@@ -715,7 +739,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             .filter(|&b| shard_block(&self.shards, b).labels.is_none())
             .collect();
         if fresh.len() > 1 && self.config.parallel_generation(fresh.len() * Self::BLOCK_LANES) {
-            let shards: &[Vec<MaskBlock<W>>] = &self.shards;
+            let shards: &[Shard<W>] = &self.shards;
             let built: Vec<(usize, BlockLabelsAny)> = self.config.run(|| {
                 fresh
                     .par_iter()
@@ -733,7 +757,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             for (b, labels) in built {
                 self.stats.finalized_blocks += 1;
                 self.stats.finalized_lanes += labels.labeled() as usize;
-                self.shards[b / bps][b % bps].labels = Some(labels);
+                self.shards[b / bps].blocks[b % bps].labels = Some(labels);
             }
         }
         // Serial (and catch-up) path: blocks the parallel branch already
@@ -755,7 +779,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         let graph = self.sampler.graph();
         let (n, wide) = (graph.num_nodes(), self.wide);
         let bps = blocks_per_shard::<W>();
-        let block = &mut self.shards[b / bps][b % bps];
+        let block = &mut self.shards[b / bps].blocks[b % bps];
         let labels =
             block.labels.get_or_insert_with(|| BlockLabelsAny::new(n, wide, Self::BLOCK_LANES));
         let before = labels.labeled() as usize;
@@ -854,8 +878,8 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
                 Mask<W>,
             ) + Sync,
     ) {
-        let BitParallelPool { sampler, shards, config, bfs, plan, store, .. } = self;
-        let (graph, shards, run) = (sampler.graph(), &*shards, &store.run);
+        let BitParallelPool { sampler, shards, config, bfs, plan, run, .. } = self;
+        let (graph, shards, run) = (sampler.graph(), &*shards, &*run);
         chunked_counts_with(
             config,
             plan,
@@ -876,14 +900,31 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     }
 }
 
-// The shard policy over the pool's `ShardStore` bookkeeping:
-// resolve-or-regenerate and LRU trimming.
+// The shard policy: byte charges, resolve-or-regenerate and LRU trimming.
 impl<const W: usize> BitParallelPool<'_, W> {
+    /// Bytes currently charged for the pool's shards.
+    fn held(&self) -> usize {
+        self.shards.iter().map(|shard| shard.bytes).sum()
+    }
+
     /// Re-derives shard `s`'s byte charge (masks plus finalized labels)
     /// and settles the difference with the ledger.
     fn settle_shard(&mut self, s: usize) {
-        let bytes = self.shards[s].iter().map(MaskBlock::heap_bytes).sum();
-        self.store.settle(s, bytes);
+        let shard = &mut self.shards[s];
+        let bytes = shard.blocks.iter().map(MaskBlock::heap_bytes).sum();
+        if bytes >= shard.bytes {
+            self.budget.charge(bytes - shard.bytes);
+        } else {
+            self.budget.release(shard.bytes - bytes);
+        }
+        shard.bytes = bytes;
+    }
+
+    /// Stamps shard `s` as just used and returns whether it is resident.
+    fn stamp(&mut self, s: usize) -> bool {
+        let shard = &mut self.shards[s];
+        shard.last_used = self.budget.touch();
+        shard.resident()
     }
 
     /// The resolve-or-regenerate prologue of every aggregate query:
@@ -904,13 +945,13 @@ impl<const W: usize> BitParallelPool<'_, W> {
         if lo >= hi {
             return true;
         }
-        if self.store.run.checkpoint(SamplingPhase::Sweep) {
+        if self.run.checkpoint(SamplingPhase::Sweep) {
             return false;
         }
         for s in shard_span(lo, hi) {
-            if !self.store.stamp(s) {
+            if !self.stamp(s) {
                 if let Err(e) = faults::hit(FaultSite::ShardRegen) {
-                    self.store.run.record(e);
+                    self.run.record(e);
                     self.trim_to_budget();
                     return false;
                 }
@@ -927,7 +968,7 @@ impl<const W: usize> BitParallelPool<'_, W> {
     /// the ledger).
     fn resolve_point(&mut self, i: usize) {
         let s = i / SHARD_WORLDS;
-        if !self.store.stamp(s) {
+        if !self.stamp(s) {
             self.regenerate(s);
         }
     }
@@ -941,8 +982,9 @@ impl<const W: usize> BitParallelPool<'_, W> {
     fn regenerate(&mut self, s: usize) {
         let first = s * blocks_per_shard::<W>();
         let last = ((s + 1) * blocks_per_shard::<W>()).min(self.num_blocks());
-        self.shards[s] = self.build_blocks(first, last, self.samples);
-        self.store.note_regenerated(s);
+        self.shards[s].blocks = self.build_blocks(first, last, self.samples);
+        self.regenerated += 1;
+        self.budget.note_regeneration();
         self.settle_shard(s);
     }
 
@@ -952,23 +994,32 @@ impl<const W: usize> BitParallelPool<'_, W> {
     /// Never inlined, like [`BitParallelPool::regenerate`].
     #[inline(never)]
     fn evict(&mut self, s: usize) {
-        let labeled = self.shards[s].iter().filter(|b| b.labels.is_some()).count();
+        let shard = &mut self.shards[s];
+        let labeled = shard.blocks.iter().filter(|b| b.labels.is_some()).count();
+        shard.blocks = Vec::new();
         self.stats.finalized_blocks = self.stats.finalized_blocks.saturating_sub(labeled);
-        self.shards[s] = Vec::new();
-        self.store.note_evicted(s);
+        self.evicted += 1;
+        self.budget.note_eviction();
         self.settle_shard(s);
     }
 
-    /// Evicts least-recently-used shards until the shared ledger fits its
-    /// limit (or this pool has nothing left to shed) — the epilogue of
-    /// `ensure` and of every aggregate query.
+    /// Evicts least-recently-used shards, by `(stamp, index)`, until the
+    /// shared ledger fits its limit (or this pool has nothing left to
+    /// shed) — the epilogue of `ensure` and of every aggregate query.
     fn trim_to_budget(&mut self) {
-        while self.store.over_budget() {
-            match self.store.lru_victim() {
-                Some(s) => self.evict(s),
+        while self.budget.over_budget() {
+            let resident = self.shards.iter().enumerate().filter(|(_, shard)| shard.resident());
+            match resident.min_by_key(|&(s, shard)| (shard.last_used, s)) {
+                Some((s, _)) => self.evict(s),
                 None => break,
             }
         }
+    }
+}
+
+impl<const W: usize> Drop for BitParallelPool<'_, W> {
+    fn drop(&mut self) {
+        self.budget.release(self.held());
     }
 }
 
@@ -976,16 +1027,26 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
     /// The resident bytes move to the new ledger, and the pool immediately
     /// sheds least-recently-used shards if that ledger is over its limit.
     fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        self.store.rebind(budget);
+        let held = self.held();
+        self.budget.release(held);
+        budget.charge(held);
+        self.budget = budget;
         self.trim_to_budget();
     }
 
     fn set_run_state(&mut self, run: RunState) {
-        self.store.run = run;
+        self.run = run;
     }
 
+    /// Resident bytes, the budget limit, and this pool's cumulative shard
+    /// eviction/regeneration counters.
     fn memory_stats(&self) -> MemoryStats {
-        self.store.memory_stats()
+        MemoryStats {
+            bytes_held: self.held(),
+            bytes_limit: self.budget.limit(),
+            shards_evicted: self.evicted,
+            shards_regenerated: self.regenerated,
+        }
     }
 
     fn graph(&self) -> &UncertainGraph {
@@ -1012,7 +1073,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         let cur = self.samples;
         let bps = blocks_per_shard::<W>();
         let total = r.div_ceil(Self::BLOCK_LANES);
-        let trailing_evicted = self.store.trailing_evicted();
+        let trailing_evicted = self.shards.last().is_some_and(|shard| !shard.resident());
         // Top up the trailing partial block, if any — unless its shard is
         // evicted, in which case the whole shard (top-up included)
         // regenerates at the new extent on its next touch.
@@ -1021,7 +1082,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             let b = cur / Self::BLOCK_LANES;
             let base = b * Self::BLOCK_LANES;
             let target = (r - base).min(Self::BLOCK_LANES);
-            let last = &mut self.shards[b / bps][b % bps];
+            let last = &mut self.shards[b / bps].blocks[b % bps];
             Self::sample_lanes(&self.sampler, &mut last.masks, base, last.lanes as usize..target);
             last.lanes = target as u32;
             achieved = base + target;
@@ -1033,24 +1094,32 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             achieved = (self.shards.len() * bps * Self::BLOCK_LANES).min(r);
         }
         // Append new blocks shard by shard so interruption latency is
-        // bounded by one shard of sampling; each chunk is fully generated
-        // before the next pass through the store's growth gate. Blocks
-        // landing in the evicted trailing shard are left to that shard's
-        // regeneration.
+        // bounded by one shard of sampling. Blocks landing in the evicted
+        // trailing shard are left to that shard's regeneration.
         let first = if trailing_evicted {
             (self.shards.len() * bps).min(total)
         } else {
             cur.div_ceil(Self::BLOCK_LANES)
         };
         let mut from = first;
-        while from < total && self.store.may_grow() {
-            let chunk_end = ((from / bps + 1) * bps).min(total);
-            let new_blocks = self.build_blocks(from, chunk_end, r);
-            let s = from / bps;
-            if s == self.shards.len() {
-                self.shards.push(Vec::new());
+        while from < total {
+            // The growth gate: the Generation checkpoint, then the PoolGrow
+            // failpoint (its error recorded on the run state). Stopping
+            // between chunks leaves a consistent, smaller pool that a
+            // re-issued request tops up bit-identically.
+            if self.run.checkpoint(SamplingPhase::Generation) {
+                break;
             }
-            self.shards[s].extend(new_blocks);
+            if let Err(e) = faults::hit(FaultSite::PoolGrow) {
+                self.run.record(e);
+                break;
+            }
+            let chunk_end = ((from / bps + 1) * bps).min(total);
+            let blocks = self.build_blocks(from, chunk_end, r);
+            match self.shards.get_mut(from / bps) {
+                Some(shard) => shard.blocks.extend(blocks),
+                None => self.shards.push(Shard { blocks, bytes: 0, last_used: 0 }),
+            }
             achieved = (chunk_end * Self::BLOCK_LANES).min(r);
             from = chunk_end;
         }
@@ -1059,7 +1128,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         // the shared ledger now exceeds its limit.
         if achieved > cur {
             for s in shard_span(cur, achieved) {
-                self.store.open(s);
+                self.stamp(s);
                 self.settle_shard(s);
             }
         }
