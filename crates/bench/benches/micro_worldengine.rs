@@ -267,41 +267,15 @@ fn measure_batch_rows(graph: &UncertainGraph, reps: usize) -> Vec<Comparison> {
 }
 
 /// `unlimited_query_adaptive`: the query shape the adaptive engine exists
-/// for — unlimited-depth counts — measured cold (single pair, no
-/// finalization paid) and warm (row queries and batches over finalized
-/// blocks), equality-gated against the pure-mask pool.
+/// for — unlimited-depth counts — measured warm (row, pair and batch
+/// queries over finalized blocks), equality-gated against the pure-mask
+/// pool.
 fn measure_adaptive(graph: &UncertainGraph, reps: usize) -> Vec<Comparison> {
     const SEED: u64 = 41;
     let n = graph.num_nodes();
     let samples = 256usize;
     let centers: Vec<u32> = (0..n as u32).step_by(n / 16).collect();
     let mut out = Vec::new();
-
-    // Cold single pair: the heuristic keeps the adaptive pool on masks, so
-    // no full-block labeling is paid for a one-off point query. Pools are
-    // rebuilt per rep (a timed query must really be the pool's first).
-    {
-        let (u, v) = (NodeId(0), NodeId(centers[centers.len() / 2]));
-        let cold = |adaptive: bool| {
-            let mut times: Vec<u128> = (0..reps.max(1))
-                .map(|_| {
-                    let pool = BitParallelPool::<1>::new(graph, SEED, 1);
-                    let mut pool = pool.with_finalization(adaptive);
-                    pool.ensure(samples);
-                    let t = Instant::now();
-                    std::hint::black_box(pool.pair_count(u, v));
-                    let ns = t.elapsed().as_nanos();
-                    let lanes = pool.engine_stats().finalized_lanes;
-                    assert_eq!(lanes, 0, "a cold single pair query must not pay labeling");
-                    ns
-                })
-                .collect();
-            times.sort_unstable();
-            times[times.len() / 2]
-        };
-        let (bitparallel_ns, adaptive_ns) = (cold(false), cold(true));
-        out.push(Comparison { name: "cold_pair_single_256", bitparallel_ns, adaptive_ns });
-    }
 
     // Warm query-only unlimited counts. The adaptive pool is warmed by one
     // row query (finalizing every block); timing then measures pure label

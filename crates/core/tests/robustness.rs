@@ -348,12 +348,14 @@ fn regen_fault_after_a_charged_regeneration_keeps_ledger_within_budget() {
     }
     let g = b.build().unwrap();
     let r = 3 * SHARD_WORLDS;
-    let (u, v) = (NodeId(0), NodeId(n as u32 - 1));
+    let centers = [NodeId(0), NodeId(n as u32 - 1)];
+    let u = centers[0];
     let mut unbounded = BitParallelPool::<4>::new(&g, 1, 1);
     unbounded.ensure(r);
     let mut want_row = vec![0u32; n];
     unbounded.counts_from_center_range(u, 0, r, &mut want_row);
-    let want_pair = unbounded.pair_count_range(u, v, 0, r);
+    let mut want_batch = vec![0u32; 2 * n];
+    unbounded.counts_from_centers_range(&centers, 0, r, &mut want_batch);
     let shard_bytes = unbounded.memory_stats().bytes_held / 3;
     let limit = shard_bytes * 3 / 2;
 
@@ -362,11 +364,14 @@ fn regen_fault_after_a_charged_regeneration_keeps_ledger_within_budget() {
         pool.set_memory_budget(MemoryBudget::bounded(limit));
         pool.ensure(r);
         let mut row = vec![0u32; n];
+        let mut batch = vec![0u32; 2 * n];
         // One query family per pool mode: the row sweep on the pure-mask
-        // pool, the pair sweep on the adaptive one.
+        // pool, a two-center batch (which never labels, so the pool holds
+        // masks only) on the adaptive one.
         let mut query = |pool: &mut BitParallelPool<'_, 4>| {
             if adaptive {
-                pool.pair_count_range(u, v, 0, r) == want_pair
+                pool.counts_from_centers_range(&centers, 0, r, &mut batch);
+                batch == want_batch
             } else {
                 pool.counts_from_center_range(u, 0, r, &mut row);
                 row == want_row

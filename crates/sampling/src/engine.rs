@@ -114,9 +114,10 @@ pub struct EngineStats {
     pub finalized_lanes: usize,
     /// Unlimited block-queries served from finalized labels.
     pub label_queries: usize,
-    /// Unlimited block-queries served by mask BFS: blocks not finalized at
-    /// query time, batch blocks the cost model sent to the sharing sweep,
-    /// and every block of an evaluation sweep.
+    /// Unlimited block-queries served by mask BFS: batch blocks the cost
+    /// model sent to the sharing sweep, and every block of an evaluation
+    /// sweep. Rows (and pairs, which read a row) finalize every block they
+    /// touch, so they never count here.
     pub mask_queries: usize,
 }
 
@@ -306,9 +307,10 @@ pub trait WorldEngine {
     /// Restriction of [`WorldEngine::pair_count`] to the samples with
     /// index in `[lo, hi)` — the pairwise analogue of
     /// [`WorldEngine::counts_from_center_range`], with the same exact
-    /// additivity over disjoint windows. The default computes a ranged
-    /// count row and reads one entry (correct but O(n) in memory
-    /// traffic); backends override it with a direct window scan.
+    /// additivity over disjoint windows. The default, which
+    /// [`crate::BitParallelPool`] uses, computes `u`'s ranged count row and
+    /// reads `v`'s entry, so a pair costs what the row over its window
+    /// costs.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > num_samples()`.

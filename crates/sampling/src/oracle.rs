@@ -28,9 +28,9 @@
 //! ranged multi-center queries over a window of sample indices:
 //! plain-connectivity oracles use [`WorldEngine::counts_from_centers_range`]
 //! and keep no selection row; depth-limited oracles use
-//! [`WorldEngine::counts_within_depths_batch_range`]. A pair the row cache
-//! does not admit is one [`WorldEngine::pair_count_range`] or
-//! [`WorldEngine::pair_count_within_range`] query.
+//! [`WorldEngine::counts_within_depths_batch_range`]. A pair estimate is
+//! one entry of a row: [`Oracle::pair_prob`] reads `u`'s cover row, cached
+//! when the row cache admits `u` and counted without caching otherwise.
 //!
 //! ## Row amortization: batching and the incremental count cache
 //!
@@ -500,16 +500,6 @@ impl Depths {
             );
         }
     }
-
-    /// Number of worlds in `[0, hi)` in which `u` reaches `v` within the
-    /// cover depth.
-    fn pair_count(self, engine: &mut dyn WorldEngine, u: NodeId, v: NodeId, hi: usize) -> usize {
-        if self.unlimited() {
-            engine.pair_count_range(u, v, 0, hi)
-        } else {
-            engine.pair_count_within_range(u, v, self.cover, 0, hi)
-        }
-    }
 }
 
 /// Reusable count rows of the engine queries, grown on demand.
@@ -553,8 +543,7 @@ pub struct McOracle<'g> {
     active: usize,
     depths: Depths,
     scratch: Scratch,
-    /// The probability row [`Oracle::pair_prob`] reads a cached center's
-    /// pair from.
+    /// The probability row [`Oracle::pair_prob`] reads a pair from.
     pair_row: Vec<f64>,
     cache: RowCache,
     /// Cooperative interruption state shared with the engine.
@@ -718,19 +707,15 @@ impl Oracle for McOracle<'_> {
         self.engine.num_samples()
     }
 
+    /// Reads the pair from `u`'s cover row, a batch of one: the row is
+    /// cached when the cache admits `u` and counted without caching
+    /// otherwise. Objective evaluation asks one pair per node against a
+    /// handful of centers, so a cached row is counted once and every
+    /// further pair reads it.
     fn pair_prob(&mut self, u: NodeId, v: NodeId) -> Result<f64, SamplingError> {
-        let r_now = self.active;
-        if r_now == 0 {
+        if self.active == 0 {
             return Ok(0.0);
         }
-        if !self.cache.admits(u) {
-            let hits = self.depths.pair_count(self.engine.as_mut(), u, v, r_now);
-            self.run.error()?;
-            return Ok(hits as f64 / r_now as f64);
-        }
-        // Serve the pair from u's (cached) cover row: objective evaluation
-        // asks one pair per node against a handful of centers, so the row
-        // is counted once and every further pair reads it from the cache.
         let mut row = std::mem::take(&mut self.pair_row);
         row.resize(self.num_nodes(), 0.0);
         let served = self.center_probs_batch(&[u], &mut [], &mut row);

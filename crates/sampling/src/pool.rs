@@ -33,10 +33,12 @@
 //!
 //! ## Parallelism
 //!
-//! The pool implements the ranged query forms (`counts_from_center_range`,
-//! `counts_within_depths_range`, `pair_count*_range`, and their batched
-//! variants) and `assignment_counts`; the full-pool forms are provided by
-//! [`WorldEngine`] as the ranged forms over the whole pool. Generation
+//! The pool implements the ranged row queries (`counts_from_center_range`,
+//! `counts_within_depths_range`, and their batched variants) and
+//! `assignment_counts`. [`WorldEngine`] provides the rest: the full-pool
+//! forms are the ranged forms over the whole pool, and a pair count is one
+//! entry of a ranged row, so a pair costs what the row over its window
+//! costs. Generation
 //! (`ensure`, and regeneration, which build blocks through one builder)
 //! and the queries run on rayon, gated by the shared [`crate::tuning`]
 //! heuristics. Every count query resolves its shards, runs its own
@@ -58,9 +60,7 @@ use crate::engine::{EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingPhase;
 use crate::faults::{self, FaultSite};
 use crate::interrupt::RunState;
-use crate::tuning::{
-    chunked_counts_with, finalize_on_unlimited_query, labels_beat_shared_masks, ThreadConfig,
-};
+use crate::tuning::{chunked_counts_with, labels_beat_shared_masks, ThreadConfig};
 use crate::world::WorldSampler;
 
 /// Blocks per shard of the width-64 bit-parallel backend — the granularity
@@ -253,17 +253,6 @@ impl<L: Label> BlockLabels<L> {
         }
     }
 
-    /// Number of lanes in `lanes` where `u` and `v` share a component
-    /// (`lanes` must be ⊆ the labeled lanes).
-    #[inline]
-    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> u32 {
-        let stride = self.stride as usize;
-        let (bu, bv) = (u * stride, v * stride);
-        let mut hits = 0u32;
-        lanes.for_each_lane(|l| hits += u32::from(self.labels[bu + l] == self.labels[bv + l]));
-        hits
-    }
-
     /// Exact label-scan cost of a batched query — the total member count
     /// of every `(center, lane)` component bucket — for the
     /// [`crate::tuning::labels_beat_shared_masks`] dispatch.
@@ -332,14 +321,6 @@ impl BlockLabelsAny {
         }
     }
 
-    #[inline]
-    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> u32 {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.pair_lanes(u, v, lanes),
-            BlockLabelsAny::Wide(l) => l.pair_lanes(u, v, lanes),
-        }
-    }
-
     fn lane_into(&self, lane: usize, out: &mut [u32]) {
         match self {
             BlockLabelsAny::Narrow(l) => l.lane_into(lane, out),
@@ -362,21 +343,6 @@ impl BlockLabelsAny {
     }
 }
 
-/// Shape of an unlimited-depth point query, as seen by the adaptive
-/// backend's finalization prologue: single-center **rows** finalize
-/// touched blocks eagerly, **pair** queries convert a block only after
-/// repeated hits ([`finalize_on_unlimited_query`]). Multi-center batches
-/// never go through the prologue — they neither finalize nor count toward
-/// the threshold (on finalized blocks the cost model often prefers the
-/// mask sharing sweep, so batch traffic is no evidence labels would pay
-/// off); they dispatch via [`crate::tuning::labels_beat_shared_masks`] on
-/// blocks other traffic finalized.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum UnlimitedShape {
-    Row,
-    Pair,
-}
-
 /// One block of up to `W · 64` sampled worlds as per-edge presence masks.
 #[derive(Clone, Debug)]
 struct MaskBlock<const W: usize> {
@@ -389,9 +355,6 @@ struct MaskBlock<const W: usize> {
     /// first `labels.labeled()` lanes, never invalidated — a lane top-up
     /// extends the labels, it does not recompute them.
     labels: Option<BlockLabelsAny>,
-    /// Mask-path unlimited point queries absorbed while unfinalized — the
-    /// input of [`finalize_on_unlimited_query`].
-    mask_queries: u32,
 }
 
 impl<const W: usize> MaskBlock<W> {
@@ -534,10 +497,8 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// unlimited-depth row query against a block materializes per-lane
     /// component labels (one component-sharing fixpoint sweep, cached next
     /// to the edge masks) and every later unlimited query over the block
-    /// runs as an O(n + members) label scan; point queries convert a block
-    /// only after repeated mask-path hits
-    /// ([`crate::tuning::finalize_on_unlimited_query`]). Counts are
-    /// identical either way — finalization trades label memory
+    /// runs as an O(n + members) label scan. Counts are identical either
+    /// way — finalization trades label memory
     /// (≈ one component-label row per world) for mask traversals.
     ///
     /// # Panics
@@ -690,14 +651,13 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         n.saturating_mul(Self::BLOCK_LANES) <= u32::MAX as usize
     }
 
-    /// Finalization prologue of every unlimited-depth query over the
-    /// sample window `[lo, hi)`: decides per touched block whether to
-    /// materialize (or extend) its component labels before the query runs,
-    /// per the [`finalize_on_unlimited_query`] heuristic, and accounts the
-    /// query in [`EngineStats`]. Fresh blocks are labeled in parallel when
-    /// the batch is worth it; a partially labeled block (the grown trailing
+    /// Finalization prologue of the unlimited-depth row query over the
+    /// sample window `[lo, hi)`: labels every touched block that is not
+    /// fully labeled, and counts one label query per touched block in
+    /// [`EngineStats`]. Fresh blocks are labeled in parallel when the
+    /// batch is worth it; a partially labeled block (the grown trailing
     /// block) extends **append-only** — labeled lanes are never recomputed.
-    fn prepare_unlimited(&mut self, lo: usize, hi: usize, shape: UnlimitedShape) {
+    fn prepare_unlimited(&mut self, lo: usize, hi: usize) {
         if !self.adaptive || lo >= hi || self.run.checkpoint(SamplingPhase::Labeling) {
             return;
         }
@@ -707,24 +667,14 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             return;
         }
         let bps = blocks_per_shard::<W>();
-        let (mut label_q, mut mask_q) = (0usize, 0usize);
-        let mut todo: Vec<usize> = Vec::new();
-        for b in lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES {
-            let block = &mut self.shards[b / bps].blocks[b % bps];
-            let labeled = block.labels.as_ref().map_or(0, BlockLabelsAny::labeled) as usize;
-            if labeled >= block.lanes as usize {
-                label_q += 1;
-            } else if finalize_on_unlimited_query(shape == UnlimitedShape::Row, block.mask_queries)
-            {
-                todo.push(b);
-                label_q += 1;
-            } else {
-                block.mask_queries += 1;
-                mask_q += 1;
-            }
-        }
-        self.stats.label_queries += label_q;
-        self.stats.mask_queries += mask_q;
+        let blocks = lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES;
+        self.stats.label_queries += blocks.clone().count();
+        let todo: Vec<usize> = blocks
+            .filter(|&b| {
+                let block = shard_block(&self.shards, b);
+                block.labels.as_ref().map_or(0, BlockLabelsAny::labeled) < block.lanes
+            })
+            .collect();
         if todo.is_empty() {
             return;
         }
@@ -818,7 +768,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             let lanes = (r - base).min(Self::BLOCK_LANES);
             let mut masks = vec![Mask::<W>::ZERO; m];
             Self::sample_lanes(sampler, &mut masks, base, 0..lanes);
-            MaskBlock { masks, lanes: lanes as u32, labels: None, mask_queries: 0 }
+            MaskBlock { masks, lanes: lanes as u32, labels: None }
         };
         if self.config.parallel_generation((last - first) * Self::BLOCK_LANES) {
             self.config.run(|| (first..last).into_par_iter().map(build).collect())
@@ -1147,7 +1097,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         if !self.resolve_range(lo, hi) {
             return;
         }
-        self.prepare_unlimited(lo, hi, UnlimitedShape::Row);
+        self.prepare_unlimited(lo, hi);
         self.plan(lo, hi, true);
         self.sweep(self.block_work(), [out], |[counts], bfs, graph, block, labeled, masked| {
             if labeled.any() {
@@ -1195,8 +1145,8 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         if !self.resolve_range(lo, hi) {
             return;
         }
-        // Batches never finalize — that is the single-row/pair paths' job.
-        // A fully labeled block goes to label scans only when the exact
+        // Batches never finalize — that is the single-row path's job. A
+        // fully labeled block goes to label scans only when the exact
         // cost model prefers them over the sharing sweep; a block with any
         // unlabeled lanes runs the sweep for *all* its lanes, because the
         // traversal must run anyway and folding labeled lanes into it is
@@ -1244,28 +1194,6 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
                 }
             });
         });
-    }
-
-    /// A label comparison over finalized lanes and one masked fixpoint
-    /// traversal per overlapping block over the rest.
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return 0;
-        }
-        self.prepare_unlimited(lo, hi, UnlimitedShape::Pair);
-        self.plan(lo, hi, true);
-        let mut hits = [0u32];
-        self.sweep(self.block_work(), [&mut hits], |[hits], bfs, graph, block, labeled, masked| {
-            if labeled.any() {
-                hits[0] += block.labels().pair_lanes(u.index(), v.index(), labeled);
-            }
-            if masked.any() {
-                bfs.run_unlimited(graph, &block.masks, u, masked, |_, _| {});
-                hits[0] += bfs.reach(v).count_ones();
-            }
-        });
-        hits[0] as usize
     }
 
     /// A batch of one.
@@ -1328,30 +1256,6 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
                 });
             }
         });
-    }
-
-    fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        if depth == DEPTH_UNLIMITED {
-            return self.pair_count_range(u, v, lo, hi);
-        }
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return 0;
-        }
-        self.plan(lo, hi, false);
-        let mut hits = [0u32];
-        self.sweep(self.block_work(), [&mut hits], |[hits], bfs, graph, block, _, lanes| {
-            bfs.run(graph, &block.masks, u, lanes, depth, |_, _, _| {});
-            hits[0] += bfs.reach(v).count_ones();
-        });
-        hits[0] as usize
     }
 }
 
@@ -2035,27 +1939,26 @@ mod tests {
     }
 
     #[test]
-    fn cold_pair_queries_stay_on_masks_until_threshold() {
-        use crate::tuning::FINALIZE_AFTER_MASK_QUERIES;
+    fn cold_pair_query_costs_one_row() {
+        // A pair is one entry of a row: on a fresh adaptive pool it equals
+        // the pure-mask answer, and it labels the blocks of its window and
+        // charges their labels exactly as one row over that window does.
         let g = chain(6, 0.5);
-        let mut pool = BitParallelPool::<1>::new_adaptive(&g, 3, 1);
-        pool.ensure(64);
-        let want = {
-            let mut mask = BitParallelPool::<1>::new(&g, 3, 1);
-            mask.ensure(64);
-            mask.pair_count(NodeId(0), NodeId(4))
-        };
-        for i in 0..FINALIZE_AFTER_MASK_QUERIES {
-            assert_eq!(pool.pair_count(NodeId(0), NodeId(4)), want);
-            let s = pool.engine_stats();
-            assert_eq!(s.finalized_lanes, 0, "pair query {i} should stay on masks");
-            assert_eq!(s.mask_queries, i as usize + 1);
+        let (u, v, lo, hi) = (NodeId(0), NodeId(4), 10, 150);
+        let mut mask = BitParallelPool::<1>::new(&g, 3, 1);
+        let mut paired = BitParallelPool::<1>::new_adaptive(&g, 3, 1);
+        let mut rowed = BitParallelPool::<1>::new_adaptive(&g, 3, 1);
+        for pool in [&mut mask, &mut paired, &mut rowed] {
+            pool.ensure(200);
         }
-        // The next pair query crosses the threshold and converts the block.
-        assert_eq!(pool.pair_count(NodeId(0), NodeId(4)), want);
-        let s = pool.engine_stats();
-        assert_eq!((s.finalized_blocks, s.finalized_lanes), (1, 64), "{s:?}");
-        assert_eq!(s.label_queries, 1);
+        assert_eq!(paired.pair_count_range(u, v, lo, hi), mask.pair_count_range(u, v, lo, hi));
+        rowed.counts_from_center_range(u, lo, hi, &mut [0u32; 6]);
+        let s = paired.engine_stats();
+        assert_eq!(s, rowed.engine_stats());
+        assert_eq!((s.finalized_blocks, s.finalized_lanes, s.label_queries), (3, 192, 3), "{s:?}");
+        assert_eq!(s.mask_queries, 0, "{s:?}");
+        assert_eq!(paired.memory_stats(), rowed.memory_stats());
+        assert!(paired.memory_stats().bytes_held > mask.memory_stats().bytes_held);
     }
 
     #[test]
@@ -2070,9 +1973,21 @@ mod tests {
         pool.counts_from_center_range(NodeId(0), 64, 128, &mut row);
         let s = pool.engine_stats();
         assert_eq!((s.finalized_blocks, s.finalized_lanes), (1, 64));
-        // Pair queries spanning finalized and mask blocks agree with the
-        // pure-mask pool for windows straddling both kinds.
-        for (lo, hi) in [(0usize, 200usize), (10, 130), (64, 128), (100, 190), (0, 64)] {
+        // Batched rows spanning finalized and mask blocks agree with the
+        // pure-mask pool for windows straddling both kinds. Batches never
+        // finalize, so every window sees the same mixed pool.
+        let windows = [(0usize, 200usize), (10, 130), (64, 128), (100, 190), (0, 64)];
+        let centers: Vec<NodeId> = (0..10).map(NodeId).collect();
+        let mut want = vec![0u32; 10 * 10];
+        let mut got = vec![0u32; 10 * 10];
+        for (lo, hi) in windows {
+            mask.counts_from_centers_range(&centers, lo, hi, &mut want);
+            pool.counts_from_centers_range(&centers, lo, hi, &mut got);
+            assert_eq!(got, want, "batch on [{lo},{hi})");
+        }
+        assert_eq!(pool.engine_stats().finalized_lanes, 64, "a batch finalized a block");
+        // Pair queries agree too; each reads a row, which labels its window.
+        for (lo, hi) in windows {
             for (u, v) in [(0u32, 9u32), (3, 7)] {
                 assert_eq!(
                     mask.pair_count_range(NodeId(u), NodeId(v), lo, hi),
@@ -2081,13 +1996,6 @@ mod tests {
                 );
             }
         }
-        // Batched rows across the mixed pool agree too.
-        let centers: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let mut want = vec![0u32; 10 * 10];
-        let mut got = vec![0u32; 10 * 10];
-        mask.counts_from_centers(&centers, &mut want);
-        pool.counts_from_centers(&centers, &mut got);
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! pays for itself? The thresholds, the resolved thread configuration and
 //! the one chunked count helper ([`chunked_counts_with`], which every
 //! count query's block sweep goes through) live here, next to the
-//! adaptive backend's finalization and batch-dispatch heuristics.
+//! adaptive backend's batch-dispatch cost model.
 
 use rayon::prelude::*;
 
@@ -29,34 +29,6 @@ pub const MIN_PARALLEL_ITEMS: usize = 32;
 /// accumulation finishes in tens of microseconds on one core.
 pub const MIN_PARALLEL_WORK: usize = 1 << 16;
 
-/// Mask-path pair queries a 64-world block absorbs before the adaptive
-/// backend finalizes its component labels anyway.
-///
-/// Rationale: finalizing a block costs roughly one connectivity-fixpoint
-/// sweep over every component (≈ 2–3 single-source mask traversals) plus an
-/// `O(64·n)` bucket sort, while a *single* pair query costs one traversal —
-/// so a cold pair query should never pay full-block labeling. From the
-/// third pair query on, labeling would already have been cheaper in
-/// hindsight (finalized pair lookups are O(lanes) label compares), so the
-/// heuristic converts the block at that point.
-pub const FINALIZE_AFTER_MASK_QUERIES: u32 = 2;
-
-/// Decides whether an unlimited-depth query against a not-yet-finalized
-/// block of the adaptive backend should finalize its component labels
-/// first (see [`FINALIZE_AFTER_MASK_QUERIES`]).
-///
-/// Full-row queries (`counts_from_center*` and the batched/ranged forms)
-/// finalize **eagerly**: they traverse the whole block anyway, labeling
-/// costs little more than the query itself, and the clustering drivers
-/// re-query every pool many times — so the first row query converts the
-/// block and every later unlimited query runs as a label scan.
-/// Pair queries stay on masks while the block has absorbed fewer than
-/// [`FINALIZE_AFTER_MASK_QUERIES`] of them; the next one converts it.
-#[inline]
-pub fn finalize_on_unlimited_query(full_row: bool, prior_mask_queries: u32) -> bool {
-    full_row || prior_mask_queries >= FINALIZE_AFTER_MASK_QUERIES
-}
-
 /// Cost model deciding whether a **batched** multi-center unlimited query
 /// over a finalized block should scan component labels or run the mask
 /// component-sharing sweep.
@@ -70,9 +42,9 @@ pub fn finalize_on_unlimited_query(full_row: bool, prior_mask_queries: u32) -> b
 /// at once. On supercritical instances (giant components,
 /// `label_ops ≈ lanes · k · n`) sharing wins decisively; on shattered
 /// subcritical blocks (`label_ops ≪ k · n`) the label scans win. Single
-/// rows and pair queries always prefer labels — with `k = 1` there is
-/// nothing for the traversal to amortize across. This gate only picks a
-/// strategy; both sides produce identical counts.
+/// rows (and pairs, which read a row) always use labels — with `k = 1`
+/// there is nothing for the traversal to amortize across. This gate only
+/// picks a strategy; both sides produce identical counts.
 #[inline]
 pub fn labels_beat_shared_masks(
     label_ops: usize,
