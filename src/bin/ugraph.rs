@@ -17,16 +17,21 @@
 //!                 [--depth D] [--ground-truth gt.txt] [--seed N]
 //!                 [--memory-budget B]
 //! ugraph knn      --input graph.txt --source U [--k N] [--depth D] [--samples N]
+//!                 [--seed N]
 //! ugraph serve    [--listen HOST:PORT] --dataset <names>|--input graph.txt
 //!                 [--graph NAME] [--workers N] [--seed N]
+//!                 [--scale X] [--nodes N]
 //!                 [--memory-budget B] [--session-budget B]
 //!                 [--request-timeout T] [--idle-evict T] [--io-timeout T]
 //! ugraph client   <cluster|stats> [--connect HOST:PORT] [--graph NAME]
 //!                 [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
-//!                 [--retries N] [--connect-pool N]
+//!                 [--retries N] [--connect-pool N] [--seed N]
 //!                 [--engine <bitparallel|adaptive>]
 //!                 [--output out.tsv]
 //! ```
+//!
+//! Each command reads only the flags listed for it; any other flag is an
+//! error (exit 2) naming the flag and the command.
 //!
 //! `cluster` (for MCP/ACP), `sweep`, and `evaluate` all run through one
 //! [`UgraphSession`] per invocation: `sweep` serves every `k` from the
@@ -79,7 +84,7 @@ fn main() -> ExitCode {
     } else {
         (None, rest)
     };
-    let opts = match Options::parse(flag_args) {
+    let opts = match Options::parse(command, flag_args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -132,22 +137,25 @@ commands:
             [--depth D] [--ground-truth gt.txt] [--seed N]
             [--memory-budget B]
   knn       --input graph.txt --source U [--k N] [--depth D] [--samples N]
+            [--seed N]
   serve     [--listen HOST:PORT] --dataset <names>|--input graph.txt
             [--graph NAME] [--workers N] [--seed N]
+            [--scale X] [--nodes N]
             [--memory-budget B] [--session-budget B]
             [--request-timeout T] [--idle-evict T] [--io-timeout T]
   client    <cluster|stats> [--connect HOST:PORT] [--graph NAME]
             [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
-            [--retries N] [--connect-pool N]
+            [--retries N] [--connect-pool N] [--seed N]
             [--engine <bitparallel|adaptive>]
             [--output out.tsv]
+
+Each command reads only the flags listed for it; any other flag is an
+error (exit 2) that names the flag and the command.
 
 `--engine` picks the Monte-Carlo backend of the solver paths (default:
 adaptive — bit-parallel blocks with lazy component-label finalization;
 `scalar` is accepted as an alias of `adaptive`). Every backend returns
-identical results for a fixed seed. It is accepted everywhere but only
-affects `cluster` and `sweep` — `evaluate` and `knn` always measure on an
-adaptive pool of 256-world blocks.
+identical results for a fixed seed.
 
 `evaluate --depth D` measures `p_min` and `p_avg` over paths of at most
 D hops; AVPR always counts unlimited paths.
@@ -181,16 +189,103 @@ that stall mid-frame (idle connections between frames park freely;
 default 10s, tallied as `peer stalls` in `client stats`). Ctrl-C drains
 in-flight solves cooperatively before exiting. `client cluster`/`client
 stats` are the matching command-line clients; when exactly one graph is
-loaded, `--graph` may be omitted.
+loaded, `--graph` may be omitted. `--scale` and `--nodes` size `serve`'s
+generated datasets as they do for `generate`.
 
 `client` rides over transient failures: `--retries N` (default 2) allows
-N retries after the first attempt under exponential backoff with seeded
-jitter, min-composed with `--timeout` so a retry never sleeps past the
+N retries after the first attempt under exponential backoff with jitter
+seeded by `--seed`, min-composed with `--timeout` so a retry never sleeps past the
 request deadline; `--connect-pool N` (default 1) keeps up to N parked
 connections, each health-checked with a protocol ping before reuse and
 transparently re-dialed when the server restarts. Reconnects are logged
 to stderr; retrying is safe because solves are idempotent — a re-issued
 request answers bit-identically.";
+
+/// Every command and the flags it reads. A flag outside its command's set
+/// is an error, so a mistyped or misplaced flag never passes unnoticed.
+const COMMAND_FLAGS: [(&str, &[&str]); 8] = [
+    ("generate", &["--dataset", "--scale", "--nodes", "--seed", "--output", "--ground-truth"]),
+    ("stats", &["--input"]),
+    (
+        "cluster",
+        &[
+            "--input",
+            "--algo",
+            "--k",
+            "--depth",
+            "--inflation",
+            "--seed",
+            "--output",
+            "--engine",
+            "--memory-budget",
+            "--timeout",
+            "--best-effort",
+        ],
+    ),
+    (
+        "sweep",
+        &[
+            "--input",
+            "--algo",
+            "--k-min",
+            "--k-max",
+            "--depth",
+            "--seed",
+            "--samples",
+            "--engine",
+            "--memory-budget",
+            "--timeout",
+            "--best-effort",
+        ],
+    ),
+    (
+        "evaluate",
+        &[
+            "--input",
+            "--clustering",
+            "--samples",
+            "--depth",
+            "--ground-truth",
+            "--seed",
+            "--memory-budget",
+        ],
+    ),
+    ("knn", &["--input", "--source", "--k", "--depth", "--samples", "--seed"]),
+    (
+        "serve",
+        &[
+            "--listen",
+            "--dataset",
+            "--input",
+            "--graph",
+            "--workers",
+            "--seed",
+            "--memory-budget",
+            "--session-budget",
+            "--request-timeout",
+            "--idle-evict",
+            "--io-timeout",
+            "--scale",
+            "--nodes",
+        ],
+    ),
+    (
+        "client",
+        &[
+            "--connect",
+            "--graph",
+            "--algo",
+            "--k",
+            "--depth",
+            "--timeout",
+            "--retries",
+            "--connect-pool",
+            "--engine",
+            "--output",
+            "--seed",
+        ],
+    ),
+];
 
 /// Parsed flag set (strings resolved lazily per command).
 #[derive(Default, Debug)]
@@ -228,10 +323,18 @@ struct Options {
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `command`'s flags. A known flag that `command` does not read
+    /// is an error; an unknown command is left to the dispatch, which
+    /// reports it.
+    fn parse(command: &str, args: &[String]) -> Result<Self, String> {
+        let reads = COMMAND_FLAGS.iter().find(|(c, _)| *c == command).map(|(_, flags)| *flags);
         let mut o = Options { seed: 1, samples: 512, ..Default::default() };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
+            let known = COMMAND_FLAGS.iter().any(|(_, flags)| flags.contains(&flag.as_str()));
+            if known && reads.is_some_and(|flags| !flags.contains(&flag.as_str())) {
+                return Err(format!("flag {flag} is not read by `{command}`"));
+            }
             let mut take =
                 || it.next().cloned().ok_or_else(|| format!("flag {flag} expects a value"));
             match flag.as_str() {
@@ -549,9 +652,8 @@ fn cmd_evaluate(o: &Options) -> Result<(), String> {
     let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let clustering = read_clustering(BufReader::new(f), g.num_nodes())?;
     // One session pool serves both quality and AVPR (grow-only, seeded
-    // independently of the solver pools). `--engine` is accepted but moot
-    // here: evaluation runs on the session's adaptive eval pool, and no
-    // solver request is issued.
+    // independently of the solver pools): evaluation runs on the session's
+    // adaptive eval pool, and no solver request is issued.
     let mut session = UgraphSession::new(&g, session_config(o))
         .map_err(|e| e.to_string())?
         .with_eval_samples(o.samples);

@@ -357,3 +357,93 @@ fn serve_rejects_two_graphs_under_one_name() {
     assert!(stderr.contains("error: cannot serve: "), "{stderr}");
     assert!(stderr.contains("`collins`"), "the error must name the graph: {stderr}");
 }
+
+/// Each command rejects a flag it does not read, naming the flag and the
+/// command, before doing any work: `serve` never binds and `client` never
+/// dials (were they to get that far, the unknown dataset and the closed
+/// port would fail with exit 1 instead).
+#[test]
+fn unread_flags_are_named_errors() {
+    let graph = small_graph_file();
+    let graph = graph.to_str().unwrap();
+    let clustering = tmp("unread-flag.tsv");
+    std::fs::write(&clustering, "0\t0\t0\n").unwrap();
+    let clustering = clustering.to_str().unwrap();
+    let out_file = tmp("unread-flag-never-written.txt");
+    let out_file = out_file.to_str().unwrap();
+    let cases: [(&str, &str, Vec<&str>); 8] = [
+        (
+            "generate",
+            "--samples",
+            vec!["--dataset", "krogan", "--output", out_file, "--samples", "8"],
+        ),
+        ("stats", "--k", vec!["--input", graph, "--k", "5"]),
+        (
+            "cluster",
+            "--samples",
+            vec!["--input", graph, "--algo", "mcp", "--k", "2", "--samples", "8"],
+        ),
+        (
+            "sweep",
+            "--k",
+            vec!["--input", graph, "--algo", "mcp", "--k-min", "2", "--k-max", "3", "--k", "2"],
+        ),
+        (
+            "evaluate",
+            "--engine",
+            vec!["--input", graph, "--clustering", clustering, "--engine", "adaptive"],
+        ),
+        ("knn", "--engine", vec!["--input", graph, "--source", "0", "--engine", "adaptive"]),
+        (
+            "serve",
+            "--k",
+            vec!["--listen", "127.0.0.1:0", "--dataset", "no-such-dataset", "--k", "3"],
+        ),
+        (
+            "client",
+            "--samples",
+            vec![
+                "cluster",
+                "--connect",
+                "127.0.0.1:1",
+                "--retries",
+                "0",
+                "--k",
+                "2",
+                "--samples",
+                "8",
+            ],
+        ),
+    ];
+    for (command, flag, args) in cases {
+        let out = bin().arg(command).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: flag {flag} is not read by `{command}`")),
+            "{command} {args:?}: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(out_file).exists(), "generate ran despite an unread flag");
+}
+
+/// Flags that `evaluate` does not read used to pass silently and change
+/// nothing; now the first of them is an error.
+#[test]
+fn evaluate_rejects_solver_flags() {
+    let graph = small_graph_file();
+    let clustering = tmp("evaluate-solver-flags.tsv");
+    std::fs::write(&clustering, "0\t0\t0\n1\t0\t0\n2\t0\t0\n").unwrap();
+    let out = bin()
+        .args(["evaluate", "--input"])
+        .arg(&graph)
+        .arg("--clustering")
+        .arg(&clustering)
+        .args(["--samples", "8", "--timeout", "1ms", "--k-min", "3", "--best-effort"])
+        .args(["--algo", "gmm"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: flag --timeout is not read by `evaluate`"), "{stderr}");
+}
