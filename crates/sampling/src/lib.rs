@@ -96,7 +96,7 @@ pub use exact::ExactOracle;
 pub use faults::{FaultPlan, FaultSite};
 pub use interrupt::{CancelToken, Interrupt, RunBudget, RunState};
 pub use oracle::{DepthMcOracle, McOracle, Oracle, RowCacheStats};
-pub use pool::{BitParallelPool, SHARD_BLOCKS, SHARD_WORLDS};
+pub use pool::{BitParallelPool, SHARD_WORLDS};
 pub use queries::{
     most_reliable_source, quality_from_counts, reliability_knn, reliability_knn_within,
     SourceObjective,

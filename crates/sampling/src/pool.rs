@@ -63,17 +63,11 @@ use crate::interrupt::RunState;
 use crate::tuning::{chunked_counts_with, labels_beat_shared_masks, ThreadConfig};
 use crate::world::WorldSampler;
 
-/// Blocks per shard of the width-64 bit-parallel backend — the granularity
-/// at which pool storage is allocated, charged against a [`MemoryBudget`],
-/// and evicted. Wider backends pack the same [`SHARD_WORLDS`] worlds into
-/// proportionally fewer blocks per shard (`blocks_per_shard`), so
-/// shard indices, touch stamps, and eviction order are identical at every
-/// block width.
-pub const SHARD_BLOCKS: usize = 16;
-
-/// Worlds per shard (16 × 64 = 1,024 at every block width), the shard
-/// granularity shared by every width so pools report memory uniformly.
-pub const SHARD_WORLDS: usize = SHARD_BLOCKS * LANES;
+/// Worlds per shard — the granularity at which pool storage is allocated,
+/// charged against a [`MemoryBudget`], and evicted. Every block width packs
+/// the same 1 024 worlds per shard (`blocks_per_shard`), so shard indices,
+/// touch stamps, and eviction order are identical at every width.
+pub const SHARD_WORLDS: usize = 1024;
 
 /// Blocks per shard at block width `W` words (64·W worlds per block):
 /// 16 for width 64, 4 for width 256, 2 for width 512 — always the same

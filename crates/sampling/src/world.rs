@@ -57,46 +57,13 @@ impl<'g> WorldSampler<'g> {
         Ok(())
     }
 
-    /// Draws world `index` into bit `lane` of the per-edge mask words:
-    /// after the call, `masks[e] & (1 << lane)` is set iff edge `e` exists
-    /// in world `index`. Other lanes of `masks` are left untouched, so a
-    /// 64-world block is assembled lane by lane — each lane from its own
-    /// per-index RNG stream, which keeps bit-parallel pools world-for-world
-    /// identical to [`WorldSampler::sample_into`] under the same master
-    /// seed.
-    ///
-    /// # Errors
-    /// Returns [`SamplingError::BufferMismatch`] if `masks.len() != m`.
-    ///
-    /// # Panics
-    /// Panics if `lane >= 64`.
-    pub fn sample_lane(
-        &self,
-        index: u64,
-        lane: usize,
-        masks: &mut [u64],
-    ) -> Result<(), SamplingError> {
-        assert!(lane < ugraph_graph::LANES, "lane {lane} out of range");
-        if masks.len() != self.graph.num_edges() {
-            return Err(SamplingError::BufferMismatch {
-                what: "edge-mask buffer",
-                expected: self.graph.num_edges(),
-                got: masks.len(),
-            });
-        }
-        let mut rng = sample_rng(self.seed, index);
-        // Branchless store: at p ≈ 0.5 a conditional write mispredicts on
-        // every other edge, which dominates this RNG-bound loop's tail.
-        for (mask, &p) in masks.iter_mut().zip(self.graph.probs()) {
-            *mask |= ((rng.gen::<f64>() < p) as u64) << lane;
-        }
-        Ok(())
-    }
-
-    /// Width-generic variant of [`WorldSampler::sample_lane`]: draws world
-    /// `index` into lane `lane` of a block of `W * 64` worlds (word
-    /// `lane / 64`, bit `lane % 64`). The RNG stream depends only on
-    /// `index`, so a block's worlds are identical at every width.
+    /// Draws world `index` into lane `lane` of a block of `W * 64` worlds
+    /// (word `lane / 64`, bit `lane % 64`): after the call, lane `lane` of
+    /// `masks[e]` is set iff edge `e` exists in world `index`. Other lanes
+    /// are left untouched, so a block is assembled lane by lane — each lane
+    /// from its own per-index RNG stream, which keeps bit-parallel pools
+    /// world-for-world identical to [`WorldSampler::sample_into`] under the
+    /// same master seed, at every width.
     ///
     /// # Errors
     /// Returns [`SamplingError::BufferMismatch`] if `masks.len() != m`.
@@ -120,6 +87,8 @@ impl<'g> WorldSampler<'g> {
         let word = lane / ugraph_graph::LANES;
         let shift = lane % ugraph_graph::LANES;
         let mut rng = sample_rng(self.seed, index);
+        // Branchless store: at p ≈ 0.5 a conditional write mispredicts on
+        // every other edge, which dominates this RNG-bound loop's tail.
         for (mask, &p) in masks.iter_mut().zip(self.graph.probs()) {
             mask.0[word] |= ((rng.gen::<f64>() < p) as u64) << shift;
         }
@@ -197,25 +166,6 @@ mod tests {
             s.sample_into(0, &mut wrong),
             Err(crate::SamplingError::BufferMismatch { what: "world bitset", expected: 3, got: 2 })
         );
-        let mut masks = vec![0u64; 2];
-        assert!(s.sample_lane(0, 0, &mut masks).is_err());
-    }
-
-    #[test]
-    fn sample_lane_matches_sample_into() {
-        let g = chain(20, 0.4);
-        let s = WorldSampler::new(&g, 123);
-        let m = g.num_edges();
-        let mut masks = vec![0u64; m];
-        for lane in 0..8usize {
-            s.sample_lane(lane as u64, lane, &mut masks).unwrap();
-        }
-        for lane in 0..8usize {
-            let world = s.sample(lane as u64);
-            for (e, mask) in masks.iter().enumerate() {
-                assert_eq!(mask >> lane & 1 == 1, world.get(e), "edge {e} lane {lane} disagrees");
-            }
-        }
     }
 
     #[test]
