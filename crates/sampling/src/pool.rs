@@ -38,18 +38,17 @@
 //! `assignment_counts`. [`WorldEngine`] provides the rest: the full-pool
 //! forms are the ranged forms over the whole pool, and a pair count is one
 //! entry of a ranged row, so a pair costs what the row over its window
-//! costs. Generation
-//! (`ensure`, and regeneration, which build blocks through one builder)
-//! and the queries run on rayon, gated by the shared [`crate::tuning`]
-//! heuristics. Every count query resolves its shards, runs its own
-//! prologue (label finalization, the batch cost model, or evaluation's
-//! member lists), and ends in one private block sweep: the sweep runs the
-//! query's per-block kernel on each planned block, polling the interrupt
-//! checkpoint before each one, and trims the ledger. The sweep splits the
-//! blocks into chunks through [`crate::tuning::chunked_counts_with`],
-//! accumulates per-chunk integer count rows and merges them — so every
-//! estimate is bit-identical no matter how many threads run, which the
-//! property tests assert.
+//! costs. Generation (`ensure`, and regeneration, which build blocks
+//! through one builder) and the queries run on rayon, gated by the shared
+//! [`crate::tuning`] heuristics. Every count query resolves its shards,
+//! runs its own prologue (label finalization, the batch cost model, or
+//! evaluation's member lists), and ends in one private block sweep: the
+//! sweep runs the query's per-block kernel on each planned block, polling
+//! the interrupt checkpoint before each one, and trims the ledger. The
+//! sweep splits the blocks into chunks through
+//! [`crate::tuning::chunked_counts_with`], accumulates per-chunk integer
+//! count rows and merges them — so every estimate is bit-identical no
+//! matter how many threads run, which the property tests assert.
 
 use rayon::prelude::*;
 
@@ -132,7 +131,7 @@ fn narrow_fits(n: usize) -> bool {
 /// Lanes are labeled **append-only**: finalizing a partially filled block
 /// and topping it up later labels only the new lanes — already-labeled
 /// lanes are never recomputed (worlds are immutable once sampled).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct BlockLabels<L> {
     /// Per-lane labels, node-major with stride `stride` (sized
     /// `n · stride` up front so lane appends are in-place writes).
@@ -265,7 +264,7 @@ impl<L: Label> BlockLabels<L> {
 }
 
 /// [`BlockLabels`] at the width picked for the pool's node count.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum BlockLabelsAny {
     Narrow(BlockLabels<u16>),
     Wide(BlockLabels<u32>),
@@ -338,7 +337,7 @@ impl BlockLabelsAny {
 }
 
 /// One block of up to `W · 64` sampled worlds as per-edge presence masks.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct MaskBlock<const W: usize> {
     /// `masks[e]` lane `l` ⇔ edge `e` exists in world `base + l`.
     masks: Vec<Mask<W>>,
@@ -492,8 +491,8 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// component labels (one component-sharing fixpoint sweep, cached next
     /// to the edge masks) and every later unlimited query over the block
     /// runs as an O(n + members) label scan. Counts are identical either
-    /// way — finalization trades label memory
-    /// (≈ one component-label row per world) for mask traversals.
+    /// way — finalization trades label memory (≈ one component-label row
+    /// per world) for mask traversals.
     ///
     /// # Panics
     /// Panics if the pool already holds samples.

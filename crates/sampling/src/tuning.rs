@@ -67,7 +67,7 @@ pub fn labels_beat_shared_masks(
 pub struct ThreadConfig {
     /// Resolved worker count (never 0).
     workers: usize,
-    /// The dedicated pool, shared across pool clones; `None` = ambient.
+    /// The dedicated worker pool; `None` = ambient.
     pool: Option<std::sync::Arc<rayon::ThreadPool>>,
 }
 
