@@ -203,87 +203,30 @@ request answers bit-identically.";
 
 /// Every command and the flags it reads. A flag outside its command's set
 /// is an error, so a mistyped or misplaced flag never passes unnoticed.
-const COMMAND_FLAGS: [(&str, &[&str]); 8] = [
-    ("generate", &["--dataset", "--scale", "--nodes", "--seed", "--output", "--ground-truth"]),
-    ("stats", &["--input"]),
+const COMMAND_FLAGS: [(&str, &str); 8] = [
+    ("generate", "--dataset --scale --nodes --seed --output --ground-truth"),
+    ("stats", "--input"),
     (
         "cluster",
-        &[
-            "--input",
-            "--algo",
-            "--k",
-            "--depth",
-            "--inflation",
-            "--seed",
-            "--output",
-            "--engine",
-            "--memory-budget",
-            "--timeout",
-            "--best-effort",
-        ],
+        "--input --algo --k --depth --inflation --seed --output --engine --memory-budget \
+         --timeout --best-effort",
     ),
     (
         "sweep",
-        &[
-            "--input",
-            "--algo",
-            "--k-min",
-            "--k-max",
-            "--depth",
-            "--seed",
-            "--samples",
-            "--engine",
-            "--memory-budget",
-            "--timeout",
-            "--best-effort",
-        ],
+        "--input --algo --k-min --k-max --depth --seed --samples --engine --memory-budget \
+         --timeout --best-effort",
     ),
-    (
-        "evaluate",
-        &[
-            "--input",
-            "--clustering",
-            "--samples",
-            "--depth",
-            "--ground-truth",
-            "--seed",
-            "--memory-budget",
-        ],
-    ),
-    ("knn", &["--input", "--source", "--k", "--depth", "--samples", "--seed"]),
+    ("evaluate", "--input --clustering --samples --depth --ground-truth --seed --memory-budget"),
+    ("knn", "--input --source --k --depth --samples --seed"),
     (
         "serve",
-        &[
-            "--listen",
-            "--dataset",
-            "--input",
-            "--graph",
-            "--workers",
-            "--seed",
-            "--memory-budget",
-            "--session-budget",
-            "--request-timeout",
-            "--idle-evict",
-            "--io-timeout",
-            "--scale",
-            "--nodes",
-        ],
+        "--listen --dataset --input --graph --workers --seed --memory-budget --session-budget \
+         --request-timeout --idle-evict --io-timeout --scale --nodes",
     ),
     (
         "client",
-        &[
-            "--connect",
-            "--graph",
-            "--algo",
-            "--k",
-            "--depth",
-            "--timeout",
-            "--retries",
-            "--connect-pool",
-            "--engine",
-            "--output",
-            "--seed",
-        ],
+        "--connect --graph --algo --k --depth --timeout --retries --connect-pool --engine \
+         --output --seed",
     ),
 ];
 
@@ -327,12 +270,13 @@ impl Options {
     /// is an error; an unknown command is left to the dispatch, which
     /// reports it.
     fn parse(command: &str, args: &[String]) -> Result<Self, String> {
-        let reads = COMMAND_FLAGS.iter().find(|(c, _)| *c == command).map(|(_, flags)| *flags);
+        let reads = |flags: &str, flag: &str| flags.split_whitespace().any(|f| f == flag);
+        let own = COMMAND_FLAGS.iter().find(|(c, _)| *c == command).map(|&(_, flags)| flags);
         let mut o = Options { seed: 1, samples: 512, ..Default::default() };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let known = COMMAND_FLAGS.iter().any(|(_, flags)| flags.contains(&flag.as_str()));
-            if known && reads.is_some_and(|flags| !flags.contains(&flag.as_str())) {
+            let known = COMMAND_FLAGS.iter().any(|(_, flags)| reads(flags, flag));
+            if known && own.is_some_and(|flags| !reads(flags, flag)) {
                 return Err(format!("flag {flag} is not read by `{command}`"));
             }
             let mut take =
