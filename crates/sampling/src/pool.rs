@@ -123,8 +123,7 @@ fn narrow_fits(n: usize) -> bool {
 /// Labels are stored node-major with stride `stride` = the block's lane
 /// capacity, `W · 64` for block width `W`
 /// (`labels[u * stride + l]` = `u`'s component in world `l`), so a
-/// center's per-lane labels and a pair's two label strips are contiguous
-/// loads. The membership index is a single CSR over `(lane, label)`
+/// center's per-lane labels are one contiguous load. The membership index is a single CSR over `(lane, label)`
 /// buckets: members of component `c` of lane `l` are
 /// `order[starts[b]..starts[b + 1]]` with `b = lane_base[l] + c`.
 ///
