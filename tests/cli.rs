@@ -365,85 +365,40 @@ fn serve_rejects_two_graphs_under_one_name() {
 #[test]
 fn unread_flags_are_named_errors() {
     let graph = small_graph_file();
-    let graph = graph.to_str().unwrap();
     let clustering = tmp("unread-flag.tsv");
     std::fs::write(&clustering, "0\t0\t0\n").unwrap();
-    let clustering = clustering.to_str().unwrap();
     let out_file = tmp("unread-flag-never-written.txt");
-    let out_file = out_file.to_str().unwrap();
-    let cases: [(&str, &str, Vec<&str>); 8] = [
+    let cases = [
+        ("generate --dataset krogan --output OUT --samples 8", "--samples"),
+        ("stats --input GRAPH --k 5", "--k"),
+        ("cluster --input GRAPH --algo mcp --k 2 --samples 8", "--samples"),
+        ("sweep --input GRAPH --algo mcp --k-min 2 --k-max 3 --k 2", "--k"),
+        ("evaluate --input GRAPH --clustering CLUSTERING --engine adaptive", "--engine"),
+        // Solver flags used to pass `evaluate` silently; the first is named.
         (
-            "generate",
-            "--samples",
-            vec!["--dataset", "krogan", "--output", out_file, "--samples", "8"],
+            "evaluate --input GRAPH --clustering CLUSTERING --samples 8 --timeout 1ms --k-min 3 \
+             --best-effort --algo gmm",
+            "--timeout",
         ),
-        ("stats", "--k", vec!["--input", graph, "--k", "5"]),
-        (
-            "cluster",
-            "--samples",
-            vec!["--input", graph, "--algo", "mcp", "--k", "2", "--samples", "8"],
-        ),
-        (
-            "sweep",
-            "--k",
-            vec!["--input", graph, "--algo", "mcp", "--k-min", "2", "--k-max", "3", "--k", "2"],
-        ),
-        (
-            "evaluate",
-            "--engine",
-            vec!["--input", graph, "--clustering", clustering, "--engine", "adaptive"],
-        ),
-        ("knn", "--engine", vec!["--input", graph, "--source", "0", "--engine", "adaptive"]),
-        (
-            "serve",
-            "--k",
-            vec!["--listen", "127.0.0.1:0", "--dataset", "no-such-dataset", "--k", "3"],
-        ),
-        (
-            "client",
-            "--samples",
-            vec![
-                "cluster",
-                "--connect",
-                "127.0.0.1:1",
-                "--retries",
-                "0",
-                "--k",
-                "2",
-                "--samples",
-                "8",
-            ],
-        ),
+        ("knn --input GRAPH --source 0 --engine adaptive", "--engine"),
+        ("serve --listen 127.0.0.1:0 --dataset no-such-dataset --k 3", "--k"),
+        ("client cluster --connect 127.0.0.1:1 --retries 0 --k 2 --samples 8", "--samples"),
     ];
-    for (command, flag, args) in cases {
-        let out = bin().arg(command).args(&args).output().unwrap();
+    for (line, flag) in cases {
+        let args: Vec<&str> = line
+            .split_whitespace()
+            .map(|arg| match arg {
+                "GRAPH" => graph.to_str().unwrap(),
+                "CLUSTERING" => clustering.to_str().unwrap(),
+                "OUT" => out_file.to_str().unwrap(),
+                arg => arg,
+            })
+            .collect();
+        let out = bin().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{command} {args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("error: flag {flag} is not read by `{command}`")),
-            "{command} {args:?}: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        let named = format!("error: flag {flag} is not read by `{}`", args[0]);
+        assert!(stderr.contains(&named), "{line}: {stderr}");
     }
-    assert!(!std::path::Path::new(out_file).exists(), "generate ran despite an unread flag");
-}
-
-/// Flags that `evaluate` does not read used to pass silently and change
-/// nothing; now the first of them is an error.
-#[test]
-fn evaluate_rejects_solver_flags() {
-    let graph = small_graph_file();
-    let clustering = tmp("evaluate-solver-flags.tsv");
-    std::fs::write(&clustering, "0\t0\t0\n1\t0\t0\n2\t0\t0\n").unwrap();
-    let out = bin()
-        .args(["evaluate", "--input"])
-        .arg(&graph)
-        .arg("--clustering")
-        .arg(&clustering)
-        .args(["--samples", "8", "--timeout", "1ms", "--k-min", "3", "--best-effort"])
-        .args(["--algo", "gmm"])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("error: flag --timeout is not read by `evaluate`"), "{stderr}");
+    assert!(!out_file.exists(), "generate ran despite an unread flag");
 }
