@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use ugraph_cluster::{
-    acp, acp_depth, mcp, mcp_depth, AcpInvocation, ClusterConfig, ClusterRequest, EngineKind,
-    SolveResult, UgraphSession,
+    acp, acp_depth, mcp, mcp_depth, AcpInvocation, CancelToken, ClusterConfig, ClusterError,
+    ClusterRequest, DegradeMode, EngineKind, GuessStrategy, SolveResult, UgraphSession,
 };
 use ugraph_graph::{GraphBuilder, UncertainGraph};
 
@@ -87,6 +87,25 @@ impl Digest {
         let e = s.engine;
         for x in [e.finalized_blocks, e.finalized_lanes, e.label_queries, e.mask_queries] {
             self.word(x as u64);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for b in s.bytes() {
+            self.word(u64::from(b));
+        }
+    }
+
+    /// Folds a solve's outcome: the result with its interrupt report, or
+    /// the error's text.
+    fn outcome(&mut self, o: &Result<SolveResult, ClusterError>) {
+        match o {
+            Ok(s) => {
+                self.result(s);
+                self.text(&s.interrupt.map_or_else(String::new, |r| r.to_string()));
+            }
+            Err(e) => self.text(&e.to_string()),
         }
     }
 }
@@ -256,6 +275,141 @@ fn adaptive_sessions_agree_with_pure_mask_sessions() {
     assert!(stats.engine.finalized_blocks > 0, "no finalization happened: {stats}");
     assert!(stats.engine.label_queries > 0, "{stats}");
     assert!(stats.engine.finalized_lanes <= stats.worlds_held, "relabeling detected: {stats}");
+}
+
+/// Ten nodes in two components: a 6-path, which no single center covers
+/// within depth 2, and a 4-clique. MCP at k = 2 and depth 2 has no full
+/// clustering at any threshold.
+fn two_components() -> UncertainGraph {
+    let mut b = GraphBuilder::new(10);
+    for (u, p) in [(0, 0.9), (1, 0.8), (2, 0.95), (3, 0.7), (4, 0.85)] {
+        b.add_edge(u, u + 1, p).unwrap();
+    }
+    for u in 6..10 {
+        for v in u + 1..10 {
+            b.add_edge(u, v, 0.6).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Ten connected nodes: two groups bridged by a weak edge, plus a tail.
+fn connected_ten() -> UncertainGraph {
+    let mut b = GraphBuilder::new(10);
+    for u in 0..4 {
+        for v in u + 1..4 {
+            b.add_edge(u, v, 0.8).unwrap();
+        }
+    }
+    for (u, v) in [(4, 5), (5, 6), (4, 6)] {
+        b.add_edge(u, v, 0.9).unwrap();
+    }
+    for (u, v, p) in [(3, 4, 0.3), (6, 7, 0.7), (7, 8, 0.6), (8, 9, 0.9)] {
+        b.add_edge(u, v, p).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Digest of every outcome of `guess_schedules_and_interruptions_are_pinned`.
+const SCHEDULE_DIGEST: u64 = 0x1cad_f10f_2c13_5866;
+
+/// `(errors, partial results)` of each best-effort sweep below.
+const SWEEP_TALLIES: [(usize, usize); 6] = [(55, 0), (28, 12), (10, 18), (10, 18), (3, 0), (3, 0)];
+
+/// Pins both drivers' threshold schedules and interruption handling: every
+/// `GuessStrategy × AcpInvocation × p_L × γ` on a connected and a
+/// two-component graph, MCP and ACP at k = 2, 3, unlimited and at depth 2,
+/// plus best-effort solves cancelled at every checkpoint in turn. Each
+/// outcome (result and interrupt report, or error text) is folded into one
+/// digest.
+#[test]
+fn guess_schedules_and_interruptions_are_pinned() {
+    let graphs = [connected_ten(), two_components()];
+    let base = ClusterConfig::default().with_seed(7).with_threads(1);
+    let mut digest = Digest::new();
+    let (mut no_full, mut outcomes) = (0usize, 0usize);
+    for guess in [GuessStrategy::Geometric, GuessStrategy::Accelerated] {
+        for inv in [AcpInvocation::Practical, AcpInvocation::Theory] {
+            for p_l in [1e-4, 0.05, 0.5, 1.0] {
+                for gamma in [0.1, 0.3] {
+                    let cfg = base
+                        .clone()
+                        .with_guess(guess)
+                        .with_acp_invocation(inv)
+                        .with_p_l(p_l)
+                        .with_gamma(gamma);
+                    for g in &graphs {
+                        let mut session = UgraphSession::new(g, cfg.clone()).unwrap();
+                        for k in [2, 3] {
+                            for rq in [
+                                ClusterRequest::mcp(k),
+                                ClusterRequest::mcp_depth(k, 2),
+                                ClusterRequest::acp(k),
+                                ClusterRequest::acp_depth(k, 2),
+                            ] {
+                                let o = session.solve(rq);
+                                no_full += usize::from(matches!(
+                                    o,
+                                    Err(ClusterError::NoFullClustering { .. })
+                                ));
+                                outcomes += 1;
+                                digest.outcome(&o);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(no_full > 0, "no configuration reached NoFullClustering");
+
+    // Best-effort solves cancelled at the n-th checkpoint, n = 1, 2, …
+    // until the first clean completion: errors before the first full
+    // clustering, flagged partial results after it.
+    let g = &graphs[0];
+    let mut tallies = Vec::new();
+    let sweeps = [
+        (GuessStrategy::Geometric, AcpInvocation::Practical, ClusterRequest::mcp(3)),
+        (GuessStrategy::Accelerated, AcpInvocation::Practical, ClusterRequest::mcp(3)),
+        (GuessStrategy::Geometric, AcpInvocation::Practical, ClusterRequest::acp(3)),
+        (GuessStrategy::Accelerated, AcpInvocation::Practical, ClusterRequest::acp(3)),
+        (GuessStrategy::Geometric, AcpInvocation::Theory, ClusterRequest::acp(3)),
+        (GuessStrategy::Accelerated, AcpInvocation::Theory, ClusterRequest::acp(3)),
+    ];
+    for (guess, inv, rq) in sweeps {
+        let cfg = base
+            .clone()
+            .with_guess(guess)
+            .with_acp_invocation(inv)
+            .with_degrade(DegradeMode::BestEffort);
+        let (mut errors, mut partials) = (0usize, 0usize);
+        for checks in 1u64.. {
+            let mut session = UgraphSession::new(g, cfg.clone()).unwrap();
+            let o = session.solve(rq.clone().with_cancel_token(CancelToken::after_checks(checks)));
+            outcomes += 1;
+            digest.outcome(&o);
+            match o {
+                Err(e) => {
+                    assert!(matches!(e, ClusterError::Cancelled(_)), "{rq} {guess:?}: {e}");
+                    errors += 1;
+                }
+                Ok(r) if r.interrupt.is_some() => partials += 1,
+                Ok(_) => break,
+            }
+            assert!(checks < 10_000, "cancellation token was never outrun");
+        }
+        tallies.push((errors, partials));
+    }
+    // Geometric MCP stops at its first full clustering, so it has nothing
+    // to degrade to.
+    assert_eq!(tallies, SWEEP_TALLIES, "(errors, partial results) per sweep");
+
+    // With p_L = 1 the ACP descent's first threshold is floored back to 1,
+    // so its only threshold, q = 1, runs twice.
+    let r = acp(g, 2, &base.clone().with_p_l(1.0)).unwrap();
+    assert_eq!((r.guesses, r.final_q), (2, 1.0));
+
+    assert_eq!(digest.0, SCHEDULE_DIGEST, "{outcomes} outcomes differ from the recorded digest");
 }
 
 /// Random small connected graphs for the property sweep.
