@@ -17,19 +17,23 @@
 //! re-running the same threshold after improvements; since each threshold
 //! is deterministic given the seed, re-running cannot change the outcome
 //! here, so every threshold is evaluated exactly once (the authors'
-//! `q_i = max{1 − γ·2^i, p_L}` schedule does the same).
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+//! `q_i = max{1 − γ·2^i, p_L}` schedule does the same). The exception is
+//! `p_L = 1`: the descent's first threshold is floored back to 1, so
+//! `q = 1` runs twice, the second time with fresh candidates.
+//!
+//! This module writes only Algorithm 3's stop rule and its choice of
+//! clustering. Validation, the threshold descent, the guess step, the
+//! best-effort rule and the result are shared with MCP in one solve path,
+//! which [`acp()`], [`acp_depth`], [`acp_with_oracle`] and
+//! [`UgraphSession::solve`] all run.
 
 use ugraph_graph::UncertainGraph;
-use ugraph_sampling::rng::mix_seed;
 use ugraph_sampling::{EngineStats, Oracle, RowCacheStats};
 
 use crate::clustering::Clustering;
-use crate::config::{AcpInvocation, ClusterConfig, DegradeMode, GuessStrategy};
-use crate::error::{interrupted, ClusterError, InterruptReport};
-use crate::min_partial::{min_partial_with, MinPartialParams, MinPartialWorkspace};
+use crate::config::{AcpInvocation, ClusterConfig};
+use crate::driver::{solve_on, Found, Guesser};
+use crate::error::{ClusterError, InterruptReport};
 use crate::request::{ClusterRequest, SolveResult};
 use crate::session::UgraphSession;
 
@@ -59,7 +63,8 @@ pub struct AcpResult {
     /// unless the adaptive backend ran).
     pub engine: EngineStats,
     /// `Some` iff the run was interrupted mid-schedule and completed
-    /// best-effort under [`DegradeMode::BestEffort`] (see
+    /// best-effort under
+    /// [`DegradeMode::BestEffort`](crate::DegradeMode::BestEffort) (see
     /// [`crate::SolveResult::interrupt`]).
     pub interrupt: Option<InterruptReport>,
 }
@@ -119,120 +124,49 @@ pub fn acp_with_oracle<O: Oracle + ?Sized>(
     k: usize,
     cfg: &ClusterConfig,
 ) -> Result<AcpResult, ClusterError> {
-    cfg.validate()?;
-    let n = oracle.num_nodes();
-    if k < 1 || k >= n {
-        return Err(ClusterError::KOutOfRange { k, n });
-    }
-    let mut rng = SmallRng::seed_from_u64(mix_seed(cfg.seed, 0x6163_7001));
-    let mut guesses = 0usize;
-    // Shared across all guesses, like the oracle's row cache.
-    let mut ws = MinPartialWorkspace::new(n);
+    solve_on(oracle, ClusterRequest::acp(k), cfg).map(AcpResult::from)
+}
 
-    // One min-partial invocation at driver threshold `q`. The guess
-    // counter only advances for invocations that ran to completion, so an
-    // interruption reports the number of *completed* guesses.
-    let mut invoke = |oracle: &mut O, q: f64, rng: &mut SmallRng, guesses: &mut usize| {
-        let eps = oracle.epsilon();
-        let params = match cfg.acp_invocation {
-            AcpInvocation::Theory => {
-                let q3 = q * q * q;
-                oracle.prepare(q3)?;
-                MinPartialParams { k, q: q3, alpha: usize::MAX, q_bar: q, epsilon: eps }
-            }
-            AcpInvocation::Practical => {
-                oracle.prepare(q)?;
-                MinPartialParams { k, q, alpha: cfg.alpha, q_bar: q, epsilon: eps }
-            }
-        };
-        let pc = min_partial_with(oracle, &params, rng, &mut ws)?;
-        *guesses += 1;
-        Ok(pc)
+/// Algorithm 3's guess loop: `q = 1` (lines 1–3), then the descent (lines
+/// 4–13), keeping the partial clustering of best `φ` and returning its
+/// completion. The first run already yields a usable clustering, so from
+/// the second guess on an interruption under
+/// [`DegradeMode::BestEffort`](crate::DegradeMode::BestEffort) just ends
+/// the schedule.
+pub(crate) fn schedule<O: Oracle + ?Sized>(g: &mut Guesser<'_, O>) -> Result<Found, ClusterError> {
+    let cfg = g.cfg;
+    // Theorem 4 covers at q³ with every uncovered node a candidate; the
+    // practical invocation covers at q. The cover threshold is also the
+    // largest φ a threshold-q clustering is guaranteed to reach, so the
+    // loop stops once it falls below the best φ seen (line 5).
+    let (cube, alpha) = match cfg.acp_invocation {
+        AcpInvocation::Theory => (true, usize::MAX),
+        AcpInvocation::Practical => (false, cfg.alpha),
     };
-    // The largest φ a threshold-q clustering is *guaranteed* to reach; the
-    // loop stops once it falls below the best φ seen (Algorithm 3 line 5).
-    let potential = |q: f64| match cfg.acp_invocation {
-        AcpInvocation::Theory => q * q * q,
-        AcpInvocation::Practical => q,
-    };
-
-    // Line 1-3: initial run at q = 1. With no clustering in hand yet,
-    // interruptions always surface as typed errors (BestEffort included).
-    let first = match invoke(oracle, 1.0, &mut rng, &mut guesses) {
-        Ok(pc) => pc,
-        Err(e) => return Err(interrupted(e, oracle.num_samples(), guesses)),
-    };
-    let mut phi_best = first.phi();
-    let mut best = first;
-    let mut best_q = 1.0f64;
-    let mut interrupt = None;
-
-    // Guessing loop (lines 4-13).
-    let mut next_q: Box<dyn FnMut() -> f64> = match cfg.guess {
-        GuessStrategy::Geometric => {
-            let gamma = cfg.gamma;
-            let mut q = 1.0f64;
-            Box::new(move || {
-                q /= 1.0 + gamma;
-                q
-            })
-        }
-        GuessStrategy::Accelerated => {
-            let gamma = cfg.gamma;
-            let mut i = 0u32;
-            Box::new(move || {
-                let q = 1.0 - gamma * f64::from(2u32.saturating_pow(i));
-                i += 1;
-                q
-            })
-        }
-    };
-
-    loop {
-        let q = next_q().max(cfg.p_l);
-        if potential(q) < phi_best {
+    let cover = |q: f64| if cube { q * q * q } else { q };
+    let mut best = g.run(cover(1.0), alpha, 1.0)?;
+    let (mut phi_best, mut best_q) = (best.phi(), 1.0f64);
+    for q in cfg.descent() {
+        if cover(q) < phi_best {
             break;
         }
-        // The first run already produced a usable clustering, so under
-        // BestEffort an interruption just ends the schedule early and the
-        // best completion so far is returned; injected faults still
-        // surface as errors.
-        let pc = match invoke(oracle, q, &mut rng, &mut guesses) {
+        let pc = match g.run(cover(q), alpha, q) {
             Ok(pc) => pc,
             Err(e) => {
-                let err = interrupted(e, oracle.num_samples(), guesses);
-                match (cfg.degrade, err.interrupt_report().copied()) {
-                    (DegradeMode::BestEffort, Some(report)) => {
-                        interrupt = Some(report);
-                        break;
-                    }
-                    _ => return Err(err),
-                }
+                g.stop(e)?;
+                break;
             }
         };
         let phi = pc.phi();
         if phi >= phi_best {
-            phi_best = phi;
-            best = pc;
-            best_q = q;
+            (phi_best, best, best_q) = (phi, pc, q);
         }
         if q <= cfg.p_l {
             break;
         }
     }
-
     let (clustering, assign_probs) = best.complete();
-    Ok(AcpResult {
-        clustering,
-        assign_probs,
-        avg_prob_estimate: phi_best,
-        final_q: best_q,
-        guesses,
-        samples_used: oracle.num_samples(),
-        row_cache: oracle.cache_stats(),
-        engine: oracle.engine_stats(),
-        interrupt,
-    })
+    Ok((clustering, assign_probs, phi_best, best_q))
 }
 
 #[cfg(test)]

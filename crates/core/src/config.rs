@@ -336,6 +336,24 @@ impl ClusterConfig {
     pub fn relaxed(&self, q: f64, oracle_epsilon: f64) -> f64 {
         (1.0 - oracle_epsilon / 2.0) * q
     }
+
+    /// The guess thresholds below 1, in schedule order, each floored at
+    /// `p_l`: `1/(1+γ)^i` for [`GuessStrategy::Geometric`] (by repeated
+    /// division, as Algorithm 2 writes it) and `1 − γ·2^i` for
+    /// [`GuessStrategy::Accelerated`] (§5), for `i = 1, 2, …` and
+    /// `i = 0, 1, …` respectively. Endless: the drivers decide where to
+    /// stop, so with `p_l = 1` every threshold is 1.
+    pub(crate) fn descent(&self) -> impl Iterator<Item = f64> {
+        let (guess, gamma, p_l) = (self.guess, self.gamma, self.p_l);
+        let mut q = 1.0f64;
+        (0u32..).map(move |i| {
+            q = match guess {
+                GuessStrategy::Geometric => q / (1.0 + gamma),
+                GuessStrategy::Accelerated => 1.0 - gamma * f64::from(2u32.saturating_pow(i)),
+            };
+            q.max(p_l)
+        })
+    }
 }
 
 #[cfg(test)]

@@ -86,6 +86,7 @@ pub mod acp;
 pub mod brute;
 pub mod clustering;
 pub mod config;
+mod driver;
 pub mod error;
 pub mod handle;
 pub mod hardness;

@@ -9,18 +9,19 @@
 //! Theorem 3. Crucially, no connection probability smaller than
 //! `p²_opt-min/(1+γ)` is ever estimated — the feature that makes Monte-Carlo
 //! integration affordable (§4.2).
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+//!
+//! This module writes only Algorithm 2's stop rule. Validation, the
+//! threshold descent, the guess step, the best-effort rule and the result
+//! are shared with ACP in one solve path, which [`mcp()`], [`mcp_depth`],
+//! [`mcp_with_oracle`] and [`UgraphSession::solve`] all run.
 
 use ugraph_graph::UncertainGraph;
-use ugraph_sampling::rng::mix_seed;
 use ugraph_sampling::{EngineStats, Oracle, RowCacheStats};
 
-use crate::clustering::{Clustering, PartialClustering};
-use crate::config::{ClusterConfig, DegradeMode, GuessStrategy};
-use crate::error::{interrupted, ClusterError, InterruptReport};
-use crate::min_partial::{min_partial_with, MinPartialParams, MinPartialWorkspace};
+use crate::clustering::Clustering;
+use crate::config::{ClusterConfig, GuessStrategy};
+use crate::driver::{solve_on, Found, Guesser};
+use crate::error::{ClusterError, InterruptReport};
 use crate::request::{ClusterRequest, SolveResult};
 use crate::session::UgraphSession;
 
@@ -49,7 +50,8 @@ pub struct McpResult {
     /// unless the adaptive backend ran).
     pub engine: EngineStats,
     /// `Some` iff the run was interrupted mid-refinement and completed
-    /// best-effort under [`DegradeMode::BestEffort`] (see
+    /// best-effort under
+    /// [`DegradeMode::BestEffort`](crate::DegradeMode::BestEffort) (see
     /// [`crate::SolveResult::interrupt`]).
     pub interrupt: Option<InterruptReport>,
 }
@@ -108,126 +110,45 @@ pub fn mcp_with_oracle<O: Oracle + ?Sized>(
     k: usize,
     cfg: &ClusterConfig,
 ) -> Result<McpResult, ClusterError> {
-    cfg.validate()?;
-    let n = oracle.num_nodes();
-    if k < 1 || k >= n {
-        return Err(ClusterError::KOutOfRange { k, n });
+    solve_on(oracle, ClusterRequest::mcp(k), cfg).map(McpResult::from)
+}
+
+/// Algorithm 2's guess loop. Geometric guessing tries `q = 1` and then
+/// the descent; the accelerated schedule assumes `q = 1` fails and then
+/// binary-searches between the last failing and the first succeeding
+/// guess (in log space, until `lo/hi > 1 − γ`). Until the first full
+/// clustering exists there is nothing to degrade to, so interruptions
+/// before it are errors under every [`DegradeMode`](crate::DegradeMode).
+pub(crate) fn schedule<O: Oracle + ?Sized>(g: &mut Guesser<'_, O>) -> Result<Found, ClusterError> {
+    let cfg = g.cfg;
+    let first = (cfg.guess == GuessStrategy::Geometric).then_some(1.0);
+    let mut hi = 1.0f64; // highest threshold known (or assumed) to fail
+    for q in first.into_iter().chain(cfg.descent()) {
+        let pc = g.run(q, cfg.alpha, q)?;
+        if !pc.clustering.is_full() {
+            if q <= cfg.p_l {
+                let uncovered = pc.clustering.outliers().len();
+                return Err(ClusterError::NoFullClustering { floor: cfg.p_l, uncovered });
+            }
+            hi = q;
+            continue;
+        }
+        let (mut best, mut lo) = (pc, q);
+        while cfg.guess == GuessStrategy::Accelerated && lo / hi <= 1.0 - cfg.gamma {
+            let mid = (lo * hi).sqrt();
+            match g.run(mid, cfg.alpha, mid) {
+                Ok(pc) if pc.clustering.is_full() => (best, lo) = (pc, mid),
+                Ok(_) => hi = mid,
+                Err(e) => {
+                    g.stop(e)?;
+                    break;
+                }
+            }
+        }
+        let min_prob = best.min_covered_prob().unwrap_or(0.0);
+        return Ok((best.clustering, best.assign_probs, min_prob, lo));
     }
-    let mut rng = SmallRng::seed_from_u64(mix_seed(cfg.seed, 0x6d63_7001));
-    let mut guesses = 0usize;
-    // One workspace for the whole schedule: every guess reuses the same
-    // min-partial buffers, and the oracle's row cache carries center rows
-    // across guesses (including the binary-search refinement).
-    let mut ws = MinPartialWorkspace::new(n);
-
-    // One guess of the schedule. The guess counter only advances for
-    // invocations that ran to completion, so an interruption reports the
-    // number of *completed* guesses.
-    let run = |oracle: &mut O,
-               q: f64,
-               rng: &mut SmallRng,
-               ws: &mut MinPartialWorkspace,
-               g: &mut usize| {
-        oracle.prepare(q)?;
-        let eps = oracle.epsilon();
-        let params = MinPartialParams { k, q, alpha: cfg.alpha, q_bar: q, epsilon: eps };
-        let pc = min_partial_with(oracle, &params, rng, ws)?;
-        *g += 1;
-        Ok(pc)
-    };
-
-    let (success, final_q, interrupt): (PartialClustering, f64, Option<InterruptReport>) =
-        match cfg.guess {
-            GuessStrategy::Geometric => {
-                // Algorithm 2 verbatim: q ← q/(1+γ) from 1 until coverage.
-                // Until the first full clustering exists there is nothing
-                // to degrade to, so interruptions always surface as typed
-                // errors here (BestEffort included).
-                let mut q = 1.0f64;
-                loop {
-                    let pc = match run(oracle, q, &mut rng, &mut ws, &mut guesses) {
-                        Ok(pc) => pc,
-                        Err(e) => return Err(interrupted(e, oracle.num_samples(), guesses)),
-                    };
-                    if pc.clustering.is_full() {
-                        break (pc, q, None);
-                    }
-                    if q <= cfg.p_l {
-                        return Err(ClusterError::NoFullClustering {
-                            floor: cfg.p_l,
-                            uncovered: pc.clustering.outliers().len(),
-                        });
-                    }
-                    q = (q / (1.0 + cfg.gamma)).max(cfg.p_l);
-                }
-            }
-            GuessStrategy::Accelerated => {
-                // §5: q_i = max{1 − γ·2^i, p_L}, then binary search between
-                // the last failing and the first succeeding guess.
-                let mut hi = 1.0f64; // highest threshold known (or assumed) to fail
-                let mut i = 0u32;
-                let (mut best_pc, mut lo) = loop {
-                    let q = (1.0 - cfg.gamma * f64::from(2u32.saturating_pow(i))).max(cfg.p_l);
-                    let pc = match run(oracle, q, &mut rng, &mut ws, &mut guesses) {
-                        Ok(pc) => pc,
-                        Err(e) => return Err(interrupted(e, oracle.num_samples(), guesses)),
-                    };
-                    if pc.clustering.is_full() {
-                        break (pc, q);
-                    }
-                    if q <= cfg.p_l {
-                        return Err(ClusterError::NoFullClustering {
-                            floor: cfg.p_l,
-                            uncovered: pc.clustering.outliers().len(),
-                        });
-                    }
-                    hi = q;
-                    i += 1;
-                };
-                // Binary search in log space; stop when lo/hi > 1 − γ. A
-                // full clustering is in hand from here on, so under
-                // BestEffort an interruption just stops the refinement
-                // early; injected faults still surface as errors.
-                let mut interrupt = None;
-                while lo / hi <= 1.0 - cfg.gamma {
-                    let mid = (lo * hi).sqrt();
-                    match run(oracle, mid, &mut rng, &mut ws, &mut guesses) {
-                        Ok(pc) => {
-                            if pc.clustering.is_full() {
-                                best_pc = pc;
-                                lo = mid;
-                            } else {
-                                hi = mid;
-                            }
-                        }
-                        Err(e) => {
-                            let err = interrupted(e, oracle.num_samples(), guesses);
-                            match (cfg.degrade, err.interrupt_report().copied()) {
-                                (DegradeMode::BestEffort, Some(report)) => {
-                                    interrupt = Some(report);
-                                    break;
-                                }
-                                _ => return Err(err),
-                            }
-                        }
-                    }
-                }
-                (best_pc, lo, interrupt)
-            }
-        };
-
-    let min_prob_estimate = success.min_covered_prob().unwrap_or(0.0);
-    Ok(McpResult {
-        clustering: success.clustering,
-        assign_probs: success.assign_probs,
-        min_prob_estimate,
-        final_q,
-        guesses,
-        samples_used: oracle.num_samples(),
-        row_cache: oracle.cache_stats(),
-        engine: oracle.engine_stats(),
-        interrupt,
-    })
+    unreachable!("the descent is endless")
 }
 
 #[cfg(test)]

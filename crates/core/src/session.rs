@@ -26,6 +26,11 @@
 //! * cumulative [`SessionStats`]: worlds held, rows served per cache
 //!   tier, and per-request timings.
 //!
+//! A request runs the same solve path as the one-shot functions and
+//! [`mcp_with_oracle`](crate::mcp_with_oracle)/[`acp_with_oracle`](crate::acp_with_oracle);
+//! the session only picks the request's oracle and reports the counters
+//! and time of this request alone.
+//!
 //! ```
 //! use ugraph_graph::GraphBuilder;
 //! use ugraph_cluster::{ClusterConfig, ClusterRequest, UgraphSession};
@@ -62,11 +67,10 @@ use ugraph_sampling::{
     RowCacheStats, RunState, WorldEngine, DEPTH_UNLIMITED,
 };
 
-use crate::acp::acp_with_oracle;
 use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
+use crate::driver::solve_on;
 use crate::error::ClusterError;
-use crate::mcp::mcp_with_oracle;
 use crate::request::{ClusterRequest, Objective, SolveResult};
 
 /// Seed tags decorrelating each oracle family's sampling streams from the
@@ -360,51 +364,20 @@ impl<'g> UgraphSession<'g> {
             depths: request.resolved_depths(&self.config),
         };
         let idx = self.oracle_index(key)?;
-        let config = self.config.clone();
         // Every solve gets a fresh interruption state (a recorded
         // interruption is sticky for the state's lifetime), armed with the
         // merged session + request budget.
-        let run = RunState::new(config.run_budget(&request));
+        let run = RunState::new(self.config.run_budget(&request));
         let mem_before = self.budget.stats();
         let oracle = &mut self.oracles[idx].1;
         let cache_before = oracle.cache_stats();
         let engine_before = oracle.engine_stats();
         oracle.begin_request();
         oracle.set_run_state(run);
-        let result = match request.objective() {
-            Objective::MinProb => {
-                let r = mcp_with_oracle(oracle.as_mut(), request.k(), &config)?;
-                SolveResult {
-                    request,
-                    clustering: r.clustering,
-                    assign_probs: r.assign_probs,
-                    objective_estimate: r.min_prob_estimate,
-                    final_q: r.final_q,
-                    guesses: r.guesses,
-                    samples_used: r.samples_used,
-                    row_cache: r.row_cache.since(cache_before),
-                    engine: r.engine.since(engine_before),
-                    elapsed: t0.elapsed(),
-                    interrupt: r.interrupt,
-                }
-            }
-            Objective::AvgProb => {
-                let r = acp_with_oracle(oracle.as_mut(), request.k(), &config)?;
-                SolveResult {
-                    request,
-                    clustering: r.clustering,
-                    assign_probs: r.assign_probs,
-                    objective_estimate: r.avg_prob_estimate,
-                    final_q: r.final_q,
-                    guesses: r.guesses,
-                    samples_used: r.samples_used,
-                    row_cache: r.row_cache.since(cache_before),
-                    engine: r.engine.since(engine_before),
-                    elapsed: t0.elapsed(),
-                    interrupt: r.interrupt,
-                }
-            }
-        };
+        let mut result = solve_on(oracle.as_mut(), request, &self.config)?;
+        result.row_cache = result.row_cache.since(cache_before);
+        result.engine = result.engine.since(engine_before);
+        result.elapsed = t0.elapsed();
         self.solve_time += result.elapsed;
         self.per_request.push(RequestRecord {
             label,
