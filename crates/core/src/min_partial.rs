@@ -84,7 +84,8 @@ pub struct MinPartialWorkspace {
     sel_rows: Vec<f64>,
     /// Batched cover-radius rows, candidate-major.
     cov_rows: Vec<f64>,
-    /// Cover row of the best candidate found so far this iteration.
+    /// Cover row of the best candidate found so far this iteration (of
+    /// the fill-up center, in lines 10–11).
     best_cov: Vec<f64>,
     /// Candidate ids of the current batch.
     batch: Vec<NodeId>,
@@ -113,6 +114,22 @@ impl MinPartialWorkspace {
         self.covered.resize(n, false);
         self.best_cov.clear();
         self.best_cov.resize(n, 0.0);
+    }
+
+    /// Adds `c` as center number `ci`, whose cover row is `best_cov`, and
+    /// updates line 12's assignment `c(u, S) = argmax_c p̃(c, u)`. Centers
+    /// stay pinned to themselves.
+    fn add_center(&mut self, c: u32, ci: u32) {
+        self.is_center[c as usize] = true;
+        self.covered[c as usize] = true;
+        for (u, &p) in self.best_cov.iter().enumerate() {
+            if !self.is_center[u] && p > self.best_prob[u] {
+                self.best_prob[u] = p;
+                self.best_center[u] = ci;
+            }
+        }
+        self.best_prob[c as usize] = 1.0;
+        self.best_center[c as usize] = ci;
     }
 }
 
@@ -226,24 +243,8 @@ pub fn min_partial_with<O: Oracle + ?Sized>(
         }
         let (_, chosen) =
             best.unwrap_or_else(|| unreachable!("candidate set cannot be empty here"));
-        let ci = centers.len() as u32;
+        ws.add_center(chosen, centers.len() as u32);
         centers.push(NodeId(chosen));
-        ws.is_center[chosen as usize] = true;
-        ws.covered[chosen as usize] = true;
-
-        // Line 12 bookkeeping: c(u, S) = argmax_c p̃(c, u). Centers stay
-        // pinned to themselves.
-        for u in 0..n {
-            if ws.is_center[u] {
-                continue;
-            }
-            if ws.best_cov[u] > ws.best_prob[u] {
-                ws.best_prob[u] = ws.best_cov[u];
-                ws.best_center[u] = ci;
-            }
-        }
-        ws.best_prob[chosen as usize] = 1.0;
-        ws.best_center[chosen as usize] = ci;
 
         // Line 8: remove from V' everything now covered by the new center.
         let (best_cov, covered) = (&ws.best_cov, &mut ws.covered);
@@ -260,31 +261,14 @@ pub fn min_partial_with<O: Oracle + ?Sized>(
     // Lines 10-11: top up with arbitrary non-center nodes when fewer than k
     // centers were selected (V' ran out early). Their cover rows are still
     // computed so the final assignment honors c(u, S) over all of S.
-    if centers.len() < params.k {
-        ws.cov_rows.resize(n, 0.0);
-        for u in 0..n as u32 {
-            if centers.len() == params.k {
-                break;
-            }
-            if ws.is_center[u as usize] {
-                continue;
-            }
-            let ci = centers.len() as u32;
+    for u in 0..n as u32 {
+        if centers.len() == params.k {
+            break;
+        }
+        if !ws.is_center[u as usize] {
+            oracle.center_probs(NodeId(u), &mut [], &mut ws.best_cov)?;
+            ws.add_center(u, centers.len() as u32);
             centers.push(NodeId(u));
-            ws.is_center[u as usize] = true;
-            ws.covered[u as usize] = true;
-            oracle.center_probs(NodeId(u), &mut [], &mut ws.cov_rows)?;
-            for w in 0..n {
-                if ws.is_center[w] {
-                    continue;
-                }
-                if ws.cov_rows[w] > ws.best_prob[w] {
-                    ws.best_prob[w] = ws.cov_rows[w];
-                    ws.best_center[w] = ci;
-                }
-            }
-            ws.best_prob[u as usize] = 1.0;
-            ws.best_center[u as usize] = ci;
         }
     }
 
