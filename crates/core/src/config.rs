@@ -57,8 +57,9 @@ pub enum DegradeMode {
 ///
 /// Defaults follow the paper's experimental setup (§5): `γ = 0.1`,
 /// `p_L = 10⁻⁴`, `α = 1`, progressive sampling starting at 50 samples,
-/// accelerated guessing with binary-search refinement.
-#[derive(Clone, Debug)]
+/// accelerated guessing with binary-search refinement. Cancellation tokens
+/// compare by clone identity.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Guess-schedule parameter `γ > 0` (time/quality trade-off).
     pub gamma: f64,
@@ -126,33 +127,6 @@ pub struct ClusterConfig {
     /// What an interrupted solve returns (default
     /// [`DegradeMode::Fail`]: a typed error).
     pub degrade: DegradeMode,
-}
-
-impl PartialEq for ClusterConfig {
-    /// Cancellation tokens compare by clone identity
-    /// ([`CancelToken::same_token`]); everything else structurally.
-    fn eq(&self, other: &Self) -> bool {
-        self.gamma == other.gamma
-            && self.p_l == other.p_l
-            && self.epsilon == other.epsilon
-            && self.alpha == other.alpha
-            && self.seed == other.seed
-            && self.threads == other.threads
-            && self.schedule == other.schedule
-            && self.guess == other.guess
-            && self.acp_invocation == other.acp_invocation
-            && self.engine == other.engine
-            && self.row_cache == other.row_cache
-            && self.shared_pool == other.shared_pool
-            && self.memory_budget == other.memory_budget
-            && self.timeout == other.timeout
-            && self.degrade == other.degrade
-            && match (&self.cancel_token, &other.cancel_token) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.same_token(b),
-                _ => false,
-            }
-    }
 }
 
 impl Default for ClusterConfig {

@@ -62,8 +62,9 @@ enum DepthSpec {
 /// ([`ClusterRequest::with_deadline`]) and/or a cancellation token
 /// ([`ClusterRequest::with_cancel_token`]) — composing with any
 /// session-level budget on the [`ClusterConfig`]: the tighter deadline
-/// wins and every token is honored.
-#[derive(Clone, Debug)]
+/// wins and every token is honored. Requests compare tokens by clone
+/// identity.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterRequest {
     objective: Objective,
     k: usize,
@@ -71,24 +72,6 @@ pub struct ClusterRequest {
     deadline: Option<Duration>,
     cancel: Option<CancelToken>,
 }
-
-impl PartialEq for ClusterRequest {
-    /// Cancellation tokens compare by clone identity
-    /// ([`CancelToken::same_token`]); everything else structurally.
-    fn eq(&self, other: &Self) -> bool {
-        self.objective == other.objective
-            && self.k == other.k
-            && self.depth == other.depth
-            && self.deadline == other.deadline
-            && match (&self.cancel, &other.cancel) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.same_token(b),
-                _ => false,
-            }
-    }
-}
-
-impl Eq for ClusterRequest {}
 
 impl ClusterRequest {
     /// MCP with unlimited path length: maximize the minimum connection

@@ -108,12 +108,16 @@ impl CancelToken {
         }
         self.is_cancelled()
     }
+}
 
-    /// Whether two tokens share the same flag (clone identity).
-    pub fn same_token(&self, other: &CancelToken) -> bool {
+impl PartialEq for CancelToken {
+    /// Tokens are equal when they share one flag (clone identity).
+    fn eq(&self, other: &CancelToken) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
+
+impl Eq for CancelToken {}
 
 /// The interruption sources of one run: an optional wall-clock deadline
 /// plus any number of [`CancelToken`]s (session-level and request-level
@@ -265,8 +269,8 @@ mod tests {
         assert!(!b.is_cancelled());
         a.cancel();
         assert!(b.is_cancelled());
-        assert!(a.same_token(&b));
-        assert!(!a.same_token(&CancelToken::new()));
+        assert!(a == b);
+        assert!(a != CancelToken::new());
     }
 
     #[test]
