@@ -14,7 +14,9 @@
 //! (wall ns, bytes held, shards evicted/regenerated per cell) to
 //! `BENCH_scaling.json` in the repository root, so the budget/time
 //! trade-off accumulates across PRs. Set `BENCH_SMOKE=1` for a fast CI
-//! smoke run (equality gates on, small sizes).
+//! smoke run (equality gates on, small sizes); it writes
+//! `BENCH_scaling.smoke.json` instead, leaving the committed full-tier
+//! results alone.
 
 use std::time::Instant;
 
@@ -131,7 +133,11 @@ fn write_scaling_json(cells: &[Cell], ks: &[usize], smoke: bool) {
         k_list.join(", "),
         rows
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
+    let path = if smoke {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.smoke.json")
+    } else {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json")
+    };
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
