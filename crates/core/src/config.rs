@@ -304,13 +304,6 @@ impl ClusterConfig {
         budget
     }
 
-    /// The relaxed threshold actually compared against estimates:
-    /// `(1 − ε/2) · q` (§4.1). With ε = 0 (exact oracles) this is `q`.
-    #[inline]
-    pub fn relaxed(&self, q: f64, oracle_epsilon: f64) -> f64 {
-        (1.0 - oracle_epsilon / 2.0) * q
-    }
-
     /// The guess thresholds below 1, in schedule order, each floored at
     /// `p_l`: `1/(1+γ)^i` for [`GuessStrategy::Geometric`] (by repeated
     /// division, as Algorithm 2 writes it) and `1 − γ·2^i` for
@@ -381,12 +374,5 @@ mod tests {
         assert_eq!(c.threads, 2);
         assert_eq!(c.guess, GuessStrategy::Geometric);
         assert_eq!(c.engine, EngineKind::BitParallel);
-    }
-
-    #[test]
-    fn relaxed_threshold() {
-        let c = ClusterConfig::default();
-        assert!((c.relaxed(0.8, 0.1) - 0.76).abs() < 1e-12);
-        assert_eq!(c.relaxed(0.8, 0.0), 0.8);
     }
 }

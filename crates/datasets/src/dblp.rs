@@ -20,7 +20,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ugraph_graph::{DedupPolicy, GraphBuilder, UncertainGraph};
+use ugraph_graph::{GraphBuilder, UncertainGraph};
 
 /// Parameters of the DBLP-like generator.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,7 +90,7 @@ pub fn dblp_like(cfg: &DblpConfig) -> UncertainGraph {
     // collaboration so sampling from the list is degree-biased
     // (preferential attachment without an explicit degree array).
     let mut community_members: Vec<Vec<u32>> = vec![Vec::new(); num_communities];
-    let mut b = GraphBuilder::with_capacity(n, n * 4).with_dedup(DedupPolicy::KeepMax);
+    let mut b = GraphBuilder::with_capacity(n, n * 4);
 
     // Geometric success probability for "extra collaborators".
     let geo_p = 1.0 / (1.0 + cfg.extra_collaborators_mean);

@@ -85,28 +85,6 @@ impl Bitset {
         self.blocks.iter().enumerate().flat_map(|(bi, &block)| BlockOnes { block, base: bi * BITS })
     }
 
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &Bitset) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn intersect_with(&mut self, other: &Bitset) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-    }
-
     /// Raw block storage (read-only), exposed so the sampler can fill whole
     /// blocks of Bernoulli draws at a time.
     #[inline]
@@ -214,36 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
-        let mut a = Bitset::with_len(100);
-        let mut b = Bitset::with_len(100);
-        a.insert(1);
-        a.insert(70);
-        b.insert(70);
-        b.insert(99);
-
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.ones().collect::<Vec<_>>(), vec![1, 70, 99]);
-
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.ones().collect::<Vec<_>>(), vec![70]);
-    }
-
-    #[test]
     #[should_panic(expected = "out of bounds")]
     fn get_out_of_bounds_panics() {
         let b = Bitset::with_len(10);
         b.get(10);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn union_length_mismatch_panics() {
-        let mut a = Bitset::with_len(10);
-        let b = Bitset::with_len(11);
-        a.union_with(&b);
     }
 
     #[test]

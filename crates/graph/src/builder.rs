@@ -6,73 +6,43 @@ use crate::error::GraphError;
 use crate::ids::NodeId;
 use crate::uncertain::UncertainGraph;
 
-/// How [`GraphBuilder::build`] resolves parallel (duplicate) edges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DedupPolicy {
-    /// Keep the maximum probability among the duplicates (default).
-    ///
-    /// This matches the common convention for PPI datasets, where repeated
-    /// observations of the same interaction are reported with independent
-    /// confidences and the most confident one is kept.
-    #[default]
-    KeepMax,
-    /// Combine duplicates as independent evidence:
-    /// `p = 1 − Π_i (1 − p_i)` — the probability that at least one of the
-    /// parallel edges exists. This is the natural semantics when parallel
-    /// edges model independent interaction channels (e.g. the DBLP
-    /// construction aggregates multiple co-authored papers this way before
-    /// probabilities are assigned).
-    NoisyOr,
-    /// Treat duplicates as a construction error.
-    Error,
-}
-
 /// Incremental builder for [`UncertainGraph`].
 ///
-/// ```
-/// use ugraph_graph::{GraphBuilder, DedupPolicy};
+/// Parallel (duplicate) edges keep the largest of their probabilities.
+/// This matches the common convention for PPI datasets, where repeated
+/// observations of the same interaction are reported with independent
+/// confidences and the most confident one is kept.
 ///
-/// let mut b = GraphBuilder::new(3).with_dedup(DedupPolicy::NoisyOr);
+/// ```
+/// use ugraph_graph::GraphBuilder;
+///
+/// let mut b = GraphBuilder::new(3);
 /// b.add_edge(0, 1, 0.5).unwrap();
-/// b.add_edge(1, 0, 0.5).unwrap(); // parallel edge, combined as 0.75
+/// b.add_edge(1, 0, 0.75).unwrap(); // parallel edge: the larger probability stays
 /// let g = b.build().unwrap();
 /// assert_eq!(g.num_edges(), 1);
-/// assert!((g.probs()[0] - 0.75).abs() < 1e-12);
+/// assert_eq!(g.probs()[0], 0.75);
 /// ```
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     num_nodes: usize,
     edges: Vec<(u32, u32, f64)>,
-    dedup: DedupPolicy,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph with `n` nodes (ids `0..n`).
     pub fn new(n: usize) -> Self {
-        GraphBuilder { num_nodes: n, edges: Vec::new(), dedup: DedupPolicy::default() }
+        GraphBuilder { num_nodes: n, edges: Vec::new() }
     }
 
     /// Creates a builder with preallocated edge capacity.
     pub fn with_capacity(n: usize, m: usize) -> Self {
-        GraphBuilder { num_nodes: n, edges: Vec::with_capacity(m), dedup: DedupPolicy::default() }
-    }
-
-    /// Sets the duplicate-edge policy (builder style).
-    pub fn with_dedup(mut self, policy: DedupPolicy) -> Self {
-        self.dedup = policy;
-        self
+        GraphBuilder { num_nodes: n, edges: Vec::with_capacity(m) }
     }
 
     /// Number of nodes declared so far.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Appends a new node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId::from_index(self.num_nodes);
-        self.num_nodes += 1;
-        id
     }
 
     /// Ensures the node set covers `0..=max_id`.
@@ -83,8 +53,8 @@ impl GraphBuilder {
     /// Adds the undirected uncertain edge `(u, v)` with probability `p`.
     ///
     /// Validation is eager: out-of-bounds endpoints, self-loops and
-    /// probabilities outside `(0, 1]` are rejected immediately. Duplicate
-    /// detection is deferred to [`GraphBuilder::build`] (policy-dependent).
+    /// probabilities outside `(0, 1]` are rejected immediately. Duplicates
+    /// are resolved by [`GraphBuilder::build`].
     pub fn add_edge(&mut self, u: u32, v: u32, p: f64) -> Result<(), GraphError> {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
@@ -102,8 +72,9 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Finalizes the graph: canonicalizes endpoints, resolves duplicates per
-    /// the configured [`DedupPolicy`], and freezes everything into CSR form.
+    /// Finalizes the graph: canonicalizes endpoints, keeps the largest
+    /// probability of each set of duplicates, and freezes everything into
+    /// CSR form.
     pub fn build(self) -> Result<UncertainGraph, GraphError> {
         if self.num_nodes > u32::MAX as usize {
             return Err(GraphError::TooLarge { what: "node count" });
@@ -114,26 +85,8 @@ impl GraphBuilder {
         // builds are deterministic regardless of hash iteration order.
         let mut resolved: HashMap<(u32, u32), f64> = HashMap::with_capacity(self.edges.len());
         for (u, v, p) in self.edges {
-            match resolved.entry((u, v)) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(p);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => match self.dedup {
-                    DedupPolicy::KeepMax => {
-                        let cur = slot.get_mut();
-                        if p > *cur {
-                            *cur = p;
-                        }
-                    }
-                    DedupPolicy::NoisyOr => {
-                        let cur = slot.get_mut();
-                        *cur = 1.0 - (1.0 - *cur) * (1.0 - p);
-                    }
-                    DedupPolicy::Error => {
-                        return Err(GraphError::DuplicateEdge { u, v });
-                    }
-                },
-            }
+            let cur = resolved.entry((u, v)).or_insert(p);
+            *cur = cur.max(p);
         }
 
         let mut edges: Vec<((u32, u32), f64)> = resolved.into_iter().collect();
@@ -185,16 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn add_node_grows() {
-        let mut b = GraphBuilder::new(0);
-        let a = b.add_node();
-        let c = b.add_node();
-        assert_eq!((a, c), (NodeId(0), NodeId(1)));
-        b.add_edge(0, 1, 0.9).unwrap();
-        assert_eq!(b.build().unwrap().num_nodes(), 2);
-    }
-
-    #[test]
     fn grow_to_never_shrinks() {
         let mut b = GraphBuilder::new(5);
         b.grow_to(3);
@@ -205,30 +148,13 @@ mod tests {
 
     #[test]
     fn dedup_keep_max() {
-        let mut b = GraphBuilder::new(2); // default policy
+        let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 0.3).unwrap();
         b.add_edge(1, 0, 0.8).unwrap();
         b.add_edge(0, 1, 0.5).unwrap();
         let g = b.build().unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.probs()[0], 0.8);
-    }
-
-    #[test]
-    fn dedup_noisy_or() {
-        let mut b = GraphBuilder::new(2).with_dedup(DedupPolicy::NoisyOr);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(0, 1, 0.5).unwrap();
-        let g = b.build().unwrap();
-        assert!((g.probs()[0] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dedup_error_policy() {
-        let mut b = GraphBuilder::new(2).with_dedup(DedupPolicy::Error);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(1, 0, 0.5).unwrap();
-        assert!(matches!(b.build(), Err(GraphError::DuplicateEdge { u: 0, v: 1 })));
     }
 
     #[test]

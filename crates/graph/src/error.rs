@@ -30,14 +30,6 @@ pub enum GraphError {
         /// Number of nodes declared on the builder.
         num_nodes: usize,
     },
-    /// A duplicate of an existing edge was added under
-    /// [`DedupPolicy::Error`](crate::DedupPolicy).
-    DuplicateEdge {
-        /// First endpoint.
-        u: u32,
-        /// Second endpoint.
-        v: u32,
-    },
     /// Graph exceeds the `u32` index space (more than `u32::MAX` nodes or
     /// edges).
     TooLarge {
@@ -66,9 +58,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::NodeOutOfBounds { node, num_nodes } => {
                 write!(f, "node {node} is out of bounds for a graph with {num_nodes} nodes")
-            }
-            GraphError::DuplicateEdge { u, v } => {
-                write!(f, "duplicate edge ({u}, {v})")
             }
             GraphError::TooLarge { what } => {
                 write!(f, "graph too large: {what} exceeds the u32 index space")
@@ -111,9 +100,6 @@ mod tests {
 
         let e = GraphError::NodeOutOfBounds { node: 9, num_nodes: 4 };
         assert!(e.to_string().contains('9'));
-
-        let e = GraphError::DuplicateEdge { u: 0, v: 1 };
-        assert!(e.to_string().contains("duplicate"));
 
         let e = GraphError::Parse { line: 12, message: "bad float".into() };
         assert!(e.to_string().contains("12"));

@@ -15,20 +15,13 @@
 
 use std::io::{BufRead, BufWriter, Write};
 
-use crate::builder::{DedupPolicy, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::uncertain::UncertainGraph;
 
-/// Reads an uncertain graph from edge-list text.
+/// Reads an uncertain graph from edge-list text. A repeated edge keeps its
+/// largest probability (see [`GraphBuilder`]).
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<UncertainGraph, GraphError> {
-    read_edge_list_with(reader, DedupPolicy::KeepMax)
-}
-
-/// Reads an uncertain graph, resolving duplicate edges per `dedup`.
-pub fn read_edge_list_with<R: BufRead>(
-    reader: R,
-    dedup: DedupPolicy,
-) -> Result<UncertainGraph, GraphError> {
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut declared_nodes: Option<usize> = None;
     let mut max_node: Option<u32> = None;
@@ -78,7 +71,7 @@ pub fn read_edge_list_with<R: BufRead>(
 
     let inferred = max_node.map_or(0, |m| m as usize + 1);
     let n = declared_nodes.map_or(inferred, |d| d.max(inferred));
-    let mut b = GraphBuilder::with_capacity(n, edges.len()).with_dedup(dedup);
+    let mut b = GraphBuilder::with_capacity(n, edges.len());
     for (u, v, p) in edges {
         b.add_edge(u, v, p)?;
     }
@@ -166,8 +159,5 @@ mod tests {
         let g = read_edge_list(text.as_bytes()).unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.probs()[0], 0.6);
-
-        let err = read_edge_list_with(text.as_bytes(), DedupPolicy::Error).unwrap_err();
-        assert!(matches!(err, GraphError::DuplicateEdge { .. }));
     }
 }

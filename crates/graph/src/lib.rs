@@ -62,11 +62,11 @@ pub mod union_find;
 pub mod view;
 
 pub use bitset::Bitset;
-pub use builder::{DedupPolicy, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use csr::Csr;
 pub use error::GraphError;
 pub use ids::{EdgeId, NodeId};
-pub use multiworld::{lane_mask, Mask, MultiWorldBfs, LANES};
+pub use multiworld::{Mask, MultiWorldBfs, LANES};
 pub use shortest_path::{dijkstra, MultiSourceDijkstra};
 pub use stats::GraphStats;
 pub use subgraph::{induced_subgraph, largest_connected_component, Subgraph};

@@ -47,22 +47,6 @@ use crate::traversal::Adjacency;
 /// carries `W * LANES` worlds).
 pub const LANES: usize = 64;
 
-/// Mask with the low `lanes` bits set — the valid lanes of a partially
-/// filled single-word block (`lanes == 64` gives the all-ones mask).
-/// The width-generic equivalent is [`Mask::prefix`].
-///
-/// # Panics
-/// Panics if `lanes > 64`.
-#[inline]
-pub fn lane_mask(lanes: usize) -> u64 {
-    assert!(lanes <= LANES, "a block holds at most {LANES} worlds, got {lanes}");
-    if lanes == LANES {
-        !0
-    } else {
-        (1u64 << lanes) - 1
-    }
-}
-
 /// A block-width lane set: `W` words of 64 lanes each, lane `l` living in
 /// bit `l % 64` of word `l / 64`.
 ///
@@ -602,20 +586,6 @@ mod tests {
         b.add_edge(1, 2, 1.0).unwrap();
         b.add_edge(2, 3, 1.0).unwrap();
         b.build().unwrap()
-    }
-
-    #[test]
-    fn lane_mask_bounds() {
-        assert_eq!(lane_mask(0), 0);
-        assert_eq!(lane_mask(1), 1);
-        assert_eq!(lane_mask(3), 0b111);
-        assert_eq!(lane_mask(64), !0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64")]
-    fn lane_mask_rejects_overflow() {
-        lane_mask(65);
     }
 
     #[test]

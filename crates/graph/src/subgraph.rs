@@ -20,12 +20,6 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
-    /// Maps a subgraph node back to its id in the parent graph.
-    #[inline]
-    pub fn to_original(&self, local: NodeId) -> NodeId {
-        self.original[local.index()]
-    }
-
     /// Builds the inverse map: parent-graph id → local id (`None` if the
     /// node was not kept). Allocates a vector of parent-graph size.
     pub fn original_to_local(&self, parent_num_nodes: usize) -> Vec<Option<NodeId>> {
@@ -128,7 +122,6 @@ mod tests {
         let g = two_components();
         let sub = induced_subgraph(&g, &[NodeId(4), NodeId(2)]); // unsorted on purpose
         assert_eq!(sub.original, vec![NodeId(2), NodeId(4)]);
-        assert_eq!(sub.to_original(NodeId(0)), NodeId(2));
         let inv = sub.original_to_local(g.num_nodes());
         assert_eq!(inv[2], Some(NodeId(0)));
         assert_eq!(inv[4], Some(NodeId(1)));

@@ -59,12 +59,6 @@ impl UncertainGraph {
         &self.probs
     }
 
-    /// Canonical endpoints `(u, v)` with `u < v` of edge `e`.
-    #[inline]
-    pub fn edge_endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.endpoints[e.index()]
-    }
-
     /// Iterator over `(edge id, u, v, p)` for every undirected edge.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId, f64)> + '_ {
         self.endpoints
@@ -96,40 +90,6 @@ impl UncertainGraph {
     #[inline]
     pub fn csr(&self) -> &Csr {
         &self.csr
-    }
-
-    /// Probability of the *most likely* possible world: `Π_e max(p(e), 1-p(e))`.
-    ///
-    /// The paper (§4) notes that `p_opt-min(k)` is at least the probability
-    /// of the most **unlikely** world, a safe lower bound `p_L`; see
-    /// [`UncertainGraph::min_world_prob`].
-    pub fn max_world_prob(&self) -> f64 {
-        self.probs.iter().map(|&p| p.max(1.0 - p)).product()
-    }
-
-    /// Probability of the most unlikely possible world: `Π_e min(p(e), 1-p(e))`.
-    ///
-    /// Usable as the theoretical lower bound `p_L` in the sampling schedules
-    /// of §4, though it underflows to 0 for all but tiny graphs — which is
-    /// why a user-set `p_L` (default `1e-4`, as in the paper's experiments)
-    /// is preferred in practice.
-    pub fn min_world_prob(&self) -> f64 {
-        self.probs.iter().map(|&p| p.min(1.0 - p)).product()
-    }
-
-    /// Number of *uncertain* edges, i.e. edges with `p(e) < 1`.
-    ///
-    /// Deterministic edges (`p = 1`) do not contribute to the exponential
-    /// blow-up of exact reliability computation; the exact oracle enumerates
-    /// `2^uncertain_edge_count` worlds.
-    pub fn uncertain_edge_count(&self) -> usize {
-        self.probs.iter().filter(|&&p| p < 1.0).count()
-    }
-
-    /// Sum of edge probabilities = expected number of edges in a random
-    /// possible world.
-    pub fn expected_edge_count(&self) -> f64 {
-        self.probs.iter().sum()
     }
 }
 
@@ -176,7 +136,6 @@ mod tests {
         let g = path3();
         let probs: Vec<f64> = g.edges().map(|(_, _, _, p)| p).collect();
         assert_eq!(probs, vec![0.5, 0.25]);
-        assert!((g.expected_edge_count() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -184,27 +143,8 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(2, 0, 0.5).unwrap(); // reversed input order
         let g = b.build().unwrap();
-        let (u, v) = g.edge_endpoints(EdgeId(0));
-        assert!(u < v);
+        let (_, u, v, _) = g.edges().next().unwrap();
         assert_eq!((u, v), (NodeId(0), NodeId(2)));
-    }
-
-    #[test]
-    fn world_probabilities() {
-        let g = path3();
-        // max world: edge probs max(p,1-p) = 0.5 * 0.75
-        assert!((g.max_world_prob() - 0.375).abs() < 1e-12);
-        // min world: 0.5 * 0.25
-        assert!((g.min_world_prob() - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uncertain_edge_count_ignores_certain_edges() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 1.0).unwrap();
-        b.add_edge(1, 2, 0.3).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.uncertain_edge_count(), 1);
     }
 
     #[test]
@@ -222,6 +162,5 @@ mod tests {
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.max_world_prob(), 1.0);
     }
 }

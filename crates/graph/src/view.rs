@@ -38,17 +38,6 @@ impl<'a> WorldView<'a> {
     pub fn graph(&self) -> &'a UncertainGraph {
         self.graph
     }
-
-    /// Whether edge `e` exists in this world.
-    #[inline]
-    pub fn has_edge(&self, e: EdgeId) -> bool {
-        self.present.get(e.index())
-    }
-
-    /// Number of edges present in this world.
-    pub fn num_present_edges(&self) -> usize {
-        self.present.count_ones()
-    }
 }
 
 impl Adjacency for WorldView<'_> {
@@ -89,7 +78,6 @@ mod tests {
         let mut present = Bitset::with_len(3);
         present.fill();
         let w = WorldView::new(&g, &present);
-        assert_eq!(w.num_present_edges(), 3);
         let (_, count) = connected_components(&w);
         assert_eq!(count, 1);
     }
@@ -99,7 +87,6 @@ mod tests {
         let g = triangle();
         let present = Bitset::with_len(3);
         let w = WorldView::new(&g, &present);
-        assert_eq!(w.num_present_edges(), 0);
         let (_, count) = connected_components(&w);
         assert_eq!(count, 3);
         let dist = bfs_distances(&w, NodeId(0));
@@ -113,8 +100,6 @@ mod tests {
         let mut present = Bitset::with_len(3);
         present.insert(0);
         let w = WorldView::new(&g, &present);
-        assert!(w.has_edge(EdgeId(0)));
-        assert!(!w.has_edge(EdgeId(1)));
         let mut nbrs = Vec::new();
         w.for_each_neighbor(NodeId(0), |v, _| nbrs.push(v.0));
         assert_eq!(nbrs, vec![1]);

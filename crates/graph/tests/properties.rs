@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use ugraph_graph::{
-    bfs_distances, connected_components, io, largest_connected_component, Bitset, DedupPolicy,
-    GraphBuilder, NodeId, UncertainGraph, UnionFind,
+    bfs_distances, connected_components, io, largest_connected_component, Bitset, GraphBuilder,
+    NodeId, UncertainGraph, UnionFind,
 };
 
 /// Strategy: a random edge list on up to `max_n` nodes.
@@ -14,8 +14,8 @@ fn edge_list(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, 
     })
 }
 
-fn build_graph(n: u32, edges: &[(u32, u32, f64)], dedup: DedupPolicy) -> UncertainGraph {
-    let mut b = GraphBuilder::new(n as usize).with_dedup(dedup);
+fn build_graph(n: u32, edges: &[(u32, u32, f64)]) -> UncertainGraph {
+    let mut b = GraphBuilder::new(n as usize);
     for &(u, v, p) in edges {
         if u != v {
             b.add_edge(u, v, p).unwrap();
@@ -28,7 +28,7 @@ proptest! {
     /// CSR degrees sum to 2m and adjacency is symmetric.
     #[test]
     fn csr_degree_sum_and_symmetry((n, edges) in edge_list(40, 120)) {
-        let g = build_graph(n, &edges, DedupPolicy::KeepMax);
+        let g = build_graph(n, &edges);
         let degree_sum: usize = g.nodes().map(|u| g.degree(u)).sum();
         prop_assert_eq!(degree_sum, 2 * g.num_edges());
         for u in g.nodes() {
@@ -41,31 +41,17 @@ proptest! {
     /// Every edge's endpoints are canonical and probabilities valid.
     #[test]
     fn edges_are_canonical((n, edges) in edge_list(40, 120)) {
-        let g = build_graph(n, &edges, DedupPolicy::KeepMax);
+        let g = build_graph(n, &edges);
         for (_, u, v, p) in g.edges() {
             prop_assert!(u < v);
             prop_assert!(p > 0.0 && p <= 1.0);
         }
     }
 
-    /// NoisyOr dedup never yields a probability below the max duplicate,
-    /// and never above 1.
-    #[test]
-    fn noisy_or_dominates_keep_max((n, edges) in edge_list(20, 60)) {
-        let g_max = build_graph(n, &edges, DedupPolicy::KeepMax);
-        let g_or = build_graph(n, &edges, DedupPolicy::NoisyOr);
-        prop_assert_eq!(g_max.num_edges(), g_or.num_edges());
-        for (e1, e2) in g_max.edges().zip(g_or.edges()) {
-            prop_assert_eq!((e1.1, e1.2), (e2.1, e2.2));
-            prop_assert!(e2.3 >= e1.3 - 1e-15);
-            prop_assert!(e2.3 <= 1.0);
-        }
-    }
-
     /// Union-find agrees with BFS-computed components on the full topology.
     #[test]
     fn union_find_matches_bfs_components((n, edges) in edge_list(40, 120)) {
-        let g = build_graph(n, &edges, DedupPolicy::KeepMax);
+        let g = build_graph(n, &edges);
         let (labels, count) = connected_components(&g);
         let mut uf = UnionFind::new(g.num_nodes());
         for (_, u, v, _) in g.edges() {
@@ -80,7 +66,7 @@ proptest! {
     /// BFS distance 1 exactly for neighbors, 0 exactly for the source.
     #[test]
     fn bfs_distance_sanity((n, edges) in edge_list(30, 90)) {
-        let g = build_graph(n, &edges, DedupPolicy::KeepMax);
+        let g = build_graph(n, &edges);
         if g.num_nodes() == 0 { return Ok(()); }
         let src = NodeId(0);
         let dist = bfs_distances(&g, src);
@@ -102,7 +88,7 @@ proptest! {
     /// The LCC is connected and at least as large as any other component.
     #[test]
     fn lcc_is_connected_and_maximal((n, edges) in edge_list(40, 80)) {
-        let g = build_graph(n, &edges, DedupPolicy::KeepMax);
+        let g = build_graph(n, &edges);
         let lcc = largest_connected_component(&g);
         if lcc.graph.num_nodes() > 0 {
             let (_, count) = connected_components(&lcc.graph);
@@ -118,7 +104,7 @@ proptest! {
     /// Edge-list round trip preserves the graph exactly.
     #[test]
     fn io_roundtrip((n, edges) in edge_list(40, 120)) {
-        let g = build_graph(n, &edges, DedupPolicy::KeepMax);
+        let g = build_graph(n, &edges);
         let mut buf = Vec::new();
         io::write_edge_list(&g, &mut buf).unwrap();
         let g2 = io::read_edge_list(buf.as_slice()).unwrap();

@@ -80,8 +80,7 @@ pub mod prelude {
     };
     pub use ugraph_datasets::{DatasetSpec, GeneratedDataset, ProbDistribution};
     pub use ugraph_graph::{
-        largest_connected_component, DedupPolicy, EdgeId, GraphBuilder, GraphError, NodeId,
-        UncertainGraph,
+        largest_connected_component, EdgeId, GraphBuilder, GraphError, NodeId, UncertainGraph,
     };
     pub use ugraph_metrics::{avpr, clustering_quality, confusion};
     pub use ugraph_sampling::{BitParallelPool, ExactOracle, SampleSchedule, WorldEngine};
