@@ -84,8 +84,8 @@ pub struct MinPartialWorkspace {
     sel_rows: Vec<f64>,
     /// Batched cover-radius rows, candidate-major.
     cov_rows: Vec<f64>,
-    /// Cover row of the best candidate found so far this iteration (of
-    /// the fill-up center, in lines 10–11).
+    /// Cover row of the best candidate found so far this iteration; in the
+    /// lines 10–11 fill-up, the row of the center being added.
     best_cov: Vec<f64>,
     /// Candidate ids of the current batch.
     batch: Vec<NodeId>,
