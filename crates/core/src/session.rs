@@ -377,6 +377,7 @@ impl<'g> UgraphSession<'g> {
         let mut result = solve_on(oracle.as_mut(), request, &self.config)?;
         result.row_cache = result.row_cache.since(cache_before);
         result.engine = result.engine.since(engine_before);
+        // The session's clock also covers building the request's oracle.
         result.elapsed = t0.elapsed();
         self.solve_time += result.elapsed;
         self.per_request.push(RequestRecord {
