@@ -10,6 +10,7 @@ use ugraph_cluster::{
     acp, acp_depth, mcp, mcp_depth, AcpInvocation, CancelToken, ClusterConfig, ClusterError,
     ClusterRequest, DegradeMode, EngineKind, GuessStrategy, SolveResult, UgraphSession,
 };
+use ugraph_datasets::DatasetSpec;
 use ugraph_graph::{GraphBuilder, UncertainGraph};
 
 /// Two strong triangles bridged by a mid-probability edge, plus a tail —
@@ -65,6 +66,20 @@ impl Digest {
     /// Folds every field of `s` that the estimates or the oracle's engine
     /// and cache traffic can change (wall time excluded).
     fn result(&mut self, s: &SolveResult) {
+        self.answer(s);
+        for x in [s.row_cache.hits, s.row_cache.topups, s.row_cache.fulls] {
+            self.word(x as u64);
+        }
+        let e = s.engine;
+        for x in [e.finalized_blocks, e.finalized_lanes, e.label_queries, e.mask_queries] {
+            self.word(x as u64);
+        }
+    }
+
+    /// Folds the answer of `s`: the clustering, its probabilities and
+    /// objective, and the guess trace, but none of the engine, cache or
+    /// ledger counters that a memory budget shapes.
+    fn answer(&mut self, s: &SolveResult) {
         let c = &s.clustering;
         self.word(c.num_clusters() as u64);
         for center in c.centers() {
@@ -81,13 +96,6 @@ impl Digest {
         self.word(s.final_q.to_bits());
         self.word(s.guesses as u64);
         self.word(s.samples_used as u64);
-        for x in [s.row_cache.hits, s.row_cache.topups, s.row_cache.fulls] {
-            self.word(x as u64);
-        }
-        let e = s.engine;
-        for x in [e.finalized_blocks, e.finalized_lanes, e.label_queries, e.mask_queries] {
-            self.word(x as u64);
-        }
     }
 
     fn text(&mut self, s: &str) {
@@ -275,6 +283,59 @@ fn adaptive_sessions_agree_with_pure_mask_sessions() {
     assert!(stats.engine.finalized_blocks > 0, "no finalization happened: {stats}");
     assert!(stats.engine.label_queries > 0, "{stats}");
     assert!(stats.engine.finalized_lanes <= stats.worlds_held, "relabeling detected: {stats}");
+}
+
+/// Byte limits of `budgeted_sessions_answer_like_the_unbounded_one`. Its
+/// unbounded session ends holding about 4.6 MB of edge masks, 1 MB of
+/// cached rows and 17 MB of component labels.
+const BUDGET_LIMITS: [Option<usize>; 4] = [
+    None,
+    // Every label stays resident.
+    Some(64 << 20),
+    // The masks and rows fit, the labels do not.
+    Some(8 << 20),
+    // Below the masks: shards are evicted and regenerated.
+    Some(1 << 20),
+];
+
+/// Digest of each session's answers in
+/// `budgeted_sessions_answer_like_the_unbounded_one`.
+const BUDGET_DIGEST: u64 = 0xbade_4c1e_0566_6588;
+
+/// A memory budget decides only what a session keeps resident, never what
+/// it answers: on a 2 000-node sparse graph spanning several blocks, a
+/// session at each of [`BUDGET_LIMITS`] serves MCP and ACP at two values of
+/// k, unlimited and at depth 2, with the same answers (engine, cache and
+/// ledger counters excluded).
+#[test]
+fn budgeted_sessions_answer_like_the_unbounded_one() {
+    let g = DatasetSpec::LargeSparse { nodes: 2_000 }.generate(31).graph;
+    for limit in BUDGET_LIMITS {
+        let mut cfg = ClusterConfig::default().with_seed(5).with_threads(1);
+        if let Some(bytes) = limit {
+            cfg = cfg.with_memory_budget(bytes);
+        }
+        let mut session = UgraphSession::new(&g, cfg).unwrap();
+        let mut digest = Digest::new();
+        for k in [2, 4] {
+            for rq in [
+                ClusterRequest::mcp(k),
+                ClusterRequest::acp(k),
+                ClusterRequest::mcp_depth(k, 2),
+                ClusterRequest::acp_depth(k, 2),
+            ] {
+                match session.solve(rq) {
+                    Ok(s) => digest.answer(&s),
+                    Err(e) => digest.text(&e.to_string()),
+                }
+            }
+        }
+        let stats = session.stats();
+        if let Some(bytes) = limit {
+            assert!(stats.bytes_held <= bytes, "limit {bytes}: {stats}");
+        }
+        assert_eq!(digest.0, BUDGET_DIGEST, "limit {limit:?}: answers differ ({stats})");
+    }
 }
 
 /// Ten nodes in two components: a 6-path, which no single center covers
