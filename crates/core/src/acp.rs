@@ -17,9 +17,7 @@
 //! re-running the same threshold after improvements; since each threshold
 //! is deterministic given the seed, re-running cannot change the outcome
 //! here, so every threshold is evaluated exactly once (the authors'
-//! `q_i = max{1 − γ·2^i, p_L}` schedule does the same). The exception is
-//! `p_L = 1`: the descent's first threshold is floored back to 1, so
-//! `q = 1` runs twice, the second time with fresh candidates.
+//! `q_i = max{1 − γ·2^i, p_L}` schedule does the same).
 //!
 //! This module writes only Algorithm 3's stop rule and its choice of
 //! clustering. Validation, the threshold descent, the guess step, the
@@ -146,8 +144,11 @@ pub(crate) fn schedule<O: Oracle + ?Sized>(g: &mut Guesser<'_, O>) -> Result<Fou
     let cover = |q: f64| if cube { q * q * q } else { q };
     let mut best = g.run(cover(1.0), alpha, 1.0)?;
     let (mut phi_best, mut best_q) = (best.phi(), 1.0f64);
+    let mut last = 1.0f64;
     for q in cfg.descent() {
-        if cover(q) < phi_best {
+        // The descent repeats p_L once it gets there, and starts there
+        // when p_L = 1: a threshold not below the last one run ends it.
+        if q >= last || cover(q) < phi_best {
             break;
         }
         let pc = match g.run(cover(q), alpha, q) {
@@ -161,9 +162,7 @@ pub(crate) fn schedule<O: Oracle + ?Sized>(g: &mut Guesser<'_, O>) -> Result<Fou
         if phi >= phi_best {
             (phi_best, best, best_q) = (phi, pc, q);
         }
-        if q <= cfg.p_l {
-            break;
-        }
+        last = q;
     }
     let (clustering, assign_probs) = best.complete();
     Ok((clustering, assign_probs, phi_best, best_q))
