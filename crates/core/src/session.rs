@@ -622,10 +622,11 @@ mod tests {
         let g = two_communities();
         let cfg = ClusterConfig::default().with_seed(9);
         let mut free = UgraphSession::new(&g, cfg.clone()).unwrap().with_eval_samples(64);
-        // A 4 KiB ceiling is far below what the solver pools want on even
-        // this tiny instance, forcing evict-and-regenerate cycles.
+        // A 512 B ceiling is below the 672 B of edge masks the three pools
+        // hold on even this tiny instance, forcing evict-and-regenerate
+        // cycles.
         let mut tight =
-            UgraphSession::new(&g, cfg.with_memory_budget(4 << 10)).unwrap().with_eval_samples(64);
+            UgraphSession::new(&g, cfg.with_memory_budget(512)).unwrap().with_eval_samples(64);
         for k in [2usize, 3] {
             let a = free.solve(ClusterRequest::mcp(k)).unwrap();
             let b = tight.solve(ClusterRequest::mcp(k)).unwrap();
@@ -641,12 +642,7 @@ mod tests {
         let stats = tight.stats();
         assert!(stats.shards_evicted > 0, "tight budget must evict: {stats}");
         assert!(stats.shards_regenerated > 0, "requeried shards must regenerate: {stats}");
-        assert!(
-            stats.bytes_held <= 4 << 10,
-            "ledger over budget at rest: {} > {}",
-            stats.bytes_held,
-            4 << 10
-        );
+        assert!(stats.bytes_held <= 512, "ledger over budget at rest: {} > 512", stats.bytes_held);
         assert!(stats.per_request.last().unwrap().memory.shards_regenerated > 0);
         let free_stats = free.stats();
         assert_eq!(free_stats.shards_evicted, 0, "unbounded session never evicts");

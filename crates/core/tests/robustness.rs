@@ -293,7 +293,7 @@ fn ring_with_chords(n: u32) -> UncertainGraph {
 #[test]
 fn shard_regen_fault_keeps_ledger_within_budget_and_recovers() {
     let g = ring_with_chords(200);
-    const BUDGET: usize = 256 << 10;
+    const BUDGET: usize = 32 << 10;
     let cfg = ClusterConfig::default()
         .with_seed(7)
         .with_threads(1)

@@ -115,9 +115,9 @@ pub struct EngineStats {
     /// Unlimited block-queries served from finalized labels.
     pub label_queries: usize,
     /// Unlimited block-queries served by mask BFS: batch blocks the cost
-    /// model sent to the sharing sweep, and every block of an evaluation
-    /// sweep. Rows (and pairs, which read a row) finalize every block they
-    /// touch, so they never count here.
+    /// model sent to the sharing sweep, every block of an evaluation
+    /// sweep, and the blocks a row (or a pair, which reads a row) left
+    /// unlabelled because the memory budget could not keep their labels.
     pub mask_queries: usize,
 }
 

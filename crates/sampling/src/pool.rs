@@ -356,6 +356,11 @@ impl<const W: usize> MaskBlock<W> {
             + self.labels.as_ref().map_or(0, BlockLabelsAny::heap_bytes)
     }
 
+    /// Whether labels cover every lane of the block.
+    fn fully_labeled(&self) -> bool {
+        self.labels.as_ref().is_some_and(|l| l.labeled() == self.lanes)
+    }
+
     /// The block's labels, for lanes that [`MaskBlock::split_lanes`] (or a
     /// plan built from it) serves from them.
     fn labels(&self) -> &BlockLabelsAny {
@@ -649,6 +654,8 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// [`EngineStats`]. Fresh blocks are labeled in parallel when the
     /// batch is worth it; a partially labeled block (the grown trailing
     /// block) extends **append-only** — labeled lanes are never recomputed.
+    /// When [`BitParallelPool::budget_admits_labels`] declines, nothing is
+    /// labeled and the blocks lacking labels count as mask queries.
     fn prepare_unlimited(&mut self, lo: usize, hi: usize) {
         if !self.adaptive || lo >= hi || self.run.checkpoint(SamplingPhase::Labeling) {
             return;
@@ -660,13 +667,16 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         let bps = blocks_per_shard::<W>();
         let blocks = lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES;
-        self.stats.label_queries += blocks.clone().count();
-        let todo: Vec<usize> = blocks
-            .filter(|&b| {
-                let block = shard_block(&self.shards, b);
-                block.labels.as_ref().map_or(0, BlockLabelsAny::labeled) < block.lanes
-            })
-            .collect();
+        let window = blocks.clone().count();
+        let todo: Vec<usize> =
+            blocks.filter(|&b| !shard_block(&self.shards, b).fully_labeled()).collect();
+        if !todo.is_empty() && !self.budget_admits_labels() {
+            // The sweep serves the unlabelled lanes by mask BFS.
+            self.stats.label_queries += window - todo.len();
+            self.stats.mask_queries += todo.len();
+            return;
+        }
+        self.stats.label_queries += window;
         if todo.is_empty() {
             return;
         }
@@ -711,6 +721,26 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         for s in shard_span(lo, hi) {
             self.settle_shard(s);
         }
+    }
+
+    /// The labelling rule of unlimited rows: labels are built only if the
+    /// labels still missing from the whole pool, resident or evicted, fit
+    /// the ledger beside what it already holds. Each block lacking labels
+    /// counts at the most a fully labelled block can hold: a label and a
+    /// membership entry per node and lane, one CSR offset per node and
+    /// lane, and the lane offsets. Otherwise rows sweep those blocks as
+    /// masks, so a tight budget keeps masks resident instead of evicting
+    /// them for labels it cannot keep. Never inlined: it runs only when a
+    /// window lacks labels.
+    #[inline(never)]
+    fn budget_admits_labels(&self) -> bool {
+        let labelled =
+            self.shards.iter().flat_map(|shard| &shard.blocks).filter(|b| b.fully_labeled());
+        let missing = self.num_blocks() - labelled.count();
+        let width = if self.wide { 4 } else { 2 };
+        let n = self.graph().num_nodes();
+        let per_block = n * Self::BLOCK_LANES * (2 * width + 4) + 4 * (Self::BLOCK_LANES + 2);
+        !self.budget.would_exceed(missing.saturating_mul(per_block))
     }
 
     /// Labels block `b`'s unlabeled lanes on the pool's workspace —

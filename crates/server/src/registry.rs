@@ -546,8 +546,8 @@ mod tests {
         let ref_a = free.acquire(&call("a")).unwrap().solve(ClusterRequest::mcp(2)).unwrap();
         let ref_b = free.acquire(&call("b")).unwrap().solve(ClusterRequest::mcp(2)).unwrap();
 
-        // A global budget far below two sessions' combined footprint.
-        let tight = registry(Some(6 << 10));
+        // A global budget below one session's 224 B of edge masks.
+        let tight = registry(Some(160));
         let a1 = tight.acquire(&call("a")).unwrap().solve(ClusterRequest::mcp(2)).unwrap();
         assert!(tight.global_stats().bytes_held > 0);
         // Leasing the second graph must make headroom by evicting the
@@ -570,16 +570,17 @@ mod tests {
             assert_eq!(got.assign_probs, want.assign_probs);
         }
         // The ledger respects the ceiling at rest.
-        assert!(tight.global_stats().bytes_held <= 6 << 10);
+        assert!(tight.global_stats().bytes_held <= 160);
     }
 
     #[test]
     fn active_sessions_are_never_evicted() {
         // At rest a session trims its pools to the ceiling, so only a
-        // session at work holds the ledger over it: "a"'s pools keep about
-        // 4.6 KiB of a 6 KiB budget, and a working-set charge on its ledger
-        // stands in for the shards an in-flight query regenerates.
-        let limit = 6 << 10;
+        // session at work holds the ledger over it: "a" keeps 96 B of
+        // cached rows of a 160 B budget, below its 224 B of edge masks, and
+        // a working-set charge on its ledger stands in for the shards an
+        // in-flight query regenerates.
+        let limit = 160;
         let r = registry(Some(limit));
         let lease_a = r.acquire(&call("a")).unwrap();
         lease_a.solve(ClusterRequest::mcp(2)).unwrap();
