@@ -279,8 +279,8 @@ fn trace_graph() -> UncertainGraph {
 /// bounded ledger (so the LRU order across the two pools counts) through
 /// growth to 2.5 shards, mid-shard ranged row, batch, pair and depth
 /// queries, growth past an evicted trailing shard, and rebinding to a
-/// tighter ledger. A pair reads its first node's row, so on the adaptive
-/// pool it labels the blocks of its window as a row query does. The
+/// tighter ledger. Neither ledger can hold the adaptive pool's labels, so
+/// its rows and pairs sweep masks, as the pure-mask pool's do. The
 /// pools' `memory_stats()` and `engine_stats()` and every ledger's
 /// `stats()` are folded into one FNV-1a digest after every step.
 #[test]
@@ -338,5 +338,5 @@ fn bitparallel_ledger_trace_is_pinned() {
     trace.step(pools!(), &ledgers);
     step!(|e| e.pair_count_range(NodeId(2), NodeId(6), 1000, 3 * SHARD_WORLDS));
     step!(|e| e.counts_from_centers_range(&centers, 0, 3 * SHARD_WORLDS + 300, &mut rows));
-    assert_eq!(trace.0, 0x6d19_c1c2_74ed_ffd5, "bit-parallel ledger trace changed");
+    assert_eq!(trace.0, 0x6816_49bd_a46f_ce66, "bit-parallel ledger trace changed");
 }
