@@ -118,30 +118,31 @@ impl Digest {
     }
 }
 
+/// A memory limit that holds the edge masks and rows of these tests'
+/// small graphs but no block label, so sessions under it answer every row
+/// from masks.
+const NO_LABELS: Option<usize> = Some(8 << 10);
+
 /// Digest of every session result of
-/// `interleaved_request_shapes_match_one_shot_on_both_engines`, per engine.
-/// Each pins that engine's answers and engine/cache traffic with the row
+/// `interleaved_request_shapes_match_one_shot_on_both_engines`, per memory
+/// limit. Each pins the answers and engine/cache traffic with the row
 /// cache on and off, across unlimited, `d_select = d_cover` and
-/// `d_select < d_cover` oracles. Recorded while a third, scalar engine
-/// still existed (its entry shared the pure-mask digest), and unchanged
-/// by its removal.
-const ENGINE_DIGESTS: [(EngineKind, u64); 2] = [
-    (EngineKind::BitParallel, 0x48c3_05d4_6bc4_db25),
-    (EngineKind::Adaptive, 0x1ccc_79d4_2f7f_15f1),
-];
+/// `d_select < d_cover` oracles, of a session that labels blocks
+/// (unbounded) and of one whose limit declines every label.
+const ENGINE_DIGESTS: [(Option<usize>, u64); 2] =
+    [(NO_LABELS, 0xa975_224b_9ccf_b7b1), (None, 0x1ccc_79d4_2f7f_15f1)];
 
 #[test]
 fn interleaved_request_shapes_match_one_shot_on_both_engines() {
     let g = communities_with_tail();
-    for (engine, engine_digest) in ENGINE_DIGESTS {
+    for (memory_budget, engine_digest) in ENGINE_DIGESTS {
         let mut digest = Digest::new();
         for row_cache in [true, false] {
-            let cfg = ClusterConfig::default()
+            let cfg = ClusterConfig { memory_budget, ..ClusterConfig::default() }
                 .with_seed(42)
-                .with_engine(engine)
                 .with_row_cache(row_cache);
             let mut session = UgraphSession::new(&g, cfg.clone()).unwrap();
-            let tag = format!("{engine:?} cache={row_cache}");
+            let tag = format!("limit {memory_budget:?} cache={row_cache}");
 
             // mcp → acp → mcp_depth → mcp (again, warm) on ONE session.
             let s1 = session.solve(ClusterRequest::mcp(2)).unwrap();
@@ -184,12 +185,14 @@ fn interleaved_request_shapes_match_one_shot_on_both_engines() {
             assert_eq!(s6.samples_used, cold.samples_used, "{tag} acp(1, 3): samples differ");
 
             for s in [&s1, &s2, &s3, &s4, &s5, &s6] {
+                let labelled = s.engine.finalized_lanes > 0;
+                assert!(!labelled || memory_budget.is_none(), "{tag}: labelled under the limit");
                 digest.result(s);
             }
         }
         assert_eq!(
             digest.0, engine_digest,
-            "{engine:?}: session results differ from the recorded digest"
+            "limit {memory_budget:?}: session results differ from the recorded digest"
         );
     }
 }
