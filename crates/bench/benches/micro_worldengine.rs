@@ -21,9 +21,7 @@ use ugraph_cluster::{
 };
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::{NodeId, UncertainGraph};
-use ugraph_sampling::{
-    BitParallelPool, EngineKind, McOracle, Oracle, WorldEngine, DEPTH_UNLIMITED,
-};
+use ugraph_sampling::{BitParallelPool, McOracle, Oracle, WorldEngine};
 
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0")
@@ -409,60 +407,57 @@ fn measure_replay(graph: &UncertainGraph, smoke: bool) -> Vec<Replay> {
         .with_acp_invocation(AcpInvocation::Theory)
         .with_p_l(p_l)
         .with_threads(1);
-    let oracle = |kind: EngineKind| {
-        let d = DEPTH_UNLIMITED;
-        McOracle::with_engine(graph, 99, 1, cfg.schedule, cfg.epsilon, d, d, kind)
-            .expect("unlimited depths are valid")
+    let oracle = |adaptive: bool| {
+        let pool = BitParallelPool::<4>::new(graph, 99, 1).with_finalization(adaptive);
+        McOracle::from_engine(Box::new(pool), cfg.schedule, cfg.epsilon)
     };
-    let run_cached = |kind: EngineKind| -> (AcpResult, u128) {
+    let run_cached = |adaptive: bool| -> (AcpResult, u128) {
         let t = Instant::now();
-        let mut oracle = oracle(kind);
+        let mut oracle = oracle(adaptive);
         let r = acp_with_oracle(&mut oracle, k, &cfg).expect("acp (cached)");
         (r, t.elapsed().as_nanos())
     };
-    let run_per_row = |kind: EngineKind| -> (AcpResult, u128) {
+    let run_per_row = |adaptive: bool| -> (AcpResult, u128) {
         let t = Instant::now();
-        let mut oracle = PerRowOracle(oracle(kind).with_row_cache(false));
+        let mut oracle = PerRowOracle(oracle(adaptive).with_row_cache(false));
         let r = acp_with_oracle(&mut oracle, k, &cfg).expect("acp (per-row)");
         (r, t.elapsed().as_nanos())
     };
     let mut out = Vec::new();
     let mut reference: Option<AcpResult> = None;
-    for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
+    for (name, adaptive) in [("bitparallel", false), ("adaptive", true)] {
         let mut cached_ns = u128::MAX;
         let mut per_row_ns = u128::MAX;
         for _ in 0..reps {
-            let (cached, t_cached) = run_cached(kind);
-            let (plain, t_plain) = run_per_row(kind);
+            let (cached, t_cached) = run_cached(adaptive);
+            let (plain, t_plain) = run_per_row(adaptive);
             // Equality gate: the batched + cached schedule must reproduce
             // the pre-PR results bit for bit.
             assert_eq!(
-                cached.clustering,
-                plain.clustering,
+                cached.clustering, plain.clustering,
                 "{} replay: cached clustering differs",
-                kind.name()
+                name
             );
             assert_eq!(
-                cached.assign_probs,
-                plain.assign_probs,
+                cached.assign_probs, plain.assign_probs,
                 "{} replay: cached assignment probabilities differ",
-                kind.name()
+                name
             );
             assert_eq!(cached.guesses, plain.guesses);
-            assert!(cached.row_cache.hits > 0, "{} replay exercised no cache hits", kind.name());
+            assert!(cached.row_cache.hits > 0, "{} replay exercised no cache hits", name);
             // Cross-engine gate: every backend replays the identical
             // schedule (count-identity through the whole driver).
             match &reference {
                 None => reference = Some(cached),
                 Some(r) => {
-                    assert_eq!(r.clustering, cached.clustering, "{} diverges", kind.name());
-                    assert_eq!(r.assign_probs, cached.assign_probs, "{} diverges", kind.name());
+                    assert_eq!(r.clustering, cached.clustering, "{} diverges", name);
+                    assert_eq!(r.assign_probs, cached.assign_probs, "{} diverges", name);
                 }
             }
             cached_ns = cached_ns.min(t_cached);
             per_row_ns = per_row_ns.min(t_plain);
         }
-        out.push(Replay { engine: kind.name(), per_row_ns, cached_ns });
+        out.push(Replay { engine: name, per_row_ns, cached_ns });
     }
     out
 }
@@ -498,55 +493,48 @@ impl Sweep {
 fn measure_k_sweep(graph: &UncertainGraph, smoke: bool) -> (usize, usize, Vec<Sweep>) {
     let (k_lo, k_hi) = if smoke { (2usize, 4usize) } else { (2usize, 10usize) };
     let reps = if smoke { 1 } else { 3 };
-    let mut out = Vec::new();
-    for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
-        let cfg = ClusterConfig::default().with_seed(23).with_engine(kind).with_threads(1);
-        let mut best_cold = u128::MAX;
-        let mut best_warm = u128::MAX;
-        let mut cold_worlds = 0usize;
-        let mut warm_stats = None;
-        for _ in 0..reps {
-            let t = Instant::now();
-            let cold: Vec<McpResult> =
-                (k_lo..=k_hi).map(|k| mcp(graph, k, &cfg).expect("cold mcp")).collect();
-            best_cold = best_cold.min(t.elapsed().as_nanos());
+    let cfg = ClusterConfig::default().with_seed(23).with_threads(1);
+    let mut best_cold = u128::MAX;
+    let mut best_warm = u128::MAX;
+    let mut cold_worlds = 0usize;
+    let mut warm_stats = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let cold: Vec<McpResult> =
+            (k_lo..=k_hi).map(|k| mcp(graph, k, &cfg).expect("cold mcp")).collect();
+        best_cold = best_cold.min(t.elapsed().as_nanos());
 
-            let t = Instant::now();
-            let mut session = UgraphSession::new(graph, cfg.clone()).expect("session");
-            let warm: Vec<SolveResult> = (k_lo..=k_hi)
-                .map(|k| session.solve(ClusterRequest::mcp(k)).expect("warm mcp"))
-                .collect();
-            best_warm = best_warm.min(t.elapsed().as_nanos());
+        let t = Instant::now();
+        let mut session = UgraphSession::new(graph, cfg.clone()).expect("session");
+        let warm: Vec<SolveResult> = (k_lo..=k_hi)
+            .map(|k| session.solve(ClusterRequest::mcp(k)).expect("warm mcp"))
+            .collect();
+        best_warm = best_warm.min(t.elapsed().as_nanos());
 
-            // Equality gate: a faster sweep that answers differently
-            // would be meaningless.
-            for (w, c) in warm.iter().zip(&cold) {
-                assert_eq!(w.clustering, c.clustering, "{} k-sweep diverges", kind.name());
-                assert_eq!(w.assign_probs, c.assign_probs, "{} k-sweep probs diverge", kind.name());
-                assert_eq!((w.guesses, w.samples_used), (c.guesses, c.samples_used));
-            }
-            let stats = session.stats();
-            assert!(
-                stats.row_cache.hits + stats.row_cache.topups > 0,
-                "{} warm sweep reused no rows",
-                kind.name()
-            );
-            cold_worlds = cold.iter().map(|r| r.samples_used).sum();
-            warm_stats = Some(stats);
+        // Equality gate: a faster sweep that answers differently
+        // would be meaningless.
+        for (w, c) in warm.iter().zip(&cold) {
+            assert_eq!(w.clustering, c.clustering, "k-sweep diverges");
+            assert_eq!(w.assign_probs, c.assign_probs, "k-sweep probs diverge");
+            assert_eq!((w.guesses, w.samples_used), (c.guesses, c.samples_used));
         }
-        let stats = warm_stats.expect("at least one rep");
-        out.push(Sweep {
-            engine: kind.name(),
-            cold_ns: best_cold,
-            warm_ns: best_warm,
-            cold_worlds,
-            warm_worlds: stats.worlds_held,
-            hits: stats.row_cache.hits,
-            topups: stats.row_cache.topups,
-            fulls: stats.row_cache.fulls,
-        });
+        let stats = session.stats();
+        assert!(stats.row_cache.hits + stats.row_cache.topups > 0, "warm sweep reused no rows");
+        cold_worlds = cold.iter().map(|r| r.samples_used).sum();
+        warm_stats = Some(stats);
     }
-    (k_lo, k_hi, out)
+    let stats = warm_stats.expect("at least one rep");
+    let sweep = Sweep {
+        engine: "adaptive",
+        cold_ns: best_cold,
+        warm_ns: best_warm,
+        cold_worlds,
+        warm_worlds: stats.worlds_held,
+        hits: stats.row_cache.hits,
+        topups: stats.row_cache.topups,
+        fulls: stats.row_cache.fulls,
+    };
+    (k_lo, k_hi, vec![sweep])
 }
 
 fn write_session_json(

@@ -58,7 +58,7 @@ pub struct AcpResult {
     /// (all zero for oracles without a cache).
     pub row_cache: RowCacheStats,
     /// Lazy block-finalization counters of the backing engine (all zero
-    /// unless the adaptive backend ran).
+    /// unless the pool labelled or swept blocks for unlimited queries).
     pub engine: EngineStats,
     /// `Some` iff the run was interrupted mid-schedule and completed
     /// best-effort under
@@ -85,7 +85,7 @@ impl From<SolveResult> for AcpResult {
 }
 
 /// Runs ACP on `graph` with Monte-Carlo estimation (unlimited path
-/// length), on the backend selected by `cfg.engine`.
+/// length).
 ///
 /// A thin wrapper over a single-request [`UgraphSession`] — workloads
 /// issuing many requests on one graph should hold a session instead (see
@@ -258,19 +258,19 @@ mod tests {
 
     #[test]
     fn row_cache_and_batching_do_not_change_results() {
-        use ugraph_sampling::EngineKind;
         let g = two_communities(0.2);
-        for engine in [EngineKind::Adaptive, EngineKind::BitParallel] {
+        // Unbounded, and under 4 KiB, which holds the masks but declines
+        // the labels, so every row sweeps masks.
+        for memory_budget in [None, Some(4 << 10)] {
             for inv in [AcpInvocation::Practical, AcpInvocation::Theory] {
-                let on = ClusterConfig::default()
+                let on = ClusterConfig { memory_budget, ..ClusterConfig::default() }
                     .with_seed(13)
-                    .with_engine(engine)
                     .with_acp_invocation(inv);
                 let off = on.clone().with_row_cache(false);
                 let a = acp(&g, 2, &on).unwrap();
                 let b = acp(&g, 2, &off).unwrap();
-                assert_eq!(a.clustering, b.clustering, "{engine:?} {inv:?}");
-                assert_eq!(a.assign_probs, b.assign_probs, "{engine:?} {inv:?}");
+                assert_eq!(a.clustering, b.clustering, "{memory_budget:?} {inv:?}");
+                assert_eq!(a.assign_probs, b.assign_probs, "{memory_budget:?} {inv:?}");
                 assert_eq!(a.avg_prob_estimate, b.avg_prob_estimate);
                 assert_eq!(a.guesses, b.guesses);
                 assert_eq!(a.row_cache.rows_served(), b.row_cache.rows_served());
@@ -280,7 +280,7 @@ mod tests {
                     // some rows must have been served from cache.
                     assert!(
                         a.row_cache.hits > 0,
-                        "{engine:?} Theory: expected cached rows, got {:?}",
+                        "{memory_budget:?} Theory: expected cached rows, got {:?}",
                         a.row_cache
                     );
                 }

@@ -82,12 +82,10 @@ pub struct ClusterConfig {
     pub guess: GuessStrategy,
     /// ACP invocation flavor.
     pub acp_invocation: AcpInvocation,
-    /// Monte-Carlo backend: the pure-mask bit-parallel block pool or the
-    /// default **adaptive** backend (bit-parallel plus lazy per-block
-    /// component-label finalization). Backends are count-identical for a
-    /// fixed seed, so this knob trades nothing but time; it is threaded
-    /// through `mcp`/`acp` (and their depth variants) into every
-    /// `min-partial` probability estimate.
+    /// Monte-Carlo backend: always the adaptive pool, which labels blocks
+    /// when its memory budget can keep the labels (see
+    /// [`ugraph_sampling::EngineKind`]). Kept for callers that read it.
+    #[doc(hidden)]
     pub engine: EngineKind,
     /// Mask-block width: always 256 worlds (see
     /// [`ugraph_sampling::BlockWidth`]). Kept for callers that read it.
@@ -243,12 +241,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style setter for the Monte-Carlo backend.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Builder-style setter for the oracle row cache.
     #[doc(hidden)]
     pub fn with_row_cache(mut self, row_cache: bool) -> Self {
@@ -366,13 +358,11 @@ mod tests {
             .with_seed(7)
             .with_alpha(3)
             .with_threads(2)
-            .with_guess(GuessStrategy::Geometric)
-            .with_engine(EngineKind::BitParallel);
+            .with_guess(GuessStrategy::Geometric);
         assert_eq!(c.gamma, 0.2);
         assert_eq!(c.seed, 7);
         assert_eq!(c.alpha, 3);
         assert_eq!(c.threads, 2);
         assert_eq!(c.guess, GuessStrategy::Geometric);
-        assert_eq!(c.engine, EngineKind::BitParallel);
     }
 }

@@ -47,7 +47,7 @@ pub struct McpResult {
     /// how much work the guessing schedule reused.
     pub row_cache: RowCacheStats,
     /// Lazy block-finalization counters of the backing engine (all zero
-    /// unless the adaptive backend ran).
+    /// unless the pool labelled or swept blocks for unlimited queries).
     pub engine: EngineStats,
     /// `Some` iff the run was interrupted mid-refinement and completed
     /// best-effort under
@@ -74,7 +74,7 @@ impl From<SolveResult> for McpResult {
 }
 
 /// Runs MCP on `graph` with Monte-Carlo estimation (unlimited path
-/// length), on the backend selected by `cfg.engine`.
+/// length).
 ///
 /// A thin wrapper over a single-request [`UgraphSession`] — workloads
 /// issuing many requests on one graph (k-sweeps, depth comparisons) should
@@ -285,17 +285,19 @@ mod tests {
 
     #[test]
     fn row_cache_and_batching_do_not_change_results() {
-        use ugraph_sampling::EngineKind;
         let g = two_communities(0.2);
-        for engine in [EngineKind::Adaptive, EngineKind::BitParallel] {
+        // Unbounded, and under 4 KiB, which holds the masks but declines
+        // the labels, so every row sweeps masks.
+        for memory_budget in [None, Some(4 << 10)] {
             for alpha in [1usize, 4] {
-                let on =
-                    ClusterConfig::default().with_seed(9).with_engine(engine).with_alpha(alpha);
+                let on = ClusterConfig { memory_budget, ..ClusterConfig::default() }
+                    .with_seed(9)
+                    .with_alpha(alpha);
                 let off = on.clone().with_row_cache(false);
                 let a = mcp(&g, 2, &on).unwrap();
                 let b = mcp(&g, 2, &off).unwrap();
-                assert_eq!(a.clustering, b.clustering, "{engine:?} α={alpha}");
-                assert_eq!(a.assign_probs, b.assign_probs, "{engine:?} α={alpha}");
+                assert_eq!(a.clustering, b.clustering, "{memory_budget:?} α={alpha}");
+                assert_eq!(a.assign_probs, b.assign_probs, "{memory_budget:?} α={alpha}");
                 assert_eq!(a.min_prob_estimate, b.min_prob_estimate);
                 assert_eq!((a.guesses, a.samples_used), (b.guesses, b.samples_used));
                 // The cache must actually have been exercised, and the
@@ -308,21 +310,18 @@ mod tests {
 
     #[test]
     fn depth_row_cache_does_not_change_results() {
-        use ugraph_sampling::EngineKind;
         let mut b = GraphBuilder::new(7);
         for i in 0..6 {
             b.add_edge(i, i + 1, 0.95).unwrap();
         }
         let g = b.build().unwrap();
-        for engine in [EngineKind::Adaptive, EngineKind::BitParallel] {
-            let on = ClusterConfig::default().with_seed(4).with_engine(engine);
-            let off = on.clone().with_row_cache(false);
-            let a = mcp_depth(&g, 3, 2, &on).unwrap();
-            let c = mcp_depth(&g, 3, 2, &off).unwrap();
-            assert_eq!(a.clustering, c.clustering, "{engine:?}");
-            assert_eq!(a.assign_probs, c.assign_probs, "{engine:?}");
-            assert_eq!((c.row_cache.hits, c.row_cache.topups), (0, 0));
-        }
+        let on = ClusterConfig::default().with_seed(4);
+        let off = on.clone().with_row_cache(false);
+        let a = mcp_depth(&g, 3, 2, &on).unwrap();
+        let c = mcp_depth(&g, 3, 2, &off).unwrap();
+        assert_eq!(a.clustering, c.clustering);
+        assert_eq!(a.assign_probs, c.assign_probs);
+        assert_eq!((c.row_cache.hits, c.row_cache.topups), (0, 0));
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!
 //! It is also **backend-agnostic**: every probability row consumed here
 //! comes through the [`Oracle`] trait, whose Monte-Carlo implementation
-//! sits on the `WorldEngine` seam — the drivers thread
-//! [`ClusterConfig::engine`](crate::ClusterConfig) (pure-mask or adaptive)
-//! into the oracles they construct, and `min-partial` sees identical
-//! estimates either way.
+//! sits on the `WorldEngine` seam — whether the pool answers a row from
+//! cached labels or from edge masks, `min-partial` sees identical
+//! estimates.
 
 use rand::rngs::SmallRng;
 use rand::Rng;

@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn min_prob_over_a_depth_oracle_reads_its_cover_rows() {
-        use ugraph_sampling::{EngineKind, McOracle, SampleSchedule};
+        use ugraph_sampling::{McOracle, SampleSchedule};
         // An uncertain 6-chain under selection depth 1 and cover depth 3:
         // the oracle's two rows differ, and pairs read the cover row.
         let mut b = GraphBuilder::new(6);
@@ -111,8 +111,7 @@ mod tests {
         let g = b.build().unwrap();
         let oracle = || {
             let schedule = SampleSchedule::Fixed(200);
-            let mut o =
-                McOracle::with_engine(&g, 7, 1, schedule, 0.1, 1, 3, EngineKind::Adaptive).unwrap();
+            let mut o = McOracle::with_engine(&g, 7, 1, schedule, 0.1, 1, 3).unwrap();
             o.prepare(0.5).unwrap();
             o
         };

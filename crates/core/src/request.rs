@@ -224,7 +224,7 @@ pub struct SolveResult {
     /// the hits/top-ups here are rows inherited from earlier requests.
     pub row_cache: RowCacheStats,
     /// Lazy block-finalization counters accumulated **by this request**
-    /// (all zero unless the adaptive backend ran). On a warm session the
+    /// (all zero for depth-limited requests). On a warm session the
     /// `label_queries` here are served from blocks finalized by earlier
     /// requests.
     pub engine: EngineStats,

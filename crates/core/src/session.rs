@@ -111,8 +111,8 @@ pub struct RequestRecord {
     pub guesses: usize,
     /// Row-cache service counters of this request alone.
     pub row_cache: RowCacheStats,
-    /// Block-finalization counters of this request alone (adaptive
-    /// backend only).
+    /// Block-finalization counters of this request alone (unlimited
+    /// requests only).
     pub engine: EngineStats,
     /// Memory-ledger snapshot of this request alone: bytes held at
     /// completion, plus shards evicted/regenerated while it ran (all
@@ -137,7 +137,7 @@ pub struct SessionStats {
     /// Aggregate row-cache service across all solver oracles.
     pub row_cache: RowCacheStats,
     /// Aggregate lazy block-finalization counters across all solver
-    /// oracles (all zero unless the adaptive backend ran).
+    /// oracles (all zero unless an unlimited request ran).
     pub engine: EngineStats,
     /// Solver oracles (engine + pool + row cache) the session holds: one
     /// per objective and depth shape served.
@@ -239,9 +239,9 @@ pub struct UgraphSession<'g> {
     oracles: Vec<(OracleKey, Box<dyn Oracle + 'g>)>,
     /// Lazily-built evaluation pool shared by [`UgraphSession::evaluate`],
     /// [`UgraphSession::evaluate_depth`] and the metrics layer
-    /// ([`UgraphSession::eval_pool`]). It is adaptive whatever
-    /// [`ClusterConfig::engine`] says: counts do not depend on it, and
-    /// metrics callers get one concrete pool type.
+    /// ([`UgraphSession::eval_pool`]): an adaptive pool on the session's
+    /// ledger, like the solver oracles', so metrics callers get one
+    /// concrete pool type.
     eval: Option<BitParallelPool<'g, 4>>,
     /// One shared memory ledger for every solver oracle and evaluation
     /// pool — bounded by [`ClusterConfig::memory_budget`], unbounded
@@ -478,8 +478,8 @@ impl<'g> UgraphSession<'g> {
     }
 
     /// Returns the index of the oracle serving `key`, constructing it on
-    /// first use with the same seeds, engine backend, and row-cache
-    /// setting the one-shot entry points use.
+    /// first use with the same seeds and row-cache setting the one-shot
+    /// entry points use.
     fn oracle_index(&mut self, key: OracleKey) -> Result<usize, ClusterError> {
         if let Some(i) = self.oracles.iter().position(|(k, _)| *k == key) {
             return Ok(i);
@@ -500,7 +500,6 @@ impl<'g> UgraphSession<'g> {
             cfg.epsilon,
             d_select,
             d_cover,
-            cfg.engine,
         )?
         .with_row_cache(cfg.row_cache)
         .with_memory_budget(self.budget.clone());

@@ -1,6 +1,6 @@
 //! Robustness of the solver stack: cooperative cancellation, wall-clock
 //! deadlines, best-effort degradation, and fault-injected recovery,
-//! property-tested across both engines and both drivers.
+//! property-tested with and without labels and across both drivers.
 //!
 //! The invariant under test everywhere is **no-poison**: a solve that is
 //! interrupted or killed by an injected fault returns a typed error and
@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use ugraph_cluster::{
-    CancelToken, ClusterConfig, ClusterError, ClusterRequest, DegradeMode, EngineKind,
-    SamplingError, SolveResult, UgraphSession,
+    CancelToken, ClusterConfig, ClusterError, ClusterRequest, DegradeMode, SamplingError,
+    SolveResult, UgraphSession,
 };
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::faults::{self, FaultPlan};
@@ -21,7 +21,10 @@ use ugraph_sampling::{
     BitParallelPool, FaultSite, MemoryBudget, RunState, SampleSchedule, WorldEngine, SHARD_WORLDS,
 };
 
-const ENGINES: [EngineKind; 2] = [EngineKind::BitParallel, EngineKind::Adaptive];
+/// Memory limits of the sessions under test: 8 KiB holds the masks and
+/// rows of [`three_communities`] but declines every block label, so rows
+/// sweep masks; without a limit the pools label.
+const BUDGETS: [Option<usize>; 2] = [Some(8 << 10), None];
 
 /// Three reliable communities joined by weak bridges: full 3-clusterings
 /// exist, and the drivers run a non-trivial guess schedule.
@@ -39,11 +42,10 @@ fn three_communities() -> UncertainGraph {
     b.build().unwrap()
 }
 
-fn config(engine: EngineKind, seed: u64) -> ClusterConfig {
-    ClusterConfig::default()
+fn config(memory_budget: Option<usize>, seed: u64) -> ClusterConfig {
+    ClusterConfig { memory_budget, ..ClusterConfig::default() }
         .with_seed(seed)
         .with_threads(1)
-        .with_engine(engine)
         .with_schedule(SampleSchedule::Fixed(192))
 }
 
@@ -76,16 +78,16 @@ proptest! {
     /// bit-identical to the undisturbed baseline.
     #[test]
     fn cancellation_at_any_checkpoint_never_poisons_the_session(
-        engine_idx in 0usize..2,
+        budget_idx in 0usize..2,
         acp in any::<bool>(),
         checks in 1u64..400,
         seed in 1u64..1000,
     ) {
         let g = three_communities();
-        let engine = ENGINES[engine_idx];
+        let budget = BUDGETS[budget_idx];
         let rq = request(acp, 3);
 
-        let mut session = UgraphSession::new(&g, config(engine, seed)).unwrap();
+        let mut session = UgraphSession::new(&g, config(budget, seed)).unwrap();
         let baseline = session.solve(rq.clone()).unwrap();
 
         let cancelled =
@@ -115,22 +117,22 @@ proptest! {
     /// session recovers bit-identically to a never-faulted control.
     #[test]
     fn injected_faults_are_typed_and_recoverable(
-        engine_idx in 0usize..2,
+        budget_idx in 0usize..2,
         acp in any::<bool>(),
         site_idx in 0usize..2,
         hit in 1u64..40,
         seed in 1u64..1000,
     ) {
         let g = three_communities();
-        let engine = ENGINES[engine_idx];
+        let budget = BUDGETS[budget_idx];
         let site = [FaultSite::PoolGrow, FaultSite::BudgetAdmission][site_idx];
         let rq = request(acp, 3);
 
-        let mut control = UgraphSession::new(&g, config(engine, seed)).unwrap();
+        let mut control = UgraphSession::new(&g, config(budget, seed)).unwrap();
         let baseline = control.solve(rq.clone()).unwrap();
 
         let mut session = UgraphSession::new(&g,
-            config(engine, seed).with_degrade(DegradeMode::BestEffort)).unwrap();
+            config(budget, seed).with_degrade(DegradeMode::BestEffort)).unwrap();
         let guard = faults::install(FaultPlan::new().fail_at(site, hit));
         let faulted = session.solve(rq.clone());
         drop(guard);
@@ -155,12 +157,12 @@ proptest! {
 #[test]
 fn expired_deadline_interrupts_and_session_heals() {
     let g = three_communities();
-    for engine in ENGINES {
-        let mut control = UgraphSession::new(&g, config(engine, 7)).unwrap();
+    for budget in BUDGETS {
+        let mut control = UgraphSession::new(&g, config(budget, 7)).unwrap();
         let baseline = control.solve(ClusterRequest::mcp(3)).unwrap();
 
         // Request-level deadline.
-        let mut session = UgraphSession::new(&g, config(engine, 7)).unwrap();
+        let mut session = UgraphSession::new(&g, config(budget, 7)).unwrap();
         let err = session
             .solve(ClusterRequest::mcp(3).with_deadline(Duration::ZERO))
             .expect_err("zero deadline must interrupt");
@@ -172,7 +174,7 @@ fn expired_deadline_interrupts_and_session_heals() {
 
         // Config-level deadline: every solve inherits it.
         let mut strict =
-            UgraphSession::new(&g, config(engine, 7).with_timeout(Duration::ZERO)).unwrap();
+            UgraphSession::new(&g, config(budget, 7).with_timeout(Duration::ZERO)).unwrap();
         for _ in 0..2 {
             let err = strict.solve(ClusterRequest::mcp(3)).expect_err("config deadline");
             assert!(matches!(err, ClusterError::DeadlineExceeded(_)), "got {err}");
@@ -194,8 +196,7 @@ fn cancelled_config_token_fails_every_solve() {
     let g = three_communities();
     let token = CancelToken::new();
     token.cancel();
-    let mut session =
-        UgraphSession::new(&g, config(EngineKind::Adaptive, 7).with_cancel_token(token)).unwrap();
+    let mut session = UgraphSession::new(&g, config(None, 7).with_cancel_token(token)).unwrap();
     for _ in 0..2 {
         let err = session.solve(ClusterRequest::acp(3)).expect_err("cancelled token");
         assert!(matches!(err, ClusterError::Cancelled(_)), "got {err}");
@@ -211,9 +212,9 @@ fn cancelled_config_token_fails_every_solve() {
 #[test]
 fn best_effort_returns_flagged_partial_results() {
     let g = three_communities();
-    for engine in ENGINES {
-        let cfg = config(engine, 11).with_degrade(DegradeMode::BestEffort);
-        let mut control = UgraphSession::new(&g, config(engine, 11)).unwrap();
+    for budget in BUDGETS {
+        let cfg = config(budget, 11).with_degrade(DegradeMode::BestEffort);
+        let mut control = UgraphSession::new(&g, config(budget, 11)).unwrap();
         let baseline = control.solve(ClusterRequest::mcp(3)).unwrap();
 
         let (mut errors, mut partials, mut clean) = (0u32, 0u32, 0u32);
@@ -249,8 +250,8 @@ fn best_effort_returns_flagged_partial_results() {
             }
             assert!(checks < 10_000, "cancellation token was never outrun");
         }
-        assert!(errors > 0, "{engine:?}: no trip point hit the pre-clustering phase");
-        assert!(partials > 0, "{engine:?}: no trip point produced a best-effort result");
+        assert!(errors > 0, "{budget:?}: no trip point hit the pre-clustering phase");
+        assert!(partials > 0, "{budget:?}: no trip point produced a best-effort result");
         assert_eq!(clean, 1);
     }
 }
@@ -260,7 +261,7 @@ fn best_effort_returns_flagged_partial_results() {
 #[test]
 fn faults_never_degrade_to_partial_results() {
     let g = three_communities();
-    let cfg = config(EngineKind::Adaptive, 13).with_degrade(DegradeMode::BestEffort);
+    let cfg = config(None, 13).with_degrade(DegradeMode::BestEffort);
     let mut session = UgraphSession::new(&g, cfg).unwrap();
     let _guard = faults::install(FaultPlan::new().fail_always(FaultSite::PoolGrow));
     let err = session.solve(ClusterRequest::mcp(3)).expect_err("pool growth always fails");
@@ -410,7 +411,7 @@ fn regen_fault_after_a_charged_regeneration_keeps_ledger_within_budget() {
 #[test]
 fn admission_fault_balances_the_ledger_exactly() {
     let g = three_communities();
-    let cfg = config(EngineKind::Adaptive, 7).with_memory_budget(1 << 30);
+    let cfg = config(None, 7).with_memory_budget(1 << 30);
 
     let mut control = UgraphSession::new(&g, cfg.clone()).unwrap();
     let baseline = control.solve(ClusterRequest::mcp(3)).unwrap();

@@ -1,14 +1,14 @@
 //! Session-reuse equivalence suite: every request served by a warm
 //! [`UgraphSession`] must be **bit-identical** to the corresponding
 //! one-shot free-function call — same clustering, same assignment
-//! probabilities, same guess trace, same sample counts — on both engine
-//! backends, with the row cache on or off, across interleaved request
+//! probabilities, same guess trace, same sample counts — with and without
+//! block labels, with the row cache on or off, across interleaved request
 //! shapes and k-sweeps.
 
 use proptest::prelude::*;
 use ugraph_cluster::{
     acp, acp_depth, mcp, mcp_depth, AcpInvocation, CancelToken, ClusterConfig, ClusterError,
-    ClusterRequest, DegradeMode, EngineKind, GuessStrategy, SolveResult, UgraphSession,
+    ClusterRequest, DegradeMode, GuessStrategy, SolveResult, UgraphSession,
 };
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::{GraphBuilder, UncertainGraph};
@@ -200,25 +200,25 @@ fn interleaved_request_shapes_match_one_shot_on_both_engines() {
 #[test]
 fn warm_k_sweep_equals_cold_calls() {
     let g = communities_with_tail();
-    for engine in [EngineKind::BitParallel, EngineKind::Adaptive] {
-        let cfg = ClusterConfig::default().with_seed(7).with_engine(engine);
+    for memory_budget in [NO_LABELS, None] {
+        let cfg = ClusterConfig { memory_budget, ..ClusterConfig::default() }.with_seed(7);
         let mut session = UgraphSession::new(&g, cfg.clone()).unwrap();
         for k in 2..=6 {
             let warm = session.solve(ClusterRequest::mcp(k)).unwrap();
             let cold = mcp(&g, k, &cfg).unwrap();
-            assert_mcp_identical(&format!("{engine:?} k={k}"), &warm, &cold);
+            assert_mcp_identical(&format!("{memory_budget:?} k={k}"), &warm, &cold);
         }
         // The sweep must actually have exercised reuse (deterministic:
         // same centers recur across k).
         let stats = session.stats();
         assert!(
             stats.row_cache.hits + stats.row_cache.topups > 0,
-            "{engine:?}: warm sweep served no cached rows: {stats}"
+            "{memory_budget:?}: warm sweep served no cached rows: {stats}"
         );
         // One shared pool across the sweep, not one per k.
         assert!(
             stats.worlds_held <= stats.per_request.iter().map(|r| r.samples_used).sum(),
-            "{engine:?}: session holds more worlds than the requests used combined"
+            "{memory_budget:?}: session holds more worlds than the requests used combined"
         );
     }
 }
@@ -256,12 +256,13 @@ fn explicit_depths_match_depth_oracle_runs() {
 
 #[test]
 fn adaptive_sessions_agree_with_pure_mask_sessions() {
-    // Both engines must produce identical results through the full session
+    // Sessions that label blocks and sessions whose limit declines every
+    // label must produce identical results through the full session
     // stack — including requests served warm from pools whose blocks were
     // finalized by earlier requests.
     let g = communities_with_tail();
-    let run = |engine: EngineKind| {
-        let cfg = ClusterConfig::default().with_seed(11).with_engine(engine);
+    let run = |memory_budget: Option<usize>| {
+        let cfg = ClusterConfig { memory_budget, ..ClusterConfig::default() }.with_seed(11);
         let mut session = UgraphSession::new(&g, cfg).unwrap();
         let results: Vec<SolveResult> = [
             ClusterRequest::mcp(2),
@@ -274,8 +275,9 @@ fn adaptive_sessions_agree_with_pure_mask_sessions() {
         .collect();
         (results, session.stats())
     };
-    let (mask, _) = run(EngineKind::BitParallel);
-    let (adaptive, stats) = run(EngineKind::Adaptive);
+    let (mask, mask_stats) = run(NO_LABELS);
+    let (adaptive, stats) = run(None);
+    assert_eq!(mask_stats.engine.finalized_lanes, 0, "labelled under the limit: {mask_stats}");
     for (m, a) in mask.iter().zip(&adaptive) {
         assert_eq!(m.clustering, a.clustering, "adaptive diverges from pure-mask");
         assert_eq!(m.assign_probs, a.assign_probs);
@@ -498,17 +500,17 @@ fn small_graph() -> impl Strategy<Value = UncertainGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary (graph, seed, engine, request sequence): a warm session
+    /// Arbitrary (graph, seed, label limit, request sequence): a warm session
     /// replays every request bit-identically to its cold counterpart.
     #[test]
     fn session_replay_is_bit_identical(
         g in small_graph(),
         seed in any::<u64>(),
-        engine_pick in 0u8..2,
+        limit_pick in 0u8..2,
         ks in proptest::collection::vec(2usize..4, 2..5),
     ) {
-        let engine = if engine_pick == 0 { EngineKind::BitParallel } else { EngineKind::Adaptive };
-        let cfg = ClusterConfig::default().with_seed(seed).with_engine(engine);
+        let memory_budget = if limit_pick == 0 { NO_LABELS } else { None };
+        let cfg = ClusterConfig { memory_budget, ..ClusterConfig::default() }.with_seed(seed);
         let mut session = UgraphSession::new(&g, cfg.clone()).unwrap();
         for (i, &k) in ks.iter().enumerate() {
             prop_assume!(k < g.num_nodes());

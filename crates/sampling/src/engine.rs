@@ -10,20 +10,17 @@
 //!   into blocks of 256 ([`BlockWidth`]) as structure-of-arrays edge masks
 //!   and answers a whole block per traversal with mask-propagating
 //!   multi-world BFS ([`ugraph_graph::MultiWorldBfs`]);
-//! * its **adaptive** mode ([`EngineKind::Adaptive`], the default) also
-//!   caches per-lane component labels of the blocks unlimited queries keep
-//!   hitting, so those queries become label scans.
+//! * it also caches per-lane component labels of the blocks unlimited
+//!   row queries hit, so those queries become label scans, whenever its
+//!   memory budget can keep the labels resident.
 //!
 //! Every engine draws world `i` from the same per-index RNG stream, so for
 //! a fixed master seed every engine holds **bit-identical worlds** and
 //! returns **identical integer counts** — estimates do not depend on the
-//! engine, block width or thread count that produced them. The
+//! engine, block width, budget or thread count that produced them. The
 //! property-test suite asserts this against a naive one-world-at-a-time
 //! reference engine; other backends plug into the same seam under the
 //! same contract.
-//!
-//! Engine choice is surfaced to applications as [`EngineKind`], carried
-//! by `ugraph_cluster::ClusterConfig` into the MCP/ACP drivers.
 
 use ugraph_graph::{NodeId, UncertainGraph};
 
@@ -33,21 +30,18 @@ use crate::interrupt::RunState;
 /// Depth value meaning "no hop limit" in [`WorldEngine`] queries.
 pub const DEPTH_UNLIMITED: u32 = u32::MAX;
 
-/// Selects the Monte-Carlo backend that powers pools and oracles.
+/// The Monte-Carlo backend that powers pools and oracles. There is one:
+/// the pool decides from its memory budget whether to label blocks, so
+/// the type remains for callers and wire frames that name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Blocks of 256 worlds ([`BlockWidth`]): structure-of-arrays edge
-    /// masks queried with mask-propagating multi-world BFS. Kept as the
-    /// pure-mask backend for benchmarking; [`EngineKind::Adaptive`]
-    /// dominates it on unlimited-depth query workloads.
-    BitParallel,
-    /// The bit-parallel backend plus **lazy per-block component-label
-    /// finalization**: the first unlimited-depth row query against a
-    /// block of worlds materializes per-lane component labels (one
-    /// component-sharing fixpoint sweep per block) and caches them next to
-    /// the edge masks, so every later unlimited query over that block is
-    /// an O(n + members) label scan — while generation and depth-limited
-    /// queries stay pure bit-parallel.
+    /// Blocks of 256 worlds ([`BlockWidth`]) as structure-of-arrays edge
+    /// masks, queried with mask-propagating multi-world BFS, plus **lazy
+    /// per-block component labels**: an unlimited-depth row query labels
+    /// the blocks it touches (one component-sharing fixpoint sweep per
+    /// block) when its memory budget can keep the labels, so later
+    /// unlimited queries over those blocks are O(n + members) label scans.
+    /// Generation and depth-limited queries stay pure bit-parallel.
     #[default]
     Adaptive,
 }
@@ -55,22 +49,14 @@ pub enum EngineKind {
 impl EngineKind {
     /// Short stable name, used in benchmark labels and reports.
     pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::BitParallel => "bitparallel",
-            EngineKind::Adaptive => "adaptive",
-        }
+        "adaptive"
     }
 
-    /// Parses the name produced by [`EngineKind::name`] (CLI flag values
-    /// and wire requests). `scalar`, the name of a retired per-world
-    /// backend, is accepted as an alias of `adaptive`: both answer with
-    /// identical counts.
+    /// Parses an engine name (wire requests). `bitparallel` and `scalar`,
+    /// the names of retired backends, are accepted as aliases of
+    /// `adaptive`: all answer with identical counts.
     pub fn from_name(name: &str) -> Option<EngineKind> {
-        match name {
-            "bitparallel" => Some(EngineKind::BitParallel),
-            "adaptive" | "scalar" => Some(EngineKind::Adaptive),
-            _ => None,
-        }
+        matches!(name, "adaptive" | "bitparallel" | "scalar").then_some(EngineKind::Adaptive)
     }
 }
 
@@ -99,9 +85,9 @@ impl BlockWidth {
     }
 }
 
-/// Counters describing the adaptive backend's lazy block finalization (all
-/// zero for engines without finalization, such as the pure-mask
-/// bit-parallel pool).
+/// Counters describing the pool's lazy block finalization (all zero for
+/// engines without finalization, such as a pool built
+/// `with_finalization(false)`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Blocks currently holding finalized component labels.
@@ -186,8 +172,8 @@ pub trait WorldEngine {
     /// Number of samples currently in the pool.
     fn num_samples(&self) -> usize;
 
-    /// Finalization counters of the adaptive backend (all zero for
-    /// backends without lazy block finalization).
+    /// Finalization counters of the pool (all zero for backends without
+    /// lazy block finalization).
     fn engine_stats(&self) -> EngineStats {
         EngineStats::default()
     }
@@ -477,13 +463,11 @@ mod tests {
     #[test]
     fn engine_kind_defaults_and_names() {
         assert_eq!(EngineKind::default(), EngineKind::Adaptive);
-        assert_eq!(EngineKind::BitParallel.name(), "bitparallel");
         assert_eq!(EngineKind::Adaptive.name(), "adaptive");
-        for kind in [EngineKind::BitParallel, EngineKind::Adaptive] {
-            assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
+        // The retired backends' names still parse.
+        for name in ["adaptive", "bitparallel", "scalar"] {
+            assert_eq!(EngineKind::from_name(name), Some(EngineKind::Adaptive), "{name}");
         }
-        // The retired per-world backend's name still parses.
-        assert_eq!(EngineKind::from_name("scalar"), Some(EngineKind::Adaptive));
         assert_eq!(EngineKind::from_name("gpu"), None);
     }
 

@@ -16,11 +16,11 @@
 //!   [`BitParallelPool`]: blocks of 256 worlds as
 //!   structure-of-arrays edge masks, queried by mask-propagating
 //!   multi-world BFS — one traversal answers a whole block, for plain and
-//!   for **depth-limited** d-connection probabilities (paper §3.4). Its
-//!   adaptive mode ([`EngineKind::Adaptive`], the default) caches per-block
-//!   component labels, so repeated unlimited queries run in time
-//!   proportional to the size of the center's components, not `n·r`;
-//!   both modes return identical counts;
+//!   for **depth-limited** d-connection probabilities (paper §3.4). While
+//!   its memory budget can keep them, it caches per-block component
+//!   labels, so repeated unlimited queries run in time proportional to
+//!   the size of the center's components, not `n·r`; labelled and
+//!   mask-swept blocks return identical counts;
 //! * [`ExactOracle`]: exhaustive possible-world enumeration for small
 //!   graphs, used to validate the estimators and for tiny-instance
 //!   optimality tests; it implements [`Oracle`];

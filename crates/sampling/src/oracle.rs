@@ -21,9 +21,8 @@
 //! probabilities over paths of at most `d_select` hops (selection) and
 //! `d_cover` hops (cover), the depth-limited objective of §3.4; plain
 //! connectivity is the case `d_select = d_cover =` [`DEPTH_UNLIMITED`]. It
-//! owns a boxed [`WorldEngine`], so the backends selected by
-//! [`EngineKind`] are interchangeable behind an unchanged oracle
-//! interface — and every backend yields bit-identical
+//! owns a boxed [`WorldEngine`], so backends are interchangeable behind
+//! an unchanged oracle interface — and every backend yields bit-identical
 //! estimates for a fixed master seed. Rows are counted by the engines'
 //! ranged multi-center queries over a window of sample indices:
 //! plain-connectivity oracles use [`WorldEngine::counts_from_centers_range`]
@@ -87,7 +86,7 @@ use ugraph_graph::{NodeId, UncertainGraph};
 
 use crate::bounds::SampleSchedule;
 use crate::budget::{MemoryBudget, MemoryStats};
-use crate::engine::{EngineKind, EngineStats, WorldEngine, DEPTH_UNLIMITED};
+use crate::engine::{EngineStats, WorldEngine, DEPTH_UNLIMITED};
 use crate::error::SamplingError;
 use crate::faults::{self, FaultSite};
 use crate::interrupt::RunState;
@@ -552,15 +551,13 @@ pub struct McOracle<'g> {
 
 impl<'g> McOracle<'g> {
     /// Creates the oracle with selection depth `d_select` and cover depth
-    /// `d_cover` ([`DEPTH_UNLIMITED`] for both: plain connectivity) on a
-    /// [`BitParallelPool`], adaptive or pure-mask as `kind` selects.
-    /// `threads = 0` uses all cores; `epsilon` is the relative-error target
-    /// reflected by [`Oracle::epsilon`]. Estimates are bit-identical on
-    /// every engine.
+    /// `d_cover` ([`DEPTH_UNLIMITED`] for both: plain connectivity) on its
+    /// own adaptive [`BitParallelPool`]. `threads = 0` uses all cores;
+    /// `epsilon` is the relative-error target reflected by
+    /// [`Oracle::epsilon`]. Estimates are bit-identical on every engine.
     ///
     /// # Errors
     /// Returns [`SamplingError::InvalidDepths`] if `d_select > d_cover`.
-    #[allow(clippy::too_many_arguments)]
     pub fn with_engine(
         graph: &'g UncertainGraph,
         seed: u64,
@@ -569,10 +566,8 @@ impl<'g> McOracle<'g> {
         epsilon: f64,
         d_select: u32,
         d_cover: u32,
-        kind: EngineKind,
     ) -> Result<Self, SamplingError> {
-        let pool = BitParallelPool::<4>::new(graph, seed, threads)
-            .with_finalization(kind == EngineKind::Adaptive);
+        let pool = BitParallelPool::<4>::new_adaptive(graph, seed, threads);
         Self::from_engine_depths(Box::new(pool), schedule, epsilon, d_select, d_cover)
     }
 
@@ -903,7 +898,8 @@ mod tests {
     /// check runs once over `[UNLIMITED]` and once over these.
     const DEPTH_SHAPES: [(u32, u32); 2] = [(2, 2), (1, 3)];
 
-    const ENGINES: [EngineKind; 2] = [EngineKind::BitParallel, EngineKind::Adaptive];
+    /// Pure-mask and adaptive pools: label finalization on or off.
+    const FINALIZATION: [bool; 2] = [false, true];
 
     fn chain(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new(n as usize);
@@ -913,35 +909,33 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A single-threaded oracle at `depths` on `kind`.
+    /// A single-threaded oracle at `depths`.
     fn oracle(
         g: &UncertainGraph,
         seed: u64,
         schedule: SampleSchedule,
         (d_select, d_cover): (u32, u32),
-        kind: EngineKind,
     ) -> McOracle<'_> {
-        McOracle::with_engine(g, seed, 1, schedule, 0.1, d_select, d_cover, kind).unwrap()
+        McOracle::with_engine(g, seed, 1, schedule, 0.1, d_select, d_cover).unwrap()
     }
 
     /// A single-threaded oracle at `depths` over a pool of `64·W`-world
-    /// blocks, adaptive or pure-mask as `kind` selects.
+    /// blocks, adaptive or pure-mask as `adaptive` selects.
     fn oracle_at<const W: usize>(
         g: &UncertainGraph,
         seed: u64,
         schedule: SampleSchedule,
         (d_select, d_cover): (u32, u32),
-        kind: EngineKind,
+        adaptive: bool,
     ) -> McOracle<'_> {
-        let pool =
-            BitParallelPool::<W>::new(g, seed, 1).with_finalization(kind == EngineKind::Adaptive);
+        let pool = BitParallelPool::<W>::new(g, seed, 1).with_finalization(adaptive);
         McOracle::from_engine_depths(Box::new(pool), schedule, 0.1, d_select, d_cover).unwrap()
     }
 
     #[test]
     fn mc_oracle_prepare_grows_pool() {
         let g = chain(6, 0.5);
-        let mut o = oracle(&g, 1, SampleSchedule::practical(), UNLIMITED, EngineKind::Adaptive);
+        let mut o = oracle(&g, 1, SampleSchedule::practical(), UNLIMITED);
         assert_eq!(o.num_samples(), 0);
         o.prepare(1.0).unwrap();
         assert_eq!(o.num_samples(), 50);
@@ -955,7 +949,7 @@ mod tests {
     fn mc_oracle_center_probs_match_exact_roughly() {
         let g = chain(4, 0.8);
         let exact = ExactOracle::new(&g).unwrap();
-        let mut o = oracle(&g, 42, SampleSchedule::Fixed(8000), UNLIMITED, EngineKind::Adaptive);
+        let mut o = oracle(&g, 42, SampleSchedule::Fixed(8000), UNLIMITED);
         o.prepare(0.1).unwrap();
         let mut sel = vec![0.0; 4];
         let mut cov = vec![0.0; 4];
@@ -977,16 +971,16 @@ mod tests {
         let g = chain(9, 0.6);
         let schedule = SampleSchedule::Fixed(90);
         for &depths in shapes {
-            let mut base = oracle_at::<1>(&g, 7, schedule, depths, EngineKind::BitParallel);
+            let mut base = oracle_at::<1>(&g, 7, schedule, depths, false);
             base.prepare(0.5).unwrap();
-            for kind in ENGINES {
+            for adaptive in FINALIZATION {
                 let widths = [
-                    (64, oracle_at::<1>(&g, 7, schedule, depths, kind)),
-                    (256, oracle_at::<4>(&g, 7, schedule, depths, kind)),
-                    (512, oracle_at::<8>(&g, 7, schedule, depths, kind)),
+                    (64, oracle_at::<1>(&g, 7, schedule, depths, adaptive)),
+                    (256, oracle_at::<4>(&g, 7, schedule, depths, adaptive)),
+                    (512, oracle_at::<8>(&g, 7, schedule, depths, adaptive)),
                 ];
                 for (width, mut other) in widths {
-                    let tag = format!("{depths:?} {kind:?} width {width}");
+                    let tag = format!("{depths:?} adaptive {adaptive} width {width}");
                     other.prepare(0.5).unwrap();
                     assert_eq!(base.num_samples(), other.num_samples());
                     let (mut s1, mut c1) = (vec![0.0; 9], vec![0.0; 9]);
@@ -1022,7 +1016,7 @@ mod tests {
     #[test]
     fn depth_oracle_select_below_cover() {
         let g = chain(5, 1.0);
-        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (1, 3), EngineKind::Adaptive);
+        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (1, 3));
         o.prepare(1.0).unwrap();
         let mut sel = vec![0.0; 5];
         let mut cov = vec![0.0; 5];
@@ -1035,7 +1029,7 @@ mod tests {
     #[test]
     fn depth_oracle_pair_prob_uses_cover_depth() {
         let g = chain(4, 1.0);
-        let mut o = oracle(&g, 1, SampleSchedule::Fixed(5), (1, 2), EngineKind::Adaptive);
+        let mut o = oracle(&g, 1, SampleSchedule::Fixed(5), (1, 2));
         o.prepare(1.0).unwrap();
         assert_eq!(o.pair_prob(NodeId(0), NodeId(2)).unwrap(), 1.0);
         assert_eq!(o.pair_prob(NodeId(0), NodeId(3)).unwrap(), 0.0);
@@ -1047,10 +1041,11 @@ mod tests {
         let g = chain(8, 0.6);
         let schedule = SampleSchedule::practical();
         for &depths in shapes {
-            for kind in ENGINES {
-                let tag = format!("{depths:?} {kind:?}");
-                let mut cached = oracle(&g, 11, schedule, depths, kind);
-                let mut plain = oracle(&g, 11, schedule, depths, kind).with_row_cache(false);
+            for adaptive in FINALIZATION {
+                let tag = format!("{depths:?} adaptive {adaptive}");
+                let mut cached = oracle_at::<4>(&g, 11, schedule, depths, adaptive);
+                let mut plain =
+                    oracle_at::<4>(&g, 11, schedule, depths, adaptive).with_row_cache(false);
                 assert_eq!(cached.identical_rows(), depths.0 == depths.1, "{tag}");
                 let (mut s1, mut c1) = (vec![0.0; 8], vec![0.0; 8]);
                 let (mut s2, mut c2) = (vec![0.0; 8], vec![0.0; 8]);
@@ -1101,14 +1096,14 @@ mod tests {
     fn batched_probs_match_sequential_and_use_cache() {
         let g = chain(9, 0.5);
         let schedule = SampleSchedule::practical();
-        let mut o = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive);
+        let mut o = oracle(&g, 3, schedule, UNLIMITED);
         o.prepare(0.5).unwrap();
         let centers: Vec<NodeId> = [2u32, 7, 2, 0].iter().map(|&c| NodeId(c)).collect();
         let n = 9;
         let mut want = vec![0.0; centers.len() * n];
         {
             let mut scratch = vec![0.0; n];
-            let mut fresh = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive);
+            let mut fresh = oracle(&g, 3, schedule, UNLIMITED);
             fresh.prepare(0.5).unwrap();
             for (j, &c) in centers.iter().enumerate() {
                 fresh.center_probs(c, &mut scratch, &mut want[j * n..(j + 1) * n]).unwrap();
@@ -1156,10 +1151,9 @@ mod tests {
         // cache is starved, yet estimates match the unbounded oracle —
         // shards evict and regenerate bit-identically.
         let tiny = MemoryBudget::bounded(32);
-        let mut starved = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Adaptive)
-            .with_memory_budget(tiny.clone());
+        let mut starved = oracle(&g, 11, schedule, UNLIMITED).with_memory_budget(tiny.clone());
         starved.prepare(0.5).unwrap();
-        let mut plain = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Adaptive);
+        let mut plain = oracle(&g, 11, schedule, UNLIMITED);
         plain.prepare(0.5).unwrap();
         let (mut s, mut c) = (vec![0.0; 8], vec![0.0; 8]);
         let (mut s2, mut c2) = (vec![0.0; 8], vec![0.0; 8]);
@@ -1174,8 +1168,7 @@ mod tests {
         // A roomy budget admits rows and charges them to the shared
         // ledger; dropping the oracle releases everything.
         let roomy = MemoryBudget::bounded(1 << 20);
-        let mut o = oracle(&g, 11, schedule, UNLIMITED, EngineKind::Adaptive)
-            .with_memory_budget(roomy.clone());
+        let mut o = oracle(&g, 11, schedule, UNLIMITED).with_memory_budget(roomy.clone());
         o.prepare(0.5).unwrap();
         o.center_probs(NodeId(0), &mut s, &mut c).unwrap();
         o.center_probs(NodeId(1), &mut s, &mut c).unwrap();
@@ -1202,7 +1195,7 @@ mod tests {
     #[test]
     fn equal_depths_advertise_identical_rows() {
         let g = chain(5, 1.0);
-        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (2, 2), EngineKind::Adaptive);
+        let mut o = oracle(&g, 1, SampleSchedule::Fixed(10), (2, 2));
         assert!(o.identical_rows());
         o.prepare(1.0).unwrap();
         let mut cov = vec![0.0; 10];
@@ -1219,9 +1212,9 @@ mod tests {
         let g = chain(9, 0.6);
         let schedule = SampleSchedule::practical();
         for &depths in shapes {
-            for kind in ENGINES {
-                let tag = format!("{depths:?} {kind:?}");
-                let mut warm = oracle(&g, 7, schedule, depths, kind);
+            for adaptive in FINALIZATION {
+                let tag = format!("{depths:?} adaptive {adaptive}");
+                let mut warm = oracle_at::<4>(&g, 7, schedule, depths, adaptive);
                 warm.prepare(0.1).unwrap(); // grows active + physical to 500
                 let (mut s1, mut c1) = (vec![0.0; 9], vec![0.0; 9]);
                 for c in 0..9u32 {
@@ -1235,7 +1228,7 @@ mod tests {
                 assert_eq!(warm.num_samples(), 50);
                 assert_eq!(warm.pool_samples(), 500);
 
-                let mut fresh = oracle(&g, 7, schedule, depths, kind);
+                let mut fresh = oracle_at::<4>(&g, 7, schedule, depths, adaptive);
                 fresh.prepare(1.0).unwrap();
                 let (mut s2, mut c2) = (vec![0.0; 9], vec![0.0; 9]);
                 for c in 0..9u32 {
@@ -1278,7 +1271,7 @@ mod tests {
     fn batched_topups_are_grouped_and_deduplicated() {
         let g = chain(9, 0.5);
         let schedule = SampleSchedule::practical();
-        let mut o = oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive);
+        let mut o = oracle(&g, 3, schedule, UNLIMITED);
         o.prepare(1.0).unwrap(); // 50 samples
         let centers: Vec<NodeId> = (0..6).map(NodeId).collect();
         let n = 9;
@@ -1297,8 +1290,7 @@ mod tests {
         assert_eq!(stats.hits, 1, "duplicate center served from the freshly topped row");
         assert_eq!(stats.fulls, 6, "no recomputes");
         // Values equal an uncached oracle's.
-        let mut plain =
-            oracle(&g, 3, schedule, UNLIMITED, EngineKind::Adaptive).with_row_cache(false);
+        let mut plain = oracle(&g, 3, schedule, UNLIMITED).with_row_cache(false);
         plain.prepare(1.0).unwrap();
         plain.prepare(0.5).unwrap();
         let mut want = vec![0.0; batch.len() * n];
@@ -1311,17 +1303,7 @@ mod tests {
     #[test]
     fn depth_oracle_rejects_bad_depths() {
         let g = chain(3, 0.5);
-        let err = McOracle::with_engine(
-            &g,
-            1,
-            1,
-            SampleSchedule::Fixed(5),
-            0.1,
-            3,
-            2,
-            EngineKind::Adaptive,
-        )
-        .unwrap_err();
+        let err = McOracle::with_engine(&g, 1, 1, SampleSchedule::Fixed(5), 0.1, 3, 2).unwrap_err();
         assert_eq!(err, SamplingError::InvalidDepths { d_select: 3, d_cover: 2 });
     }
 

@@ -14,10 +14,10 @@
 //! per edge; the library's pools use 256, see [`crate::BlockWidth`]) as
 //! structure-of-arrays edge masks (`masks[e]` spans the block's worlds),
 //! queried with mask-propagating multi-world BFS — one traversal answers a
-//! whole block, for both unlimited and depth-limited semantics. In
-//! adaptive mode ([`crate::EngineKind::Adaptive`]) it also caches per-lane
-//! component labels of the blocks that unlimited queries keep hitting, so
-//! those queries become label scans.
+//! whole block, for both unlimited and depth-limited semantics. An
+//! adaptive pool (the library's) also caches per-lane component labels of
+//! the blocks that unlimited row queries hit, so those queries become
+//! label scans, when its memory budget can keep the labels resident.
 //!
 //! ## Sharded storage
 //!
@@ -441,8 +441,8 @@ pub struct BitParallelPool<'g, const W: usize = 1> {
     /// Reusable `(block, label lanes, mask lanes)` plan of the block sweep
     /// (allocation-free single-row queries).
     plan: Vec<(u32, Mask<W>, Mask<W>)>,
-    /// Lazy per-block component-label finalization
-    /// ([`crate::EngineKind::Adaptive`]): off = pure-mask backend.
+    /// Lazy per-block component-label finalization, within the memory
+    /// budget; off = pure-mask pool (tests compare the two).
     adaptive: bool,
     /// `true` = `u32` block labels (see [`Label`]).
     wide: bool,
@@ -494,9 +494,10 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// unlimited-depth row query against a block materializes per-lane
     /// component labels (one component-sharing fixpoint sweep, cached next
     /// to the edge masks) and every later unlimited query over the block
-    /// runs as an O(n + members) label scan. Counts are identical either
-    /// way — finalization trades label memory (≈ one component-label row
-    /// per world) for mask traversals.
+    /// runs as an O(n + members) label scan — as long as the labels the
+    /// pool still lacks fit its memory budget; otherwise rows sweep masks.
+    /// Counts are identical either way — finalization trades label memory
+    /// (≈ one component-label row per world) for mask traversals.
     ///
     /// # Panics
     /// Panics if the pool already holds samples.

@@ -20,22 +20,22 @@ mod support;
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
-    BitParallelPool, EngineKind, McOracle, MemoryBudget, Oracle, SampleSchedule, WorldEngine,
-    DEPTH_UNLIMITED, SHARD_WORLDS,
+    BitParallelPool, McOracle, MemoryBudget, Oracle, SampleSchedule, WorldEngine, DEPTH_UNLIMITED,
+    SHARD_WORLDS,
 };
 
 use support::ReferenceEngine;
 
-/// A single-threaded plain-connectivity oracle on `kind`.
+/// A single-threaded plain-connectivity oracle on an adaptive or a
+/// pure-mask pool.
 fn unlimited_oracle(
     g: &UncertainGraph,
     seed: u64,
     schedule: SampleSchedule,
-    kind: EngineKind,
+    adaptive: bool,
 ) -> McOracle<'_> {
-    let d = DEPTH_UNLIMITED;
-    McOracle::with_engine(g, seed, 1, schedule, 0.1, d, d, kind)
-        .expect("unlimited depths are valid")
+    let pool = BitParallelPool::<4>::new(g, seed, 1).with_finalization(adaptive);
+    McOracle::from_engine(Box::new(pool), schedule, 0.1)
 }
 
 /// Strategy: a small random uncertain graph (any shape, including
@@ -472,19 +472,18 @@ proptest! {
 
     /// End to end through the oracle layer: a cache-enabled oracle serves
     /// bit-identical probability rows to a cache-disabled one across an
-    /// arbitrary prepare/query schedule, on both engines.
+    /// arbitrary prepare/query schedule, on adaptive and pure-mask pools.
     #[test]
     fn cached_oracle_rows_identical_to_uncached(
         g in small_graph(8, 12),
         seed in any::<u64>(),
         qs in proptest::collection::vec(0.05f64..1.0, 1..5),
-        bitparallel in any::<bool>(),
+        pure_mask in any::<bool>(),
     ) {
         let n = g.num_nodes();
-        let kind = if bitparallel { EngineKind::BitParallel } else { EngineKind::Adaptive };
         let schedule = SampleSchedule::practical();
-        let mut cached = unlimited_oracle(&g, seed, schedule, kind);
-        let mut plain = unlimited_oracle(&g, seed, schedule, kind).with_row_cache(false);
+        let mut cached = unlimited_oracle(&g, seed, schedule, !pure_mask);
+        let mut plain = unlimited_oracle(&g, seed, schedule, !pure_mask).with_row_cache(false);
         let (mut s1, mut c1) = (vec![0.0; n], vec![0.0; n]);
         let (mut s2, mut c2) = (vec![0.0; n], vec![0.0; n]);
         for &q in &qs {
@@ -617,7 +616,7 @@ proptest! {
         let schedule = SampleSchedule::practical();
         let engine = Box::new(ReferenceEngine::new(&g, seed));
         let mut reference = McOracle::from_engine(engine, schedule, 0.1);
-        let mut adaptive = unlimited_oracle(&g, seed, schedule, EngineKind::Adaptive);
+        let mut adaptive = unlimited_oracle(&g, seed, schedule, true);
         let (mut s1, mut c1) = (vec![0.0; n], vec![0.0; n]);
         let (mut s2, mut c2) = (vec![0.0; n], vec![0.0; n]);
         for &q in &qs {

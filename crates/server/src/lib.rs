@@ -11,8 +11,8 @@
 //!   hand-serialized with no external dependency, documented in the
 //!   repository's `PROTOCOL.md`);
 //! * [`registry`] — the [`SessionRegistry`]: one
-//!   [`SessionHandle`](ugraph_cluster::SessionHandle) per
-//!   `(graph, engine)` shape, requests serialized per session but
+//!   [`SessionHandle`](ugraph_cluster::SessionHandle) per graph,
+//!   requests serialized per session but
 //!   parallel across sessions, and admission + LRU eviction of whole
 //!   *idle* sessions under one global
 //!   [`MemoryBudget`](ugraph_sampling::MemoryBudget) — evicted sessions
@@ -57,6 +57,6 @@ pub use protocol::{
     ClusterCall, ErrorCode, ErrorFrame, ProtocolError, Request, Response, ServerStats,
     SessionEntry, WireDepth, WireSolve, PROTOCOL_VERSION,
 };
-pub use registry::{Lease, RegistryConfig, RegistryError, SessionKey, SessionRegistry};
+pub use registry::{Lease, RegistryConfig, RegistryError, SessionRegistry};
 pub use retry::{RetryError, RetryPolicy, RetryReport};
 pub use server::{RunningServer, Server, ServerConfig, ShutdownHandle};

@@ -157,14 +157,17 @@ pub enum WireDepth {
     },
 }
 
-/// One cluster call as it travels over the wire: the session shape the
-/// registry resolves (`graph`, `engine`), the block width, plus the
-/// request proper (objective, `k`, depths, optional deadline).
+/// One cluster call as it travels over the wire: the graph whose session
+/// the registry leases, the engine and block width (validated, then
+/// ignored), plus the request proper (objective, `k`, depths, optional
+/// deadline).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterCall {
     /// Name of the graph to query (a dataset loaded at serve time).
     pub graph: String,
-    /// Engine backend ([`EngineKind::name`] form).
+    /// Engine backend ([`EngineKind::name`] form). Every engine string of
+    /// protocol v2 decodes to the one engine pools use; the server ignores
+    /// it.
     pub engine: EngineKind,
     /// Mask-block width ([`BlockWidth::name`] form). Every width string of
     /// protocol v2 decodes to the one width pools use; the server ignores
@@ -372,7 +375,7 @@ impl WireSolve {
 pub struct SessionEntry {
     /// Graph the session is bound to.
     pub graph: String,
-    /// Engine backend name.
+    /// Engine backend name (always `"adaptive"`).
     pub engine: String,
     /// Block width name (always `"256"`).
     pub width: String,
@@ -1220,7 +1223,7 @@ mod tests {
     #[test]
     fn every_v2_width_and_engine_alias_decodes_to_one_call() {
         // Protocol v2 clients may send any of the retired widths and the
-        // retired `scalar` engine name: each decodes to the same call.
+        // retired engine names: each decodes to the same call.
         let decode = |engine: &str, width: &str| {
             let mut w = FrameWriter::new(KIND_CLUSTER);
             w.str("krogan-like");
@@ -1239,7 +1242,7 @@ mod tests {
             ..sample_call()
         });
         for width in ["64", "256", "512"] {
-            for engine in ["adaptive", "scalar"] {
+            for engine in ["adaptive", "bitparallel", "scalar"] {
                 assert_eq!(decode(engine, width).unwrap(), want, "engine {engine}, width {width}");
             }
         }
@@ -1283,7 +1286,7 @@ mod tests {
             graphs: vec!["collins".into(), "krogan".into()],
             sessions: vec![SessionEntry {
                 graph: "collins".into(),
-                engine: "bitparallel".into(),
+                engine: "adaptive".into(),
                 width: "256".into(),
                 in_flight: 1,
                 kv: "requests=2 evaluations=0".into(),

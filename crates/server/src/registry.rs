@@ -1,5 +1,5 @@
-//! The [`SessionRegistry`]: one session per `(graph, engine)` shape,
-//! leased to workers, under one global memory budget.
+//! The [`SessionRegistry`]: one session per graph, leased to workers,
+//! under one global memory budget.
 //!
 //! The registry generalizes the per-session ledger of the solver stack to
 //! a **server-wide** one: every session it spawns charges a
@@ -32,31 +32,12 @@ use ugraph_sampling::{BlockWidth, EngineKind, MemoryBudget, MemoryStats};
 
 use crate::protocol::{ClusterCall, SessionEntry};
 
-/// Shape a session is keyed by: the graph plus the engine backend. The
-/// call's block width is not part of it: every width answers with the
-/// same counts, so pools always use one.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionKey {
-    /// Catalog name of the graph.
-    pub graph: String,
-    /// Engine backend.
-    pub engine: EngineKind,
-}
-
-impl SessionKey {
-    /// The key a wire call resolves to.
-    pub fn of_call(call: &ClusterCall) -> SessionKey {
-        SessionKey { graph: call.graph.clone(), engine: call.engine }
-    }
-}
-
 /// Registry construction parameters.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
     /// Base solver configuration for every session (seed, schedule,
-    /// thresholds, cancellation token, …). The engine is overridden per
-    /// [`SessionKey`]; `memory_budget` is ignored in favor
-    /// of the ledger plumbing below.
+    /// thresholds, cancellation token, …). `memory_budget` is ignored in
+    /// favor of the ledger plumbing below.
     pub base: ClusterConfig,
     /// Global byte ceiling across **all** sessions (`None` = unbounded).
     pub global_budget: Option<usize>,
@@ -119,8 +100,9 @@ struct Entry {
 }
 
 struct Inner {
-    /// Insertion-ordered so stats listings are deterministic.
-    sessions: Vec<(SessionKey, Entry)>,
+    /// Sessions by graph name, insertion-ordered so stats listings are
+    /// deterministic.
+    sessions: Vec<(String, Entry)>,
     clock: u64,
 }
 
@@ -142,7 +124,7 @@ pub struct Lease<'r> {
     registry: &'r SessionRegistry,
     handle: Arc<SessionHandle>,
     guard: Arc<AtomicUsize>,
-    key: SessionKey,
+    graph: String,
 }
 
 impl fmt::Debug for Lease<'_> {
@@ -167,9 +149,9 @@ impl Lease<'_> {
         &self.handle
     }
 
-    /// The shape this lease was acquired for.
-    pub fn key(&self) -> &SessionKey {
-        &self.key
+    /// The graph whose session this lease holds.
+    pub fn key(&self) -> &str {
+        &self.graph
     }
 }
 
@@ -180,7 +162,7 @@ impl Drop for Lease<'_> {
         // look stale the moment it finishes.
         {
             let mut inner = self.registry.locked();
-            if let Some((_, entry)) = inner.sessions.iter_mut().find(|(k, _)| *k == self.key) {
+            if let Some((_, entry)) = inner.sessions.iter_mut().find(|(g, _)| *g == self.graph) {
                 entry.last_activity = Instant::now();
             }
         }
@@ -246,11 +228,9 @@ impl SessionRegistry {
     /// budget with no idle session left to evict;
     /// [`RegistryError::Session`] when the session cannot be spawned.
     pub fn acquire(&self, call: &ClusterCall) -> Result<Lease<'_>, RegistryError> {
-        let key = SessionKey::of_call(call);
-        let graph = self
-            .catalog
-            .get(&key.graph)
-            .ok_or_else(|| RegistryError::UnknownGraph(key.graph.clone()))?;
+        let key = call.graph.clone();
+        let graph =
+            self.catalog.get(&key).ok_or_else(|| RegistryError::UnknownGraph(key.clone()))?;
 
         let mut inner = self.locked();
         inner.clock += 1;
@@ -263,7 +243,7 @@ impl SessionRegistry {
                 registry: self,
                 handle: Arc::clone(&entry.handle),
                 guard: Arc::clone(&entry.in_flight),
-                key,
+                graph: key,
             };
             drop(inner);
             self.make_headroom()?;
@@ -275,7 +255,7 @@ impl SessionRegistry {
         // its pools will want the budget's headroom immediately.
         self.make_headroom()?;
 
-        let config = self.config.base.clone().with_engine(key.engine);
+        let config = self.config.base.clone();
         let ledger = self.global.subledger(self.config.session_budget);
         let handle = SessionHandle::spawn_with_ledger(Arc::clone(graph), config, ledger.clone())
             .map_err(RegistryError::Session)?;
@@ -292,7 +272,7 @@ impl SessionRegistry {
                 registry: self,
                 handle: Arc::clone(&entry.handle),
                 guard: Arc::clone(&entry.in_flight),
-                key,
+                graph: key,
             };
             return Ok(lease);
         }
@@ -300,7 +280,7 @@ impl SessionRegistry {
             registry: self,
             handle: Arc::clone(&handle),
             guard: Arc::clone(&in_flight),
-            key: key.clone(),
+            graph: key.clone(),
         };
         let entry = Entry {
             handle,
@@ -362,7 +342,7 @@ impl SessionRegistry {
     /// thread and resident state. Returns how many were evicted. The
     /// server's accept loop drives this for the `--idle-evict` flag.
     pub fn evict_idle_for(&self, age: Duration) -> usize {
-        let victims: Vec<(SessionKey, Entry)> = {
+        let victims: Vec<(String, Entry)> = {
             let mut inner = self.locked();
             let mut victims = Vec::new();
             let mut i = 0;
@@ -391,12 +371,12 @@ impl SessionRegistry {
     /// stats request never queues behind a long-running solve.
     pub fn stats_entries(&self, graph_filter: Option<&str>) -> Vec<SessionEntry> {
         // Snapshot handles outside the lock: stats() can block briefly.
-        let snapshot: Vec<(SessionKey, Arc<SessionHandle>, Arc<AtomicUsize>)> = {
+        let snapshot: Vec<(String, Arc<SessionHandle>, Arc<AtomicUsize>)> = {
             let inner = self.locked();
             inner
                 .sessions
                 .iter()
-                .filter(|(k, _)| graph_filter.is_none_or(|g| k.graph == g))
+                .filter(|(k, _)| graph_filter.is_none_or(|g| k == g))
                 .map(|(k, e)| (k.clone(), Arc::clone(&e.handle), Arc::clone(&e.in_flight)))
                 .collect()
         };
@@ -425,8 +405,8 @@ impl SessionRegistry {
                     .unwrap_or_default()
             };
             entries.push(SessionEntry {
-                graph: key.graph,
-                engine: key.engine.name().to_string(),
+                graph: key,
+                engine: EngineKind::Adaptive.name().to_string(),
                 width: BlockWidth::W256.name().to_string(),
                 in_flight: load as u32,
                 kv,
@@ -435,7 +415,7 @@ impl SessionRegistry {
         entries
     }
 
-    /// Removes the session for `key` from the registry, if present — the
+    /// Removes the session for `graph` from the registry, if present — the
     /// recovery path for a dead session actor
     /// ([`ClusterError::SessionClosed`](ugraph_cluster::ClusterError)):
     /// a poisoned entry must not be handed to the next request, which
@@ -444,10 +424,10 @@ impl SessionRegistry {
     /// the discarded session; its state is freed once the last one drops.
     /// Not counted as an eviction — discards are a failure path, not a
     /// memory-pressure decision.
-    pub fn discard(&self, key: &SessionKey) {
+    pub fn discard(&self, graph: &str) {
         let victim = {
             let mut inner = self.locked();
-            inner.sessions.iter().position(|(k, _)| k == key).map(|i| inner.sessions.remove(i))
+            inner.sessions.iter().position(|(k, _)| k == graph).map(|i| inner.sessions.remove(i))
         };
         // Dropped outside the lock, like every other entry removal.
         drop(victim);
@@ -519,13 +499,15 @@ mod tests {
             let lease = r.acquire(&call("a")).unwrap();
             lease.solve(ClusterRequest::mcp(3)).unwrap();
         }
-        assert_eq!(r.num_sessions(), 1, "same shape reuses the session");
-        let other_engine = ClusterCall { engine: EngineKind::BitParallel, ..call("a") };
-        drop(r.acquire(&other_engine).unwrap());
+        assert_eq!(r.num_sessions(), 1, "same graph reuses the session");
+        let bitparallel = EngineKind::from_name("bitparallel").unwrap();
+        drop(r.acquire(&ClusterCall { engine: bitparallel, ..call("a") }).unwrap());
+        assert_eq!(r.num_sessions(), 1, "a call naming bitparallel reuses the graph's session");
         drop(r.acquire(&call("b")).unwrap());
-        assert_eq!(r.num_sessions(), 3, "engine and graph are part of the key");
+        assert_eq!(r.num_sessions(), 2, "the graph is the key");
         let entries = r.stats_entries(None);
-        assert_eq!(entries.len(), 3);
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].engine, "adaptive");
         assert!(entries[0].kv.contains("requests=2"), "{}", entries[0].kv);
         assert_eq!(r.stats_entries(Some("b")).len(), 1);
     }

@@ -54,7 +54,7 @@ fn start(config: ServerConfig) -> RunningServer {
 fn call(k: u32) -> ClusterCall {
     ClusterCall {
         graph: "g".into(),
-        engine: EngineKind::BitParallel,
+        engine: EngineKind::Adaptive,
         width: BlockWidth::W256,
         objective: ugraph_cluster::Objective::MinProb,
         k,
@@ -66,21 +66,21 @@ fn call(k: u32) -> ClusterCall {
 /// A fault-free local replay with the session shape the server pins.
 fn local_reference(requests: &[ClusterRequest]) -> Vec<SolveResult> {
     let g = two_communities();
-    let cfg = base_config().with_engine(EngineKind::BitParallel);
-    let mut session = UgraphSession::new(&g, cfg).unwrap();
+    let mut session = UgraphSession::new(&g, base_config()).unwrap();
     requests.iter().map(|r| session.solve(r.clone()).unwrap()).collect()
 }
 
 /// Bit-identity on the **answer** (clustering, probabilities, objective,
 /// sample counts), with per-request telemetry normalized: the server's
-/// clock differs by nature, and the row-cache hit counters depend on
-/// cache warmth — which a retry legitimately changes, since a solve
-/// whose response was severed still warmed the server's cache before
-/// being recomputed.
+/// clock differs by nature, and the row-cache and block-label counters
+/// depend on cache and label warmth — which a retry legitimately changes,
+/// since a solve whose response was severed still warmed the server's
+/// cache and labelled its blocks before being recomputed.
 fn assert_matches_local(wire: &WireSolve, local: &SolveResult) {
     let mut expected = WireSolve::from_result(local);
     expected.elapsed_micros = wire.elapsed_micros;
     expected.row_cache = wire.row_cache;
+    expected.engine = wire.engine;
     assert_eq!(wire, &expected);
     assert_eq!(wire.objective_estimate.to_bits(), local.objective_estimate.to_bits());
 }

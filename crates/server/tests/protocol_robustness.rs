@@ -44,7 +44,7 @@ fn start_single_worker() -> RunningServer {
 fn good_call() -> ClusterCall {
     ClusterCall {
         graph: "g".into(),
-        engine: EngineKind::BitParallel,
+        engine: EngineKind::Adaptive,
         width: BlockWidth::W256,
         objective: ugraph_cluster::Objective::MinProb,
         k: 2,
@@ -130,10 +130,10 @@ fn forged_frames_get_typed_errors_and_never_kill_the_server() {
 
     // A bogus engine name inside an otherwise well-formed frame.
     let bogus = encode_request(&Request::Cluster(good_call()));
-    let needle = b"bitparallel";
+    let needle = b"adaptive";
     let at = bogus.windows(needle.len()).position(|w| w == needle).unwrap();
     let mut wrong_engine = bogus.clone();
-    wrong_engine[at..at + needle.len()].copy_from_slice(b"quantumwide");
+    wrong_engine[at..at + needle.len()].copy_from_slice(b"quantumw");
     expect_error_then_close(&server, &wrong_engine, ErrorCode::Malformed);
 
     // After six hostile connections the single worker still answers, and

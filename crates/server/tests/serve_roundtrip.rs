@@ -41,12 +41,10 @@ fn base_config() -> ClusterConfig {
     ClusterConfig::default().with_seed(SEED)
 }
 
-/// A local reference session with the same shape [`call`] asks the server
-/// for (adaptive engine) — the registry pins the session config the same
-/// way, so counters must line up too.
+/// A local reference session with the config the registry gives the
+/// server's session for the graph, so counters must line up too.
 fn local_session(g: &Arc<UncertainGraph>) -> UgraphSession<'_> {
-    let cfg = base_config().with_engine(EngineKind::Adaptive);
-    UgraphSession::new(g, cfg).unwrap()
+    UgraphSession::new(g, base_config()).unwrap()
 }
 
 fn start(graphs: Vec<(String, Arc<UncertainGraph>)>, config: ServerConfig) -> RunningServer {
@@ -97,32 +95,31 @@ fn served_answers_are_bit_identical_to_local_replay_for_every_engine() {
     let g = two_communities();
     let server = start(vec![("g".into(), Arc::clone(&g))], ServerConfig::default());
 
-    for engine in [EngineKind::BitParallel, EngineKind::Adaptive] {
-        // Local reference: one session, a fixed request sequence.
-        let cfg = base_config().with_engine(engine);
-        let mut local = UgraphSession::new(&g, cfg).unwrap();
-        let reference: Vec<SolveResult> = [
-            ClusterRequest::mcp(2),
-            ClusterRequest::acp(2),
-            ClusterRequest::mcp(3),
-            ClusterRequest::mcp_depth(2, 3),
-        ]
-        .into_iter()
-        .map(|r| local.solve(r).unwrap())
-        .collect();
+    // Every engine name decodes to the one engine, so one sequence on the
+    // graph's one session covers them all. Local reference: one session, a
+    // fixed request sequence.
+    let mut local = local_session(&g);
+    let reference: Vec<SolveResult> = [
+        ClusterRequest::mcp(2),
+        ClusterRequest::acp(2),
+        ClusterRequest::mcp(3),
+        ClusterRequest::mcp_depth(2, 3),
+    ]
+    .into_iter()
+    .map(|r| local.solve(r).unwrap())
+    .collect();
 
-        // The same sequence over the wire (one session per engine shape).
-        let mut client = Client::connect(server.addr()).unwrap();
-        let calls = [
-            ClusterCall { engine, ..call("g", 2) },
-            ClusterCall { engine, objective: ugraph_cluster::Objective::AvgProb, ..call("g", 2) },
-            ClusterCall { engine, ..call("g", 3) },
-            ClusterCall { engine, depth: WireDepth::Uniform(3), ..call("g", 2) },
-        ];
-        for (call, local_result) in calls.iter().zip(&reference) {
-            let wire = client.cluster(call).unwrap().unwrap();
-            assert_matches_local(&wire, local_result);
-        }
+    // The same sequence over the wire.
+    let mut client = Client::connect(server.addr()).unwrap();
+    let calls = [
+        call("g", 2),
+        ClusterCall { objective: ugraph_cluster::Objective::AvgProb, ..call("g", 2) },
+        call("g", 3),
+        ClusterCall { depth: WireDepth::Uniform(3), ..call("g", 2) },
+    ];
+    for (call, local_result) in calls.iter().zip(&reference) {
+        let wire = client.cluster(call).unwrap().unwrap();
+        assert_matches_local(&wire, local_result);
     }
 }
 

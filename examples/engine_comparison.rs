@@ -1,13 +1,12 @@
-//! Backend selection on the `WorldEngine` seam: the pure-mask bit-parallel
-//! block pool (256 worlds per mask block) versus the adaptive backend
-//! (bit-parallel + lazy per-block component-label finalization, the
-//! default).
+//! The `WorldEngine` seam's one pool: bit-parallel blocks of 256 worlds
+//! as edge masks, plus lazy per-block component labels that it keeps only
+//! while its memory budget can hold them.
 //!
-//! Demonstrates (a) selecting the Monte-Carlo backend through
-//! `ClusterConfig::with_engine`, (b) that both backends produce
-//! **identical** clusterings and estimates for a fixed seed, and (c) the
-//! raw timing difference between block widths on depth-limited queries,
-//! where one masked traversal answers a whole block of sampled worlds.
+//! Demonstrates (a) that a session whose budget declines the labels
+//! answers from masks with the **identical** clustering and estimates of
+//! an unbounded session, (b) the raw timing difference between block
+//! widths on depth-limited queries, where one masked traversal answers a
+//! whole block of sampled worlds, and (c) label scans on a warm pool.
 //!
 //! Run with: `cargo run --release --example engine_comparison`
 
@@ -21,30 +20,38 @@ fn main() {
     let g = d.graph;
     println!("graph: {} nodes / {} edges\n", g.num_nodes(), g.num_edges());
 
-    // ── 1. Backend selection via ClusterConfig ─────────────────────────
-    // The engine knob is threaded through mcp/acp (and their depth
-    // variants) into every probability estimate; backends hold
-    // bit-identical worlds, so results agree exactly — the knob trades
-    // nothing but time. Depth-limited clustering (paper §3.4) runs on
-    // masks in both backends: one masked traversal per block of worlds.
-    let (k, d) = (40, 3);
-    let mask_cfg = ClusterConfig::default().with_seed(11).with_engine(EngineKind::BitParallel);
-    let adaptive_cfg = ClusterConfig::default().with_seed(11).with_engine(EngineKind::Adaptive);
+    // ── 1. Labels or masks: the pool decides from its budget ──────────
+    // An unlimited row query labels the blocks it touches when the labels
+    // the pool still lacks fit its memory budget, and sweeps edge masks
+    // otherwise. Both read bit-identical worlds, so the answers agree
+    // exactly — the budget trades nothing but time and memory.
+    let k = 40;
+    let budget = 3 << 20;
+    let free_cfg = ClusterConfig::default().with_seed(11);
+    let tight_cfg = free_cfg.clone().with_memory_budget(budget);
+    let mut free = UgraphSession::new(&g, free_cfg).expect("unbounded session");
+    let mut tight = UgraphSession::new(&g, tight_cfg).expect("budgeted session");
 
     let t = Instant::now();
-    let mask_run = acp_depth(&g, k, d, &mask_cfg).expect("acp_depth (pure-mask)");
-    let mask_time = t.elapsed();
+    let labelled = free.solve(ClusterRequest::acp(k)).expect("acp (unbounded)");
+    let free_time = t.elapsed();
     let t = Instant::now();
-    let adaptive_run = acp_depth(&g, k, d, &adaptive_cfg).expect("acp_depth (adaptive)");
-    let adaptive_time = t.elapsed();
+    let masked = tight.solve(ClusterRequest::acp(k)).expect("acp (budgeted)");
+    let tight_time = t.elapsed();
 
-    assert_eq!(mask_run.clustering, adaptive_run.clustering, "backends must agree exactly");
-    assert_eq!(mask_run.avg_prob_estimate, adaptive_run.avg_prob_estimate);
-    println!("acp_depth k = {k}, d = {d}: identical clusterings from both backends");
-    println!("  pure-mask {mask_time:>10.2?}   (avg-prob {:.3})", mask_run.avg_prob_estimate);
+    assert_eq!(labelled.clustering, masked.clustering, "a budget must not change the answer");
+    assert_eq!(labelled.objective_estimate, masked.objective_estimate);
+    assert_eq!(masked.engine.finalized_lanes, 0, "the budget declines every label");
+    println!("acp k = {k}: identical clusterings with and without labels");
     println!(
-        "  adaptive  {adaptive_time:>10.2?}   (avg-prob {:.3})",
-        adaptive_run.avg_prob_estimate
+        "  unbounded {free_time:>10.2?}   ({} lanes labelled, {} bytes held)",
+        labelled.engine.finalized_lanes,
+        free.stats().bytes_held
+    );
+    println!(
+        "  {budget} B {tight_time:>10.2?}   ({} block-queries from masks, {} bytes held)",
+        masked.engine.mask_queries,
+        tight.stats().bytes_held
     );
 
     // ── 2. Block width: worlds per traversal ───────────────────────────
@@ -79,11 +86,12 @@ fn main() {
     println!("  64-world blocks  {narrow_depth:>10.2?}");
     println!("  256-world blocks {wide_depth:>10.2?}");
 
-    // ── 3. The adaptive backend: labels on demand ──────────────────────
+    // ── 3. Labels on demand ────────────────────────────────────────────
     // Unlimited-depth rows are the workload where pure mask traversal is
-    // slowest. The adaptive pool finalizes per-block component labels on
-    // the first row query and serves every later unlimited query as a
-    // label scan, while keeping bit-parallel generation and depth queries.
+    // slowest. With room in its budget (here unbounded), the pool
+    // finalizes per-block component labels on the first row query and
+    // serves every later unlimited query as a label scan, while keeping
+    // bit-parallel generation and depth queries.
     let mut counts = vec![0u32; n];
     let t = Instant::now();
     let mut adaptive_pool = BitParallelPool::<1>::new_adaptive(&g, 3, 1);

@@ -127,11 +127,9 @@ commands:
   stats     --input graph.txt
   cluster   --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
             [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-            [--engine <bitparallel|adaptive>]
             [--memory-budget B] [--timeout T] [--best-effort]
   sweep     --input graph.txt --algo <mcp|acp> --k-min A --k-max B
             [--depth D] [--seed N] [--samples N]
-            [--engine <bitparallel|adaptive>]
             [--memory-budget B] [--timeout T] [--best-effort]
   evaluate  --input graph.txt --clustering out.tsv [--samples N]
             [--depth D] [--ground-truth gt.txt] [--seed N]
@@ -146,16 +144,10 @@ commands:
   client    <cluster|stats> [--connect HOST:PORT] [--graph NAME]
             [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
             [--retries N] [--connect-pool N] [--seed N]
-            [--engine <bitparallel|adaptive>]
             [--output out.tsv]
 
 Each command reads only the flags listed for it; any other flag is an
 error (exit 2) that names the flag and the command.
-
-`--engine` picks the Monte-Carlo backend of the solver paths (default:
-adaptive — bit-parallel blocks with lazy component-label finalization;
-`scalar` is accepted as an alias of `adaptive`). Every backend returns
-identical results for a fixed seed.
 
 `evaluate --depth D` measures `p_min` and `p_avg` over paths of at most
 D hops; AVPR always counts unlimited paths.
@@ -165,9 +157,10 @@ default 2) must be finite and above 1. `--scale` (dblp, default 0.01)
 must be in (0, 1].
 
 `--memory-budget` caps the bytes held by the session's sampled worlds and
-cached rows (e.g. 512M, 2G; binary suffixes K/M/G). Under pressure,
-least-recently-used pool shards are evicted and regenerated on demand;
-results are bit-identical to an unbounded run. `--nodes` sizes the
+cached rows (e.g. 512M, 2G; binary suffixes K/M/G). The pools cache
+component labels only while they fit it, and otherwise answer from edge
+masks; under pressure, least-recently-used pool shards are evicted and
+regenerated on demand. Results are bit-identical to an unbounded run. `--nodes` sizes the
 large-sparse generated dataset (default 100000).
 
 `--timeout` sets a wall-clock deadline per solve (e.g. 30s, 5m, 1h,
@@ -208,13 +201,13 @@ const COMMAND_FLAGS: [(&str, &str); 8] = [
     ("stats", "--input"),
     (
         "cluster",
-        "--input --algo --k --depth --inflation --seed --output --engine --memory-budget \
-         --timeout --best-effort",
+        "--input --algo --k --depth --inflation --seed --output --memory-budget --timeout \
+         --best-effort",
     ),
     (
         "sweep",
-        "--input --algo --k-min --k-max --depth --seed --samples --engine --memory-budget \
-         --timeout --best-effort",
+        "--input --algo --k-min --k-max --depth --seed --samples --memory-budget --timeout \
+         --best-effort",
     ),
     ("evaluate", "--input --clustering --samples --depth --ground-truth --seed --memory-budget"),
     ("knn", "--input --source --k --depth --samples --seed"),
@@ -225,8 +218,7 @@ const COMMAND_FLAGS: [(&str, &str); 8] = [
     ),
     (
         "client",
-        "--connect --graph --algo --k --depth --timeout --retries --connect-pool --engine \
-         --output --seed",
+        "--connect --graph --algo --k --depth --timeout --retries --connect-pool --output --seed",
     ),
 ];
 
@@ -248,7 +240,6 @@ struct Options {
     seed: u64,
     samples: usize,
     source: Option<u32>,
-    engine: EngineKind,
     memory_budget: Option<usize>,
     nodes: Option<usize>,
     timeout: Option<std::time::Duration>,
@@ -318,12 +309,6 @@ impl Options {
                     }
                 }
                 "--source" => o.source = Some(parse_num(&take()?, flag)?),
-                "--engine" => {
-                    let v = take()?;
-                    o.engine = EngineKind::from_name(&v).ok_or(format!(
-                        "flag --engine: expected bitparallel or adaptive, got '{v}'"
-                    ))?;
-                }
                 "--memory-budget" => o.memory_budget = Some(parse_bytes(&take()?, flag)?),
                 "--nodes" => o.nodes = Some(parse_num(&take()?, flag)?),
                 "--timeout" => o.timeout = Some(parse_duration(&take()?, flag)?),
@@ -430,10 +415,10 @@ fn build_request(algo: &str, k: usize, depth: Option<u32>) -> Result<ClusterRequ
     }
 }
 
-/// The CLI's solver/evaluation configuration: seed + engine, plus the
-/// optional memory budget (shared by every pool of the session).
+/// The CLI's solver/evaluation configuration: the seed, plus the optional
+/// memory budget (shared by every pool of the session).
 fn session_config(o: &Options) -> ClusterConfig {
-    let mut cfg = ClusterConfig::default().with_seed(o.seed).with_engine(o.engine);
+    let mut cfg = ClusterConfig::default().with_seed(o.seed);
     if let Some(bytes) = o.memory_budget {
         cfg = cfg.with_memory_budget(bytes);
     }
@@ -786,7 +771,7 @@ fn client_cluster(pool: &mut ClientPool, o: &Options) -> Result<(), String> {
     let k = o.k.ok_or("--k is required")?;
     let call = ClusterCall {
         graph: graph.clone(),
-        engine: o.engine,
+        engine: EngineKind::Adaptive,
         width: BlockWidth::W256,
         objective,
         k: u32::try_from(k).map_err(|_| format!("--k {k} is out of range"))?,

@@ -279,32 +279,19 @@ fn missing_required_flag_fails() {
 }
 
 #[test]
-fn engine_flag_selects_count_identical_backends() {
+fn retired_engine_flag_is_unknown() {
     let graph = small_graph_file();
-    let mut outputs = Vec::new();
-    for engine in ["scalar", "bitparallel", "adaptive"] {
-        let path = tmp(&format!("clustering-{engine}.tsv"));
+    for command in ["cluster --algo mcp --k 2", "sweep --algo mcp --k-min 2 --k-max 3"] {
         let out = bin()
-            .args(["cluster", "--algo", "mcp", "--k", "2", "--seed", "5", "--engine", engine])
-            .arg("--output")
-            .arg(&path)
-            .arg("--input")
+            .args(command.split_whitespace())
+            .args(["--engine", "adaptive", "--input"])
             .arg(&graph)
             .output()
             .unwrap();
-        assert!(out.status.success(), "{engine}: {}", String::from_utf8_lossy(&out.stderr));
-        outputs.push(std::fs::read_to_string(&path).unwrap());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(stderr.contains("error: unknown flag '--engine'"), "{command}: {stderr}");
     }
-    // `scalar` names a retired backend and runs the adaptive one.
-    assert_eq!(outputs[0], outputs[1], "scalar vs bitparallel clusterings differ");
-    assert_eq!(outputs[0], outputs[2], "scalar vs adaptive clusterings differ");
-
-    let out = bin()
-        .args(["cluster", "--algo", "mcp", "--k", "2", "--engine", "gpu", "--input"])
-        .arg(&graph)
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "bogus engine name must be rejected");
 }
 
 #[test]
@@ -323,8 +310,6 @@ fn sweep_reports_finalization_columns() {
             "2",
             "--samples",
             "64",
-            "--engine",
-            "adaptive",
         ])
         .arg("--input")
         .arg(&graph)
@@ -373,14 +358,14 @@ fn unread_flags_are_named_errors() {
         ("stats --input GRAPH --k 5", "--k"),
         ("cluster --input GRAPH --algo mcp --k 2 --samples 8", "--samples"),
         ("sweep --input GRAPH --algo mcp --k-min 2 --k-max 3 --k 2", "--k"),
-        ("evaluate --input GRAPH --clustering CLUSTERING --engine adaptive", "--engine"),
+        ("evaluate --input GRAPH --clustering CLUSTERING --inflation 2", "--inflation"),
         // Solver flags used to pass `evaluate` silently; the first is named.
         (
             "evaluate --input GRAPH --clustering CLUSTERING --samples 8 --timeout 1ms --k-min 3 \
              --best-effort --algo gmm",
             "--timeout",
         ),
-        ("knn --input GRAPH --source 0 --engine adaptive", "--engine"),
+        ("knn --input GRAPH --source 0 --memory-budget 1M", "--memory-budget"),
         ("serve --listen 127.0.0.1:0 --dataset no-such-dataset --k 3", "--k"),
         ("client cluster --connect 127.0.0.1:1 --retries 0 --k 2 --samples 8", "--samples"),
     ];
