@@ -1,22 +1,27 @@
-//! Budget-constrained smoke test (run explicitly in CI): a Krogan-like
+//! Budget-constrained smoke tests (run explicitly in CI): a Krogan-like
 //! instance solved through a session whose memory budget is far below the
-//! pool footprint, forcing shard eviction and regeneration, must produce
-//! output identical to an unbounded session while honoring the byte
-//! limit.
+//! pool footprint, forcing shard eviction and regeneration, and through
+//! one whose budget holds the edge masks but not the component labels,
+//! must produce output identical to an unbounded session while honoring
+//! the byte limit.
 
 use ugraph_cluster::{ClusterConfig, ClusterRequest, UgraphSession};
 use ugraph_datasets::DatasetSpec;
+
+/// The smoke's session configuration: a fixed sample count keeps it fast
+/// in debug builds; 1100 samples span two 1024-world shard groups.
+fn config() -> ClusterConfig {
+    ClusterConfig::default()
+        .with_seed(7)
+        .with_threads(1)
+        .with_schedule(ugraph_sampling::SampleSchedule::Fixed(1100))
+}
 
 #[test]
 fn tiny_budget_evicts_regenerates_and_matches_unbounded_output() {
     let d = DatasetSpec::Krogan.generate(2);
     let graph = &d.graph;
-    // Fixed sample count keeps the smoke fast in debug builds; 1100
-    // samples span two 1024-world shard groups.
-    let base = ClusterConfig::default()
-        .with_seed(7)
-        .with_threads(1)
-        .with_schedule(ugraph_sampling::SampleSchedule::Fixed(1100));
+    let base = config();
     const BUDGET: usize = 512 << 10; // 512 KiB, far below the pool footprint
 
     let mut unbounded = UgraphSession::new(graph, base.clone()).expect("unbounded session");
@@ -48,5 +53,34 @@ fn tiny_budget_evicts_regenerates_and_matches_unbounded_output() {
     println!(
         "budget smoke: {} bytes held (limit {BUDGET}), {} shards evicted, {} regenerated",
         stats.bytes_held, stats.shards_evicted, stats.shards_regenerated
+    );
+}
+
+#[test]
+fn budget_between_masks_and_labels_sweeps_masks_and_matches_unbounded_output() {
+    let d = DatasetSpec::Krogan.generate(2);
+    let graph = &d.graph;
+    // The session's edge masks and rows take about 1.5 MB; the labels the
+    // pool would add count about 5 MB a block.
+    const BUDGET: usize = 4 << 20;
+    let mut unbounded = UgraphSession::new(graph, config()).expect("unbounded session");
+    let mut between =
+        UgraphSession::new(graph, config().with_memory_budget(BUDGET)).expect("budgeted session");
+    for k in [3usize, 5] {
+        let want = unbounded.solve(ClusterRequest::mcp(k)).expect("unbounded mcp");
+        let got = between.solve(ClusterRequest::mcp(k)).expect("budgeted mcp");
+        assert_eq!(got.clustering, want.clustering, "k = {k}: clustering diverged under budget");
+        assert_eq!(got.assign_probs, want.assign_probs, "k = {k}: probabilities diverged");
+        assert_eq!((got.guesses, got.samples_used), (want.guesses, want.samples_used));
+    }
+    let free = unbounded.stats();
+    let stats = between.stats();
+    assert!(free.engine.finalized_lanes > 0, "the unbounded session labels: {free}");
+    assert_eq!(stats.engine.finalized_lanes, 0, "no lane is labelled under the budget: {stats}");
+    assert_eq!(stats.shards_regenerated, 0, "the masks fit: {stats}");
+    assert!(stats.bytes_held <= BUDGET, "{} bytes over the {BUDGET}-byte budget", stats.bytes_held);
+    println!(
+        "budget smoke: {} bytes held (limit {BUDGET}), {} block-queries from masks",
+        stats.bytes_held, stats.engine.mask_queries
     );
 }

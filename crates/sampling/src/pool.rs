@@ -2082,6 +2082,107 @@ mod tests {
         assert!(budget.bytes_held() <= 512, "{} B over the limit", budget.bytes_held());
     }
 
+    // ───────────── the labelling rule ─────────────
+
+    /// Runs one full-window row from each of `centers` and returns the
+    /// rows, concatenated.
+    fn rows<const W: usize>(pool: &mut BitParallelPool<'_, W>, centers: &[u32]) -> Vec<u32> {
+        let mut row = vec![0u32; pool.graph().num_nodes()];
+        let mut out = Vec::new();
+        for &c in centers {
+            pool.counts_from_center(NodeId(c), &mut row);
+            out.extend_from_slice(&row);
+        }
+        out
+    }
+
+    #[test]
+    fn row_sweeps_masks_when_labels_do_not_fit_the_budget() {
+        // Three blocks of a 40-node chain hold 3 744 B of masks, and their
+        // labels count 82 952 B a block: 64 KiB holds the masks, not the
+        // labels.
+        let g = chain(40, 0.7);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
+        pool.set_memory_budget(MemoryBudget::bounded(64 << 10));
+        pool.ensure(600);
+        let mut mask = BitParallelPool::<4>::new(&g, 5, 1);
+        mask.ensure(600);
+        assert_eq!(rows(&mut pool, &[7]), rows(&mut mask, &[7]));
+        let stats = pool.engine_stats();
+        let queries = (stats.finalized_lanes, stats.label_queries, stats.mask_queries);
+        assert_eq!(queries, (0, 0, 3), "one mask query per block: {stats:?}");
+        assert_eq!(rows(&mut pool, &[0, 21, 39]), rows(&mut mask, &[0, 21, 39]));
+        assert_eq!(pool.engine_stats().finalized_lanes, 0);
+        assert_eq!(pool.memory_stats().shards_evicted, 0, "the masks fit");
+    }
+
+    #[test]
+    fn row_labels_when_labels_fit_the_budget() {
+        let g = chain(40, 0.7);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
+        pool.set_memory_budget(MemoryBudget::bounded(1 << 20));
+        pool.ensure(600);
+        let mut free = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
+        free.ensure(600);
+        let mut mask = BitParallelPool::<4>::new(&g, 5, 1);
+        mask.ensure(600);
+        let want = rows(&mut mask, &[7, 0, 39]);
+        assert_eq!(rows(&mut pool, &[7, 0, 39]), want);
+        assert_eq!(rows(&mut free, &[7, 0, 39]), want);
+        let stats = pool.engine_stats();
+        assert_eq!(stats, free.engine_stats(), "labels as an unbounded pool does");
+        assert_eq!((stats.finalized_lanes, stats.label_queries, stats.mask_queries), (600, 9, 0));
+        assert_eq!(pool.memory_stats().shards_evicted, 0);
+    }
+
+    #[test]
+    fn a_labelled_shard_is_evicted_when_a_second_pool_fills_the_ledger() {
+        // The first pool labels its one shard. A second pool's growth then
+        // fills the shared ledger, so when the first pool grows a shard of
+        // masks it must evict its least recently used shard: the labelled
+        // one, whose blocks leave the finalized-block gauge.
+        let g = chain(40, 0.7);
+        let dense = {
+            let mut b = GraphBuilder::new(30);
+            for u in 0..30 {
+                for v in u + 1..30 {
+                    b.add_edge(u, v, 0.5).unwrap();
+                }
+            }
+            b.build().unwrap()
+        };
+        // The first pool's labelled shard, measured on its own ledger.
+        let labelled = {
+            let mut pool = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
+            pool.ensure(SHARD_WORLDS);
+            rows(&mut pool, &[3]);
+            pool.memory_stats().bytes_held
+        };
+        let second = 3 * blocks_per_shard::<4>() * dense.num_edges() * 32;
+        let budget = MemoryBudget::bounded(labelled + second + 1_000);
+        let mut first = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
+        first.set_memory_budget(budget.clone());
+        first.ensure(SHARD_WORLDS);
+        let want = rows(&mut first, &[3]);
+        assert_eq!(first.engine_stats().finalized_blocks, 4);
+        let mut other = BitParallelPool::<4>::new(&dense, 9, 1);
+        other.set_memory_budget(budget.clone());
+        other.ensure(3 * SHARD_WORLDS);
+        assert_eq!(other.memory_stats().shards_evicted, 0, "the second pool fits beside it");
+
+        first.ensure(2 * SHARD_WORLDS);
+        let (memory, stats) = (first.memory_stats(), first.engine_stats());
+        assert_eq!(memory.shards_evicted, 1, "{memory:?}");
+        assert_eq!(stats.finalized_blocks, 0, "the evicted shard took its labels: {stats:?}");
+        assert_eq!(stats.finalized_lanes, SHARD_WORLDS, "lanes ever labelled stand");
+        assert!(budget.bytes_held() <= budget.limit().unwrap());
+        // The evicted shard regenerates bit-identically on its next read.
+        let mut row = vec![0u32; 40];
+        first.counts_from_center_range(NodeId(3), 0, SHARD_WORLDS, &mut row);
+        assert_eq!(row, want);
+        assert_eq!(first.memory_stats().shards_regenerated, 1);
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn labels_into_rejects_missing_samples() {
