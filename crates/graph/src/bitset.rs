@@ -92,15 +92,8 @@ impl Bitset {
         &self.blocks
     }
 
-    /// Mutable raw block storage. Callers must keep bits `>= len` zero;
-    /// [`Bitset::trim_tail`] restores that invariant.
-    #[inline]
-    pub fn blocks_mut(&mut self) -> &mut [u64] {
-        &mut self.blocks
-    }
-
     /// Zeroes any bits at positions `>= len` in the last block.
-    pub fn trim_tail(&mut self) {
+    fn trim_tail(&mut self) {
         let tail = self.len % BITS;
         if tail != 0 {
             if let Some(last) = self.blocks.last_mut() {
@@ -200,9 +193,10 @@ mod tests {
 
     #[test]
     fn trim_tail_zeroes_spurious_bits() {
+        // `fill` sets whole blocks, then trims the bits past the length.
         let mut b = Bitset::with_len(3);
-        b.blocks_mut()[0] = !0;
-        b.trim_tail();
+        b.fill();
+        assert_eq!(b.blocks(), &[0b111]);
         assert_eq!(b.count_ones(), 3);
     }
 }

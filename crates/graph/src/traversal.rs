@@ -140,13 +140,6 @@ impl DepthBfs {
             });
         }
     }
-
-    /// Number of nodes within `depth_limit` hops of `source` (including it).
-    pub fn count_within(&mut self, g: &impl Adjacency, source: NodeId, depth_limit: u32) -> usize {
-        let mut count = 0usize;
-        self.run(g, source, depth_limit, |_, _| count += 1);
-        count
-    }
 }
 
 #[cfg(test)]
@@ -154,6 +147,19 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::uncertain::UncertainGraph;
+
+    /// Nodes `bfs` visits within `depth_limit` hops of `source` (including
+    /// it).
+    fn count_within(
+        bfs: &mut DepthBfs,
+        g: &UncertainGraph,
+        source: u32,
+        depth_limit: u32,
+    ) -> usize {
+        let mut count = 0usize;
+        bfs.run(g, NodeId(source), depth_limit, |_, _| count += 1);
+        count
+    }
 
     /// 0-1-2-3 path plus isolated node 4.
     fn path_graph() -> UncertainGraph {
@@ -208,24 +214,24 @@ mod tests {
     fn depth_bfs_zero_depth_visits_source_only() {
         let g = path_graph();
         let mut bfs = DepthBfs::new(g.num_nodes());
-        assert_eq!(bfs.count_within(&g, NodeId(1), 0), 1);
+        assert_eq!(count_within(&mut bfs, &g, 1, 0), 1);
     }
 
     #[test]
     fn depth_bfs_reuse_is_clean() {
         let g = path_graph();
         let mut bfs = DepthBfs::new(g.num_nodes());
-        assert_eq!(bfs.count_within(&g, NodeId(0), 3), 4);
+        assert_eq!(count_within(&mut bfs, &g, 0, 3), 4);
         // Second run must not see stale visited marks.
-        assert_eq!(bfs.count_within(&g, NodeId(3), 1), 2);
-        assert_eq!(bfs.count_within(&g, NodeId(4), 5), 1);
+        assert_eq!(count_within(&mut bfs, &g, 3, 1), 2);
+        assert_eq!(count_within(&mut bfs, &g, 4, 5), 1);
     }
 
     #[test]
     fn depth_bfs_large_limit_equals_component() {
         let g = path_graph();
         let mut bfs = DepthBfs::new(g.num_nodes());
-        assert_eq!(bfs.count_within(&g, NodeId(0), u32::MAX - 1), 4);
+        assert_eq!(count_within(&mut bfs, &g, 0, u32::MAX - 1), 4);
     }
 
     #[test]

@@ -218,17 +218,6 @@ impl MemoryStats {
             shards_regenerated: self.shards_regenerated.saturating_sub(earlier.shards_regenerated),
         }
     }
-
-    /// Element-wise sum with `other` (gauge `bytes_held` adds; the limit
-    /// keeps whichever side has one).
-    pub fn merged(&self, other: &MemoryStats) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.bytes_held + other.bytes_held,
-            bytes_limit: self.bytes_limit.or(other.bytes_limit),
-            shards_evicted: self.shards_evicted + other.shards_evicted,
-            shards_regenerated: self.shards_regenerated + other.shards_regenerated,
-        }
-    }
 }
 
 #[cfg(test)]
