@@ -2,16 +2,21 @@
 //! `LargeSparse` Erdős–Rényi instances (geometric skip sampling makes the
 //! inputs cheap to build at any size), each size solved through one
 //! [`UgraphSession`] with an unbounded ledger and again under shrinking
-//! byte budgets that force shard eviction and regeneration.
+//! byte budgets. A budget that cannot keep the component labels makes
+//! the pools sweep edge masks instead; one below the masks forces shard
+//! eviction and regeneration.
 //!
 //! Before any timing, an **equality gate** asserts that every budgeted
 //! run reproduces the unbounded clustering, assignment probabilities,
 //! guess trace, and sample count bit for bit, and that the budgeted
 //! session never held more bytes than its limit — a memory bound that
-//! changed answers would be meaningless.
+//! changed answers would be meaningless. A **storage gate** asserts that
+//! each bound changed what the session kept: it evicted and regenerated
+//! shards, or labelled fewer lanes than the unbounded session.
 //!
 //! Besides the criterion group, the bench emits machine-readable results
-//! (wall ns, bytes held, shards evicted/regenerated per cell) to
+//! (wall ns, bytes held, lanes labelled, shards evicted/regenerated per
+//! cell) to
 //! `BENCH_scaling.json` in the repository root, so the budget/time
 //! trade-off accumulates across PRs. Set `BENCH_SMOKE=1` for a fast CI
 //! smoke run (equality gates on, small sizes); it writes
@@ -38,6 +43,8 @@ struct Cell {
     budget: Option<usize>,
     wall_ns: u128,
     bytes_held: usize,
+    /// World lanes the session's pools labelled.
+    finalized_lanes: usize,
     shards_evicted: u64,
     shards_regenerated: u64,
 }
@@ -65,22 +72,25 @@ fn run_cell(
         budget,
         wall_ns,
         bytes_held: stats.bytes_held,
+        finalized_lanes: stats.engine.finalized_lanes,
         shards_evicted: stats.shards_evicted,
         shards_regenerated: stats.shards_regenerated,
     };
     (results, cell)
 }
 
-/// Sweeps one graph size: unbounded baseline, then budgets at 1/2 and 1/8
-/// of the baseline's held bytes, equality-gated against the baseline.
+/// Sweeps one graph size: unbounded baseline, then budgets at 1/2, 1/8 and
+/// 1/32 of the baseline's held bytes, equality- and storage-gated against
+/// the baseline.
 fn sweep_size(graph: &ugraph_graph::UncertainGraph, ks: &[usize]) -> Vec<Cell> {
     let (baseline, base_cell) = run_cell(graph, ks, None);
     assert_eq!(base_cell.shards_evicted, 0, "unbounded session must never evict");
     let full_bytes = base_cell.bytes_held;
+    let base_cell_lanes = base_cell.finalized_lanes;
     assert!(full_bytes > 0, "baseline session held no bytes");
 
     let mut cells = vec![base_cell];
-    for divisor in [2usize, 8] {
+    for divisor in [2usize, 8, 32] {
         let limit = (full_bytes / divisor).max(1);
         let (got, cell) = run_cell(graph, ks, Some(limit));
         // Equality gate: a memory bound must not change any answer.
@@ -95,10 +105,18 @@ fn sweep_size(graph: &ugraph_graph::UncertainGraph, ks: &[usize]) -> Vec<Cell> {
             cell.bytes_held,
             cell.nodes
         );
-        // Below the baseline's footprint something must have been evicted
-        // and brought back.
-        if limit < full_bytes {
-            assert!(cell.shards_evicted > 0, "budget {limit} < {full_bytes} but nothing evicted");
+        // Storage gate: below the baseline's footprint the bound must have
+        // changed what the session kept — shards evicted and brought back,
+        // or labels left unbuilt. At 1/32 the masks alone overflow.
+        let evicted = cell.shards_evicted > 0 && cell.shards_regenerated > 0;
+        let fewer_labels = cell.finalized_lanes < base_cell_lanes;
+        assert!(
+            evicted || fewer_labels,
+            "budget {limit} < {full_bytes} changed no storage (n = {})",
+            cell.nodes
+        );
+        if divisor == 32 {
+            assert!(cell.shards_evicted > 0, "budget {limit} evicted nothing (n = {})", cell.nodes);
             assert!(cell.shards_regenerated > 0, "evicted shards were never regenerated");
         }
         cells.push(cell);
@@ -115,12 +133,14 @@ fn write_scaling_json(cells: &[Cell], ks: &[usize], smoke: bool) {
         let budget = c.budget.map_or("null".to_string(), |b| b.to_string());
         rows.push_str(&format!(
             "    {{\"nodes\": {}, \"edges\": {}, \"budget_bytes\": {}, \"wall_ns\": {}, \
-             \"bytes_held\": {}, \"shards_evicted\": {}, \"shards_regenerated\": {}}}",
+             \"bytes_held\": {}, \"finalized_lanes\": {}, \"shards_evicted\": {}, \
+             \"shards_regenerated\": {}}}",
             c.nodes,
             c.edges,
             budget,
             c.wall_ns,
             c.bytes_held,
+            c.finalized_lanes,
             c.shards_evicted,
             c.shards_regenerated
         ));
