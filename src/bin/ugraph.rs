@@ -7,11 +7,9 @@
 //! ugraph stats    --input graph.txt
 //! ugraph cluster  --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
 //!                 [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-//!                 [--engine <bitparallel|adaptive>]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph sweep    --input graph.txt --algo <mcp|acp> --k-min A --k-max B
 //!                 [--depth D] [--seed N] [--samples N]
-//!                 [--engine <bitparallel|adaptive>]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph evaluate --input graph.txt --clustering out.tsv [--samples N]
 //!                 [--depth D] [--ground-truth gt.txt] [--seed N]
@@ -26,7 +24,6 @@
 //! ugraph client   <cluster|stats> [--connect HOST:PORT] [--graph NAME]
 //!                 [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
 //!                 [--retries N] [--connect-pool N] [--seed N]
-//!                 [--engine <bitparallel|adaptive>]
 //!                 [--output out.tsv]
 //! ```
 //!
