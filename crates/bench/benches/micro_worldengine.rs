@@ -168,7 +168,7 @@ impl Oracle for PerRowOracle<'_> {
     }
 }
 
-/// One engine's guess-schedule replay measurement.
+/// One pool's guess-schedule replay measurement (pure-mask or adaptive).
 struct Replay {
     engine: &'static str,
     /// Pre-PR access pattern: per-row sweeps, no cache.
@@ -462,7 +462,7 @@ fn measure_replay(graph: &UncertainGraph, smoke: bool) -> Vec<Replay> {
     out
 }
 
-/// One engine's k-sweep measurement: `k_lo..=k_hi` MCP requests served
+/// The k-sweep measurement: `k_lo..=k_hi` MCP requests served
 /// cold (one `mcp()` free-function call per k, each resampling its pool
 /// from scratch) vs warm (one [`UgraphSession`] serving every k from a
 /// shared grow-only pool and row caches).

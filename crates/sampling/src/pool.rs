@@ -668,17 +668,16 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         let bps = blocks_per_shard::<W>();
         let blocks = lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES;
-        let window = blocks.clone().count();
+        self.stats.label_queries += blocks.clone().count();
         let todo: Vec<usize> =
             blocks.filter(|&b| !shard_block(&self.shards, b).fully_labeled()).collect();
-        if !todo.is_empty() && !self.budget_admits_labels() {
-            // The sweep serves the unlabelled lanes by mask BFS.
-            self.stats.label_queries += window - todo.len();
-            self.stats.mask_queries += todo.len();
+        if todo.is_empty() {
             return;
         }
-        self.stats.label_queries += window;
-        if todo.is_empty() {
+        if !self.budget_admits_labels() {
+            // The sweep serves the unlabelled lanes by mask BFS.
+            self.stats.label_queries -= todo.len();
+            self.stats.mask_queries += todo.len();
             return;
         }
         // Fresh full finalizations are independent per block: build the
