@@ -788,6 +788,168 @@ proptest! {
     }
 }
 
+/// Strategy: a 20–120-node graph whose worlds hold a mix of one large
+/// component, smaller multi-node components and isolated nodes — or ties
+/// for the largest component. Kinds 0–3 draw `n` to `2n` random edges and
+/// scale their probabilities so a world's mean degree lands between 0.5
+/// and 2.5, around the percolation threshold at 1; kind 4 is edgeless
+/// (every component a single node); kinds 5 and 6 are two equal disjoint
+/// cliques, certain or with edge probability 0.9, so the two cliques tie
+/// for the largest component in every or in many worlds.
+fn percolating_graph() -> impl Strategy<Value = UncertainGraph> {
+    (0u32..7, 20u32..=120, 0.5f64..=2.5).prop_flat_map(|(kind, n, degree)| {
+        let edge = (0..n, 0..n, 0.5f64..=1.5);
+        proptest::collection::vec(edge, n as usize..=2 * n as usize).prop_map(move |edges| {
+            match kind {
+                4 => GraphBuilder::new(n as usize).build().unwrap(),
+                5 | 6 => {
+                    let side = n.min(60) / 2;
+                    let p = if kind == 5 { 1.0 } else { 0.9 };
+                    let mut b = GraphBuilder::new(2 * side as usize);
+                    for half in [0, side] {
+                        for u in half..half + side {
+                            for v in u + 1..half + side {
+                                b.add_edge(u, v, p).unwrap();
+                            }
+                        }
+                    }
+                    b.build().unwrap()
+                }
+                _ => {
+                    // Each edge is present with probability ≈ `degree · n /
+                    // 2m`, jittered per edge, so a world's mean degree is
+                    // about `degree`.
+                    let scale = degree * f64::from(n) / (2.0 * edges.len() as f64);
+                    let mut b = GraphBuilder::new(n as usize);
+                    for (u, v, jitter) in edges {
+                        if u != v {
+                            b.add_edge(u, v, (scale * jitter).min(1.0)).unwrap();
+                        }
+                    }
+                    b.build().unwrap()
+                }
+            }
+        })
+    })
+}
+
+/// `counts[c · n + u]` = the worlds `[lo, hi)` in which `u` shares `c`'s
+/// component, from per-world reference labels.
+fn rows_from_labels(labels: &[Vec<u32>], lo: usize, hi: usize) -> Vec<u32> {
+    let n = labels.first().map_or(0, Vec::len);
+    let mut counts = vec![0u32; n * n];
+    for world in &labels[lo..hi] {
+        for c in 0..n {
+            for u in 0..n {
+                counts[c * n + u] += u32::from(world[u] == world[c]);
+            }
+        }
+    }
+    counts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The labelled pool at the shipped block width (256 worlds per block)
+    /// answers like a pure-mask pool and like the reference engine on
+    /// worlds with a large component, multi-node small components,
+    /// isolated nodes, or ties for the largest component. The pool grows
+    /// through a schedule whose steps end inside a block, so rows label
+    /// the trailing block partially and the next step tops it up. After
+    /// every step, full rows and rows over the step's new window from
+    /// every center, a batch of two centers and a batch of every node
+    /// (labels and masks answer batches on different sides of the cost
+    /// model), pairs, and the labels of every world must agree; no lane
+    /// is labelled twice.
+    #[test]
+    fn labelled_blocks_agree_at_the_shipped_width(
+        g in percolating_graph(),
+        seed in any::<u64>(),
+        steps in proptest::collection::vec(1usize..300, 1..4),
+        threads in thread_counts(),
+    ) {
+        let n = g.num_nodes();
+        let all: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let pair = [NodeId(0), NodeId(n as u32 - 1)];
+        let mut reference = ReferenceEngine::new(&g, seed);
+        let mut mask = BitParallelPool::<4>::new(&g, seed, 1);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, seed, threads);
+        let mut labels = Vec::new();
+        let mut reached = 0usize;
+        let (mut a, mut b) = (vec![0u32; n], vec![0u32; n]);
+        for s in &steps {
+            let lo = reached;
+            reached += s;
+            reference.ensure(reached);
+            mask.ensure(reached);
+            pool.ensure(reached);
+            labels.extend((lo..reached).map(|i| reference.labels(i)));
+            for (window, want) in [
+                ((0, reached), rows_from_labels(&labels, 0, reached)),
+                ((lo, reached), rows_from_labels(&labels, lo, reached)),
+            ] {
+                for c in 0..n {
+                    let center = NodeId(c as u32);
+                    pool.counts_from_center_range(center, window.0, window.1, &mut a);
+                    mask.counts_from_center_range(center, window.0, window.1, &mut b);
+                    prop_assert_eq!(&a, &b, "center {} on {:?}", c, window);
+                    prop_assert_eq!(&a[..], &want[c * n..(c + 1) * n], "center {} on {:?}", c, window);
+                }
+            }
+            for centers in [&pair[..], &all[..]] {
+                let k = centers.len();
+                let (mut wa, mut wb) = (vec![0u32; k * n], vec![0u32; k * n]);
+                pool.counts_from_centers(centers, &mut wa);
+                mask.counts_from_centers(centers, &mut wb);
+                prop_assert_eq!(&wa, &wb, "batch of {} at {} samples", k, reached);
+            }
+            for u in 0..n as u32 {
+                prop_assert_eq!(
+                    pool.pair_count(NodeId(0), NodeId(u)),
+                    reference.pair_count(NodeId(0), NodeId(u)),
+                    "pair (0, {}) at {} samples", u, reached
+                );
+            }
+        }
+        for (i, want) in labels.iter().enumerate() {
+            pool.labels_into(i, &mut a);
+            prop_assert_eq!(&a, want, "labels of world {}", i);
+        }
+        let stats = pool.engine_stats();
+        prop_assert!(stats.finalized_lanes <= reached,
+            "relabelling: {} lanes labelled, {} sampled", stats.finalized_lanes, reached);
+    }
+}
+
+/// The graph kinds above reach both sides of the batch cost model: on an
+/// edgeless graph a labelled block answers a batch of two from its labels,
+/// and on two certain cliques it sweeps masks.
+#[test]
+fn labelled_batches_reach_both_sides_of_the_cost_model() {
+    let edgeless = GraphBuilder::new(120).build().unwrap();
+    let mut b = GraphBuilder::new(60);
+    for half in [0, 30] {
+        for u in half..half + 30 {
+            for v in u + 1..half + 30 {
+                b.add_edge(u, v, 1.0).unwrap();
+            }
+        }
+    }
+    let cliques = b.build().unwrap();
+    for (g, label_side) in [(&edgeless, true), (&cliques, false)] {
+        let mut pool = BitParallelPool::<4>::new_adaptive(g, 3, 1);
+        pool.ensure(512);
+        pool.counts_from_center(NodeId(0), &mut vec![0u32; g.num_nodes()]);
+        let before = pool.engine_stats();
+        pool.counts_from_centers(&[NodeId(0), NodeId(40)], &mut vec![0u32; 2 * g.num_nodes()]);
+        let after = pool.engine_stats();
+        let sides =
+            (after.label_queries - before.label_queries, after.mask_queries - before.mask_queries);
+        assert_eq!(sides, if label_side { (2, 0) } else { (0, 2) }, "label side {label_side}");
+    }
+}
+
 /// A random clustering of `n` nodes around `k` distinct centers: every
 /// other node is an outlier with probability 1/4 and otherwise joins a
 /// uniformly drawn cluster, so some clusters hold only their center.
