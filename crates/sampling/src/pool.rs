@@ -76,262 +76,257 @@ const fn blocks_per_shard<const W: usize>() -> usize {
     SHARD_WORLDS / (W * LANES)
 }
 
-/// Storage width of component labels and membership indexes.
+/// Finalized per-lane components of one mask block in compact form — the
+/// structure that lets unlimited queries over the block skip mask BFS.
 ///
-/// Labels and node ids are at most `n − 1`, so graphs with
-/// `n ≤ u16::MAX` store them as `u16` — halving label memory on every
-/// shipped dataset — while larger graphs use the `u32` path behind the
-/// same interface. Both widths are property-tested against each other.
-trait Label: Copy + Eq + Send + Sync + std::fmt::Debug + 'static {
-    fn from_u32(x: u32) -> Self;
-    fn index(self) -> usize;
-}
-
-impl Label for u16 {
-    #[inline]
-    fn from_u32(x: u32) -> Self {
-        debug_assert!(x <= u16::MAX as u32);
-        x as u16
-    }
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-impl Label for u32 {
-    #[inline]
-    fn from_u32(x: u32) -> Self {
-        x
-    }
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// Whether `n`-node labels fit the narrow (`u16`) width.
-#[inline]
-fn narrow_fits(n: usize) -> bool {
-    n <= u16::MAX as usize
-}
-
-/// Finalized per-lane component labels of one mask block, at label width
-/// `L` — the structure that lets unlimited queries over the block run as
-/// O(n + members) label scans instead of mask BFS.
-///
-/// Labels are stored node-major with stride `stride` = the block's lane
-/// capacity, `W · 64` for block width `W`
-/// (`labels[u * stride + l]` = `u`'s component in world `l`), so a
-/// center's per-lane labels are one contiguous load. The membership index is a single CSR over `(lane, label)`
-/// buckets: members of component `c` of lane `l` are
-/// `order[starts[b]..starts[b + 1]]` with `b = lane_base[l] + c`.
+/// One component of each world usually holds most of the nodes, so it is
+/// stored as a mask per node: `giant[u]` has lane `l` set when `u` sits in
+/// world `l`'s largest component (the one with the smallest node among
+/// equally large ones). That component's share of a row is one AND and
+/// popcount per node. The other components of two or more nodes keep
+/// member lists, lane by lane: lane `l` owns `nodes[lane_start[l]..
+/// lane_start[l + 1]]`, sorted by node so a center finds its component by
+/// binary search, and `next` links each component's members into a cycle.
+/// A node in neither is alone in its world and needs no storage.
 ///
 /// Lanes are labeled **append-only**: finalizing a partially filled block
 /// and topping it up later labels only the new lanes — already-labeled
 /// lanes are never recomputed (worlds are immutable once sampled).
 #[derive(Debug)]
-struct BlockLabels<L> {
-    /// Per-lane labels, node-major with stride `stride` (sized
-    /// `n · stride` up front so lane appends are in-place writes).
-    labels: Vec<L>,
-    /// Node ids grouped by `(lane, label)` bucket; lane `l` owns
-    /// `order[l * n..(l + 1) * n]`.
-    order: Vec<L>,
-    /// Cumulative bucket offsets into `order` (one terminator overall).
-    starts: Vec<u32>,
-    /// `lane_base[l]` = index of lane `l`'s first bucket in `starts`.
-    lane_base: Vec<u32>,
-    /// Lane capacity of the block (`W · 64`) — the node-major stride of
-    /// `labels`.
-    stride: u32,
-    /// Lanes labeled so far (a prefix of the block's lanes).
-    labeled: u32,
+struct BlockLabels<const W: usize> {
+    /// Per-node lane masks of each world's largest component.
+    giant: Vec<Mask<W>>,
+    /// Node count of each labeled lane's largest component; its length is
+    /// the labeled prefix of the block's lanes.
+    giant_size: Vec<u32>,
+    /// Members of the other multi-node components, lane-major, ascending
+    /// within a lane.
+    nodes: Vec<u32>,
+    /// `next[i]` = position in `nodes` of the next member of `nodes[i]`'s
+    /// component, cyclically.
+    next: Vec<u32>,
+    /// `lane_start[l]` = index of lane `l`'s first entry in `nodes` (one
+    /// terminator after the last labeled lane).
+    lane_start: Vec<u32>,
 }
 
-impl<L: Label> BlockLabels<L> {
-    fn new(n: usize, stride: usize) -> Self {
+impl<const W: usize> BlockLabels<W> {
+    fn new(n: usize) -> Self {
         BlockLabels {
-            labels: vec![L::from_u32(0); n * stride],
-            order: Vec::new(),
-            starts: vec![0],
-            lane_base: vec![0],
-            stride: stride as u32,
-            labeled: 0,
+            giant: vec![Mask::ZERO; n],
+            giant_size: Vec::new(),
+            nodes: Vec::new(),
+            next: Vec::new(),
+            lane_start: vec![0],
         }
     }
 
-    /// Heap bytes held by the label and membership structures.
-    fn heap_bytes(&self) -> usize {
-        (self.labels.len() + self.order.len()) * std::mem::size_of::<L>()
-            + (self.starts.len() + self.lane_base.len()) * 4
-    }
-
-    /// Labels lanes `[self.labeled, target)` from the block's edge masks
-    /// with one component-sharing sweep, then appends their membership
-    /// buckets. Already-labeled lanes are untouched.
-    fn extend<const W: usize>(
-        &mut self,
-        graph: &UncertainGraph,
-        bfs: &mut MultiWorldBfs<W>,
-        masks: &[Mask<W>],
-        target: usize,
-    ) {
-        let n = graph.num_nodes();
-        let stride = self.stride as usize;
-        let from = self.labeled as usize;
-        debug_assert_eq!(stride, Mask::<W>::LANES);
-        debug_assert!(from < target && target <= stride);
-        let new_mask = Mask::<W>::prefix(target).and_not(Mask::prefix(from));
-        let labels = &mut self.labels;
-        let counts = bfs.label_components(graph, masks, new_mask, |v, mask, next| {
-            let base = v.index() * stride;
-            mask.for_each_lane(|l| labels[base + l] = L::from_u32(next[l]));
-        });
-        // Append the new lanes' membership buckets (counting sort per lane).
-        self.order.resize((target - from) * n + self.order.len(), L::from_u32(0));
-        let mut sizes: Vec<u32> = Vec::new();
-        let mut cursor: Vec<u32> = Vec::new();
-        for l in from..target {
-            let nb = counts[l] as usize;
-            sizes.clear();
-            sizes.resize(nb, 0);
-            for u in 0..n {
-                sizes[self.labels[u * stride + l].index()] += 1;
-            }
-            let mut running =
-                *self.starts.last().unwrap_or_else(|| unreachable!("starts holds its terminator"));
-            cursor.clear();
-            for &s in &sizes {
-                cursor.push(running);
-                running += s;
-                self.starts.push(running);
-            }
-            for u in 0..n {
-                let c = self.labels[u * stride + l].index();
-                self.order[cursor[c] as usize] = L::from_u32(u as u32);
-                cursor[c] += 1;
-            }
-            let base = *self
-                .lane_base
-                .last()
-                .unwrap_or_else(|| unreachable!("lane_base holds its terminator"));
-            self.lane_base.push(base + nb as u32);
-        }
-        self.labeled = target as u32;
-    }
-
-    /// Increments `counts[u]` for every member `u` of `center`'s component
-    /// in every lane selected by `lanes` — the finalized-block kernel of
-    /// the unlimited count queries (`lanes` must be ⊆ the labeled lanes).
+    /// Lanes labeled so far (a prefix of the block's lanes).
     #[inline]
-    fn accumulate_center<const W: usize>(&self, center: usize, lanes: Mask<W>, counts: &mut [u32]) {
-        let stride = self.stride as usize;
-        let base = center * stride;
-        lanes.for_each_lane(|l| {
-            let b = (self.lane_base[l] + self.labels[base + l].index() as u32) as usize;
-            for &u in &self.order[self.starts[b] as usize..self.starts[b + 1] as usize] {
-                counts[u.index()] += 1;
-            }
-        });
-    }
-
-    /// Writes lane `l`'s label of every node into `out` (`l` must be
-    /// labeled).
-    fn lane_into(&self, l: usize, out: &mut [u32]) {
-        let stride = self.stride as usize;
-        for (u, o) in out.iter_mut().enumerate() {
-            *o = self.labels[u * stride + l].index() as u32;
-        }
-    }
-
-    /// Exact label-scan cost of a batched query — the total member count
-    /// of every `(center, lane)` component bucket — for the
-    /// [`crate::tuning::labels_beat_shared_masks`] dispatch.
-    fn batch_label_ops<const W: usize>(&self, centers: &[NodeId], lanes: Mask<W>) -> usize {
-        let stride = self.stride as usize;
-        let mut ops = 0usize;
-        for c in centers {
-            let base = c.index() * stride;
-            lanes.for_each_lane(|l| {
-                let b = (self.lane_base[l] + self.labels[base + l].index() as u32) as usize;
-                ops += (self.starts[b + 1] - self.starts[b]) as usize;
-            });
-        }
-        ops
-    }
-}
-
-/// [`BlockLabels`] at the width picked for the pool's node count.
-#[derive(Debug)]
-enum BlockLabelsAny {
-    Narrow(BlockLabels<u16>),
-    Wide(BlockLabels<u32>),
-}
-
-impl BlockLabelsAny {
-    fn new(n: usize, wide: bool, stride: usize) -> Self {
-        if wide {
-            BlockLabelsAny::Wide(BlockLabels::new(n, stride))
-        } else {
-            BlockLabelsAny::Narrow(BlockLabels::new(n, stride))
-        }
-    }
-
-    #[inline]
-    fn labeled(&self) -> u32 {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.labeled,
-            BlockLabelsAny::Wide(l) => l.labeled,
-        }
+    fn labeled(&self) -> usize {
+        self.giant_size.len()
     }
 
     /// Lane mask of the labeled prefix.
     #[inline]
-    fn labeled_mask<const W: usize>(&self) -> Mask<W> {
-        Mask::prefix(self.labeled() as usize)
+    fn labeled_mask(&self) -> Mask<W> {
+        Mask::prefix(self.labeled())
     }
 
-    fn extend<const W: usize>(
+    /// Heap bytes held by the giant masks and the member lists.
+    fn heap_bytes(&self) -> usize {
+        self.giant.len() * std::mem::size_of::<Mask<W>>()
+            + (self.giant_size.len() + self.nodes.len() + self.next.len() + self.lane_start.len())
+                * 4
+    }
+
+    /// Labels lanes `[self.labeled(), target)` from the block's edge masks
+    /// with one component-sharing sweep into a transient node-major label
+    /// table, then sets the new lanes' giant bits and appends their member
+    /// lists in two passes over the table. Already-labeled lanes are
+    /// untouched. The transient table and component sizes take what the
+    /// node-major `u16` labels, membership order and CSR offsets of earlier
+    /// versions kept.
+    fn extend(
         &mut self,
         graph: &UncertainGraph,
         bfs: &mut MultiWorldBfs<W>,
         masks: &[Mask<W>],
         target: usize,
     ) {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.extend(graph, bfs, masks, target),
-            BlockLabelsAny::Wide(l) => l.extend(graph, bfs, masks, target),
+        // A listed component's entry in `state`: no member placed yet, or
+        // the position of the last one placed (positions stay below both
+        // sentinels, see `BitParallelPool::labels_fit`).
+        const UNLISTED: u32 = u32::MAX;
+        const EMPTY: u32 = u32::MAX - 1;
+        let n = graph.num_nodes();
+        let from = self.labeled();
+        debug_assert!(from < target && target <= Mask::<W>::LANES);
+        let width = target - from;
+        let new_mask = Mask::<W>::prefix(target).and_not(Mask::prefix(from));
+        // `table[u · width + j]` = `u`'s label in lane `from + j`.
+        let mut table = vec![0u32; n * width];
+        let counts = bfs.label_components(graph, masks, new_mask, |v, mask, next| {
+            let row = &mut table[v.index() * width..(v.index() + 1) * width];
+            mask.for_each_lane(|l| row[l - from] = next[l]);
+        });
+        // Lane `from + j`'s component `c` is `state[base[j] + c]`: first
+        // its size, then its listing state.
+        let mut base = vec![0usize; width + 1];
+        for j in 0..width {
+            base[j + 1] = base[j] + counts[from + j] as usize;
+        }
+        let mut state = vec![0u32; base[width]];
+        for row in table.chunks_exact(width) {
+            for (j, &c) in row.iter().enumerate() {
+                state[base[j] + c as usize] += 1;
+            }
+        }
+        let (mut giants, mut cursor) = (Vec::with_capacity(width), Vec::with_capacity(width));
+        let mut end = self.nodes.len();
+        for j in 0..width {
+            let sizes = &mut state[base[j]..base[j + 1]];
+            let mut giant = 0;
+            for (c, &size) in sizes.iter().enumerate() {
+                if size > sizes[giant] {
+                    giant = c;
+                }
+            }
+            self.giant_size.push(sizes.get(giant).copied().unwrap_or(0));
+            giants.push(giant as u32);
+            cursor.push(end);
+            for (c, size) in sizes.iter_mut().enumerate() {
+                if c == giant || *size < 2 {
+                    *size = UNLISTED;
+                } else {
+                    end += *size as usize;
+                    *size = EMPTY;
+                }
+            }
+            self.lane_start.push(end as u32);
+        }
+        self.nodes.reserve_exact(end - self.nodes.len());
+        self.nodes.resize(end, 0);
+        self.next.reserve_exact(end - self.next.len());
+        self.next.resize(end, 0);
+        for (u, row) in table.chunks_exact(width).enumerate() {
+            let mut giant = Mask::<W>::ZERO;
+            for (j, &c) in row.iter().enumerate() {
+                if c == giants[j] {
+                    let l = from + j;
+                    giant.0[l / LANES] |= 1 << (l % LANES);
+                    continue;
+                }
+                let last = &mut state[base[j] + c as usize];
+                if *last == UNLISTED {
+                    continue;
+                }
+                let p = cursor[j];
+                cursor[j] += 1;
+                self.nodes[p] = u as u32;
+                // A member joins its component's cycle after the last one
+                // placed, taking over the link back to the first.
+                self.next[p] = match *last {
+                    EMPTY => p as u32,
+                    prev => std::mem::replace(&mut self.next[prev as usize], p as u32),
+                };
+                *last = p as u32;
+            }
+            self.giant[u] |= giant;
         }
     }
 
+    /// Calls `f` on every member of `center`'s component in labeled lane
+    /// `l`, where `center` is outside the largest component: the members
+    /// of its listed component, or `center` alone.
     #[inline]
-    fn accumulate_center<const W: usize>(&self, center: usize, lanes: Mask<W>, counts: &mut [u32]) {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.accumulate_center(center, lanes, counts),
-            BlockLabelsAny::Wide(l) => l.accumulate_center(center, lanes, counts),
+    fn for_each_small_member(&self, center: usize, l: usize, mut f: impl FnMut(usize)) {
+        let start = self.lane_start[l] as usize;
+        let lane = &self.nodes[start..self.lane_start[l + 1] as usize];
+        match lane.binary_search(&(center as u32)) {
+            Err(_) => f(center),
+            Ok(i) => self.for_each_in_cycle(start + i, f),
         }
     }
 
-    fn lane_into(&self, lane: usize, out: &mut [u32]) {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.lane_into(lane, out),
-            BlockLabelsAny::Wide(l) => l.lane_into(lane, out),
+    /// Calls `f` on every member of the listed component whose cycle
+    /// passes through position `first` of `nodes`.
+    #[inline]
+    fn for_each_in_cycle(&self, first: usize, mut f: impl FnMut(usize)) {
+        let mut p = first;
+        loop {
+            f(self.nodes[p] as usize);
+            p = self.next[p] as usize;
+            if p == first {
+                break;
+            }
         }
     }
 
-    fn batch_label_ops<const W: usize>(&self, centers: &[NodeId], lanes: Mask<W>) -> usize {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.batch_label_ops(centers, lanes),
-            BlockLabelsAny::Wide(l) => l.batch_label_ops(centers, lanes),
+    /// Adds to `counts[u]` the lanes selected by `lanes` in which `u`
+    /// shares `center`'s component — the finalized-block kernel of the
+    /// unlimited count queries (`lanes` must be ⊆ the labeled lanes). Over
+    /// the lanes where `center` is in the largest component this is one
+    /// AND and popcount per node; elsewhere it walks `center`'s small
+    /// component.
+    #[inline]
+    fn accumulate_center(&self, center: usize, lanes: Mask<W>, counts: &mut [u32]) {
+        let giant = self.giant[center] & lanes;
+        if giant.any() {
+            for (count, &m) in counts.iter_mut().zip(&self.giant) {
+                *count += (m & giant).count_ones();
+            }
+        }
+        lanes
+            .and_not(giant)
+            .for_each_lane(|l| self.for_each_small_member(center, l, |u| counts[u] += 1));
+    }
+
+    /// Writes lane `l`'s label of every node into `out` (`l` must be
+    /// labeled): components are numbered densely from 0 in order of their
+    /// smallest node. One ascending pass meets each component first at its
+    /// smallest node; it reads the lane's member list alongside, and the
+    /// giant bit of every other node without a branch.
+    fn lane_into(&self, l: usize, out: &mut [u32]) {
+        const NONE: u32 = u32::MAX;
+        let (word, shift) = (l / LANES, l % LANES);
+        let giants = &self.giant[..out.len()];
+        let giant_root = giants.iter().position(|m| m.get(l)).unwrap_or(0);
+        let lane = &self.nodes[..self.lane_start[l + 1] as usize];
+        let mut listed = self.lane_start[l] as usize;
+        out.fill(NONE);
+        let (mut next, mut giant) = (0u32, 0u32);
+        for u in 0..out.len() {
+            if listed < lane.len() && lane[listed] as usize == u {
+                if out[u] == NONE {
+                    self.for_each_in_cycle(listed, |v| out[v] = next);
+                    next += 1;
+                }
+                listed += 1;
+                continue;
+            }
+            let in_giant = giants[u].0[word] >> shift & 1 == 1;
+            if u == giant_root {
+                giant = next;
+            }
+            out[u] = if in_giant { giant } else { next };
+            next += u32::from(!in_giant || u == giant_root);
         }
     }
 
-    fn heap_bytes(&self) -> usize {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.heap_bytes(),
-            BlockLabelsAny::Wide(l) => l.heap_bytes(),
+    /// Label-scan cost of a batched query — the total member count of
+    /// every `(center, lane)` component — for the
+    /// [`crate::tuning::labels_beat_shared_masks`] dispatch.
+    fn batch_label_ops(&self, centers: &[NodeId], lanes: Mask<W>) -> usize {
+        let mut ops = 0usize;
+        for c in centers {
+            let giant = self.giant[c.index()] & lanes;
+            giant.for_each_lane(|l| ops += self.giant_size[l] as usize);
+            lanes
+                .and_not(giant)
+                .for_each_lane(|l| self.for_each_small_member(c.index(), l, |_| ops += 1));
         }
+        ops
     }
 }
 
@@ -346,24 +341,24 @@ struct MaskBlock<const W: usize> {
     /// Lazily finalized component labels (adaptive mode only); covers the
     /// first `labels.labeled()` lanes, never invalidated — a lane top-up
     /// extends the labels, it does not recompute them.
-    labels: Option<BlockLabelsAny>,
+    labels: Option<BlockLabels<W>>,
 }
 
 impl<const W: usize> MaskBlock<W> {
     /// Heap bytes held by the block's masks and finalized labels.
     fn heap_bytes(&self) -> usize {
         self.masks.len() * std::mem::size_of::<Mask<W>>()
-            + self.labels.as_ref().map_or(0, BlockLabelsAny::heap_bytes)
+            + self.labels.as_ref().map_or(0, BlockLabels::heap_bytes)
     }
 
     /// Whether labels cover every lane of the block.
     fn fully_labeled(&self) -> bool {
-        self.labels.as_ref().is_some_and(|l| l.labeled() == self.lanes)
+        self.labels.as_ref().is_some_and(|l| l.labeled() == self.lanes as usize)
     }
 
     /// The block's labels, for lanes that [`MaskBlock::split_lanes`] (or a
     /// plan built from it) serves from them.
-    fn labels(&self) -> &BlockLabelsAny {
+    fn labels(&self) -> &BlockLabels<W> {
         self.labels.as_ref().unwrap_or_else(|| unreachable!("labeled lanes imply labels"))
     }
 
@@ -444,8 +439,6 @@ pub struct BitParallelPool<'g, const W: usize = 1> {
     /// Lazy per-block component-label finalization, within the memory
     /// budget; off = pure-mask pool (tests compare the two).
     adaptive: bool,
-    /// `true` = `u32` block labels (see [`Label`]).
-    wide: bool,
     /// Finalization counters (see [`EngineStats`]).
     stats: EngineStats,
     /// Shared byte ledger the shards are charged to (unbounded by default).
@@ -474,7 +467,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             bfs: MultiWorldBfs::new(graph.num_nodes()),
             plan: Vec::new(),
             adaptive: false,
-            wide: !narrow_fits(graph.num_nodes()),
             stats: EngineStats::default(),
             budget: MemoryBudget::default(),
             evicted: 0,
@@ -504,19 +496,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     pub fn with_finalization(mut self, adaptive: bool) -> Self {
         assert!(self.shards.is_empty(), "finalization is chosen before the pool grows");
         self.adaptive = adaptive;
-        self
-    }
-
-    /// Forces the wide (`u32`) block-label path even on small graphs.
-    /// Counts are identical either way; the property tests use this to
-    /// exercise the wide path without 65k-node instances.
-    ///
-    /// # Panics
-    /// Panics if the pool already holds samples.
-    #[doc(hidden)]
-    pub fn with_wide_labels(mut self, wide: bool) -> Self {
-        assert!(self.shards.is_empty(), "label width is chosen before the pool grows");
-        self.wide = wide || !narrow_fits(self.graph().num_nodes());
         self
     }
 
@@ -643,10 +622,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         });
     }
 
-    /// Whether block labels of an `n`-node graph fit the `u32` CSR offsets
-    /// of the membership index.
+    /// Whether block labels of an `n`-node graph fit `u32` positions in
+    /// the member lists, below the two sentinels of
+    /// [`BlockLabels::extend`].
     fn labels_fit(n: usize) -> bool {
-        n.saturating_mul(Self::BLOCK_LANES) <= u32::MAX as usize
+        n.saturating_mul(Self::BLOCK_LANES) < (u32::MAX - 1) as usize
     }
 
     /// Finalization prologue of the unlimited-depth row query over the
@@ -684,7 +664,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         // label structures by value in parallel, then attach. Extensions of
         // a partially labeled block (at most one — the trailing block) run
         // serially on the pool's workspace.
-        let wide = self.wide;
         let fresh: Vec<usize> = todo
             .iter()
             .copied()
@@ -692,14 +671,14 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             .collect();
         if fresh.len() > 1 && self.config.parallel_generation(fresh.len() * Self::BLOCK_LANES) {
             let shards: &[Shard<W>] = &self.shards;
-            let built: Vec<(usize, BlockLabelsAny)> = self.config.run(|| {
+            let built: Vec<(usize, BlockLabels<W>)> = self.config.run(|| {
                 fresh
                     .par_iter()
                     .map_init(
                         || MultiWorldBfs::<W>::new(n),
                         |bfs, &b| {
                             let block = shard_block(shards, b);
-                            let mut labels = BlockLabelsAny::new(n, wide, Self::BLOCK_LANES);
+                            let mut labels = BlockLabels::new(n);
                             labels.extend(graph, bfs, &block.masks, block.lanes as usize);
                             (b, labels)
                         },
@@ -708,7 +687,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             });
             for (b, labels) in built {
                 self.stats.finalized_blocks += 1;
-                self.stats.finalized_lanes += labels.labeled() as usize;
+                self.stats.finalized_lanes += labels.labeled();
                 self.shards[b / bps].blocks[b % bps].labels = Some(labels);
             }
         }
@@ -726,20 +705,25 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// The labelling rule of unlimited rows: labels are built only if the
     /// labels still missing from the whole pool, resident or evicted, fit
     /// the ledger beside what it already holds. Each block lacking labels
-    /// counts at the most a fully labelled block can hold: a label and a
-    /// membership entry per node and lane, one CSR offset per node and
-    /// lane, and the lane offsets. Otherwise rows sweep those blocks as
-    /// masks, so a tight budget keeps masks resident instead of evicting
-    /// them for labels it cannot keep. Never inlined: it runs only when a
-    /// window lacks labels.
+    /// counts at the most a fully labelled block can hold
+    /// ([`BlockLabels`]): a giant mask per node, a largest-component size
+    /// and a list offset per lane (plus the terminator), and a member entry
+    /// and a cycle link per listed node. A lane lists only nodes outside
+    /// its largest component whose component has at least two nodes, and
+    /// the largest is at least as large, so a lane lists at most `n − 2`
+    /// nodes — as many as a world of disjoint pairs does. Otherwise rows
+    /// sweep those blocks as masks, so a tight budget keeps masks resident
+    /// instead of evicting them for labels it cannot keep. Never inlined:
+    /// it runs only when a window lacks labels.
     #[inline(never)]
     fn budget_admits_labels(&self) -> bool {
         let labelled =
             self.shards.iter().flat_map(|shard| &shard.blocks).filter(|b| b.fully_labeled());
         let missing = self.num_blocks() - labelled.count();
-        let width = if self.wide { 4 } else { 2 };
-        let n = self.graph().num_nodes();
-        let per_block = n * Self::BLOCK_LANES * (2 * width + 4) + 4 * (Self::BLOCK_LANES + 2);
+        let (n, lanes) = (self.graph().num_nodes(), Self::BLOCK_LANES);
+        let per_block = n * std::mem::size_of::<Mask<W>>()
+            + 4 * (2 * lanes + 1)
+            + 8 * lanes * n.saturating_sub(2);
         !self.budget.would_exceed(missing.saturating_mul(per_block))
     }
 
@@ -749,12 +733,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// bytes.
     fn finalize_block(&mut self, b: usize) {
         let graph = self.sampler.graph();
-        let (n, wide) = (graph.num_nodes(), self.wide);
+        let n = graph.num_nodes();
         let bps = blocks_per_shard::<W>();
         let block = &mut self.shards[b / bps].blocks[b % bps];
-        let labels =
-            block.labels.get_or_insert_with(|| BlockLabelsAny::new(n, wide, Self::BLOCK_LANES));
-        let before = labels.labeled() as usize;
+        let labels = block.labels.get_or_insert_with(|| BlockLabels::new(n));
+        let before = labels.labeled();
         if before == 0 {
             self.stats.finalized_blocks += 1;
         }
@@ -2018,25 +2001,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn wide_and_narrow_labels_agree() {
-        let g = chain(13, 0.5);
-        let mut a = vec![0u32; 13];
-        let mut b = vec![0u32; 13];
-        let mut bn = BitParallelPool::<1>::new_adaptive(&g, 5, 1);
-        let mut bw = BitParallelPool::<1>::new_adaptive(&g, 5, 1).with_wide_labels(true);
-        bn.ensure(90);
-        bw.ensure(90);
-        for c in 0..13u32 {
-            bn.counts_from_center(NodeId(c), &mut a);
-            bw.counts_from_center(NodeId(c), &mut b);
-            assert_eq!(a, b, "block-label width mismatch at center {c}");
-        }
-        assert_eq!(bn.engine_stats().finalized_lanes, 90);
-        assert_eq!(bw.engine_stats().finalized_lanes, 90);
-        assert_eq!(all_labels(&mut bn), all_labels(&mut bw), "per-world labels differ");
     }
 
     #[test]

@@ -566,41 +566,40 @@ proptest! {
             "relabeling detected: {} lanes labeled, {} sampled", stats.finalized_lanes, reached);
     }
 
-    /// The narrow (`u16`) and wide (`u32`) block-label widths are
-    /// count-identical, and both label every world exactly like the
-    /// reference engine.
+    /// A labelled pool labels every world exactly like the reference
+    /// engine, serial or on several threads, and its rows and pairs over
+    /// labels equal a pure-mask pool's.
     #[test]
-    fn label_widths_agree(
+    fn labelled_worlds_match_reference_labels(
         g in small_graph(10, 16),
         seed in any::<u64>(),
         r in sample_sizes(),
         threads in thread_counts(),
     ) {
         let n = g.num_nodes();
-        let mut bn = BitParallelPool::<1>::new_adaptive(&g, seed, 1);
-        let mut bw = BitParallelPool::<1>::new_adaptive(&g, seed, threads).with_wide_labels(true);
+        let mut pool = BitParallelPool::<1>::new_adaptive(&g, seed, threads);
+        let mut mask = BitParallelPool::<1>::new(&g, seed, 1);
         let mut reference = ReferenceEngine::new(&g, seed);
-        bn.ensure(r);
-        bw.ensure(r);
+        pool.ensure(r);
+        mask.ensure(r);
         reference.ensure(r);
         let mut a = vec![0u32; n];
         let mut b = vec![0u32; n];
         for i in 0..r {
-            bn.labels_into(i, &mut a);
-            bw.labels_into(i, &mut b);
-            prop_assert_eq!(&a, &reference.labels(i), "narrow labels of world {}", i);
-            prop_assert_eq!(&b, &reference.labels(i), "wide labels of world {}", i);
+            pool.labels_into(i, &mut a);
+            prop_assert_eq!(&a, &reference.labels(i), "labels of world {}", i);
         }
         for c in 0..n as u32 {
-            bn.counts_from_center(NodeId(c), &mut a);
-            bw.counts_from_center(NodeId(c), &mut b);
-            prop_assert_eq!(&a, &b, "block-label widths differ at center {}", c);
+            pool.counts_from_center(NodeId(c), &mut a);
+            mask.counts_from_center(NodeId(c), &mut b);
+            prop_assert_eq!(&a, &b, "rows differ at center {}", c);
             prop_assert_eq!(
-                bn.pair_count(NodeId(0), NodeId(c)),
-                bw.pair_count(NodeId(0), NodeId(c)),
-                "pair (0, {}) widths differ", c
+                pool.pair_count(NodeId(0), NodeId(c)),
+                mask.pair_count(NodeId(0), NodeId(c)),
+                "pair (0, {}) differs", c
             );
         }
+        prop_assert_eq!(pool.engine_stats().finalized_lanes, r);
     }
 
     /// End to end through the oracle layer: the adaptive engine serves
