@@ -3,10 +3,12 @@
 //! pool footprint, forcing shard eviction and regeneration, and through
 //! one whose budget holds the edge masks but not the component labels,
 //! must produce output identical to an unbounded session while honoring
-//! the byte limit.
+//! the byte limit; so must AVPR over the second session's evaluation pool.
 
 use ugraph_cluster::{ClusterConfig, ClusterRequest, UgraphSession};
 use ugraph_datasets::DatasetSpec;
+use ugraph_metrics::avpr;
+use ugraph_sampling::WorldEngine;
 
 /// The smoke's session configuration: a fixed sample count keeps it fast
 /// in debug builds; 1100 samples span two 1024-world shard groups.
@@ -66,13 +68,25 @@ fn budget_between_masks_and_labels_sweeps_masks_and_matches_unbounded_output() {
     let mut unbounded = UgraphSession::new(graph, config()).expect("unbounded session");
     let mut between =
         UgraphSession::new(graph, config().with_memory_budget(BUDGET)).expect("budgeted session");
+    let mut clustering = None;
     for k in [3usize, 5] {
         let want = unbounded.solve(ClusterRequest::mcp(k)).expect("unbounded mcp");
         let got = between.solve(ClusterRequest::mcp(k)).expect("budgeted mcp");
         assert_eq!(got.clustering, want.clustering, "k = {k}: clustering diverged under budget");
         assert_eq!(got.assign_probs, want.assign_probs, "k = {k}: probabilities diverged");
         assert_eq!((got.guesses, got.samples_used), (want.guesses, want.samples_used));
+        clustering = Some(want.clustering);
     }
+    // AVPR reads every world of the evaluation pool; under the budget the
+    // pool labels each world on its own instead of keeping block labels.
+    let clustering = clustering.expect("two solves ran");
+    let want_avpr = avpr(unbounded.eval_pool(), &clustering);
+    assert_eq!(avpr(between.eval_pool(), &clustering), want_avpr, "AVPR diverged under budget");
+    assert!(unbounded.eval_pool().engine_stats().finalized_lanes > 0);
+    let eval = between.eval_pool().engine_stats();
+    assert_eq!(eval.finalized_lanes, 0, "the evaluation pool labelled under the budget: {eval:?}");
+    let held = between.ledger().bytes_held();
+    assert!(held <= BUDGET, "{held} bytes over the {BUDGET}-byte budget after AVPR");
     let free = unbounded.stats();
     let stats = between.stats();
     assert!(free.engine.finalized_lanes > 0, "the unbounded session labels: {free}");

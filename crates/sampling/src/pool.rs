@@ -526,11 +526,13 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// trim — callers iterating the pool keep it resident, and the next
     /// aggregate query or `ensure` settles the ledger.
     ///
-    /// An adaptive pool labels the sample's whole block once
-    /// (append-only, as an unlimited row query would), charges the labels
-    /// to the shard, and serves the block's other samples from them. A
-    /// pure-mask pool, or a graph too large for block labels, labels the
-    /// one world straight into `out` without caching anything.
+    /// An adaptive pool serves the sample from its block's labels. A block
+    /// lacking labels is labelled once (append-only, as an unlimited row
+    /// query would) and its labels charged to the shard, when the
+    /// labelling rule of rows admits them; a fully labelled block does not
+    /// run the rule. When the rule declines, and on a pure-mask pool or a
+    /// graph too large for block labels, the one world is labelled
+    /// straight into `out` without caching anything.
     ///
     /// # Panics
     /// Panics if `i >= num_samples()` or `out.len() != n`.
@@ -540,21 +542,18 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         assert!(i < self.samples, "sample {i} out of range ({} samples)", self.samples);
         self.resolve_point(i);
         let (b, lane) = (i / Self::BLOCK_LANES, i % Self::BLOCK_LANES);
-        if !self.adaptive || !Self::labels_fit(n) {
-            let masks = &shard_block(&self.shards, b).masks;
-            self.bfs.label_components(
-                self.sampler.graph(),
-                masks,
-                Mask::bit(lane),
-                |v, _, next| {
-                    out[v.index()] = next[lane];
-                },
-            );
-            return;
+        let labelled = shard_block(&self.shards, b).fully_labeled();
+        if self.adaptive && Self::labels_fit(n) && (labelled || self.budget_admits_labels()) {
+            if !labelled {
+                self.finalize_block(b);
+                self.settle_shard(i / SHARD_WORLDS);
+            }
+            return shard_block(&self.shards, b).labels().lane_into(lane, out);
         }
-        self.finalize_block(b);
-        self.settle_shard(i / SHARD_WORLDS);
-        shard_block(&self.shards, b).labels().lane_into(lane, out);
+        let masks = &shard_block(&self.shards, b).masks;
+        self.bfs.label_components(self.sampler.graph(), masks, Mask::bit(lane), |v, _, next| {
+            out[v.index()] = next[lane];
+        });
     }
 
     /// Assignment counts of a clustering, the measurement behind
@@ -2026,23 +2025,34 @@ mod tests {
     #[test]
     fn labels_into_regenerates_and_charges_block_labels() {
         // Under a budget far below one shard, reading labels regenerates
-        // evicted shards without trimming; the labels are charged to the
-        // shard, and the next aggregate query settles the ledger again.
+        // evicted shards without trimming, and the labelling rule declines
+        // labels, so each world is labelled on its own; the next aggregate
+        // query settles the ledger again.
         let g = chain(6, 0.5);
         let r = SHARD_WORLDS + 100;
         let budget = MemoryBudget::bounded(512);
         let mut pool = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
         pool.set_memory_budget(budget.clone());
         pool.ensure(r);
-        let mut unbounded = BitParallelPool::<4>::new(&g, 2, 1);
-        unbounded.ensure(r);
-        assert_eq!(all_labels(&mut pool), all_labels(&mut unbounded));
+        let mut mask = BitParallelPool::<4>::new(&g, 2, 1);
+        mask.ensure(r);
+        let want = all_labels(&mut mask);
+        assert_eq!(all_labels(&mut pool), want);
+        assert_eq!(pool.engine_stats(), EngineStats::default(), "no block was labelled");
         let held = budget.bytes_held();
         assert!(held > 512, "label reads resolve without trimming: {held} B");
         assert!(pool.memory_stats().shards_regenerated > 0);
         let mut row = vec![0u32; 6];
         pool.counts_from_center(NodeId(0), &mut row);
         assert!(budget.bytes_held() <= 512, "{} B over the limit", budget.bytes_held());
+        // Unbounded, the same reads label each block once and charge its
+        // labels to the shard.
+        let mut free = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
+        free.ensure(r);
+        let masks = free.memory_stats().bytes_held;
+        assert_eq!(all_labels(&mut free), want);
+        assert_eq!(free.engine_stats().finalized_lanes, r);
+        assert!(free.memory_stats().bytes_held > masks);
     }
 
     // ───────────── the labelling rule ─────────────

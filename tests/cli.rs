@@ -222,6 +222,38 @@ fn evaluate_honours_depth() {
     }
 }
 
+/// `evaluate --memory-budget` keeps the session's ledger within the limit:
+/// AVPR reads every world of the evaluation pool, and labels only blocks
+/// whose labels the budget can keep, so under 1 MiB it labels none of
+/// Collins-like's blocks and reports the unbounded run's values.
+#[test]
+fn evaluate_stays_within_its_memory_budget() {
+    let graph = tmp("collins.txt");
+    let clustering = tmp("collins-mcp.tsv");
+    let run = |args: &[&str]| {
+        let out = bin().args(args).output().unwrap();
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+    let (graph, clustering) = (graph.to_str().unwrap(), clustering.to_str().unwrap());
+    run(&["generate", "--dataset", "collins", "--output", graph]);
+    run(&["cluster", "--input", graph, "--algo", "mcp", "--k", "5", "--output", clustering]);
+    let evaluate = ["evaluate", "--input", graph, "--clustering", clustering];
+    let free = run(&evaluate);
+    let bounded = run(&[&evaluate[..], &["--memory-budget", "1M"]].concat());
+    assert_eq!(bounded.stdout, free.stdout, "the budget changed the evaluation");
+    let stderr = String::from_utf8_lossy(&bounded.stderr);
+    let session = stderr.lines().find(|l| l.starts_with("session:")).unwrap();
+    let held: usize = session
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" byte(s) held"))
+        .and_then(|part| part.rsplit(' ').next())
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(held <= 1 << 20, "{held} B held over the 1 MiB limit: {session}");
+}
+
 #[test]
 fn out_of_range_inflation_and_scale_are_flag_errors() {
     let graph = small_graph_file();
