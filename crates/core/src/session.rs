@@ -245,8 +245,9 @@ pub struct UgraphSession<'g> {
     eval: Option<BitParallelPool<'g, 4>>,
     /// One shared memory ledger for every solver oracle and evaluation
     /// pool — bounded by [`ClusterConfig::memory_budget`], unbounded
-    /// (accounting only) otherwise. The shared recency clock makes shard
-    /// eviction LRU across all of the session's pools.
+    /// (accounting only) otherwise. Every pool charges it, and a pool that
+    /// finds it over its limit evicts its own least-recently-used shards,
+    /// ordered by the ledger's shared recency clock.
     budget: MemoryBudget,
     eval_samples: usize,
     requests: usize,

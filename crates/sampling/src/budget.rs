@@ -12,9 +12,11 @@
 //! **bit-identical** to the unbounded run.
 //!
 //! One budget is shared by every pool and row cache of a session: the
-//! handle is cheaply cloneable, and the recency clock it hands out orders
-//! shard use across all of them, so the eviction policy is LRU-ish across
-//! the whole session rather than per pool.
+//! handle is cheaply cloneable, and each of them charges the one ledger,
+//! so any of them can put it over its limit. Eviction is per pool: the
+//! pool whose growth or query finds the ledger over its limit evicts its
+//! own least-recently-used shards, in the order of the stamps the shared
+//! recency clock handed out, and leaves other pools' shards resident.
 //!
 //! The shards themselves, their charges and the eviction policy live in
 //! [`crate::BitParallelPool`]; this module keeps only the ledger and its
@@ -153,8 +155,8 @@ impl MemoryBudget {
     }
 
     /// Advances and returns the recency clock; pools stamp a shard with
-    /// the returned tick on every touch, making eviction order
-    /// least-recently-used across every pool sharing the budget.
+    /// the returned tick on every touch. A pool that trims evicts its own
+    /// shards in stamp order, least recently used first.
     pub fn touch(&self) -> u64 {
         let mut inner = self.locked();
         inner.clock += 1;
