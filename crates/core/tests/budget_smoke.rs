@@ -62,8 +62,9 @@ fn tiny_budget_evicts_regenerates_and_matches_unbounded_output() {
 fn budget_between_masks_and_labels_sweeps_masks_and_matches_unbounded_output() {
     let d = DatasetSpec::Krogan.generate(2);
     let graph = &d.graph;
-    // The session's edge masks and rows take about 1.5 MB; the labels the
-    // pool would add count about 5 MB a block.
+    // The session's edge masks and rows take about 1.6 MB and its labels
+    // would add about 0.85 MB, but the labelling rule counts each block it
+    // would label at its worst case, about 5.3 MB.
     const BUDGET: usize = 4 << 20;
     let mut unbounded = UgraphSession::new(graph, config()).expect("unbounded session");
     let mut between =

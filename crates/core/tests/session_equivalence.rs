@@ -119,8 +119,9 @@ impl Digest {
 }
 
 /// A memory limit that holds the edge masks and rows of these tests'
-/// small graphs but no block label, so sessions under it answer every row
-/// from masks.
+/// small graphs (five nodes or more) but not what the labelling rule
+/// counts for one block's labels (at least 8 356 B at five nodes), so
+/// sessions under it answer every row from masks.
 const NO_LABELS: Option<usize> = Some(8 << 10);
 
 /// Digest of every session result of
@@ -291,13 +292,15 @@ fn adaptive_sessions_agree_with_pure_mask_sessions() {
 }
 
 /// Byte limits of `budgeted_sessions_answer_like_the_unbounded_one`. Its
-/// unbounded session ends holding about 4.6 MB of edge masks, 1 MB of
-/// cached rows and 17 MB of component labels.
+/// unbounded session ends holding about 5.9 MB: 4.6 MB of edge masks,
+/// about 0.65 MB of component labels and the cached rows.
 const BUDGET_LIMITS: [Option<usize>; 4] = [
     None,
     // Every label stays resident.
     Some(64 << 20),
-    // The masks and rows fit, the labels do not.
+    // Everything fits, but the labelling rule counts each missing block
+    // at its worst case (about 4.2 MB), so only the first blocks are
+    // labelled.
     Some(8 << 20),
     // Below the masks: shards are evicted and regenerated.
     Some(1 << 20),

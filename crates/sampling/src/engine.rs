@@ -40,7 +40,9 @@ pub enum EngineKind {
     /// per-block component labels**: an unlimited-depth row query labels
     /// the blocks it touches (one component-sharing fixpoint sweep per
     /// block) when its memory budget can keep the labels, so later
-    /// unlimited queries over those blocks are O(n + members) label scans.
+    /// unlimited queries over those blocks are label scans: one
+    /// AND+popcount per node over each world's largest component, plus a
+    /// walk of the center's smaller component in the other worlds.
     /// Generation and depth-limited queries stay pure bit-parallel.
     #[default]
     Adaptive,

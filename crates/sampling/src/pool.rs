@@ -15,9 +15,13 @@
 //! structure-of-arrays edge masks (`masks[e]` spans the block's worlds),
 //! queried with mask-propagating multi-world BFS — one traversal answers a
 //! whole block, for both unlimited and depth-limited semantics. An
-//! adaptive pool (the library's) also caches per-lane component labels of
-//! the blocks that unlimited row queries hit, so those queries become
-//! label scans, when its memory budget can keep the labels resident.
+//! adaptive pool (the library's) also caches the components of the blocks
+//! that unlimited row queries hit, when its memory budget can keep them
+//! resident: per node, a lane mask of the worlds where the node sits in
+//! the world's largest component, and member lists of the other
+//! components of two or more nodes. Those queries then become label
+//! scans, one AND+popcount per node for the largest components plus a
+//! walk of the center's small component in each other world.
 //!
 //! ## Sharded storage
 //!
@@ -144,9 +148,8 @@ impl<const W: usize> BlockLabels<W> {
     /// with one component-sharing sweep into a transient node-major label
     /// table, then sets the new lanes' giant bits and appends their member
     /// lists in two passes over the table. Already-labeled lanes are
-    /// untouched. The transient table and component sizes take what the
-    /// node-major `u16` labels, membership order and CSR offsets of earlier
-    /// versions kept.
+    /// untouched. The table and the component sizes, 4 bytes per node and
+    /// new lane and per component, are dropped on return.
     fn extend(
         &mut self,
         graph: &UncertainGraph,
@@ -486,10 +489,14 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// unlimited-depth row query against a block materializes per-lane
     /// component labels (one component-sharing fixpoint sweep, cached next
     /// to the edge masks) and every later unlimited query over the block
-    /// runs as an O(n + members) label scan — as long as the labels the
-    /// pool still lacks fit its memory budget; otherwise rows sweep masks.
-    /// Counts are identical either way — finalization trades label memory
-    /// (≈ one component-label row per world) for mask traversals.
+    /// runs as a label scan — one AND+popcount per node over the largest
+    /// components' lane masks, plus a walk of the center's small component
+    /// in each other world — as long as the labels the pool still lacks
+    /// fit its memory budget; otherwise rows sweep masks. Counts are
+    /// identical either way — finalization trades label memory (one bit
+    /// per node and world, plus 8 bytes per node outside the largest
+    /// component that shares a component with another node, and 8 bytes
+    /// per world) for mask traversals.
     ///
     /// # Panics
     /// Panics if the pool already holds samples.
@@ -1089,8 +1096,8 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         self.trim_to_budget();
     }
 
-    /// Per overlapping block, an O(n + members) label scan over the
-    /// block's finalized lanes (adaptive mode), and one
+    /// Per overlapping block, a label scan over the block's finalized
+    /// lanes (adaptive mode), and one
     /// connectivity-fixpoint traversal popcounting the final reach masks
     /// over the rest. Lane masks are narrowed to the range's lanes, so
     /// counts over disjoint ranges add up exactly.
@@ -2071,9 +2078,9 @@ mod tests {
 
     #[test]
     fn row_sweeps_masks_when_labels_do_not_fit_the_budget() {
-        // Three blocks of a 40-node chain hold 3 744 B of masks, and their
-        // labels count 82 952 B a block: 64 KiB holds the masks, not the
-        // labels.
+        // Three blocks of a 40-node chain hold 3 744 B of masks, and the
+        // labelling rule counts 81 156 B for each block's labels: 64 KiB
+        // holds the masks, not what the rule counts.
         let g = chain(40, 0.7);
         let mut pool = BitParallelPool::<4>::new_adaptive(&g, 5, 1);
         pool.set_memory_budget(MemoryBudget::bounded(64 << 10));

@@ -33,9 +33,14 @@ pub const MIN_PARALLEL_WORK: usize = 1 << 16;
 /// over a finalized block should scan component labels or run the mask
 /// component-sharing sweep.
 ///
-/// Label scans cost one increment per (center, lane, member) —
-/// `label_ops`, computable exactly from the finalized bucket sizes with
-/// `k · lanes` lookups — independent of the block width. The sharing
+/// Label scans are modelled at one increment per (center, lane, member) —
+/// `label_ops`, the summed sizes of each center's component in each
+/// lane, from the finalized labels with `k · lanes` lookups —
+/// independent of the block width. The labels now answer a center's
+/// lanes in the largest component with one AND+popcount per node, far
+/// below that count; the model still counts members on purpose, so every
+/// dispatch decision and its counters stay as they were, and re-deriving
+/// it for the cheaper kernel is a change of its own. The sharing
 /// sweep costs roughly one fixpoint traversal (`n + 2m` mask ops) plus
 /// one AND+popcount inherit pass per center (`k · n`), each op touching
 /// `words` `u64`s (the block width `W`) but answering `words · 64` worlds
