@@ -196,6 +196,18 @@ impl<const W: usize> std::ops::BitOr for Mask<W> {
     }
 }
 
+impl<const W: usize> std::ops::BitXor for Mask<W> {
+    type Output = Self;
+    #[inline]
+    fn bitxor(self, rhs: Self) -> Self {
+        let mut out = self.0;
+        for (o, r) in out.iter_mut().zip(rhs.0) {
+            *o ^= r;
+        }
+        Mask(out)
+    }
+}
+
 impl<const W: usize> std::ops::Not for Mask<W> {
     type Output = Self;
     #[inline]
@@ -612,6 +624,7 @@ mod tests {
         let b = Mask([0b1010, 5, 0, 1]);
         assert_eq!(a & b, Mask([0b1000, 0, 0, 1]));
         assert_eq!(a | b, Mask([0b1110, 5, !0, 1]));
+        assert_eq!(a ^ b, Mask([0b0110, 5, !0, 0]));
         assert_eq!(a.and_not(b), Mask([0b0100, 0, !0, 0]));
         assert_eq!(a.and_not(b), a & !b);
         assert_eq!(a.count_ones(), 2 + 64 + 1);

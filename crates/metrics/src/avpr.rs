@@ -9,22 +9,27 @@
 //! numerator and denominator double, so the unordered computation here is
 //! identical in value.
 //!
-//! **Complexity**: per Monte-Carlo sample, pairs connected in that world
-//! partition by `(component, cluster)`; counting contingency sizes gives
-//! all pair counts in `O(n)` per sample instead of `Θ(n²)` pair
-//! enumeration:
+//! **Complexity**: the pairs connected in one world partition by
+//! `(component, cluster)`, so per world
 //!
 //! * connected same-cluster pairs  = `Σ_cells C(size, 2)`,
-//! * connected pairs in total      = `Σ_components C(size, 2)`,
-//! * connected cross-cluster pairs = difference of the two.
+//! * connected pairs in total      = `Σ_components C(size, 2)` over the
+//!   covered nodes,
+//! * connected cross-cluster pairs = difference of the two,
 //!
-//! Component labels are dense (below `n`), so one `n`-length tally counts
-//! the cells: per sample and cluster, its members add their labels, then
-//! read and zero them through the same member list; the component sizes
-//! over all covered nodes are tallied the same way.
+//! with no `Θ(n²)` pair enumeration. The pool counts both sums over all
+//! its worlds in one call, [`BitParallelPool::connected_pairs`]. On a
+//! labelled block the largest components need no loop over worlds: each
+//! covered node adds its largest-component lane mask into bit-sliced
+//! per-lane counters, once for its cluster and once for the covered set,
+//! and a few popcounts per cluster turn the counters into `Σ C(size, 2)`.
+//! Each smaller component of two or more nodes is walked once. So a
+//! block of 256 worlds costs a few mask operations per covered node, a
+//! few popcounts per cluster and one walk of its listed members. Worlds
+//! no labels cover are labelled one by one and their components tallied,
+//! `O(n)` per world.
 
 use ugraph_cluster::Clustering;
-use ugraph_graph::NodeId;
 use ugraph_sampling::{BitParallelPool, WorldEngine};
 
 /// Inner/outer AVPR values.
@@ -43,29 +48,14 @@ fn pairs(c: u64) -> u64 {
     c * (c.saturating_sub(1)) / 2
 }
 
-/// `Σ C(size, 2)` over the components of `members` in one sample: adds
-/// each member's label to `tally`, then reads and zeroes it through the
-/// same members, so `tally` is all zero again on return.
-fn connected_pairs(members: &[NodeId], labels: &[u32], tally: &mut [u32]) -> u64 {
-    for u in members {
-        tally[labels[u.index()] as usize] += 1;
-    }
-    let mut connected = 0u64;
-    for u in members {
-        let size = std::mem::take(&mut tally[labels[u.index()] as usize]);
-        connected += pairs(u64::from(size));
-    }
-    connected
-}
-
 /// Computes inner/outer AVPR of `clustering` over the sample pool, at any
 /// block width (the counts do not depend on it).
 ///
 /// Outlier (unassigned) nodes are excluded from both statistics, matching
 /// the paper's use on full clusterings. The pool is borrowed mutably
-/// because reading per-sample labels may regenerate evicted shards under
-/// a memory budget, and an adaptive pool caches the labels it computes
-/// (see [`BitParallelPool::labels_into`]).
+/// because counting may regenerate evicted shards under a memory budget,
+/// and an adaptive pool labels the blocks its budget admits (see
+/// [`BitParallelPool::connected_pairs`]); the ledger is trimmed on return.
 ///
 /// # Panics
 /// Panics if the pool is empty or sized for a different graph.
@@ -77,22 +67,11 @@ pub fn avpr<const W: usize>(pool: &mut BitParallelPool<'_, W>, clustering: &Clus
 
     // Static pair totals.
     let clusters = clustering.clusters();
-    let covered: Vec<NodeId> = clusters.concat();
     let intra_pairs: u64 = clusters.iter().map(|c| pairs(c.len() as u64)).sum();
-    let cross_pairs: u64 = pairs(covered.len() as u64) - intra_pairs;
+    let cross_pairs: u64 = pairs(clustering.covered_count() as u64) - intra_pairs;
 
-    // Connected pair counts accumulated over samples.
-    let mut connected_intra: u64 = 0;
-    let mut connected_total_covered: u64 = 0;
-    let mut tally = vec![0u32; n];
-    let mut labels = vec![0u32; n];
-    for s in 0..r {
-        pool.labels_into(s, &mut labels);
-        for members in &clusters {
-            connected_intra += connected_pairs(members, &labels, &mut tally);
-        }
-        connected_total_covered += connected_pairs(&covered, &labels, &mut tally);
-    }
+    // Connected pair counts summed over samples.
+    let (connected_intra, connected_total_covered) = pool.connected_pairs(&clusters);
     let connected_cross = connected_total_covered - connected_intra;
 
     Avpr {
@@ -112,8 +91,7 @@ pub fn avpr<const W: usize>(pool: &mut BitParallelPool<'_, W>, clustering: &Clus
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph_graph::GraphBuilder;
-    use ugraph_graph::UncertainGraph;
+    use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
     use ugraph_sampling::WorldEngine;
 
     fn two_certain_triangles() -> UncertainGraph {

@@ -52,7 +52,10 @@
 //! sweep splits the blocks into chunks through
 //! [`crate::tuning::chunked_counts_with`], accumulates per-chunk integer
 //! count rows and merges them — so every estimate is bit-identical no
-//! matter how many threads run, which the property tests assert.
+//! matter how many threads run, which the property tests assert. AVPR's
+//! `connected_pairs` is the one aggregate outside the sweep: it walks the
+//! blocks in sample order on the calling thread, labelling them as
+//! `labels_into` would, and it too trims the ledger on return.
 
 use rayon::prelude::*;
 
@@ -317,6 +320,85 @@ impl<const W: usize> BlockLabels<W> {
         }
     }
 
+    /// Connected pairs inside one cluster and among covered nodes, each
+    /// summed over the lanes of `lanes` (⊆ the labeled lanes) — the
+    /// labelled-block kernel of [`BitParallelPool::connected_pairs`].
+    /// `clusters` lists each cluster's members, `covered` their union, and
+    /// `cluster_of[u]` is `u`'s cluster or [`NOT_COVERED`]. The largest
+    /// components count through [`BlockLabels::giant_pairs`]. Each listed
+    /// small component is walked once, from the member whose link points
+    /// backwards and so closes its cycle, and `tally` (one counter per
+    /// cluster, zero on entry and on return) counts its members per
+    /// cluster. Isolated nodes form no pair.
+    fn connected_pairs(
+        &self,
+        clusters: &[Vec<NodeId>],
+        covered: &[NodeId],
+        cluster_of: &[u32],
+        lanes: Mask<W>,
+        planes: &mut Vec<Mask<W>>,
+        tally: &mut [u32],
+    ) -> (u64, u64) {
+        let mut intra: u64 = clusters.iter().map(|c| self.giant_pairs(c, lanes, planes)).sum();
+        let mut total = self.giant_pairs(covered, lanes, planes);
+        lanes.for_each_lane(|l| {
+            for p in self.lane_start[l] as usize..self.lane_start[l + 1] as usize {
+                if self.next[p] as usize > p {
+                    continue;
+                }
+                let mut members = 0u64;
+                self.for_each_in_cycle(p, |u| {
+                    if cluster_of[u] != NOT_COVERED {
+                        let t = &mut tally[cluster_of[u] as usize];
+                        intra += u64::from(*t);
+                        total += members;
+                        *t += 1;
+                        members += 1;
+                    }
+                });
+                self.for_each_in_cycle(p, |u| {
+                    if cluster_of[u] != NOT_COVERED {
+                        tally[cluster_of[u] as usize] = 0;
+                    }
+                });
+            }
+        });
+        (intra, total)
+    }
+
+    /// `Σ_l C(c_l, 2)` over the lanes of `lanes`, where `c_l` counts the
+    /// `members` in lane `l`'s largest component, with no loop over lanes:
+    /// each member's `giant[u] & lanes` is added into bit-sliced per-lane
+    /// counters, plane `P_i` holding bit `i` of every lane's count, so
+    /// `Σ_l c_l² = Σ_{i,j} 2^{i+j}·|P_i ∧ P_j|` and
+    /// `Σ_l c_l = Σ_i 2^i·|P_i|`.
+    fn giant_pairs(&self, members: &[NodeId], lanes: Mask<W>, planes: &mut Vec<Mask<W>>) -> u64 {
+        if members.len() < 2 {
+            return 0;
+        }
+        planes.clear();
+        planes.resize((usize::BITS - members.len().leading_zeros()) as usize, Mask::ZERO);
+        for u in members {
+            let mut carry = self.giant[u.index()] & lanes;
+            for plane in planes.iter_mut() {
+                if carry.is_zero() {
+                    break;
+                }
+                (*plane, carry) = (*plane ^ carry, *plane & carry);
+            }
+        }
+        let (mut squares, mut sum) = (0u64, 0u64);
+        for (i, &a) in planes.iter().enumerate() {
+            let ones = u64::from(a.count_ones());
+            sum += ones << i;
+            squares += ones << (2 * i);
+            for (j, &b) in planes.iter().enumerate().skip(i + 1) {
+                squares += u64::from((a & b).count_ones()) << (i + j + 1);
+            }
+        }
+        (squares - sum) / 2
+    }
+
     /// Label-scan cost of a batched query — the total member count of
     /// every `(center, lane)` component — for the
     /// [`crate::tuning::labels_beat_shared_masks`] dispatch.
@@ -331,6 +413,42 @@ impl<const W: usize> BlockLabels<W> {
         }
         ops
     }
+}
+
+/// `cluster_of` entry of a node in no cluster (an outlier), in
+/// [`BitParallelPool::connected_pairs`].
+const NOT_COVERED: u32 = u32::MAX;
+
+/// Labels world `lane` of a block's edge `masks` into `out`, one label per
+/// node, numbered densely from 0 in order of each component's smallest
+/// node — the per-world path of [`BitParallelPool::labels_into`] and
+/// [`BitParallelPool::connected_pairs`] where no block labels serve.
+fn label_world<const W: usize>(
+    bfs: &mut MultiWorldBfs<W>,
+    graph: &UncertainGraph,
+    masks: &[Mask<W>],
+    lane: usize,
+    out: &mut [u32],
+) {
+    bfs.label_components(graph, masks, Mask::bit(lane), |v, _, next| {
+        out[v.index()] = next[lane];
+    });
+}
+
+/// `Σ C(size, 2)` over the components of `members` in the world whose
+/// dense labels are `labels`: adds each member's label to `tally`, then
+/// reads and zeroes it through the same members, so `tally` is all zero
+/// again on return.
+fn world_pairs(members: &[NodeId], labels: &[u32], tally: &mut [u32]) -> u64 {
+    for u in members {
+        tally[labels[u.index()] as usize] += 1;
+    }
+    let mut connected = 0u64;
+    for u in members {
+        let size = u64::from(std::mem::take(&mut tally[labels[u.index()] as usize]));
+        connected += size * size.saturating_sub(1) / 2;
+    }
+    connected
 }
 
 /// One block of up to `W · 64` sampled worlds as per-edge presence masks.
@@ -529,9 +647,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// world `i`. Both paths below number the world's components densely
     /// from 0, in order of each component's smallest node, so every label
     /// is below `n` and can index an `n`-length table. Regenerates `i`'s
-    /// shard if it was evicted, but does not
-    /// trim — callers iterating the pool keep it resident, and the next
-    /// aggregate query or `ensure` settles the ledger.
+    /// shard if it was evicted, but does not trim — callers iterating the
+    /// pool keep it resident, and the next aggregate query or `ensure`
+    /// settles the ledger. This serves callers that need a world's labels
+    /// themselves; AVPR counts its pairs through
+    /// [`BitParallelPool::connected_pairs`] instead.
     ///
     /// An adaptive pool serves the sample from its block's labels. A block
     /// lacking labels is labelled once (append-only, as an unlimited row
@@ -549,18 +669,89 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         assert!(i < self.samples, "sample {i} out of range ({} samples)", self.samples);
         self.resolve_point(i);
         let (b, lane) = (i / Self::BLOCK_LANES, i % Self::BLOCK_LANES);
-        let labelled = shard_block(&self.shards, b).fully_labeled();
-        if self.adaptive && Self::labels_fit(n) && (labelled || self.budget_admits_labels()) {
-            if !labelled {
-                self.finalize_block(b);
-                self.settle_shard(i / SHARD_WORLDS);
-            }
+        if self.label_block(b) {
             return shard_block(&self.shards, b).labels().lane_into(lane, out);
         }
         let masks = &shard_block(&self.shards, b).masks;
-        self.bfs.label_components(self.sampler.graph(), masks, Mask::bit(lane), |v, _, next| {
-            out[v.index()] = next[lane];
-        });
+        label_world(&mut self.bfs, self.sampler.graph(), masks, lane, out);
+    }
+
+    /// Connected pairs of a clustering, the measurement behind inner and
+    /// outer AVPR: returns `(intra, covered)`, each summed over the pool's
+    /// worlds — the connected pairs of nodes in one cluster, and the
+    /// connected pairs of covered nodes (members of any cluster). Outliers,
+    /// nodes of no cluster, count in neither.
+    ///
+    /// Blocks are read in sample order, each shard regenerated when the
+    /// walk reaches it if it was evicted. A block lacking labels is
+    /// labelled first when the labelling rule of rows admits its labels,
+    /// exactly as [`BitParallelPool::labels_into`] would label it. On a
+    /// labelled lane the largest components count through bit-sliced
+    /// per-lane member counters, with no loop over lanes, and each small
+    /// component is walked once. Lanes no labels cover (in blocks the rule
+    /// declines, and in a pure-mask pool) are labelled world by world, and
+    /// each world's components tallied. The
+    /// counts are integers, so every path returns the same totals. The
+    /// ledger is trimmed on return.
+    ///
+    /// # Panics
+    /// Panics if the pool is empty, or a node is out of range or listed
+    /// twice.
+    pub fn connected_pairs(&mut self, clusters: &[Vec<NodeId>]) -> (u64, u64) {
+        let n = self.graph().num_nodes();
+        assert!(self.samples > 0, "sample pool is empty");
+        let mut cluster_of = vec![NOT_COVERED; n];
+        for (j, members) in clusters.iter().enumerate() {
+            for u in members {
+                let was = std::mem::replace(&mut cluster_of[u.index()], j as u32);
+                assert_eq!(was, NOT_COVERED, "node {u} is listed twice");
+            }
+        }
+        let covered = clusters.concat();
+        let (mut planes, mut cluster_tally) = (Vec::new(), vec![0u32; clusters.len()]);
+        let (mut labels, mut tally) = (vec![0u32; n], vec![0u32; n]);
+        let (mut intra, mut total) = (0u64, 0u64);
+        for b in 0..self.num_blocks() {
+            self.resolve_point(b * Self::BLOCK_LANES);
+            self.label_block(b);
+            let block = shard_block(&self.shards, b);
+            let (labeled, masked) = block.split_lanes(Mask::prefix(block.lanes as usize));
+            if labeled.any() {
+                let (i, t) = block.labels().connected_pairs(
+                    clusters,
+                    &covered,
+                    &cluster_of,
+                    labeled,
+                    &mut planes,
+                    &mut cluster_tally,
+                );
+                intra += i;
+                total += t;
+            }
+            masked.for_each_lane(|l| {
+                label_world(&mut self.bfs, self.sampler.graph(), &block.masks, l, &mut labels);
+                intra += clusters.iter().map(|c| world_pairs(c, &labels, &mut tally)).sum::<u64>();
+                total += world_pairs(&covered, &labels, &mut tally);
+            });
+        }
+        self.trim_to_budget();
+        (intra, total)
+    }
+
+    /// Whether block `b` (resident) is fully labelled for a per-world read,
+    /// labelling it first — append-only, its labels charged to its shard —
+    /// when the pool is adaptive, the graph fits block labels and the
+    /// labelling rule of rows admits them. A fully labelled block does not
+    /// run the rule.
+    fn label_block(&mut self, b: usize) -> bool {
+        let labelled = shard_block(&self.shards, b).fully_labeled();
+        let n = self.graph().num_nodes();
+        if labelled || !self.adaptive || !Self::labels_fit(n) || !self.budget_admits_labels() {
+            return labelled;
+        }
+        self.finalize_block(b);
+        self.settle_shard(b / blocks_per_shard::<W>());
+        true
     }
 
     /// Assignment counts of a clustering, the measurement behind
@@ -2060,6 +2251,45 @@ mod tests {
         assert_eq!(all_labels(&mut free), want);
         assert_eq!(free.engine_stats().finalized_lanes, r);
         assert!(free.memory_stats().bytes_held > masks);
+    }
+
+    #[test]
+    fn connected_pairs_regenerate_and_trim_the_ledger() {
+        // Under a budget far below one shard, counting connected pairs
+        // regenerates the evicted shards it reads, labels no block, and
+        // trims the ledger on return; unbounded, it labels every block.
+        // Both count what the per-world labels say.
+        let g = chain(6, 0.5);
+        let r = SHARD_WORLDS + 100;
+        let clusters = [vec![NodeId(0), NodeId(1), NodeId(2)], vec![NodeId(4), NodeId(5)]];
+        let cluster_of = [Some(0), Some(0), Some(0), None, Some(1), Some(1)];
+        let mut mask = BitParallelPool::<4>::new(&g, 2, 1);
+        mask.ensure(r);
+        let mut want = (0u64, 0u64);
+        for world in all_labels(&mut mask) {
+            for u in 0..6 {
+                for v in u + 1..6 {
+                    let (Some(a), Some(b)) = (cluster_of[u], cluster_of[v]) else { continue };
+                    if world[u] == world[v] {
+                        want.0 += u64::from(a == b);
+                        want.1 += 1;
+                    }
+                }
+            }
+        }
+        let budget = MemoryBudget::bounded(512);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
+        pool.set_memory_budget(budget.clone());
+        pool.ensure(r);
+        assert_eq!(pool.connected_pairs(&clusters), want);
+        assert!(budget.bytes_held() <= 512, "{} B over the limit", budget.bytes_held());
+        assert!(pool.memory_stats().shards_regenerated > 0);
+        assert_eq!(pool.engine_stats(), EngineStats::default(), "no block was labelled");
+        let mut free = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
+        free.ensure(r);
+        assert_eq!(free.connected_pairs(&clusters), want);
+        assert_eq!(free.engine_stats().finalized_lanes, r);
+        assert_eq!(mask.connected_pairs(&clusters), want);
     }
 
     // ───────────── the labelling rule ─────────────
