@@ -1,11 +1,13 @@
 //! Micro-benchmarks of the Monte-Carlo sampling layer — the inner loop of
 //! every algorithm in the paper (§4): world sampling, per-world component
-//! labels, center-count queries, depth-limited BFS counts, and the
-//! serial-vs-parallel comparison of the rayon sampling path.
+//! labels, AVPR's connected-pair counts, center-count queries,
+//! depth-limited BFS counts, and the serial-vs-parallel comparison of the
+//! rayon sampling path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::{Bitset, NodeId};
+use ugraph_metrics::avpr;
 use ugraph_sampling::{
     BitParallelPool, McOracle, Oracle, SampleSchedule, WorldEngine, WorldSampler,
 };
@@ -33,9 +35,10 @@ fn sampling(c: &mut Criterion) {
 
     group.finish();
 
-    // Per-world component labels read from a pool (what AVPR consumes):
-    // the adaptive pool labels each block once and copies lanes out; the
-    // pure-mask pool labels every world on its own.
+    // Per-world component labels read from a pool, for callers that need
+    // a world's labels themselves: the adaptive pool labels each block
+    // once and rebuilds a lane's dense labels from them; the pure-mask
+    // pool labels every world on its own.
     let mut group = c.benchmark_group("labels_into");
     for (name, adaptive) in [("adaptive", true), ("pure_mask", false)] {
         let mut pool = BitParallelPool::<4>::new(&graph, 7, 0).with_finalization(adaptive);
@@ -49,6 +52,24 @@ fn sampling(c: &mut Criterion) {
                 labels[0]
             })
         });
+    }
+    group.finish();
+
+    // AVPR of a 64-cluster GMM clustering over a 512-world pool (the size
+    // of a session's evaluation pool): the labelled pool counts connected
+    // pairs from its two blocks' labels, the pure-mask pool labels every
+    // world on its own. Both must return the same values before timing.
+    let clustering = ugraph_baselines::gmm(&graph, 64, 5).expect("gmm clustering");
+    let mut labelled = BitParallelPool::<4>::new_adaptive(&graph, 7, 0);
+    let mut pure_mask = BitParallelPool::<4>::new(&graph, 7, 0);
+    labelled.ensure(512);
+    pure_mask.ensure(512);
+    let want = avpr(&mut pure_mask, &clustering);
+    assert_eq!(avpr(&mut labelled, &clustering), want, "labelled and pure-mask AVPR differ");
+    let mut group = c.benchmark_group("avpr");
+    group.throughput(Throughput::Elements(512));
+    for (name, pool) in [("labelled", &mut labelled), ("pure_mask", &mut pure_mask)] {
+        group.bench_function(name, |b| b.iter(|| avpr(pool, &clustering)));
     }
     group.finish();
 
