@@ -2,9 +2,12 @@
 //! `LargeSparse` Erdős–Rényi instances (geometric skip sampling makes the
 //! inputs cheap to build at any size), each size solved through one
 //! [`UgraphSession`] with an unbounded ledger and again under shrinking
-//! byte budgets. A budget that cannot keep the component labels makes
-//! the pools sweep edge masks instead; one below the masks forces shard
-//! eviction and regeneration.
+//! byte budgets: 1/2, 1/8 and 1/32 of a fixed reference footprint per
+//! size ([`REFERENCE_BYTES`]), so the budgets in bytes stay the same when
+//! a change shrinks what the unbounded session holds, and cells stay
+//! comparable across recorded results. A budget that cannot keep the
+//! component labels makes the pools sweep edge masks instead; one below
+//! the masks forces shard eviction and regeneration.
 //!
 //! Before any timing, an **equality gate** asserts that every budgeted
 //! run reproduces the unbounded clustering, assignment probabilities,
@@ -34,6 +37,21 @@ fn smoke() -> bool {
 }
 
 const SEED: u64 = 31;
+
+/// `(requested nodes, bytes)`: the unbounded session's `bytes_held` after
+/// the k grid at each size, as recorded when the budgets were fixed to
+/// these constants (compact labels, seed 31, one thread). Budgets divide
+/// these, not each run's own footprint.
+const REFERENCE_BYTES: [(usize, usize); 4] =
+    [(1_000, 220_484), (3_000, 824_796), (10_000, 15_208_128), (30_000, 48_178_500)];
+
+/// The reference footprint of a requested graph size.
+fn reference_bytes(nodes: usize) -> usize {
+    REFERENCE_BYTES
+        .iter()
+        .find_map(|&(n, bytes)| (n == nodes).then_some(bytes))
+        .unwrap_or_else(|| panic!("no reference footprint for {nodes} nodes"))
+}
 
 /// One (graph size, budget) cell of the sweep.
 struct Cell {
@@ -80,9 +98,9 @@ fn run_cell(
 }
 
 /// Sweeps one graph size: unbounded baseline, then budgets at 1/2, 1/8 and
-/// 1/32 of the baseline's held bytes, equality- and storage-gated against
-/// the baseline.
-fn sweep_size(graph: &ugraph_graph::UncertainGraph, ks: &[usize]) -> Vec<Cell> {
+/// 1/32 of the size's `reference` footprint, equality- and storage-gated
+/// against the baseline.
+fn sweep_size(graph: &ugraph_graph::UncertainGraph, ks: &[usize], reference: usize) -> Vec<Cell> {
     let (baseline, base_cell) = run_cell(graph, ks, None);
     assert_eq!(base_cell.shards_evicted, 0, "unbounded session must never evict");
     let full_bytes = base_cell.bytes_held;
@@ -91,7 +109,7 @@ fn sweep_size(graph: &ugraph_graph::UncertainGraph, ks: &[usize]) -> Vec<Cell> {
 
     let mut cells = vec![base_cell];
     for divisor in [2usize, 8, 32] {
-        let limit = (full_bytes / divisor).max(1);
+        let limit = (reference / divisor).max(1);
         let (got, cell) = run_cell(graph, ks, Some(limit));
         // Equality gate: a memory bound must not change any answer.
         for (b, g) in got.iter().zip(&baseline) {
@@ -105,14 +123,14 @@ fn sweep_size(graph: &ugraph_graph::UncertainGraph, ks: &[usize]) -> Vec<Cell> {
             cell.bytes_held,
             cell.nodes
         );
-        // Storage gate: below the baseline's footprint the bound must have
+        // Storage gate: below the reference footprint the bound must have
         // changed what the session kept — shards evicted and brought back,
         // or labels left unbuilt. At 1/32 the masks alone overflow.
         let evicted = cell.shards_evicted > 0 && cell.shards_regenerated > 0;
         let fewer_labels = cell.finalized_lanes < base_cell_lanes;
         assert!(
             evicted || fewer_labels,
-            "budget {limit} < {full_bytes} changed no storage (n = {})",
+            "budget {limit} changed no storage (unbounded {full_bytes} B, n = {})",
             cell.nodes
         );
         if divisor == 32 {
@@ -182,21 +200,16 @@ fn fig4(c: &mut Criterion) {
             d.graph.num_nodes(),
             d.graph.num_edges()
         );
-        cells.extend(sweep_size(&d.graph, ks));
+        cells.extend(sweep_size(&d.graph, ks, reference_bytes(nodes)));
     }
     write_scaling_json(&cells, ks, smoke);
 
     // Criterion timings on the smallest size: the unbounded session vs the
     // tightest (1/8) budget — the regeneration overhead the bound costs.
     let d = DatasetSpec::LargeSparse { nodes: sizes[0] }.generate(SEED);
-    let full_bytes = cells
-        .iter()
-        .find(|c| c.budget.is_none())
-        .map(|c| c.bytes_held)
-        .expect("baseline cell present");
     let mut group = c.benchmark_group("fig4_scaling");
     group.sample_size(10);
-    for budget in [None, Some((full_bytes / 8).max(1))] {
+    for budget in [None, Some(reference_bytes(sizes[0]) / 8)] {
         let label = budget.map_or("unbounded".to_string(), |b| format!("{b}B"));
         group.bench_with_input(
             BenchmarkId::new("mcp_session", format!("n{}_{label}", sizes[0])),
