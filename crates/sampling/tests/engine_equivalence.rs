@@ -1255,6 +1255,127 @@ fn bit_pool_depth_counts_match_reference() {
     }
 }
 
+/// Digests of [`adaptive_pool_growth_is_pinned`]: unbounded, then under a
+/// budget that declines labels from the third step on.
+const GROWTH_DIGESTS: [u64; 2] = [0xa355_3f04_1145_70a7, 0x8f1c_06f7_83f8_6e33];
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn counts(&mut self, counts: &[u32]) {
+        counts.iter().for_each(|&c| self.word(u64::from(c)));
+    }
+}
+
+/// A 60-node ring with one link in four a chord, probabilities over
+/// [0.15, 0.95): its worlds hold a large component, small components of
+/// several nodes and isolated nodes.
+fn ring_with_chords() -> UncertainGraph {
+    let n = 60u32;
+    let mut state = 0x5eed_0026u64;
+    let mut b = GraphBuilder::new(n as usize);
+    for u in 0..n {
+        for hop in [1, 2] {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let x = state >> 11;
+            let v = if x.is_multiple_of(4) { (x >> 8) as u32 % n } else { (u + hop) % n };
+            if v != u {
+                b.add_edge(u, v, 0.15 + 0.8 * ((x >> 20) % 1000) as f64 / 1000.0).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Pins what an adaptive 256-world pool answers and counts while it grows
+/// through sizes that end inside blocks, at 1 and 4 threads. After each
+/// step it folds full rows and rows over the new window from every node,
+/// a batch of two centers, the connected pairs of a fixed clustering,
+/// `engine_stats()` and `memory_stats()` into one digest. On odd steps
+/// the connected pairs come first, so they label blocks on their own;
+/// on even steps rows label the window. The schedule runs unbounded,
+/// where some window lacks labels on at least two blocks (the parallel
+/// labelling branch at 4 threads), and under a budget whose labelling
+/// rule admits labels for the first two steps and declines them after.
+#[test]
+fn adaptive_pool_growth_is_pinned() {
+    let g = ring_with_chords();
+    let n = g.num_nodes();
+    let clusters: Vec<Vec<NodeId>> = (0..6u32)
+        .map(|j| (j * 10..j * 10 + 10).filter(|u| u % 7 != 3).map(NodeId).collect())
+        .collect();
+    let mut digests = Vec::new();
+    for budget in [None, Some(400 << 10)] {
+        let mut per_thread = Vec::new();
+        for threads in [1, 4] {
+            let mut pool = BitParallelPool::<4>::new_adaptive(&g, 26, threads);
+            if let Some(limit) = budget {
+                pool.set_memory_budget(MemoryBudget::bounded(limit));
+            }
+            let mut digest = Digest(0xcbf2_9ce4_8422_2325);
+            let (mut row, mut batch) = (vec![0u32; n], vec![0u32; 2 * n]);
+            let (mut reached, mut most_fresh) = (0, 0);
+            for (step, r) in [100, 700, 1300, 2600, 3000].into_iter().enumerate() {
+                let lo = std::mem::replace(&mut reached, r);
+                pool.ensure(r);
+                let pairs = |pool: &mut BitParallelPool<'_, 4>, digest: &mut Digest| {
+                    let (intra, covered) = pool.connected_pairs(&clusters);
+                    digest.word(intra);
+                    digest.word(covered);
+                };
+                if step % 2 == 1 {
+                    pairs(&mut pool, &mut digest);
+                }
+                let before = pool.engine_stats().finalized_blocks;
+                for (from, c) in
+                    [0, lo].into_iter().flat_map(|from| (0..n as u32).map(move |c| (from, c)))
+                {
+                    pool.counts_from_center_range(NodeId(c), from, r, &mut row);
+                    digest.counts(&row);
+                }
+                most_fresh = most_fresh.max(pool.engine_stats().finalized_blocks - before);
+                pool.counts_from_centers(&[NodeId(5), NodeId(41)], &mut batch);
+                digest.counts(&batch);
+                if step % 2 == 0 {
+                    pairs(&mut pool, &mut digest);
+                }
+                let (stats, memory) = (pool.engine_stats(), pool.memory_stats());
+                for w in [stats.finalized_blocks, stats.finalized_lanes, stats.label_queries] {
+                    digest.word(w as u64);
+                }
+                digest.word(stats.mask_queries as u64);
+                digest.word(memory.bytes_held as u64);
+                digest.word(memory.shards_evicted);
+                digest.word(memory.shards_regenerated);
+            }
+            let stats = pool.engine_stats();
+            match budget {
+                None => {
+                    assert!(most_fresh >= 2, "no window lacked labels on two blocks");
+                    assert_eq!(stats.finalized_lanes, reached, "{stats:?}");
+                }
+                Some(_) => {
+                    let labelled = 0 < stats.finalized_lanes && stats.finalized_lanes < reached;
+                    assert!(labelled && stats.mask_queries > 0, "{stats:?}");
+                }
+            }
+            per_thread.push(digest.0);
+        }
+        assert_eq!(per_thread[0], per_thread[1], "threads changed the digest, budget {budget:?}");
+        digests.push(per_thread[0]);
+    }
+    assert_eq!(digests, GROWTH_DIGESTS, "pool answers or counters changed: {digests:#x?}");
+}
+
 fn chain(n: u32, p: f64) -> UncertainGraph {
     let mut b = GraphBuilder::new(n as usize);
     for i in 0..n - 1 {
