@@ -1,8 +1,10 @@
 //! Micro-benchmarks of the Monte-Carlo sampling layer — the inner loop of
-//! every algorithm in the paper (§4): world sampling, per-world component
-//! labels, AVPR's connected-pair counts, center-count queries,
+//! every algorithm in the paper (§4): world sampling, AVPR's connected-pair
+//! counts on labelled and pure-mask pools, center-count queries,
 //! depth-limited BFS counts, and the serial-vs-parallel comparison of the
-//! rayon sampling path.
+//! rayon sampling path. The `avpr` group asserts that both pools count the
+//! same pairs, and `parallel_oracle` that serial and parallel estimates
+//! agree, before timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ugraph_datasets::DatasetSpec;
@@ -33,26 +35,6 @@ fn sampling(c: &mut Criterion) {
         })
     });
 
-    group.finish();
-
-    // Per-world component labels read from a pool, for callers that need
-    // a world's labels themselves: the adaptive pool labels each block
-    // once and rebuilds a lane's dense labels from them; the pure-mask
-    // pool labels every world on its own.
-    let mut group = c.benchmark_group("labels_into");
-    for (name, adaptive) in [("adaptive", true), ("pure_mask", false)] {
-        let mut pool = BitParallelPool::<4>::new(&graph, 7, 0).with_finalization(adaptive);
-        pool.ensure(256);
-        let mut labels = vec![0u32; n];
-        group.bench_function(name, |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                pool.labels_into(i % 256, &mut labels);
-                i += 1;
-                labels[0]
-            })
-        });
-    }
     group.finish();
 
     // AVPR of a 64-cluster GMM clustering over a 512-world pool (the size

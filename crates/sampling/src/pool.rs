@@ -37,16 +37,18 @@
 //!
 //! ## Parallelism
 //!
-//! The pool implements the ranged row queries (`counts_from_center_range`,
-//! `counts_within_depths_range`, and their batched variants) and
-//! `assignment_counts`. [`WorldEngine`] provides the rest: the full-pool
-//! forms are the ranged forms over the whole pool, and a pair count is one
-//! entry of a ranged row, so a pair costs what the row over its window
-//! costs. Generation (`ensure`, and regeneration, which build blocks
-//! through one builder) and the queries run on rayon, gated by the shared
-//! [`crate::tuning`] heuristics. Every count query resolves its shards,
-//! runs its own prologue (label finalization, the batch cost model, or
-//! evaluation's member lists), and ends in one private block sweep: the
+//! The pool implements the ranged row queries (`counts_from_centers_range`
+//! and `counts_within_depths_batch_range`; a single row is a batch of one)
+//! and `assignment_counts`. [`WorldEngine`] provides the rest: the
+//! full-pool forms are the ranged forms over the whole pool, and a pair
+//! count is one entry of a ranged row, so a pair costs what the row over
+//! its window costs. Generation (`ensure`, and regeneration, which build
+//! blocks through one builder), labelling (one step that builds the
+//! missing lanes of every listed block) and the queries run on rayon,
+//! gated by the shared [`crate::tuning`] heuristics. Every count query
+//! resolves its shards, runs its own prologue (a single unlimited row's
+//! labelling, a batch's cost model, or evaluation's member lists), and
+//! ends in one private block sweep: the
 //! sweep runs the query's per-block kernel on each planned block, polling
 //! the interrupt checkpoint before each one, and trims the ledger. The
 //! sweep splits the blocks into chunks through
@@ -54,8 +56,9 @@
 //! count rows and merges them — so every estimate is bit-identical no
 //! matter how many threads run, which the property tests assert. AVPR's
 //! `connected_pairs` is the one aggregate outside the sweep: it walks the
-//! blocks in sample order on the calling thread, labelling them as
-//! `labels_into` would, and it too trims the ledger on return.
+//! blocks in sample order on the calling thread, labelling each as an
+//! unlimited row would, and it too trims the ledger on return. So every
+//! read of the pool leaves the ledger within its limit.
 
 use rayon::prelude::*;
 
@@ -99,7 +102,7 @@ const fn blocks_per_shard<const W: usize>() -> usize {
 /// Lanes are labeled **append-only**: finalizing a partially filled block
 /// and topping it up later labels only the new lanes — already-labeled
 /// lanes are never recomputed (worlds are immutable once sampled).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct BlockLabels<const W: usize> {
     /// Per-node lane masks of each world's largest component.
     giant: Vec<Mask<W>>,
@@ -288,38 +291,6 @@ impl<const W: usize> BlockLabels<W> {
             .for_each_lane(|l| self.for_each_small_member(center, l, |u| counts[u] += 1));
     }
 
-    /// Writes lane `l`'s label of every node into `out` (`l` must be
-    /// labeled): components are numbered densely from 0 in order of their
-    /// smallest node. One ascending pass meets each component first at its
-    /// smallest node; it reads the lane's member list alongside, and the
-    /// giant bit of every other node without a branch.
-    fn lane_into(&self, l: usize, out: &mut [u32]) {
-        const NONE: u32 = u32::MAX;
-        let (word, shift) = (l / LANES, l % LANES);
-        let giants = &self.giant[..out.len()];
-        let giant_root = giants.iter().position(|m| m.get(l)).unwrap_or(0);
-        let lane = &self.nodes[..self.lane_start[l + 1] as usize];
-        let mut listed = self.lane_start[l] as usize;
-        out.fill(NONE);
-        let (mut next, mut giant) = (0u32, 0u32);
-        for u in 0..out.len() {
-            if listed < lane.len() && lane[listed] as usize == u {
-                if out[u] == NONE {
-                    self.for_each_in_cycle(listed, |v| out[v] = next);
-                    next += 1;
-                }
-                listed += 1;
-                continue;
-            }
-            let in_giant = giants[u].0[word] >> shift & 1 == 1;
-            if u == giant_root {
-                giant = next;
-            }
-            out[u] = if in_giant { giant } else { next };
-            next += u32::from(!in_giant || u == giant_root);
-        }
-    }
-
     /// Connected pairs inside one cluster and among covered nodes, each
     /// summed over the lanes of `lanes` (⊆ the labeled lanes) — the
     /// labelled-block kernel of [`BitParallelPool::connected_pairs`].
@@ -421,8 +392,9 @@ const NOT_COVERED: u32 = u32::MAX;
 
 /// Labels world `lane` of a block's edge `masks` into `out`, one label per
 /// node, numbered densely from 0 in order of each component's smallest
-/// node — the per-world path of [`BitParallelPool::labels_into`] and
-/// [`BitParallelPool::connected_pairs`] where no block labels serve.
+/// node — the per-world path of [`BitParallelPool::connected_pairs`] on
+/// lanes no block labels cover: in a pure-mask pool, in blocks the
+/// labelling rule declines, and on graphs too large for block labels.
 fn label_world<const W: usize>(
     bfs: &mut MultiWorldBfs<W>,
     graph: &UncertainGraph,
@@ -642,40 +614,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         shard_block(&self.shards, block).masks[e]
     }
 
-    /// Writes the component labels of sample `i` into `out` (one per
-    /// node): `out[u] == out[v]` exactly when `u` and `v` are connected in
-    /// world `i`. Both paths below number the world's components densely
-    /// from 0, in order of each component's smallest node, so every label
-    /// is below `n` and can index an `n`-length table. Regenerates `i`'s
-    /// shard if it was evicted, but does not trim — callers iterating the
-    /// pool keep it resident, and the next aggregate query or `ensure`
-    /// settles the ledger. This serves callers that need a world's labels
-    /// themselves; AVPR counts its pairs through
-    /// [`BitParallelPool::connected_pairs`] instead.
-    ///
-    /// An adaptive pool serves the sample from its block's labels. A block
-    /// lacking labels is labelled once (append-only, as an unlimited row
-    /// query would) and its labels charged to the shard, when the
-    /// labelling rule of rows admits them; a fully labelled block does not
-    /// run the rule. When the rule declines, and on a pure-mask pool or a
-    /// graph too large for block labels, the one world is labelled
-    /// straight into `out` without caching anything.
-    ///
-    /// # Panics
-    /// Panics if `i >= num_samples()` or `out.len() != n`.
-    pub fn labels_into(&mut self, i: usize, out: &mut [u32]) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "labels buffer has wrong length");
-        assert!(i < self.samples, "sample {i} out of range ({} samples)", self.samples);
-        self.resolve_point(i);
-        let (b, lane) = (i / Self::BLOCK_LANES, i % Self::BLOCK_LANES);
-        if self.label_block(b) {
-            return shard_block(&self.shards, b).labels().lane_into(lane, out);
-        }
-        let masks = &shard_block(&self.shards, b).masks;
-        label_world(&mut self.bfs, self.sampler.graph(), masks, lane, out);
-    }
-
     /// Connected pairs of a clustering, the measurement behind inner and
     /// outer AVPR: returns `(intra, covered)`, each summed over the pool's
     /// worlds — the connected pairs of nodes in one cluster, and the
@@ -683,16 +621,16 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// nodes of no cluster, count in neither.
     ///
     /// Blocks are read in sample order, each shard regenerated when the
-    /// walk reaches it if it was evicted. A block lacking labels is
-    /// labelled first when the labelling rule of rows admits its labels,
-    /// exactly as [`BitParallelPool::labels_into`] would label it. On a
-    /// labelled lane the largest components count through bit-sliced
-    /// per-lane member counters, with no loop over lanes, and each small
-    /// component is walked once. Lanes no labels cover (in blocks the rule
-    /// declines, and in a pure-mask pool) are labelled world by world, and
-    /// each world's components tallied. The
-    /// counts are integers, so every path returns the same totals. The
-    /// ledger is trimmed on return.
+    /// walk reaches it if it was evicted (no checkpoint, no failpoint). A
+    /// block lacking labels is labelled first, append-only and charged to
+    /// its shard, when [`BitParallelPool::budget_admits_labels`] admits
+    /// labels, as an unlimited row would label it; a fully labelled block
+    /// does not run the rule. On a labelled lane the largest components
+    /// count through bit-sliced per-lane member counters, with no loop over
+    /// lanes, and each small component is walked once. Lanes no labels
+    /// cover are labelled world by world ([`label_world`]), and each
+    /// world's components tallied. The counts are integers, so every path
+    /// returns the same totals. The ledger is trimmed on return.
     ///
     /// # Panics
     /// Panics if the pool is empty, or a node is out of range or listed
@@ -713,7 +651,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         let (mut intra, mut total) = (0u64, 0u64);
         for b in 0..self.num_blocks() {
             self.resolve_point(b * Self::BLOCK_LANES);
-            self.label_block(b);
+            if !shard_block(&self.shards, b).fully_labeled() && self.budget_admits_labels() {
+                self.label_blocks(&[b]);
+            }
             let block = shard_block(&self.shards, b);
             let (labeled, masked) = block.split_lanes(Mask::prefix(block.lanes as usize));
             if labeled.any() {
@@ -736,22 +676,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         self.trim_to_budget();
         (intra, total)
-    }
-
-    /// Whether block `b` (resident) is fully labelled for a per-world read,
-    /// labelling it first — append-only, its labels charged to its shard —
-    /// when the pool is adaptive, the graph fits block labels and the
-    /// labelling rule of rows admits them. A fully labelled block does not
-    /// run the rule.
-    fn label_block(&mut self, b: usize) -> bool {
-        let labelled = shard_block(&self.shards, b).fully_labeled();
-        let n = self.graph().num_nodes();
-        if labelled || !self.adaptive || !Self::labels_fit(n) || !self.budget_admits_labels() {
-            return labelled;
-        }
-        self.finalize_block(b);
-        self.settle_shard(b / blocks_per_shard::<W>());
-        true
     }
 
     /// Assignment counts of a clustering, the measurement behind
@@ -826,24 +750,19 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         n.saturating_mul(Self::BLOCK_LANES) < (u32::MAX - 1) as usize
     }
 
-    /// Finalization prologue of the unlimited-depth row query over the
-    /// sample window `[lo, hi)`: labels every touched block that is not
-    /// fully labeled, and counts one label query per touched block in
-    /// [`EngineStats`]. Fresh blocks are labeled in parallel when the
-    /// batch is worth it; a partially labeled block (the grown trailing
-    /// block) extends **append-only** — labeled lanes are never recomputed.
-    /// When [`BitParallelPool::budget_admits_labels`] declines, nothing is
-    /// labeled and the blocks lacking labels count as mask queries.
+    /// Labelling prologue of an unlimited-depth single row over the sample
+    /// window `[lo, hi)`: counts one label query per touched block in
+    /// [`EngineStats`] and labels the touched blocks that are not fully
+    /// labelled ([`BitParallelPool::label_blocks`]). When
+    /// [`BitParallelPool::budget_admits_labels`] declines, nothing is
+    /// labelled and the blocks lacking labels count as mask queries.
     fn prepare_unlimited(&mut self, lo: usize, hi: usize) {
         if !self.adaptive || lo >= hi || self.run.checkpoint(SamplingPhase::Labeling) {
             return;
         }
-        let graph = self.sampler.graph();
-        let n = graph.num_nodes();
-        if !Self::labels_fit(n) {
+        if !Self::labels_fit(self.graph().num_nodes()) {
             return;
         }
-        let bps = blocks_per_shard::<W>();
         let blocks = lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES;
         self.stats.label_queries += blocks.clone().count();
         let todo: Vec<usize> =
@@ -851,97 +770,78 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         if todo.is_empty() {
             return;
         }
-        if !self.budget_admits_labels() {
+        if self.budget_admits_labels() {
+            self.label_blocks(&todo);
+        } else {
             // The sweep serves the unlabelled lanes by mask BFS.
             self.stats.label_queries -= todo.len();
             self.stats.mask_queries += todo.len();
-            return;
-        }
-        // Fresh full finalizations are independent per block: build the
-        // label structures by value in parallel, then attach. Extensions of
-        // a partially labeled block (at most one — the trailing block) run
-        // serially on the pool's workspace.
-        let fresh: Vec<usize> = todo
-            .iter()
-            .copied()
-            .filter(|&b| shard_block(&self.shards, b).labels.is_none())
-            .collect();
-        if fresh.len() > 1 && self.config.parallel_generation(fresh.len() * Self::BLOCK_LANES) {
-            let shards: &[Shard<W>] = &self.shards;
-            let built: Vec<(usize, BlockLabels<W>)> = self.config.run(|| {
-                fresh
-                    .par_iter()
-                    .map_init(
-                        || MultiWorldBfs::<W>::new(n),
-                        |bfs, &b| {
-                            let block = shard_block(shards, b);
-                            let mut labels = BlockLabels::new(n);
-                            labels.extend(graph, bfs, &block.masks, block.lanes as usize);
-                            (b, labels)
-                        },
-                    )
-                    .collect()
-            });
-            for (b, labels) in built {
-                self.stats.finalized_blocks += 1;
-                self.stats.finalized_lanes += labels.labeled();
-                self.shards[b / bps].blocks[b % bps].labels = Some(labels);
-            }
-        }
-        // Serial (and catch-up) path: blocks the parallel branch already
-        // attached are fully labeled and fall through.
-        for &b in &todo {
-            self.finalize_block(b);
-        }
-        // Labels grew: re-charge the touched shards' bytes to the ledger.
-        for s in shard_span(lo, hi) {
-            self.settle_shard(s);
         }
     }
 
-    /// The labelling rule of unlimited rows: labels are built only if the
-    /// labels still missing from the whole pool, resident or evicted, fit
-    /// the ledger beside what it already holds. Each block lacking labels
-    /// counts at the most a fully labelled block can hold
-    /// ([`BlockLabels`]): a giant mask per node, a largest-component size
-    /// and a list offset per lane (plus the terminator), and a member entry
-    /// and a cycle link per listed node. A lane lists only nodes outside
-    /// its largest component whose component has at least two nodes, and
-    /// the largest is at least as large, so a lane lists at most `n − 2`
-    /// nodes — as many as a world of disjoint pairs does. Otherwise rows
-    /// sweep those blocks as masks, so a tight budget keeps masks resident
-    /// instead of evicting them for labels it cannot keep. Never inlined:
-    /// it runs only when a window lacks labels.
+    /// The labelling rule: whether blocks lacking labels are labelled now.
+    /// Only an adaptive pool labels, only on a graph whose labels fit
+    /// ([`BitParallelPool::labels_fit`]), and only if the labels still
+    /// missing from the whole pool, resident or evicted, fit the ledger
+    /// beside what it already holds. Each block lacking labels counts at
+    /// the most a fully labelled block can hold ([`BlockLabels`]): a giant
+    /// mask per node, a largest-component size and a list offset per lane
+    /// (plus the terminator), and a member entry and a cycle link per
+    /// listed node. A lane lists only nodes outside its largest component
+    /// whose component has at least two nodes, and the largest is at least
+    /// as large, so a lane lists at most `n − 2` nodes — as many as a world
+    /// of disjoint pairs does. Otherwise rows sweep those blocks as masks,
+    /// so a tight budget keeps masks resident instead of evicting them for
+    /// labels it cannot keep. Never inlined: it runs only when a window
+    /// lacks labels.
     #[inline(never)]
     fn budget_admits_labels(&self) -> bool {
+        let (n, lanes) = (self.graph().num_nodes(), Self::BLOCK_LANES);
+        if !self.adaptive || !Self::labels_fit(n) {
+            return false;
+        }
         let labelled =
             self.shards.iter().flat_map(|shard| &shard.blocks).filter(|b| b.fully_labeled());
         let missing = self.num_blocks() - labelled.count();
-        let (n, lanes) = (self.graph().num_nodes(), Self::BLOCK_LANES);
         let per_block = n * std::mem::size_of::<Mask<W>>()
             + 4 * (2 * lanes + 1)
             + 8 * lanes * n.saturating_sub(2);
         !self.budget.would_exceed(missing.saturating_mul(per_block))
     }
 
-    /// Labels block `b`'s unlabeled lanes on the pool's workspace —
-    /// append-only, so already-labeled lanes are never recomputed — and
-    /// counts them in [`EngineStats`]. The caller settles the shard's
-    /// bytes.
-    fn finalize_block(&mut self, b: usize) {
-        let graph = self.sampler.graph();
-        let n = graph.num_nodes();
+    /// Labels the missing lanes of the listed blocks (ascending, resident,
+    /// none fully labelled) — append-only, so labelled lanes are never
+    /// recomputed — then attaches the labels, counts them in
+    /// [`EngineStats`] and settles the blocks' shards. Each block's labels
+    /// are built by value, from a fresh [`BlockLabels`] or a copy of the
+    /// block's partial labels, on rayon when more than one block is worth
+    /// it and otherwise on the pool's workspace.
+    fn label_blocks(&mut self, todo: &[usize]) {
         let bps = blocks_per_shard::<W>();
-        let block = &mut self.shards[b / bps].blocks[b % bps];
-        let labels = block.labels.get_or_insert_with(|| BlockLabels::new(n));
-        let before = labels.labeled();
-        if before == 0 {
-            self.stats.finalized_blocks += 1;
+        let BitParallelPool { sampler, shards, config, bfs, stats, .. } = self;
+        let (graph, n) = (sampler.graph(), sampler.graph().num_nodes());
+        let build = |bfs: &mut MultiWorldBfs<W>, &b: &usize| {
+            let block = shard_block(shards, b);
+            let mut labels = block.labels.clone().unwrap_or_else(|| BlockLabels::new(n));
+            labels.extend(graph, bfs, &block.masks, block.lanes as usize);
+            labels
+        };
+        let built: Vec<BlockLabels<W>> = if todo.len() > 1
+            && config.parallel_generation(todo.len() * Self::BLOCK_LANES)
+        {
+            config.run(|| todo.par_iter().map_init(|| MultiWorldBfs::<W>::new(n), build).collect())
+        } else {
+            todo.iter().map(|b| build(bfs, b)).collect()
+        };
+        for (&b, labels) in todo.iter().zip(built) {
+            let slot = &mut shards[b / bps].blocks[b % bps].labels;
+            let before = slot.as_ref().map_or(0, BlockLabels::labeled);
+            stats.finalized_blocks += usize::from(before == 0);
+            stats.finalized_lanes += labels.labeled() - before;
+            *slot = Some(labels);
         }
-        let target = block.lanes as usize;
-        if before < target {
-            labels.extend(graph, &mut self.bfs, &block.masks, target);
-            self.stats.finalized_lanes += target - before;
+        for &b in todo {
+            self.settle_shard(b / bps);
         }
     }
 
@@ -1113,11 +1013,10 @@ impl<const W: usize> BitParallelPool<'_, W> {
         true
     }
 
-    /// Infallible single-sample resolve of the per-sample accessors: these
-    /// back evaluation paths that run outside any solve and walk the pool
-    /// sample by sample, so they are neither checkpoints nor failpoints,
-    /// and they do not trim (the next aggregate query or `ensure` settles
-    /// the ledger).
+    /// Infallible resolve of sample `i`'s shard for
+    /// [`BitParallelPool::connected_pairs`], which runs outside any solve
+    /// and walks the pool block by block: it is neither a checkpoint nor a
+    /// failpoint, and it does not trim — the walk trims once on return.
     fn resolve_point(&mut self, i: usize) {
         let s = i / SHARD_WORLDS;
         if !self.stamp(s) {
@@ -1287,46 +1186,32 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         self.trim_to_budget();
     }
 
-    /// Per overlapping block, a label scan over the block's finalized
-    /// lanes (adaptive mode), and one
-    /// connectivity-fixpoint traversal popcounting the final reach masks
-    /// over the rest. Lane masks are narrowed to the range's lanes, so
-    /// counts over disjoint ranges add up exactly.
+    /// A batch of one.
     fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        self.prepare_unlimited(lo, hi);
-        self.plan(lo, hi, true);
-        self.sweep(self.block_work(), [out], |[counts], bfs, graph, block, labeled, masked| {
-            if labeled.any() {
-                block.labels().accumulate_center(center.index(), labeled, counts);
-            }
-            if masked.any() {
-                bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
-                    counts[node.index()] += m.count_ones();
-                });
-            }
-        });
+        self.counts_from_centers_range(std::slice::from_ref(&center), lo, hi, out);
     }
 
-    /// Amortization by **component sharing**: connectivity reach sets are
-    /// per-component, so if centers `c_i` and `c_j` are connected in some
-    /// of a block's worlds, their rows are identical in those worlds. Per
-    /// overlapping block, [`MultiWorldBfs::share_components`] runs a mask
-    /// BFS per center only over the window lanes where its component is
-    /// still unknown; every later center found inside the traversed reach
-    /// set takes the reach masks for the shared worlds with one AND +
-    /// popcount sweep instead of a re-traversal. On instances with a
-    /// supercritical giant component (most candidate centers connected in
-    /// most worlds), a block costs roughly one traversal plus `k` cheap
-    /// sweeps — the amortization that makes bit-parallel win the multi-row
-    /// query workload it loses on single rows, and the shape of a
-    /// row-cache top-up wave: one shared pass over the new worlds for all
-    /// cached rows.
+    /// Per overlapping block, a label scan over the lanes the block's
+    /// labels serve and a mask traversal over the rest, lane masks narrowed
+    /// to the window's worlds so counts over disjoint windows add up
+    /// exactly. A single row first labels the window's blocks
+    /// ([`BitParallelPool::prepare_unlimited`]) and traverses the lanes
+    /// left unlabelled with one connectivity fixpoint from its center.
+    ///
+    /// Batches never label. They amortize by **component sharing**:
+    /// connectivity reach sets are per-component, so if centers `c_i` and
+    /// `c_j` are connected in some of a block's worlds, their rows are
+    /// identical in those worlds. Per overlapping block,
+    /// [`MultiWorldBfs::share_components`] runs a mask BFS per center only
+    /// over the window lanes where its component is still unknown; every
+    /// later center found inside the traversed reach set takes the reach
+    /// masks for the shared worlds with one AND + popcount sweep instead of
+    /// a re-traversal. On instances with a supercritical giant component
+    /// (most candidate centers connected in most worlds), a block costs
+    /// roughly one traversal plus `k` cheap sweeps — the amortization that
+    /// makes bit-parallel win the multi-row query workload it loses on
+    /// single rows, and the shape of a row-cache top-up wave: one shared
+    /// pass over the new worlds for all cached rows.
     fn counts_from_centers_range(
         &mut self,
         centers: &[NodeId],
@@ -1338,48 +1223,46 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
         let k = centers.len();
         assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
         assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if k == 0 {
+        if k == 0 || !self.resolve_range(lo, hi) {
             return;
         }
         if k == 1 {
-            return self.counts_from_center_range(centers[0], lo, hi, out);
+            self.prepare_unlimited(lo, hi);
         }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        // Batches never finalize — that is the single-row path's job. A
-        // fully labeled block goes to label scans only when the exact
-        // cost model prefers them over the sharing sweep; a block with any
-        // unlabeled lanes runs the sweep for *all* its lanes, because the
-        // traversal must run anyway and folding labeled lanes into it is
-        // nearly free. Planning up front keeps the stats exact — a batch
-        // block-query counts as label-served only if labels actually serve
-        // it.
         self.plan(lo, hi, true);
-        let (mut label_q, mut mask_q) = (0usize, 0usize);
-        for entry in &mut self.plan {
-            let (b, labeled, masked) = *entry;
-            let use_labels = masked.is_zero()
-                && labeled.any()
-                && labels_beat_shared_masks(
-                    shard_block(&self.shards, b as usize)
-                        .labels()
-                        .batch_label_ops(centers, labeled),
-                    n,
-                    m,
-                    k,
-                    W,
-                );
-            if use_labels {
-                label_q += 1;
-            } else {
-                mask_q += 1;
-                *entry = (b, Mask::ZERO, labeled | masked);
+        if k > 1 {
+            // A fully labelled block goes to label scans only when the
+            // exact cost model prefers them over the sharing sweep; a block
+            // with any unlabelled lanes runs the sweep for *all* its lanes,
+            // because the traversal must run anyway and folding labelled
+            // lanes into it is nearly free. Planning up front keeps the
+            // stats exact — a batch block-query counts as label-served only
+            // if labels actually serve it.
+            let (mut label_q, mut mask_q) = (0usize, 0usize);
+            for entry in &mut self.plan {
+                let (b, labeled, masked) = *entry;
+                let use_labels = masked.is_zero()
+                    && labeled.any()
+                    && labels_beat_shared_masks(
+                        shard_block(&self.shards, b as usize)
+                            .labels()
+                            .batch_label_ops(centers, labeled),
+                        n,
+                        m,
+                        k,
+                        W,
+                    );
+                if use_labels {
+                    label_q += 1;
+                } else {
+                    mask_q += 1;
+                    *entry = (b, Mask::ZERO, labeled | masked);
+                }
             }
-        }
-        if self.adaptive {
-            self.stats.label_queries += label_q;
-            self.stats.mask_queries += mask_q;
+            if self.adaptive {
+                self.stats.label_queries += label_q;
+                self.stats.mask_queries += mask_q;
+            }
         }
         let work = self.block_work() + k * n;
         self.sweep(work, [out], |[counts], bfs, graph, block, labeled, masked| {
@@ -1389,12 +1272,18 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
                     labels.accumulate_center(c.index(), labeled, &mut counts[j * n..(j + 1) * n]);
                 }
             }
-            bfs.share_components(graph, &block.masks, centers, masked, |j, lanes, bfs| {
-                let row = &mut counts[j * n..(j + 1) * n];
-                for u in bfs.reached() {
-                    row[u.index()] += (bfs.reach(u) & lanes).count_ones();
-                }
-            });
+            match centers {
+                _ if masked.is_zero() => {}
+                [center] => bfs.run_unlimited(graph, &block.masks, *center, masked, |node, m| {
+                    counts[node.index()] += m.count_ones();
+                }),
+                _ => bfs.share_components(graph, &block.masks, centers, masked, |j, lanes, bfs| {
+                    let row = &mut counts[j * n..(j + 1) * n];
+                    for u in bfs.reached() {
+                        row[u.index()] += (bfs.reach(u) & lanes).count_ones();
+                    }
+                }),
+            }
         });
     }
 
@@ -1464,7 +1353,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph_graph::{Bitset, GraphBuilder};
+    use ugraph_graph::{connected_components, Bitset, GraphBuilder, WorldView};
 
     fn chain(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new(n as usize);
@@ -1474,16 +1363,33 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Component labels of every sample of `pool`, one vector per sample.
-    fn all_labels<const W: usize>(pool: &mut BitParallelPool<'_, W>) -> Vec<Vec<u32>> {
-        let n = pool.graph().num_nodes();
-        (0..pool.num_samples())
-            .map(|i| {
-                let mut out = vec![0u32; n];
-                pool.labels_into(i, &mut out);
-                out
-            })
+    /// Component labels of every world the pools over `g` with master
+    /// `seed` hold, from the sampler's own draw of each world.
+    fn world_labels(g: &UncertainGraph, seed: u64, r: usize) -> Vec<Vec<u32>> {
+        let sampler = WorldSampler::new(g, seed);
+        (0..r)
+            .map(|i| connected_components(&WorldView::new(g, &sampler.sample(i as u64))).0)
             .collect()
+    }
+
+    /// Checks every world of `pool` against the components of the
+    /// sampler's own draw: one row over `[i, i + 1)` from each component's
+    /// smallest node marks exactly that component.
+    fn assert_worlds_match<const W: usize>(pool: &mut BitParallelPool<'_, W>, seed: u64) {
+        let n = pool.graph().num_nodes();
+        let mut row = vec![0u32; n];
+        for (i, labels) in world_labels(pool.graph(), seed, pool.num_samples()).iter().enumerate() {
+            let mut components = 0;
+            for (c, &label) in labels.iter().enumerate() {
+                if label != components {
+                    continue;
+                }
+                components += 1;
+                pool.counts_from_center_range(NodeId::from_index(c), i, i + 1, &mut row);
+                let want: Vec<u32> = labels.iter().map(|&l| u32::from(l == label)).collect();
+                assert_eq!(row, want, "world {i}, component of node {c}");
+            }
+        }
     }
 
     #[test]
@@ -1501,9 +1407,9 @@ mod tests {
 
     #[test]
     fn growth_schedule_does_not_change_samples() {
-        // The stepped adaptive pool reads labels between growth steps, so
-        // its trailing block is labeled, then extended append-only; the
-        // one-shot pure-mask pool labels each world on its own.
+        // The stepped adaptive pool reads a row over its last world
+        // between growth steps, so its trailing block is labeled, then
+        // extended append-only; the one-shot pure-mask pool sweeps masks.
         let g = chain(12, 0.4);
         let mut a = BitParallelPool::<1>::new(&g, 3, 1);
         a.ensure(100);
@@ -1511,9 +1417,10 @@ mod tests {
         let mut out = vec![0u32; 12];
         for r in [7, 13, 70, 100] {
             b.ensure(r);
-            b.labels_into(r - 1, &mut out);
+            b.counts_from_center_range(NodeId(0), r - 1, r, &mut out);
         }
-        assert_eq!(all_labels(&mut a), all_labels(&mut b));
+        assert_worlds_match(&mut a, 3);
+        assert_worlds_match(&mut b, 3);
         let stats = b.engine_stats();
         assert_eq!((stats.finalized_blocks, stats.finalized_lanes), (2, 100), "{stats:?}");
         assert_eq!(a.engine_stats(), EngineStats::default(), "pure-mask labels are not cached");
@@ -1526,28 +1433,21 @@ mod tests {
         serial.ensure(330);
         let mut parallel = BitParallelPool::<1>::new(&g, 5, 4);
         parallel.ensure(330);
-        assert_eq!(all_labels(&mut serial), all_labels(&mut parallel));
+        assert_worlds_match(&mut serial, 5);
+        assert_worlds_match(&mut parallel, 5);
     }
 
     #[test]
     fn membership_index_consistent_with_labels() {
         // Single-world row queries over finalized blocks are served by the
         // block labels' membership index: they must mark exactly the nodes
-        // that share the center's label in that world.
+        // that share the center's component in that world.
         let g = chain(15, 0.5);
         let mut pool = BitParallelPool::<1>::new_adaptive(&g, 9, 1);
         pool.ensure(100);
-        let labels = all_labels(&mut pool);
-        let mut row = vec![0u32; 15];
-        for (i, world) in labels.iter().enumerate() {
-            for c in [0usize, 7, 14] {
-                pool.counts_from_center_range(NodeId::from_index(c), i, i + 1, &mut row);
-                for u in 0..15 {
-                    assert_eq!(row[u] == 1, world[u] == world[c], "world {i} center {c} node {u}");
-                }
-            }
-        }
-        assert!(pool.engine_stats().label_queries > 0, "rows were not label-served");
+        assert_worlds_match(&mut pool, 9);
+        let stats = pool.engine_stats();
+        assert_eq!((stats.finalized_lanes, stats.mask_queries), (100, 0), "{stats:?}");
     }
 
     #[test]
@@ -2221,44 +2121,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_into_regenerates_and_charges_block_labels() {
-        // Under a budget far below one shard, reading labels regenerates
-        // evicted shards without trimming, and the labelling rule declines
-        // labels, so each world is labelled on its own; the next aggregate
-        // query settles the ledger again.
-        let g = chain(6, 0.5);
-        let r = SHARD_WORLDS + 100;
-        let budget = MemoryBudget::bounded(512);
-        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
-        pool.set_memory_budget(budget.clone());
-        pool.ensure(r);
-        let mut mask = BitParallelPool::<4>::new(&g, 2, 1);
-        mask.ensure(r);
-        let want = all_labels(&mut mask);
-        assert_eq!(all_labels(&mut pool), want);
-        assert_eq!(pool.engine_stats(), EngineStats::default(), "no block was labelled");
-        let held = budget.bytes_held();
-        assert!(held > 512, "label reads resolve without trimming: {held} B");
-        assert!(pool.memory_stats().shards_regenerated > 0);
-        let mut row = vec![0u32; 6];
-        pool.counts_from_center(NodeId(0), &mut row);
-        assert!(budget.bytes_held() <= 512, "{} B over the limit", budget.bytes_held());
-        // Unbounded, the same reads label each block once and charge its
-        // labels to the shard.
-        let mut free = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
-        free.ensure(r);
-        let masks = free.memory_stats().bytes_held;
-        assert_eq!(all_labels(&mut free), want);
-        assert_eq!(free.engine_stats().finalized_lanes, r);
-        assert!(free.memory_stats().bytes_held > masks);
-    }
-
-    #[test]
     fn connected_pairs_regenerate_and_trim_the_ledger() {
         // Under a budget far below one shard, counting connected pairs
         // regenerates the evicted shards it reads, labels no block, and
-        // trims the ledger on return; unbounded, it labels every block.
-        // Both count what the per-world labels say.
+        // trims the ledger on return; unbounded, it labels and charges
+        // every block once. Both count what the per-world labels say.
         let g = chain(6, 0.5);
         let r = SHARD_WORLDS + 100;
         let clusters = [vec![NodeId(0), NodeId(1), NodeId(2)], vec![NodeId(4), NodeId(5)]];
@@ -2266,7 +2133,7 @@ mod tests {
         let mut mask = BitParallelPool::<4>::new(&g, 2, 1);
         mask.ensure(r);
         let mut want = (0u64, 0u64);
-        for world in all_labels(&mut mask) {
+        for world in world_labels(&g, 2, r) {
             for u in 0..6 {
                 for v in u + 1..6 {
                     let (Some(a), Some(b)) = (cluster_of[u], cluster_of[v]) else { continue };
@@ -2287,8 +2154,13 @@ mod tests {
         assert_eq!(pool.engine_stats(), EngineStats::default(), "no block was labelled");
         let mut free = BitParallelPool::<4>::new_adaptive(&g, 2, 1);
         free.ensure(r);
+        let masks = free.memory_stats().bytes_held;
         assert_eq!(free.connected_pairs(&clusters), want);
-        assert_eq!(free.engine_stats().finalized_lanes, r);
+        let (stats, memory) = (free.engine_stats(), free.memory_stats());
+        assert_eq!((stats.finalized_blocks, stats.finalized_lanes), (5, r), "{stats:?}");
+        assert!(memory.bytes_held > masks, "labels were not charged: {memory:?}");
+        assert_eq!(free.connected_pairs(&clusters), want);
+        assert_eq!((free.engine_stats(), free.memory_stats()), (stats, memory), "labelled twice");
         assert_eq!(mask.connected_pairs(&clusters), want);
     }
 
@@ -2391,14 +2263,5 @@ mod tests {
         first.counts_from_center_range(NodeId(3), 0, SHARD_WORLDS, &mut row);
         assert_eq!(row, want);
         assert_eq!(first.memory_stats().shards_regenerated, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn labels_into_rejects_missing_samples() {
-        let g = chain(4, 0.5);
-        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 1, 1);
-        pool.ensure(8);
-        pool.labels_into(8, &mut [0u32; 4]);
     }
 }

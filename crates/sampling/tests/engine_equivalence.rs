@@ -566,9 +566,10 @@ proptest! {
             "relabeling detected: {} lanes labeled, {} sampled", stats.finalized_lanes, reached);
     }
 
-    /// A labelled pool labels every world exactly like the reference
-    /// engine, serial or on several threads, and its rows and pairs over
-    /// labels equal a pure-mask pool's.
+    /// A labelled pool holds every world's components exactly as the
+    /// reference engine does, serial or on several threads: one row over
+    /// each single world from each component's smallest node marks that
+    /// component. Its rows and pairs over labels equal a pure-mask pool's.
     #[test]
     fn labelled_worlds_match_reference_labels(
         g in small_graph(10, 16),
@@ -586,8 +587,10 @@ proptest! {
         let mut a = vec![0u32; n];
         let mut b = vec![0u32; n];
         for i in 0..r {
-            pool.labels_into(i, &mut a);
-            prop_assert_eq!(&a, &reference.labels(i), "labels of world {}", i);
+            for (center, want) in reference.component_rows(i) {
+                pool.counts_from_center_range(center, i, i + 1, &mut a);
+                prop_assert_eq!(&a, &want, "world {}, component of node {}", i, center);
+            }
         }
         for c in 0..n as u32 {
             pool.counts_from_center(NodeId(c), &mut a);
@@ -859,8 +862,8 @@ proptest! {
     /// every step, full rows and rows over the step's new window from
     /// every center, a batch of two centers and a batch of every node
     /// (labels and masks answer batches on different sides of the cost
-    /// model), pairs, and the labels of every world must agree; no lane
-    /// is labelled twice.
+    /// model), pairs, and one row over each single world from each of its
+    /// components must agree; no lane is labelled twice.
     #[test]
     fn labelled_blocks_agree_at_the_shipped_width(
         g in percolating_graph(),
@@ -911,9 +914,11 @@ proptest! {
                 );
             }
         }
-        for (i, want) in labels.iter().enumerate() {
-            pool.labels_into(i, &mut a);
-            prop_assert_eq!(&a, want, "labels of world {}", i);
+        for i in 0..reached {
+            for (center, want) in reference.component_rows(i) {
+                pool.counts_from_center_range(center, i, i + 1, &mut a);
+                prop_assert_eq!(&a, &want, "world {}, component of node {}", i, center);
+            }
         }
         let stats = pool.engine_stats();
         prop_assert!(stats.finalized_lanes <= reached,

@@ -1,11 +1,15 @@
 //! Property-based tests for the sampling layer, validating the paper's
 //! probabilistic claims on exhaustively-solvable instances.
 
+mod support;
+
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
     BitParallelPool, ExactOracle, McOracle, Oracle, SampleSchedule, WorldEngine,
 };
+
+use support::ReferenceEngine;
 
 /// Strategy: a small random uncertain graph with at most `max_m ≤ 12`
 /// uncertain edges, so the exact oracle stays cheap.
@@ -242,7 +246,8 @@ proptest! {
     }
 
     /// Thread-count invariance at the pool layer: the sampled worlds
-    /// themselves (not just aggregates) are identical across thread counts.
+    /// themselves (not just aggregates) are identical across thread counts
+    /// and equal the reference engine's, component by component.
     #[test]
     fn pools_identical_across_thread_counts(g in small_graph(10, 16), seed in any::<u64>()) {
         let n = g.num_nodes();
@@ -250,11 +255,16 @@ proptest! {
         let mut parallel = BitParallelPool::<1>::new_adaptive(&g, seed, 4);
         serial.ensure(300);
         parallel.ensure(300);
+        let mut reference = ReferenceEngine::new(&g, seed);
+        reference.ensure(300);
         let (mut a, mut b) = (vec![0u32; n], vec![0u32; n]);
         for i in 0..300 {
-            serial.labels_into(i, &mut a);
-            parallel.labels_into(i, &mut b);
-            prop_assert_eq!(&a, &b, "sample {} differs", i);
+            for (center, want) in reference.component_rows(i) {
+                serial.counts_from_center_range(center, i, i + 1, &mut a);
+                parallel.counts_from_center_range(center, i, i + 1, &mut b);
+                prop_assert_eq!(&a, &want, "sample {}, component of node {}", i, center);
+                prop_assert_eq!(&b, &want, "sample {}, component of node {}", i, center);
+            }
         }
         for block in 0..serial.num_blocks() {
             for e in 0..g.num_edges() {

@@ -34,6 +34,21 @@ impl<'g> ReferenceEngine<'g> {
     pub fn labels(&self, i: usize) -> Vec<u32> {
         connected_components(&WorldView::new(self.sampler.graph(), &self.worlds[i])).0
     }
+
+    /// Each component of world `i`, in order of its smallest node: that
+    /// node and the component's indicator over all nodes, which is what a
+    /// row over `[i, i + 1)` from the node counts.
+    pub fn component_rows(&self, i: usize) -> Vec<(NodeId, Vec<u32>)> {
+        let labels = self.labels(i);
+        let mut rows = Vec::new();
+        for (u, &label) in labels.iter().enumerate() {
+            if label as usize == rows.len() {
+                let indicator = labels.iter().map(|&l| u32::from(l == label)).collect();
+                rows.push((NodeId::from_index(u), indicator));
+            }
+        }
+        rows
+    }
 }
 
 impl WorldEngine for ReferenceEngine<'_> {
