@@ -236,7 +236,7 @@ pub struct UgraphSession<'g> {
     config: ClusterConfig,
     /// One oracle (engine + grow-only pool + row cache) per request shape
     /// seen so far; linear scan — a session holds a handful at most.
-    oracles: Vec<(OracleKey, Box<dyn Oracle + 'g>)>,
+    oracles: Vec<(OracleKey, McOracle<'g>)>,
     /// Lazily-built evaluation pool shared by [`UgraphSession::evaluate`],
     /// [`UgraphSession::evaluate_depth`] and the metrics layer
     /// ([`UgraphSession::eval_pool`]): an adaptive pool on the session's
@@ -375,7 +375,7 @@ impl<'g> UgraphSession<'g> {
         let engine_before = oracle.engine_stats();
         oracle.begin_request();
         oracle.set_run_state(run);
-        let mut result = solve_on(oracle.as_mut(), request, &self.config)?;
+        let mut result = solve_on(oracle, request, &self.config)?;
         result.row_cache = result.row_cache.since(cache_before);
         result.engine = result.engine.since(engine_before);
         // The session's clock also covers building the request's oracle.
@@ -504,7 +504,7 @@ impl<'g> UgraphSession<'g> {
         )?
         .with_row_cache(cfg.row_cache)
         .with_memory_budget(self.budget.clone());
-        self.oracles.push((key, Box::new(oracle)));
+        self.oracles.push((key, oracle));
         Ok(self.oracles.len() - 1)
     }
 }
