@@ -144,7 +144,10 @@ commands:
             [--output out.tsv]
 
 Each command reads only the flags listed for it; any other flag is an
-error (exit 2) that names the flag and the command.
+error (exit 2) that names the flag and the command. `cluster` reads
+--input, --algo and --output for every algorithm, and otherwise only
+what its algorithm reads: mcp and acp --k --depth --seed --memory-budget
+--timeout --best-effort, gmm --k --seed, mcl --inflation, kpt --seed.
 
 `evaluate --depth D` measures `p_min` and `p_avg` over paths of at most
 D hops; AVPR always counts unlimited paths.
@@ -219,6 +222,15 @@ const COMMAND_FLAGS: [(&str, &str); 8] = [
     ),
 ];
 
+/// The flags each `cluster --algo` reads besides `--input --algo --output`.
+const ALGO_FLAGS: [(&str, &str); 5] = [
+    ("mcp", "--k --depth --seed --memory-budget --timeout --best-effort"),
+    ("acp", "--k --depth --seed --memory-budget --timeout --best-effort"),
+    ("gmm", "--k --seed"),
+    ("mcl", "--inflation"),
+    ("kpt", "--seed"),
+];
+
 /// Parsed flag set (strings resolved lazily per command).
 #[derive(Default, Debug)]
 struct Options {
@@ -255,14 +267,17 @@ struct Options {
 
 impl Options {
     /// Parses `command`'s flags. A known flag that `command` does not read
-    /// is an error; an unknown command is left to the dispatch, which
+    /// is an error, and so is a `cluster` flag its `--algo` does not read;
+    /// an unknown command or algorithm is left to the dispatch, which
     /// reports it.
     fn parse(command: &str, args: &[String]) -> Result<Self, String> {
         let reads = |flags: &str, flag: &str| flags.split_whitespace().any(|f| f == flag);
         let own = COMMAND_FLAGS.iter().find(|(c, _)| *c == command).map(|&(_, flags)| flags);
         let mut o = Options { seed: 1, samples: 512, ..Default::default() };
         let mut it = args.iter();
+        let mut given = Vec::new();
         while let Some(flag) = it.next() {
+            given.push(flag);
             let known = COMMAND_FLAGS.iter().any(|(_, flags)| reads(flags, flag));
             if known && own.is_some_and(|flags| !reads(flags, flag)) {
                 return Err(format!("flag {flag} is not read by `{command}`"));
@@ -321,6 +336,13 @@ impl Options {
                 "--retries" => o.retries = Some(parse_num(&take()?, flag)?),
                 "--connect-pool" => o.connect_pool = Some(parse_num(&take()?, flag)?),
                 other => return Err(format!("unknown flag '{other}'")),
+            }
+        }
+        let algo = o.algo.as_deref().filter(|_| command == "cluster");
+        if let Some((algo, flags)) = ALGO_FLAGS.iter().find(|(a, _)| Some(*a) == algo) {
+            let unread = |f: &&String| !reads("--input --algo --output", f) && !reads(flags, f);
+            if let Some(flag) = given.into_iter().find(unread) {
+                return Err(format!("flag {flag} is not read by `cluster --algo {algo}`"));
             }
         }
         Ok(o)

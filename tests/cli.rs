@@ -390,23 +390,55 @@ fn unread_flags_are_named_errors() {
     let clustering = tmp("unread-flag.tsv");
     std::fs::write(&clustering, "0\t0\t0\n").unwrap();
     let out_file = tmp("unread-flag-never-written.txt");
+    // Each case names the first unread flag and the command (or
+    // `cluster --algo`) that does not read it.
     let cases = [
-        ("generate --dataset krogan --output OUT --samples 8", "--samples"),
-        ("stats --input GRAPH --k 5", "--k"),
-        ("cluster --input GRAPH --algo mcp --k 2 --samples 8", "--samples"),
-        ("sweep --input GRAPH --algo mcp --k-min 2 --k-max 3 --k 2", "--k"),
-        ("evaluate --input GRAPH --clustering CLUSTERING --inflation 2", "--inflation"),
+        ("generate --dataset krogan --output OUT --samples 8", "--samples", "generate"),
+        ("stats --input GRAPH --k 5", "--k", "stats"),
+        ("cluster --input GRAPH --algo mcp --k 2 --samples 8", "--samples", "cluster"),
+        ("sweep --input GRAPH --algo mcp --k-min 2 --k-max 3 --k 2", "--k", "sweep"),
+        ("evaluate --input GRAPH --clustering CLUSTERING --inflation 2", "--inflation", "evaluate"),
         // Solver flags used to pass `evaluate` silently; the first is named.
         (
             "evaluate --input GRAPH --clustering CLUSTERING --samples 8 --timeout 1ms --k-min 3 \
              --best-effort --algo gmm",
             "--timeout",
+            "evaluate",
         ),
-        ("knn --input GRAPH --source 0 --memory-budget 1M", "--memory-budget"),
-        ("serve --listen 127.0.0.1:0 --dataset no-such-dataset --k 3", "--k"),
-        ("client cluster --connect 127.0.0.1:1 --retries 0 --k 2 --samples 8", "--samples"),
+        ("knn --input GRAPH --source 0 --memory-budget 1M", "--memory-budget", "knn"),
+        ("serve --listen 127.0.0.1:0 --dataset no-such-dataset --k 3", "--k", "serve"),
+        (
+            "client cluster --connect 127.0.0.1:1 --retries 0 --k 2 --samples 8",
+            "--samples",
+            "client",
+        ),
+        // `cluster` flags its algorithm does not read used to pass silently.
+        (
+            "cluster --input GRAPH --algo gmm --k 5 --depth 3 --memory-budget 1K --timeout 1ms \
+             --best-effort --inflation 3 --output OUT",
+            "--depth",
+            "cluster --algo gmm",
+        ),
+        ("cluster --input GRAPH --algo gmm --k 5 --timeout 1ms", "--timeout", "cluster --algo gmm"),
+        ("cluster --input GRAPH --algo mcl --k 7 --depth 2", "--k", "cluster --algo mcl"),
+        ("cluster --input GRAPH --algo mcl --seed 4", "--seed", "cluster --algo mcl"),
+        (
+            "cluster --inflation 9 --input GRAPH --algo mcp --k 2",
+            "--inflation",
+            "cluster --algo mcp",
+        ),
+        (
+            "cluster --input GRAPH --algo acp --k 2 --inflation 2",
+            "--inflation",
+            "cluster --algo acp",
+        ),
+        (
+            "cluster --input GRAPH --algo kpt --memory-budget 1M",
+            "--memory-budget",
+            "cluster --algo kpt",
+        ),
     ];
-    for (line, flag) in cases {
+    for (line, flag, reader) in cases {
         let args: Vec<&str> = line
             .split_whitespace()
             .map(|arg| match arg {
@@ -419,8 +451,8 @@ fn unread_flags_are_named_errors() {
         let out = bin().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
-        let named = format!("error: flag {flag} is not read by `{}`", args[0]);
+        let named = format!("error: flag {flag} is not read by `{reader}`");
         assert!(stderr.contains(&named), "{line}: {stderr}");
     }
-    assert!(!out_file.exists(), "generate ran despite an unread flag");
+    assert!(!out_file.exists(), "a command ran despite an unread flag");
 }
