@@ -623,14 +623,14 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// Blocks are read in sample order, each shard regenerated when the
     /// walk reaches it if it was evicted (no checkpoint, no failpoint). A
     /// block lacking labels is labelled first, append-only and charged to
-    /// its shard, when [`BitParallelPool::budget_admits_labels`] admits
-    /// labels, as an unlimited row would label it; a fully labelled block
-    /// does not run the rule. On a labelled lane the largest components
-    /// count through bit-sliced per-lane member counters, with no loop over
-    /// lanes, and each small component is walked once. Lanes no labels
-    /// cover are labelled world by world ([`label_world`]), and each
-    /// world's components tallied. The counts are integers, so every path
-    /// returns the same totals. The ledger is trimmed on return.
+    /// its shard, when the labelling rule of rows admits labels, as an
+    /// unlimited row would label it; a fully labelled block does not run
+    /// the rule. On a labelled lane the largest components count through
+    /// bit-sliced per-lane member counters, with no loop over lanes, and
+    /// each small component is walked once. Lanes no labels cover are
+    /// labelled world by world, and each world's components tallied. The
+    /// counts are integers, so every path returns the same totals. The
+    /// ledger is trimmed on return.
     ///
     /// # Panics
     /// Panics if the pool is empty, or a node is out of range or listed
@@ -1194,9 +1194,10 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
     /// Per overlapping block, a label scan over the lanes the block's
     /// labels serve and a mask traversal over the rest, lane masks narrowed
     /// to the window's worlds so counts over disjoint windows add up
-    /// exactly. A single row first labels the window's blocks
-    /// ([`BitParallelPool::prepare_unlimited`]) and traverses the lanes
-    /// left unlabelled with one connectivity fixpoint from its center.
+    /// exactly. A single row first labels the window's blocks that lack
+    /// labels, when the labelling rule admits them, and traverses the
+    /// lanes left unlabelled with one connectivity fixpoint from its
+    /// center.
     ///
     /// Batches never label. They amortize by **component sharing**:
     /// connectivity reach sets are per-component, so if centers `c_i` and

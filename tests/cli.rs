@@ -412,7 +412,7 @@ fn unread_flags_are_named_errors() {
             "--samples",
             "client",
         ),
-        // `cluster` flags its algorithm does not read used to pass silently.
+        // `cluster` reads a flag only for the algorithms that use it.
         (
             "cluster --input GRAPH --algo gmm --k 5 --depth 3 --memory-budget 1K --timeout 1ms \
              --best-effort --inflation 3 --output OUT",
